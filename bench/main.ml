@@ -54,6 +54,18 @@ let write_table1_json rows =
   Mac_sim.Export.write_file ~path body;
   Printf.printf "wrote %s (%d scenarios)\n\n" path (List.length rows)
 
+(* The bench runs plain sweeps: default policy, no resume directory, so
+   every cell comes back [Fresh] or the sweep raised. *)
+let sweep_outcomes ?telemetry ~scale ~jobs row =
+  List.map
+    (function
+      | _, Ok (Mac_experiments.Scenario.Fresh o) -> o
+      | cid, Ok (Mac_experiments.Scenario.Cached _) ->
+        failwith (cid ^ ": cached outcome without a resume directory")
+      | cid, Error err ->
+        failwith (cid ^ ": " ^ Mac_sim.Supervisor.error_to_string err))
+    (Mac_experiments.Table1.sweep ?telemetry ~jobs ~scale row ())
+
 let print_table1 ~scale ~jobs =
   print_endline "=== Table 1: per-row empirical validation ===";
   print_newline ();
@@ -62,7 +74,7 @@ let print_table1 ~scale ~jobs =
   List.iter
     (fun (exp : Mac_experiments.Table1.t) ->
       Printf.printf "--- %s ---\n%s\n" exp.id exp.claim;
-      let outcomes = exp.run ~jobs ~scale () in
+      let outcomes = sweep_outcomes ~jobs ~scale exp in
       let report =
         Mac_sim.Report.create
           ~header:
@@ -118,7 +130,7 @@ let print_matrix ~scale ~jobs =
           string_of_int (max s.max_delay s.max_queued_age);
           Printf.sprintf "%d/%d" s.delivered s.injected;
           (if o.passed then "PASS" else "FAIL") ])
-    (e.run ~jobs ~scale ());
+    (sweep_outcomes ~jobs ~scale e);
   Mac_sim.Report.print report;
   print_newline ();
   print_endline "--- stability frontiers (clean channel) ---";
@@ -143,8 +155,7 @@ let print_figures ~scale ~jobs =
   List.iter
     (fun (fig : Mac_experiments.Figures.t) ->
       Printf.printf "--- %s ---\n%s\n" fig.id fig.title;
-      let report, _ = fig.run ~jobs ~scale () in
-      Mac_sim.Report.print report;
+      Mac_sim.Report.print (fig.run ~jobs ~scale ()).report;
       print_newline ())
     Mac_experiments.Figures.all
 
@@ -168,14 +179,14 @@ type sim_config = {
   algorithm : unit -> Mac_channel.Algorithm.t;
   n : int;
   k : int;
-  rate : float;
-  burst : float;
+  rate : Mac_channel.Qrat.t;
+  burst : Mac_channel.Qrat.t;
   pattern : unit -> Mac_adversary.Pattern.t;
 }
 
 let run_config c ~rounds =
   let adversary =
-    Mac_adversary.Adversary.create ~rate:c.rate ~burst:c.burst (c.pattern ())
+    Mac_adversary.Adversary.create_q ~rate:c.rate ~burst:c.burst (c.pattern ())
   in
   ignore
     (Mac_sim.Engine.run ~algorithm:(c.algorithm ()) ~n:c.n ~k:c.k ~adversary
@@ -186,35 +197,36 @@ let sim_config ~name ~algorithm ~n ~k ~rate ~burst ~pattern =
 
 let sim_configs =
   let n = 8 in
+  let q = Mac_channel.Qrat.make and two = Mac_channel.Qrat.of_int 2 in
   [ sim_config ~name:"T1.orchestra" ~algorithm:(fun () -> (module Mac_routing.Orchestra : Mac_channel.Algorithm.S))
-      ~n ~k:3 ~rate:1.0 ~burst:2.0
+      ~n ~k:3 ~rate:Mac_channel.Qrat.one ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.flood ~n ~victim:2);
     sim_config ~name:"T1.count-hop" ~algorithm:(fun () -> (module Mac_routing.Count_hop))
-      ~n ~k:2 ~rate:0.8 ~burst:2.0
+      ~n ~k:2 ~rate:(q 4 5) ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n ~seed:1);
     sim_config ~name:"T1.adjust-window"
       ~algorithm:(fun () -> (module Mac_routing.Adjust_window)) ~n:4 ~k:2
-      ~rate:0.5 ~burst:2.0
+      ~rate:(q 1 2) ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n:4 ~seed:2);
     sim_config ~name:"T1.k-cycle"
       ~algorithm:(fun () -> Mac_routing.K_cycle.algorithm ~n:12 ~k:4) ~n:12 ~k:4
-      ~rate:0.13 ~burst:2.0
+      ~rate:(q 13 100) ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n:12 ~seed:3);
     sim_config ~name:"T1.k-clique"
       ~algorithm:(fun () -> Mac_routing.K_clique.algorithm ~n:12 ~k:4) ~n:12
-      ~k:4 ~rate:0.03 ~burst:2.0
+      ~k:4 ~rate:(q 3 100) ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n:12 ~seed:4);
     sim_config ~name:"T1.k-subsets"
       ~algorithm:(fun () -> Mac_routing.K_subsets.algorithm ~n:8 ~k:3 ()) ~n:8
-      ~k:3 ~rate:0.1 ~burst:2.0
+      ~k:3 ~rate:(q 1 10) ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.pair_flood ~src:1 ~dst:2);
     sim_config ~name:"F.baseline-pair-tdma"
-      ~algorithm:(fun () -> (module Mac_routing.Pair_tdma)) ~n ~k:2 ~rate:0.03
-      ~burst:2.0
+      ~algorithm:(fun () -> (module Mac_routing.Pair_tdma)) ~n ~k:2
+      ~rate:(q 3 100) ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n ~seed:5);
     sim_config ~name:"F.substrate-mbtf"
-      ~algorithm:(fun () -> (module Mac_broadcast.Mbtf)) ~n ~k:n ~rate:1.0
-      ~burst:2.0
+      ~algorithm:(fun () -> (module Mac_broadcast.Mbtf)) ~n ~k:n
+      ~rate:Mac_channel.Qrat.one ~burst:two
       ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n ~seed:6) ]
 
 let micro_tests () =
@@ -311,7 +323,7 @@ let time_table1 ?telemetry ~scale ~jobs () =
       let t0 = Unix.gettimeofday () in
       List.iter
         (fun (exp : Mac_experiments.Table1.t) ->
-          ignore (exp.run ?telemetry ~jobs ~scale ()))
+          ignore (sweep_outcomes ?telemetry ~jobs ~scale exp))
         Mac_experiments.Table1.all;
       Unix.gettimeofday () -. t0)
 

@@ -160,11 +160,13 @@ let policy_of ~retries ~job_timeout ~keep_going =
 let print_supervisor_event ev =
   Format.eprintf "supervisor: %a@." Mac_sim.Supervisor.pp_event ev
 
-(* Exit discipline of the supervised batch commands: a drain request wins
-   (exit 4), otherwise persistent failures mean degraded completion
-   (exit 3). Called after all reports and output files are written, so a
-   degraded sweep still delivers every successful result. *)
-let finish_supervised failures =
+(* Exit discipline of the batch commands: a drain request wins (exit 4),
+   otherwise persistent failures mean degraded completion (exit 3).
+   Called after all reports and output files are written, so a degraded
+   or drained sweep still delivers every successful result. *)
+let finish_supervised ~events_dir ~telemetry_dir failures =
+  Option.iter (Printf.printf "event streams under %s/\n") events_dir;
+  Option.iter (Printf.printf "telemetry under %s/\n") telemetry_dir;
   let failed, skipped =
     List.partition
       (fun (_, e) ->
@@ -639,18 +641,33 @@ let fleet_of ~telemetry_dir ~telemetry_every =
       Mac_sim.Telemetry.Fleet.create ~dir ~every:telemetry_every ())
     telemetry_dir
 
-let table1_cmd id quick jobs trace_n events_dir json resume_dir telemetry_dir
-    telemetry_every retries job_timeout keep_going inject =
+(* Flag handling shared by the batch commands (table1, matrix, figures,
+   resilience): validate, install the drain handlers, and return what
+   every sweep takes. Unflagged runs get the default policy, under which
+   the first failure aborts the sweep like a plain batch. *)
+let batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
+    ~telemetry_every ~retries ~job_timeout ~keep_going =
   let scale = if quick then `Quick else `Full in
   let jobs = check_jobs jobs in
-  Option.iter ensure_dir resume_dir;
+  let policy = policy_of ~retries ~job_timeout ~keep_going in
   let observe = scenario_observer ~trace_n ~events_dir in
   let telemetry = fleet_of ~telemetry_dir ~telemetry_every in
   install_drain_handlers ();
-  let supervised =
-    retries > 0 || job_timeout > 0.0 || keep_going || inject <> None
+  (scale, jobs, policy, observe, telemetry)
+
+(* The dispatch shared by table1 and matrix: every Table-1-shaped row is
+   one [Table1.sweep], and every cell prints one line — [on_row] renders
+   finished and resumed cells, failed and drained ones print as
+   FAILED/SKIPPED in a [width]-wide column. [stage] runs after the rows
+   (the matrix thresholds) and returns extra JSON rows. *)
+let sweep_cmd ~width ~on_row ~stage ~quick ~jobs ~trace_n ~events_dir ~json
+    ~resume_dir ~telemetry_dir ~telemetry_every ~retries ~job_timeout
+    ~keep_going ~inject rows =
+  let scale, jobs, policy, observe, telemetry =
+    batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
+      ~telemetry_every ~retries ~job_timeout ~keep_going
   in
-  let policy = policy_of ~retries ~job_timeout ~keep_going in
+  Option.iter ensure_dir resume_dir;
   let inject =
     Option.map
       (fun bad cid ->
@@ -658,7 +675,50 @@ let table1_cmd id quick jobs trace_n events_dir json resume_dir telemetry_dir
           failwith (Printf.sprintf "injected failure in %s" cid))
       inject
   in
-  let experiments =
+  let json_rows = ref [] in
+  let failures = ref [] in
+  let failed cid err =
+    failures := (cid, err) :: !failures;
+    match err with
+    | Mac_sim.Supervisor.Skipped ->
+      Printf.printf "%-*s SKIPPED  (drain)\n" width cid
+    | err ->
+      Printf.printf "%-*s FAILED   %s\n" width cid
+        (Mac_sim.Supervisor.error_to_string err)
+  in
+  List.iter
+    (fun (e : Mac_experiments.Table1.t) ->
+      Printf.printf "--- %s ---\n%s\n" e.id e.claim;
+      List.iter
+        (fun (cid, outcome) ->
+          match outcome with
+          | Ok r ->
+            if json <> None then
+              json_rows :=
+                Mac_experiments.Scenario.resumed_json ~experiment:e.id r
+                :: !json_rows;
+            on_row r
+          | Error err -> failed cid err)
+        (Mac_experiments.Table1.sweep ?observe ?telemetry ~jobs ~policy
+           ~on_event:print_supervisor_event ?inject ?resume_dir ~scale e ()))
+    rows;
+  json_rows := List.rev_append (stage ~scale ~jobs ~policy ~failed) !json_rows;
+  Option.iter
+    (fun path ->
+      let body = "[\n" ^ String.concat ",\n" (List.rev !json_rows) ^ "\n]\n" in
+      Mac_sim.Export.write_file ~path body;
+      Printf.printf "wrote %s\n" path)
+    json;
+  finish_supervised ~events_dir ~telemetry_dir (List.rev !failures);
+  `Ok ()
+
+let resumed_suffix = function
+  | Mac_experiments.Scenario.Cached _ -> "  (resumed)"
+  | Mac_experiments.Scenario.Fresh _ -> ""
+
+let table1_cmd id quick jobs trace_n events_dir json resume_dir telemetry_dir
+    telemetry_every retries job_timeout keep_going inject =
+  let rows =
     match id with
     | None -> Mac_experiments.Table1.all
     | Some id ->
@@ -667,90 +727,23 @@ let table1_cmd id quick jobs trace_n events_dir json resume_dir telemetry_dir
          Printf.eprintf "unknown experiment %S\n" id;
          exit 2)
   in
-  let json_rows = ref [] in
-  let failures = ref [] in
-  List.iter
-    (fun (e : Mac_experiments.Table1.t) ->
-      Printf.printf "--- %s ---\n%s\n" e.id e.claim;
-      let row ~scenario ~verdict ~passed ~json_row ~cached =
-        if json <> None then json_rows := json_row () :: !json_rows;
-        Printf.printf "%-28s %s %s%s\n" scenario verdict
-          (if passed then "PASS" else "FAIL")
-          (if cached then "  (resumed)" else "")
-      in
-      let ok_row (o : Mac_experiments.Scenario.outcome) =
-        row ~scenario:o.spec.id
-          ~verdict:(Mac_sim.Stability.verdict_to_string o.stability.verdict)
-          ~passed:o.passed
-          ~json_row:(fun () ->
-            Mac_experiments.Scenario.outcome_json ~experiment:e.id o)
-          ~cached:false
-      in
-      let resumed_row (r : Mac_experiments.Scenario.resumed) =
-        row
-          ~scenario:(Mac_experiments.Scenario.resumed_id r)
-          ~verdict:(Mac_experiments.Scenario.resumed_verdict r)
-          ~passed:(Mac_experiments.Scenario.resumed_passed r)
-          ~json_row:(fun () ->
-            Mac_experiments.Scenario.resumed_json ~experiment:e.id r)
-          ~cached:
-            (match r with
-             | Mac_experiments.Scenario.Cached _ -> true
-             | Mac_experiments.Scenario.Fresh _ -> false)
-      in
-      let failed_row cid err =
-        failures := (cid, err) :: !failures;
-        match err with
-        | Mac_sim.Supervisor.Skipped ->
-          Printf.printf "%-28s SKIPPED  (drain)\n" cid
-        | err ->
-          Printf.printf "%-28s FAILED   %s\n" cid
-            (Mac_sim.Supervisor.error_to_string err)
-      in
-      match (resume_dir, supervised) with
-      | None, false ->
-        List.iter ok_row (e.run ?observe ?telemetry ~jobs ~scale ())
-      | None, true ->
-        List.iter
-          (fun (cid, outcome) ->
-            match outcome with
-            | Ok o -> ok_row o
-            | Error err -> failed_row cid err)
-          (e.run_s ?observe ?telemetry ~jobs ~policy
-             ~on_event:print_supervisor_event ?inject ~scale ())
-      | Some dir, false ->
-        List.iter resumed_row
-          (e.run_resumable ?observe ?telemetry ~jobs ~resume_dir:dir ~scale ())
-      | Some dir, true ->
-        List.iter
-          (fun (cid, outcome) ->
-            match outcome with
-            | Ok r -> resumed_row r
-            | Error err -> failed_row cid err)
-          (e.run_resumable_s ?observe ?telemetry ~jobs ~policy
-             ~on_event:print_supervisor_event ?inject ~resume_dir:dir ~scale
-             ()))
-    experiments;
-  Option.iter
-    (fun path ->
-      let body = "[\n" ^ String.concat ",\n" (List.rev !json_rows) ^ "\n]\n" in
-      Mac_sim.Export.write_file ~path body;
-      Printf.printf "wrote %s\n" path)
-    json;
-  Option.iter (fun dir -> Printf.printf "event streams under %s/\n" dir) events_dir;
-  Option.iter (fun dir -> Printf.printf "telemetry under %s/\n" dir) telemetry_dir;
-  finish_supervised (List.rev !failures);
-  `Ok ()
+  let on_row r =
+    Printf.printf "%-28s %s %s%s\n"
+      (Mac_experiments.Scenario.resumed_id r)
+      (Mac_experiments.Scenario.resumed_verdict r)
+      (if Mac_experiments.Scenario.resumed_passed r then "PASS" else "FAIL")
+      (resumed_suffix r)
+  in
+  sweep_cmd ~width:28 ~on_row
+    ~stage:(fun ~scale:_ ~jobs:_ ~policy:_ ~failed:_ -> [])
+    ~quick ~jobs ~trace_n ~events_dir ~json ~resume_dir ~telemetry_dir
+    ~telemetry_every ~retries ~job_timeout ~keep_going ~inject rows
 
 (* The cross-paper matrix: one Table-1-shaped row crossing every
    algorithm with every adversary and fault plan, plus an optional
-   bisected stability-frontier pass. Shares table1's 4-way dispatch on
-   (resume-dir, supervised). *)
+   bisected stability-frontier stage. *)
 let matrix_cmd quick jobs trace_n events_dir json csv resume_dir telemetry_dir
     telemetry_every retries job_timeout keep_going inject thresholds only =
-  let scale = if quick then `Quick else `Full in
-  let jobs = check_jobs jobs in
-  Option.iter ensure_dir resume_dir;
   let only =
     match only with
     | None -> fun _ -> true
@@ -762,129 +755,71 @@ let matrix_cmd quick jobs trace_n events_dir json csv resume_dir telemetry_dir
       end;
       fun a -> a = id
   in
-  let e = Mac_experiments.Matrix.row_for ~only in
-  let observe = scenario_observer ~trace_n ~events_dir in
-  let telemetry = fleet_of ~telemetry_dir ~telemetry_every in
-  install_drain_handlers ();
-  let supervised =
-    retries > 0 || job_timeout > 0.0 || keep_going || inject <> None
-  in
-  let policy = policy_of ~retries ~job_timeout ~keep_going in
-  let inject =
-    Option.map
-      (fun bad cid ->
-        if cid = bad then
-          failwith (Printf.sprintf "injected failure in %s" cid))
-      inject
-  in
-  let json_rows = ref [] in
   let csv_rows = ref [] in
-  let failures = ref [] in
   let tally = Hashtbl.create 8 in
-  let resumed_row (r : Mac_experiments.Scenario.resumed) =
+  let on_row (r : Mac_experiments.Scenario.resumed) =
     let verdict = Mac_experiments.Scenario.resumed_verdict r in
     Hashtbl.replace tally verdict
       (1 + Option.value ~default:0 (Hashtbl.find_opt tally verdict));
-    if json <> None then
-      json_rows :=
-        Mac_experiments.Scenario.resumed_json ~experiment:e.id r :: !json_rows;
     if csv <> None then
       csv_rows := Mac_experiments.Matrix.csv_line r :: !csv_rows;
     Printf.printf "%-44s %-12s %s%s\n"
       (Mac_experiments.Scenario.resumed_id r)
       verdict
       (if Mac_experiments.Scenario.resumed_passed r then "ok" else "FAIL")
-      (match r with
-       | Mac_experiments.Scenario.Cached _ -> "  (resumed)"
-       | Mac_experiments.Scenario.Fresh _ -> "")
+      (resumed_suffix r)
   in
-  let ok_row o = resumed_row (Mac_experiments.Scenario.Fresh o) in
-  let failed_row cid err =
-    failures := (cid, err) :: !failures;
-    match err with
-    | Mac_sim.Supervisor.Skipped ->
-      Printf.printf "%-44s SKIPPED  (drain)\n" cid
-    | err ->
-      Printf.printf "%-44s FAILED   %s\n" cid
-        (Mac_sim.Supervisor.error_to_string err)
+  let stage ~scale ~jobs ~policy ~failed =
+    let cells = Hashtbl.fold (fun _ c acc -> acc + c) tally 0 in
+    Printf.printf "%d cell(s): %s\n" cells
+      (String.concat ", "
+         (List.filter_map
+            (fun v ->
+              Option.map
+                (fun c -> Printf.sprintf "%d %s" c v)
+                (Hashtbl.find_opt tally v))
+            [ "stable"; "UNSTABLE"; "inconclusive" ]));
+    let frontier_rows =
+      if not thresholds then []
+      else begin
+        Printf.printf "--- stability frontiers (clean channel) ---\n";
+        List.filter_map
+          (fun (label, outcome) ->
+            match outcome with
+            | Ok f ->
+              Printf.printf "%-44s %s\n" label
+                (Mac_experiments.Matrix.frontier_to_string f);
+              Some (Mac_experiments.Matrix.frontier_json ~label f)
+            | Error err ->
+              failed label err;
+              None)
+          (Mac_experiments.Matrix.thresholds ~jobs ~policy
+             ~on_event:print_supervisor_event ~only ~scale ())
+      end
+    in
+    Option.iter
+      (fun path ->
+        let body =
+          Mac_experiments.Matrix.csv_header ^ "\n"
+          ^ String.concat "\n" (List.rev !csv_rows)
+          ^ "\n"
+        in
+        Mac_sim.Export.write_file ~path body;
+        Printf.printf "wrote %s\n" path)
+      csv;
+    frontier_rows
   in
-  Printf.printf "--- %s ---\n%s\n" e.id e.claim;
-  (match (resume_dir, supervised) with
-   | None, false ->
-     List.iter ok_row (e.run ?observe ?telemetry ~jobs ~scale ())
-   | None, true ->
-     List.iter
-       (fun (cid, outcome) ->
-         match outcome with
-         | Ok o -> ok_row o
-         | Error err -> failed_row cid err)
-       (e.run_s ?observe ?telemetry ~jobs ~policy
-          ~on_event:print_supervisor_event ?inject ~scale ())
-   | Some dir, false ->
-     List.iter resumed_row
-       (e.run_resumable ?observe ?telemetry ~jobs ~resume_dir:dir ~scale ())
-   | Some dir, true ->
-     List.iter
-       (fun (cid, outcome) ->
-         match outcome with
-         | Ok r -> resumed_row r
-         | Error err -> failed_row cid err)
-       (e.run_resumable_s ?observe ?telemetry ~jobs ~policy
-          ~on_event:print_supervisor_event ?inject ~resume_dir:dir ~scale ()));
-  let cells = Hashtbl.fold (fun _ c acc -> acc + c) tally 0 in
-  Printf.printf "%d cell(s): %s\n" cells
-    (String.concat ", "
-       (List.filter_map
-          (fun v ->
-            Option.map
-              (fun c -> Printf.sprintf "%d %s" c v)
-              (Hashtbl.find_opt tally v))
-          [ "stable"; "UNSTABLE"; "inconclusive" ]));
-  if thresholds then begin
-    Printf.printf "--- stability frontiers (clean channel) ---\n";
-    List.iter
-      (fun (label, outcome) ->
-        match outcome with
-        | Ok f ->
-          if json <> None then
-            json_rows :=
-              Mac_experiments.Matrix.frontier_json ~label f :: !json_rows;
-          Printf.printf "%-44s %s\n" label
-            (Mac_experiments.Matrix.frontier_to_string f)
-        | Error err -> failed_row label err)
-      (Mac_experiments.Matrix.thresholds ~jobs ~policy
-         ~on_event:print_supervisor_event ~only ~scale ())
-  end;
-  Option.iter
-    (fun path ->
-      let body = "[\n" ^ String.concat ",\n" (List.rev !json_rows) ^ "\n]\n" in
-      Mac_sim.Export.write_file ~path body;
-      Printf.printf "wrote %s\n" path)
-    json;
-  Option.iter
-    (fun path ->
-      let body =
-        Mac_experiments.Matrix.csv_header ^ "\n"
-        ^ String.concat "\n" (List.rev !csv_rows)
-        ^ "\n"
-      in
-      Mac_sim.Export.write_file ~path body;
-      Printf.printf "wrote %s\n" path)
-    csv;
-  Option.iter (fun dir -> Printf.printf "event streams under %s/\n" dir) events_dir;
-  Option.iter (fun dir -> Printf.printf "telemetry under %s/\n" dir) telemetry_dir;
-  finish_supervised (List.rev !failures);
-  `Ok ()
+  sweep_cmd ~width:44 ~on_row ~stage ~quick ~jobs ~trace_n ~events_dir ~json
+    ~resume_dir ~telemetry_dir ~telemetry_every ~retries ~job_timeout
+    ~keep_going ~inject
+    [ Mac_experiments.Matrix.row_for ~only ]
 
 let figures_cmd id quick jobs trace_n events_dir telemetry_dir telemetry_every
     retries job_timeout keep_going =
-  let scale = if quick then `Quick else `Full in
-  let jobs = check_jobs jobs in
-  let observe = scenario_observer ~trace_n ~events_dir in
-  let telemetry = fleet_of ~telemetry_dir ~telemetry_every in
-  install_drain_handlers ();
-  let supervised = retries > 0 || job_timeout > 0.0 || keep_going in
-  let policy = policy_of ~retries ~job_timeout ~keep_going in
+  let scale, jobs, policy, observe, telemetry =
+    batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
+      ~telemetry_every ~retries ~job_timeout ~keep_going
+  in
   let figures =
     match id with
     | None -> Mac_experiments.Figures.all
@@ -902,23 +837,15 @@ let figures_cmd id quick jobs trace_n events_dir telemetry_dir telemetry_every
   List.iter
     (fun (f : Mac_experiments.Figures.t) ->
       Printf.printf "--- %s ---\n%s\n" f.id f.title;
-      let report =
-        if supervised then begin
-          let (s : Mac_experiments.Figures.supervised) =
-            f.run_s ?observe ?telemetry ~jobs ~policy
-              ~on_event:print_supervisor_event ~scale ()
-          in
-          failures := !failures @ s.failures;
-          s.report
-        end
-        else fst (f.run ?observe ?telemetry ~jobs ~scale ())
+      let (s : Mac_experiments.Figures.supervised) =
+        f.run ?observe ?telemetry ~jobs ~policy
+          ~on_event:print_supervisor_event ~scale ()
       in
-      Mac_sim.Report.print report;
+      failures := !failures @ s.failures;
+      Mac_sim.Report.print s.report;
       print_newline ())
     figures;
-  Option.iter (fun dir -> Printf.printf "event streams under %s/\n" dir) events_dir;
-  Option.iter (fun dir -> Printf.printf "telemetry under %s/\n" dir) telemetry_dir;
-  finish_supervised !failures;
+  finish_supervised ~events_dir ~telemetry_dir !failures;
   `Ok ()
 
 (* ---- resilience command ---- *)
@@ -937,45 +864,19 @@ let resilience_cmd algo n k rate burst pattern_spec rounds drain seed quick
   match algo with
   | None ->
     (* Suite mode: sweep every subject algorithm across the fault plans. *)
-    let scale = if quick then `Quick else `Full in
-    let jobs = check_jobs jobs in
-    let observe = scenario_observer ~trace_n ~events_dir in
-    let telemetry = fleet_of ~telemetry_dir ~telemetry_every in
-    install_drain_handlers ();
-    let supervised = retries > 0 || job_timeout > 0.0 || keep_going in
-    if supervised then begin
-      let policy = policy_of ~retries ~job_timeout ~keep_going in
-      let report, outcomes =
-        Mac_experiments.Resilience.suite_s ?observe ?telemetry ~jobs ~policy
-          ~on_event:print_supervisor_event ~scale ()
-      in
-      Mac_sim.Report.print report;
-      let failures =
-        List.filter_map
-          (fun (cid, o) ->
-            match o with Ok _ -> None | Error e -> Some (cid, e))
-          outcomes
-      in
-      Option.iter
-        (fun dir -> Printf.printf "event streams under %s/\n" dir)
-        events_dir;
-      Option.iter
-        (fun dir -> Printf.printf "telemetry under %s/\n" dir)
-        telemetry_dir;
-      finish_supervised failures
-    end
-    else begin
-      let report, _ =
-        Mac_experiments.Resilience.suite ?observe ?telemetry ~jobs ~scale ()
-      in
-      Mac_sim.Report.print report;
-      Option.iter
-        (fun dir -> Printf.printf "event streams under %s/\n" dir)
-        events_dir;
-      Option.iter
-        (fun dir -> Printf.printf "telemetry under %s/\n" dir)
-        telemetry_dir
-    end;
+    let scale, jobs, policy, observe, telemetry =
+      batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
+        ~telemetry_every ~retries ~job_timeout ~keep_going
+    in
+    let report, outcomes =
+      Mac_experiments.Resilience.suite ?observe ?telemetry ~jobs ~policy
+        ~on_event:print_supervisor_event ~scale ()
+    in
+    Mac_sim.Report.print report;
+    finish_supervised ~events_dir ~telemetry_dir
+      (List.filter_map
+         (fun (cid, o) -> match o with Ok _ -> None | Error e -> Some (cid, e))
+         outcomes);
     `Ok ()
   | Some algorithm_name ->
     (* Single-run mode: one algorithm under one fault plan. *)

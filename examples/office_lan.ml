@@ -26,7 +26,8 @@ let scenario algorithm ~k ~seed =
       (Mac_adversary.Pattern.hotspot ~n ~seed ~hot:0 ~bias:0.3)
   in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.35 ~burst:400.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 7 20)
+      ~burst:(Mac_channel.Qrat.of_int 400)
       ~pacing:(Mac_adversary.Adversary.Paced { burst_at = Some 31_500 })
       pattern
   in

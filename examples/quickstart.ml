@@ -10,7 +10,8 @@
 let () =
   let n = 10 in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:1.0 ~burst:4.0
+    Mac_adversary.Adversary.create_q ~rate:Mac_channel.Qrat.one
+      ~burst:(Mac_channel.Qrat.of_int 4)
       (Mac_adversary.Pattern.flood ~n ~victim:3)
   in
   let summary =

@@ -17,7 +17,10 @@ let k = 4
 let rounds = 150_000
 
 let run ~algorithm ~rate ~pattern =
-  let adversary = Mac_adversary.Adversary.create ~rate ~burst:4.0 pattern in
+  let adversary =
+    Mac_adversary.Adversary.create_q ~rate ~burst:(Mac_channel.Qrat.of_int 4)
+      pattern
+  in
   Mac_sim.Engine.run ~algorithm ~n ~k ~adversary ~rounds ()
 
 let row name (s : Mac_sim.Metrics.summary) verdict =
@@ -33,7 +36,10 @@ let row name (s : Mac_sim.Metrics.summary) verdict =
 let () =
   (* Telemetry converges on a gateway (station 0): hotspot traffic at 60% of
      k-Cycle's threshold — above what the baselines can take. *)
-  let rate = 0.6 *. (float_of_int (k - 1) /. float_of_int (n - 1)) in
+  let rate =
+    Mac_channel.Qrat.mul (Mac_channel.Qrat.make 3 5)
+      (Mac_experiments.Bounds.k_cycle_rate_q ~n ~k)
+  in
   let pattern seed = Mac_adversary.Pattern.hotspot ~n ~seed ~hot:0 ~bias:0.8 in
   let report =
     Mac_sim.Report.create
@@ -49,7 +55,7 @@ let () =
   in
   Printf.printf
     "Sensor fleet: %d sensors, supply for %d radios, gateway-bound telemetry \
-     at rate %.3f\n\n" n k rate;
+     at rate %.3f\n\n" n k (Mac_channel.Qrat.to_float rate);
   eval "pair-tdma (baseline)" (module Mac_routing.Pair_tdma);
   eval "k-clique (direct)" (Mac_routing.K_clique.algorithm ~n ~k);
   eval "k-cycle (indirect)" (Mac_routing.K_cycle.algorithm ~n ~k);

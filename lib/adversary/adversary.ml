@@ -22,10 +22,6 @@ let create_q ?name ~rate ~burst ?(pacing = Greedy) pattern =
   in
   { name; rate; burst; pacing; pattern }
 
-let create ?name ~rate ~burst ?pacing pattern =
-  create_q ?name ~rate:(Qrat.of_float rate) ~burst:(Qrat.of_float burst) ?pacing
-    pattern
-
 type driver = {
   spec : t;
   bucket : Leaky_bucket.t;

@@ -38,12 +38,6 @@ val create_q :
 (** Default pacing is [Greedy]. The default name combines the pattern name
     and the type (formatted via floats, e.g. ["uniform@(0.5,2)"]). *)
 
-val create :
-  ?name:string -> rate:float -> burst:float -> ?pacing:pacing -> Pattern.t -> t
-(** Deprecated float shim over {!create_q}: arguments are snapped to the
-    simplest rationals denoting them ({!Mac_channel.Qrat.of_float}), so
-    [~rate:0.1] means exactly 1/10. *)
-
 type driver
 
 val start : t -> driver

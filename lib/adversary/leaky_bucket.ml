@@ -15,17 +15,8 @@ let create_q ~rate ~burst =
   let cap = Qrat.add rate burst in
   { rate; burst; cap; tokens = cap }
 
-let create ~rate ~burst =
-  (* Snap the floats to the simplest rationals denoting them; validation
-     happens on the exact values so the error messages stay identical. *)
-  if not (Float.is_finite rate) then invalid_arg "Leaky_bucket: rate must be in (0, 1]";
-  if not (Float.is_finite burst) then invalid_arg "Leaky_bucket: burst must be >= 1";
-  create_q ~rate:(Qrat.of_float rate) ~burst:(Qrat.of_float burst)
-
 let rate_q t = t.rate
 let burst_q t = t.burst
-let rate t = Qrat.to_float t.rate
-let burst t = Qrat.to_float t.burst
 
 let tokens t = t.tokens
 

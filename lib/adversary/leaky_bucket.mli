@@ -19,20 +19,9 @@ val create_q : rate:Mac_channel.Qrat.t -> burst:Mac_channel.Qrat.t -> t
 (** Requires [0 < rate <= 1] and [burst >= 1] (the paper's adversary type),
     checked exactly. *)
 
-val create : rate:float -> burst:float -> t
-(** Deprecated float shim: snaps each argument to the simplest rational
-    denoting it ({!Mac_channel.Qrat.of_float} — [0.1] becomes exactly
-    1/10) and defers to {!create_q}. Prefer [create_q] in new code. *)
-
 val rate_q : t -> Mac_channel.Qrat.t
 
 val burst_q : t -> Mac_channel.Qrat.t
-
-val rate : t -> float
-(** Deprecated: [Qrat.to_float (rate_q t)]. *)
-
-val burst : t -> float
-(** Deprecated: [Qrat.to_float (burst_q t)]. *)
 
 val tokens : t -> Mac_channel.Qrat.t
 (** The exact current token level, for checkpointing. *)

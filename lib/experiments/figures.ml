@@ -18,13 +18,6 @@ type t = {
     ?observe:Scenario.observer ->
     ?telemetry:Mac_sim.Telemetry.Fleet.t ->
     ?jobs:int ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    Mac_sim.Report.t * Scenario.outcome list;
-  run_s :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
     ?policy:Mac_sim.Supervisor.policy ->
     ?on_event:(Mac_sim.Supervisor.event -> unit) ->
     scale:[ `Quick | `Full ] ->
@@ -49,69 +42,39 @@ let run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
     (Scenario.spec_q ~id ~algorithm ~n ~k ~rate:rho ~burst:beta ~pattern ~rounds
        ~drain ())
 
+let failures results =
+  List.filter_map
+    (function lbl, Error e -> Some (lbl, e) | _, Ok _ -> None)
+    results
+
 (* Each figure declares its plot points as (id, run-thunk, row-of-outcome)
-   triples; the thunks fan out over the supervisor, and rows are rendered
-   from the outcomes afterwards, so the table keeps its declaration order
-   whatever the parallel completion order was. *)
-let run_points ?jobs points =
-  let outcomes =
-    Scenario.run_batch ?jobs
-      (List.map (fun (_, thunk, _) () -> thunk ?heartbeat:None ()) points)
-  in
-  let rows = List.map2 (fun (_, _, row) o -> row o) points outcomes in
-  (rows, outcomes)
-
-(* Supervised: [build ()] must re-create the points — and with them any
-   mutable pattern cursors — afresh, so each retry of point [i] replays
-   bit-identically to a first run. *)
-let run_points_s ?jobs ?policy ?on_event build =
-  let template = build () in
-  let labelled =
-    List.mapi
-      (fun i (id, _, _) ->
-        ( id,
-          fun ~heartbeat ->
-            let _, thunk, _ = List.nth (build ()) i in
-            thunk ?heartbeat:(Some heartbeat) () ))
-      template
-  in
-  let results = Scenario.run_batch_s ?jobs ?policy ?on_event labelled in
-  let rows =
-    List.concat
-      (List.map2
-         (fun (_, _, row) (_, o) ->
-           match o with Ok oc -> [ row oc ] | Error _ -> [])
-         template results)
-  in
-  let outcomes =
-    List.filter_map (function _, Ok o -> Some o | _ -> None) results
-  in
-  let failures =
-    List.filter_map
-      (function lbl, Error e -> Some (lbl, e) | _, Ok _ -> None)
-      results
-  in
-  (rows, outcomes, failures)
-
+   triples; the thunks fan out over the supervisor, and the table keeps
+   its declaration order whatever the parallel completion order was.
+   Points carry mutable pattern cursors, so [Scenario.sweep] rebuilds
+   them for a retried point. *)
 let figure ~id ~title ~header points =
-  let run ?observe ?telemetry ?jobs ~scale () =
-    let rows, outcomes =
-      run_points ?jobs (points ?observe ?telemetry ~scale ())
+  let run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
+    let results =
+      Scenario.sweep ?jobs ?policy ?on_event
+        ~label:(fun (id, _, _) -> id)
+        (points ?observe ?telemetry ~scale)
+        (fun (_, thunk, row) ~heartbeat ->
+          let o = thunk ?heartbeat:(Some heartbeat) () in
+          (row o, o))
     in
     let report = Mac_sim.Report.create ~header in
-    List.iter (Mac_sim.Report.add_row report) rows;
-    (report, outcomes)
-  in
-  let run_s ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
-    let rows, outcomes, failures =
-      run_points_s ?jobs ?policy ?on_event (fun () ->
-          points ?observe ?telemetry ~scale ())
+    let outcomes =
+      List.filter_map
+        (function
+          | _, Ok (r, o) ->
+            Mac_sim.Report.add_row report r;
+            Some o
+          | _, Error _ -> None)
+        results
     in
-    let report = Mac_sim.Report.create ~header in
-    List.iter (Mac_sim.Report.add_row report) rows;
-    { report; outcomes; failures }
+    { report; outcomes; failures = failures results }
   in
-  { id; title; run; run_s }
+  { id; title; run }
 
 (* ------------------------------------------------------------------ *)
 (* F1: stability frontier. *)
@@ -447,7 +410,7 @@ let baselines_row (label, _, theory_lo, theory_hi) (lo, hi) =
   let opt = function None -> "?" | Some r -> fmt_q r in
   [ label; opt theory_lo; opt theory_hi; fmt_q lo; fmt_q hi ]
 
-let baselines_rows ?observe ?telemetry ?jobs ~scale () =
+let baselines_run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
   (* Bisection probes run thousands of throwaway points; observing them
      would swamp any sink, so F5 deliberately ignores the observer, and
      telemetry only counts probes on the fleet (no per-scenario files). *)
@@ -456,23 +419,8 @@ let baselines_rows ?observe ?telemetry ?jobs ~scale () =
   let rounds = scaled ~scale ~quick:30_000 ~full:60_000 in
   let steps = scaled ~scale ~quick:4 ~full:7 in
   let subjects = baselines_subjects ~n ~k in
-  let brackets =
-    List.map
-      (fun (_, lo, hi, probe) -> (lo, hi, probe))
-      (baselines_brackets ~subjects ~n ~k ~rounds)
-  in
-  let located = Sweep.bisect_many_q ?jobs ?telemetry ~steps brackets in
-  let rows = List.map2 baselines_row subjects located in
-  (rows, [])
-
-let baselines_run_s ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
-  ignore (observe : Scenario.observer option);
-  let n = 8 and k = 3 in
-  let rounds = scaled ~scale ~quick:30_000 ~full:60_000 in
-  let steps = scaled ~scale ~quick:4 ~full:7 in
-  let subjects = baselines_subjects ~n ~k in
   let located =
-    Sweep.bisect_many_sq ?jobs ?policy ?on_event ?telemetry ~steps
+    Sweep.bisect_many ?jobs ?policy ?on_event ?telemetry ~steps
       (baselines_brackets ~subjects ~n ~k ~rounds)
   in
   let report = Mac_sim.Report.create ~header:baselines_header in
@@ -482,23 +430,12 @@ let baselines_run_s ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
       | Ok bracket -> Mac_sim.Report.add_row report (baselines_row subject bracket)
       | Error _ -> ())
     subjects located;
-  let failures =
-    List.filter_map
-      (function lbl, Error e -> Some (lbl, e) | _, Ok _ -> None)
-      located
-  in
-  { report; outcomes = []; failures }
+  { report; outcomes = []; failures = failures located }
 
 let baselines =
   { id = "F5.baselines";
     title =
       "Empirical stability frontiers under a dedicated pair flood (n=8, k=3, bisection)";
-    run =
-      (fun ?observe ?telemetry ?jobs ~scale () ->
-        let rows, outcomes = baselines_rows ?observe ?telemetry ?jobs ~scale () in
-        let report = Mac_sim.Report.create ~header:baselines_header in
-        List.iter (Mac_sim.Report.add_row report) rows;
-        (report, outcomes));
-    run_s = baselines_run_s }
+    run = baselines_run }
 
 let all = [ frontier; scaling; energy; burst; baselines ]

@@ -26,29 +26,23 @@ type t = {
     ?observe:Scenario.observer ->
     ?telemetry:Mac_sim.Telemetry.Fleet.t ->
     ?jobs:int ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    Mac_sim.Report.t * Scenario.outcome list;
-  (** [observe] is forwarded to each plotted point's {!Scenario.run}, keyed
-      by scenario id. F5 ignores it (bisection probes are throwaway runs).
-      [telemetry] attaches a fleet probe to every plotted point; F5 only
-      counts its probe runs on the fleet's bisect-probes counter.
-      [jobs] (default 1) fans the figure's points — for F5, its bisection
-      brackets — out over that many worker domains; rows and outcomes keep
-      their declaration order and match a sequential run bit for bit. *)
-  run_s :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
     ?policy:Mac_sim.Supervisor.policy ->
     ?on_event:(Mac_sim.Supervisor.event -> unit) ->
     scale:[ `Quick | `Full ] ->
     unit ->
     supervised;
-  (** Supervised [run]: each point resolves to its own outcome under
-      [policy] instead of the first exception aborting the figure. Retried
-      points rebuild their spec (and pattern cursors) from scratch, so a
-      retry replays bit-identically to a first run. *)
+  (** Runs the figure's points — for F5, its bisection brackets — on
+      [jobs] worker domains (default 1) through {!Scenario.sweep}; rows and
+      outcomes keep declaration order and match a sequential run bit for
+      bit. [policy] defaults to {!Mac_sim.Supervisor.default_policy} (the
+      first failure aborts the figure); under [keep_going] failed points
+      land in [failures], and a drain request reports unstarted points as
+      [Skipped] there. Retried points rebuild their spec (and pattern
+      cursors) from scratch, so a retry replays bit-identically.
+      [observe] is forwarded to each plotted point's {!Scenario.run}, keyed
+      by scenario id; F5 ignores it (bisection probes are throwaway runs).
+      [telemetry] attaches a fleet probe to every plotted point; F5 only
+      counts its probe runs on the fleet's bisect-probes counter. *)
 }
 
 val frontier : t
@@ -66,7 +60,7 @@ val burst : t
 (** F4: latency (or backlog for Orchestra) as burstiness grows. *)
 
 val baselines : t
-(** F5: empirical stability frontiers (located by {!Sweep.bisect}) of all
+(** F5: empirical stability frontiers (located by {!Sweep.bisect_many}) of all
     oblivious disciplines — including the random-schedule strawman — under
     the same dedicated pair flood. *)
 

@@ -165,7 +165,9 @@ let thresholds ?jobs ?policy ?on_event ?(only = fun _ -> true) ~scale () =
             adversaries)
       algorithms
   in
-  Scenario.run_batch_s ?jobs ?policy ?on_event jobs_list
+  Scenario.sweep ?jobs ?policy ?on_event ~label:fst
+    (fun () -> jobs_list)
+    (fun (_, job) ~heartbeat -> job ~heartbeat)
 
 let frontier_to_string = function
   | Bracket (lo, hi) ->

@@ -9,10 +9,10 @@
     (clean channel, jam+noise, crash+restart), and reports a stability
     verdict per cell.
 
-    The matrix is a {!Table1.t} assembled with {!Table1.row}, so it
-    inherits the whole batch toolchain: parallel jobs with bit-identical
-    output, byte-identical resume from a marker directory, and supervised
-    execution with retries/watchdog/quarantine. Cells carry no pass/fail
+    The matrix is a {!Table1.t} assembled with {!Table1.row}, so
+    {!Table1.sweep} runs it like any Table-1 row: parallel jobs with
+    bit-identical output, byte-identical resume from a marker directory,
+    and supervision with retries/watchdog/quarantine. Cells carry no pass/fail
     checks — the verdicts are the data — so [passed] only reflects clean
     completion.
 

@@ -1,4 +1,5 @@
 open Mac_adversary
+open Mac_channel
 module Fault_plan = Mac_faults.Fault_plan
 
 let scaled ~scale ~quick ~full = match scale with `Quick -> quick | `Full -> full
@@ -11,9 +12,9 @@ type subject = {
   algorithm : Mac_channel.Algorithm.t;
   n : int;
   k : int;
-  rate : float;
-  burst : float;
-  pattern : Pattern.t;
+  rate : Qrat.t;
+  burst : Qrat.t;
+  pattern : unit -> Pattern.t;  (** fresh cursor per run *)
 }
 
 let subjects ~scale =
@@ -21,20 +22,23 @@ let subjects ~scale =
   let nc = 12 in
   [ { label = "orchestra";
       algorithm = (module Mac_routing.Orchestra);
-      n; k = 3; rate = 0.9; burst = 8.0;
-      pattern = Pattern.uniform ~n ~seed:301 };
+      n; k = 3; rate = Qrat.make 9 10; burst = Qrat.of_int 8;
+      pattern = (fun () -> Pattern.uniform ~n ~seed:301) };
     { label = "count-hop";
       algorithm = (module Mac_routing.Count_hop);
-      n; k = 2; rate = 0.6; burst = 2.0;
-      pattern = Pattern.uniform ~n ~seed:302 };
+      n; k = 2; rate = Qrat.make 3 5; burst = Qrat.of_int 2;
+      pattern = (fun () -> Pattern.uniform ~n ~seed:302) };
     { label = "k-cycle";
       algorithm = Mac_routing.K_cycle.algorithm ~n:nc ~k:4;
-      n = nc; k = 4; rate = 0.5 *. Bounds.k_cycle_rate ~n:nc ~k:4; burst = 2.0;
-      pattern = Pattern.uniform ~n:nc ~seed:303 };
+      n = nc; k = 4;
+      rate = Qrat.mul (Qrat.make 1 2) (Bounds.k_cycle_rate_q ~n:nc ~k:4);
+      burst = Qrat.of_int 2;
+      pattern = (fun () -> Pattern.uniform ~n:nc ~seed:303) };
     { label = "k-clique";
       algorithm = Mac_routing.K_clique.algorithm ~n:nc ~k:4;
-      n = nc; k = 4; rate = Bounds.k_clique_latency_rate ~n:nc ~k:4; burst = 2.0;
-      pattern = Pattern.uniform ~n:nc ~seed:304 } ]
+      n = nc; k = 4; rate = Bounds.k_clique_latency_rate_q ~n:nc ~k:4;
+      burst = Qrat.of_int 2;
+      pattern = (fun () -> Pattern.uniform ~n:nc ~seed:304) } ]
 
 (* The fault plans swept per subject: a fault-free baseline, crash-restart
    at two rates phi, crash-with-drop, a scripted crash-stop, a scripted
@@ -66,12 +70,15 @@ let plans ~scale ~n ~rounds =
     ( "jam-random",
       Fault_plan.random ~seed:404 ~n ~rounds ~jam_rate:0.01 () ) ]
 
+let cell_id subject plan_label =
+  Printf.sprintf "resilience/%s/%s" subject.label plan_label
+
 let run_cell ?observe ?telemetry ?heartbeat ~rounds subject (plan_label, plan) =
-  let id = Printf.sprintf "resilience/%s/%s" subject.label plan_label in
+  let id = cell_id subject plan_label in
   let faults = if Fault_plan.is_empty plan then None else Some plan in
   Scenario.run ?observe ?telemetry ?heartbeat
-    (Scenario.spec ~id ~algorithm:subject.algorithm ~n:subject.n ~k:subject.k
-       ~rate:subject.rate ~burst:subject.burst ~pattern:subject.pattern
+    (Scenario.spec_q ~id ~algorithm:subject.algorithm ~n:subject.n ~k:subject.k
+       ~rate:subject.rate ~burst:subject.burst ~pattern:(subject.pattern ())
        ~rounds ?faults ())
 
 let header =
@@ -115,30 +122,10 @@ let row (outcome : Scenario.outcome) =
     recovery;
     string_of_int (int_of_float (Scenario.worst_delay s)) ]
 
-let suite ?observe ?telemetry ?jobs ~scale () =
-  let rounds = scaled ~scale ~quick:15_000 ~full:80_000 in
-  let cells =
-    List.concat_map
-      (fun subject ->
-        List.map (fun plan -> (subject, plan)) (plans ~scale ~n:subject.n ~rounds))
-      (subjects ~scale)
-  in
-  let outcomes =
-    Scenario.run_batch ?jobs
-      (List.map
-         (fun (subject, plan) () ->
-           run_cell ?observe ?telemetry ~rounds subject plan)
-         cells)
-  in
-  let report = Mac_sim.Report.create ~header in
-  List.iter (fun o -> Mac_sim.Report.add_row report (row o)) outcomes;
-  (report, outcomes)
-
-(* Supervised variant: each cell resolves to its own outcome, and retried
-   cells rebuild subject and plan (and with them every mutable pattern
-   cursor and fault schedule) from scratch, so a retry replays the exact
-   simulation a first attempt would have run. *)
-let suite_s ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
+(* Every run draws a fresh pattern from its subject, and a retried cell
+   rebuilds its fault plan, so a cell replays the same simulation whatever
+   ran before it, on whichever worker. *)
+let suite ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
   let rounds = scaled ~scale ~quick:15_000 ~full:80_000 in
   let cells () =
     List.concat_map
@@ -146,22 +133,13 @@ let suite_s ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
         List.map (fun plan -> (subject, plan)) (plans ~scale ~n:subject.n ~rounds))
       (subjects ~scale)
   in
-  let labels =
-    List.map
-      (fun (subject, (plan_label, _)) ->
-        Printf.sprintf "resilience/%s/%s" subject.label plan_label)
-      (cells ())
+  let results =
+    Scenario.sweep ?jobs ?policy ?on_event
+      ~label:(fun (subject, (plan_label, _)) -> cell_id subject plan_label)
+      cells
+      (fun (subject, plan) ~heartbeat ->
+        run_cell ?observe ?telemetry ~heartbeat ~rounds subject plan)
   in
-  let labelled =
-    List.mapi
-      (fun i label ->
-        ( label,
-          fun ~heartbeat ->
-            let subject, plan = List.nth (cells ()) i in
-            run_cell ?observe ?telemetry ~heartbeat ~rounds subject plan ))
-      labels
-  in
-  let results = Scenario.run_batch_s ?jobs ?policy ?on_event labelled in
   let report = Mac_sim.Report.create ~header in
   List.iter
     (function _, Ok o -> Mac_sim.Report.add_row report (row o) | _, Error _ -> ())

@@ -18,27 +18,18 @@ val suite :
   ?observe:Scenario.observer ->
   ?telemetry:Mac_sim.Telemetry.Fleet.t ->
   ?jobs:int ->
-  scale:[ `Quick | `Full ] ->
-  unit ->
-  Mac_sim.Report.t * Scenario.outcome list
-(** Run the full sweep (4 algorithms x 7 plans). Outcome ids are
-    ["resilience/<algorithm>/<plan>"]; the observer, if given, is called
-    once per cell with that id, and [telemetry] attaches a fleet probe to
-    every cell. [jobs] (default 1) fans the cells out over that many
-    worker domains; rows and outcomes keep declaration order and match a
-    sequential run bit for bit. *)
-
-val suite_s :
-  ?observe:Scenario.observer ->
-  ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-  ?jobs:int ->
   ?policy:Mac_sim.Supervisor.policy ->
   ?on_event:(Mac_sim.Supervisor.event -> unit) ->
   scale:[ `Quick | `Full ] ->
   unit ->
   Mac_sim.Report.t * (string * Scenario.outcome Mac_sim.Supervisor.outcome) list
-(** Supervised {!suite}: each cell resolves to its own
-    {!Mac_sim.Supervisor.outcome} under [policy] instead of the first
-    exception aborting the sweep; the report contains rows for successful
-    cells only (in declaration order). Retried cells rebuild their subject
-    and fault plan from scratch, so retries replay bit-identically. *)
+(** Run the full sweep (4 algorithms x 7 plans) on [jobs] worker domains
+    (default 1) through {!Scenario.sweep}. Outcome ids are
+    ["resilience/<algorithm>/<plan>"]; the observer, if given, is called
+    once per cell with that id, and [telemetry] attaches a fleet probe to
+    every cell. Each cell resolves to its own {!Mac_sim.Supervisor.outcome}
+    under [policy] (default {!Mac_sim.Supervisor.default_policy}: the
+    first failure aborts and re-raises); the report has rows for the
+    successful cells only. Rows and outcomes keep declaration order and
+    match a sequential run bit for bit; retried cells rebuild their
+    subject and fault plan from scratch, so retries replay bit-identically. *)

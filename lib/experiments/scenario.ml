@@ -17,12 +17,6 @@ let spec_q ~id ~algorithm ~n ~k ~rate ~burst ~pattern
   let drain = match drain with Some d -> d | None -> rounds / 2 in
   { id; algorithm; n; k; rate; burst; pattern; pacing; rounds; drain; faults }
 
-let spec ~id ~algorithm ~n ~k ~rate ~burst ~pattern ?pacing ~rounds ?drain
-    ?faults () =
-  spec_q ~id ~algorithm ~n ~k ~rate:(Mac_channel.Qrat.of_float rate)
-    ~burst:(Mac_channel.Qrat.of_float burst) ~pattern ?pacing ~rounds ?drain
-    ?faults ()
-
 type check = {
   label : string;
   bound : float;
@@ -146,19 +140,27 @@ let run_batch ?(jobs = 1) thunks =
     (Mac_sim.Supervisor.map ~jobs thunks
        (fun ~heartbeat:_ ~attempt:_ t -> t ()))
 
-(* Supervised batch: jobs are labelled builders that must construct any
-   per-run mutable state (pattern cursors!) afresh on every call, so a
-   retried attempt replays bit-identically to a first attempt. Returns
-   one outcome per job, in order — failures don't abort the batch unless
-   [policy.keep_going] is false. *)
-let run_batch_s ?(jobs = 1) ?(policy = Mac_sim.Supervisor.default_policy)
-    ?quarantined ?on_event labelled =
-  let labels = Array.of_list (List.map fst labelled) in
+(* Supervised sweep over the cells [build ()] returns. Cells carry mutable
+   run state (pattern cursors, fault schedules), so each can drive one
+   attempt only: the first attempt of cell [i] takes it from the single
+   up-front [build ()], and only a later attempt rebuilds the catalog.
+   "Taken" is a per-cell flag, not the attempt number — a killed worker
+   requeues its job without charging an attempt, yet the cell it was
+   running is spent. *)
+let sweep ?(jobs = 1) ?(policy = Mac_sim.Supervisor.default_policy)
+    ?quarantined ?on_event ~label build run =
+  let first = Array.of_list (build ()) in
+  let taken = Array.map (fun _ -> Atomic.make false) first in
+  let labels = Array.map label first in
+  let cell i =
+    if Atomic.exchange taken.(i) true then List.nth (build ()) i else first.(i)
+  in
   let outcomes =
     Mac_sim.Supervisor.map ~policy
       ~label:(fun i -> labels.(i))
-      ?quarantined ?on_event ~jobs (List.map snd labelled)
-      (fun ~heartbeat ~attempt:_ build -> build ~heartbeat)
+      ?quarantined ?on_event ~jobs
+      (List.init (Array.length first) Fun.id)
+      (fun ~heartbeat ~attempt:_ i -> run (cell i) ~heartbeat)
   in
   List.combine (Array.to_list labels) outcomes
 

@@ -35,17 +35,6 @@ val spec_q :
     exact: a scenario built from a [Bounds._q] threshold sits precisely on
     the paper's frontier. *)
 
-val spec :
-  id:string ->
-  algorithm:Mac_channel.Algorithm.t ->
-  n:int -> k:int -> rate:float -> burst:float ->
-  pattern:Mac_adversary.Pattern.t ->
-  ?pacing:Mac_adversary.Adversary.pacing ->
-  rounds:int -> ?drain:int ->
-  ?faults:Mac_faults.Fault_plan.t -> unit -> spec
-(** Deprecated float shim over {!spec_q}; rates are snapped to the
-    simplest rationals denoting them ({!Mac_channel.Qrat.of_float}). *)
-
 type check = {
   label : string;
   bound : float;     (** [infinity] when the check has no numeric bound *)
@@ -112,19 +101,28 @@ val run_batch : ?jobs:int -> (unit -> outcome) list -> outcome list
     original backtrace); a supervisor drain request surfaces as
     {!Mac_sim.Supervisor.Drained}. *)
 
-val run_batch_s :
+val sweep :
   ?jobs:int ->
   ?policy:Mac_sim.Supervisor.policy ->
   ?quarantined:(string -> int option) ->
   ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-  (string * (heartbeat:(unit -> unit) -> 'a)) list ->
+  label:('c -> string) ->
+  (unit -> 'c list) ->
+  ('c -> heartbeat:(unit -> unit) -> 'a) ->
   (string * 'a Mac_sim.Supervisor.outcome) list
-(** Supervised batch: each labelled job resolves to its own
-    {!Mac_sim.Supervisor.outcome} under [policy] (retries, watchdog
-    timeouts, quarantine, keep-going) instead of the first exception
-    aborting the sweep. Jobs must call [heartbeat] from their inner loops
-    (thread it into {!run}) for watchdog liveness. Results are in input
-    order. *)
+(** [sweep ~label build run] runs [run] once per cell of [build ()] on
+    [jobs] workers, each cell resolving to its own
+    {!Mac_sim.Supervisor.outcome} under [policy] (default
+    {!Mac_sim.Supervisor.default_policy}: the first failure aborts and is
+    re-raised; a drain request resolves unstarted cells as [Error Skipped]).
+    [quarantined] is consulted by label before a cell's first attempt.
+    Results are (label, outcome) pairs in cell order.
+
+    [build] must return fresh run state on every call. It is called once
+    up front; a cell's first attempt uses that cell, and any later attempt
+    (a retry, or a rerun after its worker died) calls [build] again, so
+    every attempt replays bit-identically. [run] must call [heartbeat]
+    from its inner loop (thread it into {!run}) for watchdog liveness. *)
 
 val check_json : check -> string
 (** One check as a JSON object. *)

@@ -9,10 +9,6 @@ let stability_probe_q ~algorithm ~n ~k ~pattern ?(burst = Qrat.of_int 4) ~rounds
   (Mac_sim.Stability.classify summary.queue_series).verdict
   = Mac_sim.Stability.Stable
 
-let stability_probe ~algorithm ~n ~k ~pattern ?(burst = 4.0) ~rounds () ~rho =
-  stability_probe_q ~algorithm ~n ~k ~pattern ~burst:(Qrat.of_float burst)
-    ~rounds () ~rho:(Qrat.of_float rho)
-
 let half = Qrat.make 1 2
 
 let bisect_q ?(steps = 8) ~lo ~hi probe =
@@ -29,39 +25,12 @@ let bisect_q ?(steps = 8) ~lo ~hi probe =
   done;
   (!lo, !hi)
 
-let bisect ?steps ~lo ~hi probe =
-  let lo, hi =
-    bisect_q ?steps ~lo:(Qrat.of_float lo) ~hi:(Qrat.of_float hi)
-      (fun ~rho -> probe ~rho:(Qrat.to_float rho))
-  in
-  (Qrat.to_float lo, Qrat.to_float hi)
-
 (* Each bisection is a sequential chain of runs, but independent brackets
-   (one per algorithm under the same adversary, say) can bisect side by
-   side on the pool. *)
-let bisect_many_q ?(jobs = 1) ?telemetry ?steps brackets =
-  let count_probe probe =
-    match telemetry with
-    | None -> probe
-    | Some fleet ->
-      fun ~rho ->
-        Mac_sim.Telemetry.Fleet.add_counter fleet
-          ~help:"Throwaway bisection probe runs executed"
-          Mac_sim.Telemetry.Names.bisect_probes;
-        probe ~rho
-  in
-  Mac_sim.Pool.map ~jobs brackets (fun (lo, hi, probe) ->
-      bisect_q ?steps ~lo ~hi (count_probe probe))
-
-let bisect_many ?(jobs = 1) ?steps brackets =
-  Mac_sim.Pool.map ~jobs brackets (fun (lo, hi, probe) ->
-      bisect ?steps ~lo ~hi probe)
-
-(* Supervised variant: brackets carry a label, and each bracket resolves to
-   a per-job outcome instead of the first failure aborting the sweep.  The
-   watchdog heartbeat ticks after every probe run, so a bracket counts as
-   live as long as individual simulations keep finishing. *)
-let bisect_many_sq ?(jobs = 1) ?(policy = Mac_sim.Supervisor.default_policy)
+   (one per algorithm under the same adversary, say) bisect side by side
+   on the supervisor, each resolving to its own outcome. The watchdog
+   heartbeat ticks after every probe run, so a bracket counts as live as
+   long as individual simulations keep finishing. *)
+let bisect_many ?(jobs = 1) ?(policy = Mac_sim.Supervisor.default_policy)
     ?on_event ?telemetry ?steps brackets =
   let count_probe probe =
     match telemetry with

@@ -22,19 +22,6 @@ val stability_probe_q :
     (default burst 4) and reports whether the backlog stayed bounded.
     Deterministic. *)
 
-val stability_probe :
-  algorithm:Mac_channel.Algorithm.t ->
-  n:int ->
-  k:int ->
-  pattern:(unit -> Mac_adversary.Pattern.t) ->
-  ?burst:float ->
-  rounds:int ->
-  unit ->
-  rho:float ->
-  bool
-(** Deprecated float shim over {!stability_probe_q} (arguments snapped via
-    {!Mac_channel.Qrat.of_float}). *)
-
 val bisect_q :
   ?steps:int ->
   lo:Mac_channel.Qrat.t ->
@@ -47,39 +34,7 @@ val bisect_q :
     with [hi' − lo' = (hi − lo) / 2^steps] (default 8 steps) such that the
     probe is stable at [lo'] and unstable at [hi']. *)
 
-val bisect :
-  ?steps:int ->
-  lo:float ->
-  hi:float ->
-  (rho:float -> bool) ->
-  float * float
-(** Deprecated float shim over {!bisect_q}; probe rates round-trip through
-    {!Mac_channel.Qrat.to_float}. *)
-
-val bisect_many_q :
-  ?jobs:int ->
-  ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-  ?steps:int ->
-  (Mac_channel.Qrat.t * Mac_channel.Qrat.t * (rho:Mac_channel.Qrat.t -> bool))
-  list ->
-  (Mac_channel.Qrat.t * Mac_channel.Qrat.t) list
-(** [bisect_many_q brackets] runs one {!bisect_q} per [(lo, hi, probe)]
-    bracket and returns the located frontiers in input order. Each
-    bisection is inherently sequential, but independent brackets run in
-    parallel on a {!Mac_sim.Pool} of [jobs] workers (default 1). Probe
-    runs are throwaway simulations that never publish per-scenario
-    registries; [telemetry], when given, at least counts each probe on
-    the fleet's {!Mac_sim.Telemetry.Names.bisect_probes} counter so a
-    dashboard can see bisection progress. *)
-
 val bisect_many :
-  ?jobs:int ->
-  ?steps:int ->
-  (float * float * (rho:float -> bool)) list ->
-  (float * float) list
-(** Deprecated float shim over {!bisect_many_q}. *)
-
-val bisect_many_sq :
   ?jobs:int ->
   ?policy:Mac_sim.Supervisor.policy ->
   ?on_event:(Mac_sim.Supervisor.event -> unit) ->
@@ -92,8 +47,14 @@ val bisect_many_sq :
   list ->
   (string * (Mac_channel.Qrat.t * Mac_channel.Qrat.t) Mac_sim.Supervisor.outcome)
   list
-(** Supervised {!bisect_many_q}: brackets carry a label, and each resolves
-    to its own {!Mac_sim.Supervisor.outcome} under [policy] instead of the
-    first failure aborting the sweep. The supervisor's watchdog heartbeat
-    ticks after every probe run, so a bracket counts as live while its
-    simulations keep finishing. Results are in input order. *)
+(** [bisect_many brackets] runs one {!bisect_q} per labelled
+    [(label, lo, hi, probe)] bracket on [jobs] supervised workers (default
+    1) and returns (label, located frontier) pairs in input order. Each
+    bracket resolves to its own {!Mac_sim.Supervisor.outcome} under
+    [policy] (default {!Mac_sim.Supervisor.default_policy}: the first
+    failure aborts and re-raises). The watchdog heartbeat ticks after
+    every probe run, so a bracket counts as live while its simulations
+    keep finishing. Probe runs are throwaway simulations that never
+    publish per-scenario registries; [telemetry], when given, counts each
+    probe on the fleet's {!Mac_sim.Telemetry.Names.bisect_probes}
+    counter so a dashboard can see bisection progress. *)

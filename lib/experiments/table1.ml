@@ -10,117 +10,57 @@ type t = {
   id : string;
   claim : string;
   cells : scale:[ `Quick | `Full ] -> cell list;
-  run :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    Scenario.outcome list;
-  run_resumable :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    resume_dir:string ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    Scenario.resumed list;
-  run_s :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    ?policy:Mac_sim.Supervisor.policy ->
-    ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-    ?inject:(string -> unit) ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    (string * Scenario.outcome Mac_sim.Supervisor.outcome) list;
-  run_resumable_s :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    ?policy:Mac_sim.Supervisor.policy ->
-    ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-    ?inject:(string -> unit) ->
-    resume_dir:string ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    (string * Scenario.resumed Mac_sim.Supervisor.outcome) list;
 }
 
-(* [run] is derived: evaluate the row's cells (fresh pattern state every
-   call) and fan the runs out over the pool. [run_resumable] is the same
-   shape, with each cell consulting the resume directory first.
+let row ~id ~claim cells = { id; claim; cells }
 
-   The supervised variants ([run_s]/[run_resumable_s]) return per-cell
-   outcomes instead of aborting on the first exception. Each attempt of
-   a cell re-evaluates [cells ~scale] from scratch — pattern cursors are
-   mutable, so a retry that reused the spec from a previous partial
-   attempt would not replay bit-identically. [?inject] is a fault hook
-   (used by tests and `--inject-failure`): it is called with the cell id
-   before each attempt and may raise. *)
-let row ~id ~claim cells =
-  let run ?observe ?telemetry ?jobs ~scale () =
-    Scenario.run_batch ?jobs
-      (List.map
-         (fun c () -> Scenario.run ~checks:c.checks ?observe ?telemetry c.spec)
-         (cells ~scale))
+(* Every batch run of a row — plain, supervised, resumable — is this one
+   sweep: "plain" is [Supervisor.default_policy], "fresh" is no resume
+   directory. [?inject] is a fault hook (tests and `--inject-failure`):
+   it is called with the cell id at the start of each attempt, after the
+   attempt has taken its cell, and may raise. *)
+let sweep ?observe ?telemetry ?jobs ?policy ?on_event ?inject ?resume_dir
+    ~scale row () =
+  let run c ~heartbeat =
+    Option.iter (fun f -> f c.spec.id) inject;
+    match resume_dir with
+    | None ->
+      Scenario.Fresh
+        (Scenario.run ~checks:c.checks ?observe ?telemetry ~heartbeat c.spec)
+    | Some resume_dir ->
+      Scenario.run_resumable ~checks:c.checks ?observe ?telemetry ~heartbeat
+        ~resume_dir ~experiment:row.id c.spec
   in
-  let run_resumable ?observe ?telemetry ?(jobs = 1) ~resume_dir ~scale () =
-    Mac_sim.Pool.map ~jobs
-      (List.map
-         (fun c () ->
-           Scenario.run_resumable ~checks:c.checks ?observe ?telemetry
-             ~resume_dir ~experiment:id c.spec)
-         (cells ~scale))
-      (fun t -> t ())
+  let outcomes =
+    Scenario.sweep ?jobs ?policy ?on_event
+      ?quarantined:
+        (Option.map
+           (fun resume_dir -> Scenario.quarantine_lookup ~resume_dir)
+           resume_dir)
+      ~label:(fun c -> c.spec.id)
+      (fun () -> row.cells ~scale)
+      run
   in
-  let cell_ids ~scale = List.map (fun c -> c.spec.id) (cells ~scale) in
-  let fresh_cell ~scale i = List.nth (cells ~scale) i in
-  let run_s ?observe ?telemetry ?jobs ?policy ?on_event ?inject ~scale () =
-    Scenario.run_batch_s ?jobs ?policy ?on_event
-      (List.mapi
-         (fun i cid ->
-           ( cid,
-             fun ~heartbeat ->
-               (match inject with Some f -> f cid | None -> ());
-               let c = fresh_cell ~scale i in
-               Scenario.run ~checks:c.checks ?observe ?telemetry ~heartbeat
-                 c.spec ))
-         (cell_ids ~scale))
-  in
-  let run_resumable_s ?observe ?telemetry ?jobs ?policy ?on_event ?inject
-      ~resume_dir ~scale () =
-    let outcomes =
-      Scenario.run_batch_s ?jobs ?policy ?on_event
-        ~quarantined:(fun cid -> Scenario.quarantine_lookup ~resume_dir cid)
-        (List.mapi
-           (fun i cid ->
-             ( cid,
-               fun ~heartbeat ->
-                 (match inject with Some f -> f cid | None -> ());
-                 let c = fresh_cell ~scale i in
-                 Scenario.run_resumable ~checks:c.checks ?observe ?telemetry
-                   ~heartbeat ~resume_dir ~experiment:id c.spec ))
-           (cell_ids ~scale))
-    in
-    (* A cell that exhausted its attempts is quarantined on disk: the
-       next run of this sweep skips it up front instead of burning the
-       whole retry budget again. *)
-    List.iter
-      (fun (cid, r) ->
-        match r with
-        | Error (Mac_sim.Supervisor.Failed { attempts; error }) ->
-          Scenario.note_quarantined ~resume_dir ~id:cid ~failures:attempts
-            ~error:(Printexc.to_string error)
-        | Error (Mac_sim.Supervisor.Timed_out { attempts; timeout }) ->
-          Scenario.note_quarantined ~resume_dir ~id:cid ~failures:attempts
-            ~error:(Printf.sprintf "no heartbeat progress for %gs" timeout)
-        | _ -> ())
-      outcomes;
-    outcomes
-  in
-  { id; claim; cells; run; run_resumable; run_s; run_resumable_s }
+  (* A cell that exhausted its attempts is quarantined on disk: the next
+     run of this sweep skips it up front instead of burning the whole
+     retry budget again. *)
+  Option.iter
+    (fun resume_dir ->
+      List.iter
+        (fun (cid, r) ->
+          let note failures error =
+            Scenario.note_quarantined ~resume_dir ~id:cid ~failures ~error
+          in
+          match r with
+          | Error (Mac_sim.Supervisor.Failed { attempts; error }) ->
+            note attempts (Printexc.to_string error)
+          | Error (Mac_sim.Supervisor.Timed_out { attempts; timeout }) ->
+            note attempts
+              (Printf.sprintf "no heartbeat progress for %gs" timeout)
+          | _ -> ())
+        outcomes)
+    resume_dir;
+  outcomes
 
 let scaled ~scale ~quick ~full = match scale with `Quick -> quick | `Full -> full
 
@@ -138,9 +78,10 @@ let required_schedule algorithm ~n ~k =
 let orchestra_cells ~scale =
   let n = scaled ~scale ~quick:6 ~full:10 in
   let rounds = scaled ~scale ~quick:60_000 ~full:300_000 in
-  let beta = 20.0 in
+  let beta = 20 in
   let checks =
-    [ Scenario.queues_under (Bounds.orchestra_queue_bound ~n ~beta);
+    [ Scenario.queues_under
+        (Bounds.orchestra_queue_bound ~n ~beta:(float_of_int beta));
       Scenario.cap_at_most 3;
       Scenario.stable;
       Scenario.clean ]
@@ -148,8 +89,9 @@ let orchestra_cells ~scale =
   let cell id pattern =
     { checks;
       spec =
-        Scenario.spec ~id ~algorithm:(module Mac_routing.Orchestra) ~n ~k:3
-          ~rate:1.0 ~burst:beta ~pattern ~rounds ~drain:0 () }
+        Scenario.spec_q ~id ~algorithm:(module Mac_routing.Orchestra) ~n ~k:3
+          ~rate:Qrat.one ~burst:(Qrat.of_int beta) ~pattern ~rounds ~drain:0
+          () }
   in
   [ cell "orchestra/flood" (Pattern.flood ~n ~victim:(n / 2));
     cell "orchestra/uniform" (Pattern.uniform ~n ~seed:101);
@@ -169,15 +111,15 @@ let cap2_impossible_cells ~scale =
   let cell id algorithm pattern burst =
     { checks;
       spec =
-        Scenario.spec ~id ~algorithm ~n ~k:2 ~rate:1.0 ~burst ~pattern ~rounds
-          ~drain:0 () }
+        Scenario.spec_q ~id ~algorithm ~n ~k:2 ~rate:Qrat.one
+          ~burst:(Qrat.of_int burst) ~pattern ~rounds ~drain:0 () }
   in
   [ cell "cap2/count-hop-breaker" (module Mac_routing.Count_hop)
-      (Saboteur.cap2_breaker ~n).Saboteur.pattern 1.0;
+      (Saboteur.cap2_breaker ~n).Saboteur.pattern 1;
     cell "cap2/count-hop-flood" (module Mac_routing.Count_hop)
-      (Pattern.flood ~n ~victim:1) 2.0;
+      (Pattern.flood ~n ~victim:1) 2;
     cell "cap2/adjust-window-flood" (module Mac_routing.Adjust_window)
-      (Pattern.flood ~n ~victim:1) 2.0 ]
+      (Pattern.flood ~n ~victim:1) 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 3: Count-Hop — universal with energy cap 2; latency at most
@@ -189,19 +131,24 @@ let count_hop_cells ~scale =
   let n = scaled ~scale ~quick:6 ~full:10 in
   let cell ~rho ~beta id pattern =
     { checks =
-        [ Scenario.latency_under (Bounds.count_hop_latency_impl ~n ~rho ~beta);
+        [ Scenario.latency_under
+            (Bounds.count_hop_latency_impl ~n ~rho:(Qrat.to_float rho)
+               ~beta:(float_of_int beta));
           Scenario.cap_at_most 2;
           Scenario.stable;
           Scenario.delivered_all;
           Scenario.clean ];
       spec =
-        Scenario.spec ~id ~algorithm:(module Mac_routing.Count_hop) ~n ~k:2
-          ~rate:rho ~burst:beta ~pattern ~rounds () }
+        Scenario.spec_q ~id ~algorithm:(module Mac_routing.Count_hop) ~n ~k:2
+          ~rate:rho ~burst:(Qrat.of_int beta) ~pattern ~rounds () }
   in
-  [ cell ~rho:0.5 ~beta:2.0 "count-hop/uniform-0.5" (Pattern.uniform ~n ~seed:111);
-    cell ~rho:0.9 ~beta:2.0 "count-hop/uniform-0.9" (Pattern.uniform ~n ~seed:112);
-    cell ~rho:0.9 ~beta:10.0 "count-hop/flood-0.9" (Pattern.flood ~n ~victim:2);
-    cell ~rho:0.8 ~beta:2.0 "count-hop/hotspot-0.8"
+  [ cell ~rho:(Qrat.make 1 2) ~beta:2 "count-hop/uniform-0.5"
+      (Pattern.uniform ~n ~seed:111);
+    cell ~rho:(Qrat.make 9 10) ~beta:2 "count-hop/uniform-0.9"
+      (Pattern.uniform ~n ~seed:112);
+    cell ~rho:(Qrat.make 9 10) ~beta:10 "count-hop/flood-0.9"
+      (Pattern.flood ~n ~victim:2);
+    cell ~rho:(Qrat.make 4 5) ~beta:2 "count-hop/hotspot-0.8"
       (Pattern.hotspot ~n ~seed:113 ~hot:1 ~bias:0.7) ]
 
 (* ------------------------------------------------------------------ *)
@@ -211,29 +158,32 @@ let count_hop_cells ~scale =
 
 let adjust_window_cells ~scale =
   let cell ~n ~rho ~beta ~rounds id pattern =
+    let bound =
+      Bounds.adjust_window_latency_impl ~n ~rho:(Qrat.to_float rho)
+        ~beta:(float_of_int beta)
+    in
     { checks =
-        [ Scenario.latency_under (Bounds.adjust_window_latency_impl ~n ~rho ~beta);
+        [ Scenario.latency_under bound;
           Scenario.cap_at_most 2;
           Scenario.stable;
           Scenario.delivered_all;
           Scenario.clean ];
       spec =
-        Scenario.spec ~id ~algorithm:(module Mac_routing.Adjust_window) ~n ~k:2
-          ~rate:rho ~burst:beta ~pattern ~rounds
-          ~drain:(Bounds.adjust_window_latency_impl ~n ~rho ~beta |> int_of_float)
-          () }
+        Scenario.spec_q ~id ~algorithm:(module Mac_routing.Adjust_window) ~n
+          ~k:2 ~rate:rho ~burst:(Qrat.of_int beta) ~pattern ~rounds
+          ~drain:(int_of_float bound) () }
   in
   match scale with
   | `Quick ->
-    [ cell ~n:4 ~rho:0.3 ~beta:2.0 ~rounds:80_000 "adjust-window/uniform-0.3"
-        (Pattern.uniform ~n:4 ~seed:121) ]
+    [ cell ~n:4 ~rho:(Qrat.make 3 10) ~beta:2 ~rounds:80_000
+        "adjust-window/uniform-0.3" (Pattern.uniform ~n:4 ~seed:121) ]
   | `Full ->
-    [ cell ~n:4 ~rho:0.3 ~beta:2.0 ~rounds:200_000 "adjust-window/uniform-0.3"
-        (Pattern.uniform ~n:4 ~seed:121);
-      cell ~n:4 ~rho:0.6 ~beta:2.0 ~rounds:300_000 "adjust-window/flood-0.6"
-        (Pattern.flood ~n:4 ~victim:2);
-      cell ~n:6 ~rho:0.5 ~beta:2.0 ~rounds:400_000 "adjust-window/uniform-0.5"
-        (Pattern.uniform ~n:6 ~seed:122) ]
+    [ cell ~n:4 ~rho:(Qrat.make 3 10) ~beta:2 ~rounds:200_000
+        "adjust-window/uniform-0.3" (Pattern.uniform ~n:4 ~seed:121);
+      cell ~n:4 ~rho:(Qrat.make 3 5) ~beta:2 ~rounds:300_000
+        "adjust-window/flood-0.6" (Pattern.flood ~n:4 ~victim:2);
+      cell ~n:6 ~rho:(Qrat.make 1 2) ~beta:2 ~rounds:400_000
+        "adjust-window/uniform-0.5" (Pattern.uniform ~n:6 ~seed:122) ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 5: k-Cycle — latency (32+beta)n below rate (k-1)/(n-1), cap k.
@@ -302,18 +252,19 @@ let k_clique_cells ~scale =
   let cell ~k ~beta id pattern =
     let rho = Bounds.k_clique_latency_rate_q ~n ~k in
     { checks =
-        [ Scenario.latency_under (Bounds.k_clique_latency ~n ~k ~beta);
+        [ Scenario.latency_under
+            (Bounds.k_clique_latency ~n ~k ~beta:(float_of_int beta));
           Scenario.cap_at_most k;
           Scenario.stable;
           Scenario.delivered_all;
           Scenario.clean ];
       spec =
         Scenario.spec_q ~id ~algorithm:(Mac_routing.K_clique.algorithm ~n ~k)
-          ~n ~k ~rate:rho ~burst:(Qrat.of_float beta) ~pattern ~rounds () }
+          ~n ~k ~rate:rho ~burst:(Qrat.of_int beta) ~pattern ~rounds () }
   in
-  [ cell ~k:4 ~beta:2.0 "k-clique/k4-uniform" (Pattern.uniform ~n ~seed:141);
-    cell ~k:4 ~beta:2.0 "k-clique/k4-pair" (Pattern.pair_flood ~src:1 ~dst:2);
-    cell ~k:6 ~beta:6.0 "k-clique/k6-uniform" (Pattern.uniform ~n ~seed:142) ]
+  [ cell ~k:4 ~beta:2 "k-clique/k4-uniform" (Pattern.uniform ~n ~seed:141);
+    cell ~k:4 ~beta:2 "k-clique/k4-pair" (Pattern.pair_flood ~src:1 ~dst:2);
+    cell ~k:6 ~beta:6 "k-clique/k6-uniform" (Pattern.uniform ~n ~seed:142) ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 8: k-Subsets — stable at exactly k(k-1)/(n(n-1)) with queues
@@ -328,20 +279,21 @@ let k_subsets_cells ~scale =
   let rho = Bounds.k_subsets_rate_q ~n ~k in
   let cell ?(discipline = `Mbtf) id pattern ~beta =
     { checks =
-        [ Scenario.queues_under (Bounds.k_subsets_queue_bound ~n ~k ~beta);
+        [ Scenario.queues_under
+            (Bounds.k_subsets_queue_bound ~n ~k ~beta:(float_of_int beta));
           Scenario.cap_at_most k;
           Scenario.stable;
           Scenario.clean ];
       spec =
         Scenario.spec_q ~id
           ~algorithm:(Mac_routing.K_subsets.algorithm ~discipline ~n ~k ())
-          ~n ~k ~rate:rho ~burst:(Qrat.of_float beta) ~pattern ~rounds ~drain:0
+          ~n ~k ~rate:rho ~burst:(Qrat.of_int beta) ~pattern ~rounds ~drain:0
           () }
   in
-  [ cell "k-subsets/pair" (Pattern.pair_flood ~src:1 ~dst:2) ~beta:4.0;
-    cell "k-subsets/uniform" (Pattern.uniform ~n ~seed:151) ~beta:4.0;
+  [ cell "k-subsets/pair" (Pattern.pair_flood ~src:1 ~dst:2) ~beta:4;
+    cell "k-subsets/uniform" (Pattern.uniform ~n ~seed:151) ~beta:4;
     cell ~discipline:`Rrw "k-subsets/rrw-uniform" (Pattern.uniform ~n ~seed:152)
-      ~beta:4.0 ]
+      ~beta:4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 9: Theorem 9 — no oblivious direct algorithm is stable above

@@ -8,8 +8,8 @@
     the benchmark harness.
 
     A row is a {e catalog of cells} — (scenario spec, checks) pairs — and
-    [run] simply executes them. Exposing the cells lets other harnesses
-    (the differential verifier, notably) re-run the exact Table-1
+    {!sweep} executes them. Exposing the cells lets other harnesses (the
+    differential verifier, notably) re-run the exact Table-1
     configurations through independent machinery. *)
 
 type cell = {
@@ -24,64 +24,6 @@ type t = {
   (** The row's scenarios at the given scale. Every call builds fresh
       pattern state, so each returned spec can drive exactly one run;
       call again for another (identical) batch. *)
-  run :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    Scenario.outcome list;
-  (** Runs the row's cells. [observe] is forwarded to every
-      {!Scenario.run} of the row, keyed by scenario id — attach tracing or
-      event recording per scenario. [telemetry] is likewise forwarded, so
-      every scenario of the row publishes live progress into the fleet.
-      [jobs] (default 1) fans the row's scenarios out over that many
-      worker domains via {!Scenario.run_batch}; outcomes keep their
-      listed order and are bit-identical to a sequential run. *)
-  run_resumable :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    resume_dir:string ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    Scenario.resumed list;
-  (** Like [run], but each cell goes through {!Scenario.run_resumable}
-      keyed by the row id: cells already recorded in [resume_dir] are
-      replayed as [Cached] without simulating, so a killed sweep restarted
-      with the same directory re-runs only its unfinished scenarios and
-      reproduces the original JSON rows byte-for-byte. *)
-  run_s :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    ?policy:Mac_sim.Supervisor.policy ->
-    ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-    ?inject:(string -> unit) ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    (string * Scenario.outcome Mac_sim.Supervisor.outcome) list;
-  (** Supervised [run]: each cell resolves to its own
-      {!Mac_sim.Supervisor.outcome} under [policy] instead of the first
-      exception aborting the row. Every attempt of a cell re-evaluates the
-      row's cell list from scratch, so retried cells replay bit-identically
-      to a first run. [inject] is a fault hook (tests, [--inject-failure]):
-      called with the cell id before each attempt, and may raise. *)
-  run_resumable_s :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    ?policy:Mac_sim.Supervisor.policy ->
-    ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-    ?inject:(string -> unit) ->
-    resume_dir:string ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    (string * Scenario.resumed Mac_sim.Supervisor.outcome) list;
-  (** Supervised [run_resumable]. Additionally: cells quarantined in
-      [resume_dir] (see {!Scenario.quarantine_lookup}) resolve as
-      [Error Quarantined] without running, and cells that exhaust their
-      attempts here are recorded as quarantined for the next resume. *)
 }
 
 val row :
@@ -89,11 +31,45 @@ val row :
   claim:string ->
   (scale:[ `Quick | `Full ] -> cell list) ->
   t
-(** Assemble a row from a cell catalog: the returned [t] carries the full
-    run/run_resumable/run_s/run_resumable_s machinery (parallel batches,
-    byte-identical resume, supervision with quarantine) over those cells.
-    Other experiment drivers (the cross-paper {!Matrix}, notably) build
-    their sweeps with this instead of reimplementing batch plumbing. *)
+(** Assemble a row from a cell catalog. Other experiment drivers (the
+    cross-paper {!Matrix}, notably) build their sweeps with this and run
+    them through {!sweep}. *)
+
+val sweep :
+  ?observe:Scenario.observer ->
+  ?telemetry:Mac_sim.Telemetry.Fleet.t ->
+  ?jobs:int ->
+  ?policy:Mac_sim.Supervisor.policy ->
+  ?on_event:(Mac_sim.Supervisor.event -> unit) ->
+  ?inject:(string -> unit) ->
+  ?resume_dir:string ->
+  scale:[ `Quick | `Full ] ->
+  t ->
+  unit ->
+  (string * Scenario.resumed Mac_sim.Supervisor.outcome) list
+(** Runs the row's cells on [jobs] worker domains (default 1) through
+    {!Scenario.sweep}, returning (scenario id, outcome) pairs in cell
+    order; the JSON rows are bit-identical for every [jobs].
+
+    - [policy] defaults to {!Mac_sim.Supervisor.default_policy}: the first
+      failing cell aborts the sweep and its exception is re-raised. A
+      drain request (SIGTERM) resolves unstarted cells as [Error Skipped]
+      under any policy.
+    - Without [resume_dir] every success is [Fresh]. With it, each cell
+      goes through {!Scenario.run_resumable} keyed by the row id: cells
+      already recorded there replay as [Cached], so a killed sweep
+      restarted with the same directory re-runs only its unfinished
+      cells and reproduces the original JSON rows byte-for-byte. Cells
+      quarantined there resolve as [Error Quarantined] without running
+      (which, like any failure, aborts a sweep under the default policy),
+      and cells that exhaust their attempts are quarantined for the next
+      run.
+    - [observe] and [telemetry] are forwarded to every {!Scenario.run}.
+    - [inject] is a fault hook (tests, [--inject-failure]): called with
+      the cell id at the start of every attempt, and may raise.
+
+    [cells] is called once up front; only a retried attempt rebuilds it,
+    so a retry replays bit-identically to a first run. *)
 
 val all : t list
 

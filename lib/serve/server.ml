@@ -590,19 +590,25 @@ let shard_main sv shard =
   try
     let running = ref true in
     while !running do
-      let thunks = ref [] in
-      locked shard.sh_mutex (fun () ->
-          while
-            Queue.is_empty shard.sh_mailbox
-            && (not shard.sh_stop)
-            && not (List.exists chan_has_work shard.sh_channels)
-          do
-            Condition.wait shard.sh_cond shard.sh_mutex
-          done;
-          while not (Queue.is_empty shard.sh_mailbox) do
-            thunks := Queue.pop shard.sh_mailbox :: !thunks
-          done);
-      List.iter (fun t -> t ()) (List.rev !thunks);
+      let pending =
+        locked shard.sh_mutex (fun () ->
+            while
+              Queue.is_empty shard.sh_mailbox
+              && (not shard.sh_stop)
+              && not (List.exists chan_has_work shard.sh_channels)
+            do
+              Condition.wait shard.sh_cond shard.sh_mutex
+            done;
+            Queue.length shard.sh_mailbox)
+      in
+      (* Pop one thunk at a time: when a thunk kills the shard, the ones
+         behind it are still in the mailbox, and [check_shards] replays
+         them on the respawned shard. *)
+      for _ = 1 to pending do
+        Option.iter
+          (fun t -> t ())
+          (locked shard.sh_mutex (fun () -> Queue.take_opt shard.sh_mailbox))
+      done;
       if shard.sh_stop then begin
         drain_shard sv shard;
         running := false

@@ -340,9 +340,14 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
       Atomic.set progress 0;
       Atomic.set cancel false;
       Atomic.set job_a i;
-      let heartbeat () =
-        Atomic.incr progress;
-        if Atomic.get cancel then raise Cancelled
+      (* Only the watchdog reads the counter and sets [cancel]; without
+         one, a per-round atomic increment (on a cache line the other
+         workers' slots may share) is pure cost. *)
+      let heartbeat =
+        if policy.job_timeout > 0.0 then (fun () ->
+          Atomic.incr progress;
+          if Atomic.get cancel then raise Cancelled)
+        else ignore
       in
       let finish () = Atomic.set job_a (-1) in
       match f ~heartbeat ~attempt items.(i) with

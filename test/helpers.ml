@@ -1,8 +1,13 @@
 (* Shared helpers for the per-algorithm test suites. *)
 
+(* [rate] and [burst] are decimal literals in the suites; each denotes the
+   simplest rational it rounds from ([Qrat.of_float 0.1] is exactly 1/10). *)
 let run ?(strict = true) ?(check_schedule = true) ?(drain = 0) ?pacing
     ~algorithm ~n ~k ~rate ~burst ~pattern ~rounds () =
-  let adversary = Mac_adversary.Adversary.create ~rate ~burst ?pacing pattern in
+  let adversary =
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.of_float rate)
+      ~burst:(Mac_channel.Qrat.of_float burst) ?pacing pattern
+  in
   let config =
     { (Mac_sim.Engine.default_config ~rounds) with
       strict; check_schedule; drain_limit = drain }
@@ -32,3 +37,12 @@ let assert_delivered_all name (s : Mac_sim.Metrics.summary) =
   Alcotest.(check int) (name ^ ": everything delivered") 0 s.undelivered
 
 let worst_delay (s : Mac_sim.Metrics.summary) = max s.max_delay s.max_queued_age
+
+(* The outcomes of a plain [Table1.sweep] (default policy, no resume
+   directory), in cell order. *)
+let fresh_outcomes results =
+  List.map
+    (function
+      | _, Ok (Mac_experiments.Scenario.Fresh o) -> o
+      | cid, _ -> Alcotest.failf "%s: expected a fresh outcome" cid)
+    results

@@ -128,7 +128,8 @@ let test_quiet_system_stays_dark () =
   (* With no packets at all every station is small, gossip is silent and the
      system spends no energy in Main; only listeners burn rounds. *)
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.9 ~burst:1.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 9 10)
+      ~burst:(Mac_channel.Qrat.of_int 1)
       (Mac_adversary.Pattern.make ~name:"nothing" (fun ~round:_ ~budget:_ ~view:_ -> []))
   in
   let s =

@@ -3,6 +3,7 @@
    patterns, pacing disciplines and the impossibility-proof saboteurs. *)
 
 open Mac_adversary
+module Q = Mac_channel.Qrat
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -10,11 +11,11 @@ let check_bool = Alcotest.(check bool)
 (* ---- Leaky bucket ---- *)
 
 let test_bucket_initial_grant () =
-  let b = Leaky_bucket.create ~rate:0.5 ~burst:3.0 in
+  let b = Leaky_bucket.create_q ~rate:(Q.make 1 2) ~burst:(Q.of_int 3) in
   check_int "initial grant = floor(rate+burst)" 3 (Leaky_bucket.grant b)
 
 let test_bucket_consume_refill () =
-  let b = Leaky_bucket.create ~rate:0.5 ~burst:3.0 in
+  let b = Leaky_bucket.create_q ~rate:(Q.make 1 2) ~burst:(Q.of_int 3) in
   Leaky_bucket.consume b 3;
   Leaky_bucket.advance b;
   check_int "after one refill" 1 (Leaky_bucket.grant b);
@@ -22,20 +23,21 @@ let test_bucket_consume_refill () =
   check_int "after two refills" 1 (Leaky_bucket.grant b)
 
 let test_bucket_clamp () =
-  let b = Leaky_bucket.create ~rate:0.5 ~burst:3.0 in
+  let b = Leaky_bucket.create_q ~rate:(Q.make 1 2) ~burst:(Q.of_int 3) in
   for _ = 1 to 100 do Leaky_bucket.advance b done;
   check_int "clamped at rate+burst" 3 (Leaky_bucket.grant b)
 
 let test_bucket_overdraw_rejected () =
-  let b = Leaky_bucket.create ~rate:0.5 ~burst:1.0 in
+  let b = Leaky_bucket.create_q ~rate:(Q.make 1 2) ~burst:Q.one in
   Alcotest.check_raises "overdraw" (Invalid_argument "Leaky_bucket.consume")
     (fun () -> Leaky_bucket.consume b 10)
 
 let test_bucket_bad_args () =
   Alcotest.check_raises "rate 0" (Invalid_argument "Leaky_bucket: rate must be in (0, 1]")
-    (fun () -> ignore (Leaky_bucket.create ~rate:0.0 ~burst:1.0));
+    (fun () -> ignore (Leaky_bucket.create_q ~rate:Q.zero ~burst:Q.one));
   Alcotest.check_raises "burst" (Invalid_argument "Leaky_bucket: burst must be >= 1")
-    (fun () -> ignore (Leaky_bucket.create ~rate:0.5 ~burst:0.5))
+    (fun () ->
+      ignore (Leaky_bucket.create_q ~rate:(Q.make 1 2) ~burst:(Q.make 1 2)))
 
 (* The defining property: for every greedy trace and every window [s, t],
    injections <= rate * len + burst — checked in exact arithmetic, with no
@@ -180,14 +182,17 @@ let count_injections driver ~rounds =
   (!total, per_round)
 
 let test_greedy_sustains_rate () =
-  let adv = Adversary.create ~rate:0.5 ~burst:4.0 (Pattern.uniform ~n:8 ~seed:2) in
+  let adv =
+    Adversary.create_q ~rate:(Q.make 1 2) ~burst:(Q.of_int 4)
+      (Pattern.uniform ~n:8 ~seed:2)
+  in
   let total, per_round = count_injections (Adversary.start adv) ~rounds:1000 in
   check_bool "close to rate*rounds+burst" true (total >= 495 && total <= 505);
   check_int "initial burst" 4 per_round.(0)
 
 let test_paced_holds_reserve () =
   let adv =
-    Adversary.create ~rate:0.5 ~burst:6.0
+    Adversary.create_q ~rate:(Q.make 1 2) ~burst:(Q.of_int 6)
       ~pacing:(Adversary.Paced { burst_at = Some 100 })
       (Pattern.uniform ~n:8 ~seed:3)
   in
@@ -197,7 +202,10 @@ let test_paced_holds_reserve () =
   check_bool "rate+burst total" true (total >= 100 && total <= 107)
 
 let test_injection_never_exceeds_bucket () =
-  let adv = Adversary.create ~rate:0.3 ~burst:2.0 (Pattern.flood ~n:8 ~victim:1) in
+  let adv =
+    Adversary.create_q ~rate:(Q.make 3 10) ~burst:(Q.of_int 2)
+      (Pattern.flood ~n:8 ~victim:1)
+  in
   let total, _ = count_injections (Adversary.start adv) ~rounds:500 in
   check_bool "<= rate*t+burst" true (float_of_int total <= (0.3 *. 500.0) +. 2.0)
 

@@ -53,7 +53,10 @@ let test_mbtf_list_front_big_is_noop_move () =
 
 let run ?(faults = None) ?(strict = true) ~algorithm ~n ~rate ~burst ~pattern
     ~rounds ~drain () =
-  let adversary = Mac_adversary.Adversary.create ~rate ~burst pattern in
+  let adversary =
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.of_float rate)
+      ~burst:(Mac_channel.Qrat.of_float burst) pattern
+  in
   let config =
     { (Mac_sim.Engine.default_config ~rounds) with
       drain_limit = drain; check_schedule = true; strict; faults }

@@ -396,7 +396,8 @@ let test_checkpoint_bytes_telemetry_invariant () =
       ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
       (fun () ->
         let adversary =
-          Mac_adversary.Adversary.create ~rate:0.7 ~burst:2.0
+          Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 7 10)
+            ~burst:(Mac_channel.Qrat.of_int 2)
             (Mac_adversary.Pattern.uniform ~n:6 ~seed:29)
         in
         let config =
@@ -425,7 +426,8 @@ let test_checkpoint_bytes_telemetry_invariant () =
    silently resolved in config's favour; it must be rejected. *)
 let test_rounds_config_mismatch () =
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.5 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n:6 ~seed:1)
   in
   let config = Mac_sim.Engine.default_config ~rounds:100 in
@@ -444,8 +446,9 @@ let temp_dir () =
   d
 
 let small_spec ~id ~seed =
-  Mac_experiments.Scenario.spec ~id ~algorithm:(module Mac_routing.Count_hop)
-    ~n:6 ~k:2 ~rate:0.5 ~burst:2.0
+  Mac_experiments.Scenario.spec_q ~id ~algorithm:(module Mac_routing.Count_hop)
+    ~n:6 ~k:2 ~rate:(Mac_channel.Qrat.make 1 2)
+      ~burst:(Mac_channel.Qrat.of_int 2)
     ~pattern:(Mac_adversary.Pattern.uniform ~n:6 ~seed)
     ~rounds:800 ~drain:200 ()
 

@@ -181,6 +181,43 @@ let test_quarantine_survives_process_restart () =
     (bad_lines <> []
     && List.for_all (fun l -> not (contains l "PASS")) bad_lines)
 
+(* SIGTERM drains a sweep run without supervision flags: the cell in
+   flight finishes, the unstarted ones print as SKIPPED, the partial
+   --json is still written, and the exit code is 4. The signal goes out
+   as soon as the first cell's completion marker lands. *)
+let test_sigterm_drains_unflagged_sweep () =
+  let dir = temp_dir "eear_drain" in
+  let json = Filename.concat dir "rows.json" in
+  let out = Filename.temp_file "eear_cli" ".out" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let args = table1_base @ [ "--resume-dir"; dir; "--json"; json ] in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd fd
+  in
+  Unix.close fd;
+  let first = Filename.concat dir "orchestra_flood.done" in
+  let deadline = Unix.gettimeofday () +. 60.0 in
+  while (not (Sys.file_exists first)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.002
+  done;
+  Unix.kill pid Sys.sigterm;
+  let _, status = Unix.waitpid [] pid in
+  let stdout = read_file out in
+  Sys.remove out;
+  Alcotest.(check bool)
+    (Printf.sprintf "drained exit 4 (output %S)" stdout)
+    true (status = Unix.WEXITED 4);
+  Alcotest.(check bool) "unstarted cells print as SKIPPED" true
+    (contains stdout "SKIPPED  (drain)");
+  let rows =
+    List.length
+      (List.filter (fun l -> contains l "\"experiment\"") (lines (read_file json)))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "partial JSON (%d of 4 rows)" rows)
+    true
+    (rows > 0 && rows < 4)
+
 (* Scraped files can vanish or be mid-creation between the directory
    scan and the read; top must skip them, not fail. *)
 let test_top_tolerates_vanished_and_fresh_files () =
@@ -241,6 +278,8 @@ let () =
            test_quarantine_survives_process_restart;
          Alcotest.test_case "keep-going degraded exit 3" `Quick
            test_keep_going_degraded_exit_3;
+         Alcotest.test_case "SIGTERM drains an unflagged sweep" `Quick
+           test_sigterm_drains_unflagged_sweep;
          Alcotest.test_case "chaos smoke" `Quick test_chaos_smoke ]);
       ("golden",
        [ Alcotest.test_case "resilience smoke" `Quick test_smoke_matches_golden ]) ]

@@ -107,7 +107,10 @@ let run ?(algorithm = (module Toy : Algorithm.S)) ?(strict = true)
     | Some p -> p
     | None -> Mac_adversary.Pattern.uniform ~n ~seed:1
   in
-  let adversary = Mac_adversary.Adversary.create ~rate ~burst:2.0 pattern in
+  let adversary =
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.of_float rate)
+      ~burst:(Mac_channel.Qrat.of_int 2) pattern
+  in
   let config =
     { (Mac_sim.Engine.default_config ~rounds) with
       strict; check_schedule; drain_limit = drain; sample_every = 1 }
@@ -298,9 +301,9 @@ let determinism_property =
       let _, algorithm, k = algorithms.(pick) in
       let once () =
         let adversary =
-          Mac_adversary.Adversary.create
-            ~rate:(float_of_int rate_pct /. 100.0)
-            ~burst:3.0
+          Mac_adversary.Adversary.create_q
+            ~rate:(Mac_channel.Qrat.make rate_pct 100)
+            ~burst:(Mac_channel.Qrat.of_int 3)
             (Mac_adversary.Pattern.uniform ~n:8 ~seed)
         in
         Mac_sim.Engine.run ~algorithm ~n:8 ~k ~adversary ~rounds:3_000 ()
@@ -410,7 +413,8 @@ let test_sparse_mode_requires_hook () =
   | exception _ -> Alcotest.fail "dense Toy run should succeed");
   let sparse_toy () =
     let adversary =
-      Mac_adversary.Adversary.create ~rate:0.5 ~burst:2.0
+      Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
+        ~burst:(Mac_channel.Qrat.of_int 2)
         (Mac_adversary.Pattern.uniform ~n:4 ~seed:1)
     in
     let config =
@@ -430,7 +434,8 @@ let test_sparse_auto_resolution () =
   reset ();
   let toy_auto =
     let adversary =
-      Mac_adversary.Adversary.create ~rate:0.5 ~burst:2.0
+      Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
+        ~burst:(Mac_channel.Qrat.of_int 2)
         (Mac_adversary.Pattern.uniform ~n:4 ~seed:1)
     in
     let config =

@@ -154,7 +154,8 @@ let record_run ~algorithm ~n ~k ~rate ~seed ~rounds ~drain =
   let path = Filename.temp_file "eear_replay" ".jsonl" in
   let sink = Mac_sim.Sink.jsonl_file path in
   let adversary =
-    Mac_adversary.Adversary.create ~rate ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.of_float rate)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n ~seed)
   in
   let config =
@@ -225,7 +226,8 @@ let test_ledger_invariants () =
   let n = 6 in
   let ledger = Mac_sim.Ledger.create ~n in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.8 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 4 5)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n ~seed:47)
   in
   let config =
@@ -335,7 +337,8 @@ let test_p99_within_one_bucket_of_exact () =
         | _ -> ())
   in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.9 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 9 10)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n:6 ~seed:59)
   in
   let config =
@@ -363,7 +366,8 @@ let test_p99_within_one_bucket_of_exact () =
 let test_observation_is_transparent () =
   let run sink =
     let adversary =
-      Mac_adversary.Adversary.create ~rate:0.7 ~burst:2.0
+      Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 7 10)
+        ~burst:(Mac_channel.Qrat.of_int 2)
         (Mac_adversary.Pattern.uniform ~n:6 ~seed:71)
     in
     let config =
@@ -388,7 +392,8 @@ let test_telemetry_is_transparent () =
           lines := Event.to_json ~round ev :: !lines)
     in
     let adversary =
-      Mac_adversary.Adversary.create ~rate:0.8 ~burst:2.0
+      Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 4 5)
+        ~burst:(Mac_channel.Qrat.of_int 2)
         (Mac_adversary.Pattern.uniform ~n:6 ~seed:83)
     in
     let config =
@@ -423,7 +428,8 @@ let test_timeline_render () =
   let n = 5 in
   let tl = Mac_sim.Timeline.create ~rounds:64 ~n () in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.8 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 4 5)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.flood ~n ~victim:2)
   in
   let config =

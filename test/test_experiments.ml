@@ -6,6 +6,7 @@ let check_bool = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-6))
 
 open Mac_experiments
+module Q = Mac_channel.Qrat
 
 (* ---- Bounds formulas ---- *)
 
@@ -55,10 +56,11 @@ let test_adjust_window_impl_bound_grows_with_rho () =
 
 (* ---- Scenario runner ---- *)
 
-let simple_spec ?(rate = 0.1) () =
-  Scenario.spec ~id:"test" ~algorithm:(module Mac_routing.Pair_tdma) ~n:4 ~k:2
-    ~rate ~burst:2.0 ~pattern:(Mac_adversary.Pattern.round_robin ~n:4)
-    ~rounds:20_000 ()
+let simple_spec ?(id = "test") ?(rounds = 20_000) () =
+  Scenario.spec_q ~id ~algorithm:(module Mac_routing.Pair_tdma) ~n:4 ~k:2
+    ~rate:(Q.make 1 10) ~burst:(Q.of_int 2)
+    ~pattern:(Mac_adversary.Pattern.round_robin ~n:4)
+    ~rounds ()
 
 let test_scenario_checks_pass () =
   let o =
@@ -78,8 +80,8 @@ let test_scenario_check_failure_detected () =
 let test_scenario_unstable_check () =
   (* pair-tdma drowns under a dedicated pair flood above its threshold *)
   let spec =
-    Scenario.spec ~id:"drown" ~algorithm:(module Mac_routing.Pair_tdma) ~n:4
-      ~k:2 ~rate:0.3 ~burst:2.0
+    Scenario.spec_q ~id:"drown" ~algorithm:(module Mac_routing.Pair_tdma) ~n:4
+      ~k:2 ~rate:(Q.make 3 10) ~burst:(Q.of_int 2)
       ~pattern:(Mac_adversary.Pattern.pair_flood ~src:1 ~dst:2)
       ~rounds:30_000 ~drain:0 ()
   in
@@ -125,30 +127,105 @@ let test_quarantine_marker_roundtrip () =
     "garbage marker ignored" None
     (Scenario.quarantine_lookup ~resume_dir:dir "row/cell-3")
 
-(* The marker must actually short-circuit a later supervised resumable
-   sweep: the quarantined job is reported [Quarantined] and never runs —
-   exactly the wiring table1's [run_resumable_s] uses. *)
+(* A small Table-1 row over the given scenario ids whose [cells] counts
+   how often the catalog is built. *)
+let counting_row ids =
+  let builds = Atomic.make 0 in
+  let row =
+    Table1.row ~id:"T1.test" ~claim:"counts its catalog builds" (fun ~scale:_ ->
+        Atomic.incr builds;
+        List.map
+          (fun id ->
+            { Table1.spec = simple_spec ~id ~rounds:2_000 (); checks = [] })
+          ids)
+  in
+  (row, builds)
+
+(* The marker must actually short-circuit a later resumable sweep, under
+   the default policy as much as under --keep-going: the quarantined cell
+   is reported [Quarantined] and never runs. *)
 let test_resumable_sweep_honors_marker () =
   let dir = temp_dir "eear_quar_sweep" in
   Scenario.note_quarantined ~resume_dir:dir ~id:"bad" ~failures:2
     ~error:"earlier failure";
+  let row, _ = counting_row [ "good"; "bad" ] in
   let ran_bad = ref false in
-  let outcomes =
-    Scenario.run_batch_s
-      ~policy:{ Mac_sim.Supervisor.default_policy with keep_going = true }
-      ~quarantined:(fun cid -> Scenario.quarantine_lookup ~resume_dir:dir cid)
-      [ ("good", fun ~heartbeat:_ -> 1);
-        ( "bad",
-          fun ~heartbeat:_ ->
-            ran_bad := true;
-            2 ) ]
-  in
-  (match outcomes with
-   | [ ("good", Ok 1);
+  let inject cid = if cid = "bad" then ran_bad := true in
+  (match
+     Table1.sweep
+       ~policy:{ Mac_sim.Supervisor.default_policy with keep_going = true }
+       ~inject ~resume_dir:dir ~scale:`Quick row ()
+   with
+   | [ ("good", Ok (Scenario.Fresh _));
        ("bad", Error (Mac_sim.Supervisor.Quarantined { failures = 2 })) ] ->
      ()
    | _ -> Alcotest.fail "expected good=Ok and bad=Quarantined");
-  check_bool "quarantined job never ran" false !ran_bad
+  (* The default policy aborts on the quarantined cell instead of running
+     it; the good cell replays from its completion marker. *)
+  (match Table1.sweep ~inject ~resume_dir:dir ~scale:`Quick row () with
+   | _ -> Alcotest.fail "default policy must abort on a quarantined cell"
+   | exception
+       Mac_sim.Supervisor.Job_gave_up
+         { label = "bad"; attempts = 2; reason = "quarantined" } ->
+     ());
+  check_bool "quarantined cell never ran" false !ran_bad
+
+(* A sweep builds the row's catalog once up front; only a retried attempt
+   rebuilds it. *)
+let test_sweep_builds_catalog_once () =
+  let ids = [ "count/a"; "count/b"; "count/c" ] in
+  let json results =
+    List.map
+      (fun o -> Scenario.outcome_json ~experiment:"T1.test" o)
+      (Helpers.fresh_outcomes results)
+  in
+  let reference = ref [] in
+  List.iter
+    (fun jobs ->
+      let row, builds = counting_row ids in
+      let results = Table1.sweep ~jobs ~scale:`Quick row () in
+      check_int
+        (Printf.sprintf "one build at jobs=%d" jobs)
+        1 (Atomic.get builds);
+      if !reference = [] then reference := json results
+      else
+        Alcotest.(check (list string)) "jobs=2 rows match jobs=1" !reference
+          (json results))
+    [ 1; 2 ];
+  let row, builds = counting_row ids in
+  let failed_once = ref false in
+  let inject cid =
+    if cid = "count/b" && not !failed_once then begin
+      failed_once := true;
+      failwith "injected"
+    end
+  in
+  let results =
+    Table1.sweep ~jobs:2
+      ~policy:{ Mac_sim.Supervisor.default_policy with retries = 1 }
+      ~inject ~scale:`Quick row ()
+  in
+  check_int "the retry rebuilds once" 2 (Atomic.get builds);
+  Alcotest.(check (list string)) "the retried row replays bit-identically"
+    !reference (json results)
+
+(* A drain request (SIGTERM) does not make a default-policy sweep raise:
+   the unstarted cells resolve as [Skipped], so the CLI can still print
+   the finished rows and exit 4. *)
+let test_drained_sweep_skips () =
+  let row, _ = counting_row [ "drain/a"; "drain/b" ] in
+  let ran = ref 0 in
+  Mac_sim.Supervisor.request_drain ();
+  let results =
+    Fun.protect ~finally:Mac_sim.Supervisor.reset_drain (fun () ->
+        Table1.sweep ~inject:(fun _ -> incr ran) ~scale:`Quick row ())
+  in
+  check_bool "every unstarted cell skipped" true
+    (List.for_all
+       (function _, Error Mac_sim.Supervisor.Skipped -> true | _ -> false)
+       results);
+  check_int "one outcome per cell" 2 (List.length results);
+  check_int "nothing ran" 0 !ran
 
 let test_table1_catalog_complete () =
   check_int "nine rows" 9 (List.length Table1.all);
@@ -167,15 +244,17 @@ let test_table1_quick_rows_pass () =
       List.iter
         (fun (o : Scenario.outcome) ->
           check_bool (Printf.sprintf "%s/%s passes" id o.spec.id) true o.passed)
-        (t.run ~scale:`Quick ()))
+        (Helpers.fresh_outcomes (Table1.sweep ~scale:`Quick t ())))
     [ "T1.k-clique"; "T1.obl-impossible" ]
 
 let test_figures_quick_produce_rows () =
   List.iter
     (fun (f : Figures.t) ->
-      let report, outcomes = f.run ~scale:`Quick () in
-      check_bool (f.id ^ " yields rows") true (String.length (Mac_sim.Report.to_string report) > 0);
-      check_bool (f.id ^ " yields outcomes") true (outcomes <> []))
+      let s = f.run ~scale:`Quick () in
+      check_bool (f.id ^ " yields rows") true
+        (String.length (Mac_sim.Report.to_string s.report) > 0);
+      check_bool (f.id ^ " yields outcomes") true (s.outcomes <> []);
+      check_bool (f.id ^ " has no failures") true (s.failures = []))
     [ Figures.energy ]
 
 let () =
@@ -200,6 +279,11 @@ let () =
            test_quarantine_marker_roundtrip;
          Alcotest.test_case "sweep honors marker" `Quick
            test_resumable_sweep_honors_marker ]);
+      ("sweep",
+       [ Alcotest.test_case "catalog built once" `Quick
+           test_sweep_builds_catalog_once;
+         Alcotest.test_case "drain skips, does not raise" `Quick
+           test_drained_sweep_skips ]);
       ("catalog",
        [ Alcotest.test_case "table1 complete" `Quick test_table1_catalog_complete;
          Alcotest.test_case "table1 quick rows" `Slow test_table1_quick_rows_pass;

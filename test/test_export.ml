@@ -7,7 +7,8 @@ let check_bool = Alcotest.(check bool)
 let sample_summary () =
   (* comma-free adversary name so the naive column count below is valid *)
   let adversary =
-    Mac_adversary.Adversary.create ~name:"uniform-test" ~rate:0.5 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~name:"uniform-test" ~rate:(Mac_channel.Qrat.make 1 2)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n:4 ~seed:3)
   in
   Mac_sim.Engine.run ~algorithm:(module Mac_broadcast.Rrw) ~n:4 ~k:4 ~adversary
@@ -114,7 +115,8 @@ let test_jsonl_lines_valid () =
   let path = Filename.temp_file "eear_events" ".jsonl" in
   let sink = Mac_sim.Sink.jsonl_file path in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.6 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 3 5)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n:4 ~seed:9)
   in
   let config =
@@ -157,7 +159,8 @@ let test_write_file () =
 let test_engine_trace_records_events () =
   let trace = Mac_channel.Trace.create ~capacity:100 ~enabled:true () in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.5 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n:4 ~seed:5)
   in
   let config =
@@ -186,30 +189,44 @@ let test_engine_no_trace_by_default () =
 
 (* ---- sweep ---- *)
 
+module Q = Mac_channel.Qrat
+
 let test_bisect_narrows () =
-  (* synthetic probe: stable below 0.37 *)
-  let probe ~rho = rho < 0.37 in
-  let lo, hi = Mac_experiments.Sweep.bisect ~steps:10 ~lo:0.0 ~hi:1.0 probe in
-  check_bool "brackets the frontier" true (lo < 0.37 && 0.37 <= hi);
-  check_bool "tight" true (hi -. lo <= 1.0 /. 1024.0 +. 1e-9)
+  (* synthetic probe: stable below 37/100 *)
+  let frontier = Q.make 37 100 in
+  let probe ~rho = Q.compare rho frontier < 0 in
+  let lo, hi =
+    Mac_experiments.Sweep.bisect_q ~steps:10 ~lo:Q.zero ~hi:Q.one probe
+  in
+  check_bool "brackets the frontier" true
+    (Q.compare lo frontier < 0 && Q.compare frontier hi <= 0);
+  check_bool "tight" true (Q.equal (Q.sub hi lo) (Q.make 1 1024))
 
 let test_bisect_validates_endpoints () =
   Alcotest.check_raises "lo must be stable"
     (Invalid_argument "Sweep.bisect: not stable at the lower rate") (fun () ->
-      ignore (Mac_experiments.Sweep.bisect ~lo:0.5 ~hi:1.0 (fun ~rho -> rho > 0.7)));
+      ignore
+        (Mac_experiments.Sweep.bisect_q ~lo:(Q.make 1 2) ~hi:Q.one (fun ~rho ->
+             Q.compare rho (Q.make 7 10) > 0)));
   Alcotest.check_raises "hi must be unstable"
     (Invalid_argument "Sweep.bisect: not unstable at the upper rate") (fun () ->
-      ignore (Mac_experiments.Sweep.bisect ~lo:0.1 ~hi:0.2 (fun ~rho:_ -> true)))
+      ignore
+        (Mac_experiments.Sweep.bisect_q ~lo:(Q.make 1 10) ~hi:(Q.make 1 5)
+           (fun ~rho:_ -> true)))
 
 let test_probe_on_pair_tdma () =
   (* pair-tdma's frontier for a (1,2) flood is 1/(n(n-1)) = 1/12 at n=4 *)
   let probe =
-    Mac_experiments.Sweep.stability_probe
+    Mac_experiments.Sweep.stability_probe_q
       ~algorithm:(module Mac_routing.Pair_tdma) ~n:4 ~k:2
       ~pattern:(fun () -> Mac_adversary.Pattern.pair_flood ~src:1 ~dst:2)
       ~rounds:40_000 ()
   in
-  let lo, hi = Mac_experiments.Sweep.bisect ~steps:5 ~lo:0.02 ~hi:0.3 probe in
+  let lo, hi =
+    Mac_experiments.Sweep.bisect_q ~steps:5 ~lo:(Q.make 1 50) ~hi:(Q.make 3 10)
+      probe
+  in
+  let lo = Q.to_float lo and hi = Q.to_float hi in
   let frontier = 1.0 /. 12.0 in
   check_bool
     (Printf.sprintf "frontier %.4f in [%.4f, %.4f]" frontier lo hi)

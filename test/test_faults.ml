@@ -131,7 +131,10 @@ let test_plan_file_missing () =
 
 let run ?(faults = None) ?(strict = true) ?(sink = None) ~algorithm ~n ~k
     ~rate ~burst ~pattern ~rounds ~drain () =
-  let adversary = Mac_adversary.Adversary.create ~rate ~burst pattern in
+  let adversary =
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.of_float rate)
+      ~burst:(Mac_channel.Qrat.of_float burst) pattern
+  in
   let config =
     { (Mac_sim.Engine.default_config ~rounds) with
       drain_limit = drain; strict; sink; faults }

@@ -6,6 +6,7 @@
 
 module Matrix = Mac_experiments.Matrix
 module Scenario = Mac_experiments.Scenario
+module Table1 = Mac_experiments.Table1
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -48,8 +49,9 @@ let test_cell_ids_parse_back () =
 
 let test_slice_runs_with_verdicts_and_jobs_parity () =
   let e = Matrix.row_for ~only:broadcast_only in
-  let seq = e.run ~jobs:1 ~scale:`Quick () in
-  let par = e.run ~jobs:2 ~scale:`Quick () in
+  let run jobs = Helpers.fresh_outcomes (Table1.sweep ~jobs ~scale:`Quick e ()) in
+  let seq = run 1 in
+  let par = run 2 in
   check_int "slice size"
     (5 * List.length Matrix.adversaries * List.length Matrix.faults)
     (List.length seq);
@@ -91,12 +93,19 @@ let test_resume_replays_byte_identically () =
   let only id = List.mem id [ "fs-tree"; "ack-rr" ] in
   let e = Matrix.row_for ~only in
   with_temp_dir (fun dir ->
-      let first = e.run_resumable ~jobs:1 ~resume_dir:dir ~scale:`Quick () in
+      let run jobs =
+        List.map
+          (function
+            | _, Ok r -> r
+            | cid, Error _ -> Alcotest.failf "%s did not complete" cid)
+          (Table1.sweep ~jobs ~resume_dir:dir ~scale:`Quick e ())
+      in
+      let first = run 1 in
       check_bool "first pass all fresh" true
         (List.for_all
            (function Scenario.Fresh _ -> true | Scenario.Cached _ -> false)
            first);
-      let second = e.run_resumable ~jobs:2 ~resume_dir:dir ~scale:`Quick () in
+      let second = run 2 in
       check_bool "second pass all cached" true
         (List.for_all
            (function Scenario.Cached _ -> true | Scenario.Fresh _ -> false)
@@ -128,7 +137,7 @@ let test_csv_lines_parse () =
         check_bool "passed column boolean" true
           (passed = "true" || passed = "false")
       | _ -> Alcotest.failf "bad csv line %s" line)
-    (e.run ~jobs:1 ~scale:`Quick ())
+    (Helpers.fresh_outcomes (Table1.sweep ~jobs:1 ~scale:`Quick e ()))
 
 let test_thresholds_classify_every_pair () =
   (* ack-rr (TDMA): stable at trickle rates against spread traffic, but

@@ -125,8 +125,12 @@ let test_table1_parallel_bit_identical () =
     (fun (exp : Mac_experiments.Table1.t) ->
       let obs_seq, events_seq, calls_seq = recording_observer () in
       let obs_par, events_par, calls_par = recording_observer () in
-      let seq = exp.run ~observe:obs_seq ~jobs:1 ~scale:`Quick () in
-      let par = exp.run ~observe:obs_par ~jobs:4 ~scale:`Quick () in
+      let run observe jobs =
+        Helpers.fresh_outcomes
+          (Mac_experiments.Table1.sweep ~observe ~jobs ~scale:`Quick exp ())
+      in
+      let seq = run obs_seq 1 in
+      let par = run obs_par 4 in
       check_int (exp.id ^ ": outcome count") (List.length seq) (List.length par);
       List.iter2
         (fun (a : Mac_experiments.Scenario.outcome) b ->

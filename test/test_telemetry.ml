@@ -275,7 +275,8 @@ let run_with_probe ~rounds ~drain ~every =
       registry
   in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.7 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 7 10)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n:6 ~seed:91)
   in
   let config =
@@ -339,7 +340,8 @@ let test_event_stream_carries_samples () =
   let sink = Mac_sim.Sink.make (fun ~round ev -> events := (round, ev) :: !events) in
   let registry = T.create () in
   let adversary =
-    Mac_adversary.Adversary.create ~rate:0.5 ~burst:2.0
+    Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
+      ~burst:(Mac_channel.Qrat.of_int 2)
       (Mac_adversary.Pattern.uniform ~n:6 ~seed:97)
   in
   let config =
