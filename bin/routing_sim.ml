@@ -51,68 +51,35 @@ let resolve_algorithm name ~n ~k =
     exit 2
 
 (* Pattern syntax: uniform | flood:V | pair:S:D | round-robin | to-busiest |
-   hotspot:H:BIAS | alternating:S:D1:D2 | min-duty | min-pair | cap2. The
-   saboteurs need the algorithm's schedule, so resolution happens after the
-   algorithm is known. *)
-let resolve_pattern spec ~algorithm ~n ~k ~seed =
-  let fail msg =
-    Printf.eprintf "bad pattern %S: %s\n" spec msg;
-    exit 2
-  in
-  let parts = String.split_on_char ':' spec in
-  let saboteur make =
-    match Mac_experiments.Scenario.schedule_of algorithm ~n ~k with
-    | None -> fail "this saboteur needs an oblivious algorithm"
-    | Some schedule ->
-      let choice = make ~schedule in
-      Printf.printf "saboteur choice: %s\n" choice.Mac_adversary.Saboteur.description;
-      choice.Mac_adversary.Saboteur.pattern
-  in
-  match parts with
-  | [ "uniform" ] -> Mac_adversary.Pattern.uniform ~n ~seed
-  | [ "flood"; v ] -> Mac_adversary.Pattern.flood ~n ~victim:(int_of_string v)
-  | [ "pair"; s; d ] ->
-    Mac_adversary.Pattern.pair_flood ~src:(int_of_string s) ~dst:(int_of_string d)
-  | [ "round-robin" ] -> Mac_adversary.Pattern.round_robin ~n
-  | [ "to-busiest" ] -> Mac_adversary.Pattern.to_busiest ~n
-  | [ "hotspot"; h; b ] ->
-    Mac_adversary.Pattern.hotspot ~n ~seed ~hot:(int_of_string h)
-      ~bias:(float_of_string b)
-  | [ "alternating"; s; d1; d2 ] ->
-    Mac_adversary.Pattern.alternating ~src:(int_of_string s)
-      ~dst_odd:(int_of_string d1) ~dst_even:(int_of_string d2)
-  | [ "min-duty" ] ->
-    saboteur (fun ~schedule -> Mac_adversary.Saboteur.min_duty ~n ~horizon:50_000 ~schedule)
-  | [ "min-pair" ] ->
-    saboteur (fun ~schedule -> Mac_adversary.Saboteur.min_pair ~n ~horizon:50_000 ~schedule)
-  | [ "cap2" ] -> (Mac_adversary.Saboteur.cap2_breaker ~n).Mac_adversary.Saboteur.pattern
-  | _ -> fail "unrecognised syntax"
-
-(* Result-returning subset of [resolve_pattern] for the serve daemon: a
-   bad spec in an [open] command must become a typed protocol error, not
-   a process exit, and the saboteurs (which need the algorithm's schedule
-   and print to stdout) stay batch-only. *)
+   hotspot:H:BIAS | alternating:S:D1:D2, plus the batch-only saboteurs
+   below. A bad spec is an [Error] naming it, never an exception: serve's
+   [open] turns it into a protocol error, the batch commands into exit 2. *)
 let pattern_result spec ~n ~seed =
-  let parts = String.split_on_char ':' spec in
+  let module P = Mac_adversary.Pattern in
+  let station s =
+    match int_of_string_opt s with
+    | Some i when i >= 0 && i < n -> i
+    | Some _ -> failwith (Printf.sprintf "station %s outside [0, %d)" s n)
+    | None -> failwith (Printf.sprintf "%S is not a station" s)
+  in
+  let number s =
+    match float_of_string_opt s with
+    | Some f -> f
+    | None -> failwith (Printf.sprintf "%S is not a number" s)
+  in
   try
-    match parts with
-    | [ "uniform" ] -> Ok (Mac_adversary.Pattern.uniform ~n ~seed)
-    | [ "flood"; v ] ->
-      Ok (Mac_adversary.Pattern.flood ~n ~victim:(int_of_string v))
-    | [ "pair"; s; d ] ->
-      Ok
-        (Mac_adversary.Pattern.pair_flood ~src:(int_of_string s)
-           ~dst:(int_of_string d))
-    | [ "round-robin" ] -> Ok (Mac_adversary.Pattern.round_robin ~n)
-    | [ "to-busiest" ] -> Ok (Mac_adversary.Pattern.to_busiest ~n)
+    match String.split_on_char ':' spec with
+    | [ "uniform" ] -> Ok (P.uniform ~n ~seed)
+    | [ "flood"; v ] -> Ok (P.flood ~n ~victim:(station v))
+    | [ "pair"; s; d ] -> Ok (P.pair_flood ~src:(station s) ~dst:(station d))
+    | [ "round-robin" ] -> Ok (P.round_robin ~n)
+    | [ "to-busiest" ] -> Ok (P.to_busiest ~n)
     | [ "hotspot"; h; b ] ->
-      Ok
-        (Mac_adversary.Pattern.hotspot ~n ~seed ~hot:(int_of_string h)
-           ~bias:(float_of_string b))
+      Ok (P.hotspot ~n ~seed ~hot:(station h) ~bias:(number b))
     | [ "alternating"; s; d1; d2 ] ->
       Ok
-        (Mac_adversary.Pattern.alternating ~src:(int_of_string s)
-           ~dst_odd:(int_of_string d1) ~dst_even:(int_of_string d2))
+        (P.alternating ~src:(station s) ~dst_odd:(station d1)
+           ~dst_even:(station d2))
     | [ ("min-duty" | "min-pair" | "cap2") ] ->
       Error
         (Printf.sprintf
@@ -120,6 +87,33 @@ let pattern_result spec ~n ~seed =
     | _ -> Error (Printf.sprintf "unrecognised pattern syntax %S" spec)
   with Failure msg | Invalid_argument msg ->
     Error (Printf.sprintf "bad pattern %S: %s" spec msg)
+
+(* The saboteurs need the algorithm's schedule, so resolution happens after
+   the algorithm is known. *)
+let resolve_pattern spec ~algorithm ~n ~k ~seed =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        exit 2)
+      fmt
+  in
+  let saboteur make =
+    match Mac_experiments.Scenario.schedule_of algorithm ~n ~k with
+    | None -> fail "bad pattern %S: this saboteur needs an oblivious algorithm" spec
+    | Some schedule ->
+      let choice = make ~schedule in
+      Printf.printf "saboteur choice: %s\n" choice.Mac_adversary.Saboteur.description;
+      choice.Mac_adversary.Saboteur.pattern
+  in
+  match spec with
+  | "min-duty" ->
+    saboteur (fun ~schedule -> Mac_adversary.Saboteur.min_duty ~n ~horizon:50_000 ~schedule)
+  | "min-pair" ->
+    saboteur (fun ~schedule -> Mac_adversary.Saboteur.min_pair ~n ~horizon:50_000 ~schedule)
+  | "cap2" -> (Mac_adversary.Saboteur.cap2_breaker ~n).Mac_adversary.Saboteur.pattern
+  | _ -> (
+    match pattern_result spec ~n ~seed with Ok p -> p | Error msg -> fail "%s" msg)
 
 (* ---- supervised execution (shared by run and the batch commands) ---- *)
 
@@ -1782,7 +1776,6 @@ let serve_cmd dir socket shards checkpoint_every telemetry_every =
             try Ok (make ())
             with Invalid_argument msg | Failure msg -> Error msg));
       pattern_of = (fun ~spec ~n ~seed -> pattern_result spec ~n ~seed);
-      summary_json = Mac_sim.Export.summary_json;
       log = (fun msg -> Printf.eprintf "serve: %s\n%!" msg) }
   in
   match Mac_serve.Server.create cfg with
@@ -1850,7 +1843,7 @@ let fleet_connect socket =
     exit 1
 
 let fleet_cmd socket args output =
-  let module J = Mac_serve.Jsonv in
+  let module J = Mac_channel.Jsonv in
   match args with
   | [ "send"; line ] -> (
     let c = fleet_connect socket in
@@ -2044,7 +2037,9 @@ let () =
     Cmd.Exit.info 3
       ~doc:
         "a supervised sweep (--keep-going) completed, but some scenarios \
-         failed every attempt; the successful results were reported."
+         failed every attempt; the successful results were reported. \
+         Without --keep-going, a scenario that is quarantined in the \
+         --resume-dir or times out stops the sweep with this code."
     :: Cmd.Exit.info 4
          ~doc:
            "the command drained cleanly after SIGTERM/SIGINT: in-flight \
@@ -2066,6 +2061,13 @@ let () =
       "routing_sim: drained after a termination request; completed work was \
        saved\n";
     exit 4
+  | Mac_sim.Supervisor.Job_gave_up { label; attempts; reason } ->
+    Printf.eprintf
+      "routing_sim: %s gave up after %d attempt(s) (%s); rerun with \
+       --keep-going to finish the other scenarios, or delete its \
+       .quarantined marker in the --resume-dir to retry it\n"
+      label attempts reason;
+    exit 3
   | Invalid_argument msg ->
     Printf.eprintf "%s\n" msg;
     exit 2

@@ -70,15 +70,6 @@ let to_string = function
 
 (* ---- JSON encoding ---- *)
 
-(* Floats must round-trip through the line format exactly: integral
-   values print without a fractional part, everything else uses enough
-   digits to reconstruct the double. Non-finite values have no JSON
-   spelling; they are clamped to 0. *)
-let float_repr f =
-  if f <> f || f = infinity || f = neg_infinity then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
-
 let add_field buf name value =
   Buffer.add_string buf ",\"";
   Buffer.add_string buf name;
@@ -170,333 +161,110 @@ let to_json ~round ev =
        (fun i (k, v) ->
          if i > 0 then Buffer.add_char buf ',';
          Buffer.add_char buf '"';
-         String.iter
-           (fun c ->
-             match c with
-             | '"' | '\\' ->
-               Buffer.add_char buf '\\';
-               Buffer.add_char buf c
-             | c -> Buffer.add_char buf c)
-           k;
+         Jsonv.escape buf k;
          Buffer.add_string buf "\":";
-         Buffer.add_string buf (float_repr v))
+         Jsonv.add_float buf v)
        sample;
      Buffer.add_char buf '}');
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-(* ---- JSON decoding ----
+(* ---- JSON decoding ---- *)
 
-   A tiny recursive-descent parser for the flat objects emitted above:
-   string keys mapping to ints, booleans, strings, or arrays of ints. No
-   dependency on a JSON library; rejects anything deeper than we write. *)
-
-type jv =
-  | Jint of int
-  | Jbool of bool
-  | Jstr of string
-  | Jints of int list
-  | Jobj of (string * float) list
-
-exception Bad of string
-
-let parse_object line =
-  let len = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < len then Some line.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < len
-      && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> incr pos
-    | _ -> raise (Bad (Printf.sprintf "expected %C at offset %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    (* [hex4 at] reads exactly four hex digits at offset [at]. Character-
-       validated by hand: [int_of_string "0x…"] would turn a malformed
-       escape into an untyped [Failure] (crashing replay readers that only
-       catch [Bad]) and silently accepts underscore forms like "12_3". *)
-    let hex4 at =
-      if at + 4 > len then raise (Bad "short \\u escape");
-      let v = ref 0 in
-      for i = at to at + 3 do
-        let d =
-          match line.[i] with
-          | '0' .. '9' as c -> Char.code c - Char.code '0'
-          | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-          | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-          | c -> raise (Bad (Printf.sprintf "bad hex digit %C in \\u escape" c))
-        in
-        v := (!v * 16) + d
-      done;
-      !v
-    in
-    let add_utf8 cp =
-      if cp < 0x80 then Buffer.add_char buf (Char.chr cp)
-      else if cp < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xC0 lor (cp lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-      end
-      else if cp < 0x10000 then begin
-        Buffer.add_char buf (Char.chr (0xE0 lor (cp lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xF0 lor (cp lsr 18)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 12) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((cp lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
-      end
-    in
-    let rec go () =
-      if !pos >= len then raise (Bad "unterminated string");
-      match line.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        if !pos >= len then raise (Bad "dangling escape");
-        (match line.[!pos] with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 'u' ->
-           (* Decode to UTF-8 bytes. Re-emitting a literal "\uXXXX" (the old
-              behaviour for non-ASCII codepoints) broke the round trip: the
-              decoded string differed from the one originally encoded. *)
-           let code = hex4 (!pos + 1) in
-           pos := !pos + 4;
-           if code >= 0xD800 && code <= 0xDFFF then begin
-             if code >= 0xDC00 then
-               raise (Bad "unpaired low surrogate in \\u escape");
-             if
-               !pos + 2 >= len
-               || line.[!pos + 1] <> '\\'
-               || line.[!pos + 2] <> 'u'
-             then raise (Bad "unpaired high surrogate in \\u escape");
-             let low = hex4 (!pos + 3) in
-             if not (low >= 0xDC00 && low <= 0xDFFF) then
-               raise (Bad "invalid low surrogate in \\u escape");
-             pos := !pos + 6;
-             add_utf8 (0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00))
-           end
-           else add_utf8 code
-         | c -> raise (Bad (Printf.sprintf "bad escape \\%c" c)));
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_int () =
-    skip_ws ();
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    while
-      !pos < len && match line.[!pos] with '0' .. '9' -> true | _ -> false
-    do
-      incr pos
-    done;
-    if !pos = start then raise (Bad "expected integer");
-    int_of_string (String.sub line start (!pos - start))
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    let digits () =
-      while
-        !pos < len && match line.[!pos] with '0' .. '9' -> true | _ -> false
-      do
-        incr pos
-      done
-    in
-    if peek () = Some '-' then incr pos;
-    digits ();
-    if peek () = Some '.' then begin
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-     | Some ('e' | 'E') ->
-       incr pos;
-       (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-       digits ()
-     | _ -> ());
-    if !pos = start then raise (Bad "expected number");
-    float_of_string (String.sub line start (!pos - start))
-  in
-  let parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some 't' ->
-      if !pos + 4 <= len && String.sub line !pos 4 = "true" then begin
-        pos := !pos + 4;
-        Jbool true
-      end
-      else raise (Bad "bad literal")
-    | Some 'f' ->
-      if !pos + 5 <= len && String.sub line !pos 5 = "false" then begin
-        pos := !pos + 5;
-        Jbool false
-      end
-      else raise (Bad "bad literal")
-    | Some '[' ->
-      incr pos;
-      skip_ws ();
-      if peek () = Some ']' then begin
-        incr pos;
-        Jints []
-      end
-      else begin
-        let items = ref [ parse_int () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          incr pos;
-          items := parse_int () :: !items;
-          skip_ws ()
-        done;
-        expect ']';
-        Jints (List.rev !items)
-      end
-    | Some '{' ->
-      (* Nested object of numbers — only [Telemetry.sample] is written
-         this way; anything deeper is rejected. *)
-      incr pos;
-      skip_ws ();
-      if peek () = Some '}' then begin
-        incr pos;
-        Jobj []
-      end
-      else begin
-        let items = ref [] in
-        let member () =
-          skip_ws ();
-          let k = parse_string () in
-          expect ':';
-          let v = parse_number () in
-          items := (k, v) :: !items
-        in
-        member ();
-        skip_ws ();
-        while peek () = Some ',' do
-          incr pos;
-          member ();
-          skip_ws ()
-        done;
-        expect '}';
-        Jobj (List.rev !items)
-      end
-    | Some ('-' | '0' .. '9') -> Jint (parse_int ())
-    | _ -> raise (Bad (Printf.sprintf "unexpected input at offset %d" !pos))
-  in
-  expect '{';
-  skip_ws ();
-  let fields = ref [] in
-  if peek () = Some '}' then incr pos
+(* Every line [to_json] writes starts with {"round":N, so the round of a
+   line is a prefix scan: readers of whole journals skip the decode. *)
+let round_of_line line =
+  let prefix = "{\"round\":" in
+  let pl = String.length prefix in
+  if not (String.starts_with ~prefix line) then None
   else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      expect ':';
-      let v = parse_value () in
-      fields := (key, v) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-        incr pos;
-        members ()
-      | _ -> expect '}'
-    in
-    members ()
-  end;
-  skip_ws ();
-  if !pos <> len then raise (Bad "trailing garbage after object");
-  List.rev !fields
+    let i = ref pl in
+    let len = String.length line in
+    while
+      !i < len && match line.[!i] with '0' .. '9' -> true | _ -> false
+    do
+      incr i
+    done;
+    if !i = pl then None else int_of_string_opt (String.sub line pl (!i - pl))
+  end
 
+(* A strict field decoder over [Jsonv.parse]: every field must have the
+   type [to_json] writes (an int is an [Int], never an integral float).
+   Fields [to_json] does not write are ignored. *)
 let of_json_line line =
-  try
-    let fields = parse_object line in
+  match Jsonv.parse line with
+  | Error msg -> Error msg
+  | Ok (Jsonv.Obj fields) -> (
+    let fail name what = failwith (Printf.sprintf "%s: not %s" name what) in
     let get name =
       match List.assoc_opt name fields with
       | Some v -> v
-      | None -> raise (Bad ("missing field " ^ name))
+      | None -> failwith ("missing field " ^ name)
     in
-    let int name =
-      match get name with Jint v -> v | _ -> raise (Bad (name ^ ": not an int"))
-    in
+    let int_of name = function Jsonv.Int i -> i | _ -> fail name "an int" in
+    let int name = int_of name (get name) in
     let bool name =
-      match get name with
-      | Jbool v -> v
-      | _ -> raise (Bad (name ^ ": not a bool"))
+      match get name with Jsonv.Bool b -> b | _ -> fail name "a bool"
+    in
+    let str name =
+      match get name with Jsonv.Str s -> s | _ -> fail name "a string"
     in
     let ints name =
       match get name with
-      | Jints v -> v
-      | _ -> raise (Bad (name ^ ": not an int array"))
+      | Jsonv.List vs -> List.map (int_of name) vs
+      | _ -> fail name "an int array"
     in
-    let str name =
-      match get name with
-      | Jstr v -> v
-      | _ -> raise (Bad (name ^ ": not a string"))
+    let sample () =
+      let number = function
+        | Jsonv.Int i -> float_of_int i
+        | Jsonv.Float f -> f
+        | _ -> fail "sample" "an object of numbers"
+      in
+      match get "sample" with
+      | Jsonv.Obj kvs -> List.map (fun (k, v) -> (k, number v)) kvs
+      | _ -> fail "sample" "an object of numbers"
     in
-    let round = int "round" in
-    let ev =
-      match str "type" with
-      | "injected" ->
-        Injected { id = int "id"; src = int "src"; dst = int "dst" }
-      | "switched_on" -> Switched_on { station = int "station" }
-      | "switched_off" -> Switched_off { station = int "station" }
-      | "transmit" ->
-        Transmit { station = int "station"; light = bool "light" }
-      | "silence" -> Silence
-      | "collision" -> Collision { stations = ints "stations" }
-      | "heard" ->
-        Heard { station = int "station"; bits = int "bits"; light = bool "light" }
-      | "delivered" ->
-        Delivered
-          { id = int "id"; from_ = int "from"; dst = int "dst";
-            delay = int "delay"; hops = int "hops" }
-      | "relayed" ->
-        Relayed
-          { id = int "id"; from_ = int "from"; relay = int "relay";
-            dst = int "dst" }
-      | "stranded" -> Stranded { id = int "id"; station = int "station" }
-      | "cap_exceeded" -> Cap_exceeded { on_count = int "on"; cap = int "cap" }
-      | "adoption_conflict" -> Adoption_conflict { stations = ints "stations" }
-      | "spurious_adoption" -> Spurious_adoption { stations = ints "stations" }
-      | "round_end" ->
-        Round_end { on_count = int "on"; draining = bool "draining" }
-      | "station_crashed" ->
-        Station_crashed { station = int "station"; lost = int "lost" }
-      | "station_restarted" -> Station_restarted { station = int "station" }
-      | "round_jammed" ->
-        Round_jammed { transmitters = int "transmitters"; noise = bool "noise" }
-      | "telemetry" ->
-        Telemetry
-          { sample =
-              (match get "sample" with
-               | Jobj kvs -> kvs
-               | _ -> raise (Bad "sample: not an object")) }
-      | other -> raise (Bad ("unknown event type " ^ other))
-    in
-    Ok (round, ev)
-  with
-  | Bad msg -> Error msg
-  | Failure msg -> Error msg
+    try
+      let round = int "round" in
+      let ev =
+        match str "type" with
+        | "injected" ->
+          Injected { id = int "id"; src = int "src"; dst = int "dst" }
+        | "switched_on" -> Switched_on { station = int "station" }
+        | "switched_off" -> Switched_off { station = int "station" }
+        | "transmit" ->
+          Transmit { station = int "station"; light = bool "light" }
+        | "silence" -> Silence
+        | "collision" -> Collision { stations = ints "stations" }
+        | "heard" ->
+          Heard
+            { station = int "station"; bits = int "bits"; light = bool "light" }
+        | "delivered" ->
+          Delivered
+            { id = int "id"; from_ = int "from"; dst = int "dst";
+              delay = int "delay"; hops = int "hops" }
+        | "relayed" ->
+          Relayed
+            { id = int "id"; from_ = int "from"; relay = int "relay";
+              dst = int "dst" }
+        | "stranded" -> Stranded { id = int "id"; station = int "station" }
+        | "cap_exceeded" ->
+          Cap_exceeded { on_count = int "on"; cap = int "cap" }
+        | "adoption_conflict" ->
+          Adoption_conflict { stations = ints "stations" }
+        | "spurious_adoption" ->
+          Spurious_adoption { stations = ints "stations" }
+        | "round_end" ->
+          Round_end { on_count = int "on"; draining = bool "draining" }
+        | "station_crashed" ->
+          Station_crashed { station = int "station"; lost = int "lost" }
+        | "station_restarted" -> Station_restarted { station = int "station" }
+        | "round_jammed" ->
+          Round_jammed
+            { transmitters = int "transmitters"; noise = bool "noise" }
+        | "telemetry" -> Telemetry { sample = sample () }
+        | other -> failwith ("unknown event type " ^ other)
+      in
+      Ok (round, ev)
+    with Failure msg -> Error msg)
+  | Ok _ -> Error "not a JSON object"

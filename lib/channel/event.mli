@@ -75,8 +75,18 @@ val to_string : t -> string
 
 val to_json : round:int -> t -> string
 (** One-line JSON object, e.g.
-    [{"round":7,"type":"injected","id":3,"src":0,"dst":2}]. *)
+    [{"round":7,"type":"injected","id":3,"src":0,"dst":2}]. Telemetry
+    keys and values are written with {!Jsonv.escape} and
+    {!Jsonv.add_float}, so no byte below 0x20 appears raw. *)
 
 val of_json_line : string -> (int * t, string) result
-(** Parse a line produced by {!to_json} back into [(round, event)];
-    [Error msg] on malformed input. The parser accepts any field order. *)
+(** Decode a line produced by {!to_json} back into [(round, event)]. The
+    line is read by {!Jsonv.parse}; the decoder then requires every field
+    the event's type needs, with the type {!to_json} writes (an int field
+    holding [1.0] or a string is an error). Fields may come in any order,
+    and unknown fields are ignored. Returns [Error msg] on malformed input
+    and never raises. *)
+
+val round_of_line : string -> int option
+(** The round of a {!to_json} line, read from its [{"round":N] prefix
+    without decoding the rest; [None] when the line does not start so. *)

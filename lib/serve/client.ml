@@ -3,6 +3,8 @@
    dumb — one request, one reply line, plus raw line streaming for
    subscriptions. *)
 
+module J = Mac_channel.Jsonv
+
 type t = {
   fd : Unix.file_descr;
   ic : in_channel;
@@ -31,20 +33,20 @@ let send_line t line =
 let recv_line t = try Some (input_line t.ic) with End_of_file -> None
 
 let request t v =
-  match send_line t (Jsonv.to_string v) with
+  match send_line t (J.to_string v) with
   | exception Sys_error msg -> Error msg
   | () -> (
     match recv_line t with
     | None -> Error "server closed the connection"
     | Some line -> (
-      match Jsonv.parse line with
+      match J.parse line with
       | Error msg -> Error ("bad reply: " ^ msg)
       | Ok reply -> (
-        match Option.bind (Jsonv.member "ok" reply) Jsonv.to_bool with
+        match Option.bind (J.member "ok" reply) J.to_bool with
         | Some true -> Ok reply
         | _ ->
           Error
             (Option.value ~default:("server error: " ^ line)
-               (Option.bind (Jsonv.member "error" reply) Jsonv.to_str)))))
+               (Option.bind (J.member "error" reply) J.to_str)))))
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()

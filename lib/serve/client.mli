@@ -4,7 +4,7 @@ type t
 
 val connect : socket:string -> (t, string) result
 
-val request : t -> Jsonv.t -> (Jsonv.t, string) result
+val request : t -> Mac_channel.Jsonv.t -> (Mac_channel.Jsonv.t, string) result
 (** Send one command, read one reply. [Error] carries the server's typed
     ["error"] message when the reply has [ok = false]. *)
 

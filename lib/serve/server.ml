@@ -29,7 +29,7 @@
    long-lived channels instead of batch jobs. *)
 
 module E = Mac_sim.Engine
-module J = Jsonv
+module J = Mac_channel.Jsonv
 
 let max_line = 1 lsl 20
 
@@ -48,7 +48,6 @@ type config = {
     n:int ->
     seed:int ->
     (Mac_adversary.Pattern.t, string) result;
-  summary_json : Mac_sim.Metrics.summary -> string;
   log : string -> unit;
 }
 
@@ -216,26 +215,10 @@ let spool_sink sp =
         Buffer.add_string sp.sp_buf (Mac_channel.Event.to_json ~round ev);
         Buffer.add_char sp.sp_buf '\n')
 
-(* Parse the round out of a spool line: every event line starts with
-   {"round":N — anything else counts as corruption and truncates. *)
-let line_round line =
-  let prefix = "{\"round\":" in
-  let pl = String.length prefix in
-  if String.length line <= pl || String.sub line 0 pl <> prefix then None
-  else begin
-    let i = ref pl in
-    let len = String.length line in
-    while
-      !i < len && match line.[!i] with '0' .. '9' -> true | _ -> false
-    do
-      incr i
-    done;
-    if !i = pl then None else int_of_string_opt (String.sub line pl (!i - pl))
-  end
-
 (* Cut the spool back to the first event at or past [from_round], so a
    resumed engine (which re-executes from that round) appends exactly the
-   bytes the crashed run would have written. *)
+   bytes the crashed run would have written. A line without a round counts
+   as corruption and is cut too. *)
 let truncate_spool ~path ~from_round =
   if Sys.file_exists path then begin
     let ic = open_in_bin path in
@@ -247,7 +230,7 @@ let truncate_spool ~path ~from_round =
             match input_line ic with
             | exception End_of_file -> keep
             | line -> (
-              match line_round line with
+              match Mac_channel.Event.round_of_line line with
               | Some r when r < from_round ->
                 go (keep + String.length line + 1)
               | _ -> keep)
@@ -290,42 +273,74 @@ let write_meta sv ch =
     ~path:(meta_path sv ch.ch_cfg.cc_id)
     (J.to_string (meta_json ch.ch_cfg ~status ~error ~summary) ^ "\n")
 
+let ( let* ) = Result.bind
+
+(* A field that is present, and not null, must have its type and range: a
+   bad value is an error naming the field, never the field's default. *)
+let field v k ~expected decode ~default =
+  match J.member k v with
+  | None | Some J.Null -> Ok default
+  | Some x ->
+    Option.to_result
+      ~none:(Printf.sprintf "%S must be %s" k expected)
+      (decode x)
+
+let str_field v k =
+  field v k ~expected:"a string" ~default:None (fun x ->
+      Option.map Option.some (J.to_str x))
+
+let int_field v k ~min ~default =
+  field v k ~default
+    ~expected:(Printf.sprintf "an integer >= %d" min)
+    (fun x ->
+      Option.bind (J.to_int x) (fun i -> if i >= min then Some i else None))
+
+(* The configuration an [open] command carries and its meta file repeats. *)
+let chan_cfg_of_json v ~id ~every =
+  let qrat k ~default =
+    let* s = str_field v k in
+    match s with
+    | None -> Ok default
+    | Some s ->
+      Result.map_error (Printf.sprintf "%S: %s" k) (Mac_channel.Qrat.of_string s)
+  in
+  let* algorithm = str_field v "algorithm" in
+  let* algorithm = Option.to_result ~none:"missing \"algorithm\"" algorithm in
+  let* rate = qrat "rate" ~default:(Mac_channel.Qrat.make 1 2) in
+  let* burst = qrat "burst" ~default:(Mac_channel.Qrat.of_int 2) in
+  let* n = int_field v "n" ~min:1 ~default:8 in
+  let* k = int_field v "k" ~min:1 ~default:3 in
+  let* rounds = int_field v "rounds" ~min:0 ~default:100_000 in
+  let* drain = int_field v "drain" ~min:0 ~default:0 in
+  let* pattern = str_field v "pattern" in
+  let* seed = field v "seed" ~expected:"an integer" ~default:42 J.to_int in
+  let* faults = str_field v "faults" in
+  let* every = int_field v "checkpoint_every" ~min:0 ~default:every in
+  Ok
+    { cc_id = id;
+      cc_algorithm = algorithm;
+      cc_n = n;
+      cc_k = k;
+      cc_rate = rate;
+      cc_burst = burst;
+      cc_rounds = rounds;
+      cc_drain = drain;
+      cc_pattern = Option.value ~default:"external" pattern;
+      cc_seed = seed;
+      cc_faults = faults;
+      cc_every = every }
+
 let parse_meta line =
-  match J.parse (String.trim line) with
-  | Error msg -> Error ("bad meta: " ^ msg)
-  | Ok v -> (
-    let str k = Option.bind (J.member k v) J.to_str in
-    let int k = Option.bind (J.member k v) J.to_int in
-    let qrat k =
-      match str k with
-      | None -> None
-      | Some s -> (
-        match Mac_channel.Qrat.of_string s with
-        | Ok q -> Some q
-        | Error _ -> None)
-    in
-    match
-      (str "id", str "algorithm", int "n", int "k", qrat "rate", qrat "burst",
-       int "rounds", str "status")
-    with
-    | ( Some id, Some algorithm, Some n, Some k, Some rate, Some burst,
-        Some rounds, Some status ) ->
-      Ok
-        ( { cc_id = id;
-            cc_algorithm = algorithm;
-            cc_n = n;
-            cc_k = k;
-            cc_rate = rate;
-            cc_burst = burst;
-            cc_rounds = rounds;
-            cc_drain = Option.value ~default:0 (int "drain");
-            cc_pattern = Option.value ~default:"external" (str "pattern");
-            cc_seed = Option.value ~default:42 (int "seed");
-            cc_faults = str "faults";
-            cc_every = Option.value ~default:0 (int "checkpoint_every") },
-          status,
-          str "summary" )
-    | _ -> Error "bad meta: missing fields")
+  Result.map_error (( ^ ) "bad meta: ")
+    (let* v = J.parse (String.trim line) in
+     let* id = str_field v "id" in
+     let* status = str_field v "status" in
+     let* summary = str_field v "summary" in
+     match (id, status) with
+     | Some id, Some status ->
+       let* cc = chan_cfg_of_json v ~id ~every:0 in
+       Ok (cc, status, summary)
+     | _ -> Error "missing fields")
 
 (* --- replies ------------------------------------------------------------ *)
 
@@ -424,7 +439,7 @@ let mark_failed sv ch msg =
 
 let complete_channel sv ch session =
   let summary = E.finish session in
-  let sj = sv.cfg.summary_json summary in
+  let sj = Mac_sim.Export.summary_json summary in
   (match ch.ch_spool with Some sp -> spool_close sp | None -> ());
   ch.ch_spool <- None;
   ch.ch_session <- None;
@@ -687,85 +702,52 @@ let channel_row ch =
           | _ -> []))
 
 let cmd_open sv conn_id v =
-  let str k = Option.bind (J.member k v) J.to_str in
-  let int k = Option.bind (J.member k v) J.to_int in
-  let id =
-    match str "channel" with
-    | Some id -> id
-    | None ->
-      let id = Printf.sprintf "ch%d" sv.next_auto in
-      sv.next_auto <- sv.next_auto + 1;
-      id
-  in
-  if not (valid_id id) then
-    send_main sv conn_id
-      (err_line "channel id must match [A-Za-z0-9._-]{1,64}")
-  else if Hashtbl.mem sv.channels id then
-    send_main sv conn_id (err_line (Printf.sprintf "channel %S already exists" id))
-  else begin
-    let qrat k default =
-      match str k with
-      | None -> Ok default
-      | Some s -> Mac_channel.Qrat.of_string s
+  let config =
+    let* id = str_field v "channel" in
+    let id =
+      match id with
+      | Some id -> id
+      | None ->
+        let id = Printf.sprintf "ch%d" sv.next_auto in
+        sv.next_auto <- sv.next_auto + 1;
+        id
     in
-    match
-      ( str "algorithm",
-        qrat "rate" (Mac_channel.Qrat.make 1 2),
-        qrat "burst" (Mac_channel.Qrat.of_int 2) )
-    with
-    | None, _, _ -> send_main sv conn_id (err_line "missing \"algorithm\"")
-    | _, Error msg, _ | _, _, Error msg ->
-      send_main sv conn_id (err_line msg)
-    | Some algorithm, Ok rate, Ok burst ->
-      let n = Option.value ~default:8 (int "n") in
-      let k = Option.value ~default:3 (int "k") in
-      let rounds = Option.value ~default:100_000 (int "rounds") in
-      let drain = Option.value ~default:0 (int "drain") in
-      if n < 1 || k < 1 || rounds < 0 || drain < 0 then
-        send_main sv conn_id (err_line "n, k must be >= 1; rounds, drain >= 0")
-      else begin
-        let cc =
-          { cc_id = id;
-            cc_algorithm = algorithm;
-            cc_n = n;
-            cc_k = k;
-            cc_rate = rate;
-            cc_burst = burst;
-            cc_rounds = rounds;
-            cc_drain = drain;
-            cc_pattern = Option.value ~default:"external" (str "pattern");
-            cc_seed = Option.value ~default:42 (int "seed");
-            cc_faults = str "faults";
-            cc_every =
-              Option.value ~default:sv.cfg.checkpoint_every
-                (int "checkpoint_every") }
-        in
-        let ch =
-          { ch_cfg = cc;
-            ch_mutex = Mutex.create ();
-            ch_status = Pending;
-            ch_shard = 0;
-            ch_round = 0;
-            ch_backlog = 0;
-            ch_feed = None;
-            ch_summary = None;
-            ch_session = None;
-            ch_spool = None;
-            ch_probe = None;
-            ch_steps_total = 0;
-            ch_step_target = 0;
-            ch_run_all = false;
-            ch_waiters = [] }
-        in
-        Hashtbl.replace sv.channels id ch;
-        sv.order <- sv.order @ [ id ];
-        write_meta sv ch;
-        let shard = pick_shard sv in
-        locked ch.ch_mutex (fun () -> ch.ch_shard <- shard.sh_index);
-        post_thunk shard (fun () ->
-            adopt_channel sv shard ch ~reply:(send_from_shard sv conn_id))
-      end
-  end
+    let* () =
+      if not (valid_id id) then
+        Error "channel id must match [A-Za-z0-9._-]{1,64}"
+      else if Hashtbl.mem sv.channels id then
+        Error (Printf.sprintf "channel %S already exists" id)
+      else Ok ()
+    in
+    chan_cfg_of_json v ~id ~every:sv.cfg.checkpoint_every
+  in
+  match config with
+  | Error msg -> send_main sv conn_id (err_line msg)
+  | Ok cc ->
+    let ch =
+      { ch_cfg = cc;
+        ch_mutex = Mutex.create ();
+        ch_status = Pending;
+        ch_shard = 0;
+        ch_round = 0;
+        ch_backlog = 0;
+        ch_feed = None;
+        ch_summary = None;
+        ch_session = None;
+        ch_spool = None;
+        ch_probe = None;
+        ch_steps_total = 0;
+        ch_step_target = 0;
+        ch_run_all = false;
+        ch_waiters = [] }
+    in
+    Hashtbl.replace sv.channels cc.cc_id ch;
+    sv.order <- sv.order @ [ cc.cc_id ];
+    write_meta sv ch;
+    let shard = pick_shard sv in
+    locked ch.ch_mutex (fun () -> ch.ch_shard <- shard.sh_index);
+    post_thunk shard (fun () ->
+        adopt_channel sv shard ch ~reply:(send_from_shard sv conn_id))
 
 let cmd_inject sv conn_id v =
   match find_channel sv v with

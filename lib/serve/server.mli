@@ -56,9 +56,6 @@ type config = {
     seed:int ->
     (Mac_adversary.Pattern.t, string) result;
       (** resolver for non-external (generator) pattern specs *)
-  summary_json : Mac_sim.Metrics.summary -> string;
-      (** must match [run --json] exactly — the serve/batch equivalence
-          check compares these bytes *)
   log : string -> unit;
 }
 

@@ -77,16 +77,7 @@ let series_csv (s : Metrics.summary) =
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  Mac_channel.Jsonv.escape buf s;
   Buffer.contents buf
 
 let summary_json (s : Metrics.summary) =

@@ -29,7 +29,7 @@ val json_float : float -> string
     would emit [nan]/[inf], which are invalid JSON tokens. *)
 
 val json_escape : string -> string
-(** Escape a string for inclusion inside JSON double quotes: quote,
-    backslash, newlines and all other control characters below 0x20. *)
+(** {!Mac_channel.Jsonv.escape} into a fresh string: the inside of a JSON
+    string literal. *)
 
 val write_file : path:string -> string -> unit

@@ -81,6 +81,24 @@ let test_plan_station_out_of_range_exits_2 () =
   Alcotest.(check bool) (Printf.sprintf "one-line stderr (got %S)" err) true
     (one_line err)
 
+(* A bad generator spec — a malformed number or a station outside [0, n) —
+   exits 2 with one line naming the spec, in the batch commands as in
+   serve's [open]. *)
+let test_bad_pattern_exits_2 () =
+  List.iter
+    (fun spec ->
+      let code, _, err =
+        run_cli
+          [ "run"; "-a"; "count-hop"; "-n"; "6"; "-k"; "2"; "--rounds"; "10";
+            "-p"; spec ]
+      in
+      Alcotest.(check int) (spec ^ " exit code") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one stderr line naming it (got %S)" spec err)
+        true
+        (one_line err && contains err spec))
+    [ "flood:x"; "hotspot:1:abc"; "flood:99" ]
+
 (* --progress must leave stdout byte-identical (stderr is its only
    channel), so piping the summary stays safe with a progress line on. *)
 let progress_base_args =
@@ -179,7 +197,19 @@ let test_quarantine_survives_process_restart () =
   let bad_lines = List.filter (fun l -> contains l bad) (lines out_b) in
   Alcotest.(check bool) "quarantined cell never re-ran" true
     (bad_lines <> []
-    && List.for_all (fun l -> not (contains l "PASS")) bad_lines)
+    && List.for_all (fun l -> not (contains l "PASS")) bad_lines);
+  (* run C, without --keep-going: the marker stops the sweep with the
+     degraded-completion code and a line naming the cell, not an uncaught
+     exception *)
+  let code_c, _, err_c = run_cli (table1_base @ [ "--resume-dir"; dir ]) in
+  Alcotest.(check int)
+    (Printf.sprintf "run C exits 3 (stderr %S)" err_c)
+    3 code_c;
+  Alcotest.(check bool) "run C names the cell and the way out" true
+    (List.exists
+       (fun l ->
+         contains l bad && contains l "quarantined" && contains l "--keep-going")
+       (lines err_c))
 
 (* SIGTERM drains a sweep run without supervision flags: the cell in
    flight finishes, the unstarted ones print as SKIPPED, the partial
@@ -264,6 +294,8 @@ let () =
            test_malformed_plan_file_exits_2;
          Alcotest.test_case "station out of range" `Quick
            test_plan_station_out_of_range_exits_2 ]);
+      ("pattern errors",
+       [ Alcotest.test_case "bad spec exits 2" `Quick test_bad_pattern_exits_2 ]);
       ("telemetry",
        [ Alcotest.test_case "progress keeps stdout pure" `Quick
            test_progress_keeps_stdout_pure;

@@ -66,7 +66,9 @@ let test_json_rejects_malformed () =
       "{\"round\":1,\"type\":\"no-such-type\"}";
       "{\"round\":1,\"type\":\"injected\",\"id\":1,\"src\":0}";
       "{\"round\":1,\"type\":\"silence\"} trailing";
-      "{\"round\":\"one\",\"type\":\"silence\"}" ]
+      "{\"round\":\"one\",\"type\":\"silence\"}";
+      {|{"round":1.0,"type":"silence"}|};
+      {|{"round":1,"type":"collision","stations":[1,"2"]}|} ]
   in
   List.iter
     (fun line ->
@@ -117,6 +119,135 @@ let test_unicode_escape_errors_are_typed () =
       {|{"round":1,"type":"\ud800no"}|};
       {|{"round":1,"type":"\udc00"}|};
       {|{"round":1,"type":"\ud800A"}|} ]
+
+(* ---- the shared codec ---- *)
+
+module J = Jsonv
+
+let test_jsonv_roundtrip () =
+  let v =
+    J.Obj
+      [ ("cmd", J.Str "open");
+        ("n", J.Int 6);
+        ("rate", J.Float 0.5);
+        ("neg", J.Int (-3));
+        ("flags", J.List [ J.Bool true; J.Bool false; J.Null ]);
+        ("nested", J.Obj [ ("s", J.Str "a\"b\\c\nd\te") ]);
+        ("empty", J.List []) ]
+  in
+  let s = J.to_string v in
+  check_bool "single line" false (String.contains s '\n');
+  (match J.parse s with
+   | Ok v' -> check_bool "roundtrip" true (v = v')
+   | Error msg -> Alcotest.fail ("roundtrip parse: " ^ msg));
+  check_int "member/to_int" 6
+    (Option.get (Option.bind (J.member "n" v) J.to_int));
+  check_bool "member on non-obj" true (J.member "x" (J.Int 1) = None);
+  (* integral floats convert only inside the int range *)
+  check_bool "to_int 1e19" true (J.to_int (J.Float 1e19) = None);
+  check_bool "to_int 5e18" true (J.to_int (J.Float 5e18) = None);
+  check_bool "to_int -2^62" true (J.to_int (J.Float (-0x1p62)) = Some min_int);
+  check_bool "to_int 3.0" true (J.to_int (J.Float 3.0) = Some 3);
+  (* the parser rejects nan/inf tokens, so the writer never emits them *)
+  Alcotest.(check string) "nan writes 0" "[0,0]"
+    (J.to_string (J.List [ J.Float Float.nan; J.Float Float.neg_infinity ]))
+
+let test_jsonv_rejects_malformed () =
+  List.iter
+    (fun s ->
+      match J.parse s with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted malformed %S" s)
+      | Error _ -> ())
+    [ "";
+      "{";
+      "[1,";
+      "[1,]";
+      "{\"a\":}";
+      "{\"a\" 1}";
+      "tru";
+      "nul";
+      "\"unterminated";
+      "1 2";
+      "{} trailing" ]
+
+(* Valid lines to damage: every event variant and some protocol lines. *)
+let valid_lines =
+  List.mapi (fun i ev -> Event.to_json ~round:(17 * i) ev) all_variants
+  @ [ {|{"cmd":"open","channel":"c1","algorithm":"count-hop","n":6,"rate":"1/2","faults":null}|};
+      {|{"cmd":"inject","channel":"c1","packets":[[0,0,1],[3,1,4]]}|};
+      {|{"ok":true,"summary":{"mean_delay":2.5e-3,"s":"caf\u00e9\ud83d\ude00"}}|} ]
+
+let decoders_total line =
+  (match J.parse line with Ok _ | Error _ -> ());
+  match Event.of_json_line line with Ok _ | Error _ -> true
+
+let qcheck_decoders_total_on_strings =
+  QCheck.Test.make ~name:"decoders_total_on_arbitrary_strings" ~count:1000
+    QCheck.string decoders_total
+
+(* Replace, delete or insert one byte of a valid line. *)
+let qcheck_decoders_total_on_edits =
+  QCheck.Test.make ~name:"decoders_total_on_single_byte_edits"
+    ~count:2000
+    QCheck.(
+      quad (int_bound (List.length valid_lines - 1)) (int_bound 2)
+        (int_bound 10_000) char)
+    (fun (which, edit, at, c) ->
+      let line = List.nth valid_lines which in
+      let at = at mod (String.length line + 1) in
+      let before = String.sub line 0 at in
+      let after k = String.sub line k (String.length line - k) in
+      decoders_total
+        (match edit with
+         | 0 when at < String.length line ->
+           before ^ String.make 1 c ^ after (at + 1)
+         | 1 when at < String.length line -> before ^ after (at + 1)
+         | _ -> before ^ String.make 1 c ^ after at))
+
+let finite f = if Float.is_finite f then f else 0.0
+
+(* Values whose floats are finite and non-integral: an integral float
+   prints without a fraction and so parses back as an [Int]. *)
+let jsonv_gen =
+  let open QCheck.Gen in
+  let non_integral f = if Float.is_integer (finite f) then 0.5 else f in
+  let leaf =
+    oneof
+      [ pure J.Null; map (fun b -> J.Bool b) bool; map (fun i -> J.Int i) int;
+        map (fun f -> J.Float (non_integral f)) float;
+        map (fun s -> J.Str s) string ]
+  in
+  sized
+  @@ fix (fun self size ->
+         if size <= 1 then leaf
+         else
+           let sub = self (size / 3) in
+           frequency
+             [ (2, leaf);
+               (1, map (fun vs -> J.List vs) (list_size (int_bound 4) sub));
+               ( 1,
+                 map
+                   (fun kvs -> J.Obj kvs)
+                   (list_size (int_bound 4) (pair string sub)) ) ])
+
+let qcheck_jsonv_roundtrip =
+  QCheck.Test.make ~name:"parse_inverts_to_string" ~count:500
+    (QCheck.make ~print:J.to_string jsonv_gen)
+    (fun v -> J.parse (J.to_string v) = Ok v)
+
+(* Telemetry keys are the only free text [to_json] writes: whatever bytes
+   they hold, the line carries none below 0x20 and decodes to the same
+   sample. *)
+let qcheck_telemetry_keys_roundtrip =
+  QCheck.Test.make ~name:"telemetry_keys_escaped_and_roundtrip"
+    ~count:500
+    QCheck.(small_list (pair string float))
+    (fun kvs ->
+      let sample = List.map (fun (k, v) -> (k, finite v)) kvs in
+      let ev = Event.Telemetry { sample } in
+      let line = Event.to_json ~round:3 ev in
+      String.for_all (fun c -> Char.code c >= 0x20) line
+      && Event.of_json_line line = Ok (3, ev))
 
 (* ---- sink combinators ---- *)
 
@@ -481,7 +612,15 @@ let () =
          Alcotest.test_case "\\u escapes decode" `Quick
            test_unicode_escapes_decode;
          Alcotest.test_case "bad \\u escapes are typed errors" `Quick
-           test_unicode_escape_errors_are_typed ]);
+           test_unicode_escape_errors_are_typed;
+         QCheck_alcotest.to_alcotest qcheck_telemetry_keys_roundtrip ]);
+      ("jsonv",
+       [ Alcotest.test_case "roundtrip" `Quick test_jsonv_roundtrip;
+         Alcotest.test_case "rejects malformed" `Quick
+           test_jsonv_rejects_malformed;
+         QCheck_alcotest.to_alcotest qcheck_jsonv_roundtrip;
+         QCheck_alcotest.to_alcotest qcheck_decoders_total_on_strings;
+         QCheck_alcotest.to_alcotest qcheck_decoders_total_on_edits ]);
       ("sinks",
        [ Alcotest.test_case "tee and close" `Quick test_tee_and_close;
          Alcotest.test_case "sample by round" `Quick test_sample_by_round ]);

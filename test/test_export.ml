@@ -67,9 +67,10 @@ let test_json_escaping () =
     (String.for_all (fun c -> Char.code c >= 0x20) json);
   check_bool "quote escaped" true (contains ~needle:{|al\"go\\rhythm|} json);
   check_bool "newline escaped" true (contains ~needle:{|line1\nline2|} json);
+  check_bool "tab escaped" true (contains ~needle:{|line2\ttab|} json);
   check_bool "control char escaped" true (contains ~needle:{|\u0001ctl|} json);
-  Alcotest.(check string) "json_escape itself" {|a\"b\\c\nd\u0000|}
-    (Mac_sim.Export.json_escape "a\"b\\c\nd\x00")
+  Alcotest.(check string) "json_escape itself" {|a\"b\\c\nd\u0000\t\r|}
+    (Mac_sim.Export.json_escape "a\"b\\c\nd\x00\t\r")
 
 (* Non-finite floats (a zero-delivery run's nan mean, an infinite ratio)
    must never leak into emitted JSON or CSV: "%.6g" alone would print the

@@ -1,10 +1,10 @@
-(* Tests for the serve layer: the protocol JSON codec, trace files, engine
-   sessions, and the daemon itself driven in-process over its Unix socket —
-   including the acceptance anchor that externally-injected replay is
-   byte-identical (events and summary) to the equivalent batch run, even
-   across shard crashes and a daemon drain/restart. *)
+(* Tests for the serve layer: trace files, engine sessions, and the daemon
+   itself driven in-process over its Unix socket — including the
+   acceptance anchor that externally-injected replay is byte-identical
+   (events and summary) to the equivalent batch run, even across shard
+   crashes and a daemon drain/restart. *)
 
-module J = Mac_serve.Jsonv
+module J = Mac_channel.Jsonv
 module E = Mac_sim.Engine
 module Client = Mac_serve.Client
 
@@ -29,46 +29,6 @@ let contains hay needle =
   let hl = String.length hay and nl = String.length needle in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   nl = 0 || go 0
-
-(* ---- jsonv ---- *)
-
-let test_jsonv_roundtrip () =
-  let v =
-    J.Obj
-      [ ("cmd", J.Str "open");
-        ("n", J.Int 6);
-        ("rate", J.Float 0.5);
-        ("neg", J.Int (-3));
-        ("flags", J.List [ J.Bool true; J.Bool false; J.Null ]);
-        ("nested", J.Obj [ ("s", J.Str "a\"b\\c\nd\te") ]);
-        ("empty", J.List []) ]
-  in
-  let s = J.to_string v in
-  check_bool "single line" false (String.contains s '\n');
-  (match J.parse s with
-   | Ok v' -> check_bool "roundtrip" true (v = v')
-   | Error msg -> Alcotest.fail ("roundtrip parse: " ^ msg));
-  check_int "member/to_int" 6
-    (Option.get (Option.bind (J.member "n" v) J.to_int));
-  check_bool "member on non-obj" true (J.member "x" (J.Int 1) = None)
-
-let test_jsonv_rejects_malformed () =
-  List.iter
-    (fun s ->
-      match J.parse s with
-      | Ok _ -> Alcotest.fail (Printf.sprintf "accepted malformed %S" s)
-      | Error _ -> ())
-    [ "";
-      "{";
-      "[1,";
-      "[1,]";
-      "{\"a\":}";
-      "{\"a\" 1}";
-      "tru";
-      "nul";
-      "\"unterminated";
-      "1 2";
-      "{} trailing" ]
 
 (* ---- trace files ---- *)
 
@@ -221,7 +181,6 @@ let start_server ~dir ~shards =
       telemetry_every = 100;
       algorithm_of;
       pattern_of;
-      summary_json = Mac_sim.Export.summary_json;
       log = (fun _ -> ()) }
   in
   match Mac_serve.Server.create cfg with
@@ -311,6 +270,30 @@ let test_protocol_errors_are_typed () =
           [ ("cmd", J.Str "open"); ("channel", J.Str "x");
             ("algorithm", J.Str "nope") ])
        "nope");
+  (* a field present with the wrong type or out of range is named in the
+     error, never replaced by its default *)
+  List.iter
+    (fun (fields, named) ->
+      let line =
+        {|{"cmd":"open","channel":"bad","algorithm":"orchestra",|} ^ fields
+        ^ "}"
+      in
+      Client.send_line c line;
+      let err =
+        match Option.map J.parse (Client.recv_line c) with
+        | Some (Ok reply)
+          when Option.bind (J.member "ok" reply) J.to_bool = Some false ->
+          Option.value ~default:""
+            (Option.bind (J.member "error" reply) J.to_str)
+        | _ -> Alcotest.failf "expected an error reply to %s" line
+      in
+      check_bool
+        (Printf.sprintf "%s names %s (got %S)" line named err)
+        true (contains err named))
+    [ ({|"n":"6"|}, {|"n"|});
+      ({|"checkpoint_every":1e19,"seed":1e19|}, {|"seed"|});
+      ({|"checkpoint_every":5e18|}, {|"checkpoint_every"|});
+      ({|"checkpoint_every":-1|}, {|"checkpoint_every"|}) ];
   (* after all that abuse the daemon still works end to end *)
   let reply = req c [ ("cmd", J.Str "ping") ] in
   check_bool "ping survives" true
@@ -465,11 +448,7 @@ let test_chaos_preserves_byte_identity () =
 
 let () =
   Alcotest.run "serve"
-    [ ("jsonv",
-       [ Alcotest.test_case "roundtrip" `Quick test_jsonv_roundtrip;
-         Alcotest.test_case "rejects malformed" `Quick
-           test_jsonv_rejects_malformed ]);
-      ("trace-file",
+    [ ("trace-file",
        [ Alcotest.test_case "roundtrip" `Quick test_trace_file_roundtrip;
          Alcotest.test_case "rejects bad lines" `Quick
            test_trace_file_rejects_bad_lines ]);
