@@ -81,14 +81,7 @@ let next_admission d ~round =
   (* Rounds until the bucket grants a token: m = ceil((1 - tokens)/rate),
      0 if it already does. The cap (rate + burst >= rate + 1) never blocks
      the climb to 1. *)
-  let tokens = Leaky_bucket.tokens d.bucket in
-  let to_grant =
-    if Qrat.compare tokens Qrat.one >= 0 then 0
-    else
-      let deficit = Qrat.sub Qrat.one tokens in
-      ceil_div (Qrat.num deficit * Qrat.den r) (Qrat.den deficit * Qrat.num r)
-  in
-  let tg = round + to_grant in
+  let tg = round + Leaky_bucket.rounds_to_grant d.bucket in
   match d.spec.pacing with
   | Greedy -> tg
   | Paced { burst_at } ->
@@ -108,17 +101,30 @@ let next_admission d ~round =
    (see [next_admission]). *)
 let skip_rounds d ~rounds = Leaky_bucket.skip d.bucket ~rounds
 
+(* Whether every proposal is admissible as is: within the budget and not
+   self-addressed. Patterns almost always propose exactly that, and then
+   the list is passed on without being copied. *)
+let rec admissible budget = function
+  | [] -> true
+  | (src, (dst : int)) :: rest ->
+    budget > 0 && src <> dst && admissible (budget - 1) rest
+
 let inject d ~view =
   let round = view.View.round in
   let budget = min (Leaky_bucket.grant d.bucket) (desired d ~round) in
-  let proposed =
-    if budget <= 0 then []
-    else d.spec.pattern.Pattern.generate ~round ~budget ~view
-  in
-  let injections =
-    List.filteri (fun i (src, dst) -> i < budget && src <> dst) proposed
-  in
-  Leaky_bucket.consume d.bucket (List.length injections);
-  Leaky_bucket.advance d.bucket;
-  d.injected_total <- d.injected_total + List.length injections;
-  injections
+  if budget <= 0 then begin
+    Leaky_bucket.advance d.bucket;
+    []
+  end
+  else begin
+    let proposed = d.spec.pattern.Pattern.generate ~round ~budget ~view in
+    let injections =
+      if admissible budget proposed then proposed
+      else List.filteri (fun i (src, dst) -> i < budget && src <> dst) proposed
+    in
+    let count = List.length injections in
+    Leaky_bucket.consume d.bucket count;
+    Leaky_bucket.advance d.bucket;
+    d.injected_total <- d.injected_total + count;
+    injections
+  end

@@ -1,123 +1,148 @@
-module Imap = Map.Make (Int)
-
-(* Per-destination structures are keyed hashtables holding only the
-   destinations currently present, not n-sized arrays: a queue costs O(1)
-   memory regardless of the system size, which is what lets the engine
-   materialise n = 10^5+ stations (n queues of n-sized arrays would be
-   O(n^2)). Invariant: [by_dest] and [dest_count] have a binding for a
-   destination iff at least one packet to it is queued. *)
-type t = {
-  n : int;
-  mutable by_arrival : Packet.t Imap.t; (* key: arrival sequence number *)
-  by_dest : (int, Packet.t Imap.t) Hashtbl.t; (* same keys, split by dest *)
-  seq_of_id : (int, int) Hashtbl.t;
-  dest_count : (int, int) Hashtbl.t;
-  mutable next_seq : int;
+(* One node per queued packet. [prev]/[next] link the arrival ring, which
+   runs through the queue's sentinel node; [dprev]/[dnext] link the ring of
+   the packet's destination, which has no sentinel — its [dest] record
+   points at the oldest node. *)
+type node = {
+  packet : Packet.t;
+  mutable prev : node;
+  mutable next : node;
+  mutable dprev : node;
+  mutable dnext : node;
 }
 
+type dest = {
+  mutable first : node;
+  mutable count : int;
+}
+
+(* Invariant: [nodes] has a binding for exactly the queued packet ids and
+   [dests] for exactly the destinations with at least one queued packet;
+   [ring.next] is the oldest packet and [ring.prev] the newest. *)
+type t = {
+  n : int;
+  ring : node;
+  nodes : node Int_table.t;
+  dests : dest Int_table.t;
+}
+
+(* Carried by sentinels only; never returned. *)
+let no_packet = Packet.make ~id:(-1) ~src:(-1) ~dst:(-1) ~injected_at:(-1)
+
 let create ~n =
-  { n; by_arrival = Imap.empty;
-    by_dest = Hashtbl.create 8;
-    seq_of_id = Hashtbl.create 8;
-    dest_count = Hashtbl.create 8; next_seq = 0 }
+  let rec ring =
+    { packet = no_packet; prev = ring; next = ring; dprev = ring; dnext = ring }
+  in
+  { n; ring; nodes = Int_table.create 16; dests = Int_table.create 16 }
 
 let add t (p : Packet.t) =
-  if Hashtbl.mem t.seq_of_id p.id then
+  if Int_table.mem t.nodes p.id then
     invalid_arg "Pqueue.add: duplicate packet id";
   assert (p.dst >= 0 && p.dst < t.n);
-  Hashtbl.replace t.seq_of_id p.id t.next_seq;
-  t.by_arrival <- Imap.add t.next_seq p t.by_arrival;
-  let dm =
-    match Hashtbl.find_opt t.by_dest p.dst with
-    | Some m -> m
-    | None -> Imap.empty
-  in
-  Hashtbl.replace t.by_dest p.dst (Imap.add t.next_seq p dm);
-  let dc =
-    match Hashtbl.find_opt t.dest_count p.dst with Some c -> c | None -> 0
-  in
-  Hashtbl.replace t.dest_count p.dst (dc + 1);
-  t.next_seq <- t.next_seq + 1
+  let ring = t.ring in
+  let last = ring.prev in
+  let node = { packet = p; prev = last; next = ring; dprev = ring; dnext = ring } in
+  last.next <- node;
+  ring.prev <- node;
+  Int_table.add t.nodes p.id node;
+  if Int_table.mem t.dests p.dst then begin
+    let d = Int_table.find t.dests p.dst in
+    let first = d.first in
+    let tail = first.dprev in
+    node.dprev <- tail;
+    node.dnext <- first;
+    tail.dnext <- node;
+    first.dprev <- node;
+    d.count <- d.count + 1
+  end
+  else begin
+    node.dprev <- node;
+    node.dnext <- node;
+    Int_table.add t.dests p.dst { first = node; count = 1 }
+  end
 
 let remove t (p : Packet.t) =
-  match Hashtbl.find_opt t.seq_of_id p.id with
-  | None -> false
-  | Some seq ->
-    let stored = Imap.find seq t.by_arrival in
-    Hashtbl.remove t.seq_of_id p.id;
-    t.by_arrival <- Imap.remove seq t.by_arrival;
-    (match Hashtbl.find_opt t.dest_count stored.dst with
-     | Some 1 ->
-       Hashtbl.remove t.dest_count stored.dst;
-       Hashtbl.remove t.by_dest stored.dst
-     | Some c ->
-       Hashtbl.replace t.dest_count stored.dst (c - 1);
-       let dm = Hashtbl.find t.by_dest stored.dst in
-       Hashtbl.replace t.by_dest stored.dst (Imap.remove seq dm)
-     | None -> assert false);
+  if not (Int_table.mem t.nodes p.id) then false
+  else begin
+    let node = Int_table.find t.nodes p.id in
+    Int_table.remove t.nodes p.id;
+    node.prev.next <- node.next;
+    node.next.prev <- node.prev;
+    let dst = node.packet.dst in
+    let d = Int_table.find t.dests dst in
+    if d.count = 1 then Int_table.remove t.dests dst
+    else begin
+      node.dprev.dnext <- node.dnext;
+      node.dnext.dprev <- node.dprev;
+      if d.first == node then d.first <- node.dnext;
+      d.count <- d.count - 1
+    end;
     true
+  end
 
-let mem t (p : Packet.t) = Hashtbl.mem t.seq_of_id p.id
+let mem t (p : Packet.t) = Int_table.mem t.nodes p.id
 
-let size t = Hashtbl.length t.seq_of_id
+let size t = Int_table.length t.nodes
 
-let is_empty t = size t = 0
+let is_empty t = t.ring.next == t.ring
 
 let count_to t d =
-  match Hashtbl.find_opt t.dest_count d with Some c -> c | None -> 0
-
-let count_to_below t j =
-  Hashtbl.fold (fun d c total -> if d < j then total + c else total)
-    t.dest_count 0
+  if Int_table.mem t.dests d then (Int_table.find t.dests d).count else 0
 
 let dests t =
-  List.sort compare (Hashtbl.fold (fun d _ acc -> d :: acc) t.dest_count [])
+  List.sort Int.compare (Int_table.fold (fun d _ acc -> d :: acc) t.dests [])
 
 let oldest t =
-  match Imap.min_binding_opt t.by_arrival with
-  | None -> None
-  | Some (_, p) -> Some p
+  let first = t.ring.next in
+  if first == t.ring then None else Some first.packet
 
 let oldest_to t d =
-  match Hashtbl.find_opt t.by_dest d with
-  | None -> None
-  | Some dm ->
-    (match Imap.min_binding_opt dm with
-     | None -> None
-     | Some (_, p) -> Some p)
+  if Int_table.mem t.dests d then Some (Int_table.find t.dests d).first.packet
+  else None
 
-exception Found of Packet.t
+(* The ring walks below are top-level functions taking every value they
+   need as an argument, so a query allocates no closure. *)
+let rec first_such ring pred node =
+  if node == ring then None
+  else if pred node.packet then Some node.packet
+  else first_such ring pred node.next
 
-let oldest_such t pred =
-  try
-    Imap.iter (fun _ p -> if pred p then raise (Found p)) t.by_arrival;
-    None
-  with Found p -> Some p
+let oldest_such t pred = first_such t.ring pred t.ring.next
+
+let rec first_to_such first pred node =
+  if pred node.packet then Some node.packet
+  else if node.dnext == first then None
+  else first_to_such first pred node.dnext
 
 let oldest_to_such t d pred =
-  match Hashtbl.find_opt t.by_dest d with
-  | None -> None
-  | Some dm -> (
-    try
-      Imap.iter (fun _ p -> if pred p then raise (Found p)) dm;
-      None
-    with Found p -> Some p)
+  if Int_table.mem t.dests d then begin
+    let first = (Int_table.find t.dests d).first in
+    first_to_such first pred first
+  end
+  else None
 
-let fold t ~init ~f = Imap.fold (fun _ p acc -> f acc p) t.by_arrival init
+let rec fold_from ring f acc node =
+  if node == ring then acc else fold_from ring f (f acc node.packet) node.next
 
-let iter t ~f = Imap.iter (fun _ p -> f p) t.by_arrival
+let fold t ~init ~f = fold_from t.ring f init t.ring.next
 
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc p -> p :: acc))
+let rec iter_from ring f node =
+  if node != ring then begin
+    f node.packet;
+    iter_from ring f node.next
+  end
+
+let iter t ~f = iter_from t.ring f t.ring.next
+
+(* Built from the newest packet backwards, so no reversal is needed. *)
+let rec list_before ring acc node =
+  if node == ring then acc else list_before ring (node.packet :: acc) node.prev
+
+let to_list t = list_before t.ring [] t.ring.prev
 
 let drain t =
   let packets = to_list t in
-  t.by_arrival <- Imap.empty;
-  Hashtbl.reset t.by_dest;
-  Hashtbl.reset t.seq_of_id;
-  Hashtbl.reset t.dest_count;
+  t.ring.next <- t.ring;
+  t.ring.prev <- t.ring;
+  Int_table.reset t.nodes;
+  Int_table.reset t.dests;
   packets
-
-let ids t =
-  let h = Hashtbl.create (size t) in
-  iter t ~f:(fun p -> Hashtbl.replace h p.id ());
-  h

@@ -4,10 +4,23 @@
     negligible time, and transmit queued packets in arbitrary order; this
     structure therefore supports removal of arbitrary packets, per-destination
     counting (needed by Count-Hop and Adjust-Window gossip), and
-    injection-order iteration (algorithms schedule packets in the order of
+    arrival-order iteration (algorithms schedule packets in the order of
     their injection / adoption). Adopted packets count as newly arrived:
     their position in arrival order is the adoption time, not the original
-    injection. *)
+    injection, and a packet removed and added again goes to the tail.
+
+    Each queued packet is one mutable node, linked into two circular
+    doubly-linked rings: the queue's arrival ring and the ring of its
+    destination. Nodes are found by packet id, and destination rings by
+    destination, through identity-hashed {!Int_table}s that hold only the
+    packets and destinations present, so memory is O(live packets) — never
+    O(n) per queue, which is what lets the engine build n = 10⁵ queues.
+    [add], [remove], [mem], [size], [count_to], [oldest] and [oldest_to]
+    are O(1) and allocate at most the node and its table entries; the
+    [*_such] queries, [fold] and [iter] are plain loops over a ring.
+
+    Callbacks passed to [fold], [iter], [oldest_such] and [oldest_to_such]
+    must not add to or remove from the queue they traverse. *)
 
 type t
 
@@ -16,8 +29,9 @@ val create : n:int -> t
     are in [0, n-1]). *)
 
 val add : t -> Packet.t -> unit
-(** Appends [p] in arrival order. Raises [Invalid_argument] if a packet with
-    the same id is already present. *)
+(** Appends [p] at the tail of the arrival order and of its destination's
+    order. Raises [Invalid_argument] if a packet with the same id is already
+    present. *)
 
 val remove : t -> Packet.t -> bool
 (** [remove q p] removes the packet with [p]'s id; [false] if absent. *)
@@ -31,10 +45,6 @@ val is_empty : t -> bool
 val count_to : t -> int -> int
 (** [count_to q d] is the number of queued packets with destination [d]. *)
 
-val count_to_below : t -> int -> int
-(** [count_to_below q j] is the number of queued packets with destination
-    strictly less than [j] (the third Adjust-Window gossip number). *)
-
 val dests : t -> int list
 (** The destinations with at least one queued packet, ascending. O(d log d)
     in the number [d] of distinct destinations present — used by sparse
@@ -44,10 +54,11 @@ val oldest : t -> Packet.t option
 (** Earliest-arrived packet. *)
 
 val oldest_to : t -> int -> Packet.t option
-(** Earliest-arrived packet with the given destination. O(log size). *)
+(** Earliest-arrived packet with the given destination. *)
 
 val oldest_such : t -> (Packet.t -> bool) -> Packet.t option
-(** Earliest-arrived packet satisfying the predicate. *)
+(** Earliest-arrived packet satisfying the predicate; scans the arrival
+    order until the first match. *)
 
 val oldest_to_such : t -> int -> (Packet.t -> bool) -> Packet.t option
 (** Earliest-arrived packet with the given destination satisfying the
@@ -65,10 +76,4 @@ val to_list : t -> Packet.t list
 val drain : t -> Packet.t list
 (** [drain q] empties the queue in one pass and returns the packets in
     arrival order: equivalent to [to_list q] followed by [remove]-ing each
-    returned packet, without the per-packet map surgery. Arrival sequence
-    numbers are not reset, so packets added later still sort after any
-    previously drained ones. *)
-
-val ids : t -> (int, unit) Hashtbl.t
-(** Fresh snapshot of the ids currently queued (used by algorithms to mark a
-    cohort of packets as "old" at a phase boundary). *)
+    returned packet. The queue is reusable afterwards. *)

@@ -188,35 +188,36 @@ let dedicated_listener s ~slot =
   let idx = slot mod (s.n - 1) in
   if idx >= s.dedicated then idx + 1 else idx
 
+(* The two Main-slot lookups run for every station in every Main round;
+   they are top-level loops so that a lookup allocates no closure. *)
+
+(* The first destination [w] whose sub-interval of my segment covers the
+   relative slot [rel], if any. *)
+let rec dest_covering s rel w =
+  if w >= s.n then None
+  else if rel < s.my_below.(w) + s.my_cnt.(w) then Some w
+  else dest_covering s rel (w + 1)
+
 (* My sending destination for a Main slot, if the slot lies in my segment. *)
 let main_my_dest s ~slot =
   if s.my_small || s.my_over then None
   else begin
     let rel = slot - s.starts.(s.me) in
-    if rel < 0 || rel >= s.my_q then None
-    else begin
-      let rec find w =
-        if w >= s.n then None
-        else if rel < s.my_below.(w) + s.my_cnt.(w) then Some w
-        else find (w + 1)
-      in
-      find 0
-    end
+    if rel < 0 || rel >= s.my_q then None else dest_covering s rel 0
   end
+
+let rec listening_from s slot i =
+  if i >= s.n then false
+  else if
+    i <> s.me && s.is_large.(i) && not s.over_l.(i)
+    && slot >= s.starts.(i) + s.cnt_below.(i)
+    && slot < s.starts.(i) + s.cnt_below.(i) + s.cnt_me.(i)
+  then true
+  else listening_from s slot (i + 1)
 
 (* Whether I must listen in a Main slot: some large sender's sub-interval
    for destination me covers it. *)
-let main_listening s ~slot =
-  let rec check i =
-    if i >= s.n then false
-    else if
-      i <> s.me && s.is_large.(i) && not s.over_l.(i)
-      && slot >= s.starts.(i) + s.cnt_below.(i)
-      && slot < s.starts.(i) + s.cnt_below.(i) + s.cnt_me.(i)
-    then true
-    else check (i + 1)
-  in
-  check 0
+let main_listening s ~slot = listening_from s slot 0
 
 (* ---- Auxiliary stage ---- *)
 

@@ -57,7 +57,9 @@ let snapshot s ~queue =
   Hashtbl.reset s.old;
   Pqueue.iter queue ~f:(fun p -> Hashtbl.replace s.old p.Packet.id ())
 
-let is_old_for s v (p : Packet.t) = p.dst = v && Hashtbl.mem s.old p.id
+let is_old s (p : Packet.t) = Hashtbl.mem s.old p.id
+
+let is_old_for s v (p : Packet.t) = p.dst = v && is_old s p
 
 let count_old_for s ~queue v =
   Pqueue.fold queue ~init:0 ~f:(fun acc p ->
@@ -146,7 +148,7 @@ let act s ~round ~queue =
     in
     if not mine then Action.Listen
     else begin
-      match Pqueue.oldest_such queue (is_old_for s s.stage) with
+      match Pqueue.oldest_to_such queue s.stage (is_old s) with
       | Some p -> Action.Transmit (Message.packet_only p)
       | None -> Action.Listen (* unreachable in lawful runs *)
     end

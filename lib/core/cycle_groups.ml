@@ -31,11 +31,19 @@ let group_count t = Array.length t.groups
 
 let active_group t ~round = round / t.delta mod group_count t
 
+(* A plain loop rather than [Array.exists] with a closure: k-Cycle asks
+   this for every station in every round. Without the [int] annotations
+   the loop would generalise and compare through polymorphic equality. *)
+let rec mem_from (members : int array) (station : int) i =
+  i < Array.length members
+  && (members.(i) = station || mem_from members station (i + 1))
+
+let in_group t ~group station = mem_from t.groups.(group) station 0
+
 let member_groups t station =
   let result = ref [] in
   for i = group_count t - 1 downto 0 do
-    if Array.exists (fun m -> m = station) t.groups.(i) then
-      result := i :: !result
+    if in_group t ~group:i station then result := i :: !result
   done;
   !result
 
@@ -44,6 +52,3 @@ let forward_connector t i =
   g.(Array.length g - 1)
 
 let backward_connector t i = t.groups.(i).(0)
-
-let in_group t ~group station =
-  Array.exists (fun m -> m = station) t.groups.(group)

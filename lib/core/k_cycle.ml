@@ -13,13 +13,25 @@ type state = {
   mine : group_state array; (* the 1 or 2 groups this station belongs to *)
 }
 
-let find_mine s group_index =
-  let rec go i =
-    if i >= Array.length s.mine then None
-    else if s.mine.(i).index = group_index then Some s.mine.(i)
-    else go (i + 1)
-  in
-  go 0
+(* The lookups below are top-level loops over [s.mine] (one or two
+   groups) that allocate nothing: they run for every on station in every
+   round, and for every packet the token holder considers. *)
+
+(* Position in [s.mine] of group [group_index], or -1 when [me] is not a
+   member. *)
+let rec mine_from s group_index i =
+  if i >= Array.length s.mine then -1
+  else if s.mine.(i).index = group_index then i
+  else mine_from s group_index (i + 1)
+
+let find_mine s group_index = mine_from s group_index 0
+
+(* Whether one of my groups other than [group_index] contains [dst]. *)
+let rec other_group_has s group_index dst i =
+  i < Array.length s.mine
+  && ((s.mine.(i).index <> group_index
+       && Cycle_groups.in_group s.cg ~group:s.mine.(i).index dst)
+      || other_group_has s group_index dst (i + 1))
 
 (* Whether the token holder [me] may transmit packet [p] while group [g] is
    active. Destinations inside the group are always fair game; a packet
@@ -30,12 +42,7 @@ let eligible s ~(g : group_state) (p : Packet.t) =
   Hashtbl.mem g.old p.id
   && (Cycle_groups.in_group s.cg ~group:g.index p.dst
       || (s.me <> Cycle_groups.forward_connector s.cg g.index
-          && not
-               (Array.exists
-                  (fun (other : group_state) ->
-                    other.index <> g.index
-                    && Cycle_groups.in_group s.cg ~group:other.index p.dst)
-                  s.mine)))
+          && not (other_group_has s g.index p.dst 0)))
 
 let build ?delta_scale ~n ~k () =
   let cg0 = Cycle_groups.make ?delta_scale ~n ~k () in
@@ -74,9 +81,10 @@ let build ?delta_scale ~n ~k () =
 
     let act s ~round ~queue =
       let active = Cycle_groups.active_group s.cg ~round in
-      match find_mine s active with
-      | None -> Action.Listen (* unreachable: off stations are not asked *)
-      | Some g ->
+      let i = find_mine s active in
+      if i < 0 then Action.Listen (* unreachable: off stations are not asked *)
+      else
+        let g = s.mine.(i) in
         if Token_ring.holder g.ring <> s.me then Action.Listen
         else begin
           match Pqueue.oldest_such queue (eligible s ~g) with
@@ -86,9 +94,10 @@ let build ?delta_scale ~n ~k () =
 
     let observe s ~round ~queue ~feedback =
       let active = Cycle_groups.active_group s.cg ~round in
-      match find_mine s active with
-      | None -> Reaction.No_reaction
-      | Some g ->
+      let i = find_mine s active in
+      if i < 0 then Reaction.No_reaction
+      else
+        let g = s.mine.(i) in
         (match feedback with
          | Feedback.Heard m ->
            Token_ring.note_heard g.ring;

@@ -33,7 +33,7 @@ let act s ~round ~queue =
   let src, dst = pair_of_round ~n:s.n ~round in
   if s.me <> src then Action.Listen
   else
-    match Pqueue.oldest_such queue (fun p -> p.Packet.dst = dst) with
+    match Pqueue.oldest_to queue dst with
     | Some p -> Action.Transmit (Message.packet_only p)
     | None -> Action.Listen
 

@@ -310,7 +310,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
             ~default:"<none>"));
   let queues = Array.init n (fun _ -> Pqueue.create ~n) in
   let states = Array.init n (fun me -> A.create ~n ~k ~me) in
-  let registry : (int, tracked) Hashtbl.t = Hashtbl.create 4096 in
+  let registry : tracked Int_table.t = Int_table.create 4096 in
   let driver = Mac_adversary.Adversary.start adversary in
   let next_id = ref 0 in
   let prev_on = Array.make n false in
@@ -364,7 +364,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
     | Auto ->
       (match A.sparse with Some make -> Some (make ~n ~k) | None -> None)
   in
-  let nonempty : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  let nonempty : unit Int_table.t = Int_table.create 64 in
   let na_cache = ref (-1) in
   (* Memoised [Adversary.next_admission]. The prediction is deterministic
      through quiet rounds (the bucket refills on schedule), so it stays
@@ -378,7 +378,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
     match sparse_impl with
     | None -> ()
     | Some sp ->
-      Hashtbl.replace nonempty i ();
+      Int_table.replace nonempty i ();
       if !na_cache >= round then
         (match
            sp.Algorithm.next_active ~round ~nonempty:[ (i, queues.(i)) ]
@@ -390,7 +390,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
     match sparse_impl with
     | None -> ()
     | Some _ ->
-      if Pqueue.is_empty queues.(i) then Hashtbl.remove nonempty i;
+      if Pqueue.is_empty queues.(i) then Int_table.remove nonempty i;
       na_cache := -1
   in
 
@@ -405,7 +405,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
        Array.iteri
          (fun j (p : Packet.t) ->
            Pqueue.add queues.(i) p;
-           Hashtbl.replace registry p.Packet.id
+           Int_table.replace registry p.Packet.id
              { packet = p; delivered = false; hops = s.hops.(i).(j) })
          s.queues.(i)
      done;
@@ -424,7 +424,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
      let pl = ref [] in
      for i = n - 1 downto 0 do
        if prev_on.(i) then pl := i :: !pl;
-       if not (Pqueue.is_empty queues.(i)) then Hashtbl.replace nonempty i ()
+       if not (Pqueue.is_empty queues.(i)) then Int_table.replace nonempty i ()
      done;
      prev_list := Array.of_list !pl);
 
@@ -508,7 +508,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
                   let lost =
                     List.fold_left
                       (fun lost (p : Packet.t) ->
-                        Hashtbl.remove registry p.Packet.id;
+                        Int_table.remove registry p.Packet.id;
                         lost + 1)
                       0
                       (Pqueue.drain queues.(i))
@@ -555,38 +555,47 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
       was_on = (fun i -> prev_on.(i)) }
   in
 
+  (* The round [step] is executing, and the feedback of its channel
+     resolution: the per-station loops below are built once per run and
+     read the round from here, so a round allocates no closures. *)
+  let cur_round = ref 0 in
+  let cur_feedback = ref Feedback.Silence in
+
+  let inject_pair (src, dst) =
+    let round = !cur_round in
+    if src < 0 || src >= n || dst < 0 || dst >= n then
+      raise (Protocol_violation "adversary injected out-of-range station");
+    let id = !next_id in
+    incr next_id;
+    let p = Packet.make ~id ~src ~dst ~injected_at:round in
+    if src = dst then begin
+      (* Self-addressed packets need no channel use; delivered at
+         injection (see DESIGN.md interpretation 5). Patterns never
+         produce these; kept for external users of the engine. They
+         never enter a queue, so they must not touch the queue peaks. *)
+      Metrics.note_self_injection metrics;
+      if observing then begin
+        emit ~round (Event.Injected { id; src; dst });
+        emit ~round
+          (Event.Delivered { id; from_ = src; dst; delay = 0; hops = 0 })
+      end
+    end
+    else begin
+      Pqueue.add queues.(src) p;
+      note_queue_add ~round src;
+      Int_table.replace registry id { packet = p; delivered = false; hops = 0 };
+      Metrics.note_injection metrics;
+      Metrics.note_station_queue metrics (Pqueue.size queues.(src));
+      if observing then emit ~round (Event.Injected { id; src; dst })
+    end
+  in
   let inject round =
     view.Mac_adversary.View.round <- round;
-    let pairs = Mac_adversary.Adversary.inject driver ~view in
-    if pairs <> [] then adm_cache := -1;
-    List.iter
-      (fun (src, dst) ->
-        if src < 0 || src >= n || dst < 0 || dst >= n then
-          raise (Protocol_violation "adversary injected out-of-range station");
-        let id = !next_id in
-        incr next_id;
-        let p = Packet.make ~id ~src ~dst ~injected_at:round in
-        if src = dst then begin
-          (* Self-addressed packets need no channel use; delivered at
-             injection (see DESIGN.md interpretation 5). Patterns never
-             produce these; kept for external users of the engine. They
-             never enter a queue, so they must not touch the queue peaks. *)
-          Metrics.note_self_injection metrics;
-          if observing then begin
-            emit ~round (Event.Injected { id; src; dst });
-            emit ~round
-              (Event.Delivered { id; from_ = src; dst; delay = 0; hops = 0 })
-          end
-        end
-        else begin
-          Pqueue.add queues.(src) p;
-          note_queue_add ~round src;
-          Hashtbl.replace registry id { packet = p; delivered = false; hops = 0 };
-          Metrics.note_injection metrics;
-          Metrics.note_station_queue metrics (Pqueue.size queues.(src));
-          if observing then emit ~round (Event.Injected { id; src; dst })
-        end)
-      pairs
+    match Mac_adversary.Adversary.inject driver ~view with
+    | [] -> ()
+    | pairs ->
+      adm_cache := -1;
+      List.iter inject_pair pairs
   in
 
   (* One telemetry sample: refresh every gauge/counter from the live
@@ -638,17 +647,58 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
     l.lt_probe.Telemetry.on_sample ~round l.lt_probe.Telemetry.registry
   in
 
+  (* Clock readings at the phase boundaries of a timed round, kept in a
+     float array so that reading the clock allocates nothing. *)
+  let phase_clock = Array.make 5 0.0 in
+  let clock i = if !timing then phase_clock.(i) <- Unix.gettimeofday () in
+
+  (* Actions of switched-on stations, recorded into the scratch arrays in
+     station order. *)
+  let act_station i =
+    if on.(i) then
+      match A.act states.(i) ~round:!cur_round ~queue:queues.(i) with
+      | Action.Listen -> ()
+      | Action.Transmit m ->
+        (match m.Message.packet with
+         | Some p ->
+           if not (Pqueue.mem queues.(i) p) then
+             raise
+               (Protocol_violation
+                  (Printf.sprintf "station %d transmitted a packet not in its queue" i))
+         | None -> ());
+        if A.plain_packet && not (Message.is_plain m) then
+          raise
+            (Protocol_violation
+               (Printf.sprintf "plain-packet algorithm %s sent a non-plain message" A.name));
+        tx_station.(!tx_count) <- i;
+        tx_message.(!tx_count) <- m;
+        incr tx_count
+  in
+  (* Stations reacting to this round's feedback with an adoption, most
+     recent first. *)
+  let adopters = ref [] in
+  let observe_station i =
+    if on.(i) then
+      match
+        A.observe states.(i) ~round:!cur_round ~queue:queues.(i)
+          ~feedback:!cur_feedback
+      with
+      | Reaction.No_reaction -> ()
+      | Reaction.Adopt_heard_packet -> adopters := i :: !adopters
+  in
+
   let step ~round ~draining =
+    cur_round := round;
     if tel_every > 0 then begin
       (* Time this round's phases iff it ends on a sample boundary. *)
       timing := (round + 1) mod tel_every = 0;
       if !timing then obs_acc := 0.0
     end;
-    let t0 = if !timing then Unix.gettimeofday () else 0.0 in
+    clock 0;
     if not draining then inject round;
-    let t1 = if !timing then Unix.gettimeofday () else 0.0 in
+    clock 1;
     apply_faults round;
-    let t2 = if !timing then Unix.gettimeofday () else 0.0 in
+    clock 2;
     (* Mode decisions. Crashed stations are inert: forced off, their
        on_duty never called (state frozen for a later restart), and the
        static-schedule check waived — the schedule says on, the fault
@@ -665,15 +715,15 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
              (if on.(i) then Event.Switched_on { station = i }
               else Event.Switched_off { station = i });
          if cfg.check_schedule && not crashed.(i) then
-           Option.iter
-             (fun schedule ->
-               if on.(i) <> schedule ~n ~k ~me:i ~round then
-                 raise
-                   (Protocol_violation
-                      (Printf.sprintf
-                         "station %d round %d: on_duty disagrees with static schedule"
-                         i round)))
-             A.static_schedule
+           match A.static_schedule with
+           | Some schedule ->
+             if on.(i) <> schedule ~n ~k ~me:i ~round then
+               raise
+                 (Protocol_violation
+                    (Printf.sprintf
+                       "station %d round %d: on_duty disagrees with static schedule"
+                       i round))
+           | None -> ()
        done
      | Some sp ->
        (* Ascending merge over prev_list ∪ on_set(round). Every station
@@ -713,44 +763,22 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
                   (Printf.sprintf
                      "station %d round %d: on_duty disagrees with sparse on_set"
                      i round));
-           Option.iter
-             (fun schedule ->
-               if in_cur <> schedule ~n ~k ~me:i ~round then
-                 raise
-                   (Protocol_violation
-                      (Printf.sprintf
-                         "station %d round %d: sparse on_set disagrees with \
-                          static schedule"
-                         i round)))
-             A.static_schedule
+           match A.static_schedule with
+           | Some schedule ->
+             if in_cur <> schedule ~n ~k ~me:i ~round then
+               raise
+                 (Protocol_violation
+                    (Printf.sprintf
+                       "station %d round %d: sparse on_set disagrees with \
+                        static schedule"
+                       i round))
+           | None -> ()
          end
        done);
     Metrics.note_on_count metrics !on_count;
     if observing && !on_count > cap then
       emit ~round (Event.Cap_exceeded { on_count = !on_count; cap });
-    (* Actions of switched-on stations, recorded into the scratch arrays in
-       station order — the same order the old list-based path produced. *)
     tx_count := 0;
-    let act_station i =
-      if on.(i) then
-        match A.act states.(i) ~round ~queue:queues.(i) with
-        | Action.Listen -> ()
-        | Action.Transmit m ->
-          (match m.Message.packet with
-           | Some p ->
-             if not (Pqueue.mem queues.(i) p) then
-               raise
-                 (Protocol_violation
-                    (Printf.sprintf "station %d transmitted a packet not in its queue" i))
-           | None -> ());
-          if A.plain_packet && not (Message.is_plain m) then
-            raise
-              (Protocol_violation
-                 (Printf.sprintf "plain-packet algorithm %s sent a non-plain message" A.name));
-          tx_station.(!tx_count) <- i;
-          tx_message.(!tx_count) <- m;
-          incr tx_count
-    in
     (match sparse_impl with
      | None ->
        for i = 0 to n - 1 do
@@ -775,9 +803,12 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
        jam of a zero-transmitter round leaves the channel silent but is
        still counted — the fault fired, whether or not anyone was
        talking. Colliding-station lists exist only in events, so they are
-       built only when a sink is observing. *)
+       built only when a sink is observing. A round is heard when exactly
+       one station transmitted and no fault interfered; its transmitter
+       and message are then the first scratch slot. *)
     let jammed = !jam_now || !noise_now in
-    let feedback, heard =
+    let heard = !tx_count = 1 && not jammed in
+    let feedback =
       if !tx_count = 0 then
         if !noise_now then begin
           Metrics.note_jammed metrics ~round ~noise:true;
@@ -786,7 +817,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
             emit ~round (Event.Round_jammed { transmitters = 0; noise = true });
             emit ~round (Event.Collision { stations = [] })
           end;
-          (Feedback.Collision, None)
+          Feedback.Collision
         end
         else begin
           if !jam_now then begin
@@ -796,10 +827,9 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
           end;
           Metrics.note_silence metrics;
           if observing then emit ~round Event.Silence;
-          (Feedback.Silence, None)
+          Feedback.Silence
         end
-      else if !tx_count = 1 && not jammed then
-        (Feedback.Heard tx_message.(0), Some (tx_station.(0), tx_message.(0)))
+      else if heard then Feedback.Heard tx_message.(0)
       else begin
         if jammed then begin
           Metrics.note_jammed metrics ~round ~noise:!noise_now;
@@ -813,52 +843,47 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
           emit ~round
             (Event.Collision
                { stations = List.init !tx_count (fun j -> tx_station.(j)) });
-        (Feedback.Collision, None)
+        Feedback.Collision
       end
     in
-    let t3 = if !timing then Unix.gettimeofday () else 0.0 in
+    clock 3;
     (* A heard packet leaves the transmitter; it is delivered if its
        destination is on, otherwise it awaits adoption. *)
     let pending = ref None in
-    (match heard with
-     | None -> ()
-     | Some (s, m) ->
-       let bits = Message.control_bits m in
-       Metrics.note_control_bits metrics bits;
-       if observing then
-         emit ~round
-           (Event.Heard { station = s; bits; light = m.Message.packet = None });
-       (match m.Message.packet with
-        | None -> Metrics.note_light metrics
-        | Some p ->
-          let removed = Pqueue.remove queues.(s) p in
-          assert removed;
-          note_queue_removed s;
-          let tracked = Hashtbl.find registry p.Packet.id in
-          tracked.hops <- tracked.hops + 1;
-          if on.(p.Packet.dst) then begin
-            if tracked.delivered then
-              raise (Protocol_violation "duplicate delivery");
-            tracked.delivered <- true;
-            Hashtbl.remove registry p.Packet.id;
-            Metrics.note_delivery metrics
-              ~delay:(round - p.Packet.injected_at) ~hops:tracked.hops;
-            if observing then
-              emit ~round
-                (Event.Delivered
-                   { id = p.Packet.id; from_ = s; dst = p.Packet.dst;
-                     delay = round - p.Packet.injected_at;
-                     hops = tracked.hops })
-          end
-          else pending := Some (s, p)));
+    if heard then begin
+      let s = tx_station.(0) and m = tx_message.(0) in
+      let bits = Message.control_bits m in
+      Metrics.note_control_bits metrics bits;
+      if observing then
+        emit ~round
+          (Event.Heard { station = s; bits; light = m.Message.packet = None });
+      match m.Message.packet with
+      | None -> Metrics.note_light metrics
+      | Some p ->
+        let removed = Pqueue.remove queues.(s) p in
+        assert removed;
+        note_queue_removed s;
+        let tracked = Int_table.find registry p.Packet.id in
+        tracked.hops <- tracked.hops + 1;
+        if on.(p.Packet.dst) then begin
+          if tracked.delivered then
+            raise (Protocol_violation "duplicate delivery");
+          tracked.delivered <- true;
+          Int_table.remove registry p.Packet.id;
+          Metrics.note_delivery metrics
+            ~delay:(round - p.Packet.injected_at) ~hops:tracked.hops;
+          if observing then
+            emit ~round
+              (Event.Delivered
+                 { id = p.Packet.id; from_ = s; dst = p.Packet.dst;
+                   delay = round - p.Packet.injected_at;
+                   hops = tracked.hops })
+        end
+        else pending := m.Message.packet
+    end;
     (* Feedback and reactions. *)
-    let adopters = ref [] in
-    let observe_station i =
-      if on.(i) then
-        match A.observe states.(i) ~round ~queue:queues.(i) ~feedback with
-        | Reaction.No_reaction -> ()
-        | Reaction.Adopt_heard_packet -> adopters := i :: !adopters
-    in
+    cur_feedback := feedback;
+    adopters := [];
     (match sparse_impl with
      | None ->
        for i = 0 to n - 1 do
@@ -873,15 +898,17 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
          emit ~round (Event.Spurious_adoption { stations = adopters });
        violation ~strict metrics Metrics.note_spurious_adoption
          "adoption reaction with no packet pending"
-     | Some (s, p), [] ->
+     | Some p, [] ->
        (* Nobody took the packet: return it to the transmitter. *)
+       let s = tx_station.(0) in
        Pqueue.add queues.(s) p;
        note_queue_add ~round s;
        if observing then
          emit ~round (Event.Stranded { id = p.Packet.id; station = s });
        violation ~strict metrics Metrics.note_stranded
          (Printf.sprintf "packet %d stranded at round %d" p.Packet.id round)
-     | Some (s, p), adopter :: rest ->
+     | Some p, adopter :: rest ->
+       let s = tx_station.(0) in
        if rest <> [] then begin
          if observing then
            emit ~round (Event.Adoption_conflict { stations = adopters });
@@ -916,25 +943,26 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
      | Some _ ->
        (* prev_on/prev_list: clear last round's on-set, record this one;
           outside both, the arrays are already false (invariant). *)
-       Array.iter (fun i -> prev_on.(i) <- false) !prev_list;
+       let pl = !prev_list in
+       for j = 0 to Array.length pl - 1 do
+         prev_on.(pl.(j)) <- false
+       done;
        let cur = !cur_set in
        let cnt = ref 0 in
-       Array.iter
-         (fun i ->
-           if on.(i) then begin
-             prev_on.(i) <- true;
-             incr cnt
-           end)
-         cur;
+       for j = 0 to Array.length cur - 1 do
+         if on.(cur.(j)) then begin
+           prev_on.(cur.(j)) <- true;
+           incr cnt
+         end
+       done;
        let np = Array.make !cnt 0 in
-       let j = ref 0 in
-       Array.iter
-         (fun i ->
-           if on.(i) then begin
-             np.(!j) <- i;
-             incr j
-           end)
-         cur;
+       let next = ref 0 in
+       for j = 0 to Array.length cur - 1 do
+         if on.(cur.(j)) then begin
+           np.(!next) <- cur.(j);
+           incr next
+         end
+       done;
        prev_list := np);
     Metrics.end_round metrics ~round ~draining;
     if observing then
@@ -942,12 +970,11 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
     if !timing then begin
       match lt with
       | Some l ->
-        let t4 = Unix.gettimeofday () in
-        let ns a b = int_of_float ((b -. a) *. 1e9) in
-        Histogram.record l.lt_phase.(0) (ns t0 t1);
-        Histogram.record l.lt_phase.(1) (ns t1 t2);
-        Histogram.record l.lt_phase.(2) (ns t2 t3);
-        Histogram.record l.lt_phase.(3) (ns t3 t4);
+        clock 4;
+        for ph = 0 to 3 do
+          Histogram.record l.lt_phase.(ph)
+            (int_of_float ((phase_clock.(ph + 1) -. phase_clock.(ph)) *. 1e9))
+        done;
         Histogram.record l.lt_phase.(4) (int_of_float (!obs_acc *. 1e9))
       | None -> ()
     end
@@ -991,7 +1018,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
             let hs = Array.make (Pqueue.size q) 0 in
             let j = ref 0 in
             Pqueue.iter q ~f:(fun p ->
-                hs.(!j) <- (Hashtbl.find registry p.Packet.id).hops;
+                hs.(!j) <- (Int_table.find registry p.Packet.id).hops;
                 incr j);
             hs)
           queues;
@@ -1074,7 +1101,7 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
         let na =
           if !na_cache < 0 || !na_cache < r then begin
             let ne =
-              Hashtbl.fold (fun i () acc -> (i, queues.(i)) :: acc) nonempty []
+              Int_table.fold (fun i () acc -> (i, queues.(i)) :: acc) nonempty []
             in
             let v =
               match sp.Algorithm.next_active ~round:r ~nonempty:ne with
@@ -1129,16 +1156,16 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
        left both the queues and [Metrics.total_queued], so the equality
        below holds for faulted runs too. *)
     let queued_total = ref 0 in
-    let seen = Hashtbl.create 4096 in
+    let seen = Int_table.create 4096 in
     let max_age = ref 0 in
     Array.iter
       (fun q ->
         queued_total := !queued_total + Pqueue.size q;
         Pqueue.iter q ~f:(fun p ->
-            if Hashtbl.mem seen p.Packet.id then
+            if Int_table.mem seen p.Packet.id then
               raise (Protocol_violation "packet present in two queues");
-            Hashtbl.replace seen p.Packet.id ();
-            let tracked = Hashtbl.find registry p.Packet.id in
+            Int_table.replace seen p.Packet.id ();
+            let tracked = Int_table.find registry p.Packet.id in
             if tracked.delivered then
               raise (Protocol_violation "delivered packet still queued");
             let age = final_round - p.Packet.injected_at in

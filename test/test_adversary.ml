@@ -273,6 +273,133 @@ let test_cap2_breaker_moves_witness () =
     check_bool "helpers avoid the new witness" true (s1 <> 4 && s2 <> 4 && s1 <> s2)
   | _ -> Alcotest.fail "expected one injection"
 
+(* The integer bucket against a rational restatement of its recurrence,
+   b(t+1) = min(rho + beta, b(t) - i(t) + rho), over random types whose
+   denominators go up to 1000 (so the lcm lattice is rarely dyadic and
+   often near 10^6), rho = 1 included, with fractional bursts. Steps
+   interleave spending up to the grant, single refills and skips of up to
+   10^12 rounds; after every step the exact level must match the model and
+   restoring the level the bucket reports must leave it unchanged. A skip
+   of m rounds restates m refills as min(cap, b + m rho), which saturates
+   once m rho exceeds the cap. *)
+let bucket_model_property =
+  let open Mac_channel in
+  let gen =
+    QCheck.(
+      pair
+        (quad (int_range 0 9)
+           (pair (int_range 1 1000) (int_range 0 999))
+           (int_range 1 20)
+           (pair (int_range 1 1000) (int_range 0 999)))
+        (list_of_size Gen.(1 -- 60)
+           (pair (int_range 0 9) (int_range 0 1_000_000_000_000))))
+  in
+  QCheck.Test.make ~name:"bucket_matches_rational_recurrence" ~count:300 gen
+    (fun ((one, (rd, rn), bi, (bd, bn)), steps) ->
+      let rate = if one = 0 then Qrat.one else Qrat.make (1 + (rn mod rd)) rd in
+      let burst = Qrat.add (Qrat.of_int bi) (Qrat.make (bn mod bd) bd) in
+      let cap = Qrat.add rate burst in
+      let b = Leaky_bucket.create_q ~rate ~burst in
+      let model = ref cap in
+      (* rounds after which m refills certainly reach the cap from 0 *)
+      let saturating =
+        Qrat.floor (Qrat.mul cap (Qrat.make (Qrat.den rate) (Qrat.num rate))) + 1
+      in
+      let holds () =
+        let level = Leaky_bucket.tokens b in
+        Leaky_bucket.set_tokens b level;
+        Qrat.equal level !model
+        && Qrat.equal (Leaky_bucket.tokens b) !model
+        && Leaky_bucket.grant b = Qrat.floor !model
+      in
+      holds ()
+      && List.for_all
+           (fun (kind, amount) ->
+             (match kind with
+              | 0 | 1 | 2 ->
+                let spend = amount mod (Leaky_bucket.grant b + 1) in
+                Leaky_bucket.consume b spend;
+                model := Qrat.sub !model (Qrat.of_int spend)
+              | 3 | 4 | 5 ->
+                Leaky_bucket.advance b;
+                model := Qrat.min cap (Qrat.add !model rate)
+              | _ ->
+                let rounds = if kind = 6 then amount mod 7 else amount in
+                Leaky_bucket.skip b ~rounds;
+                model :=
+                  if rounds >= saturating then cap
+                  else Qrat.min cap (Qrat.add !model (Qrat.mul_int rate rounds)));
+             holds ())
+           steps)
+
+let rejects_level b v =
+  match Leaky_bucket.set_tokens b v with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+(* Skips of nearly max_int rounds land exactly on the cap, from any level;
+   levels outside [0, rho + beta] or off the 1/lcm lattice are rejected
+   and leave the level as it was; a type whose lattice leaves the int
+   range is refused when the bucket is created. *)
+let test_bucket_skip_and_lattice () =
+  let module Q = Mac_channel.Qrat in
+  check_bool "lattice overflow refused at creation" true
+    (match
+       Leaky_bucket.create_q ~rate:(Q.make 1 (1 lsl 40))
+         ~burst:(Q.add Q.one (Q.make 1 ((1 lsl 40) - 1)))
+     with
+     | _ -> false
+     | exception Q.Overflow _ -> true);
+  List.iter
+    (fun (rate, burst) ->
+      let b = Leaky_bucket.create_q ~rate ~burst in
+      let cap = Q.add rate burst in
+      let scale =
+        let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+        Q.den rate / gcd (Q.den rate) (Q.den burst) * Q.den burst
+      in
+      List.iter
+        (fun rounds ->
+          Leaky_bucket.consume b (Leaky_bucket.grant b);
+          Leaky_bucket.skip b ~rounds;
+          check_bool
+            (Printf.sprintf "skip %d lands on the cap %s" rounds (Q.to_string cap))
+            true
+            (Q.equal (Leaky_bucket.tokens b) cap))
+        [ max_int; max_int - 1; max_int / 2; max_int / Q.num rate ];
+      Leaky_bucket.consume b 1;
+      let level = Leaky_bucket.tokens b in
+      List.iter
+        (fun (what, v) ->
+          check_bool (what ^ " rejected") true (rejects_level b v);
+          check_bool (what ^ ": level unchanged") true
+            (Q.equal (Leaky_bucket.tokens b) level))
+        [ ("negative", Q.make (-1) scale);
+          ("above the cap", Q.add cap (Q.make 1 scale));
+          ("far above the cap", Q.of_int max_int);
+          ("off the lattice", Q.make 1 (scale + 1));
+          ("off the lattice, finer", Q.make 1 (2 * scale)) ])
+    [ (Q.one, Q.of_int 1);
+      (Q.one, Q.make 7 3);
+      (Q.make 1 3, Q.make 11 7);
+      (Q.make 999 1000, Q.make 1997 997);
+      (Q.make 13 100, Q.of_int 2) ]
+
+(* The round-loop operations work on the integer level only: a million
+   rounds of grant, consume, advance and skip allocate nothing. *)
+let test_bucket_allocation_free () =
+  let module Q = Mac_channel.Qrat in
+  let b = Leaky_bucket.create_q ~rate:(Q.make 13 100) ~burst:(Q.make 7 3) in
+  let w0 = Gc.minor_words () in
+  for round = 1 to 1_000_000 do
+    Leaky_bucket.consume b (Leaky_bucket.grant b);
+    Leaky_bucket.advance b;
+    if round mod 1000 = 0 then Leaky_bucket.skip b ~rounds:round
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "no minor words allocated (saw %.0f)" words) true
+    (words < 100.0)
+
 (* ---- drift regression ----
 
    The bucket's grant schedule under paced consumption (at most one packet
@@ -336,7 +463,12 @@ let () =
            (drift_case ~rate_num:1 ~rate_den:10 ~burst_int:2);
          Alcotest.test_case "drift regression rho=1/3" `Quick
            (drift_case ~rate_num:1 ~rate_den:3 ~burst_int:1);
-         QCheck_alcotest.to_alcotest bucket_window_property ]);
+         QCheck_alcotest.to_alcotest bucket_window_property;
+         QCheck_alcotest.to_alcotest bucket_model_property;
+         Alcotest.test_case "skip saturates, lattice enforced" `Quick
+           test_bucket_skip_and_lattice;
+         Alcotest.test_case "allocation-free rounds" `Quick
+           test_bucket_allocation_free ]);
       ("patterns",
        [ no_self_pairs "uniform valid" (Pattern.uniform ~n:8 ~seed:1);
          no_self_pairs "flood valid" (Pattern.flood ~n:8 ~victim:3);

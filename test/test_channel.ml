@@ -133,14 +133,6 @@ let test_pqueue_oldest_queries () =
   check_int "oldest_to_such" 3
     (id_of (Pqueue.oldest_to_such q 2 (fun p -> p.id > 1)))
 
-let test_pqueue_count_below () =
-  let q = Pqueue.create ~n:5 in
-  List.iter (fun (id, dst) -> Pqueue.add q (packet ~id ~dst))
-    [ (1, 0); (2, 2); (3, 2); (4, 4) ];
-  check_int "below 0" 0 (Pqueue.count_to_below q 0);
-  check_int "below 3" 3 (Pqueue.count_to_below q 3);
-  check_int "below 5" 4 (Pqueue.count_to_below q 5)
-
 let test_pqueue_readdition_moves_to_tail () =
   let q = Pqueue.create ~n:4 in
   let p1 = packet ~id:1 ~dst:2 in
@@ -214,39 +206,105 @@ let pqueue_drain_equiv =
       && ids (Pqueue.drain q_drain) = ids (drain_via_model q_model)
       && same_state ())
 
-(* Model-based property: a queue behaves like a list of (id, dst) pairs in
-   insertion order under a random sequence of adds and removes. *)
+(* Model-based property: a queue behaves like a list of packets in arrival
+   order under a random sequence of adds, removes and re-additions. After
+   every step each query is compared with the model: membership, removal
+   of absent packets, size and per-destination counts, oldest packets
+   overall and per destination, the first matches of an id predicate
+   (overall and per destination), fold and iter order, and the touched
+   destination's whole order — so a packet removed and added again must
+   reach the tail of both the arrival order and its destination's order.
+   Destinations are drawn from 0..5 (many packets per destination) or
+   from 0..99 999 (n = 10⁵, almost every destination distinct). *)
 let pqueue_model =
   QCheck.Test.make ~name:"pqueue_matches_list_model" ~count:200
-    QCheck.(list (pair (int_range 0 50) (int_range 0 5)))
-    (fun ops ->
-      let q = Pqueue.create ~n:6 in
+    QCheck.(
+      pair bool
+        (list_of_size Gen.(0 -- 120)
+           (pair (int_range 0 50) (int_range 0 99_999))))
+    (fun (wide, ops) ->
+      let n = if wide then 100_000 else 6 in
+      let q = Pqueue.create ~n in
       let model = ref [] in
+      let removed = ref [] in
       let next = ref 0 in
-      List.iter
-        (fun (choice, dst) ->
-          if choice < 40 || !model = [] then begin
-            let p = Packet.make ~id:!next ~src:0 ~dst ~injected_at:0 in
-            incr next;
-            Pqueue.add q p;
-            model := !model @ [ p ]
-          end
-          else begin
-            (* remove the (choice mod length)-th model element *)
-            let idx = choice mod List.length !model in
-            let victim = List.nth !model idx in
-            ignore (Pqueue.remove q victim);
-            model := List.filter (fun p -> not (Packet.equal p victim)) !model
-          end)
-        ops;
       let ids (l : Packet.t list) = List.map (fun (p : Packet.t) -> p.id) l in
-      ids (Pqueue.to_list q) = ids !model
-      && Pqueue.size q = List.length !model
-      && List.for_all
-           (fun d ->
-             Pqueue.count_to q d
-             = List.length (List.filter (fun (p : Packet.t) -> p.dst = d) !model))
-           [ 0; 1; 2; 3; 4; 5 ])
+      let id_of = function Some (p : Packet.t) -> p.id | None -> -1 in
+      let first pred l =
+        match List.find_opt pred l with Some (p : Packet.t) -> p.id | None -> -1
+      in
+      (* The destination's order, read back through the query the
+         algorithms use: repeatedly the oldest packet to [d] not yet seen. *)
+      let dest_order d =
+        let rec go seen =
+          match
+            Pqueue.oldest_to_such q d (fun p -> not (List.mem p.Packet.id seen))
+          with
+          | Some p -> go (p.Packet.id :: seen)
+          | None -> List.rev seen
+        in
+        go []
+      in
+      let consistent ~touched ~modulus =
+        let m = !model in
+        let to_d d (p : Packet.t) = p.dst = d in
+        let pred (p : Packet.t) = p.id mod modulus = 0 in
+        let never = Packet.make ~id:!next ~src:0 ~dst:touched ~injected_at:0 in
+        ids (Pqueue.to_list q) = ids m
+        && Pqueue.size q = List.length m
+        && Pqueue.is_empty q = (m = [])
+        && List.for_all (Pqueue.mem q) m
+        && (not (Pqueue.mem q never))
+        && (not (Pqueue.remove q never))
+        && List.for_all (fun p -> not (Pqueue.mem q p)) !removed
+        && (match !removed with p :: _ -> not (Pqueue.remove q p) | [] -> true)
+        && id_of (Pqueue.oldest q) = first (fun _ -> true) m
+        && id_of (Pqueue.oldest_such q pred) = first pred m
+        && ids (List.rev (Pqueue.fold q ~init:[] ~f:(fun acc p -> p :: acc)))
+           = ids m
+        && (let seen = ref [] in
+            Pqueue.iter q ~f:(fun p -> seen := p :: !seen);
+            ids (List.rev !seen) = ids m)
+        && List.for_all
+             (fun d ->
+               Pqueue.count_to q d = List.length (List.filter (to_d d) m)
+               && id_of (Pqueue.oldest_to q d) = first (to_d d) m
+               && id_of (Pqueue.oldest_to_such q d pred)
+                  = first (fun p -> to_d d p && pred p) m)
+             (touched :: List.map (fun (p : Packet.t) -> p.dst) m)
+        && dest_order touched = ids (List.filter (to_d touched) m)
+      in
+      List.for_all
+        (fun (choice, dst) ->
+          let dst = dst mod n in
+          let touched =
+            if choice < 30 || !model = [] then begin
+              let p = Packet.make ~id:!next ~src:0 ~dst ~injected_at:0 in
+              incr next;
+              Pqueue.add q p;
+              model := !model @ [ p ];
+              dst
+            end
+            else begin
+              let victim = List.nth !model (choice mod List.length !model) in
+              let others =
+                List.filter (fun p -> not (Packet.equal p victim)) !model
+              in
+              let present = Pqueue.remove q victim in
+              if choice < 40 then begin
+                (* re-addition: the packet becomes the newest *)
+                Pqueue.add q victim;
+                model := others @ [ victim ]
+              end
+              else begin
+                model := others;
+                removed := victim :: !removed
+              end;
+              if not present then -1 else victim.Packet.dst
+            end
+          in
+          touched >= 0 && consistent ~touched ~modulus:(2 + (choice mod 3)))
+        ops)
 
 (* [dests] feeds the sparse engine's next_active queries: it must list
    exactly the destinations with at least one queued packet, ascending,
@@ -383,7 +441,6 @@ let () =
          Alcotest.test_case "remove" `Quick test_pqueue_remove;
          Alcotest.test_case "duplicate rejected" `Quick test_pqueue_duplicate_rejected;
          Alcotest.test_case "oldest queries" `Quick test_pqueue_oldest_queries;
-         Alcotest.test_case "count below" `Quick test_pqueue_count_below;
          Alcotest.test_case "re-addition" `Quick test_pqueue_readdition_moves_to_tail;
          Alcotest.test_case "drain" `Quick test_pqueue_drain;
          QCheck_alcotest.to_alcotest pqueue_drain_equiv;

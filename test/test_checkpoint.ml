@@ -582,6 +582,67 @@ let test_sparse_checkpoint_bytes () =
         Alcotest.failf "checkpoint %d differs between dense and sparse" i)
     (List.combine dense sparse)
 
+(* Checkpoint bytes pinned across builds: the paper-horizon operating
+   points, run as `routing_sim run SPEC --rounds 5000 --seed 3
+   --checkpoint FILE --checkpoint-every 2500` runs them, must write the
+   metadata lines (blob length and CRC-32 included) recorded in
+   golden/checkpoints.txt. The other byte checks compare two runs of one
+   build; this one catches a change to queue, bucket or state encoding
+   that alters every run alike. *)
+let golden_points =
+  let module P = Mac_adversary.Pattern in
+  let uniform n = P.uniform ~n ~seed:3 in
+  [ ("orchestra", (module Mac_routing.Orchestra : Mac_channel.Algorithm.S),
+     8, 3, Mac_channel.Qrat.one, P.flood ~n:8 ~victim:2);
+    ("count-hop", (module Mac_routing.Count_hop), 8, 2,
+     Mac_channel.Qrat.make 4 5, uniform 8);
+    ("adjust-window", (module Mac_routing.Adjust_window), 4, 2,
+     Mac_channel.Qrat.make 1 2, uniform 4);
+    ("k-cycle", Mac_routing.K_cycle.algorithm ~n:12 ~k:4, 12, 4,
+     Mac_channel.Qrat.make 13 100, uniform 12);
+    ("k-clique", Mac_routing.K_clique.algorithm ~n:12 ~k:4, 12, 4,
+     Mac_channel.Qrat.make 3 100, uniform 12);
+    ("k-subsets", Mac_routing.K_subsets.algorithm ~n:8 ~k:3 (), 8, 3,
+     Mac_channel.Qrat.make 1 10, P.pair_flood ~src:1 ~dst:2) ]
+
+let test_golden_checkpoint_bytes () =
+  let path = temp_path ".bin" in
+  let lines = ref [] in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (label, algorithm, n, k, rate, pattern) ->
+          let adversary =
+            Mac_adversary.Adversary.create_q ~rate
+              ~burst:(Mac_channel.Qrat.of_int 2) pattern
+          in
+          let on_checkpoint snap =
+            Mac_sim.Checkpoint.write ~path snap;
+            let meta =
+              List.nth (String.split_on_char '\n' (read_string path)) 1
+            in
+            lines :=
+              Printf.sprintf "%s %d %s" label
+                (Mac_sim.Engine.snapshot_round snap) meta
+              :: !lines
+          in
+          let config =
+            { (Mac_sim.Engine.default_config ~rounds:5000) with
+              mode = Mac_sim.Engine.Auto; checkpoint_every = 2500;
+              on_checkpoint = Some on_checkpoint }
+          in
+          ignore
+            (Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary
+               ~rounds:5000 ()))
+        golden_points);
+  let golden =
+    read_string "golden/checkpoints.txt"
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check (list string)) "metadata lines" golden (List.rev !lines)
+
 let () =
   Alcotest.run "checkpoint"
     [ ("resume-equivalence",
@@ -605,7 +666,9 @@ let () =
          Alcotest.test_case "v1 files still readable" `Quick
            test_v1_still_readable;
          Alcotest.test_case "telemetry leaves checkpoints untouched" `Quick
-           test_checkpoint_bytes_telemetry_invariant ]);
+           test_checkpoint_bytes_telemetry_invariant;
+         Alcotest.test_case "golden metadata lines" `Quick
+           test_golden_checkpoint_bytes ]);
       ("validation",
        [ Alcotest.test_case "mismatched snapshots rejected" `Quick
            test_resume_validation;

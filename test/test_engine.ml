@@ -491,6 +491,53 @@ let test_self_injection_queue_gauges () =
   let r = finalize replayed in
   Alcotest.(check bool) "replay agrees with the live path" true (r = s)
 
+(* Allocation ceilings for the dense round loop. Minor words per round are
+   exact for a given build, so growth that used to pass unnoticed (a queue
+   or bucket that allocates per packet, a closure per membership test)
+   fails here. Each point is a paper-horizon operating point run densely
+   at seed 1, the configuration `routing_sim run SPEC --seed 1
+   --engine dense` uses; the ceilings sit about 10% above the counts the
+   current code reaches. *)
+let allocation_points =
+  let module P = Mac_adversary.Pattern in
+  [ ("orchestra", (module Mac_routing.Orchestra : Algorithm.S), 8, 3,
+     Qrat.one, P.flood ~n:8 ~victim:2, 83.0);
+    ("count-hop", (module Mac_routing.Count_hop), 8, 2, Qrat.make 4 5,
+     P.uniform ~n:8 ~seed:1, 65.0);
+    ("adjust-window", (module Mac_routing.Adjust_window), 4, 2, Qrat.make 1 2,
+     P.uniform ~n:4 ~seed:1, 73.0);
+    ("k-cycle", Mac_routing.K_cycle.algorithm ~n:12 ~k:4, 12, 4,
+     Qrat.make 13 100, P.uniform ~n:12 ~seed:1, 28.5) ]
+
+let test_allocation_ceilings () =
+  let rounds = 20_000 in
+  let over =
+    List.filter_map
+      (fun (label, algorithm, n, k, rate, pattern, ceiling) ->
+        let module A = (val algorithm : Algorithm.S) in
+        let adversary =
+          Mac_adversary.Adversary.create_q ~rate ~burst:(Qrat.of_int 2) pattern
+        in
+        let config =
+          { (Mac_sim.Engine.default_config ~rounds) with
+            mode = Mac_sim.Engine.Dense; check_schedule = A.oblivious }
+        in
+        let w0 = Gc.minor_words () in
+        ignore
+          (Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ());
+        let per_round = (Gc.minor_words () -. w0) /. float_of_int rounds in
+        Printf.printf "%s: %.1f minor words per round (ceiling %.1f)\n" label
+          per_round ceiling;
+        if per_round > ceiling then
+          Some
+            (Printf.sprintf "%s allocates %.1f, above %.1f" label per_round
+               ceiling)
+        else None)
+      allocation_points
+  in
+  if over <> [] then
+    Alcotest.failf "minor words per round: %s" (String.concat "; " over)
+
 let () =
   Alcotest.run "engine"
     [ ("lawful",
@@ -527,4 +574,7 @@ let () =
            test_sparse_mode_requires_hook;
          Alcotest.test_case "Auto resolution" `Quick
            test_sparse_auto_resolution ]);
-      ("determinism", [ QCheck_alcotest.to_alcotest determinism_property ]) ]
+      ("determinism", [ QCheck_alcotest.to_alcotest determinism_property ]);
+      ("allocation",
+       [ Alcotest.test_case "dense minor words per round" `Quick
+           test_allocation_ceilings ]) ]
