@@ -19,101 +19,44 @@ let qrat_conv =
   in
   Arg.conv ~docv:"RATIONAL" (parse, Mac_channel.Qrat.pp)
 
-(* Constructors are thunked: some validate (n, k) eagerly (k-subsets needs
-   k < n) and a lookup of, say, fs-tree at k = n must not trip them. *)
-let algorithms ~n ~k =
-  [ ("orchestra",
-     fun () -> (module Mac_routing.Orchestra : Mac_channel.Algorithm.S));
-    ("count-hop", fun () -> (module Mac_routing.Count_hop));
-    ("adjust-window", fun () -> (module Mac_routing.Adjust_window));
-    ("k-cycle", fun () -> Mac_routing.K_cycle.algorithm ~n ~k);
-    ("k-clique", fun () -> Mac_routing.K_clique.algorithm ~n ~k);
-    ("k-subsets", fun () -> Mac_routing.K_subsets.algorithm ~n ~k ());
-    ("k-subsets-rrw",
-     fun () -> Mac_routing.K_subsets.algorithm ~discipline:`Rrw ~n ~k ());
-    ("pair-tdma", fun () -> (module Mac_routing.Pair_tdma));
-    ("random-leader", fun () -> Mac_routing.Random_leader.algorithm ~n ~k ());
-    ("rrw", fun () -> (module Mac_broadcast.Rrw));
-    ("of-rrw", fun () -> (module Mac_broadcast.Of_rrw));
-    ("mbtf", fun () -> (module Mac_broadcast.Mbtf));
-    ("fs-tree", fun () -> Mac_broadcast.Ring_broadcast.full_sensing ());
-    ("ack-rr", fun () -> Mac_broadcast.Ring_broadcast.ack_based ());
-    ("backoff", fun () -> Mac_broadcast.Backoff.algorithm ()) ]
+module Registry = Mac_experiments.Registry
 
-let algorithm_names = List.map fst (algorithms ~n:6 ~k:3)
-
-let resolve_algorithm name ~n ~k =
-  match List.assoc_opt name (algorithms ~n ~k) with
-  | Some a -> a ()
-  | None ->
-    Printf.eprintf "unknown algorithm %S; try: %s\n" name
-      (String.concat ", " algorithm_names);
+(* A bad field of the run spec exits 2 with the registry's one line, which
+   names it. *)
+let or_exit2 = function
+  | Ok x -> x
+  | Error msg ->
+    prerr_endline msg;
     exit 2
 
-(* Pattern syntax: uniform | flood:V | pair:S:D | round-robin | to-busiest |
-   hotspot:H:BIAS | alternating:S:D1:D2, plus the batch-only saboteurs
-   below. A bad spec is an [Error] naming it, never an exception: serve's
-   [open] turns it into a protocol error, the batch commands into exit 2. *)
-let pattern_result spec ~n ~seed =
-  let module P = Mac_adversary.Pattern in
-  let station s =
-    match int_of_string_opt s with
-    | Some i when i >= 0 && i < n -> i
-    | Some _ -> failwith (Printf.sprintf "station %s outside [0, %d)" s n)
-    | None -> failwith (Printf.sprintf "%S is not a station" s)
-  in
-  let number s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> failwith (Printf.sprintf "%S is not a number" s)
-  in
-  try
-    match String.split_on_char ':' spec with
-    | [ "uniform" ] -> Ok (P.uniform ~n ~seed)
-    | [ "flood"; v ] -> Ok (P.flood ~n ~victim:(station v))
-    | [ "pair"; s; d ] -> Ok (P.pair_flood ~src:(station s) ~dst:(station d))
-    | [ "round-robin" ] -> Ok (P.round_robin ~n)
-    | [ "to-busiest" ] -> Ok (P.to_busiest ~n)
-    | [ "hotspot"; h; b ] ->
-      Ok (P.hotspot ~n ~seed ~hot:(station h) ~bias:(number b))
-    | [ "alternating"; s; d1; d2 ] ->
-      Ok
-        (P.alternating ~src:(station s) ~dst_odd:(station d1)
-           ~dst_even:(station d2))
-    | [ ("min-duty" | "min-pair" | "cap2") ] ->
-      Error
-        (Printf.sprintf
-           "pattern %S is a saboteur and only available in batch runs" spec)
-    | _ -> Error (Printf.sprintf "unrecognised pattern syntax %S" spec)
-  with Failure msg | Invalid_argument msg ->
-    Error (Printf.sprintf "bad pattern %S: %s" spec msg)
+(* The spec's bounds and (n, k) checks, then its algorithm. *)
+let resolve_algorithm (spec : Registry.spec) =
+  or_exit2
+    (Result.bind (Registry.check spec) (fun () ->
+         Registry.algorithm spec.algorithm ~n:spec.n ~k:spec.k))
 
 (* The saboteurs need the algorithm's schedule, so resolution happens after
-   the algorithm is known. *)
-let resolve_pattern spec ~algorithm ~n ~k ~seed =
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        prerr_endline msg;
-        exit 2)
-      fmt
-  in
+   the algorithm is known; every other spec goes to the registry. *)
+let resolve_pattern (spec : Registry.spec) ~algorithm =
+  let n = spec.n in
   let saboteur make =
-    match Mac_experiments.Scenario.schedule_of algorithm ~n ~k with
-    | None -> fail "bad pattern %S: this saboteur needs an oblivious algorithm" spec
+    match Mac_experiments.Scenario.schedule_of algorithm ~n ~k:spec.k with
+    | None ->
+      Printf.eprintf "\"pattern\": %S needs an oblivious algorithm\n"
+        spec.pattern;
+      exit 2
     | Some schedule ->
       let choice = make ~schedule in
       Printf.printf "saboteur choice: %s\n" choice.Mac_adversary.Saboteur.description;
       choice.Mac_adversary.Saboteur.pattern
   in
-  match spec with
+  match spec.pattern with
   | "min-duty" ->
     saboteur (fun ~schedule -> Mac_adversary.Saboteur.min_duty ~n ~horizon:50_000 ~schedule)
   | "min-pair" ->
     saboteur (fun ~schedule -> Mac_adversary.Saboteur.min_pair ~n ~horizon:50_000 ~schedule)
   | "cap2" -> (Mac_adversary.Saboteur.cap2_breaker ~n).Mac_adversary.Saboteur.pattern
-  | _ -> (
-    match pattern_result spec ~n ~seed with Ok p -> p | Error msg -> fail "%s" msg)
+  | other -> or_exit2 (Registry.pattern other ~n ~seed:spec.seed)
 
 (* ---- supervised execution (shared by run and the batch commands) ---- *)
 
@@ -215,9 +158,9 @@ let progress_line ~round registry =
     "\rround %d/%.0f (%.1f%%)  %.0f rounds/s  backlog %.0f  ETA %s   %!"
     round target pct rps backlog eta
 
-let run_cmd algorithm_name n k rate burst pattern_spec rounds drain seed paced
-    inject series trace_n events stations csv json checkpoint checkpoint_every
-    resume telemetry_file telemetry_jsonl telemetry_every progress engine =
+let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
+    csv json checkpoint checkpoint_every resume telemetry_file telemetry_jsonl
+    telemetry_every progress engine =
   if telemetry_every < 1 then begin
     Printf.eprintf "--telemetry-every must be >= 1 (got %d)\n" telemetry_every;
     exit 2
@@ -248,11 +191,12 @@ let run_cmd algorithm_name n k rate burst pattern_spec rounds drain seed paced
         Printf.eprintf "%s\n" msg;
         exit 2)
   in
-  let algorithm = resolve_algorithm algorithm_name ~n ~k in
+  let algorithm = resolve_algorithm spec in
   let module A = (val algorithm) in
+  let { Registry.n; k; rate; burst; rounds; drain; _ } = spec in
   let pattern =
     match inject with
-    | None -> resolve_pattern pattern_spec ~algorithm ~n ~k ~seed
+    | None -> resolve_pattern spec ~algorithm
     | Some path -> (
       (* Replay a recorded injection trace through the same external-queue
          pattern the serve daemon uses — the serve/batch equivalence tests
@@ -381,51 +325,62 @@ let run_cmd algorithm_name n k rate burst pattern_spec rounds drain seed paced
   if json then print_endline (Mac_sim.Export.summary_json summary);
   `Ok ()
 
-let n_arg =
-  Arg.(value & opt int 8 & info [ "n" ] ~docv:"N" ~doc:"Number of stations.")
-
-let k_arg =
-  Arg.(value & opt int 3 & info [ "k" ] ~docv:"K" ~doc:"Energy cap offered.")
-
-let run_term =
-  let algorithm =
-    Arg.(
-      value
-      & opt string "orchestra"
-      & info [ "a"; "algorithm" ] ~docv:"ALGO"
-          ~doc:(Printf.sprintf "One of: %s." (String.concat ", " algorithm_names)))
+(* The run spec's flags, shared by run, resilience and inspect: each
+   command supplies its algorithm term, its --rounds default, and whether
+   it takes --drain. *)
+let spec_term ~algorithm ~rounds ~drain =
+  let d = Registry.default in
+  let qrat names ~docv ~doc default =
+    Arg.(value & opt qrat_conv default & info names ~docv ~doc)
   in
+  let int names ~docv ~doc default =
+    Arg.(value & opt int default & info names ~docv ~doc)
+  in
+  let n = int [ "n" ] ~docv:"N" ~doc:"Number of stations." d.n in
+  let k = int [ "k" ] ~docv:"K" ~doc:"Energy cap offered." d.k in
   let rate =
-    Arg.(
-      value
-      & opt qrat_conv (Mac_channel.Qrat.make 1 2)
-      & info [ "rate" ] ~docv:"RHO"
-          ~doc:"Injection rate, exact: 1/10, 0.35 or 1.")
+    qrat [ "rate" ] ~docv:"RHO" ~doc:"Injection rate, exact: 1/10, 0.35 or 1."
+      d.rate
   in
   let burst =
-    Arg.(
-      value
-      & opt qrat_conv (Mac_channel.Qrat.of_int 2)
-      & info [ "burst" ] ~docv:"BETA" ~doc:"Burstiness (exact rational).")
+    qrat [ "burst" ] ~docv:"BETA" ~doc:"Burstiness (exact rational)." d.burst
   in
   let pattern =
     Arg.(
       value
-      & opt string "uniform"
+      & opt string d.pattern
       & info [ "p"; "pattern" ] ~docv:"PATTERN"
           ~doc:
             "uniform | flood:V | pair:S:D | round-robin | to-busiest | \
              hotspot:H:BIAS | alternating:S:D1:D2 | min-duty | min-pair | cap2.")
   in
-  let rounds =
-    Arg.(value & opt int 100_000 & info [ "rounds" ] ~docv:"T" ~doc:"Injection rounds.")
-  in
+  let rounds = int [ "rounds" ] ~docv:"T" ~doc:"Injection rounds." rounds in
   let drain =
-    Arg.(
-      value & opt int 0
-      & info [ "drain" ] ~docv:"T" ~doc:"Extra injection-free rounds to empty queues.")
+    if drain then
+      int [ "drain" ] ~docv:"T"
+        ~doc:"Extra injection-free rounds to empty queues." d.drain
+    else Term.const d.drain
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
+  let seed = Arg.(value & opt int d.seed & info [ "seed" ] ~doc:"PRNG seed.") in
+  Term.(
+    const (fun algorithm n k rate burst pattern rounds drain seed ->
+        { Registry.algorithm; n; k; rate; burst; pattern; rounds; drain; seed })
+    $ algorithm $ n $ k $ rate $ burst $ pattern $ rounds $ drain $ seed)
+
+let telemetry_every_arg =
+  Arg.(
+    value & opt int 1000
+    & info [ "telemetry-every" ] ~docv:"N"
+        ~doc:"Telemetry sampling cadence in rounds (default 1000).")
+
+let algorithm_arg =
+  Arg.(
+    value
+    & opt string Registry.default.algorithm
+    & info [ "a"; "algorithm" ] ~docv:"ALGO"
+        ~doc:(Printf.sprintf "One of: %s." (String.concat ", " Registry.names)))
+
+let run_term =
   let paced =
     Arg.(value & flag & info [ "paced" ] ~doc:"Spread injections instead of greedy bursts.")
   in
@@ -518,12 +473,6 @@ let run_term =
       & info [ "telemetry-jsonl" ] ~docv:"FILE"
           ~doc:"Append each telemetry sample as one event JSON line to FILE.")
   in
-  let telemetry_every =
-    Arg.(
-      value & opt int 1000
-      & info [ "telemetry-every" ] ~docv:"N"
-          ~doc:"Telemetry sampling cadence in rounds (default 1000).")
-  in
   let progress =
     Arg.(
       value & flag
@@ -551,10 +500,12 @@ let run_term =
   in
   Term.(
     ret
-      (const run_cmd $ algorithm $ n_arg $ k_arg $ rate $ burst $ pattern
-       $ rounds $ drain $ seed $ paced $ inject $ series $ trace_n $ events
+      (const run_cmd
+       $ spec_term ~algorithm:algorithm_arg ~rounds:Registry.default.rounds
+           ~drain:true
+       $ paced $ inject $ series $ trace_n $ events
        $ stations $ csv $ json $ checkpoint $ checkpoint_every $ resume
-       $ telemetry_file $ telemetry_jsonl $ telemetry_every $ progress
+       $ telemetry_file $ telemetry_jsonl $ telemetry_every_arg $ progress
        $ engine))
 
 (* ---- table1 / figures commands ---- *)
@@ -851,10 +802,9 @@ let load_fault_plan path =
     Printf.eprintf "%s\n" msg;
     exit 2
 
-let resilience_cmd algo n k rate burst pattern_spec rounds drain seed quick
-    jobs trace_n events_dir telemetry_dir telemetry_every fault_plan fault_seed
-    crash_rate jam_rate noise_rate restart_after crash_drop events json retries
-    job_timeout keep_going =
+let resilience_cmd algo spec quick jobs trace_n events_dir telemetry_dir
+    telemetry_every fault_plan fault_seed crash_rate jam_rate noise_rate
+    restart_after crash_drop events json retries job_timeout keep_going =
   match algo with
   | None ->
     (* Suite mode: sweep every subject algorithm across the fault plans. *)
@@ -877,8 +827,10 @@ let resilience_cmd algo n k rate burst pattern_spec rounds drain seed quick
     if retries > 0 || job_timeout > 0.0 || keep_going then
       Printf.eprintf
         "note: --retries/--job-timeout/--keep-going apply to suite mode only\n";
-    let algorithm = resolve_algorithm algorithm_name ~n ~k in
+    let spec = { spec with Registry.algorithm = algorithm_name } in
+    let algorithm = resolve_algorithm spec in
     let module A = (val algorithm) in
+    let { Registry.n; k; rate; burst; rounds; drain; _ } = spec in
     let plan =
       match fault_plan with
       | Some path -> load_fault_plan path
@@ -901,7 +853,7 @@ let resilience_cmd algo n k rate burst pattern_spec rounds drain seed quick
         n;
       exit 2
     end;
-    let pattern = resolve_pattern pattern_spec ~algorithm ~n ~k ~seed in
+    let pattern = resolve_pattern spec ~algorithm in
     let adversary =
       Mac_adversary.Adversary.create_q ~rate ~burst
         ~pacing:Mac_adversary.Adversary.Greedy pattern
@@ -977,8 +929,7 @@ let read_events path =
        with End_of_file -> ());
       List.rev !events)
 
-let inspect_cmd file algorithm_name n k rate burst pattern_spec rounds seed last
-    width =
+let inspect_cmd file spec last width =
   (match file with
    | Some path ->
      let events = read_events path in
@@ -996,9 +947,10 @@ let inspect_cmd file algorithm_name n k rate burst pattern_spec rounds seed last
      List.iter (fun (round, ev) -> Mac_sim.Timeline.feed tl ~round ev) events;
      print_string (Mac_sim.Timeline.render ~width tl)
    | None ->
-     let algorithm = resolve_algorithm algorithm_name ~n ~k in
+     let algorithm = resolve_algorithm spec in
      let module A = (val algorithm) in
-     let pattern = resolve_pattern pattern_spec ~algorithm ~n ~k ~seed in
+     let { Registry.n; k; rate; burst; rounds; _ } = spec in
+     let pattern = resolve_pattern spec ~algorithm in
      let adversary =
        Mac_adversary.Adversary.create_q ~rate ~burst
          ~pacing:Mac_adversary.Adversary.Greedy pattern
@@ -1023,9 +975,9 @@ let list_cmd () =
   print_endline "algorithms:";
   List.iter
     (fun name ->
-      let a = resolve_algorithm name ~n:8 ~k:3 in
+      let a = or_exit2 (Registry.algorithm name ~n:8 ~k:3) in
       Printf.printf "  %-14s %s\n" name (Mac_channel.Algorithm.describe a))
-    algorithm_names;
+    Registry.names;
   print_endline "table-1 experiments:";
   List.iter
     (fun (e : Mac_experiments.Table1.t) -> Printf.printf "  %-24s %s\n" e.id e.claim)
@@ -1086,12 +1038,6 @@ let telemetry_dir_arg =
            DIR/<scenario>.prom per running scenario plus the aggregate \
            DIR/fleet.prom, each rewritten atomically every \
            --telemetry-every rounds. Watch them with routing_sim top DIR.")
-
-let telemetry_every_arg =
-  Arg.(
-    value & opt int 1000
-    & info [ "telemetry-every" ] ~docv:"N"
-        ~doc:"Telemetry sampling cadence in rounds (default 1000).")
 
 let table1_json_arg =
   Arg.(
@@ -1188,37 +1134,6 @@ let resilience_term =
             "Run a single algorithm under one fault plan instead of the full \
              suite.")
   in
-  let rate =
-    Arg.(
-      value
-      & opt qrat_conv (Mac_channel.Qrat.make 1 2)
-      & info [ "rate" ] ~docv:"RHO"
-          ~doc:"Injection rate, exact: 1/10, 0.35 or 1.")
-  in
-  let burst =
-    Arg.(
-      value
-      & opt qrat_conv (Mac_channel.Qrat.of_int 2)
-      & info [ "burst" ] ~docv:"BETA" ~doc:"Burstiness (exact rational).")
-  in
-  let pattern =
-    Arg.(
-      value
-      & opt string "uniform"
-      & info [ "p"; "pattern" ] ~docv:"PATTERN"
-          ~doc:"Same syntax as the run command.")
-  in
-  let rounds =
-    Arg.(
-      value & opt int 20_000
-      & info [ "rounds" ] ~docv:"T" ~doc:"Injection rounds (single-run mode).")
-  in
-  let drain =
-    Arg.(
-      value & opt int 0
-      & info [ "drain" ] ~docv:"T" ~doc:"Extra injection-free rounds to empty queues.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Adversary PRNG seed.") in
   let events_dir =
     Arg.(
       value
@@ -1286,8 +1201,10 @@ let resilience_term =
   in
   Term.(
     ret
-      (const resilience_cmd $ algo $ n_arg $ k_arg $ rate $ burst $ pattern
-       $ rounds $ drain $ seed $ quick_arg $ jobs_arg $ exp_trace_arg
+      (const resilience_cmd $ algo
+       $ spec_term ~algorithm:(Term.const Registry.default.algorithm)
+           ~rounds:20_000 ~drain:true
+       $ quick_arg $ jobs_arg $ exp_trace_arg
        $ events_dir $ telemetry_dir_arg $ telemetry_every_arg $ fault_plan
        $ fault_seed $ crash_rate $ jam_rate $ noise_rate $ restart_after
        $ crash_drop $ events $ json $ retries_arg $ job_timeout_arg
@@ -1303,37 +1220,6 @@ let inspect_term =
             "Render a recorded JSON-lines event stream (as written by run \
              --events) instead of simulating.")
   in
-  let algorithm =
-    Arg.(
-      value
-      & opt string "orchestra"
-      & info [ "a"; "algorithm" ] ~docv:"ALGO"
-          ~doc:(Printf.sprintf "One of: %s." (String.concat ", " algorithm_names)))
-  in
-  let rate =
-    Arg.(
-      value
-      & opt qrat_conv (Mac_channel.Qrat.make 1 2)
-      & info [ "rate" ] ~docv:"RHO"
-          ~doc:"Injection rate, exact: 1/10, 0.35 or 1.")
-  in
-  let burst =
-    Arg.(
-      value
-      & opt qrat_conv (Mac_channel.Qrat.of_int 2)
-      & info [ "burst" ] ~docv:"BETA" ~doc:"Burstiness (exact rational).")
-  in
-  let pattern =
-    Arg.(
-      value
-      & opt string "uniform"
-      & info [ "p"; "pattern" ] ~docv:"PATTERN"
-          ~doc:"Same syntax as the run command.")
-  in
-  let rounds =
-    Arg.(value & opt int 120 & info [ "rounds" ] ~docv:"T" ~doc:"Rounds to simulate.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let last =
     Arg.(
       value & opt int 512
@@ -1346,8 +1232,9 @@ let inspect_term =
   in
   Term.(
     ret
-      (const inspect_cmd $ file $ algorithm $ n_arg $ k_arg $ rate $ burst
-       $ pattern $ rounds $ seed $ last $ width))
+      (const inspect_cmd $ file
+       $ spec_term ~algorithm:algorithm_arg ~rounds:120 ~drain:false
+       $ last $ width))
 
 (* ---- top command ---- *)
 
@@ -1765,17 +1652,6 @@ let serve_cmd dir socket shards checkpoint_every telemetry_every =
       shards;
       checkpoint_every;
       telemetry_every;
-      algorithm_of =
-        (fun ~name ~n ~k ->
-          match List.assoc_opt name (algorithms ~n ~k) with
-          | None ->
-            Error
-              (Printf.sprintf "unknown algorithm %S; try: %s" name
-                 (String.concat ", " algorithm_names))
-          | Some make -> (
-            try Ok (make ())
-            with Invalid_argument msg | Failure msg -> Error msg));
-      pattern_of = (fun ~spec ~n ~seed -> pattern_result spec ~n ~seed);
       log = (fun msg -> Printf.eprintf "serve: %s\n%!" msg) }
   in
   match Mac_serve.Server.create cfg with

@@ -287,3 +287,11 @@ let to_str = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let to_list = function List vs -> Some vs | _ -> None
+
+let field key ~expected decode ~default v =
+  match member key v with
+  | None | Some Null -> Ok default
+  | Some x ->
+    Option.to_result
+      ~none:(Printf.sprintf "%S must be %s" key expected)
+      (decode x)

@@ -41,3 +41,11 @@ val to_int : t -> int option
 val to_str : t -> string option
 val to_bool : t -> bool option
 val to_list : t -> t list option
+
+val field :
+  string -> expected:string -> (t -> 'a option) -> default:'a -> t ->
+  ('a, string) result
+(** [field key ~expected decode ~default v] decodes the member [key] of
+    [v]: [default] when it is absent or [null], and otherwise what
+    [decode] makes of it. A present value that [decode] rejects is an
+    error naming [key] and what was [expected], never the default. *)

@@ -122,6 +122,9 @@ let of_float f =
     end
     else begin
       let rec walk x h1 k1 h2 k2 =
+        (* [int_of_float] is undefined past the int range: a value (or a
+           reciprocal) that large has no native-int convergent. *)
+        if Float.floor x >= 0x1p62 then overflow "of_float";
         let a = int_of_float (Float.floor x) in
         let h = checked_add (checked_mul a h1) h2 in
         let k = checked_add (checked_mul a k1) k2 in
@@ -143,22 +146,24 @@ let of_string s =
   let s = String.trim s in
   if s = "" then Error "empty rational"
   else
-    match String.index_opt s '/' with
-    | Some i ->
-      let a = String.sub s 0 i
-      and b = String.sub s (i + 1) (String.length s - i - 1) in
-      (match (int_of_string_opt (String.trim a), int_of_string_opt (String.trim b)) with
-       | Some n, Some d ->
-         if d = 0 then Error (Printf.sprintf "%S: zero denominator" s)
-         else Ok (make n d)
-       | _ -> Error (Printf.sprintf "%S: expected INT/INT" s))
-    | None -> (
-      match int_of_string_opt s with
-      | Some n -> Ok (of_int n)
+    try
+      match String.index_opt s '/' with
+      | Some i ->
+        let a = String.sub s 0 i
+        and b = String.sub s (i + 1) (String.length s - i - 1) in
+        (match (int_of_string_opt (String.trim a), int_of_string_opt (String.trim b)) with
+         | Some n, Some d ->
+           if d = 0 then Error (Printf.sprintf "%S: zero denominator" s)
+           else Ok (make n d)
+         | _ -> Error (Printf.sprintf "%S: expected INT/INT" s))
       | None -> (
-        match float_of_string_opt s with
-        | Some f when Float.is_finite f -> Ok (of_float f)
-        | _ -> Error (Printf.sprintf "%S: not a rational (INT, INT/INT or decimal)" s)))
+        match int_of_string_opt s with
+        | Some n -> Ok (of_int n)
+        | None -> (
+          match float_of_string_opt s with
+          | Some f when Float.is_finite f -> Ok (of_float f)
+          | _ -> Error (Printf.sprintf "%S: not a rational (INT, INT/INT or decimal)" s)))
+    with Overflow msg -> Error (Printf.sprintf "%S: %s" s msg)
 
 let of_string_exn s =
   match of_string s with

@@ -60,13 +60,17 @@ val of_float : float -> t
     denominator (Stern–Brocot / continued fractions). Decimal literals
     snap to the rational they were meant to denote — [of_float 0.1] is
     1/10, [of_float 0.6] is 3/5 — so the deprecated float APIs lose
-    nothing on the way in. Raises [Invalid_argument] on NaN/infinity. *)
+    nothing on the way in. Raises [Invalid_argument] on NaN/infinity and
+    {!Overflow} when no rational of native ints is that close — a
+    magnitude of 2{^62} or more, or a nonzero one below 2{^-62}. *)
 
 val to_float : t -> float
 
 val of_string : string -> (t, string) result
 (** Accepts ["NUM/DEN"] (exact), decimal/scientific literals (via
-    {!of_float}, so ["0.1"] is exactly 1/10) and plain integers. *)
+    {!of_float}, so ["0.1"] is exactly 1/10) and plain integers. Never
+    raises: a value outside what native ints can represent is an
+    [Error]. *)
 
 val of_string_exn : string -> t
 (** {!of_string}, raising [Invalid_argument] on parse errors. *)

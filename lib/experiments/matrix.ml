@@ -4,7 +4,7 @@ type algo_axis = {
   algo_id : string;
   n : int;
   k : int;
-  algorithm : Algorithm.t;
+  seed : int;
 }
 
 type adversary_axis = {
@@ -23,38 +23,22 @@ type fault_axis = {
 (* Fixed (n, k) per algorithm: the matrix compares behaviours, not
    scalings, so each algorithm runs at a representative system size (the
    same sizes the Table-1 rows use). The broadcast family predates the
-   energy cap and runs all stations on, hence k = n there. *)
+   energy cap and runs all stations on, hence k = n there. The seed only
+   matters to random-leader and backoff. *)
 let algorithms =
-  [ { algo_id = "orchestra"; n = 6; k = 3;
-      algorithm = (module Mac_routing.Orchestra : Algorithm.S) };
-    { algo_id = "count-hop"; n = 6; k = 2;
-      algorithm = (module Mac_routing.Count_hop) };
-    { algo_id = "adjust-window"; n = 6; k = 2;
-      algorithm = (module Mac_routing.Adjust_window) };
-    { algo_id = "k-cycle"; n = 8; k = 4;
-      algorithm = Mac_routing.K_cycle.algorithm ~n:8 ~k:4 };
-    { algo_id = "k-clique"; n = 8; k = 4;
-      algorithm = Mac_routing.K_clique.algorithm ~n:8 ~k:4 };
-    { algo_id = "k-subsets"; n = 6; k = 3;
-      algorithm = Mac_routing.K_subsets.algorithm ~n:6 ~k:3 () };
-    { algo_id = "k-subsets-rrw"; n = 6; k = 3;
-      algorithm = Mac_routing.K_subsets.algorithm ~discipline:`Rrw ~n:6 ~k:3 () };
-    { algo_id = "pair-tdma"; n = 6; k = 2;
-      algorithm = (module Mac_routing.Pair_tdma) };
-    { algo_id = "random-leader"; n = 6; k = 3;
-      algorithm = Mac_routing.Random_leader.algorithm ~seed:7 ~n:6 ~k:3 () };
-    { algo_id = "rrw"; n = 6; k = 6;
-      algorithm = (module Mac_broadcast.Rrw) };
-    { algo_id = "of-rrw"; n = 6; k = 6;
-      algorithm = (module Mac_broadcast.Of_rrw) };
-    { algo_id = "mbtf"; n = 6; k = 6;
-      algorithm = (module Mac_broadcast.Mbtf) };
-    { algo_id = "fs-tree"; n = 6; k = 6;
-      algorithm = Mac_broadcast.Ring_broadcast.full_sensing () };
-    { algo_id = "ack-rr"; n = 6; k = 6;
-      algorithm = Mac_broadcast.Ring_broadcast.ack_based () };
-    { algo_id = "backoff"; n = 6; k = 6;
-      algorithm = Mac_broadcast.Backoff.algorithm ~seed:11 () } ]
+  List.map
+    (fun (algo_id, n, k, seed) -> { algo_id; n; k; seed })
+    [ ("orchestra", 6, 3, 0); ("count-hop", 6, 2, 0);
+      ("adjust-window", 6, 2, 0); ("k-cycle", 8, 4, 0); ("k-clique", 8, 4, 0);
+      ("k-subsets", 6, 3, 0); ("k-subsets-rrw", 6, 3, 0);
+      ("pair-tdma", 6, 2, 0); ("random-leader", 6, 3, 7); ("rrw", 6, 6, 0);
+      ("of-rrw", 6, 6, 0); ("mbtf", 6, 6, 0); ("fs-tree", 6, 6, 0);
+      ("ack-rr", 6, 6, 0); ("backoff", 6, 6, 11) ]
+
+let algorithm a =
+  match Registry.algorithm ~seed:a.seed a.algo_id ~n:a.n ~k:a.k with
+  | Ok alg -> alg
+  | Error msg -> invalid_arg ("Matrix: " ^ msg)
 
 let adversaries =
   [ { adv_id = "trickle";
@@ -99,6 +83,7 @@ let cells_for ~only ~scale =
     (fun a ->
       if not (only a.algo_id) then []
       else
+        let algorithm = algorithm a in
         List.concat_map
           (fun adv ->
             List.map
@@ -106,7 +91,7 @@ let cells_for ~only ~scale =
                 { Table1.checks = [];
                   spec =
                     Scenario.spec_q ~id:(cell_id a adv f)
-                      ~algorithm:a.algorithm ~n:a.n ~k:a.k ~rate:adv.rate
+                      ~algorithm ~n:a.n ~k:a.k ~rate:adv.rate
                       ~burst:adv.burst ~pattern:(adv.pattern ~n:a.n)
                       ~pacing:adv.pacing ~rounds ~drain
                       ?faults:(f.plan ~n:a.n ~rounds) () })
@@ -144,7 +129,7 @@ let thresholds ?jobs ?policy ?on_event ?(only = fun _ -> true) ~scale () =
               ( threshold_id a adv,
                 fun ~heartbeat ->
                   let probe =
-                    Sweep.stability_probe_q ~algorithm:a.algorithm ~n:a.n
+                    Sweep.stability_probe_q ~algorithm:(algorithm a) ~n:a.n
                       ~k:a.k
                       ~pattern:(fun () -> adv.pattern ~n:a.n)
                       ~burst:adv.burst ~rounds ()

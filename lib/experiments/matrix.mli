@@ -20,10 +20,10 @@
     stability frontier with {!Sweep.bisect_q} on a clean channel. *)
 
 type algo_axis = {
-  algo_id : string;
+  algo_id : string;  (** a {!Registry} name *)
   n : int;
   k : int;
-  algorithm : Mac_channel.Algorithm.t;
+  seed : int;  (** {!Registry.algorithm}'s seed *)
 }
 
 type adversary_axis = {

@@ -30,6 +30,7 @@
 
 module E = Mac_sim.Engine
 module J = Mac_channel.Jsonv
+module Registry = Mac_experiments.Registry
 
 let max_line = 1 lsl 20
 
@@ -41,13 +42,6 @@ type config = {
   shards : int;
   checkpoint_every : int;  (** default for channels that don't specify *)
   telemetry_every : int;
-  algorithm_of :
-    name:string -> n:int -> k:int -> (Mac_channel.Algorithm.t, string) result;
-  pattern_of :
-    spec:string ->
-    n:int ->
-    seed:int ->
-    (Mac_adversary.Pattern.t, string) result;
   log : string -> unit;
 }
 
@@ -55,15 +49,7 @@ type config = {
 
 type chan_cfg = {
   cc_id : string;
-  cc_algorithm : string;
-  cc_n : int;
-  cc_k : int;
-  cc_rate : Mac_channel.Qrat.t;
-  cc_burst : Mac_channel.Qrat.t;
-  cc_rounds : int;
-  cc_drain : int;
-  cc_pattern : string;  (** "external" or a generator-pattern spec *)
-  cc_seed : int;
+  cc_spec : Registry.spec;  (** pattern: "external" or a generator spec *)
   cc_faults : string option;  (** fault-plan file path *)
   cc_every : int;  (** checkpoint cadence *)
 }
@@ -245,19 +231,10 @@ let truncate_spool ~path ~from_round =
 let meta_json cc ~status ~error ~summary =
   let opt f = function None -> J.Null | Some v -> f v in
   J.Obj
-    ([ ("id", J.Str cc.cc_id);
-       ("algorithm", J.Str cc.cc_algorithm);
-       ("n", J.Int cc.cc_n);
-       ("k", J.Int cc.cc_k);
-       ("rate", J.Str (Mac_channel.Qrat.to_string cc.cc_rate));
-       ("burst", J.Str (Mac_channel.Qrat.to_string cc.cc_burst));
-       ("rounds", J.Int cc.cc_rounds);
-       ("drain", J.Int cc.cc_drain);
-       ("pattern", J.Str cc.cc_pattern);
-       ("seed", J.Int cc.cc_seed);
-       ("faults", opt (fun p -> J.Str p) cc.cc_faults);
-       ("checkpoint_every", J.Int cc.cc_every);
-       ("status", J.Str status) ]
+    ((("id", J.Str cc.cc_id) :: Registry.encode cc.cc_spec)
+    @ [ ("faults", opt (fun p -> J.Str p) cc.cc_faults);
+        ("checkpoint_every", J.Int cc.cc_every);
+        ("status", J.Str status) ]
     @ (match error with None -> [] | Some e -> [ ("error", J.Str e) ])
     @ match summary with None -> [] | Some s -> [ ("summary", J.Str s) ])
 
@@ -275,60 +252,29 @@ let write_meta sv ch =
 
 let ( let* ) = Result.bind
 
-(* A field that is present, and not null, must have its type and range: a
-   bad value is an error naming the field, never the field's default. *)
-let field v k ~expected decode ~default =
-  match J.member k v with
-  | None | Some J.Null -> Ok default
-  | Some x ->
-    Option.to_result
-      ~none:(Printf.sprintf "%S must be %s" k expected)
-      (decode x)
-
 let str_field v k =
-  field v k ~expected:"a string" ~default:None (fun x ->
-      Option.map Option.some (J.to_str x))
+  J.field k ~expected:"a string" ~default:None
+    (fun x -> Option.map Option.some (J.to_str x))
+    v
 
-let int_field v k ~min ~default =
-  field v k ~default
-    ~expected:(Printf.sprintf "an integer >= %d" min)
-    (fun x ->
-      Option.bind (J.to_int x) (fun i -> if i >= min then Some i else None))
-
-(* The configuration an [open] command carries and its meta file repeats. *)
+(* The configuration an [open] command carries and its meta file repeats:
+   the registry's run spec, with serve's default of external injection,
+   plus the channel's fault plan and checkpoint cadence. *)
 let chan_cfg_of_json v ~id ~every =
-  let qrat k ~default =
-    let* s = str_field v k in
-    match s with
-    | None -> Ok default
-    | Some s ->
-      Result.map_error (Printf.sprintf "%S: %s" k) (Mac_channel.Qrat.of_string s)
+  let* spec =
+    match J.member "algorithm" v with
+    | None | Some J.Null -> Error "missing \"algorithm\""
+    | Some _ ->
+      Registry.decode ~default:{ Registry.default with pattern = "external" } v
   in
-  let* algorithm = str_field v "algorithm" in
-  let* algorithm = Option.to_result ~none:"missing \"algorithm\"" algorithm in
-  let* rate = qrat "rate" ~default:(Mac_channel.Qrat.make 1 2) in
-  let* burst = qrat "burst" ~default:(Mac_channel.Qrat.of_int 2) in
-  let* n = int_field v "n" ~min:1 ~default:8 in
-  let* k = int_field v "k" ~min:1 ~default:3 in
-  let* rounds = int_field v "rounds" ~min:0 ~default:100_000 in
-  let* drain = int_field v "drain" ~min:0 ~default:0 in
-  let* pattern = str_field v "pattern" in
-  let* seed = field v "seed" ~expected:"an integer" ~default:42 J.to_int in
   let* faults = str_field v "faults" in
-  let* every = int_field v "checkpoint_every" ~min:0 ~default:every in
-  Ok
-    { cc_id = id;
-      cc_algorithm = algorithm;
-      cc_n = n;
-      cc_k = k;
-      cc_rate = rate;
-      cc_burst = burst;
-      cc_rounds = rounds;
-      cc_drain = drain;
-      cc_pattern = Option.value ~default:"external" pattern;
-      cc_seed = seed;
-      cc_faults = faults;
-      cc_every = every }
+  let* every =
+    J.field "checkpoint_every" ~expected:"an integer >= 0" ~default:every
+      (fun x ->
+        Option.bind (J.to_int x) (fun i -> if i >= 0 then Some i else None))
+      v
+  in
+  Ok { cc_id = id; cc_spec = spec; cc_faults = faults; cc_every = every }
 
 let parse_meta line =
   Result.map_error (( ^ ) "bad meta: ")
@@ -481,34 +427,25 @@ let advance_channel sv ch =
    algorithm construction never stall the protocol loop. [reply] gets the
    open/migrate/adoption acknowledgement once the session exists. *)
 let adopt_channel sv shard ch ~reply =
+  let ok_or_fail = function Ok x -> x | Error msg -> failwith msg in
   try
     let cc = ch.ch_cfg in
-    let algorithm =
-      match sv.cfg.algorithm_of ~name:cc.cc_algorithm ~n:cc.cc_n ~k:cc.cc_k with
-      | Ok a -> a
-      | Error msg -> failwith msg
-    in
+    let s = cc.cc_spec in
+    let algorithm = ok_or_fail (Registry.algorithm s.algorithm ~n:s.n ~k:s.k) in
     let module A = (val algorithm : Mac_channel.Algorithm.S) in
     let feed, pattern =
-      if cc.cc_pattern = "external" then
+      if s.pattern = "external" then
         let feed, p = Mac_adversary.Pattern.external_queue () in
         (Some feed, p)
-      else
-        match sv.cfg.pattern_of ~spec:cc.cc_pattern ~n:cc.cc_n ~seed:cc.cc_seed with
-        | Ok p -> (None, p)
-        | Error msg -> failwith msg
+      else (None, ok_or_fail (Registry.pattern s.pattern ~n:s.n ~seed:s.seed))
     in
     let faults =
       match cc.cc_faults with
       | None -> None
-      | Some path -> (
-        match Mac_faults.Fault_plan.of_file path with
-        | Ok p -> Some p
-        | Error msg -> failwith msg)
+      | Some path -> Some (ok_or_fail (Mac_faults.Fault_plan.of_file path))
     in
     let adversary =
-      Mac_adversary.Adversary.create_q ~rate:cc.cc_rate ~burst:cc.cc_burst
-        pattern
+      Mac_adversary.Adversary.create_q ~rate:s.rate ~burst:s.burst pattern
     in
     let resume =
       let path = ckpt_path sv cc.cc_id in
@@ -532,8 +469,8 @@ let adopt_channel sv shard ch ~reply =
     let probe = Mac_sim.Telemetry.Fleet.probe sv.fleet ~id:cc.cc_id in
     let ck = ckpt_path sv cc.cc_id in
     let config =
-      { (E.default_config ~rounds:cc.cc_rounds) with
-        drain_limit = cc.cc_drain;
+      { (E.default_config ~rounds:s.rounds) with
+        drain_limit = s.drain;
         check_schedule = A.oblivious;
         sink = Some (spool_sink sp);
         faults;
@@ -551,8 +488,8 @@ let adopt_channel sv shard ch ~reply =
         telemetry = Some probe }
     in
     let session =
-      E.start ~config ?resume ~algorithm ~n:cc.cc_n ~k:cc.cc_k ~adversary
-        ~rounds:cc.cc_rounds ()
+      E.start ~config ?resume ~algorithm ~n:s.n ~k:s.k ~adversary
+        ~rounds:s.rounds ()
     in
     ch.ch_session <- Some session;
     ch.ch_spool <- Some sp;
@@ -572,7 +509,7 @@ let adopt_channel sv shard ch ~reply =
            ("shard", J.Int shard.sh_index);
            ("round", J.Int (E.session_round session)) ])
   with e ->
-    let msg = Printexc.to_string e in
+    let msg = match e with Failure msg -> msg | e -> Printexc.to_string e in
     locked ch.ch_mutex (fun () -> ch.ch_status <- Failed msg);
     write_meta sv ch;
     sv.cfg.log
@@ -689,17 +626,30 @@ let channel_row ch =
       in
       J.Obj
         ([ ("id", J.Str ch.ch_cfg.cc_id);
-           ("algorithm", J.Str ch.ch_cfg.cc_algorithm);
-           ("n", J.Int ch.ch_cfg.cc_n);
+           ("algorithm", J.Str ch.ch_cfg.cc_spec.algorithm);
+           ("n", J.Int ch.ch_cfg.cc_spec.n);
            ("status", J.Str (status_str ch.ch_status));
            ("shard", J.Int ch.ch_shard);
            ("round", J.Int ch.ch_round);
-           ("rounds", J.Int ch.ch_cfg.cc_rounds);
+           ("rounds", J.Int ch.ch_cfg.cc_spec.rounds);
            ("backlog", J.Int ch.ch_backlog);
            ("pending", J.Int pending) ]
         @ match ch.ch_status with
           | Failed msg -> [ ("error", J.Str msg) ]
           | _ -> []))
+
+(* A channel record for [cc], entered in the fleet's table and list. *)
+let register sv cc ~status ~round ~summary =
+  let ch =
+    { ch_cfg = cc; ch_mutex = Mutex.create (); ch_status = status;
+      ch_shard = 0; ch_round = round; ch_backlog = 0; ch_feed = None;
+      ch_summary = summary; ch_session = None; ch_spool = None;
+      ch_probe = None; ch_steps_total = 0; ch_step_target = 0;
+      ch_run_all = false; ch_waiters = [] }
+  in
+  Hashtbl.replace sv.channels cc.cc_id ch;
+  sv.order <- sv.order @ [ cc.cc_id ];
+  ch
 
 let cmd_open sv conn_id v =
   let config =
@@ -719,30 +669,22 @@ let cmd_open sv conn_id v =
         Error (Printf.sprintf "channel %S already exists" id)
       else Ok ()
     in
-    chan_cfg_of_json v ~id ~every:sv.cfg.checkpoint_every
+    let* cc = chan_cfg_of_json v ~id ~every:sv.cfg.checkpoint_every in
+    (* Refuse a spec the shard could not start before anything is written
+       or registered: the checks are O(1), and a generator pattern is
+       built only to be checked. *)
+    let s = cc.cc_spec in
+    let* () = Registry.check s in
+    let* () =
+      if s.pattern = "external" then Ok ()
+      else Result.map ignore (Registry.pattern s.pattern ~n:s.n ~seed:s.seed)
+    in
+    Ok cc
   in
   match config with
   | Error msg -> send_main sv conn_id (err_line msg)
   | Ok cc ->
-    let ch =
-      { ch_cfg = cc;
-        ch_mutex = Mutex.create ();
-        ch_status = Pending;
-        ch_shard = 0;
-        ch_round = 0;
-        ch_backlog = 0;
-        ch_feed = None;
-        ch_summary = None;
-        ch_session = None;
-        ch_spool = None;
-        ch_probe = None;
-        ch_steps_total = 0;
-        ch_step_target = 0;
-        ch_run_all = false;
-        ch_waiters = [] }
-    in
-    Hashtbl.replace sv.channels cc.cc_id ch;
-    sv.order <- sv.order @ [ cc.cc_id ];
+    let ch = register sv cc ~status:Pending ~round:0 ~summary:None in
     write_meta sv ch;
     let shard = pick_shard sv in
     locked ch.ch_mutex (fun () -> ch.ch_shard <- shard.sh_index);
@@ -767,9 +709,9 @@ let cmd_inject sv conn_id v =
         (err_line
            (Printf.sprintf
               "channel %s uses generator pattern %S, not external injection"
-              ch.ch_cfg.cc_id ch.ch_cfg.cc_pattern))
+              ch.ch_cfg.cc_id ch.ch_cfg.cc_spec.pattern))
     | _, Some feed -> (
-      let n = ch.ch_cfg.cc_n in
+      let n = ch.ch_cfg.cc_spec.n in
       let triple v =
         match J.to_list v with
         | Some [ a; s; d ] -> (
@@ -1218,29 +1160,13 @@ let load_existing sv =
             match parse_meta line with
             | Error msg -> sv.cfg.log (Printf.sprintf "%s: %s" path msg)
             | Ok (cc, status, summary) ->
-              let ch =
-                { ch_cfg = cc;
-                  ch_mutex = Mutex.create ();
-                  ch_status =
-                    (match status with
-                     | "complete" -> Complete
-                     | "failed" -> Failed "failed in a previous run"
-                     | _ -> Pending);
-                  ch_shard = 0;
-                  ch_round = (if status = "complete" then cc.cc_rounds else 0);
-                  ch_backlog = 0;
-                  ch_feed = None;
-                  ch_summary = summary;
-                  ch_session = None;
-                  ch_spool = None;
-                  ch_probe = None;
-                  ch_steps_total = 0;
-                  ch_step_target = 0;
-                  ch_run_all = false;
-                  ch_waiters = [] }
+              let st, round =
+                match status with
+                | "complete" -> (Complete, cc.cc_spec.rounds)
+                | "failed" -> (Failed "failed in a previous run", 0)
+                | _ -> (Pending, 0)
               in
-              Hashtbl.replace sv.channels cc.cc_id ch;
-              sv.order <- sv.order @ [ cc.cc_id ];
+              let ch = register sv cc ~status:st ~round ~summary in
               if status = "open" then begin
                 let shard = pick_shard sv in
                 locked ch.ch_mutex (fun () -> ch.ch_shard <- shard.sh_index);

@@ -11,7 +11,12 @@
       create a channel. Optional: [rate]/[burst] (rational strings),
       [rounds], [drain], [pattern] (["external"], the default, accepts
       socket injection; any generator spec runs self-driven), [seed],
-      [faults] (plan file path), [checkpoint_every].
+      [faults] (plan file path), [checkpoint_every]. The run-spec fields
+      are {!Mac_experiments.Registry.spec}'s, checked by the registry
+      before anything is written: n >= 2, k >= 1 and the algorithm's own
+      (n, k) range, rounds and drain >= 0, rate in (0, 1], burst >= 1, a
+      known algorithm and a well-formed pattern. A refused [open] is an
+      error naming the field; it leaves no [.meta] file and the id free.
     - [{"cmd":"inject","channel":ID,"at":R,"src":S,"dst":D}] or
       [{"cmd":"inject","channel":ID,"packets":[[at,src,dst],...]}] —
       queue packets from outside the process. The adversary's leaky
@@ -46,16 +51,6 @@ type config = {
   shards : int;  (** worker domains; >= 1 *)
   checkpoint_every : int;  (** default cadence for channels *)
   telemetry_every : int;  (** probe sampling cadence *)
-  algorithm_of :
-    name:string -> n:int -> k:int -> (Mac_channel.Algorithm.t, string) result;
-      (** resolver injected by the binary (keeps this library off the
-          algorithm catalogue) *)
-  pattern_of :
-    spec:string ->
-    n:int ->
-    seed:int ->
-    (Mac_adversary.Pattern.t, string) result;
-      (** resolver for non-external (generator) pattern specs *)
   log : string -> unit;
 }
 

@@ -166,16 +166,6 @@ let read_v2 ~path ic metadata =
                  path (Int64.logand crc 0xFFFFFFFFL) actual)
           else decode_snapshot ~path blob))
 
-(* v1 files carry no checksum; all we can do is guard the decoder. *)
-let read_v1 ~path ic =
-  let remaining = in_channel_length ic - pos_in ic in
-  if remaining < 0 then Error (path ^ ": truncated or corrupt checkpoint blob")
-  else
-    match really_input_string ic remaining with
-    | exception End_of_file ->
-      Error (path ^ ": truncated or corrupt checkpoint blob")
-    | blob -> decode_snapshot ~path blob
-
 let read ~path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
@@ -194,15 +184,10 @@ let read ~path =
                  | exception End_of_file ->
                    Error (path ^ ": truncated checkpoint (no metadata)")
                  | metadata -> read_v2 ~path ic metadata)
-              | Some 1 ->
-                (match input_line ic with
-                 | exception End_of_file ->
-                   Error (path ^ ": truncated checkpoint (no metadata)")
-                 | _metadata -> read_v1 ~path ic)
               | Some v ->
                 Error
                   (Printf.sprintf
-                     "%s: checkpoint format version %d (this build reads <= %d)"
+                     "%s: checkpoint format version %d (this build reads only %d)"
                      path v format_version)
               | None -> Error (path ^ ": malformed checkpoint header"))
            | _ -> Error (path ^ ": not a checkpoint file (bad magic)")))

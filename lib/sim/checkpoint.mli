@@ -13,7 +13,8 @@
 
     Format v2 adds the blob's byte count and CRC-32 to the metadata line, so
     [read] detects truncation, padding and bit-rot {e before} handing the
-    blob to [Marshal]; v1 files (no checksum) remain readable. For crash
+    blob to [Marshal]. v1 files carried no checksum and are refused with
+    the same "format version" error as any other unreadable version. For crash
     resilience beyond a single file, {!write_rotated} keeps the previous
     good checkpoint as [<path>.prev] and {!read_latest} falls back to it
     when the newest file is corrupt. *)

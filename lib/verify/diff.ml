@@ -187,64 +187,58 @@ let run_pairs ?(jobs = 1) pairs =
 (* ------------------------------------------------------------------ *)
 (* Random configurations. *)
 
-(* Each entry: a human tag plus (n, k) bounds-respecting builder. The
-   algorithm values themselves are stateless (per-station state is created
-   inside each run), so engine and oracle can share one value. *)
-let build_algorithm rng =
+(* Indexed by the generator's first draw: a registry name and its draw of
+   (n, k, algorithm seed) inside the algorithm's bounds. Keep the draws
+   and their order: a seed must name the same configuration in every
+   version. The algorithm values are stateless (per-station state is
+   created inside each run), so engine and oracle can share one value. *)
+let algorithm_draws =
   let pick_nk ~nmin ~nmax ~kmax_of rng =
     let n = nmin + Rng.int rng (nmax - nmin + 1) in
     let kmax = kmax_of n in
     let k = 2 + Rng.int rng (max 1 (kmax - 1)) in
     (n, min k kmax)
   in
-  match Rng.int rng 15 with
-  | 0 ->
-    let n = 3 + Rng.int rng 6 in
-    (n, 3, (module Mac_routing.Orchestra : Algorithm.S))
-  | 8 ->
-    let n = 3 + Rng.int rng 8 in
-    (n, 2 + Rng.int rng 3, (module Mac_routing.Pair_tdma : Algorithm.S))
-  | 1 ->
-    let n, k = pick_nk ~nmin:4 ~nmax:10 ~kmax_of:(fun n -> n - 1) rng in
-    (n, k, Mac_routing.K_cycle.algorithm ~n ~k)
-  | 2 ->
-    let n, k = pick_nk ~nmin:4 ~nmax:7 ~kmax_of:(fun n -> n - 1) rng in
-    (n, k, Mac_routing.K_subsets.algorithm ~n ~k ())
-  | 3 ->
-    let n, k = pick_nk ~nmin:4 ~nmax:7 ~kmax_of:(fun n -> n - 1) rng in
-    (n, k, Mac_routing.K_subsets.algorithm ~discipline:`Rrw ~n ~k ())
-  | 4 ->
-    let n, k = pick_nk ~nmin:4 ~nmax:8 ~kmax_of:(fun n -> n - 1) rng in
-    (n, k, Mac_routing.K_clique.algorithm ~n ~k)
-  | 5 ->
-    let n, k = pick_nk ~nmin:3 ~nmax:9 ~kmax_of:(fun n -> n) rng in
-    (n, k, Mac_routing.Random_leader.algorithm ~seed:(Rng.int rng 1000) ~n ~k ())
-  | 6 ->
-    let n = 3 + Rng.int rng 6 in
-    (n, 2, (module Mac_routing.Count_hop : Algorithm.S))
-  (* The broadcast family runs all stations switched on (required_cap = n),
-     so the supply cap is pinned to n. *)
-  | 9 ->
+  let below_n ~nmin ~nmax rng =
+    let n, k = pick_nk ~nmin ~nmax ~kmax_of:(fun n -> n - 1) rng in
+    (n, k, 0)
+  in
+  let k2 rng = (3 + Rng.int rng 6, 2, 0) in
+  (* The broadcast family runs all stations switched on (required_cap =
+     n), so the supply cap is pinned to n. *)
+  let all_on rng =
     let n = 2 + Rng.int rng 7 in
-    (n, n, (module Mac_broadcast.Rrw : Algorithm.S))
-  | 10 ->
-    let n = 2 + Rng.int rng 7 in
-    (n, n, (module Mac_broadcast.Of_rrw : Algorithm.S))
-  | 11 ->
-    let n = 2 + Rng.int rng 7 in
-    (n, n, (module Mac_broadcast.Mbtf : Algorithm.S))
-  | 12 ->
-    let n = 2 + Rng.int rng 7 in
-    (n, n, Mac_broadcast.Ring_broadcast.full_sensing ())
-  | 13 ->
-    let n = 2 + Rng.int rng 7 in
-    (n, n, Mac_broadcast.Ring_broadcast.ack_based ())
-  | 14 ->
-    let n = 2 + Rng.int rng 7 in
-    (n, n, Mac_broadcast.Backoff.algorithm ~seed:(Rng.int rng 1000) ())
-  | _ ->
-    let n = 3 + Rng.int rng 6 in
-    (n, 2, (module Mac_routing.Adjust_window : Algorithm.S))
+    (n, n, 0)
+  in
+  [| ("orchestra", fun rng -> (3 + Rng.int rng 6, 3, 0));
+     ("k-cycle", below_n ~nmin:4 ~nmax:10);
+     ("k-subsets", below_n ~nmin:4 ~nmax:7);
+     ("k-subsets-rrw", below_n ~nmin:4 ~nmax:7);
+     ("k-clique", below_n ~nmin:4 ~nmax:8);
+     ( "random-leader",
+       fun rng ->
+         let n, k = pick_nk ~nmin:3 ~nmax:9 ~kmax_of:Fun.id rng in
+         (n, k, Rng.int rng 1000) );
+     ("count-hop", k2);
+     ("adjust-window", k2);
+     ( "pair-tdma",
+       fun rng ->
+         let n = 3 + Rng.int rng 8 in
+         (n, 2 + Rng.int rng 3, 0) );
+     ("rrw", all_on);
+     ("of-rrw", all_on);
+     ("mbtf", all_on);
+     ("fs-tree", all_on);
+     ("ack-rr", all_on);
+     ( "backoff",
+       fun rng ->
+         let n, k, _ = all_on rng in
+         (n, k, Rng.int rng 1000) ) |]
+
+let registered ?seed name ~n ~k =
+  match Mac_experiments.Registry.algorithm ?seed name ~n ~k with
+  | Ok a -> a
+  | Error msg -> invalid_arg ("Diff: " ^ msg)
 
 (* A pattern *maker*: called once per side so each run owns fresh state.
    Every random draw happens before the thunk is built — both calls must
@@ -274,9 +268,9 @@ let build_pattern rng ~n =
         (Mac_adversary.Pattern.uniform ~n ~seed)
     | _ -> assert false
 
-let random_pair ~seed =
-  let rng = Rng.create ~seed in
-  let n, k, algorithm = build_algorithm rng in
+(* Everything a configuration draws after its algorithm — traffic,
+   horizon, faults, the pattern — as a maker of fresh instances. *)
+let draw_run rng ~tag ~seed ~n ~k ~algorithm =
   let den = 1 + Rng.int rng 12 in
   let num = 1 + Rng.int rng den in
   let rate = Qrat.make num den in
@@ -308,14 +302,23 @@ let random_pair ~seed =
            ())
   in
   let make_pattern = build_pattern rng ~n in
-  let make pattern =
+  fun () ->
+    let pattern = make_pattern () in
     { id =
-        Printf.sprintf "seed=%d %s n=%d k=%d rho=%s beta=%s r=%d"
-          seed pattern.Mac_adversary.Pattern.name n k (Qrat.to_string rate)
+        Printf.sprintf "%s=%d %s n=%d k=%d rho=%s beta=%s r=%d" tag seed
+          pattern.Mac_adversary.Pattern.name n k (Qrat.to_string rate)
           (Qrat.to_string burst) rounds;
       algorithm; n; k; rate; burst; pacing; pattern; rounds; drain; faults }
+
+let random_pair ~seed =
+  let rng = Rng.create ~seed in
+  let name, draw =
+    algorithm_draws.(Rng.int rng (Array.length algorithm_draws))
   in
-  (make (make_pattern ()), make (make_pattern ()))
+  let n, k, algo_seed = draw rng in
+  let algorithm = registered ~seed:algo_seed name ~n ~k in
+  let make = draw_run rng ~tag:"seed" ~seed ~n ~k ~algorithm in
+  (make (), make ())
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-vs-dense certification: the same configuration through the same
@@ -472,55 +475,16 @@ let certify_sparse ~make =
   in
   { id = r1.id ^ " [sparse-certify]"; events; mismatches }
 
+(* Like [random_pair] but pinned to a sparse-capable algorithm (pair-TDMA
+   or the ack-based broadcast TDMA) and returned as a maker: the certifier
+   needs three fresh pattern instances, not two. *)
 let random_sparse ~seed =
-  (* Like [random_pair] but pinned to a sparse-capable algorithm
-     (pair-TDMA or the ack-based broadcast TDMA) and returned as a maker:
-     the certifier needs three fresh pattern instances, not two. *)
   let rng = Rng.create ~seed in
   let n = 3 + Rng.int rng 8 in
-  let k, algorithm =
-    if Rng.bool rng then
-      (2 + Rng.int rng 3, (module Mac_routing.Pair_tdma : Algorithm.S))
-    else (n, (module Mac_broadcast.Ack_rr : Algorithm.S))
+  let k, name =
+    if Rng.bool rng then (2 + Rng.int rng 3, "pair-tdma") else (n, "ack-rr")
   in
-  let den = 1 + Rng.int rng 12 in
-  let num = 1 + Rng.int rng den in
-  let rate = Qrat.make num den in
-  let burst =
-    Qrat.add (Qrat.of_int (1 + Rng.int rng 4)) (Qrat.make 1 (2 + Rng.int rng 6))
-  in
-  let pacing =
-    match Rng.int rng 3 with
-    | 0 -> Mac_adversary.Adversary.Greedy
-    | 1 -> Mac_adversary.Adversary.Paced { burst_at = None }
-    | _ -> Mac_adversary.Adversary.Paced { burst_at = Some (Rng.int rng 200) }
-  in
-  let rounds = 200 + Rng.int rng 1100 in
-  let drain = if Rng.bool rng then rounds / 2 else 0 in
-  let faults =
-    match Rng.int rng 3 with
-    | 0 -> None
-    | 1 ->
-      Some
-        (Mac_faults.Fault_plan.random ~seed:(Rng.int rng 10_000) ~n ~rounds
-           ~jam_rate:0.01 ~noise_rate:0.005 ())
-    | _ ->
-      Some
-        (Mac_faults.Fault_plan.random ~seed:(Rng.int rng 10_000) ~n ~rounds
-           ~crash_rate:0.002 ~jam_rate:0.005
-           ~restart_after:(if Rng.bool rng then 0 else 40)
-           ~queue:(if Rng.bool rng then Mac_faults.Fault_plan.Retain
-                   else Mac_faults.Fault_plan.Drop)
-           ())
-  in
-  let make_pattern = build_pattern rng ~n in
-  fun () ->
-    let pattern = make_pattern () in
-    { id =
-        Printf.sprintf "sparse-seed=%d %s n=%d k=%d rho=%s beta=%s r=%d" seed
-          pattern.Mac_adversary.Pattern.name n k (Qrat.to_string rate)
-          (Qrat.to_string burst) rounds;
-      algorithm; n; k; rate; burst; pacing; pattern; rounds; drain; faults }
+  draw_run rng ~tag:"sparse-seed" ~seed ~n ~k ~algorithm:(registered name ~n ~k)
 
 let certify_sparse_batch ?(jobs = 1) makers =
   Mac_sim.Pool.map ~jobs makers (fun make -> certify_sparse ~make)

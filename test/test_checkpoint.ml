@@ -345,8 +345,10 @@ let test_rotation_salvage () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "expected an error with both generations gone")
 
-(* Version-1 files carry no checksums but must stay readable. *)
-let test_v1_still_readable () =
+(* Version-1 files carry no checksum, and nothing has written one since
+   format v2: a v1 file is refused with the typed version error instead of
+   handing unchecked bytes to [Marshal]. *)
+let test_v1_rejected () =
   let _, b, _ = triple ~seed:11 in
   let snap, _ = interrupt ~at:25 b in
   let blob = Marshal.to_string (snap : Mac_sim.Engine.snapshot) [] in
@@ -356,10 +358,13 @@ let test_v1_still_readable () =
     (fun () ->
       write_string path ("MACCKPT 1\n{\"legacy\": 1}\n" ^ blob);
       match Mac_sim.Checkpoint.read ~path with
-      | Error msg -> Alcotest.fail msg
-      | Ok snap' ->
-        Alcotest.(check int) "v1 round survives" 25
-          (Mac_sim.Engine.snapshot_round snap'))
+      | Ok _ -> Alcotest.fail "a v1 checkpoint was read"
+      | Error msg ->
+        Alcotest.(check string) "the typed format-version error"
+          (Printf.sprintf
+             "%s: checkpoint format version 1 (this build reads only %d)" path
+             Mac_sim.Checkpoint.format_version)
+          msg)
 
 (* ------------------------------------------------------------------ *)
 (* Engine-side validation: a snapshot must match the resuming run. *)
@@ -663,8 +668,8 @@ let () =
          QCheck_alcotest.to_alcotest qcheck_corruption;
          Alcotest.test_case "rotation and salvage" `Quick
            test_rotation_salvage;
-         Alcotest.test_case "v1 files still readable" `Quick
-           test_v1_still_readable;
+         Alcotest.test_case "v1 files rejected" `Quick
+           test_v1_rejected;
          Alcotest.test_case "telemetry leaves checkpoints untouched" `Quick
            test_checkpoint_bytes_telemetry_invariant;
          Alcotest.test_case "golden metadata lines" `Quick

@@ -99,6 +99,70 @@ let test_bad_pattern_exits_2 () =
         (one_line err && contains err spec))
     [ "flood:x"; "hotspot:1:abc"; "flood:99" ]
 
+(* [run_cli] with a deadline: a command still running after [seconds] is
+   killed and reported as exit code -1, so a hang fails the test instead
+   of stalling the suite. Returns (code, stderr). *)
+let run_cli_within ~seconds args =
+  let err = Filename.temp_file "eear_cli" ".err" in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null fd
+  in
+  Unix.close null;
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.01;
+      wait ()
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      -1
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> -1
+  in
+  let code = wait () in
+  let stderr = read_file err in
+  Sys.remove err;
+  (code, stderr)
+
+(* Run specs the registry refuses — one station, a cap of 0, negative
+   rounds or drain, a rate or burst out of range or too fine for the
+   token arithmetic — exit 2 with one stderr line naming the field, in
+   run, resilience and inspect alike, before anything is simulated: one
+   Count-Hop station never finishes a round, hence the deadline. *)
+let test_bad_run_spec_exits_2 () =
+  List.iter
+    (fun (args, field) ->
+      let code, err = run_cli_within ~seconds:20.0 args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ " exit code") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one stderr line naming %s (got %S)" what field err)
+        true
+        (one_line err && contains err (Printf.sprintf "%S" field)))
+    [ ([ "run"; "-n"; "0" ], "n");
+      ([ "run"; "-a"; "pair-tdma"; "-n"; "1" ], "n");
+      ([ "inspect"; "-a"; "pair-tdma"; "-n"; "1" ], "n");
+      ([ "run"; "-a"; "pair-tdma"; "-n"; "1"; "-p"; "round-robin" ], "n");
+      ([ "run"; "-a"; "rrw"; "-n"; "1"; "-k"; "1"; "-p"; "flood:0" ], "n");
+      ([ "run"; "-a"; "rrw"; "-n"; "1"; "-k"; "1"; "-p"; "to-busiest" ], "n");
+      ([ "run"; "-a"; "count-hop"; "-n"; "1"; "-p"; "round-robin" ], "n");
+      ( [ "run"; "-a"; "count-hop"; "-n"; "1"; "-k"; "1"; "-p"; "round-robin" ],
+        "n" );
+      ([ "resilience"; "count-hop"; "-n"; "1"; "-p"; "round-robin" ], "n");
+      ([ "run"; "--rounds=-5" ], "rounds");
+      ([ "run"; "--drain=-3" ], "drain");
+      ([ "run"; "-k"; "0" ], "k");
+      ([ "run"; "--rate"; "2"; "--rounds"; "10" ], "rate");
+      ([ "run"; "--burst"; "1/2"; "--rounds"; "10" ], "burst");
+      ( [ "run"; "--rate"; "1/4611686018427387903"; "--burst";
+          "4611686018427387902/4611686018427387901"; "--rounds"; "10" ],
+        "burst" ) ]
+
 (* --progress must leave stdout byte-identical (stderr is its only
    channel), so piping the summary stays safe with a progress line on. *)
 let progress_base_args =
@@ -296,6 +360,9 @@ let () =
            test_plan_station_out_of_range_exits_2 ]);
       ("pattern errors",
        [ Alcotest.test_case "bad spec exits 2" `Quick test_bad_pattern_exits_2 ]);
+      ("run spec errors",
+       [ Alcotest.test_case "bad spec exits 2" `Quick
+           test_bad_run_spec_exits_2 ]);
       ("telemetry",
        [ Alcotest.test_case "progress keeps stdout pure" `Quick
            test_progress_keeps_stdout_pure;

@@ -94,6 +94,165 @@ let test_schedule_of () =
   check_bool "adaptive has none" true
     (Scenario.schedule_of (module Mac_routing.Orchestra) ~n:4 ~k:3 = None)
 
+(* ---- registry ---- *)
+
+module J = Mac_channel.Jsonv
+
+let print_spec (s : Registry.spec) =
+  Printf.sprintf
+    "%s n=%d k=%d rate=%s burst=%s pattern=%S rounds=%d drain=%d seed=%d"
+    s.algorithm s.n s.k (Q.to_string s.rate) (Q.to_string s.burst) s.pattern
+    s.rounds s.drain s.seed
+
+(* Pattern specs drawn from the grammar with station and number fields
+   that may be out of range or malformed, and arbitrary strings. *)
+let pattern_gen =
+  let open QCheck.Gen in
+  let station =
+    map string_of_int (frequency [ (4, int_range 0 2); (1, int_range (-1) 9) ])
+  in
+  let number =
+    oneof
+      [ map string_of_float (float_range (-0.5) 1.5);
+        oneofl [ "0"; "1"; "0.5"; "nan"; "inf"; "x"; "" ] ]
+  in
+  let join parts = String.concat ":" parts in
+  frequency
+    [ (3, oneofl [ "uniform"; "round-robin"; "to-busiest" ]);
+      (1, oneofl [ "min-duty"; "cap2"; "external"; "" ]);
+      (2, map (fun v -> join [ "flood"; v ]) station);
+      (2, map2 (fun a b -> join [ "pair"; a; b ]) station station);
+      (2, map2 (fun h b -> join [ "hotspot"; h; b ]) station number);
+      ( 2,
+        map3 (fun a b c -> join [ "alternating"; a; b; c ]) station station
+          station );
+      (1, string_size (int_bound 12)) ]
+
+let spec_gen =
+  let open QCheck.Gen in
+  let* algorithm = oneofl ("" :: "nope" :: Registry.names) in
+  let* n = frequency [ (4, int_range 2 9); (1, int_range (-1) 9) ] in
+  let* k = frequency [ (4, int_range 1 (max 1 n)); (1, int_range (-1) 9) ] in
+  let* rate =
+    frequency
+      [ (4, oneofl [ Q.make 1 10; Q.make 1 2; Q.make 9 10; Q.one ]);
+        (1, oneofl [ Q.zero; Q.make 3 2 ]) ]
+  in
+  let* burst =
+    frequency
+      [ (4, oneofl [ Q.one; Q.of_int 2; Q.make 5 2 ]); (1, pure (Q.make 1 2)) ]
+  in
+  let* pattern = pattern_gen in
+  let* seed = int_bound 1000 in
+  return
+    { Registry.algorithm; n; k; rate; burst; pattern; rounds = 300;
+      drain = 100; seed }
+
+(* The registry never raises, [check] and [algorithm] agree, and every
+   spec it accepts runs: 300 rounds and 100 of drain return, with every
+   injected packet delivered or still queued. *)
+let qcheck_registry_accepts_only_runnable_specs =
+  QCheck.Test.make ~name:"registry_accepts_only_runnable_specs" ~count:1000
+    (QCheck.make ~print:print_spec spec_gen)
+    (fun spec ->
+      let algorithm = Registry.algorithm spec.algorithm ~n:spec.n ~k:spec.k in
+      let pattern = Registry.pattern spec.pattern ~n:spec.n ~seed:spec.seed in
+      match (Registry.check spec, algorithm, pattern) with
+      | Ok (), Error msg, _ ->
+        QCheck.Test.fail_reportf "check accepted what algorithm refused: %s" msg
+      | Ok (), Ok algorithm, Ok pattern ->
+        let module A = (val algorithm) in
+        let adversary =
+          Mac_adversary.Adversary.create_q ~rate:spec.rate ~burst:spec.burst
+            pattern
+        in
+        let config =
+          { (Mac_sim.Engine.default_config ~rounds:spec.rounds) with
+            drain_limit = spec.drain;
+            check_schedule = A.oblivious }
+        in
+        let s =
+          Mac_sim.Engine.run ~config ~algorithm ~n:spec.n ~k:spec.k ~adversary
+            ~rounds:spec.rounds ()
+        in
+        s.injected = s.delivered + s.final_total_queue
+      | _ -> true)
+
+let any_spec_gen =
+  let open QCheck.Gen in
+  let* algorithm = string_size (int_bound 8) in
+  let* n = int and* k = int and* rounds = int and* drain = int in
+  let* pattern = string_size (int_bound 8) and* seed = int in
+  let* num = int and* den = int_range 1 max_int in
+  let* b = int and* bd = int_range 1 max_int in
+  return
+    { Registry.algorithm; n; k; rate = Q.make num den; burst = Q.make b bd;
+      pattern; rounds; drain; seed }
+
+(* A spec survives its JSON text: what a [.meta] line stores is what
+   decodes. *)
+let qcheck_spec_codec_roundtrip =
+  QCheck.Test.make ~name:"decode_inverts_encode" ~count:500
+    (QCheck.make ~print:print_spec any_spec_gen)
+    (fun spec ->
+      Result.bind
+        (J.parse (J.to_string (J.Obj (Registry.encode spec))))
+        (Registry.decode ~default:Registry.default)
+      = Ok spec)
+
+let json_gen =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [ oneofl
+          [ "algorithm"; "n"; "k"; "rate"; "burst"; "rounds"; "drain";
+            "pattern"; "seed" ];
+        string_size (int_bound 6) ]
+  in
+  let leaf =
+    oneof
+      [ pure J.Null; map (fun b -> J.Bool b) bool; map (fun i -> J.Int i) int;
+        map (fun f -> J.Float f) float; map (fun s -> J.Str s) string;
+        map (fun s -> J.Str s) (oneofl [ "1/2"; "0.1"; "1/0"; "9e99"; "-3" ]) ]
+  in
+  let value =
+    oneof [ leaf; map (fun vs -> J.List vs) (list_size (int_bound 3) leaf) ]
+  in
+  oneof
+    [ map (fun kvs -> J.Obj kvs) (list_size (int_bound 10) (pair key value));
+      value ]
+
+(* A .meta line as serve writes it. *)
+let meta_line =
+  {|{"id":"c1","algorithm":"count-hop","n":6,"k":2,"rate":"1/2",|}
+  ^ {|"burst":"2","rounds":40000,"drain":2000,"pattern":"external",|}
+  ^ {|"seed":42,"faults":null,"checkpoint_every":512,"status":"open"}|}
+
+let decode_total v =
+  match Registry.decode ~default:Registry.default v with
+  | Ok _ | Error _ -> true
+
+let qcheck_decode_total_on_objects =
+  QCheck.Test.make ~name:"decode_total_on_arbitrary_json" ~count:1000
+    (QCheck.make ~print:J.to_string json_gen) decode_total
+
+(* Replace, delete or insert one byte of a valid .meta line. *)
+let qcheck_decode_total_on_meta_edits =
+  QCheck.Test.make ~name:"decode_total_on_single_byte_meta_edits" ~count:2000
+    QCheck.(triple (int_bound 2) (int_bound 10_000) char)
+    (fun (edit, at, c) ->
+      let len = String.length meta_line in
+      let at = at mod (len + 1) in
+      let before = String.sub meta_line 0 at in
+      let after i = String.sub meta_line i (len - i) in
+      let line =
+        match edit with
+        | 0 when at < len -> before ^ String.make 1 c ^ after (at + 1)
+        | 1 when at < len -> before ^ after (at + 1)
+        | _ -> before ^ String.make 1 c ^ after at
+      in
+      match J.parse line with Ok v -> decode_total v | Error _ -> true)
+
 (* ---- catalog ---- *)
 
 (* ---- quarantine markers ---- *)
@@ -274,6 +433,12 @@ let () =
          Alcotest.test_case "failure detected" `Quick test_scenario_check_failure_detected;
          Alcotest.test_case "unstable check" `Slow test_scenario_unstable_check;
          Alcotest.test_case "schedule_of" `Quick test_schedule_of ]);
+      ("registry",
+       [ QCheck_alcotest.to_alcotest
+           qcheck_registry_accepts_only_runnable_specs;
+         QCheck_alcotest.to_alcotest qcheck_spec_codec_roundtrip;
+         QCheck_alcotest.to_alcotest qcheck_decode_total_on_objects;
+         QCheck_alcotest.to_alcotest qcheck_decode_total_on_meta_edits ]);
       ("quarantine",
        [ Alcotest.test_case "marker round-trip" `Quick
            test_quarantine_marker_roundtrip;

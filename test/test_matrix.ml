@@ -15,15 +15,16 @@ let broadcast_only id =
   List.mem id [ "rrw"; "mbtf"; "fs-tree"; "ack-rr"; "backoff" ]
 
 let test_axes_cover_the_issue_floor () =
-  (* The acceptance bar: every algorithm (incl. the full-sensing and
-     ack-based families) x >= 3 adversaries x >= 2 fault plans. *)
+  (* The acceptance bar: every registered algorithm (incl. the
+     full-sensing and ack-based families) x >= 3 adversaries x >= 2 fault
+     plans. *)
   check_bool ">= 15 algorithms" true (List.length Matrix.algorithms >= 15);
   check_bool ">= 3 adversaries" true (List.length Matrix.adversaries >= 3);
   check_bool ">= 2 fault plans" true (List.length Matrix.faults >= 2);
   List.iter
     (fun id ->
       check_bool (id ^ " present") true (Matrix.is_algo_id id))
-    [ "fs-tree"; "ack-rr"; "backoff"; "rrw"; "of-rrw"; "mbtf"; "orchestra" ];
+    Mac_experiments.Registry.names;
   let cells = Matrix.row.cells ~scale:`Quick in
   check_int "full cross product"
     (List.length Matrix.algorithms * List.length Matrix.adversaries

@@ -73,6 +73,13 @@ let test_strings () =
   check_bool "1/0 rejected" true (Result.is_error (Qrat.of_string "1/0"));
   check_bool "empty rejected" true (Result.is_error (Qrat.of_string ""));
   check_bool "garbage rejected" true (Result.is_error (Qrat.of_string "abc"));
+  (* no native-int rational is that large or that small; a denominator
+     of min_int cannot be normalised *)
+  List.iter
+    (fun s ->
+      check_bool (s ^ " rejected") true (Result.is_error (Qrat.of_string s)))
+    [ "1e300"; "1e19"; "1e-300"; "99999999999999999999";
+      "1/-4611686018427387904" ];
   Alcotest.(check string) "to_string frac" "1/10" (Qrat.to_string (Qrat.make 1 10));
   Alcotest.(check string) "to_string int" "3" (Qrat.to_string (Qrat.of_int 3))
 

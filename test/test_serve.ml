@@ -160,16 +160,6 @@ let test_session_chunked_equals_run () =
 
 (* ---- in-process server -------------------------------------------------- *)
 
-let algorithm_of ~name ~n:_ ~k:_ =
-  match name with
-  | "orchestra" -> Ok (module Mac_routing.Orchestra : Mac_channel.Algorithm.S)
-  | _ -> Error (Printf.sprintf "unknown algorithm %S" name)
-
-let pattern_of ~spec ~n ~seed:_ =
-  match spec with
-  | "round-robin" -> Ok (Mac_adversary.Pattern.round_robin ~n)
-  | _ -> Error (Printf.sprintf "unknown pattern %S" spec)
-
 let start_server ~dir ~shards =
   Mac_sim.Supervisor.reset_drain ();
   let socket = Filename.concat dir "serve.sock" in
@@ -179,8 +169,6 @@ let start_server ~dir ~shards =
       shards;
       checkpoint_every = 32;
       telemetry_every = 100;
-      algorithm_of;
-      pattern_of;
       log = (fun _ -> ()) }
   in
   match Mac_serve.Server.create cfg with
@@ -262,22 +250,12 @@ let test_protocol_errors_are_typed () =
        (req_err c
           (open_cmd ~channel:"no spaces allowed" ~rounds:10 ~drain:0))
        "id");
-  (* an unresolvable algorithm fails in the shard's adoption path and must
-     still come back as a typed reply *)
-  check_bool "unknown algorithm" true
-    (contains
-       (req_err c
-          [ ("cmd", J.Str "open"); ("channel", J.Str "x");
-            ("algorithm", J.Str "nope") ])
-       "nope");
   (* a field present with the wrong type or out of range is named in the
-     error, never replaced by its default *)
+     error, never replaced by its default; a spec the shard could not start
+     is refused the same way, up front, leaving no trace of the id *)
   List.iter
     (fun (fields, named) ->
-      let line =
-        {|{"cmd":"open","channel":"bad","algorithm":"orchestra",|} ^ fields
-        ^ "}"
-      in
+      let line = {|{"cmd":"open","channel":|} ^ fields ^ "}" in
       Client.send_line c line;
       let err =
         match Option.map J.parse (Client.recv_line c) with
@@ -289,11 +267,25 @@ let test_protocol_errors_are_typed () =
       in
       check_bool
         (Printf.sprintf "%s names %s (got %S)" line named err)
-        true (contains err named))
-    [ ({|"n":"6"|}, {|"n"|});
-      ({|"checkpoint_every":1e19,"seed":1e19|}, {|"seed"|});
-      ({|"checkpoint_every":5e18|}, {|"checkpoint_every"|});
-      ({|"checkpoint_every":-1|}, {|"checkpoint_every"|}) ];
+        true
+        (contains err named && not (contains err "Failure")))
+    [ ({|"bad","algorithm":"orchestra","n":"6"|}, {|"n"|});
+      ( {|"bad","algorithm":"orchestra","checkpoint_every":1e19,"seed":1e19|},
+        {|"seed"|} );
+      ( {|"bad","algorithm":"orchestra","checkpoint_every":5e18|},
+        {|"checkpoint_every"|} );
+      ( {|"bad","algorithm":"orchestra","checkpoint_every":-1|},
+        {|"checkpoint_every"|} );
+      ({|"x","algorithm":"nope"|}, {|"algorithm": unknown algorithm "nope"|});
+      ({|"x","algorithm":"k-subsets","n":4,"k":4|}, {|"k"|});
+      ({|"x","algorithm":"orchestra","pattern":"flood:x"|}, {|"pattern"|});
+      ({|"x","algorithm":"orchestra","rate":"2"|}, {|"rate"|});
+      ({|"x","algorithm":"orchestra","burst":"1e-300"|}, {|"burst"|});
+      ( {|"x","algorithm":"count-hop","n":1,"k":1,"pattern":"round-robin"|},
+        {|"n"|} ) ];
+  check_bool "a refused open writes no meta file" false
+    (Sys.file_exists (Filename.concat dir "x.meta"));
+  ignore (req c (open_cmd ~channel:"x" ~rounds:10 ~drain:0));
   (* after all that abuse the daemon still works end to end *)
   let reply = req c [ ("cmd", J.Str "ping") ] in
   check_bool "ping survives" true
