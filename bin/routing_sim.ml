@@ -223,9 +223,10 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
   in
   let ledger = if stations then Some (Mac_sim.Ledger.create ~n) else None in
   let sinks =
-    (match events with
-     | Some path -> [ jsonl_sink path ]
-     | None -> [])
+    (match trace with Some t -> [ Mac_sim.Sink.ring t ] | None -> [])
+    @ (match events with
+       | Some path -> [ jsonl_sink path ]
+       | None -> [])
     @ (match ledger with Some l -> [ Mac_sim.Ledger.sink l ] | None -> [])
   in
   let sink =
@@ -275,7 +276,7 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
   let config =
     { (Mac_sim.Engine.default_config ~rounds) with
       mode = engine;
-      drain_limit = drain; check_schedule = A.oblivious; trace; sink;
+      drain_limit = drain; check_schedule = A.oblivious; sink;
       checkpoint_every;
       on_checkpoint =
         Option.map
@@ -829,7 +830,6 @@ let resilience_cmd algo spec quick jobs trace_n events_dir telemetry_dir
         "note: --retries/--job-timeout/--keep-going apply to suite mode only\n";
     let spec = { spec with Registry.algorithm = algorithm_name } in
     let algorithm = resolve_algorithm spec in
-    let module A = (val algorithm) in
     let { Registry.n; k; rate; burst; rounds; drain; _ } = spec in
     let plan =
       match fault_plan with
@@ -846,40 +846,19 @@ let resilience_cmd algo spec quick jobs trace_n events_dir telemetry_dir
           Printf.eprintf "%s\n" msg;
           exit 2)
     in
-    if Mac_faults.Fault_plan.max_station plan >= n then begin
-      Printf.eprintf "fault plan %s names station %d, but n = %d\n"
-        (Mac_faults.Fault_plan.name plan)
-        (Mac_faults.Fault_plan.max_station plan)
-        n;
-      exit 2
-    end;
+    let plan = or_exit2 (Mac_faults.Fault_plan.for_stations ~n plan) in
     let pattern = resolve_pattern spec ~algorithm in
-    let adversary =
-      Mac_adversary.Adversary.create_q ~rate ~burst
-        ~pacing:Mac_adversary.Adversary.Greedy pattern
-    in
-    let sink = Option.map jsonl_sink events in
-    let empty = Mac_faults.Fault_plan.is_empty plan in
-    let config =
-      { (Mac_sim.Engine.default_config ~rounds) with
-        drain_limit = drain;
-        check_schedule = A.oblivious;
-        strict = empty;
-        sink;
-        faults = (if empty then None else Some plan) }
-    in
-    let summary =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Mac_sim.Sink.close sink)
-        (fun () ->
-          Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ())
+    let { Mac_experiments.Scenario.summary; stability; _ } =
+      Mac_experiments.Scenario.run
+        ~observe:(fun ~id:_ -> Option.map jsonl_sink events)
+        (Mac_experiments.Scenario.spec_q ~id:algorithm_name ~algorithm ~n ~k
+           ~rate ~burst ~pattern ~rounds ~drain ~faults:plan ())
     in
     if json then print_endline (Mac_sim.Export.summary_json summary)
     else begin
       Printf.printf "fault plan: %s (%d actions)\n"
         (Mac_faults.Fault_plan.name plan)
         (Mac_faults.Fault_plan.size plan);
-      let stability = Mac_sim.Stability.classify summary.queue_series in
       Format.printf "%a@." Mac_sim.Metrics.pp_summary summary;
       Format.printf "stability: %a@." Mac_sim.Stability.pp_report stability;
       Option.iter (fun path -> Printf.printf "wrote %s\n" path) events
@@ -948,21 +927,14 @@ let inspect_cmd file spec last width =
      print_string (Mac_sim.Timeline.render ~width tl)
    | None ->
      let algorithm = resolve_algorithm spec in
-     let module A = (val algorithm) in
      let { Registry.n; k; rate; burst; rounds; _ } = spec in
      let pattern = resolve_pattern spec ~algorithm in
-     let adversary =
-       Mac_adversary.Adversary.create_q ~rate ~burst
-         ~pacing:Mac_adversary.Adversary.Greedy pattern
-     in
      let tl = Mac_sim.Timeline.create ~rounds:(max last rounds) ~n () in
-     let config =
-       { (Mac_sim.Engine.default_config ~rounds) with
-         check_schedule = A.oblivious;
-         sink = Some (Mac_sim.Timeline.sink tl) }
-     in
-     let summary =
-       Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ()
+     let { Mac_experiments.Scenario.summary; _ } =
+       Mac_experiments.Scenario.run
+         ~observe:(fun ~id:_ -> Some (Mac_sim.Timeline.sink tl))
+         (Mac_experiments.Scenario.spec_q ~id:spec.algorithm ~algorithm ~n ~k
+            ~rate ~burst ~pattern ~rounds ~drain:0 ())
      in
      print_string (Mac_sim.Timeline.render ~width tl);
      Printf.printf

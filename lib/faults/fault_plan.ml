@@ -24,6 +24,13 @@ let name t = t.name
 let size t = t.size
 let max_station t = t.max_station
 
+let for_stations ~n t =
+  if t.max_station < n then Ok t
+  else
+    Error
+      (Printf.sprintf "fault plan %s names station %d, but n = %d" t.name
+         t.max_station n)
+
 let actions t ~round =
   match Hashtbl.find_opt t.by_round round with Some l -> l | None -> []
 

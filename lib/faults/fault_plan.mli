@@ -53,7 +53,11 @@ val size : t -> int
 val max_station : t -> int
 (** Largest station index named by any crash/restart action; [-1] if the
     plan touches no station. Callers should reject plans with
-    [max_station >= n] before running. *)
+    [max_station >= n] before running — see {!for_stations}. *)
+
+val for_stations : n:int -> t -> (t, string) result
+(** [Ok plan] when every station the plan names is below [n]; otherwise a
+    one-line error naming the plan, the station and [n]. *)
 
 val actions : t -> round:int -> action list
 (** The actions scheduled for [round], in application order; [] for

@@ -403,6 +403,12 @@ let complete_channel sv ch session =
   write_meta sv ch;
   reply_waiters sv ch ~complete:true
 
+(* A failure's message for a reply or a log line: the text of a failure
+   or a protocol violation, without the OCaml constructor around it. *)
+let error_message = function
+  | Failure msg | E.Protocol_violation msg -> msg
+  | e -> Printexc.to_string e
+
 let advance_channel sv ch =
   match ch.ch_session with
   | None -> ()
@@ -420,7 +426,7 @@ let advance_channel sv ch =
       publish ch;
       if E.session_complete s then complete_channel sv ch s
       else reply_waiters sv ch ~complete:false
-    with e -> mark_failed sv ch (Printexc.to_string e))
+    with e -> mark_failed sv ch (error_message e))
 
 (* Build the engine config + session for a channel and attach it to the
    shard. Runs on the shard (posted as a mailbox thunk) so file I/O and
@@ -442,7 +448,12 @@ let adopt_channel sv shard ch ~reply =
     let faults =
       match cc.cc_faults with
       | None -> None
-      | Some path -> Some (ok_or_fail (Mac_faults.Fault_plan.of_file path))
+      | Some path ->
+        Some
+          (ok_or_fail
+             (Result.bind
+                (Mac_faults.Fault_plan.of_file path)
+                (Mac_faults.Fault_plan.for_stations ~n:s.n)))
     in
     let adversary =
       Mac_adversary.Adversary.create_q ~rate:s.rate ~burst:s.burst pattern
@@ -472,6 +483,13 @@ let adopt_channel sv shard ch ~reply =
       { (E.default_config ~rounds:s.rounds) with
         drain_limit = s.drain;
         check_schedule = A.oblivious;
+        (* As in [Scenario.run]: a faulted channel counts violations
+           instead of raising (a packet heard while its consumers are
+           crashed strands). *)
+        strict =
+          (match faults with
+           | Some p -> Mac_faults.Fault_plan.is_empty p
+           | None -> true);
         sink = Some (spool_sink sp);
         faults;
         checkpoint_every = cc.cc_every;
@@ -509,7 +527,7 @@ let adopt_channel sv shard ch ~reply =
            ("shard", J.Int shard.sh_index);
            ("round", J.Int (E.session_round session)) ])
   with e ->
-    let msg = match e with Failure msg -> msg | e -> Printexc.to_string e in
+    let msg = error_message e in
     locked ch.ch_mutex (fun () -> ch.ch_status <- Failed msg);
     write_meta sv ch;
     sv.cfg.log

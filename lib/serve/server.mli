@@ -17,6 +17,11 @@
       (n, k) range, rounds and drain >= 0, rate in (0, 1], burst >= 1, a
       known algorithm and a well-formed pattern. A refused [open] is an
       error naming the field; it leaves no [.meta] file and the id free.
+      The [faults] plan is read when the shard adopts the channel: an
+      unreadable plan, or one naming a station [>= n], fails the [open]
+      there and leaves the channel [failed]. A channel with a non-empty
+      plan counts protocol violations instead of raising, as batch runs
+      do.
     - [{"cmd":"inject","channel":ID,"at":R,"src":S,"dst":D}] or
       [{"cmd":"inject","channel":ID,"packets":[[at,src,dst],...]}] —
       queue packets from outside the process. The adversary's leaky

@@ -16,6 +16,22 @@
       transmitter and counted;
     + switched-off stations observe nothing.
 
+    {b Run state and phases.} A run is one explicit state record — queues,
+    algorithm states, the adversary driver, mode memory, fault flags and
+    the sparse caches — advanced by five named phases per concrete round,
+    the same five that telemetry times ([eear_phase_ns]):
+    {i inject} (the adversary's admissions), {i faults} (this round's
+    fault actions), {i resolve} (mode decisions, the energy charge, the
+    switched-on stations' actions and the channel outcome), {i deliver}
+    (delivery, reactions, adoption, offline ticks and the end of the
+    round), and {i observe} (the time spent in the sink, spread over the
+    other four). Both modes build one ascending on-list per round, which
+    acts, reactions and the previous-round bookkeeping iterate; only the
+    mode decision and the dense offline tick differ by mode. Between
+    rounds the driver may instead retire a provably silent stretch in one
+    analytic skip (sparse {!mode}), then takes any due checkpoint and
+    telemetry sample. A {!session} is that state stopped at a round boundary.
+
     The engine verifies the algorithm's declared contract while running:
     transmitting a packet not in one's queue, a non-plain message from a
     plain-packet algorithm, adoption by a direct-routing algorithm, adoption
@@ -87,13 +103,11 @@ type config = {
   sample_every : int;    (** queue-size sampling period; [0] = auto *)
   check_schedule : bool; (** cross-check [on_duty] against [static_schedule] *)
   strict : bool;         (** raise on protocol violations instead of counting *)
-  trace : Mac_channel.Trace.t option;
-  (** when set, notable channel events (injections, deliveries, relays,
-      light messages, collisions) are recorded into the caller's trace *)
   sink : Sink.t option;
   (** when set, receives the full typed event stream of the run — every
       mode edge, transmission, channel outcome and round boundary. Combine
-      sinks with {!Sink.tee}; the sink is {b not} closed by the engine. *)
+      sinks with {!Sink.tee} (a bounded {!Mac_channel.Trace} ring rides
+      along as {!Sink.ring}); the sink is {b not} closed by the engine. *)
   faults : Mac_faults.Fault_plan.t option;
   (** when set (and non-empty), fault actions are injected into the round
       loop — see the module docs. A plan naming a station [>= n] raises
@@ -113,7 +127,7 @@ type config = {
       energy, throughput, GC and phase-timing metrics — see
       {!Telemetry.Names}) at every round boundary divisible by
       [probe.every], plus once at the end of the run. Each sample emits an
-      [Event.Telemetry] through the sinks (when any are installed) and
+      [Event.Telemetry] through the sink (when one is installed) and
       then calls [probe.on_sample]. Sampling reads but never writes
       engine state: a run with telemetry on produces the same summary,
       checkpoints, and (telemetry events aside) event stream as one with
@@ -133,8 +147,8 @@ type config = {
 }
 
 val default_config : rounds:int -> config
-(** No drain, auto sampling, no schedule check, strict, no trace, no sink,
-    no faults, no checkpointing, no telemetry, [Dense] mode. *)
+(** No drain, auto sampling, no schedule check, strict, no sink, no
+    faults, no checkpointing, no telemetry, [Dense] mode. *)
 
 type session
 (** An in-flight run stopped at a round boundary: the same engine state

@@ -350,6 +350,36 @@ let test_smoke_matches_golden () =
   let golden = String.trim (read_file "golden/resilience_smoke.json") in
   Alcotest.(check string) "summary JSON matches golden" golden (String.trim out)
 
+(* [run --trace N] prints the last N notable channel events, recorded by
+   a trace ring on the run's sink tee. The tail and the digest of the
+   [--json] output are pinned, so rewiring the ring cannot change what the
+   command prints. *)
+let trace_args =
+  [ "run"; "-a"; "orchestra"; "-n"; "5"; "-k"; "3"; "--rate"; "1"; "-p";
+    "flood:2"; "--rounds"; "200"; "--trace"; "5" ]
+
+let test_run_trace_tail () =
+  let code, out, err = run_cli trace_args in
+  Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" err) 0 code;
+  let tail =
+    String.concat "\n"
+      [ "--- last 5 channel events ---";
+        "r197      deliver #169 2->1 (delay 30, hop 1)";
+        "r198      inject #200 2->0";
+        "r198      deliver #170 2->3 (delay 30, hop 1)";
+        "r199      inject #201 2->1";
+        "r199      deliver #171 2->4 (delay 30, hop 1)" ]
+    ^ "\n"
+  in
+  let n = String.length out and t = String.length tail in
+  Alcotest.(check string) "stdout ends with the last five events" tail
+    (if n >= t then String.sub out (n - t) t else out);
+  let code, out, _ = run_cli (trace_args @ [ "--json" ]) in
+  Alcotest.(check int) "--json exit code" 0 code;
+  Alcotest.(check string) "--json stdout digest"
+    "d2b61054e0a433008bcb36fde824b6ac"
+    (Digest.to_hex (Digest.string out))
+
 let () =
   Alcotest.run "cli"
     [ ("fault-plan errors",
@@ -381,4 +411,5 @@ let () =
            test_sigterm_drains_unflagged_sweep;
          Alcotest.test_case "chaos smoke" `Quick test_chaos_smoke ]);
       ("golden",
-       [ Alcotest.test_case "resilience smoke" `Quick test_smoke_matches_golden ]) ]
+       [ Alcotest.test_case "resilience smoke" `Quick test_smoke_matches_golden;
+         Alcotest.test_case "run --trace tail" `Quick test_run_trace_tail ]) ]

@@ -165,7 +165,8 @@ let test_engine_trace_records_events () =
       (Mac_adversary.Pattern.uniform ~n:4 ~seed:5)
   in
   let config =
-    { (Mac_sim.Engine.default_config ~rounds:50) with trace = Some trace }
+    { (Mac_sim.Engine.default_config ~rounds:50) with
+      sink = Some (Mac_sim.Sink.ring trace) }
   in
   let s =
     Mac_sim.Engine.run ~config ~algorithm:(module Mac_broadcast.Rrw) ~n:4 ~k:4
@@ -184,9 +185,10 @@ let test_engine_trace_records_events () =
   check_bool "deliver events consistent" true (count "deliver" <= s.delivered)
 
 let test_engine_no_trace_by_default () =
-  (* merely documents that the default config carries no trace *)
+  (* merely documents that the default config records nothing: a trace
+     ring is a sink, and the default config carries none *)
   let cfg = Mac_sim.Engine.default_config ~rounds:10 in
-  check_bool "no trace" true (cfg.trace = None)
+  check_bool "no sink" true (cfg.sink = None)
 
 (* ---- sweep ---- *)
 

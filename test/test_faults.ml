@@ -29,6 +29,10 @@ let test_scripted_plan () =
   Alcotest.(check string) "name" "demo" (FP.name p);
   check_int "size" 3 (FP.size p);
   check_int "max_station" 1 (FP.max_station p);
+  check_bool "fits two stations" true (FP.for_stations ~n:2 p = Ok p);
+  check_bool "refused for one, naming station and n" true
+    (FP.for_stations ~n:1 p
+     = Error "fault plan demo names station 1, but n = 1");
   check_bool "same-round order preserved" true
     (FP.actions p ~round:10
      = [ FP.Crash { station = 1; queue = FP.Retain }; FP.Jam ]);

@@ -158,6 +158,98 @@ let test_session_chunked_equals_run () =
   check_string "chunked summary" summary_run
     (Mac_sim.Export.summary_json summary ^ "\n")
 
+(* The same property over random configurations in both modes: dense
+   and sparse algorithms under [Auto], with fault plans, pacing and drains,
+   with and without a sink (a sink keeps skip-ahead off), and with
+   checkpoints on. A session advanced in random budgets, snapshotted after
+   every call, must reproduce [Engine.run]'s summary bytes, event stream
+   and checkpoint bytes, and resuming from any of those snapshots must
+   finish with the same summary. *)
+module Diff = Mac_verify.Diff
+
+type observed = {
+  summary : (string, string) result;  (* Marshal bytes, or the violation *)
+  events : string;
+  checkpoints : string list;
+}
+
+let config_of (r : Diff.run) =
+  { (E.default_config ~rounds:r.rounds) with
+    drain_limit = r.drain; strict = false; faults = r.faults; mode = E.Auto }
+
+let adversary_of (r : Diff.run) =
+  Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
+    ~pacing:r.pacing r.pattern
+
+let observe (r : Diff.run) ~with_sink ~every drive =
+  let events = Buffer.create 4096 in
+  let sink =
+    Mac_sim.Sink.make (fun ~round ev ->
+        Buffer.add_string events (Mac_channel.Event.to_json ~round ev);
+        Buffer.add_char events '\n')
+  in
+  let checkpoints = ref [] in
+  let config =
+    { (config_of r) with
+      sink = (if with_sink then Some sink else None);
+      checkpoint_every = every;
+      on_checkpoint =
+        Some (fun s -> checkpoints := Marshal.to_string s [] :: !checkpoints) }
+  in
+  let summary =
+    match drive config (adversary_of r) with
+    | s -> Ok (Marshal.to_string (s : Mac_sim.Metrics.summary) [])
+    | exception E.Protocol_violation msg -> Error msg
+  in
+  { summary; events = Buffer.contents events;
+    checkpoints = List.rev !checkpoints }
+
+let chunked_equals_run_property =
+  QCheck.Test.make ~name:"chunked session = run, dense and sparse" ~count:24
+    QCheck.(pair bool (int_range 0 1_000_000))
+    (fun (sparse, seed) ->
+      let make =
+        if sparse then Diff.random_sparse ~seed
+        else fun () -> fst (Diff.random_pair ~seed)
+      in
+      let budgets = Random.State.make [| seed |] in
+      List.for_all
+        (fun with_sink ->
+          let r = make () in
+          let every = 1 + Random.State.int budgets (max 1 (r.rounds / 4)) in
+          let whole =
+            observe r ~with_sink ~every (fun config adversary ->
+                E.run ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k ~adversary
+                  ~rounds:r.rounds ())
+          in
+          let snapshots = ref [] in
+          let chunked =
+            observe (make ()) ~with_sink ~every (fun config adversary ->
+                let s =
+                  E.start ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k
+                    ~adversary ~rounds:r.rounds ()
+                in
+                while not (E.session_complete s) do
+                  ignore (E.advance s ~max_steps:(1 + Random.State.int budgets 64));
+                  snapshots := E.session_snapshot s :: !snapshots
+                done;
+                E.finish s)
+          in
+          let resumed snap =
+            let r = make () in
+            Ok
+              (Marshal.to_string
+                 (E.run ~config:(config_of r) ~resume:snap
+                    ~algorithm:r.algorithm ~n:r.n ~k:r.k
+                    ~adversary:(adversary_of r) ~rounds:r.rounds ())
+                 [])
+          in
+          whole = chunked
+          && (Result.is_error whole.summary
+             || List.for_all (fun snap -> resumed snap = whole.summary)
+                  !snapshots))
+        [ false; true ])
+
 (* ---- in-process server -------------------------------------------------- *)
 
 let start_server ~dir ~shards =
@@ -438,6 +530,120 @@ let test_chaos_preserves_byte_identity () =
     summary
     (read_file (Filename.concat dir "chaos.summary.json"))
 
+(* ---- faulted channels --------------------------------------------------- *)
+
+let write_plan dir name text =
+  let path = Filename.concat dir name in
+  let oc = open_out path in
+  output_string oc text;
+  close_out oc;
+  path
+
+let faulted_open ~channel ~plan =
+  [ ("cmd", J.Str "open");
+    ("channel", J.Str channel);
+    ("algorithm", J.Str "count-hop");
+    ("n", J.Int 6);
+    ("k", J.Int 2);
+    ("rate", J.Str "3/5");
+    ("rounds", J.Int 3000);
+    ("drain", J.Int 500);
+    ("pattern", J.Str "uniform");
+    ("faults", J.Str plan) ]
+
+(* A crash plan strands packets while their consumers are down. Serve
+   counts those violations instead of raising, as the batch run does, so
+   the channel completes with [Scenario.run]'s summary, byte for byte. *)
+let test_faulted_channel_matches_batch () =
+  let dir = temp_dir "eear_serve_faults" in
+  let plan = write_plan dir "plan.txt" "crash 100 3 keep\n" in
+  let socket, d = start_server ~dir ~shards:1 in
+  let c = connect_ok socket in
+  ignore (req c (faulted_open ~channel:"f1" ~plan));
+  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "f1") ] in
+  check_bool "complete" true
+    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+  Client.close c;
+  stop_server socket d;
+  let ok = function Ok x -> x | Error msg -> Alcotest.fail msg in
+  let module Registry = Mac_experiments.Registry in
+  let module Scenario = Mac_experiments.Scenario in
+  let d = Registry.default in
+  let outcome =
+    Scenario.run
+      (Scenario.spec_q ~id:"f1"
+         ~algorithm:(ok (Registry.algorithm "count-hop" ~n:6 ~k:2))
+         ~n:6 ~k:2
+         ~rate:(Mac_channel.Qrat.make 3 5)
+         ~burst:d.burst
+         ~pattern:(ok (Registry.pattern "uniform" ~n:6 ~seed:d.seed))
+         ~rounds:3000 ~drain:500
+         ~faults:(ok (Mac_faults.Fault_plan.of_file plan))
+         ())
+  in
+  check_bool "the plan strands packets" true
+    (outcome.summary.violations.stranded > 0);
+  check_string "summary matches Scenario.run"
+    (Mac_sim.Export.summary_json outcome.summary ^ "\n")
+    (read_file (Filename.concat dir "f1.summary.json"))
+
+(* A plan naming a station the channel does not have is refused when the
+   shard adopts the channel, like an unreadable plan file, instead of
+   failing the channel at the crash's round. *)
+let test_out_of_range_plan_refused () =
+  let dir = temp_dir "eear_serve_plan9" in
+  let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+  let socket, d = start_server ~dir ~shards:1 in
+  let c = connect_ok socket in
+  let err = req_err c (faulted_open ~channel:"f9" ~plan) in
+  check_bool
+    (Printf.sprintf "names station 9 and n = 6 (got %S)" err)
+    true
+    (contains err "station 9" && contains err "n = 6");
+  let row =
+    List.find
+      (fun row -> Option.bind (J.member "id" row) J.to_str = Some "f9")
+      (Option.value ~default:[]
+         (Option.bind
+            (J.member "channels" (req c [ ("cmd", J.Str "list") ]))
+            J.to_list))
+  in
+  check_bool "the channel failed to start" true
+    (Option.bind (J.member "status" row) J.to_str = Some "failed");
+  Client.close c;
+  stop_server socket d
+
+(* Every reply a faulted channel produces reads as plain text: a failure
+   or protocol violation carries its message, not the OCaml constructor
+   around it. *)
+let test_errors_carry_no_constructor () =
+  let dir = temp_dir "eear_serve_ctor" in
+  let crash = write_plan dir "plan.txt" "crash 100 3 keep\n" in
+  let crash9 = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+  let socket, d = start_server ~dir ~shards:1 in
+  let c = connect_ok socket in
+  let reply fields =
+    Client.send_line c (J.to_string (J.Obj fields));
+    Option.value (Client.recv_line c) ~default:""
+  in
+  let replies =
+    List.concat_map
+      (fun (channel, plan) ->
+        let opened = reply (faulted_open ~channel ~plan) in
+        [ opened; reply [ ("cmd", J.Str "run"); ("channel", J.Str channel) ] ])
+      [ ("f1", crash); ("f9", crash9) ]
+  in
+  List.iter
+    (fun line ->
+      check_bool
+        (Printf.sprintf "no constructor in %S" line)
+        false
+        (contains line "Protocol_violation" || contains line "Failure("
+         || contains line "Mac_sim."))
+    replies;
+  Client.close c;
+  stop_server socket d
+
 let () =
   Alcotest.run "serve"
     [ ("trace-file",
@@ -446,7 +652,8 @@ let () =
            test_trace_file_rejects_bad_lines ]);
       ("session",
        [ Alcotest.test_case "chunked = run" `Quick
-           test_session_chunked_equals_run ]);
+           test_session_chunked_equals_run;
+         QCheck_alcotest.to_alcotest chunked_equals_run_property ]);
       ("server",
        [ Alcotest.test_case "typed errors" `Quick
            test_protocol_errors_are_typed;
@@ -455,4 +662,10 @@ let () =
          Alcotest.test_case "subscriber disconnect" `Quick
            test_disconnect_mid_subscribe_leaves_shard_alive;
          Alcotest.test_case "chaos byte-identical" `Quick
-           test_chaos_preserves_byte_identity ]) ]
+           test_chaos_preserves_byte_identity;
+         Alcotest.test_case "faulted channel = batch" `Quick
+           test_faulted_channel_matches_batch;
+         Alcotest.test_case "out-of-range plan refused" `Quick
+           test_out_of_range_plan_refused;
+         Alcotest.test_case "errors carry no constructor" `Quick
+           test_errors_carry_no_constructor ]) ]
