@@ -120,6 +120,12 @@ let oldest_to_such t d pred =
   end
   else None
 
+(* The oldest node of the newest run of packets satisfying [pred], walking
+   back from [node]; the sentinel when the newest packet fails. *)
+let rec run_start ring pred node =
+  if node != ring && pred node.packet then run_start ring pred node.prev
+  else node.next
+
 let rec fold_from ring f acc node =
   if node == ring then acc else fold_from ring f (f acc node.packet) node.next
 
@@ -132,6 +138,9 @@ let rec iter_from ring f node =
   end
 
 let iter t ~f = iter_from t.ring f t.ring.next
+
+let iter_suffix t pred ~f =
+  iter_from t.ring f (run_start t.ring pred t.ring.prev)
 
 (* Built from the newest packet backwards, so no reversal is needed. *)
 let rec list_before ring acc node =

@@ -17,10 +17,12 @@
     O(n) per queue, which is what lets the engine build n = 10⁵ queues.
     [add], [remove], [mem], [size], [count_to], [oldest] and [oldest_to]
     are O(1) and allocate at most the node and its table entries; the
-    [*_such] queries, [fold] and [iter] are plain loops over a ring.
+    [*_such] queries, [fold] and [iter] are plain loops over a ring, and
+    [iter_suffix] visits only the suffix it reports.
 
-    Callbacks passed to [fold], [iter], [oldest_such] and [oldest_to_such]
-    must not add to or remove from the queue they traverse. *)
+    Callbacks passed to [fold], [iter], [iter_suffix], [oldest_such] and
+    [oldest_to_such] must not add to or remove from the queue they
+    traverse. *)
 
 type t
 
@@ -69,6 +71,14 @@ val fold : t -> init:'a -> f:('a -> Packet.t -> 'a) -> 'a
 
 val iter : t -> f:(Packet.t -> unit) -> unit
 (** Iterates in arrival order. *)
+
+val iter_suffix : t -> (Packet.t -> bool) -> f:(Packet.t -> unit) -> unit
+(** [iter_suffix q pred ~f] walks back from the newest packet while [pred]
+    holds, then iterates [f] oldest-first over that run: the maximal
+    arrival-order suffix whose packets all satisfy [pred]. It costs
+    O(run + 1) — the packets before the suffix are never visited — and
+    allocates nothing. [pred] sees every packet of the run and the one
+    before it; [f] must not add to or remove from the queue. *)
 
 val to_list : t -> Packet.t list
 (** Queued packets in arrival order. *)

@@ -52,6 +52,7 @@ type state = {
   mutable main_ready : bool;
   mutable dedicated : int;  (* station owning a dedicated Main; -1 = normal *)
   starts : int array;       (* per-sender first slot of its Main segment *)
+  aux_none : bool array;    (* no eligible Auxiliary packet for j this window *)
 }
 
 let name = "adjust-window"
@@ -100,7 +101,8 @@ let open_window s ~round ~l ~queue =
   s.cnt_me.(s.me) <- 0;
   s.cnt_below.(s.me) <- s.my_below.(s.me);
   s.main_ready <- false;
-  s.dedicated <- -1
+  s.dedicated <- -1;
+  Array.fill s.aux_none 0 s.n false
 
 let create ~n ~k:_ ~me =
   let s =
@@ -111,7 +113,8 @@ let create ~n ~k:_ ~me =
       is_large = Array.make n false; over_l = Array.make n false;
       qsize = Array.make n 0; cnt_me = Array.make n 0;
       cnt_below = Array.make n 0;
-      main_ready = false; dedicated = -1; starts = Array.make n 0 }
+      main_ready = false; dedicated = -1; starts = Array.make n 0;
+      aux_none = Array.make n false }
   in
   s.l <- initial_window ~n;
   s
@@ -136,11 +139,11 @@ let sync s ~round ~queue =
 
 let gossip_phase_len s = 2 + (3 * s.lg_l)
 
-(* Phase (i, j) and round-within-phase for a gossip offset. *)
-let gossip_pos s off =
-  let len = gossip_phase_len s in
-  let phase = off / len in
-  (phase / s.n, phase mod s.n, off mod len)
+(* A gossip offset lies in phase (i, j) = (phase / n, phase mod n), at
+   round-within-phase [gossip_round]. The per-round lookups return ints,
+   not tuples, so that they allocate nothing. *)
+let gossip_phase s off = off / gossip_phase_len s
+let gossip_round s off = off mod gossip_phase_len s
 
 (* The bit a large station i conveys in round r of phase (i, j): presence,
    the over-L flag, then three lgL-bit numbers, most significant bit first. *)
@@ -192,18 +195,19 @@ let dedicated_listener s ~slot =
    they are top-level loops so that a lookup allocates no closure. *)
 
 (* The first destination [w] whose sub-interval of my segment covers the
-   relative slot [rel], if any. *)
+   relative slot [rel]; -1 if none. *)
 let rec dest_covering s rel w =
-  if w >= s.n then None
-  else if rel < s.my_below.(w) + s.my_cnt.(w) then Some w
+  if w >= s.n then -1
+  else if rel < s.my_below.(w) + s.my_cnt.(w) then w
   else dest_covering s rel (w + 1)
 
-(* My sending destination for a Main slot, if the slot lies in my segment. *)
+(* My sending destination for a Main slot; -1 unless the slot lies in my
+   segment. *)
 let main_my_dest s ~slot =
-  if s.my_small || s.my_over then None
+  if s.my_small || s.my_over then -1
   else begin
     let rel = slot - s.starts.(s.me) in
-    if rel < 0 || rel >= s.my_q then None else dest_covering s rel 0
+    if rel < 0 || rel >= s.my_q then -1 else dest_covering s rel 0
   end
 
 let rec listening_from s slot i =
@@ -221,49 +225,68 @@ let main_listening s ~slot = listening_from s slot 0
 
 (* ---- Auxiliary stage ---- *)
 
-let aux_pos s off =
-  let e = off mod (s.n * s.n) in
-  (e / s.n, e mod s.n)
+(* An auxiliary offset lies in pair (i, j) = (slot / n, slot mod n). *)
+let aux_slot s off = off mod (s.n * s.n)
 
 let aux_eligible s (p : Packet.t) =
   Hashtbl.mem s.adopted p.id || (s.my_small && Hashtbl.mem s.old p.id)
 
-let aux_packet s ~queue ~j = Pqueue.oldest_to_such queue j (aux_eligible s)
+(* The oldest eligible packet for j. Once a lookup finds none, none
+   appears until the window closes: eligibility is fixed per packet during
+   the auxiliary stage ([old], [adopted] and [my_small] change only at
+   window open and in Gossip's [observe]), fresh injections are never
+   eligible, and a packet comes back stranded only after this station sent
+   it, which took a lookup that found it. So a flood's backlog of
+   ineligible packets is scanned once per destination and window, not on
+   every slot. *)
+let aux_packet s ~queue ~j =
+  if s.aux_none.(j) then None
+  else begin
+    let found = Pqueue.oldest_to_such queue j (aux_eligible s) in
+    if Option.is_none found then s.aux_none.(j) <- true;
+    found
+  end
 
 (* ---- Algorithm hooks ---- *)
 
+(* The stage of a window offset; the offset within the stage is [off] in
+   Gossip, [off - l_g] in Main and [off - l_g - l_m] in Auxiliary. *)
 let stage_of s off =
-  if off < s.l_g then (Gossip, off)
-  else if off < s.l_g + s.l_m then (Main, off - s.l_g)
-  else (Auxiliary, off - s.l_g - s.l_m)
+  if off < s.l_g then Gossip
+  else if off < s.l_g + s.l_m then Main
+  else Auxiliary
 
 let on_duty s ~round ~queue =
   sync s ~round ~queue;
   let off = round - s.window_start in
   match stage_of s off with
-  | Gossip, off ->
-    let i, j, _ = gossip_pos s off in
+  | Gossip ->
+    let phase = gossip_phase s off in
+    let i = phase / s.n and j = phase mod s.n in
     if i = j then false
     else if s.me = j then true
     else s.me = i && not s.my_small
-  | Main, slot ->
+  | Main ->
+    let slot = off - s.l_g in
     prepare_main s;
     if s.dedicated >= 0 then
       s.me = s.dedicated || s.me = dedicated_listener s ~slot
-    else main_my_dest s ~slot <> None || main_listening s ~slot
-  | Auxiliary, off ->
-    let i, j = aux_pos s off in
+    else main_my_dest s ~slot >= 0 || main_listening s ~slot
+  | Auxiliary ->
+    let e = aux_slot s (off - s.l_g - s.l_m) in
+    let i = e / s.n and j = e mod s.n in
     if i = j then false
     else if s.me = j then true
-    else s.me = i && aux_packet s ~queue ~j <> None
+    else s.me = i && Option.is_some (aux_packet s ~queue ~j)
 
 let act s ~round ~queue =
   let off = round - s.window_start in
   match stage_of s off with
-  | Gossip, off ->
-    let i, j, r = gossip_pos s off in
+  | Gossip ->
+    let phase = gossip_phase s off in
+    let i = phase / s.n and j = phase mod s.n in
     if s.me <> i || i = j || s.my_small then Action.Listen
-    else if not (gossip_bit s ~j ~r) then Action.Listen
+    else if not (gossip_bit s ~j ~r:(gossip_round s off)) then Action.Listen
     else begin
       match coded_transfer_packet ~queue ~j with
       | Some p -> Action.Transmit (Message.packet_only p)
@@ -271,7 +294,8 @@ let act s ~round ~queue =
         (* Unreachable: the large threshold covers the whole gossip spend. *)
         Action.Listen
     end
-  | Main, slot ->
+  | Main ->
+    let slot = off - s.l_g in
     prepare_main s;
     if s.dedicated >= 0 then begin
       if s.me <> s.dedicated then Action.Listen
@@ -283,15 +307,16 @@ let act s ~round ~queue =
       end
     end
     else begin
-      match main_my_dest s ~slot with
-      | None -> Action.Listen
-      | Some w ->
-        (match Pqueue.oldest_to queue w with
-         | Some p -> Action.Transmit (Message.packet_only p)
-         | None -> Action.Listen)
+      let w = main_my_dest s ~slot in
+      if w < 0 then Action.Listen
+      else
+        match Pqueue.oldest_to queue w with
+        | Some p -> Action.Transmit (Message.packet_only p)
+        | None -> Action.Listen
     end
-  | Auxiliary, off ->
-    let i, j = aux_pos s off in
+  | Auxiliary ->
+    let e = aux_slot s (off - s.l_g - s.l_m) in
+    let i = e / s.n and j = e mod s.n in
     if s.me <> i || i = j then Action.Listen
     else begin
       match aux_packet s ~queue ~j with
@@ -302,8 +327,9 @@ let act s ~round ~queue =
 let observe s ~round ~queue:_ ~feedback =
   let off = round - s.window_start in
   match stage_of s off with
-  | Gossip, off ->
-    let i, j, r = gossip_pos s off in
+  | Gossip ->
+    let phase = gossip_phase s off in
+    let i = phase / s.n and j = phase mod s.n and r = gossip_round s off in
     if s.me <> j || i = j then Reaction.No_reaction
     else begin
       let heard_packet =
@@ -330,7 +356,7 @@ let observe s ~round ~queue:_ ~feedback =
         Reaction.Adopt_heard_packet
       | Some _ | None -> Reaction.No_reaction
     end
-  | Main, _ | Auxiliary, _ -> Reaction.No_reaction
+  | Main | Auxiliary -> Reaction.No_reaction
 
 let offline_tick s ~round ~queue = sync s ~round ~queue
 
@@ -339,3 +365,6 @@ let sparse = None
 include Algorithm.Marshal_codec (struct
   type nonrec state = state
 end)
+
+(* Version 2 added [aux_none]. *)
+let state_version = 2

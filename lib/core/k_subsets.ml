@@ -40,6 +40,17 @@ let threads_for ~n ~k ~src ~dst =
   done;
   !result
 
+(* The least-loaded thread of [eligible.(i..)] and [best], the earliest on
+   ties. A top-level loop over typed arrays: no closure, no ref, and an
+   integer comparison rather than polymorphic [compare]. *)
+let rec least_loaded (counts : int array) (eligible : int array) best i =
+  if i >= Array.length eligible then best
+  else
+    let t = eligible.(i) in
+    least_loaded counts eligible
+      (if counts.(t) < counts.(best) then t else best)
+      (i + 1)
+
 (* Scheduling state of one thread at one station. MBTF threads track the
    replicated list; RRW threads track the replicated token ring plus the
    holder's withheld batch size. *)
@@ -62,6 +73,7 @@ type state = {
   alloc_count : int array array;           (* x_i(w): [w].(thread) *)
   assigned : (int, int) Hashtbl.t;         (* packet id -> thread *)
   mutable synced_phase : int;
+  mutable rewalk : bool; (* the last allocation ran late: walk the whole queue *)
   mutable last_sent : Packet.t option;     (* transmission awaiting feedback *)
 }
 
@@ -110,35 +122,54 @@ let algorithm ?(discipline = `Mbtf) ?(allocation = `Balanced) ~n ~k () =
       { me; n; k; gamma; threads; threads_with;
         alloc_count = Array.make_matrix n gamma 0;
         assigned = Hashtbl.create 256;
-        synced_phase = 0; last_sent = None }
+        synced_phase = 0; rewalk = false; last_sent = None }
+
+    (* Assign a packet that arrived before the phase began to an eligible
+       thread, balancing the per-destination counters. *)
+    let assign s ~phase_start (p : Packet.t) =
+      if p.injected_at < phase_start then begin
+        let w = p.dst in
+        let eligible = s.threads_with.(w) in
+        let counts = s.alloc_count.(w) in
+        let best =
+          match allocation with
+          | `First_fit -> eligible.(0)
+          | `Balanced -> least_loaded counts eligible eligible.(0) 1
+        in
+        counts.(best) <- counts.(best) + 1;
+        Hashtbl.replace s.assigned p.id best;
+        Queue.add p (Hashtbl.find s.threads best).fifo
+      end
+
+    let unassigned s (p : Packet.t) = not (Hashtbl.mem s.assigned p.id)
 
     (* Phase-boundary allocation: spread last phase's arrivals over the
-       eligible threads, balancing the per-destination counters. *)
-    let allocate s ~queue ~phase_start =
-      Pqueue.iter queue ~f:(fun p ->
-          if p.Packet.injected_at < phase_start
-             && not (Hashtbl.mem s.assigned p.Packet.id)
-          then begin
-            let w = p.Packet.dst in
-            let eligible = s.threads_with.(w) in
-            let best = ref eligible.(0) in
-            (match allocation with
-             | `First_fit -> ()
-             | `Balanced ->
-               Array.iter
-                 (fun i ->
-                   if s.alloc_count.(w).(i) < s.alloc_count.(w).(!best) then best := i)
-                 eligible);
-            s.alloc_count.(w).(!best) <- s.alloc_count.(w).(!best) + 1;
-            Hashtbl.replace s.assigned p.Packet.id !best;
-            Queue.add p (Hashtbl.find s.threads !best).fifo
-          end)
+       eligible threads. An allocation that runs in its phase's first round
+       leaves the packets not in [assigned] as an arrival-order suffix of
+       the queue: it assigns every packet but this round's injections,
+       which sit at the tail. After it, packets join only at the tail
+       (injections, and a stranded packet [observe] has just unassigned),
+       and a packet leaves [assigned] only by leaving the queue. So the
+       next allocation stops at the newest assigned packet — by membership,
+       not [injected_at], because a stranded packet comes back with its
+       old injection round.
+       Only a restart allocates late: [create] runs mid-phase and [sync]
+       allocates at once, skipping everything injected since the phase
+       began. An older packet that stranded earlier in that phase sits
+       behind such injections and is assigned, so the suffix breaks; the
+       next allocation walks the whole queue, which restores it. *)
+    let allocate s ~queue ~round ~phase_start =
+      if s.rewalk then
+        Pqueue.iter queue ~f:(fun p ->
+            if unassigned s p then assign s ~phase_start p)
+      else Pqueue.iter_suffix queue (unassigned s) ~f:(assign s ~phase_start);
+      s.rewalk <- round > phase_start
 
     let sync s ~round ~queue =
       let phase = round / s.gamma in
       if phase > s.synced_phase || (round = 0 && s.synced_phase = 0) then begin
         s.synced_phase <- phase;
-        allocate s ~queue ~phase_start:(phase * s.gamma)
+        allocate s ~queue ~round ~phase_start:(phase * s.gamma)
       end
 
     let on_duty s ~round ~queue =
@@ -229,5 +260,8 @@ let algorithm ?(discipline = `Mbtf) ?(allocation = `Balanced) ~n ~k () =
     include Algorithm.Marshal_codec (struct
       type nonrec state = state
     end)
+
+    (* Version 2 added [rewalk]. *)
+    let state_version = 2
   end in
   (module M : Algorithm.S)

@@ -626,12 +626,22 @@ let find_channel sv v =
 
 (* Post an engine-touching thunk to the channel's owning shard. The thunk
    re-checks ownership: a migration may have moved the channel after the
-   lookup but before the shard ran the mailbox. *)
+   lookup but before the shard ran the mailbox. A terminal channel may
+   belong to no shard (it failed at adoption, or a restarted daemon
+   loaded it finished); its status is final and it has no session, so
+   the thunk runs and answers from the status. Owned channels are
+   checked first, so they take no extra lock. *)
+let is_terminal ch =
+  locked ch.ch_mutex (fun () ->
+      match ch.ch_status with
+      | Complete | Failed _ -> true
+      | Pending | Running -> false)
+
 let post_channel_thunk sv ch ~conn_id f =
   let idx = locked ch.ch_mutex (fun () -> ch.ch_shard) in
   let shard = sv.shards.(idx) in
   post_thunk shard (fun () ->
-      if List.memq ch shard.sh_channels then f shard
+      if List.memq ch shard.sh_channels || is_terminal ch then f shard
       else
         send_from_shard sv conn_id
           (err_line
@@ -1018,13 +1028,7 @@ let pump_subscription sv conn =
               (String.sub data (last + 1) (String.length data - last - 1))
         end
         else begin
-          let finished =
-            locked ch.ch_mutex (fun () ->
-                match ch.ch_status with
-                | Complete | Failed _ -> true
-                | Pending | Running -> false)
-          in
-          if finished && Buffer.length sub.sub_carry = 0 then
+          if is_terminal ch && Buffer.length sub.sub_carry = 0 then
             conn.co_closing <- true
         end
     end
@@ -1115,13 +1119,7 @@ let check_shards sv =
         let adopted = ref 0 in
         List.iter
           (fun ch ->
-            let running =
-              locked ch.ch_mutex (fun () ->
-                  match ch.ch_status with
-                  | Running | Pending -> true
-                  | Complete | Failed _ -> false)
-            in
-            if running then begin
+            if not (is_terminal ch) then begin
               incr adopted;
               (* The dead shard may have crashed mid-round: the in-memory
                  session is unusable. Rebuild from the last checkpoint;

@@ -143,6 +143,39 @@ let test_pqueue_readdition_moves_to_tail () =
   Alcotest.(check (list int)) "adoption order" [ 2; 1 ]
     (List.map (fun (p : Packet.t) -> p.id) (Pqueue.to_list q))
 
+(* [iter_suffix q pred] visits exactly the maximal arrival-order suffix
+   whose packets satisfy [pred], oldest first, and reads no packet before
+   the one that ends the walk. *)
+let test_pqueue_iter_suffix () =
+  let suffix q pred =
+    let seen = ref [] in
+    Pqueue.iter_suffix q pred ~f:(fun (p : Packet.t) -> seen := p.id :: !seen);
+    List.rev !seen
+  in
+  let ids = Alcotest.(check (list int)) in
+  let q = Pqueue.create ~n:4 in
+  ids "empty queue" [] (suffix q (fun _ -> true));
+  List.iter (fun (id, dst) -> Pqueue.add q (packet ~id ~dst))
+    [ (1, 2); (2, 3); (3, 2); (4, 1); (5, 3) ];
+  ids "false at the newest" [] (suffix q (fun p -> p.id <> 5));
+  ids "true everywhere: the whole queue" [ 1; 2; 3; 4; 5 ]
+    (suffix q (fun _ -> true));
+  ids "stops at the newest failure" [ 4; 5 ] (suffix q (fun p -> p.id <> 3));
+  let read = ref [] in
+  ignore
+    (suffix q (fun p ->
+         read := p.id :: !read;
+         p.id > 3));
+  ids "reads the run and the packet before it" [ 5; 4; 3 ] (List.rev !read);
+  let p2 = packet ~id:2 ~dst:3 in
+  check_bool "removed" true (Pqueue.remove q p2);
+  Pqueue.add q p2;
+  ids "a re-added packet is the newest" [ 3; 4; 5; 2 ]
+    (suffix q (fun p -> p.id <> 1));
+  ids "after re-addition, everything" [ 1; 3; 4; 5; 2 ]
+    (suffix q (fun _ -> true));
+  ids "the re-added packet alone" [ 2 ] (suffix q (fun p -> p.id < 3))
+
 let test_pqueue_drain () =
   let q = Pqueue.create ~n:4 in
   List.iter (fun (id, dst) -> Pqueue.add q (packet ~id ~dst))
@@ -211,7 +244,8 @@ let pqueue_drain_equiv =
    every step each query is compared with the model: membership, removal
    of absent packets, size and per-destination counts, oldest packets
    overall and per destination, the first matches of an id predicate
-   (overall and per destination), fold and iter order, and the touched
+   (overall and per destination), the newest run matching it, fold and
+   iter order, and the touched
    destination's whole order — so a packet removed and added again must
    reach the tail of both the arrival order and its destination's order.
    Destinations are drawn from 0..5 (many packets per destination) or
@@ -265,6 +299,13 @@ let pqueue_model =
         && (let seen = ref [] in
             Pqueue.iter q ~f:(fun p -> seen := p :: !seen);
             ids (List.rev !seen) = ids m)
+        && (let seen = ref [] in
+            Pqueue.iter_suffix q pred ~f:(fun p -> seen := p :: !seen);
+            let rec newest_run acc = function
+              | p :: rest when pred p -> newest_run (p :: acc) rest
+              | _ -> acc
+            in
+            ids (List.rev !seen) = ids (newest_run [] (List.rev m)))
         && List.for_all
              (fun d ->
                Pqueue.count_to q d = List.length (List.filter (to_d d) m)
@@ -442,6 +483,7 @@ let () =
          Alcotest.test_case "duplicate rejected" `Quick test_pqueue_duplicate_rejected;
          Alcotest.test_case "oldest queries" `Quick test_pqueue_oldest_queries;
          Alcotest.test_case "re-addition" `Quick test_pqueue_readdition_moves_to_tail;
+         Alcotest.test_case "iter_suffix" `Quick test_pqueue_iter_suffix;
          Alcotest.test_case "drain" `Quick test_pqueue_drain;
          QCheck_alcotest.to_alcotest pqueue_drain_equiv;
          QCheck_alcotest.to_alcotest pqueue_model;

@@ -391,6 +391,51 @@ let test_resume_validation () =
   expect_invalid "wrong algorithm" (fun () ->
       complete ~resume:snap { c with Diff.algorithm = other })
 
+(* Adjust-Window (which gained [aux_none]) and k-Subsets (which gained
+   [rewalk]) are at state version 2. A snapshot taken while either was at
+   version 1 is refused on resume with the typed state-version error, not
+   decoded into the new layout. The old build is stood in for by the
+   current module tagged version 1. *)
+let test_state_version_refused () =
+  let refused name (module A : Mac_channel.Algorithm.S) ~n ~k =
+    let module V1 = struct
+      include A
+
+      let state_version = 1
+    end in
+    let rounds = 200 in
+    let adversary () =
+      Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
+        ~burst:(Mac_channel.Qrat.of_int 2)
+        (Mac_adversary.Pattern.uniform ~n ~seed:1)
+    in
+    let snap = ref None in
+    let config =
+      { (Mac_sim.Engine.default_config ~rounds) with
+        checkpoint_every = 100;
+        on_checkpoint =
+          Some (fun s -> if Option.is_none !snap then snap := Some s) }
+    in
+    ignore
+      (Mac_sim.Engine.run ~config ~algorithm:(module V1) ~n ~k
+         ~adversary:(adversary ()) ~rounds ());
+    match
+      Mac_sim.Engine.start
+        ~config:(Mac_sim.Engine.default_config ~rounds)
+        ~resume:(Option.get !snap) ~algorithm:(module A) ~n ~k
+        ~adversary:(adversary ()) ~rounds ()
+    with
+    | _ -> Alcotest.failf "a version-1 %s snapshot was resumed" A.name
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) (A.name ^ ": the typed state-version error")
+        (Printf.sprintf
+           "Engine.run: cannot resume: %s state version 1 (current 2)" name)
+        msg
+  in
+  refused "adjust-window" (module Mac_routing.Adjust_window) ~n:4 ~k:2;
+  refused "k-subsets(k=3,mbtf)" (Mac_routing.K_subsets.algorithm ~n:6 ~k:3 ())
+    ~n:6 ~k:3
+
 (* Telemetry sampling must not perturb checkpoints: the snapshot file
    written at the same round is byte-identical whether or not a probe is
    attached (with cadences chosen so samples and checkpoints interleave). *)
@@ -555,6 +600,48 @@ let test_sparse_resume_mid_skip () =
     [ ("sparse-resumes-sparse", Mac_sim.Engine.Sparse);
       ("sparse-resumes-dense", Mac_sim.Engine.Dense) ]
 
+(* Adjust-Window records in its state which destinations its
+   auxiliary-stage lookups found nothing for, and that stage first runs at
+   round 8,576 for n = 4 — past the golden points' horizon. A 40,000-round run checkpointed every 1,500 rounds
+   snapshots before, inside and after several auxiliary stages; resumed
+   from each snapshot, the run must end with the uninterrupted run's
+   summary and write its later checkpoints byte for byte. *)
+let test_adjust_window_auxiliary_resume () =
+  let rounds = 40_000 in
+  let run ?resume () =
+    let snaps = ref [] in
+    let adversary =
+      Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
+        ~burst:(Mac_channel.Qrat.of_int 2)
+        (Mac_adversary.Pattern.uniform ~n:4 ~seed:1)
+    in
+    let config =
+      { (Mac_sim.Engine.default_config ~rounds) with
+        checkpoint_every = 1_500;
+        on_checkpoint = Some (fun snap -> snaps := snap :: !snaps) }
+    in
+    let summary =
+      Mac_sim.Engine.run ~config ?resume
+        ~algorithm:(module Mac_routing.Adjust_window) ~n:4 ~k:2 ~adversary
+        ~rounds ()
+    in
+    (Marshal.to_string summary [], List.rev !snaps)
+  in
+  let bytes snaps = List.map (fun s -> Marshal.to_string s []) snaps in
+  let summary, snaps = run () in
+  Alcotest.(check int) "snapshots" 26 (List.length snaps);
+  List.iteri
+    (fun i snap ->
+      let label =
+        Printf.sprintf "resumed at %d" (Mac_sim.Engine.snapshot_round snap)
+      in
+      let resumed, later = run ~resume:snap () in
+      Alcotest.(check bool) (label ^ ": summary bytes") true
+        (String.equal summary resumed);
+      Alcotest.(check bool) (label ^ ": later checkpoint bytes") true
+        (bytes (List.filteri (fun j _ -> j > i) snaps) = bytes later))
+    snaps
+
 (* Dense and sparse runs of the same config write byte-identical
    checkpoint files at every cadence point. *)
 let test_sparse_checkpoint_bytes () =
@@ -661,7 +748,9 @@ let () =
          Alcotest.test_case "sparse resume mid-skip" `Quick
            test_sparse_resume_mid_skip;
          Alcotest.test_case "sparse checkpoint bytes" `Quick
-           test_sparse_checkpoint_bytes ]);
+           test_sparse_checkpoint_bytes;
+         Alcotest.test_case "adjust-window auxiliary stage" `Quick
+           test_adjust_window_auxiliary_resume ]);
       ("checkpoint-files",
        [ Alcotest.test_case "write/read round-trip" `Quick test_file_roundtrip;
          Alcotest.test_case "rejects junk" `Quick test_file_errors;
@@ -678,7 +767,9 @@ let () =
        [ Alcotest.test_case "mismatched snapshots rejected" `Quick
            test_resume_validation;
          Alcotest.test_case "rounds/config mismatch rejected" `Quick
-           test_rounds_config_mismatch ]);
+           test_rounds_config_mismatch;
+         Alcotest.test_case "stale state version rejected" `Quick
+           test_state_version_refused ]);
       ("scenario-resume",
        [ Alcotest.test_case "markers replay rows byte-for-byte" `Quick
            test_scenario_resumable;

@@ -350,6 +350,38 @@ let test_smoke_matches_golden () =
   let golden = String.trim (read_file "golden/resilience_smoke.json") in
   Alcotest.(check string) "summary JSON matches golden" golden (String.trim out)
 
+(* Faulted runs pinned in golden/fault_streams.txt: each line's command
+   must reproduce its --json line and its --events stream byte for byte
+   (compared by MD5). Crashes with restarts strand packets, so these runs
+   take the algorithms' queue shortcuts through stranded returns. *)
+let test_fault_streams_match_golden () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  read_file "golden/fault_streams.txt"
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  |> List.iter (fun line ->
+         match String.split_on_char ' ' line with
+         | label :: json_md5 :: events_md5 :: args ->
+           let file = Filename.temp_file "eear_fault" ".jsonl" in
+           let (code, out, err), events =
+             Fun.protect
+               ~finally:(fun () -> Sys.remove file)
+               (fun () ->
+                 let result =
+                   run_cli
+                     (("resilience" :: args)
+                     @ [ "--seed"; "42"; "--json"; "--events"; file ])
+                 in
+                 (result, read_file file))
+           in
+           Alcotest.(check int)
+             (Printf.sprintf "%s exit code (stderr %S)" label err) 0 code;
+           Alcotest.(check string) (label ^ ": --json digest") json_md5
+             (md5 out);
+           Alcotest.(check string) (label ^ ": events digest") events_md5
+             (md5 events)
+         | _ -> Alcotest.failf "fault_streams.txt: malformed line %S" line)
+
 (* [run --trace N] prints the last N notable channel events, recorded by
    a trace ring on the run's sink tee. The tail and the digest of the
    [--json] output are pinned, so rewiring the ring cannot change what the
@@ -412,4 +444,6 @@ let () =
          Alcotest.test_case "chaos smoke" `Quick test_chaos_smoke ]);
       ("golden",
        [ Alcotest.test_case "resilience smoke" `Quick test_smoke_matches_golden;
-         Alcotest.test_case "run --trace tail" `Quick test_run_trace_tail ]) ]
+         Alcotest.test_case "run --trace tail" `Quick test_run_trace_tail;
+         Alcotest.test_case "fault streams" `Quick
+           test_fault_streams_match_golden ]) ]

@@ -505,9 +505,11 @@ let allocation_points =
     ("count-hop", (module Mac_routing.Count_hop), 8, 2, Qrat.make 4 5,
      P.uniform ~n:8 ~seed:1, 65.0);
     ("adjust-window", (module Mac_routing.Adjust_window), 4, 2, Qrat.make 1 2,
-     P.uniform ~n:4 ~seed:1, 73.0);
+     P.uniform ~n:4 ~seed:1, 32.0);
     ("k-cycle", Mac_routing.K_cycle.algorithm ~n:12 ~k:4, 12, 4,
-     Qrat.make 13 100, P.uniform ~n:12 ~seed:1, 28.5) ]
+     Qrat.make 13 100, P.uniform ~n:12 ~seed:1, 28.5);
+    ("k-subsets", Mac_routing.K_subsets.algorithm ~n:8 ~k:3 (), 8, 3,
+     Qrat.make 1 10, P.pair_flood ~src:1 ~dst:2, 75.0) ]
 
 let test_allocation_ceilings () =
   let rounds = 20_000 in
@@ -526,7 +528,7 @@ let test_allocation_ceilings () =
         ignore
           (Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ());
         let per_round = (Gc.minor_words () -. w0) /. float_of_int rounds in
-        Printf.printf "%s: %.1f minor words per round (ceiling %.1f)\n" label
+        Printf.printf "%s: %.2f minor words per round (ceiling %.1f)\n" label
           per_round ceiling;
         if per_round > ceiling then
           Some

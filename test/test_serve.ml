@@ -613,6 +613,73 @@ let test_out_of_range_plan_refused () =
   Client.close c;
   stop_server socket d
 
+(* A terminal channel answers from its status, never "migrating; retry":
+   [step] and [run] on a failed channel name the failure, and [snapshot]
+   and [migrate] report that it has no live session. A channel refused at
+   adoption belongs to no shard, which is what used to send these
+   commands down the migration branch forever. *)
+let check_failed_answers c ~channel =
+  let cmd name extra =
+    [ ("cmd", J.Str name); ("channel", J.Str channel) ] @ extra
+  in
+  List.iter
+    (fun (label, fields, expected) ->
+      let err = req_err c fields in
+      check_bool
+        (Printf.sprintf "%s %s answers %S (got %S)" label channel expected err)
+        true
+        (contains err expected && not (contains err "migrating")))
+    [ ("step", cmd "step" [ ("rounds", J.Int 10) ], "channel failed");
+      ("run", cmd "run" [], "channel failed");
+      ("snapshot", cmd "snapshot" [], "has no live session");
+      ("migrate", cmd "migrate" [ ("shard", J.Int 0) ], "has no live session") ]
+
+let test_refused_channel_answers_failed () =
+  let dir = temp_dir "eear_serve_refused" in
+  let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+  let socket, d = start_server ~dir ~shards:2 in
+  let c = connect_ok socket in
+  ignore (req_err c (faulted_open ~channel:"c9" ~plan));
+  check_failed_answers c ~channel:"c9";
+  Client.close c;
+  stop_server socket d
+
+(* After a drain and restart, the daemon registers finished channels from
+   their .meta files without giving them to a shard: a completed channel
+   still answers [step] with [complete: true], a failed one with its
+   failure. *)
+let test_terminal_channels_after_restart () =
+  let dir = temp_dir "eear_serve_terminal" in
+  let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+  let socket, d = start_server ~dir ~shards:2 in
+  let c = connect_ok socket in
+  ignore
+    (req c
+       [ ("cmd", J.Str "open"); ("channel", J.Str "c5");
+         ("algorithm", J.Str "count-hop"); ("n", J.Int 6); ("k", J.Int 2);
+         ("rate", J.Str "3/5"); ("rounds", J.Int 300);
+         ("pattern", J.Str "uniform") ]);
+  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "c5") ] in
+  check_bool "c5 completes" true
+    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+  ignore (req_err c (faulted_open ~channel:"c9" ~plan));
+  Client.close c;
+  stop_server socket d;
+  let socket, d = start_server ~dir ~shards:2 in
+  let c = connect_ok socket in
+  let reply =
+    req c
+      [ ("cmd", J.Str "step"); ("channel", J.Str "c5"); ("rounds", J.Int 1) ]
+  in
+  check_bool "c5 step answers complete" true
+    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+  check_int "c5 at its last round" 300
+    (Option.value ~default:(-1)
+       (Option.bind (J.member "round" reply) J.to_int));
+  check_failed_answers c ~channel:"c9";
+  Client.close c;
+  stop_server socket d
+
 (* Every reply a faulted channel produces reads as plain text: a failure
    or protocol violation carries its message, not the OCaml constructor
    around it. *)
@@ -667,5 +734,9 @@ let () =
            test_faulted_channel_matches_batch;
          Alcotest.test_case "out-of-range plan refused" `Quick
            test_out_of_range_plan_refused;
+         Alcotest.test_case "refused channel answers failed" `Quick
+           test_refused_channel_answers_failed;
+         Alcotest.test_case "terminal channels after restart" `Quick
+           test_terminal_channels_after_restart;
          Alcotest.test_case "errors carry no constructor" `Quick
            test_errors_carry_no_constructor ]) ]
