@@ -137,6 +137,23 @@ let jsonl_sink path =
     Printf.eprintf "%s\n" msg;
     exit 2
 
+(* Output files land at the end of a run, or, for checkpoints and
+   expositions, through a tmp file beside the target that is renamed over
+   it. A path that can never be written is refused before anything runs:
+   a directory, or a file in a directory that does not exist. *)
+let check_output_file = function
+  | None -> ()
+  | Some path ->
+    let dir = Filename.dirname path in
+    if Sys.file_exists path && Sys.is_directory path then begin
+      Printf.eprintf "%s: Is a directory\n" path;
+      exit 2
+    end;
+    if not (Sys.file_exists dir && Sys.is_directory dir) then begin
+      Printf.eprintf "%s: directory %s does not exist\n" path dir;
+      exit 2
+    end
+
 (* The progress line goes to stderr only — stdout stays machine-parseable
    (summary, --json, --series) whether or not progress is on. *)
 let progress_line ~round registry =
@@ -173,6 +190,7 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
      Printf.eprintf "--checkpoint-every requires --checkpoint FILE\n";
      exit 2
    | _ -> ());
+  List.iter check_output_file [ csv; checkpoint; telemetry_file ];
   let resume_snap =
     match resume with
     | None -> None
@@ -320,7 +338,8 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
   if series then print_string (Mac_sim.Export.series_csv summary);
   Option.iter
     (fun path ->
-      Mac_sim.Export.write_file ~path (Mac_sim.Export.summaries_csv [ summary ]);
+      Mac_sim.Durable.write_string ~path
+        (Mac_sim.Export.summaries_csv [ summary ]);
       Printf.printf "wrote %s\n" path)
     csv;
   if json then print_endline (Mac_sim.Export.summary_json summary);
@@ -609,6 +628,7 @@ let batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
 let sweep_cmd ~width ~on_row ~stage ~quick ~jobs ~trace_n ~events_dir ~json
     ~resume_dir ~telemetry_dir ~telemetry_every ~retries ~job_timeout
     ~keep_going ~inject rows =
+  check_output_file json;
   let scale, jobs, policy, observe, telemetry =
     batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
       ~telemetry_every ~retries ~job_timeout ~keep_going
@@ -652,7 +672,7 @@ let sweep_cmd ~width ~on_row ~stage ~quick ~jobs ~trace_n ~events_dir ~json
   Option.iter
     (fun path ->
       let body = "[\n" ^ String.concat ",\n" (List.rev !json_rows) ^ "\n]\n" in
-      Mac_sim.Export.write_file ~path body;
+      Mac_sim.Durable.write_string ~path body;
       Printf.printf "wrote %s\n" path)
     json;
   finish_supervised ~events_dir ~telemetry_dir (List.rev !failures);
@@ -690,6 +710,7 @@ let table1_cmd id quick jobs trace_n events_dir json resume_dir telemetry_dir
    bisected stability-frontier stage. *)
 let matrix_cmd quick jobs trace_n events_dir json csv resume_dir telemetry_dir
     telemetry_every retries job_timeout keep_going inject thresholds only =
+  check_output_file csv;
   let only =
     match only with
     | None -> fun _ -> true
@@ -750,7 +771,7 @@ let matrix_cmd quick jobs trace_n events_dir json csv resume_dir telemetry_dir
           ^ String.concat "\n" (List.rev !csv_rows)
           ^ "\n"
         in
-        Mac_sim.Export.write_file ~path body;
+        Mac_sim.Durable.write_string ~path body;
         Printf.printf "wrote %s\n" path)
       csv;
     frontier_rows
@@ -905,7 +926,12 @@ let read_events path =
                Printf.eprintf "%s:%d: %s\n" path !lineno msg;
                exit 2
          done
-       with End_of_file -> ());
+       with
+       | End_of_file -> ()
+       | Sys_error msg ->
+         (* A directory opens fine and fails at the first read. *)
+         Printf.eprintf "%s: %s\n" path msg;
+         exit 2);
       List.rev !events)
 
 let inspect_cmd file spec last width =
@@ -981,7 +1007,7 @@ let quick_arg =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Mac_sim.Pool.default_jobs ())
+    & opt int (max 1 (Domain.recommended_domain_count ()))
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the scenario pool (default: the machine's \
@@ -1017,8 +1043,8 @@ let table1_json_arg =
     & opt (some string) None
     & info [ "json" ] ~docv:"FILE"
         ~doc:
-          "Write every scenario's checks and summary as a JSON array to FILE \
-           (the BENCH_table1.json format).")
+          "Write every scenario's checks and summary as a JSON array to \
+           FILE.")
 
 let retries_arg =
   Arg.(
@@ -1478,6 +1504,7 @@ let chaos_term =
 (* ---- verify command ---- *)
 
 let verify_cmd count seed table1 quick rounds_cap sparse jobs =
+  let jobs = check_jobs jobs in
   let cap x = match rounds_cap with None -> x | Some c -> min x c in
   let spec_to_run (s : Mac_experiments.Scenario.spec) : Mac_verify.Diff.run =
     { id = s.id; algorithm = s.algorithm; n = s.n; k = s.k; rate = s.rate;

@@ -1,7 +1,7 @@
 (** The quantitative claims of the paper's Table 1, as executable formulas.
 
     Each function instantiates a bound at concrete (n, k, ρ, β); the
-    benchmark harness prints measured values against them. Where our
+    CLI's Table-1 checks measure values against them. Where our
     faithful implementation necessarily differs from the paper's idealised
     accounting (see DESIGN.md), an [_impl] variant gives the bound with the
     implementable constant, and EXPERIMENTS.md discusses the gap. *)

@@ -438,4 +438,105 @@ let baselines =
       "Empirical stability frontiers under a dedicated pair flood (n=8, k=3, bisection)";
     run = baselines_run }
 
-let all = [ frontier; scaling; energy; burst; baselines ]
+(* ------------------------------------------------------------------ *)
+(* Ablations: one mechanism of an algorithm swapped for a naive variant,
+   rerun against the row's worst adversary. Each row is the point's own
+   cells followed by the verdict, peak backlog, worst delay (counting
+   packets still queued by their age) and mean delay. *)
+
+let ablation_point ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
+    ~pattern ~rounds ~drain cells =
+  let thunk ?heartbeat () =
+    run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
+      ~pattern ~rounds ~drain ()
+  in
+  let row (o : Scenario.outcome) =
+    let s = o.Scenario.summary and st = o.Scenario.stability in
+    cells
+    @ [ Mac_sim.Stability.verdict_to_string st.Mac_sim.Stability.verdict;
+        string_of_int s.Mac_sim.Metrics.max_total_queue;
+        string_of_int
+          (max s.Mac_sim.Metrics.max_delay s.Mac_sim.Metrics.max_queued_age);
+        fmt s.Mac_sim.Metrics.mean_delay ]
+  in
+  (id, thunk, row)
+
+let ablation_header = [ "verdict"; "max-q"; "worst-delay"; "mean-delay" ]
+
+(* A1: k-Cycle's activity-segment length, at half and 9/10 of its
+   threshold. *)
+let delta_points ?observe ?telemetry ~scale () =
+  let n = 12 and k = 4 in
+  let rounds = scaled ~scale ~quick:60_000 ~full:150_000 in
+  List.concat_map
+    (fun (frac, load) ->
+      let rho = Qrat.mul frac (Bounds.k_cycle_rate_q ~n ~k) in
+      List.map
+        (fun delta_scale ->
+          ablation_point ~observe ~telemetry
+            ~id:(Printf.sprintf "delta/%s/x%g" load delta_scale)
+            ~algorithm:(Mac_routing.K_cycle.algorithm_scaled ~delta_scale ~n ~k)
+            ~n ~k ~rho ~beta:(Qrat.of_int 2)
+            ~pattern:(Pattern.flood ~n ~victim:5)
+            ~rounds ~drain:(rounds / 2)
+            [ Printf.sprintf "%g x delta" delta_scale; load; fmt_q rho ])
+        [ 0.125; 0.25; 1.0; 4.0 ])
+    [ (Qrat.make 1 2, "half-rate"); (Qrat.make 9 10, "near-threshold") ]
+
+let delta =
+  figure ~id:"A1.delta"
+    ~title:"k-Cycle activity segment: scaling the paper's delta (flood, n=12, k=4)"
+    ~header:([ "delta"; "load"; "rho" ] @ ablation_header)
+    delta_points
+
+(* A2: Orchestra's big threshold at injection rate 1. *)
+let big_threshold_points ?observe ?telemetry ~scale () =
+  let n = 8 in
+  let rounds = scaled ~scale ~quick:60_000 ~full:200_000 in
+  List.concat_map
+    (fun (label, algorithm) ->
+      List.map
+        (fun (pname, pattern) ->
+          ablation_point ~observe ~telemetry
+            ~id:(Printf.sprintf "bigthr/%s/%s" label pname)
+            ~algorithm ~n ~k:3 ~rho:Qrat.one ~beta:(Qrat.of_int 4) ~pattern
+            ~rounds ~drain:0 [ label; pname ])
+        [ ("flood", Pattern.flood ~n ~victim:3);
+          ("uniform", Pattern.uniform ~n ~seed:71) ])
+    [ ("eager (n)",
+       Mac_routing.Orchestra.with_big_threshold ~name:"orchestra-eager"
+         (fun ~n -> n));
+      ("paper (n^2-1)", (module Mac_routing.Orchestra : Mac_channel.Algorithm.S));
+      ("never big",
+       Mac_routing.Orchestra.with_big_threshold ~name:"orchestra-neverbig"
+         (fun ~n:_ -> max_int)) ]
+
+let big_threshold =
+  figure ~id:"A2.big-threshold"
+    ~title:"Orchestra big-conductor threshold at rate 1 (n=8)"
+    ~header:([ "threshold"; "pattern" ] @ ablation_header)
+    big_threshold_points
+
+(* A3: k-Subsets' thread allocation at the optimal rate. *)
+let allocation_points ?observe ?telemetry ~scale () =
+  let n = scaled ~scale ~quick:6 ~full:8 and k = 3 in
+  let rounds = scaled ~scale ~quick:80_000 ~full:250_000 in
+  let rho = Bounds.k_subsets_rate_q ~n ~k in
+  List.map
+    (fun (label, allocation) ->
+      ablation_point ~observe ~telemetry ~id:(Printf.sprintf "alloc/%s" label)
+        ~algorithm:(Mac_routing.K_subsets.algorithm ~allocation ~n ~k ())
+        ~n ~k ~rho ~beta:(Qrat.of_int 4)
+        ~pattern:(Pattern.pair_flood ~src:1 ~dst:2)
+        ~rounds ~drain:0 [ label; fmt_q rho ])
+    [ ("balanced (paper)", `Balanced); ("first-fit", `First_fit) ]
+
+let allocation =
+  figure ~id:"A3.allocation"
+    ~title:"k-Subsets thread allocation at the optimal rate (pair flood, k=3)"
+    ~header:([ "allocation"; "rho" ] @ ablation_header)
+    allocation_points
+
+let all =
+  [ frontier; scaling; energy; burst; baselines; delta; big_threshold;
+    allocation ]

@@ -4,7 +4,9 @@
     an evaluation section would: where each algorithm's stability frontier
     falls (F1), how latency scales with n (F2), the latency–energy tradeoff
     across caps the conclusion (§7) raises as an open question (F3), and the
-    linear burstiness sensitivity (F4).
+    linear burstiness sensitivity (F4). F5 bisects the empirical frontiers
+    of the oblivious disciplines, and the ablations A1–A3 remove one
+    mechanism the proofs rely on at a time.
 
     Each figure yields a rendered table plus the raw outcomes (the test
     suite asserts selected points). *)
@@ -64,4 +66,24 @@ val baselines : t
     oblivious disciplines — including the random-schedule strawman — under
     the same dedicated pair flood. *)
 
+(** {2 Ablations}
+
+    Each ablation swaps one mechanism of an algorithm for a naive variant
+    and reruns the row's worst adversary, showing the mechanism is
+    load-bearing (or how much slack the paper's constant has). *)
+
+val delta : t
+(** A1: k-Cycle's activity-segment length δ = ⌈4(n−1)k/(n−k)⌉, scaled
+    from 1/8× to 4×. *)
+
+val big_threshold : t
+(** A2: Orchestra's big-conductor threshold n²−1, against "never big"
+    (move-big-to-front disabled — Theorem 1's mechanism removed) and an
+    eager threshold of n. *)
+
+val allocation : t
+(** A3: k-Subsets' balanced thread allocation against first-fit, at the
+    optimal rate the balance is supposed to buy. *)
+
 val all : t list
+(** F1–F5, then A1–A3. *)

@@ -126,11 +126,11 @@ let run ?(checks = []) ?observe ?telemetry ?heartbeat spec =
   { spec; summary; stability; checks;
     passed = List.for_all (fun c -> c.ok) checks }
 
-(* Legacy batch entry point, now running on the Supervisor with the
-   default policy — observably identical to the old [Pool.map] (first
-   exception aborts and re-raises, order-preserving, exactly-once) —
-   except that a requested drain (SIGTERM/SIGINT) surfaces as
-   [Supervisor.Drained] instead of hanging or crashing. *)
+(* A plain batch on the Supervisor under the default policy: results in
+   thunk order, each thunk run exactly once, the first exception aborts
+   the batch and is re-raised as itself. A requested drain (SIGTERM/SIGINT)
+   surfaces as [Supervisor.Drained]; no other [Error] can come back, since
+   the default policy re-raises instead of resolving a failure. *)
 let run_batch ?(jobs = 1) thunks =
   List.map
     (function
@@ -164,8 +164,7 @@ let sweep ?(jobs = 1) ?(policy = Mac_sim.Supervisor.default_policy)
   in
   List.combine (Array.to_list labels) outcomes
 
-(* Machine-readable form of an outcome, shared by the bench harness and the
-   CLI so both write the same BENCH_table1.json rows. *)
+(* Machine-readable form of an outcome: the rows of the CLI's --json. *)
 let check_json (c : check) =
   Printf.sprintf
     "{\"label\": \"%s\", \"bound\": %s, \"measured\": %s, \"ok\": %b}"

@@ -3,8 +3,9 @@
 
     A scenario bundles the run parameters with a list of checks evaluated on
     the finished run (latency under a Table-1 bound, queue bound, energy cap,
-    stability verdict, protocol cleanliness). The benchmark harness renders
-    the outcomes as table rows; the test suite asserts [passed]. *)
+    stability verdict, protocol cleanliness). The CLI prints one line per
+    outcome and writes {!outcome_json} rows; the test suite asserts
+    [passed]. *)
 
 type spec = {
   id : string;
@@ -92,14 +93,17 @@ val run :
     the engine's per-round liveness callback (see
     {!Mac_sim.Engine.config}). *)
 
-val run_batch : ?jobs:int -> (unit -> outcome) list -> outcome list
-(** Run a batch of independent scenario thunks across [jobs] worker domains
-    (default 1 = sequential), returning the outcomes in input order.
-    Scenario runs are shared-nothing, so the outcomes are bit-identical to
-    running the thunks sequentially. Pool-compatible semantics: the first
-    raising thunk aborts the batch and its exception is re-raised (with its
-    original backtrace); a supervisor drain request surfaces as
-    {!Mac_sim.Supervisor.Drained}. *)
+val run_batch : ?jobs:int -> (unit -> 'a) list -> 'a list
+(** Run a batch of independent thunks across [jobs] worker domains
+    (default 1 = sequential, on the calling domain), returning the results
+    in thunk order; [jobs] must be at least 1. Every thunk runs exactly
+    once. The first raising thunk aborts the batch: thunks not yet started
+    are dropped, and its exception is re-raised as itself, with its
+    original backtrace. A supervisor drain request surfaces as
+    {!Mac_sim.Supervisor.Drained}. Thunks may run on other domains, so
+    any state they share must be synchronised; scenario runs are
+    shared-nothing, so their outcomes are bit-identical to running the
+    thunks sequentially. *)
 
 val sweep :
   ?jobs:int ->
@@ -128,7 +132,7 @@ val check_json : check -> string
 (** One check as a JSON object. *)
 
 val outcome_json : experiment:string -> outcome -> string
-(** One outcome as the JSON row format of [BENCH_table1.json] (experiment
+(** One outcome as a row of [table1 --json] / [matrix --json] (experiment
     id, scenario id, verdict, checks, full summary). *)
 
 (** {2 Resumable batches}
@@ -154,7 +158,7 @@ val resumed_passed : resumed -> bool
 val resumed_verdict : resumed -> string
 
 val resumed_json : experiment:string -> resumed -> string
-(** The BENCH_table1.json row: computed via {!outcome_json} for [Fresh],
+(** The [--json] row: computed via {!outcome_json} for [Fresh],
     replayed verbatim from the marker for [Cached] (whose stored row
     already embeds the experiment id it was run under). *)
 

@@ -5,7 +5,7 @@
     claim: measured latency/queues under the instantiated bound, the energy
     cap respected exactly, stability or forced instability as stated, and a
     protocol-clean run. [`Quick] scale is used by the test suite, [`Full] by
-    the benchmark harness.
+    [routing_sim table1] without [--quick].
 
     A row is a {e catalog of cells} — (scenario spec, checks) pairs — and
     {!sweep} executes them. Exposing the cells lets other harnesses (the

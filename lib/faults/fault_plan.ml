@@ -232,15 +232,19 @@ let of_string ?(name = "script") text =
     Ok (build ~name (List.rev !entries))
   with Bad msg -> Error msg
 
+(* The open's [Sys_error] already names the path; a read's does not (a
+   directory opens fine and fails at the first read). *)
 let of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> (
-      match of_string ~name:(Filename.basename path) text with
-      | Ok plan -> Ok plan
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+  match open_in_bin path with
   | exception Sys_error msg -> Error msg
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      with
+      | text -> (
+          match of_string ~name:(Filename.basename path) text with
+          | Ok plan -> Ok plan
+          | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+      | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg))

@@ -111,5 +111,5 @@ val of_string : ?name:string -> string -> (t, string) result
     Errors are one-line ["line N: message"] descriptions. *)
 
 val of_file : string -> (t, string) result
-(** {!of_string} on the file's contents; unreadable files produce
-    [Error] with the system message (one line). *)
+(** {!of_string} on the file's contents; an unreadable file (a directory
+    included) produces [Error] with one line ["path: reason"]. *)

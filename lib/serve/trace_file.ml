@@ -32,31 +32,38 @@ let parse_line ~lineno s =
     Error
       (Printf.sprintf "line %d: expected \"ROUND SRC DST\", got %S" lineno s)
 
+let read_channel ?n ~path ic =
+  let rec go lineno acc =
+    match input_line ic with
+    | exception End_of_file -> Ok (List.rev acc)
+    | line -> (
+      match parse_line ~lineno line with
+      | Error _ as e -> e
+      | Ok None -> go (lineno + 1) acc
+      | Ok (Some ((_, src, dst) as item)) -> (
+        match n with
+        | Some n when src >= n || dst >= n ->
+          Error
+            (Printf.sprintf "%s, line %d: station out of range (n = %d)"
+               path lineno n)
+        | _ -> go (lineno + 1) (item :: acc)))
+  in
+  go 1 []
+
+(* The open's [Sys_error] already names the path; a read's does not (a
+   directory opens fine and fails at the first read). *)
 let load ?n ~path () =
   match open_in path with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line -> (
-            match parse_line ~lineno line with
-            | Error _ as e -> e
-            | Ok None -> go (lineno + 1) acc
-            | Ok (Some ((_, src, dst) as item)) -> (
-              match n with
-              | Some n when src >= n || dst >= n ->
-                Error
-                  (Printf.sprintf "%s, line %d: station out of range (n = %d)"
-                     path lineno n)
-              | _ -> go (lineno + 1) (item :: acc)))
-        in
-        match go 1 [] with
-        | Error msg -> Error (path ^ ": " ^ msg)
-        | ok -> ok)
+  | ic -> (
+    match
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> read_channel ?n ~path ic)
+    with
+    | Ok _ as ok -> ok
+    | Error msg -> Error (path ^ ": " ^ msg)
+    | exception Sys_error msg -> Error (path ^ ": " ^ msg))
 
 let save ~path items =
   let buf = Buffer.create 256 in

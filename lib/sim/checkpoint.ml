@@ -166,31 +166,39 @@ let read_v2 ~path ic metadata =
                  path (Int64.logand crc 0xFFFFFFFFL) actual)
           else decode_snapshot ~path blob))
 
+let read_channel ~path ic =
+  match input_line ic with
+  | exception End_of_file -> Error (path ^ ": not a checkpoint file (empty)")
+  | header ->
+    (match String.split_on_char ' ' header with
+     | [ m; v ] when m = magic ->
+       (match int_of_string_opt v with
+        | Some 2 ->
+          (match input_line ic with
+           | exception End_of_file ->
+             Error (path ^ ": truncated checkpoint (no metadata)")
+           | metadata -> read_v2 ~path ic metadata)
+        | Some v ->
+          Error
+            (Printf.sprintf
+               "%s: checkpoint format version %d (this build reads only %d)"
+               path v format_version)
+        | None -> Error (path ^ ": malformed checkpoint header"))
+     | _ -> Error (path ^ ": not a checkpoint file (bad magic)"))
+
+(* The open's [Sys_error] already names the path; a read's does not (a
+   directory opens fine and fails at the first read). *)
 let read ~path =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file -> Error (path ^ ": not a checkpoint file (empty)")
-        | header ->
-          (match String.split_on_char ' ' header with
-           | [ m; v ] when m = magic ->
-             (match int_of_string_opt v with
-              | Some 2 ->
-                (match input_line ic with
-                 | exception End_of_file ->
-                   Error (path ^ ": truncated checkpoint (no metadata)")
-                 | metadata -> read_v2 ~path ic metadata)
-              | Some v ->
-                Error
-                  (Printf.sprintf
-                     "%s: checkpoint format version %d (this build reads only %d)"
-                     path v format_version)
-              | None -> Error (path ^ ": malformed checkpoint header"))
-           | _ -> Error (path ^ ": not a checkpoint file (bad magic)")))
+  | ic -> (
+    match
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () -> read_channel ~path ic)
+    with
+    | r -> r
+    | exception Sys_error msg -> Error (path ^ ": " ^ msg))
 
 (* ---- keep-last-good rotation ------------------------------------------ *)
 

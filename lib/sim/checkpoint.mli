@@ -27,8 +27,8 @@ val write : path:string -> Engine.snapshot -> unit
 
 val read : path:string -> (Engine.snapshot, string) result
 (** Load a checkpoint. [Error] carries a one-line human-readable reason
-    (missing file, bad magic, version mismatch, truncated blob, CRC
-    mismatch). *)
+    naming the path (missing or unreadable file, a directory included;
+    bad magic, version mismatch, truncated blob, CRC mismatch). *)
 
 val prev_path : string -> string
 (** [prev_path path] is the rotation sibling [path ^ ".prev"]. *)

@@ -129,9 +129,3 @@ let summary_json (s : Metrics.summary) =
         (int "recovery_rounds" s.faults.recovery_rounds) ]
   in
   "{" ^ String.concat ", " fields ^ "}"
-
-let write_file ~path content =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc content)

@@ -31,5 +31,3 @@ val json_float : float -> string
 val json_escape : string -> string
 (** {!Mac_channel.Jsonv.escape} into a fresh string: the inside of a JSON
     string literal. *)
-
-val write_file : path:string -> string -> unit

@@ -1,7 +1,7 @@
 (** Per-run measurements.
 
     The engine owns a mutable collector while the simulation runs and
-    [finalize]s it into the immutable {!summary} consumed by tests, benches
+    [finalize]s it into the immutable {!summary} consumed by tests, the CLI
     and reports. All delays are in rounds; a packet's delay is the round it
     was delivered minus the round it was injected. Undelivered packets
     contribute to [undelivered] and [max_queued_age] (a lower bound on what

@@ -1,4 +1,5 @@
-(** Fixed-width ASCII tables for the benchmark harness output. *)
+(** Fixed-width ASCII tables: the CLI's figures, resilience suite and
+    per-station ledger. *)
 
 type t
 

@@ -1,11 +1,11 @@
-(* Fault-tolerant job supervision on top of the Pool's claim-by-cursor
-   idea: instead of the first exception aborting the whole batch, every
-   job gets its own outcome — success, failure after N attempts, timeout
-   (no heartbeat progress within the deadline), or quarantine. Failed
-   attempts are retried with deterministic exponential backoff; a worker
-   domain that dies mid-job (the chaos harness injects [Kill_worker])
-   requeues its job without charging an attempt and respawns itself; a
-   watchdog domain cancels jobs whose heartbeat stalls.
+(* Fault-tolerant job supervision over a fixed set of worker domains
+   that claim jobs from a shared cursor: every job gets its own outcome
+   — success, failure after N attempts, timeout (no heartbeat progress
+   within the deadline), or quarantine. Failed attempts are retried with
+   deterministic exponential backoff; a worker domain that dies mid-job
+   (the chaos harness injects [Kill_worker]) requeues its job without
+   charging an attempt and respawns itself; a watchdog domain cancels
+   jobs whose heartbeat stalls.
 
    Domains cannot be killed from outside in OCaml, so cancellation is
    cooperative: the job function receives a [heartbeat] thunk, cheap
@@ -14,9 +14,11 @@
    [Cancelled] once the watchdog has given up on the attempt.
 
    With [default_policy] (no retries, no timeout, [keep_going = false])
-   the observable semantics match [Pool.map]: first exception wins and
-   is re-raised with its backtrace, results are order-preserving, jobs
-   run exactly once, and [jobs = 1] runs inline on the calling domain. *)
+   a batch behaves like [List.map] fanned out over the domains: results
+   are in input order, every job runs exactly once, the first exception
+   aborts the batch (unstarted jobs are dropped) and is re-raised as
+   itself with its backtrace, and [jobs = 1] runs inline on the calling
+   domain. *)
 
 type error =
   | Failed of { attempts : int; error : exn }
@@ -32,7 +34,7 @@ type policy = {
   backoff : float;  (** delay before retry 1; doubles per failed attempt *)
   backoff_cap : float;  (** upper bound on any single backoff delay *)
   quarantine_after : int;  (** failures before quarantine; 0 = off *)
-  keep_going : bool;  (** false = first error aborts, like Pool.map *)
+  keep_going : bool;  (** false = the first error aborts and is re-raised *)
 }
 
 let default_policy =
@@ -42,8 +44,9 @@ let default_policy =
 exception Cancelled
 exception Kill_worker
 
-(* Raised by legacy (non-outcome) batch entry points when a requested
-   drain skipped some of their jobs; the CLI maps it to exit code 4. *)
+(* Raised where a requested drain stops work that has no per-job outcome
+   to report it in: a plain batch ([Scenario.run_batch]) that skipped
+   jobs, or a checkpointing run; the CLI maps it to exit code 4. *)
 exception Drained
 
 exception

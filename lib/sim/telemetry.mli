@@ -188,11 +188,11 @@ type registry = t
 (** Alias so {!Fleet} can name the registry type alongside its own. *)
 
 (** Aggregation across a batch of scenario runs (Table-1 sweeps,
-    figures, resilience suites, bisections), safe to drive from [Pool]
-    worker domains. When a directory is given, each scenario's registry
-    is rendered to [<dir>/<sanitized-id>.prom] on every sample and the
-    fleet aggregate to [<dir>/fleet.prom] — the files [routing_sim top]
-    watches. *)
+    figures, resilience suites, bisections), safe to drive from
+    [Supervisor] worker domains. When a directory is given, each
+    scenario's registry is rendered to [<dir>/<sanitized-id>.prom] on
+    every sample and the fleet aggregate to [<dir>/fleet.prom] — the files
+    [routing_sim top] watches. *)
 module Fleet : sig
   type nonrec probe = probe
 

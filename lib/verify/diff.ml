@@ -181,8 +181,9 @@ let run_pair ~(engine : run) ~(oracle : run) =
   in
   { id; events; mismatches }
 
-let run_pairs ?(jobs = 1) pairs =
-  Mac_sim.Pool.map ~jobs pairs (fun (engine, oracle) -> run_pair ~engine ~oracle)
+let run_pairs ?jobs pairs =
+  Mac_experiments.Scenario.run_batch ?jobs
+    (List.map (fun (engine, oracle) () -> run_pair ~engine ~oracle) pairs)
 
 (* ------------------------------------------------------------------ *)
 (* Random configurations. *)
@@ -486,5 +487,6 @@ let random_sparse ~seed =
   in
   draw_run rng ~tag:"sparse-seed" ~seed ~n ~k ~algorithm:(registered name ~n ~k)
 
-let certify_sparse_batch ?(jobs = 1) makers =
-  Mac_sim.Pool.map ~jobs makers (fun make -> certify_sparse ~make)
+let certify_sparse_batch ?jobs makers =
+  Mac_experiments.Scenario.run_batch ?jobs
+    (List.map (fun make () -> certify_sparse ~make) makers)

@@ -52,8 +52,9 @@ val run_pair : engine:run -> oracle:run -> verdict
     the same protocol-violation message, they agree. *)
 
 val run_pairs : ?jobs:int -> (run * run) list -> verdict list
-(** [run_pair] over a batch on a [Mac_sim.Pool] of [jobs] worker domains
-    (default 1 = sequential), results in input order. *)
+(** [run_pair] over a batch on {!Mac_experiments.Scenario.run_batch} with
+    [jobs] worker domains (default 1 = sequential), results in input
+    order. *)
 
 val random_pair : seed:int -> run * run
 (** A deterministic random configuration: algorithm (Orchestra, k-Cycle,
@@ -76,8 +77,9 @@ val certify_sparse : make:(unit -> run) -> verdict
     engine's own check). *)
 
 val certify_sparse_batch : ?jobs:int -> (unit -> run) list -> verdict list
-(** {!certify_sparse} over a batch on a [Mac_sim.Pool] of [jobs] worker
-    domains (default 1 = sequential), results in input order. *)
+(** {!certify_sparse} over a batch on {!Mac_experiments.Scenario.run_batch}
+    with [jobs] worker domains (default 1 = sequential), results in input
+    order. *)
 
 val random_sparse : seed:int -> unit -> run
 (** Like {!random_pair} but pinned to a sparse-capable algorithm

@@ -1,6 +1,7 @@
 (* Ablation tests: each removed mechanism must visibly fail (or visibly not
-   matter) exactly as EXPERIMENTS.md claims. These run the quick-scale
-   ablation catalog and assert the headline verdicts. *)
+   matter) exactly as EXPERIMENTS.md claims. These assert the headline
+   verdicts of the ablation figures' quick-scale points, and run A3
+   through the figures catalog. *)
 
 open Helpers
 
@@ -86,12 +87,13 @@ let test_first_fit_unstable_at_threshold () =
 
 let test_catalog_runs_quick () =
   List.iter
-    (fun (ab : Mac_experiments.Ablations.t) ->
-      let report, outcomes = ab.run ~scale:`Quick () in
-      check_bool (ab.id ^ " rows") true
-        (String.length (Mac_sim.Report.to_string report) > 0);
-      check_bool (ab.id ^ " outcomes") true (outcomes <> []))
-    [ Mac_experiments.Ablations.allocation ]
+    (fun (f : Mac_experiments.Figures.t) ->
+      let s = f.run ~scale:`Quick () in
+      check_bool (f.id ^ " rows") true
+        (String.length (Mac_sim.Report.to_string s.report) > 0);
+      check_bool (f.id ^ " outcomes") true (s.outcomes <> []);
+      check_bool (f.id ^ " has no failures") true (s.failures = []))
+    [ Mac_experiments.Figures.allocation ]
 
 let () =
   Alcotest.run "ablations"

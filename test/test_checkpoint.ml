@@ -137,13 +137,15 @@ let qcheck_random_configs =
     QCheck.(int_range 0 1_000_000)
     (fun seed -> check_seed seed; true)
 
-(* The equivalence check itself runs inside pool workers at jobs 1 and 2:
-   resumed runs stay bit-identical off the main domain too. *)
+(* The equivalence check itself runs inside batch workers at jobs 1 and
+   2: resumed runs stay bit-identical off the main domain too. *)
 let test_jobs_invariance () =
   let seeds = [ 101; 202; 303; 404 ] in
   List.iter
     (fun jobs ->
-      ignore (Mac_sim.Pool.map ~jobs seeds (fun seed -> check_seed seed)))
+      ignore
+        (Mac_experiments.Scenario.run_batch ~jobs
+           (List.map (fun seed () -> check_seed seed) seeds)))
     [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
@@ -244,7 +246,19 @@ let test_file_errors () =
       Mac_sim.Checkpoint.write ~path snap;
       let whole = read_string path in
       write_string path (String.sub whole 0 (String.length whole - 20));
-      expect_error "truncated blob" (Mac_sim.Checkpoint.read ~path))
+      expect_error "truncated blob" (Mac_sim.Checkpoint.read ~path));
+  (* a directory opens without error and fails at the first read; with no
+     .prev to salvage, the error names the path *)
+  let dir = temp_path "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  match Mac_sim.Checkpoint.read_latest ~path:dir with
+  | Ok _ -> Alcotest.fail "directory: expected an error"
+  | Error msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "directory: names the path (got %S)" msg)
+      true
+      (String.starts_with ~prefix:(dir ^ ": ") msg)
 
 (* v2 corruption: any truncation, or a single flipped bit anywhere in
    the file — magic line, metadata, CRC digits, blob — must surface as a
@@ -550,10 +564,13 @@ let test_resumable_batch_jobs () =
       small_spec ~id:(Printf.sprintf "batch/cell-%d" i) ~seed:(10 + i))
   in
   let rows ~jobs ~dir specs =
-    Mac_sim.Pool.map ~jobs specs (fun s ->
-        Mac_experiments.Scenario.resumed_json ~experiment:"batch"
-          (Mac_experiments.Scenario.run_resumable ~resume_dir:dir
-             ~experiment:"batch" s))
+    Mac_experiments.Scenario.run_batch ~jobs
+      (List.map
+         (fun s () ->
+           Mac_experiments.Scenario.resumed_json ~experiment:"batch"
+             (Mac_experiments.Scenario.run_resumable ~resume_dir:dir
+                ~experiment:"batch" s))
+         specs)
   in
   let reference = rows ~jobs:1 ~dir:(temp_dir ()) (specs ()) in
   let dir = temp_dir () in

@@ -412,6 +412,84 @@ let test_run_trace_tail () =
     "d2b61054e0a433008bcb36fde824b6ac"
     (Digest.to_hex (Digest.string out))
 
+(* A directory given as an input opens without error and fails at the
+   first read. Every reader turns that into one exit-2 line naming the
+   path, never an uncaught exception. [fleet replay] loads its trace
+   before it connects, so it needs no daemon. *)
+let count_hop_args =
+  [ "-a"; "count-hop"; "-n"; "6"; "-k"; "2"; "--rounds"; "100" ]
+
+let test_directory_inputs_exit_2 () =
+  let dir = temp_dir "eear_input_dir" in
+  List.iter
+    (fun args ->
+      let code, _, err = run_cli args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ " exit code") 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: one stderr line naming the path (got %S)" what err)
+        true
+        (one_line err && contains err (dir ^ ": ")
+        && not (contains err "internal error")))
+    [ ("run" :: count_hop_args) @ [ "--inject"; dir ];
+      ("run" :: count_hop_args) @ [ "--resume"; dir ];
+      [ "inspect"; "--file"; dir ];
+      [ "fleet"; "--socket"; "/nonexistent/eear.sock"; "replay"; "c1"; dir ];
+      [ "resilience"; "count-hop"; "-n"; "6"; "-k"; "2"; "--rounds"; "100";
+        "--fault-plan"; dir ] ]
+
+(* An output path that can never be written — a directory, or a file in a
+   missing directory — is refused before anything runs: no scenario line,
+   no checkpoint rotated over the user's directory. *)
+let test_output_paths_checked_up_front () =
+  let dir = temp_dir "eear_output_dir" in
+  let expect_exit_2 args =
+    let code, out, err = run_cli args in
+    let what = String.concat " " args in
+    Alcotest.(check int) (Printf.sprintf "%s exit code (stderr %S)" what err)
+      2 code;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: one stderr line, no internal error (got %S)" what err)
+      true
+      (one_line err && not (contains err "internal error"));
+    out
+  in
+  let out = expect_exit_2 [ "table1"; "T1.orchestra"; "--quick"; "--json"; dir ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "no scenario line printed (got %S)" out)
+    false (contains out "orchestra/");
+  ignore
+    (expect_exit_2
+       (("run" :: count_hop_args)
+       @ [ "--checkpoint"; dir; "--checkpoint-every"; "10" ]));
+  Alcotest.(check bool) "the directory is left alone" true
+    (Sys.is_directory dir);
+  Alcotest.(check bool) "nothing rotated beside it" false
+    (Sys.file_exists (dir ^ ".prev"));
+  ignore (expect_exit_2 (("run" :: count_hop_args) @ [ "--csv"; dir ]));
+  ignore
+    (expect_exit_2
+       (("run" :: count_hop_args)
+       @ [ "--telemetry-file"; Filename.concat dir "missing/x.prom" ]))
+
+(* The ablation figures print, byte for byte, the tables pinned in
+   golden/ablations_quick.txt. *)
+let test_ablations_match_golden () =
+  let out =
+    String.concat ""
+      (List.map
+         (fun id ->
+           let code, out, err =
+             run_cli [ "figures"; id; "--quick"; "--jobs"; "2" ]
+           in
+           Alcotest.(check int)
+             (Printf.sprintf "%s exit code (stderr %S)" id err) 0 code;
+           out)
+         [ "A1.delta"; "A2.big-threshold"; "A3.allocation" ])
+  in
+  Alcotest.(check string) "figures output matches golden"
+    (read_file "golden/ablations_quick.txt") out
+
 let () =
   Alcotest.run "cli"
     [ ("fault-plan errors",
@@ -420,6 +498,11 @@ let () =
            test_malformed_plan_file_exits_2;
          Alcotest.test_case "station out of range" `Quick
            test_plan_station_out_of_range_exits_2 ]);
+      ("path errors",
+       [ Alcotest.test_case "directory inputs exit 2" `Quick
+           test_directory_inputs_exit_2;
+         Alcotest.test_case "output paths checked up front" `Quick
+           test_output_paths_checked_up_front ]);
       ("pattern errors",
        [ Alcotest.test_case "bad spec exits 2" `Quick test_bad_pattern_exits_2 ]);
       ("run spec errors",
@@ -446,4 +529,6 @@ let () =
        [ Alcotest.test_case "resilience smoke" `Quick test_smoke_matches_golden;
          Alcotest.test_case "run --trace tail" `Quick test_run_trace_tail;
          Alcotest.test_case "fault streams" `Quick
-           test_fault_streams_match_golden ]) ]
+           test_fault_streams_match_golden;
+         Alcotest.test_case "ablation figures" `Quick
+           test_ablations_match_golden ]) ]

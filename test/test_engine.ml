@@ -321,10 +321,9 @@ let determinism_property =
 (* One pair-TDMA run under an explicit engine mode; knobs cover the
    dimensions the skip-ahead logic must bound correctly: pacing shape,
    drain, fault plans, strictness and the telemetry cadence. *)
-let run_sparse_case ~mode ?(pacing = Mac_adversary.Adversary.Greedy)
+let run_sparse_case ~mode ?(n = 6) ?(pacing = Mac_adversary.Adversary.Greedy)
     ?(drain = 0) ?faults ?(strict = false) ?telemetry_every ~rate ~rounds
     ~seed () =
-  let n = 6 in
   let samples = ref [] in
   let telemetry =
     Option.map
@@ -336,8 +335,7 @@ let run_sparse_case ~mode ?(pacing = Mac_adversary.Adversary.Greedy)
       telemetry_every
   in
   let adversary =
-    Mac_adversary.Adversary.create_q ~rate:(Qrat.make 1 rate)
-      ~burst:(Qrat.of_int 2) ~pacing
+    Mac_adversary.Adversary.create_q ~rate ~burst:(Qrat.of_int 2) ~pacing
       (Mac_adversary.Pattern.uniform ~n ~seed)
   in
   let config =
@@ -352,32 +350,38 @@ let run_sparse_case ~mode ?(pacing = Mac_adversary.Adversary.Greedy)
   (summary, List.rev !samples)
 
 (* Sparse and dense must agree bit-for-bit (Marshal bytes of the whole
-   summary, telemetry sample rounds included) across the knob grid. *)
+   summary, telemetry sample rounds included) across the knob grid, and
+   at pair-TDMA's stable operating point at n = 16 over 60,000 rounds. *)
 let test_sparse_matches_dense_grid () =
+  let knob ?pacing ?(drain = 0) ?fault_seed ?(strict = false)
+      ?telemetry_every () mode =
+    let faults =
+      Option.map
+        (fun seed ->
+          Mac_faults.Fault_plan.random ~seed ~n:6 ~rounds:2_000
+            ~crash_rate:0.002 ~jam_rate:0.001 ~restart_after:80
+            ~queue:Mac_faults.Fault_plan.Retain ())
+        fault_seed
+    in
+    run_sparse_case ~mode ?pacing ~drain ?faults ~strict ?telemetry_every
+      ~rate:(Qrat.make 1 40) ~rounds:2_000 ~seed:11 ()
+  in
   let cases =
-    [ ("greedy", None, 0, None, false, None);
-      ("paced", Some (Mac_adversary.Adversary.Paced { burst_at = Some 7 }),
-       0, None, false, None);
-      ("drain", None, 400, None, false, None);
-      ("faults", None, 0, Some 77, false, None);
-      ("strict", None, 0, None, true, None);
-      ("telemetry-7", None, 0, None, false, Some 7);
-      ("telemetry-64", None, 300, None, false, Some 64) ]
+    [ ("greedy", knob ());
+      ("paced",
+       knob ~pacing:(Mac_adversary.Adversary.Paced { burst_at = Some 7 }) ());
+      ("drain", knob ~drain:400 ());
+      ("faults", knob ~fault_seed:77 ());
+      ("strict", knob ~strict:true ());
+      ("telemetry-7", knob ~telemetry_every:7 ());
+      ("telemetry-64", knob ~drain:300 ~telemetry_every:64 ());
+      ("n16-60k",
+       fun mode ->
+         run_sparse_case ~mode ~n:16 ~rate:(Qrat.make 3 100) ~rounds:60_000
+           ~seed:5 ()) ]
   in
   List.iter
-    (fun (id, pacing, drain, fault_seed, strict, telemetry_every) ->
-      let faults =
-        Option.map
-          (fun seed ->
-            Mac_faults.Fault_plan.random ~seed ~n:6 ~rounds:2_000
-              ~crash_rate:0.002 ~jam_rate:0.001 ~restart_after:80
-              ~queue:Mac_faults.Fault_plan.Retain ())
-          fault_seed
-      in
-      let go mode =
-        run_sparse_case ~mode ?pacing ~drain ?faults ~strict ?telemetry_every
-          ~rate:40 ~rounds:2_000 ~seed:11 ()
-      in
+    (fun (id, go) ->
       let ds, dt = go Mac_sim.Engine.Dense in
       let ss, st = go Mac_sim.Engine.Sparse in
       Alcotest.(check bool)
@@ -393,8 +397,8 @@ let test_sparse_matches_dense_grid () =
    checks the samples actually happened at the cadence. *)
 let test_sparse_telemetry_cadence_boundary () =
   let _, samples =
-    run_sparse_case ~mode:Mac_sim.Engine.Sparse ~telemetry_every:7 ~rate:100
-      ~rounds:500 ~seed:3 ()
+    run_sparse_case ~mode:Mac_sim.Engine.Sparse ~telemetry_every:7
+      ~rate:(Qrat.make 1 100) ~rounds:500 ~seed:3 ()
   in
   Alcotest.(check bool) "samples taken" true (List.length samples >= 500 / 7);
   List.iter
@@ -450,10 +454,12 @@ let test_sparse_auto_resolution () =
   Alcotest.(check bool) "Auto = Dense for Toy" true
     (Marshal.to_string toy_auto [] = Marshal.to_string toy_dense []);
   let auto, _ =
-    run_sparse_case ~mode:Mac_sim.Engine.Auto ~rate:30 ~rounds:1_000 ~seed:5 ()
+    run_sparse_case ~mode:Mac_sim.Engine.Auto ~rate:(Qrat.make 1 30)
+      ~rounds:1_000 ~seed:5 ()
   in
   let dense, _ =
-    run_sparse_case ~mode:Mac_sim.Engine.Dense ~rate:30 ~rounds:1_000 ~seed:5 ()
+    run_sparse_case ~mode:Mac_sim.Engine.Dense ~rate:(Qrat.make 1 30)
+      ~rounds:1_000 ~seed:5 ()
   in
   Alcotest.(check bool) "Auto = Dense for pair-TDMA" true
     (Marshal.to_string auto [] = Marshal.to_string dense [])

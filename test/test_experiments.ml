@@ -416,6 +416,91 @@ let test_figures_quick_produce_rows () =
       check_bool (f.id ^ " has no failures") true (s.failures = []))
     [ Figures.energy ]
 
+(* ---- batches ---- *)
+
+exception Boom of int
+
+(* [Scenario.run_batch] is generic in its result: results come back in
+   thunk order at any [jobs], and the first raising thunk's exception is
+   re-raised as itself, not wrapped. *)
+let test_run_batch_order_and_errors () =
+  let thunks = List.init 40 (fun i () -> Printf.sprintf "r%d" (i * i)) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "thunk order (jobs=%d)" jobs)
+        (List.map (fun t -> t ()) thunks)
+        (Scenario.run_batch ~jobs thunks);
+      Alcotest.check_raises
+        (Printf.sprintf "first exception re-raised (jobs=%d)" jobs)
+        (Boom 7)
+        (fun () ->
+          ignore
+            (Scenario.run_batch ~jobs
+               (List.init 20 (fun i () -> if i = 7 then raise (Boom i) else i)))))
+    [ 1; 4 ]
+
+(* Observer recording every scenario's full event stream (as serialised
+   JSON, round included) into a table keyed by scenario id. Scenario.run
+   closes the sink when the run finishes; parallel runs hit the table
+   from several domains, hence the mutex. *)
+let recording_observer () =
+  let tbl : (string, string list) Hashtbl.t = Hashtbl.create 64 in
+  let calls : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let mu = Mutex.create () in
+  let observe ~id =
+    Mutex.lock mu;
+    Hashtbl.replace calls id (1 + Option.value ~default:0 (Hashtbl.find_opt calls id));
+    Mutex.unlock mu;
+    let buf = ref [] in
+    Some
+      (Mac_sim.Sink.make
+         ~close:(fun () ->
+           Mutex.lock mu;
+           Hashtbl.replace tbl id (List.rev !buf);
+           Mutex.unlock mu)
+         (fun ~round ev -> buf := Mac_channel.Event.to_json ~round ev :: !buf))
+  in
+  (observe, tbl, calls)
+
+(* Parallel Table 1 is bit-identical to sequential, down to the recorded
+   event streams. *)
+let test_table1_parallel_bit_identical () =
+  List.iter
+    (fun (exp : Table1.t) ->
+      let obs_seq, events_seq, calls_seq = recording_observer () in
+      let obs_par, events_par, calls_par = recording_observer () in
+      let run observe jobs =
+        Helpers.fresh_outcomes
+          (Table1.sweep ~observe ~jobs ~scale:`Quick exp ())
+      in
+      let seq = run obs_seq 1 in
+      let par = run obs_par 4 in
+      check_int (exp.id ^ ": outcome count") (List.length seq) (List.length par);
+      List.iter2
+        (fun (a : Scenario.outcome) b ->
+          Alcotest.(check string)
+            (exp.id ^ "/" ^ a.spec.id ^ ": outcome row")
+            (Scenario.outcome_json ~experiment:exp.id a)
+            (Scenario.outcome_json ~experiment:exp.id b))
+        seq par;
+      Hashtbl.iter
+        (fun id count -> check_int (id ^ ": observed once sequentially") 1 count)
+        calls_seq;
+      Hashtbl.iter
+        (fun id count -> check_int (id ^ ": observed once in parallel") 1 count)
+        calls_par;
+      check_int (exp.id ^ ": stream count")
+        (Hashtbl.length events_seq) (Hashtbl.length events_par);
+      Hashtbl.iter
+        (fun id stream ->
+          Alcotest.(check (list string))
+            (exp.id ^ "/" ^ id ^ ": event stream")
+            stream
+            (Option.value ~default:[] (Hashtbl.find_opt events_par id)))
+        events_seq)
+    Table1.all
+
 let () =
   Alcotest.run "experiments"
     [ ("bounds",
@@ -452,4 +537,10 @@ let () =
       ("catalog",
        [ Alcotest.test_case "table1 complete" `Quick test_table1_catalog_complete;
          Alcotest.test_case "table1 quick rows" `Slow test_table1_quick_rows_pass;
-         Alcotest.test_case "figures quick" `Slow test_figures_quick_produce_rows ]) ]
+         Alcotest.test_case "figures quick" `Slow test_figures_quick_produce_rows ]);
+      ("batch",
+       [ Alcotest.test_case "run_batch order and errors" `Quick
+           test_run_batch_order_and_errors ]);
+      ("determinism",
+       [ Alcotest.test_case "table1 parallel = sequential" `Quick
+           test_table1_parallel_bit_identical ]) ]

@@ -146,15 +146,6 @@ let test_jsonl_lines_valid () =
   Sys.remove path;
   check_bool "stream non-empty" true (!lines > 200)
 
-let test_write_file () =
-  let path = Filename.temp_file "eear" ".csv" in
-  Mac_sim.Export.write_file ~path "hello\n";
-  let ic = open_in path in
-  let line = input_line ic in
-  close_in ic;
-  Sys.remove path;
-  Alcotest.(check string) "roundtrip" "hello" line
-
 (* ---- engine trace ---- *)
 
 let test_engine_trace_records_events () =
@@ -241,8 +232,7 @@ let () =
     [ ("csv",
        [ Alcotest.test_case "shape" `Quick test_csv_shape;
          Alcotest.test_case "quoting" `Quick test_csv_quoting;
-         Alcotest.test_case "series" `Quick test_series_csv;
-         Alcotest.test_case "write file" `Quick test_write_file ]);
+         Alcotest.test_case "series" `Quick test_series_csv ]);
       ("json",
        [ Alcotest.test_case "shape" `Quick test_json_parses_shape;
          Alcotest.test_case "escaping" `Quick test_json_escaping;

@@ -73,6 +73,16 @@ let test_trace_file_rejects_bad_lines () =
    | Error msg -> Alcotest.fail msg);
   Sys.remove path
 
+(* A directory opens without error and fails at the first read: the
+   loader answers [Error] naming the path, not an exception. *)
+let test_trace_file_directory () =
+  let dir = temp_dir "eear_trace_dir" in
+  match Mac_serve.Trace_file.load ~path:dir () with
+  | Ok _ -> Alcotest.fail "loaded a directory"
+  | Error msg ->
+    check_bool (Printf.sprintf "names the path (got %S)" msg) true
+      (String.starts_with ~prefix:(dir ^ ": ") msg)
+
 (* ---- shared fixtures: a tiny externally-fed orchestra channel ---------- *)
 
 let trace6 =
@@ -613,6 +623,20 @@ let test_out_of_range_plan_refused () =
   Client.close c;
   stop_server socket d
 
+(* An unreadable plan file — here a directory, which opens and fails at
+   the first read — is refused at adoption with a line naming it. *)
+let test_directory_plan_refused () =
+  let dir = temp_dir "eear_serve_plandir" in
+  let plan = Filename.concat dir "plans" in
+  Sys.mkdir plan 0o755;
+  let socket, d = start_server ~dir ~shards:1 in
+  let c = connect_ok socket in
+  let err = req_err c (faulted_open ~channel:"fd" ~plan) in
+  check_bool (Printf.sprintf "names the plan path (got %S)" err) true
+    (contains err (plan ^ ": "));
+  Client.close c;
+  stop_server socket d
+
 (* A terminal channel answers from its status, never "migrating; retry":
    [step] and [run] on a failed channel name the failure, and [snapshot]
    and [migrate] report that it has no live session. A channel refused at
@@ -716,7 +740,9 @@ let () =
     [ ("trace-file",
        [ Alcotest.test_case "roundtrip" `Quick test_trace_file_roundtrip;
          Alcotest.test_case "rejects bad lines" `Quick
-           test_trace_file_rejects_bad_lines ]);
+           test_trace_file_rejects_bad_lines;
+         Alcotest.test_case "directory is an error" `Quick
+           test_trace_file_directory ]);
       ("session",
        [ Alcotest.test_case "chunked = run" `Quick
            test_session_chunked_equals_run;
@@ -734,6 +760,8 @@ let () =
            test_faulted_channel_matches_batch;
          Alcotest.test_case "out-of-range plan refused" `Quick
            test_out_of_range_plan_refused;
+         Alcotest.test_case "directory plan refused" `Quick
+           test_directory_plan_refused;
          Alcotest.test_case "refused channel answers failed" `Quick
            test_refused_channel_answers_failed;
          Alcotest.test_case "terminal channels after restart" `Quick

@@ -1,8 +1,8 @@
-(* The supervisor: Pool-parity semantics under the default policy (first
-   exception aborts, order-preserving, exactly-once), and the fault
-   tolerance on top — per-job outcomes, retries with deterministic
-   backoff, watchdog timeouts, worker respawn after a domain death,
-   quarantine, and cooperative drain. *)
+(* The supervisor: plain-batch semantics under the default policy (first
+   exception aborts and is re-raised, order-preserving, exactly-once),
+   and the fault tolerance on top — per-job outcomes, retries with
+   deterministic backoff, watchdog timeouts, worker respawn after a domain
+   death, quarantine, and cooperative drain. *)
 
 module Supervisor = Mac_sim.Supervisor
 
@@ -25,7 +25,7 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "expected Ok, got %s" (Supervisor.error_to_string e)
 
-(* ---- Pool parity under the default policy ---- *)
+(* ---- Plain-batch semantics under the default policy ---- *)
 
 let test_map_matches_list_map () =
   let xs = List.init 60 (fun i -> i) in
@@ -54,7 +54,7 @@ let test_map_empty_and_invalid () =
            (fun ~heartbeat:_ ~attempt:_ x -> x)))
 
 (* First/middle/last failing index, jobs 1 and >1: the first error is
-   re-raised (Pool.map parity), and no job of the failed batch ran twice. *)
+   re-raised as itself, and no job of the failed batch ran twice. *)
 let test_first_error_aborts () =
   let m = 20 in
   List.iter

@@ -248,15 +248,18 @@ let test_fleet_aggregate () =
   expect_file (T.Fleet.sanitize "row/a" ^ ".prom");
   expect_file (T.Fleet.sanitize "row/b" ^ ".prom")
 
-(* Concurrent probes from pool workers keep exact totals. *)
+(* Concurrent probes from batch workers keep exact totals. *)
 let test_fleet_parallel () =
   let fleet = T.Fleet.create ~every:5 () in
   let ids = List.init 8 (fun i -> Printf.sprintf "par/%d" i) in
   ignore
-    (Mac_sim.Pool.map ~jobs:4 ids (fun id ->
-         let p = T.Fleet.probe fleet ~id in
-         T.add (T.counter p.T.registry "eear_delivered_total") 3;
-         T.Fleet.finish fleet p));
+    (Mac_experiments.Scenario.run_batch ~jobs:4
+       (List.map
+          (fun id () ->
+            let p = T.Fleet.probe fleet ~id in
+            T.add (T.counter p.T.registry "eear_delivered_total") 3;
+            T.Fleet.finish fleet p)
+          ids));
   let agg = T.Fleet.aggregate fleet in
   check_int "all scenarios merged" 24
     (T.counter_value (T.counter agg "eear_delivered_total"));
