@@ -201,6 +201,7 @@ let one_shot ~at ~src ~dst =
 type feed = {
   push : at:int -> src:int -> dst:int -> unit;
   pending : unit -> int;
+  since_save : unit -> (int * int * int) list;
 }
 
 let external_queue ?(name = "external") ?(initial = []) () =
@@ -215,16 +216,22 @@ let external_queue ?(name = "external") ?(initial = []) () =
       invalid_arg "Pattern.external_queue: negative round or station"
   in
   List.iter validate initial;
-  (* Two-list FIFO: pop from [front], push onto [back] (reversed). *)
+  (* Two-list FIFO: pop from [front], push onto [back] (reversed). [since]
+     holds the pushes since the last [save] or [load], newest first. *)
   let front = ref initial in
   let back = ref [] in
+  let since = ref [] in
   let push ~at ~src ~dst =
-    validate (at, src, dst);
-    locked (fun () -> back := (at, src, dst) :: !back)
+    let item = (at, src, dst) in
+    validate item;
+    locked (fun () ->
+        back := item :: !back;
+        since := item :: !since)
   in
   let pending () =
     locked (fun () -> List.length !front + List.length !back)
   in
+  let since_save () = locked (fun () -> List.rev !since) in
   let gen ~round ~budget ~view:_ =
     locked (fun () ->
         let rec take budget acc =
@@ -245,6 +252,7 @@ let external_queue ?(name = "external") ?(initial = []) () =
   in
   let save () =
     locked (fun () ->
+        since := [];
         cat
           (List.map
              (fun (a, s, d) -> Printf.sprintf "%d,%d,%d" a s d)
@@ -265,9 +273,10 @@ let external_queue ?(name = "external") ?(initial = []) () =
     List.iter validate items;
     locked (fun () ->
         front := items;
-        back := [])
+        back := [];
+        since := [])
   in
-  ({ push; pending }, make ~save ~load ~name gen)
+  ({ push; pending; since_save }, make ~save ~load ~name gen)
 
 let to_busiest ~n =
   let counter = ref 0 in

@@ -79,6 +79,10 @@ type feed = {
           run is in flight. *)
   pending : unit -> int;
       (** Injections queued but not yet handed to the engine. *)
+  since_save : unit -> (int * int * int) list;
+      (** The [(at, src, dst)] pushes since the pattern's state was last
+          saved or loaded, oldest first: what a session resumed from that
+          state must be pushed again to see every injection. *)
 }
 
 val external_queue :

@@ -21,6 +21,18 @@
    the snapshot, so the spool always reads as one uninterrupted stream:
    byte-identical to the equivalent batch run's --events file.
 
+   Lifecycle. A channel reaches a shard one way: [hand_to] marks it
+   pending and posts its adoption, which resumes it from its checkpoint.
+   [open], [migrate], a shard respawn and a daemon restart all go through
+   it. It leaves its session one way: [detach] drops the session and
+   closes the spool. The packets [inject] accepted since the channel's
+   last checkpoint are carried across the hand-off and pushed into the
+   adopted session's feed, so neither [migrate] nor a respawn loses one;
+   while a channel is pending, [inject] answers "migrating; retry". Two
+   limits remain: a daemon killed outright (SIGKILL) loses the pushes
+   since each channel's last checkpoint, and with [checkpoint_every] 0 a
+   feed keeps every push until the next snapshot, migrate or drain.
+
    Crash containment. A channel whose engine raises (protocol violation,
    bad fault plan) is marked failed; the shard survives. A shard whose
    loop dies (the kill-shard chaos hook, or a bug) is detected by the
@@ -66,9 +78,11 @@ type spool = {
   sp_buf : Buffer.t;
 }
 
-type waiter =
-  | Step_waiter of { w_conn : int; w_target : int }
-  | Run_waiter of { w_conn : int }
+(* A connection waiting on a channel: answered once the session has
+   executed [t] steps since adoption when [w_until = Some t], and once the
+   run completes when it is [None]. The waiters are all the work a shard
+   does for a channel. *)
+type waiter = { w_conn : int; w_until : int option }
 
 type channel = {
   ch_cfg : chan_cfg;
@@ -85,8 +99,6 @@ type channel = {
   mutable ch_spool : spool option;
   mutable ch_probe : Mac_sim.Telemetry.Fleet.probe option;
   mutable ch_steps_total : int;
-  mutable ch_step_target : int;
-  mutable ch_run_all : bool;
   mutable ch_waiters : waiter list;
 }
 
@@ -98,7 +110,9 @@ type shard = {
   sh_index : int;
   sh_mutex : Mutex.t;
   sh_cond : Condition.t;
-  sh_mailbox : (unit -> unit) Queue.t;
+  sh_mailbox : (shard -> unit) Queue.t;
+      (** given the shard that runs them: a respawned shard replays a dead
+          one's leftovers *)
   mutable sh_channels : channel list;
   mutable sh_stop : bool;
   mutable sh_dead : bool;
@@ -161,6 +175,13 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
+(* Empty [q] under [m], oldest first. *)
+let take_all m q =
+  locked m (fun () ->
+      let items = List.of_seq (Queue.to_seq q) in
+      Queue.clear q;
+      items)
+
 let status_str = function
   | Pending -> "pending"
   | Running -> "running"
@@ -184,10 +205,6 @@ let spool_flush sp =
   while !off < len do
     off := !off + Unix.write sp.sp_fd b !off (len - !off)
   done
-
-let spool_close sp =
-  spool_flush sp;
-  Unix.close sp.sp_fd
 
 let spool_sink sp =
   Mac_sim.Sink.make (fun ~round ev ->
@@ -252,10 +269,19 @@ let write_meta sv ch =
 
 let ( let* ) = Result.bind
 
-let str_field v k =
-  J.field k ~expected:"a string" ~default:None
-    (fun x -> Option.map Option.some (J.to_str x))
+(* An optional field: [None] when absent or null, an error naming it when
+   present with the wrong type. *)
+let opt_field ~expected decode v k =
+  J.field k ~expected ~default:None
+    (fun x -> Option.map Option.some (decode x))
     v
+
+let str_field = opt_field ~expected:"a string" J.to_str
+let int_field = opt_field ~expected:"an integer" J.to_int
+
+let required field v k =
+  Result.bind (field v k)
+    (Option.to_result ~none:(Printf.sprintf "missing %S" k))
 
 (* The configuration an [open] command carries and its meta file repeats:
    the registry's run spec, with serve's default of external injection,
@@ -308,6 +334,8 @@ let ok_fields fields = J.to_string (J.Obj (("ok", J.Bool true) :: fields))
 
 let err_line msg = J.to_string (J.Obj [ ("ok", J.Bool false); ("error", J.Str msg) ])
 
+let answer = function Ok fields -> ok_fields fields | Error msg -> err_line msg
+
 (* --- shard side --------------------------------------------------------- *)
 
 let post_thunk shard thunk =
@@ -315,10 +343,20 @@ let post_thunk shard thunk =
       Queue.push thunk shard.sh_mailbox;
       Condition.signal shard.sh_cond)
 
+(* The steps the channel's waiters still ask for; [max_int] while one
+   waits for the run to complete. *)
+let steps_wanted ch =
+  List.fold_left
+    (fun acc w ->
+      match w.w_until with
+      | None -> max_int
+      | Some t -> max acc (t - ch.ch_steps_total))
+    0 ch.ch_waiters
+
 let chan_has_work ch =
   ch.ch_session <> None
   && (match ch.ch_status with Running -> true | _ -> false)
-  && (ch.ch_run_all || ch.ch_steps_total < ch.ch_step_target)
+  && steps_wanted ch > 0
 
 (* Rounds per shard-loop iteration per channel. Small enough that drain
    requests, migrations and fresh injections are honoured promptly; large
@@ -326,42 +364,38 @@ let chan_has_work ch =
 let batch_rounds = 2048
 
 let reply_waiters sv ch ~complete =
-  let keep, fire =
+  let fire, keep =
     List.partition
       (fun w ->
-        match w with
-        | Step_waiter { w_target; _ } ->
-          (not complete) && ch.ch_steps_total < w_target
-        | Run_waiter _ -> not complete)
+        complete
+        ||
+        match w.w_until with
+        | Some t -> ch.ch_steps_total >= t
+        | None -> false)
       ch.ch_waiters
   in
   ch.ch_waiters <- keep;
   List.iter
     (fun w ->
-      let conn = match w with Step_waiter { w_conn; _ } -> w_conn | Run_waiter { w_conn } -> w_conn in
       let fields =
         [ ("channel", J.Str ch.ch_cfg.cc_id);
           ("round", J.Int ch.ch_round);
           ("complete", J.Bool complete) ]
         @
-        match (w, ch.ch_summary) with
-        | Run_waiter _, Some s -> (
+        match (w.w_until, ch.ch_summary) with
+        | None, Some s -> (
           match J.parse s with
           | Ok v -> [ ("summary", v) ]
           | Error _ -> [ ("summary", J.Str s) ])
         | _ -> []
       in
-      send_from_shard sv conn (ok_fields fields))
+      send_from_shard sv w.w_conn (ok_fields fields))
     fire
 
 let fail_waiters sv ch msg =
   let ws = ch.ch_waiters in
   ch.ch_waiters <- [];
-  List.iter
-    (fun w ->
-      let conn = match w with Step_waiter { w_conn; _ } -> w_conn | Run_waiter { w_conn } -> w_conn in
-      send_from_shard sv conn (err_line msg))
-    ws
+  List.iter (fun w -> send_from_shard sv w.w_conn (err_line msg)) ws
 
 let publish ch =
   match ch.ch_session with
@@ -371,28 +405,36 @@ let publish ch =
         ch.ch_round <- E.session_round s;
         ch.ch_backlog <- E.session_backlog s)
 
+(* Take [ch] off its session and close its spool. The spool's buffer is
+   written out first unless [~flush:false]: a dead shard's buffer holds
+   rounds the re-adopted session runs again. *)
+let detach ch ~flush =
+  Option.iter
+    (fun sp ->
+      if flush then spool_flush sp;
+      Unix.close sp.sp_fd)
+    ch.ch_spool;
+  ch.ch_session <- None;
+  ch.ch_spool <- None
+
+(* Flush the spool, then write [snap] as the channel's checkpoint: resume
+   truncates the spool back to the checkpoint round, which must never cut
+   into data that only existed in the write buffer. *)
+let checkpoint_channel sv ch snap =
+  Option.iter spool_flush ch.ch_spool;
+  Mac_sim.Checkpoint.write_rotated ~path:(ckpt_path sv ch.ch_cfg.cc_id) snap
+
 let mark_failed sv ch msg =
   locked ch.ch_mutex (fun () -> ch.ch_status <- Failed msg);
-  ch.ch_session <- None;
-  ch.ch_run_all <- false;
-  (match ch.ch_spool with
-   | Some sp -> (try spool_close sp with Unix.Unix_error _ | Sys_error _ -> ())
-   | None -> ());
-  ch.ch_spool <- None;
+  (try detach ch ~flush:true with Unix.Unix_error _ | Sys_error _ -> ());
   fail_waiters sv ch msg;
   write_meta sv ch;
   sv.cfg.log (Printf.sprintf "channel %s failed: %s" ch.ch_cfg.cc_id msg)
 
 let complete_channel sv ch session =
-  let summary = E.finish session in
-  let sj = Mac_sim.Export.summary_json summary in
-  (match ch.ch_spool with Some sp -> spool_close sp | None -> ());
-  ch.ch_spool <- None;
-  ch.ch_session <- None;
-  ch.ch_run_all <- false;
-  (match ch.ch_probe with
-   | Some p -> Mac_sim.Telemetry.Fleet.finish sv.fleet p
-   | None -> ());
+  let sj = Mac_sim.Export.summary_json (E.finish session) in
+  detach ch ~flush:true;
+  Option.iter (Mac_sim.Telemetry.Fleet.finish sv.fleet) ch.ch_probe;
   ch.ch_probe <- None;
   locked ch.ch_mutex (fun () ->
       ch.ch_status <- Complete;
@@ -414,15 +456,9 @@ let advance_channel sv ch =
   | None -> ()
   | Some s -> (
     try
-      let budget =
-        if ch.ch_run_all then batch_rounds
-        else min batch_rounds (ch.ch_step_target - ch.ch_steps_total)
-      in
-      if budget > 0 then begin
-        let executed = E.advance s ~max_steps:budget in
-        ch.ch_steps_total <- ch.ch_steps_total + executed
-      end;
-      (match ch.ch_spool with Some sp -> spool_flush sp | None -> ());
+      let budget = min batch_rounds (steps_wanted ch) in
+      ch.ch_steps_total <- ch.ch_steps_total + E.advance s ~max_steps:budget;
+      Option.iter spool_flush ch.ch_spool;
       publish ch;
       if E.session_complete s then complete_channel sv ch s
       else reply_waiters sv ch ~complete:false
@@ -431,8 +467,10 @@ let advance_channel sv ch =
 (* Build the engine config + session for a channel and attach it to the
    shard. Runs on the shard (posted as a mailbox thunk) so file I/O and
    algorithm construction never stall the protocol loop. [reply] gets the
-   open/migrate/adoption acknowledgement once the session exists. *)
-let adopt_channel sv shard ch ~reply =
+   open/migrate/adoption acknowledgement once the session exists, and
+   [carried] is pushed into a fresh external feed: the pushes the previous
+   session's feed took since the checkpoint it resumes from. *)
+let adopt_channel sv shard ch ~carried ~reply =
   let ok_or_fail = function Ok x -> x | Error msg -> failwith msg in
   try
     let cc = ch.ch_cfg in
@@ -477,8 +515,8 @@ let adopt_channel sv shard ch ~reply =
     in
     truncate_spool ~path:(spool_path sv cc.cc_id) ~from_round;
     let sp = spool_open (spool_path sv cc.cc_id) in
+    ch.ch_spool <- Some sp;
     let probe = Mac_sim.Telemetry.Fleet.probe sv.fleet ~id:cc.cc_id in
-    let ck = ckpt_path sv cc.cc_id in
     let config =
       { (E.default_config ~rounds:s.rounds) with
         drain_limit = s.drain;
@@ -494,26 +532,20 @@ let adopt_channel sv shard ch ~reply =
         faults;
         checkpoint_every = cc.cc_every;
         on_checkpoint =
-          (if cc.cc_every > 0 then
-             Some
-               (fun snap ->
-                 (* Flush first: resume truncates the spool back to the
-                    checkpoint round, which must never cut into data that
-                    only existed in the write buffer. *)
-                 spool_flush sp;
-                 Mac_sim.Checkpoint.write_rotated ~path:ck snap)
-           else None);
+          (if cc.cc_every > 0 then Some (checkpoint_channel sv ch) else None);
         telemetry = Some probe }
     in
     let session =
       E.start ~config ?resume ~algorithm ~n:s.n ~k:s.k ~adversary
         ~rounds:s.rounds ()
     in
+    Option.iter
+      (fun (f : Mac_adversary.Pattern.feed) ->
+        List.iter (fun (at, src, dst) -> f.push ~at ~src ~dst) carried)
+      feed;
     ch.ch_session <- Some session;
-    ch.ch_spool <- Some sp;
     ch.ch_probe <- Some probe;
     ch.ch_steps_total <- 0;
-    ch.ch_step_target <- 0;
     locked ch.ch_mutex (fun () ->
         ch.ch_status <- Running;
         ch.ch_shard <- shard.sh_index;
@@ -528,11 +560,28 @@ let adopt_channel sv shard ch ~reply =
            ("round", J.Int (E.session_round session)) ])
   with e ->
     let msg = error_message e in
-    locked ch.ch_mutex (fun () -> ch.ch_status <- Failed msg);
-    write_meta sv ch;
-    sv.cfg.log
-      (Printf.sprintf "channel %s failed to start: %s" ch.ch_cfg.cc_id msg);
+    mark_failed sv ch msg;
     reply (err_line msg)
+
+(* Give [ch] to [shard] for adoption: the one way a channel becomes
+   [Pending]. The pushes its feed took since the last checkpoint are read,
+   and the feed dropped, under the channel lock [inject] pushes under, so
+   every accepted packet is either in that checkpoint or carried to the
+   adopted session. *)
+let hand_to sv shard ch ~reply =
+  let carried =
+    locked ch.ch_mutex (fun () ->
+        let carried =
+          match ch.ch_feed with
+          | Some f -> f.Mac_adversary.Pattern.since_save ()
+          | None -> []
+        in
+        ch.ch_status <- Pending;
+        ch.ch_feed <- None;
+        ch.ch_shard <- shard.sh_index;
+        carried)
+  in
+  post_thunk shard (fun shard -> adopt_channel sv shard ch ~carried ~reply)
 
 (* Drain: checkpoint every running channel at its current round boundary
    so a restarted daemon resumes the fleet bit-identically. *)
@@ -542,13 +591,8 @@ let drain_shard sv shard =
       match (ch.ch_status, ch.ch_session) with
       | Running, Some s ->
         (try
-           (match ch.ch_spool with Some sp -> spool_flush sp | None -> ());
-           Mac_sim.Checkpoint.write_rotated
-             ~path:(ckpt_path sv ch.ch_cfg.cc_id)
-             (E.session_snapshot s);
-           match ch.ch_spool with
-           | Some sp -> spool_close sp
-           | None -> ()
+           checkpoint_channel sv ch (E.session_snapshot s);
+           detach ch ~flush:true
          with e ->
            sv.cfg.log
              (Printf.sprintf "drain: channel %s checkpoint failed: %s"
@@ -576,7 +620,7 @@ let shard_main sv shard =
          them on the respawned shard. *)
       for _ = 1 to pending do
         Option.iter
-          (fun t -> t ())
+          (fun t -> t shard)
           (locked shard.sh_mutex (fun () -> Queue.take_opt shard.sh_mailbox))
       done;
       if shard.sh_stop then begin
@@ -616,13 +660,20 @@ let pick_shard sv =
   sv.next_shard <- sv.next_shard + 1;
   sv.shards.(i)
 
-let find_channel sv v =
-  match Option.bind (J.member "channel" v) J.to_str with
-  | None -> Error "missing \"channel\""
-  | Some id -> (
-    match Hashtbl.find_opt sv.channels id with
-    | None -> Error (Printf.sprintf "unknown channel %S" id)
-    | Some ch -> Ok ch)
+(* Run [f] on the channel a command names, or answer why there is none. *)
+let with_channel sv conn_id v f =
+  match
+    let* id = required str_field v "channel" in
+    Option.to_result
+      ~none:(Printf.sprintf "unknown channel %S" id)
+      (Hashtbl.find_opt sv.channels id)
+  with
+  | Ok ch -> f ch
+  | Error msg -> send_main sv conn_id (err_line msg)
+
+(* The transient refusal of a channel between hand-off and adoption. *)
+let migrating ch =
+  Printf.sprintf "channel %s is migrating; retry" ch.ch_cfg.cc_id
 
 (* Post an engine-touching thunk to the channel's owning shard. The thunk
    re-checks ownership: a migration may have moved the channel after the
@@ -639,13 +690,9 @@ let is_terminal ch =
 
 let post_channel_thunk sv ch ~conn_id f =
   let idx = locked ch.ch_mutex (fun () -> ch.ch_shard) in
-  let shard = sv.shards.(idx) in
-  post_thunk shard (fun () ->
+  post_thunk sv.shards.(idx) (fun shard ->
       if List.memq ch shard.sh_channels || is_terminal ch then f shard
-      else
-        send_from_shard sv conn_id
-          (err_line
-             (Printf.sprintf "channel %s is migrating; retry" ch.ch_cfg.cc_id)))
+      else send_from_shard sv conn_id (err_line (migrating ch)))
 
 let channel_row ch =
   locked ch.ch_mutex (fun () ->
@@ -672,8 +719,7 @@ let register sv cc ~status ~round ~summary =
     { ch_cfg = cc; ch_mutex = Mutex.create (); ch_status = status;
       ch_shard = 0; ch_round = round; ch_backlog = 0; ch_feed = None;
       ch_summary = summary; ch_session = None; ch_spool = None;
-      ch_probe = None; ch_steps_total = 0; ch_step_target = 0;
-      ch_run_all = false; ch_waiters = [] }
+      ch_probe = None; ch_steps_total = 0; ch_waiters = [] }
   in
   Hashtbl.replace sv.channels cc.cc_id ch;
   sv.order <- sv.order @ [ cc.cc_id ];
@@ -714,214 +760,180 @@ let cmd_open sv conn_id v =
   | Ok cc ->
     let ch = register sv cc ~status:Pending ~round:0 ~summary:None in
     write_meta sv ch;
-    let shard = pick_shard sv in
-    locked ch.ch_mutex (fun () -> ch.ch_shard <- shard.sh_index);
-    post_thunk shard (fun () ->
-        adopt_channel sv shard ch ~reply:(send_from_shard sv conn_id))
+    hand_to sv (pick_shard sv) ch ~reply:(send_from_shard sv conn_id)
+
+(* The packets an [inject] carries: a ["packets"] array of [at, src, dst]
+   triples, or one packet's ["at"] (default 0), ["src"] and ["dst"]. *)
+let inject_items v =
+  let triple v =
+    match J.to_list v with
+    | Some [ a; s; d ] -> (
+      match (J.to_int a, J.to_int s, J.to_int d) with
+      | Some a, Some s, Some d -> Ok (a, s, d)
+      | _ -> Error "packets entries must be [at, src, dst] integers")
+    | _ -> Error "packets entries must be [at, src, dst] integers"
+  in
+  match J.member "packets" v with
+  | Some (J.List items) ->
+    List.fold_left
+      (fun acc item ->
+        match (acc, triple item) with
+        | Error _, _ -> acc
+        | _, (Error _ as e) -> e
+        | Ok acc, Ok t -> Ok (t :: acc))
+      (Ok []) items
+    |> Result.map List.rev
+  | Some _ -> Error "\"packets\" must be an array"
+  | None -> (
+    let* at = J.field "at" ~expected:"an integer" J.to_int ~default:0 v in
+    let* src = int_field v "src" in
+    let* dst = int_field v "dst" in
+    match (src, dst) with
+    | Some src, Some dst -> Ok [ (at, src, dst) ]
+    | _ -> Error "need \"src\" and \"dst\" (or \"packets\")")
 
 let cmd_inject sv conn_id v =
-  match find_channel sv v with
-  | Error msg -> send_main sv conn_id (err_line msg)
-  | Ok ch -> (
-    let feed, status =
-      locked ch.ch_mutex (fun () -> (ch.ch_feed, ch.ch_status))
-    in
-    match (status, feed) with
-    | (Complete | Failed _), _ ->
-      send_main sv conn_id
-        (err_line
-           (Printf.sprintf "channel %s is %s" ch.ch_cfg.cc_id
-              (status_str status)))
-    | _, None ->
-      send_main sv conn_id
-        (err_line
-           (Printf.sprintf
-              "channel %s uses generator pattern %S, not external injection"
-              ch.ch_cfg.cc_id ch.ch_cfg.cc_spec.pattern))
-    | _, Some feed -> (
-      let n = ch.ch_cfg.cc_spec.n in
-      let triple v =
-        match J.to_list v with
-        | Some [ a; s; d ] -> (
-          match (J.to_int a, J.to_int s, J.to_int d) with
-          | Some a, Some s, Some d -> Ok (a, s, d)
-          | _ -> Error "packets entries must be [at, src, dst] integers")
-        | _ -> Error "packets entries must be [at, src, dst] integers"
+  with_channel sv conn_id v (fun ch ->
+      let cc = ch.ch_cfg in
+      let n = cc.cc_spec.n in
+      let bad (at, src, dst) =
+        at < 0 || src < 0 || dst < 0 || src >= n || dst >= n || src = dst
       in
-      let packets =
-        match J.member "packets" v with
-        | Some (J.List items) ->
-          List.fold_left
-            (fun acc item ->
-              match (acc, triple item) with
-              | Error _, _ -> acc
-              | _, (Error _ as e) -> e
-              | Ok acc, Ok t -> Ok (t :: acc))
-            (Ok []) items
-          |> Result.map List.rev
-        | Some _ -> Error "\"packets\" must be an array"
-        | None -> (
-          match
-            ( Option.bind (J.member "src" v) J.to_int,
-              Option.bind (J.member "dst" v) J.to_int )
-          with
-          | Some src, Some dst ->
-            Ok [ (Option.value ~default:0 (Option.bind (J.member "at" v) J.to_int), src, dst) ]
-          | _ -> Error "need \"src\" and \"dst\" (or \"packets\")")
-      in
-      match packets with
-      | Error msg -> send_main sv conn_id (err_line msg)
-      | Ok items -> (
-        let bad =
-          List.find_opt
-            (fun (at, src, dst) ->
-              at < 0 || src < 0 || dst < 0 || src >= n || dst >= n || src = dst)
-            items
-        in
-        match bad with
-        | Some (at, src, dst) ->
-          send_main sv conn_id
-            (err_line
-               (Printf.sprintf
-                  "bad injection (at=%d src=%d dst=%d): stations in [0,%d), \
-                   src <> dst, at >= 0"
-                  at src dst n))
-        | None ->
-          List.iter
-            (fun (at, src, dst) ->
-              feed.Mac_adversary.Pattern.push ~at ~src ~dst)
-            items;
-          send_main sv conn_id
-            (ok_fields
-               [ ("channel", J.Str ch.ch_cfg.cc_id);
-                 ("accepted", J.Int (List.length items));
-                 ("pending", J.Int (feed.Mac_adversary.Pattern.pending ())) ]))))
+      (* Push under the channel lock: [hand_to] reads the feed's unsaved
+         pushes under it, so an accepted packet is never lost to a
+         hand-off. *)
+      locked ch.ch_mutex (fun () ->
+          match (ch.ch_status, ch.ch_feed) with
+          | (Complete | Failed _), _ ->
+            Error
+              (Printf.sprintf "channel %s is %s" cc.cc_id
+                 (status_str ch.ch_status))
+          | _ when cc.cc_spec.pattern <> "external" ->
+            Error
+              (Printf.sprintf
+                 "channel %s uses generator pattern %S, not external injection"
+                 cc.cc_id cc.cc_spec.pattern)
+          | _, None -> Error (migrating ch)
+          | _, Some feed -> (
+            let* items = inject_items v in
+            match List.find_opt bad items with
+            | Some (at, src, dst) ->
+              Error
+                (Printf.sprintf
+                   "bad injection (at=%d src=%d dst=%d): stations in [0,%d), \
+                    src <> dst, at >= 0"
+                   at src dst n)
+            | None ->
+              List.iter
+                (fun (at, src, dst) ->
+                  feed.Mac_adversary.Pattern.push ~at ~src ~dst)
+                items;
+              Ok
+                [ ("channel", J.Str cc.cc_id);
+                  ("accepted", J.Int (List.length items));
+                  ("pending", J.Int (feed.pending ())) ]))
+      |> answer
+      |> send_main sv conn_id)
 
 let cmd_step sv conn_id v ~run_all =
-  match find_channel sv v with
-  | Error msg -> send_main sv conn_id (err_line msg)
-  | Ok ch ->
-    let rounds = Option.bind (J.member "rounds" v) J.to_int in
-    (match (run_all, rounds) with
-     | false, (None | Some 0) when rounds = Some 0 ->
-       send_main sv conn_id (err_line "\"rounds\" must be >= 1")
-     | false, None -> send_main sv conn_id (err_line "missing \"rounds\"")
-     | false, Some r when r < 1 ->
-       send_main sv conn_id (err_line "\"rounds\" must be >= 1")
-     | _ ->
-       post_channel_thunk sv ch ~conn_id (fun _shard ->
-           match (ch.ch_status, ch.ch_session) with
-           | Running, Some _ ->
-             if run_all then begin
-               ch.ch_run_all <- true;
-               ch.ch_waiters <- Run_waiter { w_conn = conn_id } :: ch.ch_waiters
-             end
-             else begin
-               let r = Option.get rounds in
-               let target = ch.ch_steps_total + r in
-               ch.ch_step_target <- max ch.ch_step_target target;
-               ch.ch_waiters <-
-                 Step_waiter { w_conn = conn_id; w_target = target }
-                 :: ch.ch_waiters
-             end
-           | Complete, _ ->
-             send_from_shard sv conn_id
-               (ok_fields
-                  [ ("channel", J.Str ch.ch_cfg.cc_id);
-                    ("round", J.Int ch.ch_round);
-                    ("complete", J.Bool true) ])
-           | Failed msg, _ ->
-             send_from_shard sv conn_id (err_line ("channel failed: " ^ msg))
-           | _ ->
-             send_from_shard sv conn_id
-               (err_line
-                  (Printf.sprintf "channel %s is not running" ch.ch_cfg.cc_id))))
+  with_channel sv conn_id v (fun ch ->
+      let rounds =
+        if run_all then Ok None
+        else
+          let* r = required int_field v "rounds" in
+          if r < 1 then Error "\"rounds\" must be >= 1" else Ok (Some r)
+      in
+      match rounds with
+      | Error msg -> send_main sv conn_id (err_line msg)
+      | Ok rounds ->
+        post_channel_thunk sv ch ~conn_id (fun _shard ->
+            match (ch.ch_status, ch.ch_session) with
+            | Running, Some _ ->
+              let w_until = Option.map (( + ) ch.ch_steps_total) rounds in
+              ch.ch_waiters <- { w_conn = conn_id; w_until } :: ch.ch_waiters
+            | Complete, _ ->
+              send_from_shard sv conn_id
+                (ok_fields
+                   [ ("channel", J.Str ch.ch_cfg.cc_id);
+                     ("round", J.Int ch.ch_round);
+                     ("complete", J.Bool true) ])
+            | Failed msg, _ ->
+              send_from_shard sv conn_id (err_line ("channel failed: " ^ msg))
+            | _ ->
+              send_from_shard sv conn_id
+                (err_line
+                   (Printf.sprintf "channel %s is not running"
+                      ch.ch_cfg.cc_id))))
+
+let no_session ch =
+  Printf.sprintf "channel %s has no live session" ch.ch_cfg.cc_id
 
 let cmd_snapshot sv conn_id v =
-  match find_channel sv v with
-  | Error msg -> send_main sv conn_id (err_line msg)
-  | Ok ch ->
-    post_channel_thunk sv ch ~conn_id (fun _shard ->
-        match ch.ch_session with
-        | Some s ->
-          (try
-             (match ch.ch_spool with Some sp -> spool_flush sp | None -> ());
-             let snap = E.session_snapshot s in
-             let path = ckpt_path sv ch.ch_cfg.cc_id in
-             Mac_sim.Checkpoint.write_rotated ~path snap;
-             send_from_shard sv conn_id
-               (ok_fields
-                  [ ("channel", J.Str ch.ch_cfg.cc_id);
-                    ("round", J.Int (E.snapshot_round snap));
-                    ("path", J.Str path) ])
-           with e -> send_from_shard sv conn_id (err_line (Printexc.to_string e)))
-        | None ->
-          send_from_shard sv conn_id
-            (err_line
-               (Printf.sprintf "channel %s has no live session" ch.ch_cfg.cc_id)))
+  with_channel sv conn_id v (fun ch ->
+      post_channel_thunk sv ch ~conn_id (fun _shard ->
+          (match ch.ch_session with
+           | None -> Error (no_session ch)
+           | Some s -> (
+             match
+               let snap = E.session_snapshot s in
+               checkpoint_channel sv ch snap;
+               snap
+             with
+             | exception e -> Error (error_message e)
+             | snap ->
+               Ok
+                 [ ("channel", J.Str ch.ch_cfg.cc_id);
+                   ("round", J.Int (E.snapshot_round snap));
+                   ("path", J.Str (ckpt_path sv ch.ch_cfg.cc_id)) ]))
+          |> answer
+          |> send_from_shard sv conn_id))
+
+(* The ["shard"] a [migrate] or [kill-shard] names. *)
+let shard_field sv v =
+  let* i = required int_field v "shard" in
+  if i >= 0 && i < Array.length sv.shards then Ok i
+  else
+    Error
+      (Printf.sprintf "shard %d out of range [0,%d)" i (Array.length sv.shards))
 
 let cmd_migrate sv conn_id v =
-  match find_channel sv v with
-  | Error msg -> send_main sv conn_id (err_line msg)
-  | Ok ch -> (
-    match Option.bind (J.member "shard" v) J.to_int with
-    | None -> send_main sv conn_id (err_line "missing \"shard\"")
-    | Some target when target < 0 || target >= Array.length sv.shards ->
-      send_main sv conn_id
-        (err_line
-           (Printf.sprintf "shard %d out of range [0,%d)" target
-              (Array.length sv.shards)))
-    | Some target ->
-      post_channel_thunk sv ch ~conn_id (fun shard ->
-          match ch.ch_session with
-          | None ->
-            send_from_shard sv conn_id
-              (err_line
-                 (Printf.sprintf "channel %s has no live session"
-                    ch.ch_cfg.cc_id))
-          | Some s ->
-            (try
-               (* Checkpoint through the PR-5 codec, detach, and hand the
-                  channel to the target shard, which resumes it from the
-                  file just written — the same path cold adoption takes. *)
-               (match ch.ch_spool with Some sp -> spool_close sp | None -> ());
-               ch.ch_spool <- None;
-               Mac_sim.Checkpoint.write_rotated
-                 ~path:(ckpt_path sv ch.ch_cfg.cc_id)
-                 (E.session_snapshot s);
-               ch.ch_session <- None;
-               ch.ch_run_all <- false;
-               ch.ch_step_target <- ch.ch_steps_total;
-               fail_waiters sv ch "channel migrated; re-issue the command";
-               shard.sh_channels <-
-                 List.filter (fun c -> not (c == ch)) shard.sh_channels;
-               locked ch.ch_mutex (fun () ->
-                   ch.ch_status <- Pending;
-                   ch.ch_feed <- None;
-                   ch.ch_shard <- target);
-               let tshard = sv.shards.(target) in
-               post_thunk tshard (fun () ->
-                   adopt_channel sv tshard ch
-                     ~reply:(send_from_shard sv conn_id))
-             with e ->
-               send_from_shard sv conn_id (err_line (Printexc.to_string e)))))
+  with_channel sv conn_id v (fun ch ->
+      match shard_field sv v with
+      | Error msg -> send_main sv conn_id (err_line msg)
+      | Ok target ->
+        post_channel_thunk sv ch ~conn_id (fun shard ->
+            match ch.ch_session with
+            | None -> send_from_shard sv conn_id (err_line (no_session ch))
+            | Some s -> (
+              (* Checkpoint, detach, and hand the channel to the target
+                 shard, which resumes it from the file just written — the
+                 same path cold adoption takes. *)
+              match
+                checkpoint_channel sv ch (E.session_snapshot s);
+                detach ch ~flush:true
+              with
+              | exception e ->
+                send_from_shard sv conn_id (err_line (error_message e))
+              | () ->
+                fail_waiters sv ch "channel migrated; re-issue the command";
+                shard.sh_channels <- List.filter (( != ) ch) shard.sh_channels;
+                hand_to sv sv.shards.(target) ch
+                  ~reply:(send_from_shard sv conn_id))))
 
 let cmd_subscribe sv conn v =
-  match find_channel sv v with
-  | Error msg -> send_main sv conn.co_id (err_line msg)
-  | Ok ch ->
-    if conn.co_sub <> None then
-      send_main sv conn.co_id (err_line "connection already subscribed")
-    else begin
-      send_main sv conn.co_id
-        (ok_fields [ ("channel", J.Str ch.ch_cfg.cc_id) ]);
-      conn.co_sub <-
-        Some
-          { sub_chan = ch;
-            sub_fd = None;
-            sub_pos = 0;
-            sub_carry = Buffer.create 256 }
-    end
+  with_channel sv conn.co_id v (fun ch ->
+      if conn.co_sub <> None then
+        send_main sv conn.co_id (err_line "connection already subscribed")
+      else begin
+        send_main sv conn.co_id
+          (ok_fields [ ("channel", J.Str ch.ch_cfg.cc_id) ]);
+        conn.co_sub <-
+          Some
+            { sub_chan = ch;
+              sub_fd = None;
+              sub_pos = 0;
+              sub_carry = Buffer.create 256 }
+      end)
 
 let cmd_stats sv conn_id =
   let total_backlog = ref 0 in
@@ -954,24 +966,19 @@ let cmd_list sv conn_id =
   send_main sv conn_id (ok_fields [ ("channels", J.List rows) ])
 
 let cmd_kill_shard sv conn_id v =
-  match Option.bind (J.member "shard" v) J.to_int with
-  | None -> send_main sv conn_id (err_line "missing \"shard\"")
-  | Some i when i < 0 || i >= Array.length sv.shards ->
-    send_main sv conn_id
-      (err_line
-         (Printf.sprintf "shard %d out of range [0,%d)" i
-            (Array.length sv.shards)))
-  | Some i ->
+  match shard_field sv v with
+  | Error msg -> send_main sv conn_id (err_line msg)
+  | Ok i ->
     send_main sv conn_id (ok_fields [ ("shard", J.Int i) ]);
-    post_thunk sv.shards.(i) (fun () -> raise Shard_killed)
+    post_thunk sv.shards.(i) (fun _ -> raise Shard_killed)
 
 let handle_command sv conn line =
   match J.parse line with
   | Error msg -> send_main sv conn.co_id (err_line ("bad json: " ^ msg))
   | Ok v -> (
-    match Option.bind (J.member "cmd" v) J.to_str with
-    | None -> send_main sv conn.co_id (err_line "missing \"cmd\"")
-    | Some cmd -> (
+    match required str_field v "cmd" with
+    | Error msg -> send_main sv conn.co_id (err_line msg)
+    | Ok cmd -> (
       match cmd with
       | "ping" -> send_main sv conn.co_id (ok_fields [ ("pong", J.Bool true) ])
       | "open" -> cmd_open sv conn.co_id v
@@ -1089,19 +1096,8 @@ let flush_conn sv conn =
         Buffer.add_string conn.co_out
           (String.sub data written (String.length data - written))
   end;
-  if conn.co_closing && Buffer.length conn.co_out = 0 && conn.co_sub = None
-  then drop_conn sv conn
-  else if
-    conn.co_closing && Buffer.length conn.co_out = 0 && conn.co_sub <> None
-  then begin
-    (* Subscription complete: half-close so the client sees EOF. *)
-    (match conn.co_sub with
-     | Some { sub_fd = Some fd; _ } ->
-       (try Unix.close fd with Unix.Unix_error _ -> ())
-     | _ -> ());
-    conn.co_sub <- None;
-    drop_conn sv conn
-  end
+  (* A finished subscription closes too, so its client sees EOF. *)
+  if conn.co_closing && Buffer.length conn.co_out = 0 then drop_conn sv conn
 
 (* --- shard respawn ------------------------------------------------------ *)
 
@@ -1109,51 +1105,29 @@ let check_shards sv =
   Array.iteri
     (fun i shard ->
       if shard.sh_dead then begin
-        (match sv.domains.(i) with
-         | Some d -> Domain.join d
-         | None -> ());
+        Option.iter Domain.join sv.domains.(i);
         sv.domains.(i) <- None;
-        let orphans = shard.sh_channels in
         let fresh = spawn_shard sv i in
         sv.respawns <- sv.respawns + 1;
-        let adopted = ref 0 in
+        let orphans =
+          List.filter (fun ch -> not (is_terminal ch)) shard.sh_channels
+        in
         List.iter
           (fun ch ->
-            if not (is_terminal ch) then begin
-              incr adopted;
-              (* The dead shard may have crashed mid-round: the in-memory
-                 session is unusable. Rebuild from the last checkpoint;
-                 the spool is truncated back to it during adoption. *)
-              ch.ch_session <- None;
-              ch.ch_spool <- None;
-              ch.ch_probe <- None;
-              ch.ch_run_all <- false;
-              ch.ch_step_target <- 0;
-              ch.ch_steps_total <- 0;
-              fail_waiters sv ch "shard died; channel re-adopted, re-issue";
-              locked ch.ch_mutex (fun () ->
-                  ch.ch_status <- Pending;
-                  ch.ch_feed <- None;
-                  ch.ch_shard <- i);
-              post_thunk fresh (fun () ->
-                  adopt_channel sv fresh ch ~reply:(fun _ -> ()))
-            end)
+            (* The dead shard may have crashed mid-round: the in-memory
+               session is unusable. Rebuild from the last checkpoint; the
+               spool is truncated back to it during adoption. *)
+            (try detach ch ~flush:false with Unix.Unix_error _ -> ());
+            fail_waiters sv ch "shard died; channel re-adopted, re-issue";
+            hand_to sv fresh ch ~reply:ignore)
           orphans;
         (* Commands posted between the crash and this respawn sit in the
            dead shard's mailbox; replay them on the fresh shard (after the
            adoptions) so no client waits forever on a lost thunk. *)
-        let leftovers =
-          locked shard.sh_mutex (fun () ->
-              let acc = ref [] in
-              while not (Queue.is_empty shard.sh_mailbox) do
-                acc := Queue.pop shard.sh_mailbox :: !acc
-              done;
-              List.rev !acc)
-        in
-        List.iter (post_thunk fresh) leftovers;
+        List.iter (post_thunk fresh) (take_all shard.sh_mutex shard.sh_mailbox);
         sv.cfg.log
           (Printf.sprintf "shard %d respawned; re-adopted %d channel(s)" i
-             !adopted)
+             (List.length orphans))
       end)
     sv.shards
 
@@ -1185,9 +1159,7 @@ let load_existing sv =
               let ch = register sv cc ~status:st ~round ~summary in
               if status = "open" then begin
                 let shard = pick_shard sv in
-                locked ch.ch_mutex (fun () -> ch.ch_shard <- shard.sh_index);
-                post_thunk shard (fun () ->
-                    adopt_channel sv shard ch ~reply:(fun _ -> ()));
+                hand_to sv shard ch ~reply:ignore;
                 sv.cfg.log
                   (Printf.sprintf "re-adopting channel %s on shard %d"
                      cc.cc_id shard.sh_index)
@@ -1268,9 +1240,10 @@ let drain sv =
         sv.domains.(i) <- None
       | None -> ())
     sv.domains;
-  Hashtbl.iter (fun _ conn -> try Unix.close conn.co_fd with Unix.Unix_error _ -> ()) sv.conns;
-  Hashtbl.reset sv.conns;
-  (try Unix.close sv.listener with Unix.Unix_error _ -> ());
+  List.iter (drop_conn sv) (Hashtbl.fold (fun _ c acc -> c :: acc) sv.conns []);
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ sv.listener; sv.wake_r; sv.wake_w ];
   (try Sys.remove sv.cfg.socket with Sys_error _ -> ());
   sv.cfg.log "drained";
   `Drained
@@ -1296,15 +1269,9 @@ let accept_conns sv =
   go ()
 
 let drain_outbox sv =
-  let items =
-    locked sv.out_mutex (fun () ->
-        let acc = ref [] in
-        while not (Queue.is_empty sv.outbox) do
-          acc := Queue.pop sv.outbox :: !acc
-        done;
-        List.rev !acc)
-  in
-  List.iter (fun (conn_id, line) -> send_main sv conn_id line) items
+  List.iter
+    (fun (conn_id, line) -> send_main sv conn_id line)
+    (take_all sv.out_mutex sv.outbox)
 
 let run sv =
   let rec loop () =

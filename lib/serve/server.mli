@@ -4,7 +4,8 @@
 
     Commands (one JSON object per line; replies are one JSON object per
     line with an ["ok"] field — errors are typed, never a dropped
-    connection):
+    connection, and a field present with the wrong type is an error
+    naming it):
 
     - [{"cmd":"ping"}]
     - [{"cmd":"open","channel":ID,"algorithm":NAME,"n":N,"k":K, ...}] —
@@ -25,7 +26,10 @@
     - [{"cmd":"inject","channel":ID,"at":R,"src":S,"dst":D}] or
       [{"cmd":"inject","channel":ID,"packets":[[at,src,dst],...]}] —
       queue packets from outside the process. The adversary's leaky
-      bucket still gates admission round by round.
+      bucket still gates admission round by round. An accepted packet is
+      carried across [migrate] and a shard respawn; while the channel is
+      being handed to a shard, [inject] answers ["channel ID is
+      migrating; retry"].
     - [{"cmd":"step","channel":ID,"rounds":N}] — advance N rounds; the
       reply arrives once they have executed.
     - [{"cmd":"run","channel":ID}] — run to completion; the reply carries

@@ -9,8 +9,12 @@
    Format version 2 adds two fields to the metadata line — the blob's
    byte length and its CRC-32 — so a truncated or bit-flipped file is
    rejected with a precise [Error] instead of being fed to [Marshal]
-   (which would crash, or worse, decode junk). Version-1 files (no
-   checksum) are still readable.
+   (which would crash, or worse, decode junk). Only version 2 is read:
+   a version-1 file (no checksum) is refused like any other version.
+   The checksums guard the bytes, not their meaning: a snapshot or
+   algorithm-state type that changes shape without a version bump still
+   passes them and [Marshal]-decodes to garbage. The only guard against
+   that is the blob sizes pinned in test/golden/checkpoints.txt.
 
    The magic line guards against feeding an arbitrary file to Marshal;
    the JSON line lets humans and scripts inspect a checkpoint

@@ -9,7 +9,11 @@
     against the resuming run's configuration. Checkpoint files are
     build-specific (the blob is OCaml [Marshal] output): a file written by a
     different binary is rejected by the header version or the snapshot
-    version, not misread.
+    version only when the change that made it different bumped one of
+    them. A snapshot or algorithm-state type that changes shape without a
+    version bump is misread: [Marshal] decodes the old bytes to garbage.
+    The blob sizes pinned in [test/golden/checkpoints.txt] are the only
+    guard against that.
 
     Format v2 adds the blob's byte count and CRC-32 to the metadata line, so
     [read] detects truncation, padding and bit-rot {e before} handing the

@@ -1,6 +1,6 @@
 (* Unit and property tests for the mac_channel substrate: deterministic RNG,
-   packets, messages and control-bit accounting, packet queues, energy
-   accounting, and the trace ring buffer. *)
+   packets, messages and control-bit accounting, packet queues, and the
+   trace ring buffer. *)
 
 open Mac_channel
 
@@ -378,17 +378,6 @@ let pqueue_dests =
       in
       Pqueue.dests q = expected)
 
-(* ---- Energy ---- *)
-
-let test_energy_accounting () =
-  let e = Energy.create ~cap:3 in
-  List.iter (fun c -> Energy.record_round e ~on_count:c) [ 0; 3; 2; 4; 1 ];
-  check_int "rounds" 5 (Energy.rounds e);
-  check_int "max" 4 (Energy.max_on e);
-  check_int "total" 10 (Energy.total_station_rounds e);
-  check_int "violations" 1 (Energy.violations e);
-  Alcotest.(check (float 0.001)) "mean" 2.0 (Energy.mean_on e)
-
 (* ---- Trace ---- *)
 
 let test_trace_disabled_is_noop () =
@@ -488,7 +477,6 @@ let () =
          QCheck_alcotest.to_alcotest pqueue_drain_equiv;
          QCheck_alcotest.to_alcotest pqueue_model;
          QCheck_alcotest.to_alcotest pqueue_dests ]);
-      ("energy", [ Alcotest.test_case "accounting" `Quick test_energy_accounting ]);
       ("trace",
        [ Alcotest.test_case "disabled" `Quick test_trace_disabled_is_noop;
          Alcotest.test_case "ring" `Quick test_trace_ring;

@@ -304,6 +304,24 @@ let req_err c fields =
   | Ok v -> Alcotest.fail ("expected error, got " ^ J.to_string v)
   | Error msg -> msg
 
+(* Repeat a request the daemon may refuse while the channel changes
+   hands: "migrating; retry", or a waiter failed by a shard respawn. *)
+let req_retry c fields =
+  let rec go tries =
+    match Client.request c (J.Obj fields) with
+    | Ok v -> v
+    | Error _ when tries > 0 ->
+      Unix.sleepf 0.05;
+      go (tries - 1)
+    | Error msg -> Alcotest.failf "%s: %s" (J.to_string (J.Obj fields)) msg
+  in
+  go 100
+
+let int_of key v =
+  match Option.bind (J.member key v) J.to_int with
+  | Some i -> i
+  | None -> Alcotest.failf "no integer %S in %s" key (J.to_string v)
+
 let inject_cmd ~channel trace =
   [ ("cmd", J.Str "inject");
     ("channel", J.Str channel);
@@ -355,9 +373,9 @@ let test_protocol_errors_are_typed () =
   (* a field present with the wrong type or out of range is named in the
      error, never replaced by its default; a spec the shard could not start
      is refused the same way, up front, leaving no trace of the id *)
+  ignore (req c (open_cmd ~channel:"t" ~rounds:50 ~drain:0));
   List.iter
-    (fun (fields, named) ->
-      let line = {|{"cmd":"open","channel":|} ^ fields ^ "}" in
+    (fun (line, named) ->
       Client.send_line c line;
       let err =
         match Option.map J.parse (Client.recv_line c) with
@@ -371,20 +389,31 @@ let test_protocol_errors_are_typed () =
         (Printf.sprintf "%s names %s (got %S)" line named err)
         true
         (contains err named && not (contains err "Failure")))
-    [ ({|"bad","algorithm":"orchestra","n":"6"|}, {|"n"|});
-      ( {|"bad","algorithm":"orchestra","checkpoint_every":1e19,"seed":1e19|},
+    [ ({|{"cmd":"open","channel":"bad","algorithm":"orchestra","n":"6"}|}, {|"n"|});
+      ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":1e19,"seed":1e19}|},
         {|"seed"|} );
-      ( {|"bad","algorithm":"orchestra","checkpoint_every":5e18|},
+      ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":5e18}|},
         {|"checkpoint_every"|} );
-      ( {|"bad","algorithm":"orchestra","checkpoint_every":-1|},
+      ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":-1}|},
         {|"checkpoint_every"|} );
-      ({|"x","algorithm":"nope"|}, {|"algorithm": unknown algorithm "nope"|});
-      ({|"x","algorithm":"k-subsets","n":4,"k":4|}, {|"k"|});
-      ({|"x","algorithm":"orchestra","pattern":"flood:x"|}, {|"pattern"|});
-      ({|"x","algorithm":"orchestra","rate":"2"|}, {|"rate"|});
-      ({|"x","algorithm":"orchestra","burst":"1e-300"|}, {|"burst"|});
-      ( {|"x","algorithm":"count-hop","n":1,"k":1,"pattern":"round-robin"|},
-        {|"n"|} ) ];
+      ( {|{"cmd":"open","channel":"x","algorithm":"nope"}|},
+        {|"algorithm": unknown algorithm "nope"|} );
+      ({|{"cmd":"open","channel":"x","algorithm":"k-subsets","n":4,"k":4}|}, {|"k"|});
+      ( {|{"cmd":"open","channel":"x","algorithm":"orchestra","pattern":"flood:x"}|},
+        {|"pattern"|} );
+      ({|{"cmd":"open","channel":"x","algorithm":"orchestra","rate":"2"}|}, {|"rate"|});
+      ( {|{"cmd":"open","channel":"x","algorithm":"orchestra","burst":"1e-300"}|},
+        {|"burst"|} );
+      ( {|{"cmd":"open","channel":"x","algorithm":"count-hop","n":1,"k":1,"pattern":"round-robin"}|},
+        {|"n"|} );
+      ({|{"cmd":"inject","channel":"t","at":"5","src":0,"dst":1}|}, {|"at" must be|});
+      ({|{"cmd":"inject","channel":"t","src":"0","dst":1}|}, {|"src" must be|});
+      ({|{"cmd":"inject","channel":"t","src":0,"dst":[1]}|}, {|"dst" must be|});
+      ({|{"cmd":"step","channel":"t","rounds":"5"}|}, {|"rounds" must be|});
+      ({|{"cmd":"migrate","channel":"t","shard":"1"}|}, {|"shard" must be|});
+      ({|{"cmd":"kill-shard","shard":"0"}|}, {|"shard" must be|});
+      ({|{"cmd":"snapshot","channel":["t"]}|}, {|"channel" must be|});
+      ({|{"cmd":5}|}, {|"cmd" must be|}) ];
   check_bool "a refused open writes no meta file" false
     (Sys.file_exists (Filename.concat dir "x.meta"));
   ignore (req c (open_cmd ~channel:"x" ~rounds:10 ~drain:0));
@@ -539,6 +568,166 @@ let test_chaos_preserves_byte_identity () =
   check_string "summary byte-identical despite crash + restart"
     summary
     (read_file (Filename.concat dir "chaos.summary.json"))
+
+let step_cmd ~channel rounds =
+  [ ("cmd", J.Str "step"); ("channel", J.Str channel);
+    ("rounds", J.Int rounds) ]
+
+let run_cmd ~channel = [ ("cmd", J.Str "run"); ("channel", J.Str channel) ]
+
+let check_complete reply =
+  check_bool "complete" true
+    (Option.bind (J.member "complete" reply) J.to_bool = Some true)
+
+let check_batch_bytes ~dir ~channel ~rounds ~drain ~trace =
+  let events, summary = batch_reference ~n:6 ~k:3 ~rounds ~drain ~trace in
+  check_string "event spool matches batch --events" events
+    (read_file (Filename.concat dir (channel ^ ".events.jsonl")));
+  check_string "summary matches batch --json" summary
+    (read_file (Filename.concat dir (channel ^ ".summary.json")))
+
+(* [snapshot] and [migrate] on a running channel: the snapshot is written
+   at the channel's round, and a channel moved to another shard and back
+   still writes the batch run's bytes. *)
+let test_snapshot_and_migrate_live_channel () =
+  let rounds = 600 and drain = 200 in
+  let dir = temp_dir "eear_serve_migrate" in
+  let socket, d = start_server ~dir ~shards:2 in
+  let c = connect_ok socket in
+  ignore (req c (open_cmd ~channel:"mig" ~rounds ~drain));
+  ignore (req c (inject_cmd ~channel:"mig" trace6));
+  let round = int_of "round" (req c (step_cmd ~channel:"mig" 150)) in
+  check_int "stepped" 150 round;
+  let snap = req c [ ("cmd", J.Str "snapshot"); ("channel", J.Str "mig") ] in
+  check_int "snapshot at the channel's round" round (int_of "round" snap);
+  let path = Filename.concat dir "mig.ckpt" in
+  check_string "snapshot path" path
+    (Option.value ~default:"" (Option.bind (J.member "path" snap) J.to_str));
+  (match Mac_sim.Checkpoint.read_latest ~path with
+   | Ok (s, `Current) -> check_int "checkpoint round" round (E.snapshot_round s)
+   | Ok (_, `Salvaged why) -> Alcotest.fail ("salvaged: " ^ why)
+   | Error msg -> Alcotest.fail msg);
+  let migrate shard =
+    let reply =
+      req c
+        [ ("cmd", J.Str "migrate"); ("channel", J.Str "mig");
+          ("shard", J.Int shard) ]
+    in
+    check_int "adopted by the target shard" shard (int_of "shard" reply)
+  in
+  migrate 1;
+  ignore (req c (step_cmd ~channel:"mig" 100));
+  migrate 0;
+  check_complete (req c (run_cmd ~channel:"mig"));
+  Client.close c;
+  stop_server socket d;
+  check_batch_bytes ~dir ~channel:"mig" ~rounds ~drain ~trace:trace6
+
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let check_fds_do_not_grow label before =
+  match (before, open_fds ()) with
+  | Some before, Some after ->
+    check_bool
+      (Printf.sprintf "%s: open fds do not grow (%d -> %d)" label before after)
+      true (after <= before)
+  | _ -> ()
+
+(* Packets accepted after the last checkpoint survive a shard respawn: the
+   fresh shard resumes the channel from that checkpoint and is handed every
+   push since it, so the run still equals the batch run of the whole trace.
+   The respawns close the dead sessions' spools, and the drain closes the
+   daemon's own fds: the open fd count stays put. *)
+let test_respawn_keeps_accepted_packets () =
+  let rounds = 600 and drain = 200 in
+  let late = [ (100, 1, 2); (140, 3, 4); (100, 5, 1); (400, 0, 3) ] in
+  let dir = temp_dir "eear_serve_carry" in
+  let at_start = open_fds () in
+  let socket, d = start_server ~dir ~shards:1 in
+  let c = connect_ok socket in
+  ignore (req c (open_cmd ~channel:"carry" ~rounds ~drain));
+  ignore (req c (inject_cmd ~channel:"carry" trace6));
+  (* checkpoints every 32 rounds: the last one before round 100 is at 96 *)
+  check_int "past a checkpoint" 100
+    (int_of "round" (req c (step_cmd ~channel:"carry" 100)));
+  ignore (req c (inject_cmd ~channel:"carry" late));
+  let before = open_fds () in
+  for _ = 1 to 5 do
+    ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 0) ]);
+    ignore (req_retry c (step_cmd ~channel:"carry" 10))
+  done;
+  check_fds_do_not_grow "five respawns" before;
+  check_int "five respawns" 5
+    (int_of "respawns" (req c [ ("cmd", J.Str "stats") ]));
+  check_complete (req_retry c (run_cmd ~channel:"carry"));
+  Client.close c;
+  stop_server socket d;
+  check_fds_do_not_grow "daemon lifetime" at_start;
+  check_batch_bytes ~dir ~channel:"carry" ~rounds ~drain
+    ~trace:(trace6 @ late)
+
+(* A channel migrated back and forth while a second connection injects
+   one packet at a time: every accepted packet is injected by the end of
+   the run, and every refusal asks for a retry. *)
+let test_migrate_under_injection () =
+  let dir = temp_dir "eear_serve_stress" in
+  let socket, d = start_server ~dir ~shards:2 in
+  let c = connect_ok socket in
+  ignore (req c (open_cmd ~channel:"st" ~rounds:2000 ~drain:0));
+  let migrating = Atomic.make true in
+  let injector =
+    Domain.spawn (fun () ->
+        let c = connect_ok socket in
+        let accepted = ref 0 and refusals = ref [] and sent = ref 0 in
+        while Atomic.get migrating && !sent < 800 do
+          for i = 1 to 8 do
+            let src = (!sent + i) mod 6 in
+            Client.send_line c
+              (J.to_string
+                 (J.Obj
+                    [ ("cmd", J.Str "inject"); ("channel", J.Str "st");
+                      ("src", J.Int src); ("dst", J.Int ((src + 1) mod 6)) ]))
+          done;
+          for _ = 1 to 8 do
+            incr sent;
+            match Option.map J.parse (Client.recv_line c) with
+            | Some (Ok r)
+              when Option.bind (J.member "ok" r) J.to_bool = Some true ->
+              incr accepted
+            | Some (Ok r) ->
+              refusals :=
+                Option.value ~default:""
+                  (Option.bind (J.member "error" r) J.to_str)
+                :: !refusals
+            | _ -> failwith "inject: no reply"
+          done
+        done;
+        Client.close c;
+        (!accepted, !refusals))
+  in
+  for i = 1 to 20 do
+    ignore
+      (req_retry c
+         [ ("cmd", J.Str "migrate"); ("channel", J.Str "st");
+           ("shard", J.Int (i mod 2)) ])
+  done;
+  Atomic.set migrating false;
+  let accepted, refusals = Domain.join injector in
+  List.iter
+    (fun err ->
+      check_bool (Printf.sprintf "refusal asks for a retry (got %S)" err) true
+        (contains err "migrating; retry"))
+    refusals;
+  let reply = req c (run_cmd ~channel:"st") in
+  check_complete reply;
+  check_int "every accepted packet injected" accepted
+    (int_of "injected"
+       (Option.value ~default:J.Null (J.member "summary" reply)));
+  Client.close c;
+  stop_server socket d
 
 (* ---- faulted channels --------------------------------------------------- *)
 
@@ -756,6 +945,12 @@ let () =
            test_disconnect_mid_subscribe_leaves_shard_alive;
          Alcotest.test_case "chaos byte-identical" `Quick
            test_chaos_preserves_byte_identity;
+         Alcotest.test_case "snapshot and migrate a live channel" `Quick
+           test_snapshot_and_migrate_live_channel;
+         Alcotest.test_case "respawn keeps accepted packets" `Quick
+           test_respawn_keeps_accepted_packets;
+         Alcotest.test_case "migrate under injection" `Quick
+           test_migrate_under_injection;
          Alcotest.test_case "faulted channel = batch" `Quick
            test_faulted_channel_matches_batch;
          Alcotest.test_case "out-of-range plan refused" `Quick
