@@ -35,8 +35,9 @@ let resolve_algorithm (spec : Registry.spec) =
     (Result.bind (Registry.check spec) (fun () ->
          Registry.algorithm spec.algorithm ~n:spec.n ~k:spec.k))
 
-(* The saboteurs need the algorithm's schedule, so resolution happens after
-   the algorithm is known; every other spec goes to the registry. *)
+(* The spec's pattern maker. The saboteurs need the algorithm's schedule,
+   so resolution happens after the algorithm is known (their search runs
+   here, once); every other spec goes to the registry. *)
 let resolve_pattern (spec : Registry.spec) ~algorithm =
   let n = spec.n in
   let saboteur make =
@@ -210,7 +211,6 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
         exit 2)
   in
   let algorithm = resolve_algorithm spec in
-  let module A = (val algorithm) in
   let { Registry.n; k; rate; burst; rounds; drain; _ } = spec in
   let pattern =
     match inject with
@@ -224,15 +224,15 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
         Printf.eprintf "%s\n" msg;
         exit 2
       | Ok items ->
-        let _feed, p = Mac_adversary.Pattern.external_queue ~initial:items () in
-        p)
+        fun () -> snd (Mac_adversary.Pattern.external_queue ~initial:items ()))
   in
   let pacing =
     if paced then Mac_adversary.Adversary.Paced { burst_at = None }
     else Mac_adversary.Adversary.Greedy
   in
-  let adversary =
-    Mac_adversary.Adversary.create_q ~rate ~burst ~pacing pattern
+  let scenario =
+    Mac_experiments.Scenario.spec_q ~id:spec.algorithm ~algorithm ~n ~k ~rate
+      ~burst ~pattern ~pacing ~rounds ~drain ()
   in
   let trace =
     if trace_n > 0 then
@@ -292,9 +292,9 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
   in
   if checkpoint <> None then install_drain_handlers ();
   let config =
-    { (Mac_sim.Engine.default_config ~rounds) with
+    { (Mac_experiments.Scenario.config scenario) with
       mode = engine;
-      drain_limit = drain; check_schedule = A.oblivious; sink;
+      sink;
       checkpoint_every;
       on_checkpoint =
         Option.map
@@ -314,8 +314,7 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
         Option.iter Mac_sim.Sink.close sink;
         telemetry_close ())
       (fun () ->
-        Mac_sim.Engine.run ~config ?resume:resume_snap ~algorithm ~n ~k
-          ~adversary ~rounds ())
+        Mac_experiments.Scenario.simulate ~config ?resume:resume_snap scenario)
   in
   let stability = Mac_sim.Stability.classify summary.queue_series in
   Format.printf "%a@." Mac_sim.Metrics.pp_summary summary;
@@ -530,15 +529,6 @@ let run_term =
 
 (* ---- table1 / figures commands ---- *)
 
-(* Scenario ids contain '/'; flatten them for per-scenario file names. *)
-let sanitize_id id =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '_')
-    id
-
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
   else if not (Sys.is_directory dir) then begin
@@ -560,7 +550,8 @@ let scenario_observer ~trace_n ~events_dir :
           match events_dir with
           | None -> []
           | Some dir ->
-            let path = Filename.concat dir (sanitize_id id ^ ".jsonl") in
+            let stem = Mac_sim.Durable.file_stem id in
+            let path = Filename.concat dir (stem ^ ".jsonl") in
             [ jsonl_sink path ]
         in
         let sinks =
@@ -1506,51 +1497,27 @@ let chaos_term =
 let verify_cmd count seed table1 quick rounds_cap sparse jobs =
   let jobs = check_jobs jobs in
   let cap x = match rounds_cap with None -> x | Some c -> min x c in
-  let spec_to_run (s : Mac_experiments.Scenario.spec) : Mac_verify.Diff.run =
-    { id = s.id; algorithm = s.algorithm; n = s.n; k = s.k; rate = s.rate;
-      burst = s.burst; pacing = s.pacing; pattern = s.pattern;
-      rounds = cap s.rounds; drain = cap s.drain; faults = s.faults }
+  let catalog () =
+    List.map
+      (fun (s : Mac_experiments.Scenario.spec) ->
+        { s with rounds = cap s.rounds; drain = cap s.drain })
+      (Mac_experiments.Table1.catalog
+         ~scale:(if quick then `Quick else `Full))
   in
   if sparse then begin
     (* Sparse-vs-dense parity: the engine certified against itself
        (events, summary bytes, checkpoint bytes) rather than against the
        oracle — so huge configs are fine here. *)
-    let makers =
-      if table1 then begin
-        let scale = if quick then `Quick else `Full in
-        (* three catalog instances: certify_sparse runs each cell three
-           times and each run needs fresh pattern state *)
-        let a = Mac_experiments.Table1.catalog ~scale in
-        let b = Mac_experiments.Table1.catalog ~scale in
-        let c = Mac_experiments.Table1.catalog ~scale in
-        let bc = List.map2 (fun y z -> (y, z)) b c in
-        List.concat
-          (List.map2
-             (fun x (y, z) ->
-               let module A =
-                 (val x.Mac_experiments.Scenario.algorithm
-                     : Mac_channel.Algorithm.S)
-               in
-               if Option.is_some A.sparse then begin
-                 let copies =
-                   ref [ spec_to_run x; spec_to_run y; spec_to_run z ]
-                 in
-                 [ (fun () ->
-                     match !copies with
-                     | r :: rest ->
-                       copies := rest;
-                       r
-                     | [] ->
-                       failwith
-                         "certify_sparse consumed more than three instances")
-                 ]
-               end
-               else [])
-             a bc)
-      end
+    let specs =
+      if table1 then
+        List.filter
+          (fun (s : Mac_experiments.Scenario.spec) ->
+            let module A = (val s.algorithm) in
+            Option.is_some A.sparse)
+          (catalog ())
       else List.init count (fun i -> Mac_verify.Diff.random_sparse ~seed:(seed + i))
     in
-    let verdicts = Mac_verify.Diff.certify_sparse_batch ~jobs makers in
+    let verdicts = Mac_verify.Diff.certify_sparse_batch ~jobs specs in
     let bad = List.filter (fun v -> not (Mac_verify.Diff.agrees v)) verdicts in
     List.iter (fun v -> Format.printf "%a@." Mac_verify.Diff.pp_verdict v) bad;
     Printf.printf "%d sparse certification(s), %d divergence(s)\n"
@@ -1559,18 +1526,11 @@ let verify_cmd count seed table1 quick rounds_cap sparse jobs =
     `Ok ()
   end
   else begin
-  let pairs =
-    if table1 then begin
-      let scale = if quick then `Quick else `Full in
-      (* the catalog is instantiated twice so each side owns fresh pattern
-         state; the two lists are equal in every other respect *)
-      let a = Mac_experiments.Table1.catalog ~scale in
-      let b = Mac_experiments.Table1.catalog ~scale in
-      List.map2 (fun x y -> (spec_to_run x, spec_to_run y)) a b
-    end
-    else List.init count (fun i -> Mac_verify.Diff.random_pair ~seed:(seed + i))
+  let specs =
+    if table1 then catalog ()
+    else List.init count (fun i -> Mac_verify.Diff.random ~seed:(seed + i))
   in
-  let verdicts = Mac_verify.Diff.run_pairs ~jobs pairs in
+  let verdicts = Mac_verify.Diff.run_pairs ~jobs specs in
   let bad = List.filter (fun v -> not (Mac_verify.Diff.agrees v)) verdicts in
   List.iter (fun v -> Format.printf "%a@." Mac_verify.Diff.pp_verdict v) bad;
   let events =

@@ -71,7 +71,7 @@ let () =
     Option.get
       (Mac_experiments.Scenario.schedule_of subject.algorithm ~n ~k:subject.sk)
   in
-  let pattern () =
+  let pattern =
     (Mac_adversary.Saboteur.min_pair ~n ~horizon:30_000 ~schedule)
       .Mac_adversary.Saboteur.pattern
   in

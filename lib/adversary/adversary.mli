@@ -13,8 +13,10 @@
       reserve, optionally dumping ⌊β⌋ extra packets in round [burst_at]
       (stress-testing burst absorption mid-execution).
 
-    A [driver] is the stateful per-run instance; the same adversary value can
-    drive many runs deterministically. *)
+    A [driver] is the per-run bucket state. An adversary value holds its
+    pattern, and [start] does not rewind the pattern's cursor, so each run
+    needs its own adversary built from a fresh pattern: [Scenario] in the
+    experiments library builds one per run from its spec's pattern maker. *)
 
 type pacing =
   | Greedy

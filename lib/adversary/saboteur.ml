@@ -1,5 +1,5 @@
 type choice = {
-  pattern : Pattern.t;
+  pattern : unit -> Pattern.t;
   description : string;
 }
 
@@ -18,9 +18,10 @@ let min_duty ~n ~horizon ~schedule =
   for i = 1 to n - 1 do
     if duty.(i) < duty.(!victim) then victim := i
   done;
-  { pattern = Pattern.flood ~n ~victim:!victim;
+  let victim = !victim in
+  { pattern = (fun () -> Pattern.flood ~n ~victim);
     description =
-      Printf.sprintf "min-duty victim %d (on %d/%d rounds)" !victim duty.(!victim) horizon }
+      Printf.sprintf "min-duty victim %d (on %d/%d rounds)" victim duty.(victim) horizon }
 
 let min_pair ~n ~horizon ~schedule =
   (* Count co-on rounds for unordered pairs, then flood the minimum. *)
@@ -45,16 +46,14 @@ let min_pair ~n ~horizon ~schedule =
     done
   done;
   let w, z = !best in
-  { pattern = Pattern.pair_flood ~src:w ~dst:z;
+  { pattern = (fun () -> Pattern.pair_flood ~src:w ~dst:z);
     description =
       Printf.sprintf "min-co-duty pair (%d,%d) (co-on %d/%d rounds)" w z co.(w).(z) horizon }
 
 let cap2_breaker ~n =
   if n < 3 then invalid_arg "Saboteur.cap2_breaker: needs n >= 3";
-  (* Witness station s: currently clean (empty queue, nothing addressed to
-     it) and believed off. Helpers s1 (injection target) and s2 (packet
-     destination) are the two smallest stations different from s. *)
-  let s = ref (n - 1) in
+  (* Helpers s1 (injection target) and s2 (packet destination) are the two
+     smallest stations different from the witness. *)
   let helpers exclude =
     let rec pick acc candidate count =
       if count = 2 then List.rev acc
@@ -65,26 +64,31 @@ let cap2_breaker ~n =
     | [ a; b ] -> (a, b)
     | _ -> assert false
   in
-  let gen ~round:_ ~budget ~view:(view : View.t) =
-    (* If the witness woke up, re-choose a clean off station as witness. *)
-    if view.was_on !s then begin
-      let candidate = ref (-1) in
-      for i = n - 1 downto 0 do
-        if view.queue_size i = 0 && view.queued_to i = 0 && not (view.was_on i)
-        then candidate := i
-      done;
-      if !candidate >= 0 then s := !candidate
-      (* else: every clean station was on; keep s, the round is already
-         wasted for the algorithm. *)
-    end;
-    let s1, s2 = helpers !s in
-    List.init budget (fun _ -> (s1, s2))
+  let pattern () =
+    (* Witness station s: currently clean (empty queue, nothing addressed
+       to it) and believed off. *)
+    let s = ref (n - 1) in
+    let gen ~round:_ ~budget ~view:(view : View.t) =
+      (* If the witness woke up, re-choose a clean off station as witness. *)
+      if view.was_on !s then begin
+        let candidate = ref (-1) in
+        for i = n - 1 downto 0 do
+          if view.queue_size i = 0 && view.queued_to i = 0 && not (view.was_on i)
+          then candidate := i
+        done;
+        if !candidate >= 0 then s := !candidate
+        (* else: every clean station was on; keep s, the round is already
+           wasted for the algorithm. *)
+      end;
+      let s1, s2 = helpers !s in
+      List.init budget (fun _ -> (s1, s2))
+    in
+    let save () = string_of_int !s in
+    let load st =
+      match int_of_string_opt st with
+      | Some v when v >= 0 && v < n -> s := v
+      | _ -> invalid_arg "Saboteur.cap2_breaker: bad witness state"
+    in
+    Pattern.make ~save ~load ~name:"cap2-breaker" gen
   in
-  let save () = string_of_int !s in
-  let load st =
-    match int_of_string_opt st with
-    | Some v when v >= 0 && v < n -> s := v
-    | _ -> invalid_arg "Saboteur.cap2_breaker: bad witness state"
-  in
-  { pattern = Pattern.make ~save ~load ~name:"cap2-breaker" gen;
-    description = "adaptive Lemma-1 witness strategy" }
+  { pattern; description = "adaptive Lemma-1 witness strategy" }

@@ -2,7 +2,9 @@
 
     Each lower bound in the paper is proved by constructing an injection
     strategy a routing algorithm cannot absorb; these builders turn those
-    constructions into runnable {!Pattern.t} values.
+    constructions into runnable {!Pattern.t} makers: the (possibly long)
+    search for a victim runs once, in the builder, and each call of the
+    choice's [pattern] builds a fresh pattern for one run.
 
     - Theorem 6 (no k-energy-oblivious algorithm is stable for ρ > k/n):
       by double counting, some station is switched on for at most k·t/n of
@@ -22,7 +24,7 @@
       switches on (each such wake-up forfeits a delivery opportunity). *)
 
 type choice = {
-  pattern : Pattern.t;
+  pattern : unit -> Pattern.t;  (** a fresh pattern per call *)
   description : string;  (** the concrete victim chosen, for reports *)
 }
 

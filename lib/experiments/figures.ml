@@ -25,8 +25,6 @@ type t = {
     supervised;
 }
 
-let scaled ~scale ~quick ~full = match scale with `Quick -> quick | `Full -> full
-
 let fmt = Mac_sim.Report.fmt_float
 
 (* Figure operating points are exact rationals; decimal literals go
@@ -36,30 +34,22 @@ let q = Qrat.of_float
 
 let fmt_q r = fmt (Qrat.to_float r)
 
-let run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
-    ~pattern ~rounds ~drain () =
-  Scenario.run ?observe ?telemetry ?heartbeat
-    (Scenario.spec_q ~id ~algorithm ~n ~k ~rate:rho ~burst:beta ~pattern ~rounds
-       ~drain ())
-
 let failures results =
   List.filter_map
     (function lbl, Error e -> Some (lbl, e) | _, Ok _ -> None)
     results
 
-(* Each figure declares its plot points as (id, run-thunk, row-of-outcome)
-   triples; the thunks fan out over the supervisor, and the table keeps
-   its declaration order whatever the parallel completion order was.
-   Points carry mutable pattern cursors, so [Scenario.sweep] rebuilds
-   them for a retried point. *)
+(* Each figure declares its plot points as (spec, row-of-outcome) pairs;
+   the specs fan out over the supervisor, and the table keeps its
+   declaration order whatever the parallel completion order was. *)
 let figure ~id ~title ~header points =
   let run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
     let results =
       Scenario.sweep ?jobs ?policy ?on_event
-        ~label:(fun (id, _, _) -> id)
-        (points ?observe ?telemetry ~scale)
-        (fun (_, thunk, row) ~heartbeat ->
-          let o = thunk ?heartbeat:(Some heartbeat) () in
+        ~label:(fun ((spec : Scenario.spec), _) -> spec.id)
+        (points ~scale)
+        (fun (spec, row) ~heartbeat ->
+          let o = Scenario.run ?observe ?telemetry ~heartbeat spec in
           (row o, o))
     in
     let report = Mac_sim.Report.create ~header in
@@ -79,17 +69,17 @@ let figure ~id ~title ~header points =
 (* ------------------------------------------------------------------ *)
 (* F1: stability frontier. *)
 
-let frontier_points ?observe ?telemetry ~scale () =
-  let rounds = scaled ~scale ~quick:60_000 ~full:150_000 in
-  let aw_rounds = scaled ~scale ~quick:80_000 ~full:250_000 in
+let frontier_points ~scale =
+  let rounds = Scenario.scaled ~scale ~quick:60_000 ~full:150_000 in
+  let aw_rounds = Scenario.scaled ~scale ~quick:80_000 ~full:250_000 in
   let points = ref [] in
   let point ~row_algo ~algorithm ~n ~k ~threshold ~rho ~pattern ~rounds =
     let id =
       Printf.sprintf "frontier/%s@%.4f" row_algo (Qrat.to_float rho)
     in
-    let thunk ?heartbeat () =
-      run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho
-        ~beta:(Qrat.of_int 2) ~pattern ~rounds ~drain:0 ()
+    let spec =
+      Scenario.spec_q ~id ~algorithm ~n ~k ~rate:rho ~burst:(Qrat.of_int 2)
+        ~pattern ~rounds ~drain:0 ()
     in
     let row (o : Scenario.outcome) =
       let s = o.Scenario.summary and st = o.Scenario.stability in
@@ -100,30 +90,31 @@ let frontier_points ?observe ?telemetry ~scale () =
         fmt st.Mac_sim.Stability.slope;
         string_of_int s.Mac_sim.Metrics.max_total_queue ]
     in
-    points := (id, thunk, row) :: !points
+    points := (spec, row) :: !points
   in
   let add (() : unit) = () in
   (* Orchestra: stable all the way to rate 1. *)
   let n = 8 in
   add (point ~row_algo:"orchestra" ~algorithm:(module Mac_routing.Orchestra)
          ~n ~k:3 ~threshold:Qrat.one ~rho:(q 0.9)
-         ~pattern:(Pattern.flood ~n ~victim:2) ~rounds);
+         ~pattern:(fun () -> Pattern.flood ~n ~victim:2) ~rounds);
   add (point ~row_algo:"orchestra" ~algorithm:(module Mac_routing.Orchestra)
          ~n ~k:3 ~threshold:Qrat.one ~rho:Qrat.one
-         ~pattern:(Pattern.flood ~n ~victim:2) ~rounds);
+         ~pattern:(fun () -> Pattern.flood ~n ~victim:2) ~rounds);
   (* Count-Hop: universal below 1, breaks at 1. *)
   List.iter
     (fun rho ->
       add (point ~row_algo:"count-hop" ~algorithm:(module Mac_routing.Count_hop)
              ~n ~k:2 ~threshold:Qrat.one ~rho:(q rho)
-             ~pattern:(Pattern.flood ~n ~victim:2) ~rounds))
+             ~pattern:(fun () -> Pattern.flood ~n ~victim:2) ~rounds))
     [ 0.8; 0.95; 1.0 ];
   (* Adjust-Window: same frontier with plain packets. *)
   List.iter
     (fun rho ->
       add (point ~row_algo:"adjust-window" ~algorithm:(module Mac_routing.Adjust_window)
              ~n:4 ~k:2 ~threshold:Qrat.one ~rho:(q rho)
-             ~pattern:(Pattern.flood ~n:4 ~victim:2) ~rounds:aw_rounds))
+             ~pattern:(fun () -> Pattern.flood ~n:4 ~victim:2)
+             ~rounds:aw_rounds))
     [ 0.5; 1.0 ];
   (* k-Cycle: guaranteed below (k-1)/(n-1); impossible above k/n; the strip
      between the two is the open territory the paper leaves. *)
@@ -134,7 +125,7 @@ let frontier_points ?observe ?telemetry ~scale () =
     (fun frac ->
       add (point ~row_algo:"k-cycle" ~algorithm ~n ~k ~threshold:thr
              ~rho:(Qrat.mul (q frac) thr)
-             ~pattern:(Pattern.flood ~n ~victim:5) ~rounds))
+             ~pattern:(fun () -> Pattern.flood ~n ~victim:5) ~rounds))
     [ 0.6; 0.95; 1.05 ];
   let schedule = Option.get (Scenario.schedule_of algorithm ~n ~k) in
   let duty = Saboteur.min_duty ~n ~horizon:30_000 ~schedule in
@@ -148,7 +139,7 @@ let frontier_points ?observe ?telemetry ~scale () =
     (fun frac ->
       add (point ~row_algo:"k-clique" ~algorithm ~n ~k ~threshold:thr
              ~rho:(Qrat.mul (q frac) thr)
-             ~pattern:(Pattern.pair_flood ~src:1 ~dst:2) ~rounds))
+             ~pattern:(fun () -> Pattern.pair_flood ~src:1 ~dst:2) ~rounds))
     [ 0.6; 0.9; 1.25 ];
   (* k-Subsets: the optimal oblivious-direct frontier. *)
   let n = 8 and k = 3 in
@@ -158,7 +149,7 @@ let frontier_points ?observe ?telemetry ~scale () =
     (fun frac ->
       add (point ~row_algo:"k-subsets" ~algorithm ~n ~k ~threshold:thr
              ~rho:(Qrat.mul (q frac) thr)
-             ~pattern:(Pattern.pair_flood ~src:1 ~dst:2) ~rounds))
+             ~pattern:(fun () -> Pattern.pair_flood ~src:1 ~dst:2) ~rounds))
     [ 0.9; 1.0 ];
   let schedule = Option.get (Scenario.schedule_of algorithm ~n ~k) in
   let pair = Saboteur.min_pair ~n ~horizon:(20 * Mac_routing.Combi.binomial n k) ~schedule in
@@ -173,7 +164,7 @@ let frontier_points ?observe ?telemetry ~scale () =
     (fun frac ->
       add (point ~row_algo:"pair-tdma" ~algorithm:(module Mac_routing.Pair_tdma)
              ~n ~k:2 ~threshold:thr ~rho:(Qrat.mul (q frac) thr)
-             ~pattern:(Pattern.pair_flood ~src:1 ~dst:2) ~rounds))
+             ~pattern:(fun () -> Pattern.pair_flood ~src:1 ~dst:2) ~rounds))
     [ 0.9; 1.3 ];
   List.rev !points
 
@@ -188,47 +179,47 @@ let frontier =
 (* ------------------------------------------------------------------ *)
 (* F2: latency scaling with n. *)
 
-let scaling_points ?observe ?telemetry ~scale () =
+let scaling_points ~scale =
   let points = ref [] in
   let point ~row_algo ~algorithm ~n ~k ~rho ~bound ~pattern ~rounds =
     let id = Printf.sprintf "scaling/%s/n=%d" row_algo n in
-    let thunk ?heartbeat () =
-      run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho
-        ~beta:(Qrat.of_int 2) ~pattern ~rounds ~drain:(rounds / 2) ()
+    let spec =
+      Scenario.spec_q ~id ~algorithm ~n ~k ~rate:rho ~burst:(Qrat.of_int 2)
+        ~pattern ~rounds ()
     in
     let row (o : Scenario.outcome) =
       let measured = Scenario.worst_delay o.Scenario.summary in
       [ row_algo; string_of_int n; string_of_int k; fmt_q rho;
         fmt measured; fmt bound; Mac_sim.Report.fmt_ratio ~measured ~bound ]
     in
-    points := (id, thunk, row) :: !points
+    points := (spec, row) :: !points
   in
-  let ns = scaled ~scale ~quick:[ 4; 6 ] ~full:[ 4; 6; 8; 10; 12 ] in
+  let ns = Scenario.scaled ~scale ~quick:[ 4; 6 ] ~full:[ 4; 6; 8; 10; 12 ] in
   List.iter
     (fun n ->
       point ~row_algo:"count-hop" ~algorithm:(module Mac_routing.Count_hop) ~n
         ~k:2 ~rho:(q 0.5)
         ~bound:(Bounds.count_hop_latency_impl ~n ~rho:0.5 ~beta:2.0)
-        ~pattern:(Pattern.uniform ~n ~seed:(200 + n))
-        ~rounds:(scaled ~scale ~quick:40_000 ~full:120_000))
+        ~pattern:(fun () -> Pattern.uniform ~n ~seed:(200 + n))
+        ~rounds:(Scenario.scaled ~scale ~quick:40_000 ~full:120_000))
     ns;
-  let ns = scaled ~scale ~quick:[ 7 ] ~full:[ 7; 9; 11; 13 ] in
+  let ns = Scenario.scaled ~scale ~quick:[ 7 ] ~full:[ 7; 9; 11; 13 ] in
   List.iter
     (fun n ->
       let rho = Qrat.mul (Qrat.make 1 2) (Bounds.k_cycle_rate_q ~n ~k:4) in
       point ~row_algo:"k-cycle" ~algorithm:(Mac_routing.K_cycle.algorithm ~n ~k:4)
         ~n ~k:4 ~rho ~bound:(Bounds.k_cycle_latency ~n ~beta:2.0)
-        ~pattern:(Pattern.uniform ~n ~seed:(300 + n))
-        ~rounds:(scaled ~scale ~quick:40_000 ~full:120_000))
+        ~pattern:(fun () -> Pattern.uniform ~n ~seed:(300 + n))
+        ~rounds:(Scenario.scaled ~scale ~quick:40_000 ~full:120_000))
     ns;
-  let ns = scaled ~scale ~quick:[ 6 ] ~full:[ 6; 8; 12 ] in
+  let ns = Scenario.scaled ~scale ~quick:[ 6 ] ~full:[ 6; 8; 12 ] in
   List.iter
     (fun n ->
       let rho = Bounds.k_clique_latency_rate_q ~n ~k:4 in
       point ~row_algo:"k-clique" ~algorithm:(Mac_routing.K_clique.algorithm ~n ~k:4)
         ~n ~k:4 ~rho ~bound:(Bounds.k_clique_latency ~n ~k:4 ~beta:2.0)
-        ~pattern:(Pattern.uniform ~n ~seed:(400 + n))
-        ~rounds:(scaled ~scale ~quick:60_000 ~full:150_000))
+        ~pattern:(fun () -> Pattern.uniform ~n ~seed:(400 + n))
+        ~rounds:(Scenario.scaled ~scale ~quick:60_000 ~full:150_000))
     ns;
   (match scale with
    | `Quick -> ()
@@ -238,7 +229,7 @@ let scaling_points ?observe ?telemetry ~scale () =
          point ~row_algo:"adjust-window" ~algorithm:(module Mac_routing.Adjust_window)
            ~n ~k:2 ~rho:(q 0.3)
            ~bound:(Bounds.adjust_window_latency_impl ~n ~rho:0.3 ~beta:2.0)
-           ~pattern:(Pattern.uniform ~n ~seed:(500 + n))
+           ~pattern:(fun () -> Pattern.uniform ~n ~seed:(500 + n))
            ~rounds:(10 * Mac_routing.Adjust_window.initial_window ~n))
        [ 3; 4; 5 ]);
   List.rev !points
@@ -252,18 +243,16 @@ let scaling =
 (* ------------------------------------------------------------------ *)
 (* F3: the latency-energy tradeoff across caps. *)
 
-let energy_points ?observe ?telemetry ~scale () =
+let energy_points ~scale =
   let n = 12 in
-  let rounds = scaled ~scale ~quick:60_000 ~full:200_000 in
+  let rounds = Scenario.scaled ~scale ~quick:60_000 ~full:200_000 in
   let points = ref [] in
   let point ~row_algo ~algorithm ~k ~threshold =
     let rho = Qrat.mul (Qrat.make 1 2) threshold in
     let id = Printf.sprintf "energy/%s/k=%d" row_algo k in
-    let thunk ?heartbeat () =
-      run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho
-        ~beta:(Qrat.of_int 2)
-        ~pattern:(Pattern.uniform ~n ~seed:(600 + k)) ~rounds
-        ~drain:(rounds / 2) ()
+    let spec =
+      Scenario.spec_q ~id ~algorithm ~n ~k ~rate:rho ~burst:(Qrat.of_int 2)
+        ~pattern:(fun () -> Pattern.uniform ~n ~seed:(600 + k)) ~rounds ()
     in
     let row (o : Scenario.outcome) =
       let s = o.Scenario.summary in
@@ -273,7 +262,7 @@ let energy_points ?observe ?telemetry ~scale () =
         fmt s.Mac_sim.Metrics.mean_delay;
         string_of_int s.Mac_sim.Metrics.max_delay ]
     in
-    points := (id, thunk, row) :: !points
+    points := (spec, row) :: !points
   in
   (* Non-oblivious references at the same relative load: Orchestra needs
      only cap 3 for the throughput the always-on MBTF (cap n) achieves. *)
@@ -283,13 +272,13 @@ let energy_points ?observe ?telemetry ~scale () =
     ~threshold:Qrat.one;
   point ~row_algo:"pair-tdma" ~algorithm:(module Mac_routing.Pair_tdma) ~k:2
     ~threshold:(Bounds.k_subsets_rate_q ~n ~k:2);
-  let ks = scaled ~scale ~quick:[ 4 ] ~full:[ 3; 4; 6; 8 ] in
+  let ks = Scenario.scaled ~scale ~quick:[ 4 ] ~full:[ 3; 4; 6; 8 ] in
   List.iter
     (fun k ->
       point ~row_algo:"k-cycle" ~algorithm:(Mac_routing.K_cycle.algorithm ~n ~k) ~k
         ~threshold:(Bounds.k_cycle_rate_q ~n ~k))
     ks;
-  let ks = scaled ~scale ~quick:[ 4 ] ~full:[ 2; 4; 6; 8 ] in
+  let ks = Scenario.scaled ~scale ~quick:[ 4 ] ~full:[ 2; 4; 6; 8 ] in
   List.iter
     (fun k ->
       point ~row_algo:"k-clique" ~algorithm:(Mac_routing.K_clique.algorithm ~n ~k)
@@ -308,31 +297,33 @@ let energy =
 (* ------------------------------------------------------------------ *)
 (* F4: burstiness sensitivity. *)
 
-let burst_points ?observe ?telemetry ~scale () =
+let burst_points ~scale =
   let points = ref [] in
   let point ~row_algo ~algorithm ~n ~k ~rho ~beta ~bound ~pattern ~rounds ~drain
       ~metric =
     let id = Printf.sprintf "burst/%s/b=%g" row_algo (Qrat.to_float beta) in
-    let thunk ?heartbeat () =
-      run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
-        ~pattern ~rounds ~drain ()
+    let spec =
+      Scenario.spec_q ~id ~algorithm ~n ~k ~rate:rho ~burst:beta ~pattern
+        ~rounds ~drain ()
     in
     let row (o : Scenario.outcome) =
       let measured = metric o.Scenario.summary in
       [ row_algo; string_of_int n; fmt_q rho; fmt_q beta; fmt measured;
         fmt bound; Mac_sim.Report.fmt_ratio ~measured ~bound ]
     in
-    points := (id, thunk, row) :: !points
+    points := (spec, row) :: !points
   in
-  let betas = scaled ~scale ~quick:[ 1.0; 32.0 ] ~full:[ 1.0; 8.0; 32.0; 128.0 ] in
+  let betas =
+    Scenario.scaled ~scale ~quick:[ 1.0; 32.0 ] ~full:[ 1.0; 8.0; 32.0; 128.0 ]
+  in
   let n = 8 in
   List.iter
     (fun beta ->
       point ~row_algo:"count-hop" ~algorithm:(module Mac_routing.Count_hop) ~n
         ~k:2 ~rho:(q 0.8) ~beta:(q beta)
         ~bound:(Bounds.count_hop_latency_impl ~n ~rho:0.8 ~beta)
-        ~pattern:(Pattern.flood ~n ~victim:2)
-        ~rounds:(scaled ~scale ~quick:50_000 ~full:120_000)
+        ~pattern:(fun () -> Pattern.flood ~n ~victim:2)
+        ~rounds:(Scenario.scaled ~scale ~quick:50_000 ~full:120_000)
         ~drain:60_000 ~metric:Scenario.worst_delay)
     betas;
   let n = 12 and k = 4 in
@@ -341,8 +332,8 @@ let burst_points ?observe ?telemetry ~scale () =
     (fun beta ->
       point ~row_algo:"k-cycle" ~algorithm:(Mac_routing.K_cycle.algorithm ~n ~k)
         ~n ~k ~rho ~beta:(q beta) ~bound:(Bounds.k_cycle_latency ~n ~beta)
-        ~pattern:(Pattern.flood ~n ~victim:5)
-        ~rounds:(scaled ~scale ~quick:50_000 ~full:120_000)
+        ~pattern:(fun () -> Pattern.flood ~n ~victim:5)
+        ~rounds:(Scenario.scaled ~scale ~quick:50_000 ~full:120_000)
         ~drain:60_000 ~metric:Scenario.worst_delay)
     betas;
   let n = 8 in
@@ -351,8 +342,8 @@ let burst_points ?observe ?telemetry ~scale () =
       point ~row_algo:"orchestra(queues)" ~algorithm:(module Mac_routing.Orchestra)
         ~n ~k:3 ~rho:Qrat.one ~beta:(q beta)
         ~bound:(Bounds.orchestra_queue_bound ~n ~beta)
-        ~pattern:(Pattern.flood ~n ~victim:2)
-        ~rounds:(scaled ~scale ~quick:50_000 ~full:120_000)
+        ~pattern:(fun () -> Pattern.flood ~n ~victim:2)
+        ~rounds:(Scenario.scaled ~scale ~quick:50_000 ~full:120_000)
         ~drain:0
         ~metric:(fun s -> float_of_int s.Mac_sim.Metrics.max_total_queue))
     betas;
@@ -416,8 +407,8 @@ let baselines_run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
      telemetry only counts probes on the fleet (no per-scenario files). *)
   ignore (observe : Scenario.observer option);
   let n = 8 and k = 3 in
-  let rounds = scaled ~scale ~quick:30_000 ~full:60_000 in
-  let steps = scaled ~scale ~quick:4 ~full:7 in
+  let rounds = Scenario.scaled ~scale ~quick:30_000 ~full:60_000 in
+  let steps = Scenario.scaled ~scale ~quick:4 ~full:7 in
   let subjects = baselines_subjects ~n ~k in
   let located =
     Sweep.bisect_many ?jobs ?policy ?on_event ?telemetry ~steps
@@ -444,11 +435,11 @@ let baselines =
    cells followed by the verdict, peak backlog, worst delay (counting
    packets still queued by their age) and mean delay. *)
 
-let ablation_point ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
-    ~pattern ~rounds ~drain cells =
-  let thunk ?heartbeat () =
-    run_point ?heartbeat ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
-      ~pattern ~rounds ~drain ()
+let ablation_point ~id ~algorithm ~n ~k ~rho ~beta ~pattern ~rounds ~drain
+    cells =
+  let spec =
+    Scenario.spec_q ~id ~algorithm ~n ~k ~rate:rho ~burst:beta ~pattern
+      ~rounds ~drain ()
   in
   let row (o : Scenario.outcome) =
     let s = o.Scenario.summary and st = o.Scenario.stability in
@@ -459,25 +450,25 @@ let ablation_point ~observe ~telemetry ~id ~algorithm ~n ~k ~rho ~beta
           (max s.Mac_sim.Metrics.max_delay s.Mac_sim.Metrics.max_queued_age);
         fmt s.Mac_sim.Metrics.mean_delay ]
   in
-  (id, thunk, row)
+  (spec, row)
 
 let ablation_header = [ "verdict"; "max-q"; "worst-delay"; "mean-delay" ]
 
 (* A1: k-Cycle's activity-segment length, at half and 9/10 of its
    threshold. *)
-let delta_points ?observe ?telemetry ~scale () =
+let delta_points ~scale =
   let n = 12 and k = 4 in
-  let rounds = scaled ~scale ~quick:60_000 ~full:150_000 in
+  let rounds = Scenario.scaled ~scale ~quick:60_000 ~full:150_000 in
   List.concat_map
     (fun (frac, load) ->
       let rho = Qrat.mul frac (Bounds.k_cycle_rate_q ~n ~k) in
       List.map
         (fun delta_scale ->
-          ablation_point ~observe ~telemetry
+          ablation_point
             ~id:(Printf.sprintf "delta/%s/x%g" load delta_scale)
             ~algorithm:(Mac_routing.K_cycle.algorithm_scaled ~delta_scale ~n ~k)
             ~n ~k ~rho ~beta:(Qrat.of_int 2)
-            ~pattern:(Pattern.flood ~n ~victim:5)
+            ~pattern:(fun () -> Pattern.flood ~n ~victim:5)
             ~rounds ~drain:(rounds / 2)
             [ Printf.sprintf "%g x delta" delta_scale; load; fmt_q rho ])
         [ 0.125; 0.25; 1.0; 4.0 ])
@@ -490,19 +481,19 @@ let delta =
     delta_points
 
 (* A2: Orchestra's big threshold at injection rate 1. *)
-let big_threshold_points ?observe ?telemetry ~scale () =
+let big_threshold_points ~scale =
   let n = 8 in
-  let rounds = scaled ~scale ~quick:60_000 ~full:200_000 in
+  let rounds = Scenario.scaled ~scale ~quick:60_000 ~full:200_000 in
   List.concat_map
     (fun (label, algorithm) ->
       List.map
         (fun (pname, pattern) ->
-          ablation_point ~observe ~telemetry
+          ablation_point
             ~id:(Printf.sprintf "bigthr/%s/%s" label pname)
             ~algorithm ~n ~k:3 ~rho:Qrat.one ~beta:(Qrat.of_int 4) ~pattern
             ~rounds ~drain:0 [ label; pname ])
-        [ ("flood", Pattern.flood ~n ~victim:3);
-          ("uniform", Pattern.uniform ~n ~seed:71) ])
+        [ ("flood", fun () -> Pattern.flood ~n ~victim:3);
+          ("uniform", fun () -> Pattern.uniform ~n ~seed:71) ])
     [ ("eager (n)",
        Mac_routing.Orchestra.with_big_threshold ~name:"orchestra-eager"
          (fun ~n -> n));
@@ -518,16 +509,16 @@ let big_threshold =
     big_threshold_points
 
 (* A3: k-Subsets' thread allocation at the optimal rate. *)
-let allocation_points ?observe ?telemetry ~scale () =
-  let n = scaled ~scale ~quick:6 ~full:8 and k = 3 in
-  let rounds = scaled ~scale ~quick:80_000 ~full:250_000 in
+let allocation_points ~scale =
+  let n = Scenario.scaled ~scale ~quick:6 ~full:8 and k = 3 in
+  let rounds = Scenario.scaled ~scale ~quick:80_000 ~full:250_000 in
   let rho = Bounds.k_subsets_rate_q ~n ~k in
   List.map
     (fun (label, allocation) ->
-      ablation_point ~observe ~telemetry ~id:(Printf.sprintf "alloc/%s" label)
+      ablation_point ~id:(Printf.sprintf "alloc/%s" label)
         ~algorithm:(Mac_routing.K_subsets.algorithm ~allocation ~n ~k ())
         ~n ~k ~rho ~beta:(Qrat.of_int 4)
-        ~pattern:(Pattern.pair_flood ~src:1 ~dst:2)
+        ~pattern:(fun () -> Pattern.pair_flood ~src:1 ~dst:2)
         ~rounds ~drain:0 [ label; fmt_q rho ])
     [ ("balanced (paper)", `Balanced); ("first-fit", `First_fit) ]
 

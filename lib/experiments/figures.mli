@@ -39,10 +39,10 @@ type t = {
       bit. [policy] defaults to {!Mac_sim.Supervisor.default_policy} (the
       first failure aborts the figure); under [keep_going] failed points
       land in [failures], and a drain request reports unstarted points as
-      [Skipped] there. Retried points rebuild their spec (and pattern
-      cursors) from scratch, so a retry replays bit-identically.
-      [observe] is forwarded to each plotted point's {!Scenario.run}, keyed
-      by scenario id; F5 ignores it (bisection probes are throwaway runs).
+      [Skipped] there. A retried point reruns its spec and replays
+      bit-identically. [observe] is forwarded to each plotted point's
+      {!Scenario.run}, keyed by scenario id; F5 ignores it (bisection
+      probes are throwaway runs).
       [telemetry] attaches a fleet probe to every plotted point; F5 only
       counts its probe runs on the fleet's bisect-probes counter. *)
 }

@@ -73,12 +73,9 @@ let faults =
 let cell_id a adv f =
   Printf.sprintf "matrix/%s/%s/%s" a.algo_id adv.adv_id f.fault_id
 
-let scaled ~scale ~quick ~full =
-  match scale with `Quick -> quick | `Full -> full
-
 let cells_for ~only ~scale =
-  let rounds = scaled ~scale ~quick:4_000 ~full:60_000 in
-  let drain = scaled ~scale ~quick:1_500 ~full:12_000 in
+  let rounds = Scenario.scaled ~scale ~quick:4_000 ~full:60_000 in
+  let drain = Scenario.scaled ~scale ~quick:1_500 ~full:12_000 in
   List.concat_map
     (fun a ->
       if not (only a.algo_id) then []
@@ -92,7 +89,8 @@ let cells_for ~only ~scale =
                   spec =
                     Scenario.spec_q ~id:(cell_id a adv f)
                       ~algorithm ~n:a.n ~k:a.k ~rate:adv.rate
-                      ~burst:adv.burst ~pattern:(adv.pattern ~n:a.n)
+                      ~burst:adv.burst
+                      ~pattern:(fun () -> adv.pattern ~n:a.n)
                       ~pacing:adv.pacing ~rounds ~drain
                       ?faults:(f.plan ~n:a.n ~rounds) () })
               faults)
@@ -116,8 +114,8 @@ type frontier =
 let threshold_id a adv = Printf.sprintf "matrix-th/%s/%s" a.algo_id adv.adv_id
 
 let thresholds ?jobs ?policy ?on_event ?(only = fun _ -> true) ~scale () =
-  let rounds = scaled ~scale ~quick:3_000 ~full:20_000 in
-  let steps = scaled ~scale ~quick:5 ~full:8 in
+  let rounds = Scenario.scaled ~scale ~quick:3_000 ~full:20_000 in
+  let steps = Scenario.scaled ~scale ~quick:5 ~full:8 in
   let lo = Qrat.make 1 64 and hi = Qrat.of_int 1 in
   let jobs_list =
     List.concat_map
@@ -150,8 +148,7 @@ let thresholds ?jobs ?policy ?on_event ?(only = fun _ -> true) ~scale () =
             adversaries)
       algorithms
   in
-  Scenario.sweep ?jobs ?policy ?on_event ~label:fst
-    (fun () -> jobs_list)
+  Scenario.sweep ?jobs ?policy ?on_event ~label:fst jobs_list
     (fun (_, job) ~heartbeat -> job ~heartbeat)
 
 let frontier_to_string = function

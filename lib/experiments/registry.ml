@@ -93,7 +93,7 @@ let algorithm ?(seed = 0) name ~n ~k =
 
 (* ---- patterns ---- *)
 
-let pattern spec ~n ~seed =
+let build_pattern spec ~n ~seed =
   let module P = Mac_adversary.Pattern in
   let station s =
     match int_of_string_opt s with
@@ -124,6 +124,14 @@ let pattern spec ~n ~seed =
     | _ -> bad "pattern" "unrecognised syntax %S" spec
   with Failure msg | Invalid_argument msg ->
     bad "pattern" "bad spec %S: %s" spec msg
+
+(* Checked once by building a throwaway instance (O(1)); the maker then
+   cannot fail. *)
+let pattern spec ~n ~seed =
+  Result.map
+    (fun (_ : Mac_adversary.Pattern.t) () ->
+      Result.get_ok (build_pattern spec ~n ~seed))
+    (build_pattern spec ~n ~seed)
 
 (* ---- run specs ---- *)
 

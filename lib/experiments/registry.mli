@@ -41,12 +41,14 @@ val algorithm :
     others ignore it. *)
 
 val pattern :
-  string -> n:int -> seed:int -> (Mac_adversary.Pattern.t, string) result
-(** A generator pattern from its spec: [uniform | flood:V | pair:S:D |
-    round-robin | to-busiest | hotspot:H:BIAS | alternating:S:D1:D2],
-    with every station in [0, n). The batch-only saboteurs ([min-duty],
-    [min-pair], [cap2]) need an algorithm's schedule and are an error
-    here. Construction is O(1). *)
+  string -> n:int -> seed:int ->
+  (unit -> Mac_adversary.Pattern.t, string) result
+(** A generator pattern's maker from its spec: [uniform | flood:V |
+    pair:S:D | round-robin | to-busiest | hotspot:H:BIAS |
+    alternating:S:D1:D2], with every station in [0, n). The spec is
+    checked here; each call of the maker builds a fresh pattern. The
+    batch-only saboteurs ([min-duty], [min-pair], [cap2]) need an
+    algorithm's schedule and are an error here. Construction is O(1). *)
 
 val check : spec -> (unit, string) result
 (** The spec's bounds and its algorithm's (n, k) preconditions — without

@@ -2,43 +2,29 @@ open Mac_adversary
 open Mac_channel
 module Fault_plan = Mac_faults.Fault_plan
 
-let scaled ~scale ~quick ~full = match scale with `Quick -> quick | `Full -> full
-
-(* One algorithm under test: its Table-1 operating point, kept safely
-   inside the stability region so degradation measured under faults is
-   attributable to the faults, not to the adversary. *)
-type subject = {
-  label : string;
-  algorithm : Mac_channel.Algorithm.t;
-  n : int;
-  k : int;
-  rate : Qrat.t;
-  burst : Qrat.t;
-  pattern : unit -> Pattern.t;  (** fresh cursor per run *)
-}
-
+(* The algorithms under test, each a spec at its Table-1 operating point
+   without rounds or faults (a cell adds them), kept safely inside the
+   stability region so degradation measured under faults is attributable
+   to the faults, not to the adversary. *)
 let subjects ~scale =
-  let n = scaled ~scale ~quick:6 ~full:10 in
+  let n = Scenario.scaled ~scale ~quick:6 ~full:10 in
   let nc = 12 in
-  [ { label = "orchestra";
-      algorithm = (module Mac_routing.Orchestra);
-      n; k = 3; rate = Qrat.make 9 10; burst = Qrat.of_int 8;
-      pattern = (fun () -> Pattern.uniform ~n ~seed:301) };
-    { label = "count-hop";
-      algorithm = (module Mac_routing.Count_hop);
-      n; k = 2; rate = Qrat.make 3 5; burst = Qrat.of_int 2;
-      pattern = (fun () -> Pattern.uniform ~n ~seed:302) };
-    { label = "k-cycle";
-      algorithm = Mac_routing.K_cycle.algorithm ~n:nc ~k:4;
-      n = nc; k = 4;
-      rate = Qrat.mul (Qrat.make 1 2) (Bounds.k_cycle_rate_q ~n:nc ~k:4);
-      burst = Qrat.of_int 2;
-      pattern = (fun () -> Pattern.uniform ~n:nc ~seed:303) };
-    { label = "k-clique";
-      algorithm = Mac_routing.K_clique.algorithm ~n:nc ~k:4;
-      n = nc; k = 4; rate = Bounds.k_clique_latency_rate_q ~n:nc ~k:4;
-      burst = Qrat.of_int 2;
-      pattern = (fun () -> Pattern.uniform ~n:nc ~seed:304) } ]
+  let subject id algorithm ~n ~k ~rate ~burst pattern =
+    Scenario.spec_q ~id ~algorithm ~n ~k ~rate ~burst ~pattern ~rounds:0 ()
+  in
+  [ subject "orchestra" (module Mac_routing.Orchestra) ~n ~k:3
+      ~rate:(Qrat.make 9 10) ~burst:(Qrat.of_int 8)
+      (fun () -> Pattern.uniform ~n ~seed:301);
+    subject "count-hop" (module Mac_routing.Count_hop) ~n ~k:2
+      ~rate:(Qrat.make 3 5) ~burst:(Qrat.of_int 2)
+      (fun () -> Pattern.uniform ~n ~seed:302);
+    subject "k-cycle" (Mac_routing.K_cycle.algorithm ~n:nc ~k:4) ~n:nc ~k:4
+      ~rate:(Qrat.mul (Qrat.make 1 2) (Bounds.k_cycle_rate_q ~n:nc ~k:4))
+      ~burst:(Qrat.of_int 2)
+      (fun () -> Pattern.uniform ~n:nc ~seed:303);
+    subject "k-clique" (Mac_routing.K_clique.algorithm ~n:nc ~k:4) ~n:nc ~k:4
+      ~rate:(Bounds.k_clique_latency_rate_q ~n:nc ~k:4) ~burst:(Qrat.of_int 2)
+      (fun () -> Pattern.uniform ~n:nc ~seed:304) ]
 
 (* The fault plans swept per subject: a fault-free baseline, crash-restart
    at two rates phi, crash-with-drop, a scripted crash-stop, a scripted
@@ -47,7 +33,7 @@ let subjects ~scale =
 let plans ~scale ~n ~rounds =
   let restart_after = max 50 (rounds / 100) in
   let phi_lo, phi_hi =
-    scaled ~scale ~quick:(2e-4, 1e-3) ~full:(1e-4, 5e-4)
+    Scenario.scaled ~scale ~quick:(2e-4, 1e-3) ~full:(1e-4, 5e-4)
   in
   let jam_len = max 10 (rounds / 50) in
   let q = rounds / 4 in
@@ -69,17 +55,6 @@ let plans ~scale ~n ~rounds =
         (List.init jam_len (fun i -> (q + i, Fault_plan.Jam))) );
     ( "jam-random",
       Fault_plan.random ~seed:404 ~n ~rounds ~jam_rate:0.01 () ) ]
-
-let cell_id subject plan_label =
-  Printf.sprintf "resilience/%s/%s" subject.label plan_label
-
-let run_cell ?observe ?telemetry ?heartbeat ~rounds subject (plan_label, plan) =
-  let id = cell_id subject plan_label in
-  let faults = if Fault_plan.is_empty plan then None else Some plan in
-  Scenario.run ?observe ?telemetry ?heartbeat
-    (Scenario.spec_q ~id ~algorithm:subject.algorithm ~n:subject.n ~k:subject.k
-       ~rate:subject.rate ~burst:subject.burst ~pattern:(subject.pattern ())
-       ~rounds ?faults ())
 
 let header =
   [ "algorithm"; "plan"; "injected"; "delivered"; "del%"; "lost"; "crashes";
@@ -122,23 +97,28 @@ let row (outcome : Scenario.outcome) =
     recovery;
     string_of_int (int_of_float (Scenario.worst_delay s)) ]
 
-(* Every run draws a fresh pattern from its subject, and a retried cell
-   rebuilds its fault plan, so a cell replays the same simulation whatever
-   ran before it, on whichever worker. *)
+(* Cells are specs: a retried cell reruns its spec, pattern state built
+   afresh, so it replays the same simulation on whichever worker. *)
 let suite ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
-  let rounds = scaled ~scale ~quick:15_000 ~full:80_000 in
-  let cells () =
+  let rounds = Scenario.scaled ~scale ~quick:15_000 ~full:80_000 in
+  let cells =
     List.concat_map
-      (fun subject ->
-        List.map (fun plan -> (subject, plan)) (plans ~scale ~n:subject.n ~rounds))
+      (fun (subject : Scenario.spec) ->
+        List.map
+          (fun (plan_label, plan) ->
+            { subject with
+              id = Printf.sprintf "resilience/%s/%s" subject.id plan_label;
+              rounds;
+              drain = rounds / 2;
+              faults = (if Fault_plan.is_empty plan then None else Some plan) })
+          (plans ~scale ~n:subject.n ~rounds))
       (subjects ~scale)
   in
   let results =
     Scenario.sweep ?jobs ?policy ?on_event
-      ~label:(fun (subject, (plan_label, _)) -> cell_id subject plan_label)
+      ~label:(fun (c : Scenario.spec) -> c.id)
       cells
-      (fun (subject, plan) ~heartbeat ->
-        run_cell ?observe ?telemetry ~heartbeat ~rounds subject plan)
+      (fun spec ~heartbeat -> Scenario.run ?observe ?telemetry ~heartbeat spec)
   in
   let report = Mac_sim.Report.create ~header in
   List.iter

@@ -31,5 +31,4 @@ val suite :
     under [policy] (default {!Mac_sim.Supervisor.default_policy}: the
     first failure aborts and re-raises); the report has rows for the
     successful cells only. Rows and outcomes keep declaration order and
-    match a sequential run bit for bit; retried cells rebuild their
-    subject and fault plan from scratch, so retries replay bit-identically. *)
+    match a sequential run bit for bit, retried cells included. *)

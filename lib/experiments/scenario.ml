@@ -5,7 +5,7 @@ type spec = {
   k : int;
   rate : Mac_channel.Qrat.t;
   burst : Mac_channel.Qrat.t;
-  pattern : Mac_adversary.Pattern.t;
+  pattern : unit -> Mac_adversary.Pattern.t;
   pacing : Mac_adversary.Adversary.pacing;
   rounds : int;
   drain : int;
@@ -16,6 +16,41 @@ let spec_q ~id ~algorithm ~n ~k ~rate ~burst ~pattern
     ?(pacing = Mac_adversary.Adversary.Greedy) ~rounds ?drain ?faults () =
   let drain = match drain with Some d -> d | None -> rounds / 2 in
   { id; algorithm; n; k; rate; burst; pattern; pacing; rounds; drain; faults }
+
+let scaled ~scale ~quick ~full =
+  match scale with `Quick -> quick | `Full -> full
+
+(* Faults break protocol assumptions by design (a packet heard while its
+   consumers are crashed strands), so a non-empty plan counts violations
+   instead of raising. *)
+let config spec =
+  let module A = (val spec.algorithm) in
+  let faulted =
+    match spec.faults with
+    | Some p -> not (Mac_faults.Fault_plan.is_empty p)
+    | None -> false
+  in
+  { (Mac_sim.Engine.default_config ~rounds:spec.rounds) with
+    drain_limit = spec.drain;
+    check_schedule = A.oblivious;
+    strict = not faulted;
+    faults = spec.faults }
+
+(* Every run gets its own adversary: the maker builds fresh pattern
+   state, so one spec drives any number of runs alike. *)
+let start ?resume ?config:c spec =
+  Mac_sim.Engine.start
+    ~config:(match c with Some c -> c | None -> config spec)
+    ?resume ~algorithm:spec.algorithm ~n:spec.n ~k:spec.k
+    ~adversary:
+      (Mac_adversary.Adversary.create_q ~rate:spec.rate ~burst:spec.burst
+         ~pacing:spec.pacing (spec.pattern ()))
+    ~rounds:spec.rounds ()
+
+let simulate ?resume ?config spec =
+  let s = start ?resume ?config spec in
+  ignore (Mac_sim.Engine.advance s ~max_steps:max_int : int);
+  Mac_sim.Engine.finish s
 
 type check = {
   label : string;
@@ -80,43 +115,19 @@ let schedule_of (module A : Mac_channel.Algorithm.S) ~n ~k =
 type observer = id:string -> Mac_sim.Sink.t option
 
 let run ?(checks = []) ?observe ?telemetry ?heartbeat spec =
-  let module A = (val spec.algorithm) in
-  let adversary =
-    Mac_adversary.Adversary.create_q ~rate:spec.rate ~burst:spec.burst
-      ~pacing:spec.pacing spec.pattern
-  in
   let sink =
     match observe with None -> None | Some f -> f ~id:spec.id
-  in
-  let faulted =
-    match spec.faults with
-    | Some p -> not (Mac_faults.Fault_plan.is_empty p)
-    | None -> false
   in
   let probe =
     Option.map
       (fun fleet -> Mac_sim.Telemetry.Fleet.probe fleet ~id:spec.id)
       telemetry
   in
-  let config =
-    { (Mac_sim.Engine.default_config ~rounds:spec.rounds) with
-      drain_limit = spec.drain;
-      check_schedule = A.oblivious;
-      (* Faults break protocol assumptions by design (a packet heard
-         while its consumers are crashed strands); count violations
-         instead of raising. *)
-      strict = not faulted;
-      sink;
-      faults = spec.faults;
-      telemetry = probe;
-      heartbeat }
-  in
+  let config = { (config spec) with sink; telemetry = probe; heartbeat } in
   let summary =
     Fun.protect
       ~finally:(fun () -> Option.iter Mac_sim.Sink.close sink)
-      (fun () ->
-        Mac_sim.Engine.run ~config ~algorithm:spec.algorithm ~n:spec.n
-          ~k:spec.k ~adversary ~rounds:spec.rounds ())
+      (fun () -> simulate ~config spec)
   in
   (match (telemetry, probe) with
    | Some fleet, Some p -> Mac_sim.Telemetry.Fleet.finish fleet p
@@ -140,29 +151,16 @@ let run_batch ?(jobs = 1) thunks =
     (Mac_sim.Supervisor.map ~jobs thunks
        (fun ~heartbeat:_ ~attempt:_ t -> t ()))
 
-(* Supervised sweep over the cells [build ()] returns. Cells carry mutable
-   run state (pattern cursors, fault schedules), so each can drive one
-   attempt only: the first attempt of cell [i] takes it from the single
-   up-front [build ()], and only a later attempt rebuilds the catalog.
-   "Taken" is a per-cell flag, not the attempt number — a killed worker
-   requeues its job without charging an attempt, yet the cell it was
-   running is spent. *)
+(* Supervised sweep: every attempt of a cell, first or retried, runs the
+   same cell value; a spec builds its pattern state per run, so a retry
+   replays bit-identically. *)
 let sweep ?(jobs = 1) ?(policy = Mac_sim.Supervisor.default_policy)
-    ?quarantined ?on_event ~label build run =
-  let first = Array.of_list (build ()) in
-  let taken = Array.map (fun _ -> Atomic.make false) first in
-  let labels = Array.map label first in
-  let cell i =
-    if Atomic.exchange taken.(i) true then List.nth (build ()) i else first.(i)
-  in
-  let outcomes =
-    Mac_sim.Supervisor.map ~policy
-      ~label:(fun i -> labels.(i))
-      ?quarantined ?on_event ~jobs
-      (List.init (Array.length first) Fun.id)
-      (fun ~heartbeat ~attempt:_ i -> run (cell i) ~heartbeat)
-  in
-  List.combine (Array.to_list labels) outcomes
+    ?quarantined ?on_event ~label cells run =
+  let labels = Array.of_list (List.map label cells) in
+  List.combine (Array.to_list labels)
+    (Mac_sim.Supervisor.map ~policy ~label:(Array.get labels) ?quarantined
+       ?on_event ~jobs cells
+       (fun ~heartbeat ~attempt:_ c -> run c ~heartbeat))
 
 (* Machine-readable form of an outcome: the rows of the CLI's --json. *)
 let check_json (c : check) =
@@ -216,20 +214,12 @@ let resumed_json ~experiment = function
   | Cached c -> c.row
 
 (* Marker filenames are derived from the scenario id, but the id is also
-   recorded verbatim inside the marker: two ids that sanitize to the same
+   recorded verbatim inside the marker: two ids that map to the same
    filename cannot silently satisfy each other. *)
-let sanitize_id id =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> c
-      | _ -> '_')
-    id
-
 let marker_magic = "MACDONE 1"
 
 let marker_path ~resume_dir id =
-  Filename.concat resume_dir (sanitize_id id ^ ".done")
+  Filename.concat resume_dir (Mac_sim.Durable.file_stem id ^ ".done")
 
 let load_cached ~id path =
   if not (Sys.file_exists path) then None
@@ -305,7 +295,7 @@ let run_resumable ?checks ?observe ?telemetry ?heartbeat ~resume_dir
 let quarantine_magic = "MACQUAR 1"
 
 let quarantine_path ~resume_dir id =
-  Filename.concat resume_dir (sanitize_id id ^ ".quarantined")
+  Filename.concat resume_dir (Mac_sim.Durable.file_stem id ^ ".quarantined")
 
 let quarantine_lookup ~resume_dir id =
   let path = quarantine_path ~resume_dir id in

@@ -5,7 +5,13 @@
     the finished run (latency under a Table-1 bound, queue bound, energy cap,
     stability verdict, protocol cleanliness). The CLI prints one line per
     outcome and writes {!outcome_json} rows; the test suite asserts
-    [passed]. *)
+    [passed].
+
+    A {!spec} is a value: each run builds its adversary afresh from the
+    [pattern] maker, so one spec drives any number of identical runs
+    (engine and oracle, a retry, a resume, two domains at once).
+    {!config}, {!start} and {!simulate} are the one path from a spec to
+    the engine. *)
 
 type spec = {
   id : string;
@@ -14,7 +20,8 @@ type spec = {
   k : int;
   rate : Mac_channel.Qrat.t;
   burst : Mac_channel.Qrat.t;
-  pattern : Mac_adversary.Pattern.t;
+  pattern : unit -> Mac_adversary.Pattern.t;
+      (** called once per run, for fresh cursor state *)
   pacing : Mac_adversary.Adversary.pacing;
   rounds : int;
   drain : int;
@@ -26,15 +33,42 @@ val spec_q :
   algorithm:Mac_channel.Algorithm.t ->
   n:int -> k:int ->
   rate:Mac_channel.Qrat.t -> burst:Mac_channel.Qrat.t ->
-  pattern:Mac_adversary.Pattern.t ->
+  pattern:(unit -> Mac_adversary.Pattern.t) ->
   ?pacing:Mac_adversary.Adversary.pacing ->
   rounds:int -> ?drain:int ->
   ?faults:Mac_faults.Fault_plan.t -> unit -> spec
-(** Defaults: greedy pacing, drain = rounds/2, no faults. A non-empty
-    fault plan turns off strict mode for the run (stranding is expected
-    when consumers crash) — violations are counted, not raised. Rates are
+(** Defaults: greedy pacing, drain = rounds/2, no faults. Rates are
     exact: a scenario built from a [Bounds._q] threshold sits precisely on
     the paper's frontier. *)
+
+val scaled : scale:[ `Quick | `Full ] -> quick:'a -> full:'a -> 'a
+(** The value for an experiment scale: [`Quick] for the test suite and
+    [--quick], [`Full] for the paper-scale runs. *)
+
+val config : spec -> Mac_sim.Engine.config
+(** The spec's engine configuration: its rounds, drain and fault plan,
+    the schedule cross-check on for oblivious algorithms, and strict
+    unless the fault plan is non-empty (stranding is expected when
+    consumers crash, so violations are counted, not raised). Everything
+    else is the engine's default; callers add sinks, checkpoints and
+    telemetry with a record update. *)
+
+val start :
+  ?resume:Mac_sim.Engine.snapshot ->
+  ?config:Mac_sim.Engine.config ->
+  spec ->
+  Mac_sim.Engine.session
+(** {!Mac_sim.Engine.start} on the spec with a fresh adversary (named
+    ["pattern@(rho,beta)"], the adversary's default); [config] defaults to
+    {!config}[ spec] and must keep its [rounds]. *)
+
+val simulate :
+  ?resume:Mac_sim.Engine.snapshot ->
+  ?config:Mac_sim.Engine.config ->
+  spec ->
+  Mac_sim.Metrics.summary
+(** {!start}, then the session driven to completion: bit-identical to
+    {!Mac_sim.Engine.run} with the same adversary. *)
 
 type check = {
   label : string;
@@ -84,10 +118,9 @@ val run :
   ?heartbeat:(unit -> unit) ->
   spec ->
   outcome
-(** Simulates the scenario (schedule cross-checking enabled for oblivious
-    algorithms) and evaluates the checks. [observe] may attach an event
-    sink to the run; see {!observer}. [telemetry] attaches a
-    {!Mac_sim.Telemetry.Fleet} probe: the run publishes a live
+(** {!simulate} under {!config} and the checks evaluated. [observe] may
+    attach an event sink to the run; see {!observer}. [telemetry]
+    attaches a {!Mac_sim.Telemetry.Fleet} probe: the run publishes a live
     [scenario=<id>] registry on the fleet's cadence and merges it into
     the fleet aggregate when the run finishes. [heartbeat] is forwarded to
     the engine's per-round liveness callback (see
@@ -111,22 +144,19 @@ val sweep :
   ?quarantined:(string -> int option) ->
   ?on_event:(Mac_sim.Supervisor.event -> unit) ->
   label:('c -> string) ->
-  (unit -> 'c list) ->
+  'c list ->
   ('c -> heartbeat:(unit -> unit) -> 'a) ->
   (string * 'a Mac_sim.Supervisor.outcome) list
-(** [sweep ~label build run] runs [run] once per cell of [build ()] on
-    [jobs] workers, each cell resolving to its own
-    {!Mac_sim.Supervisor.outcome} under [policy] (default
-    {!Mac_sim.Supervisor.default_policy}: the first failure aborts and is
-    re-raised; a drain request resolves unstarted cells as [Error Skipped]).
-    [quarantined] is consulted by label before a cell's first attempt.
-    Results are (label, outcome) pairs in cell order.
-
-    [build] must return fresh run state on every call. It is called once
-    up front; a cell's first attempt uses that cell, and any later attempt
-    (a retry, or a rerun after its worker died) calls [build] again, so
-    every attempt replays bit-identically. [run] must call [heartbeat]
-    from its inner loop (thread it into {!run}) for watchdog liveness. *)
+(** [sweep ~label cells run] runs [run] once per cell on [jobs] workers,
+    each cell resolving to its own {!Mac_sim.Supervisor.outcome} under
+    [policy] (default {!Mac_sim.Supervisor.default_policy}: the first
+    failure aborts and is re-raised; a drain request resolves unstarted
+    cells as [Error Skipped]). [quarantined] is consulted by label before
+    a cell's first attempt. Results are (label, outcome) pairs in cell
+    order. A retried cell reruns the same cell value, which replays
+    bit-identically when [run] builds its run state from it (as {!run}
+    does from a spec). [run] must call [heartbeat] from its inner loop
+    (thread it into {!run}) for watchdog liveness. *)
 
 val check_json : check -> string
 (** One check as a JSON object. *)
@@ -164,8 +194,9 @@ val resumed_json : experiment:string -> resumed -> string
 
 val marker_path : resume_dir:string -> string -> string
 (** Where [run_resumable] records a scenario id's completion. Filenames
-    sanitize the id to [[A-Za-z0-9._-]]; the marker also stores the id
-    verbatim, so colliding sanitizations cannot satisfy each other. *)
+    map the id through [Mac_sim.Durable.file_stem]; the marker also
+    stores the id verbatim, so two ids with one stem cannot satisfy each
+    other. *)
 
 val run_resumable :
   ?checks:checker list ->

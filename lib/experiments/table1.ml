@@ -17,8 +17,8 @@ let row ~id ~claim cells = { id; claim; cells }
 (* Every batch run of a row — plain, supervised, resumable — is this one
    sweep: "plain" is [Supervisor.default_policy], "fresh" is no resume
    directory. [?inject] is a fault hook (tests and `--inject-failure`):
-   it is called with the cell id at the start of each attempt, after the
-   attempt has taken its cell, and may raise. *)
+   it is called with the cell id at the start of each attempt, and may
+   raise. *)
 let sweep ?observe ?telemetry ?jobs ?policy ?on_event ?inject ?resume_dir
     ~scale row () =
   let run c ~heartbeat =
@@ -38,8 +38,7 @@ let sweep ?observe ?telemetry ?jobs ?policy ?on_event ?inject ?resume_dir
            (fun resume_dir -> Scenario.quarantine_lookup ~resume_dir)
            resume_dir)
       ~label:(fun c -> c.spec.id)
-      (fun () -> row.cells ~scale)
-      run
+      (row.cells ~scale) run
   in
   (* A cell that exhausted its attempts is quarantined on disk: the next
      run of this sweep skips it up front instead of burning the whole
@@ -62,8 +61,6 @@ let sweep ?observe ?telemetry ?jobs ?policy ?on_event ?inject ?resume_dir
     resume_dir;
   outcomes
 
-let scaled ~scale ~quick ~full = match scale with `Quick -> quick | `Full -> full
-
 (* Saboteurs need the oblivious schedule over a horizon covering several
    periods of the duty pattern. *)
 let required_schedule algorithm ~n ~k =
@@ -76,8 +73,8 @@ let required_schedule algorithm ~n ~k =
    bounded by 2n^3 + beta. *)
 
 let orchestra_cells ~scale =
-  let n = scaled ~scale ~quick:6 ~full:10 in
-  let rounds = scaled ~scale ~quick:60_000 ~full:300_000 in
+  let n = Scenario.scaled ~scale ~quick:6 ~full:10 in
+  let rounds = Scenario.scaled ~scale ~quick:60_000 ~full:300_000 in
   let beta = 20 in
   let checks =
     [ Scenario.queues_under
@@ -93,11 +90,11 @@ let orchestra_cells ~scale =
           ~rate:Qrat.one ~burst:(Qrat.of_int beta) ~pattern ~rounds ~drain:0
           () }
   in
-  [ cell "orchestra/flood" (Pattern.flood ~n ~victim:(n / 2));
-    cell "orchestra/uniform" (Pattern.uniform ~n ~seed:101);
-    cell "orchestra/to-busiest" (Pattern.to_busiest ~n);
+  [ cell "orchestra/flood" (fun () -> Pattern.flood ~n ~victim:(n / 2));
+    cell "orchestra/uniform" (fun () -> Pattern.uniform ~n ~seed:101);
+    cell "orchestra/to-busiest" (fun () -> Pattern.to_busiest ~n);
     cell "orchestra/alternating"
-      (Pattern.alternating ~src:1 ~dst_odd:2 ~dst_even:3) ]
+      (fun () -> Pattern.alternating ~src:1 ~dst_odd:2 ~dst_even:3) ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 2: Theorem 2 — with energy cap 2 no algorithm sustains rate 1.
@@ -105,8 +102,8 @@ let orchestra_cells ~scale =
    adaptive Lemma-1 strategy and under a plain flood. *)
 
 let cap2_impossible_cells ~scale =
-  let n = scaled ~scale ~quick:6 ~full:10 in
-  let rounds = scaled ~scale ~quick:80_000 ~full:250_000 in
+  let n = Scenario.scaled ~scale ~quick:6 ~full:10 in
+  let rounds = Scenario.scaled ~scale ~quick:80_000 ~full:250_000 in
   let checks = [ Scenario.cap_at_most 2; Scenario.unstable; Scenario.clean ] in
   let cell id algorithm pattern burst =
     { checks;
@@ -117,9 +114,9 @@ let cap2_impossible_cells ~scale =
   [ cell "cap2/count-hop-breaker" (module Mac_routing.Count_hop)
       (Saboteur.cap2_breaker ~n).Saboteur.pattern 1;
     cell "cap2/count-hop-flood" (module Mac_routing.Count_hop)
-      (Pattern.flood ~n ~victim:1) 2;
+      (fun () -> Pattern.flood ~n ~victim:1) 2;
     cell "cap2/adjust-window-flood" (module Mac_routing.Adjust_window)
-      (Pattern.flood ~n ~victim:1) 2 ]
+      (fun () -> Pattern.flood ~n ~victim:1) 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 3: Count-Hop — universal with energy cap 2; latency at most
@@ -127,8 +124,8 @@ let cap2_impossible_cells ~scale =
    2(n(2n-3)+beta)/(1-rho), see DESIGN.md). *)
 
 let count_hop_cells ~scale =
-  let rounds = scaled ~scale ~quick:60_000 ~full:250_000 in
-  let n = scaled ~scale ~quick:6 ~full:10 in
+  let rounds = Scenario.scaled ~scale ~quick:60_000 ~full:250_000 in
+  let n = Scenario.scaled ~scale ~quick:6 ~full:10 in
   let cell ~rho ~beta id pattern =
     { checks =
         [ Scenario.latency_under
@@ -143,13 +140,13 @@ let count_hop_cells ~scale =
           ~rate:rho ~burst:(Qrat.of_int beta) ~pattern ~rounds () }
   in
   [ cell ~rho:(Qrat.make 1 2) ~beta:2 "count-hop/uniform-0.5"
-      (Pattern.uniform ~n ~seed:111);
+      (fun () -> Pattern.uniform ~n ~seed:111);
     cell ~rho:(Qrat.make 9 10) ~beta:2 "count-hop/uniform-0.9"
-      (Pattern.uniform ~n ~seed:112);
+      (fun () -> Pattern.uniform ~n ~seed:112);
     cell ~rho:(Qrat.make 9 10) ~beta:10 "count-hop/flood-0.9"
-      (Pattern.flood ~n ~victim:2);
+      (fun () -> Pattern.flood ~n ~victim:2);
     cell ~rho:(Qrat.make 4 5) ~beta:2 "count-hop/hotspot-0.8"
-      (Pattern.hotspot ~n ~seed:113 ~hot:1 ~bias:0.7) ]
+      (fun () -> Pattern.hotspot ~n ~seed:113 ~hot:1 ~bias:0.7) ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 4: Adjust-Window — plain-packet universal with energy cap 2;
@@ -176,14 +173,15 @@ let adjust_window_cells ~scale =
   match scale with
   | `Quick ->
     [ cell ~n:4 ~rho:(Qrat.make 3 10) ~beta:2 ~rounds:80_000
-        "adjust-window/uniform-0.3" (Pattern.uniform ~n:4 ~seed:121) ]
+        "adjust-window/uniform-0.3" (fun () -> Pattern.uniform ~n:4 ~seed:121) ]
   | `Full ->
     [ cell ~n:4 ~rho:(Qrat.make 3 10) ~beta:2 ~rounds:200_000
-        "adjust-window/uniform-0.3" (Pattern.uniform ~n:4 ~seed:121);
+        "adjust-window/uniform-0.3" (fun () -> Pattern.uniform ~n:4 ~seed:121);
       cell ~n:4 ~rho:(Qrat.make 3 5) ~beta:2 ~rounds:300_000
-        "adjust-window/flood-0.6" (Pattern.flood ~n:4 ~victim:2);
+        "adjust-window/flood-0.6" (fun () -> Pattern.flood ~n:4 ~victim:2);
       cell ~n:6 ~rho:(Qrat.make 1 2) ~beta:2 ~rounds:400_000
-        "adjust-window/uniform-0.5" (Pattern.uniform ~n:6 ~seed:122) ]
+        "adjust-window/uniform-0.5"
+        (fun () -> Pattern.uniform ~n:6 ~seed:122) ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 5: k-Cycle — latency (32+beta)n below rate (k-1)/(n-1), cap k.
@@ -192,7 +190,7 @@ let adjust_window_cells ~scale =
 
 let k_cycle_cells ~scale =
   let n = 12 in
-  let rounds = scaled ~scale ~quick:60_000 ~full:200_000 in
+  let rounds = Scenario.scaled ~scale ~quick:60_000 ~full:200_000 in
   let cell ~k ~frac ~beta id pattern =
     let rho = Qrat.mul frac (Bounds.k_cycle_rate_q ~n ~k) in
     { checks =
@@ -212,13 +210,13 @@ let k_cycle_cells ~scale =
   in
   let half = Qrat.make 1 2 and near = Qrat.make 9 10 in
   [ cell ~k:4 ~frac:half ~beta:(Qrat.of_int 2) "k-cycle/k4-half"
-      (Pattern.uniform ~n ~seed:131);
+      (fun () -> Pattern.uniform ~n ~seed:131);
     cell ~k:4 ~frac:near ~beta:(Qrat.of_int 2) "k-cycle/k4-near"
-      (Pattern.flood ~n ~victim:5);
+      (fun () -> Pattern.flood ~n ~victim:5);
     cell ~k:6 ~frac:half ~beta:(Qrat.of_int 2) "k-cycle/k6-half"
-      (Pattern.uniform ~n ~seed:132);
+      (fun () -> Pattern.uniform ~n ~seed:132);
     cell ~k:6 ~frac:near ~beta:(Qrat.of_int 8) "k-cycle/k6-near"
-      (Pattern.round_robin ~n) ]
+      (fun () -> Pattern.round_robin ~n) ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 6: Theorem 6 — no k-energy-oblivious algorithm is stable above
@@ -226,8 +224,8 @@ let k_cycle_cells ~scale =
 
 let oblivious_impossible_cells ~scale =
   let n = 12 in
-  let rounds = scaled ~scale ~quick:80_000 ~full:200_000 in
-  let horizon = scaled ~scale ~quick:30_000 ~full:60_000 in
+  let rounds = Scenario.scaled ~scale ~quick:80_000 ~full:200_000 in
+  let horizon = Scenario.scaled ~scale ~quick:30_000 ~full:60_000 in
   let checks = [ Scenario.unstable; Scenario.clean ] in
   let cell id algorithm ~k =
     (* 6/5 of the exact upper bound k/n: unambiguously above it. *)
@@ -248,7 +246,7 @@ let oblivious_impossible_cells ~scale =
 
 let k_clique_cells ~scale =
   let n = 12 in
-  let rounds = scaled ~scale ~quick:80_000 ~full:250_000 in
+  let rounds = Scenario.scaled ~scale ~quick:80_000 ~full:250_000 in
   let cell ~k ~beta id pattern =
     let rho = Bounds.k_clique_latency_rate_q ~n ~k in
     { checks =
@@ -262,9 +260,12 @@ let k_clique_cells ~scale =
         Scenario.spec_q ~id ~algorithm:(Mac_routing.K_clique.algorithm ~n ~k)
           ~n ~k ~rate:rho ~burst:(Qrat.of_int beta) ~pattern ~rounds () }
   in
-  [ cell ~k:4 ~beta:2 "k-clique/k4-uniform" (Pattern.uniform ~n ~seed:141);
-    cell ~k:4 ~beta:2 "k-clique/k4-pair" (Pattern.pair_flood ~src:1 ~dst:2);
-    cell ~k:6 ~beta:6 "k-clique/k6-uniform" (Pattern.uniform ~n ~seed:142) ]
+  [ cell ~k:4 ~beta:2 "k-clique/k4-uniform"
+      (fun () -> Pattern.uniform ~n ~seed:141);
+    cell ~k:4 ~beta:2 "k-clique/k4-pair"
+      (fun () -> Pattern.pair_flood ~src:1 ~dst:2);
+    cell ~k:6 ~beta:6 "k-clique/k6-uniform"
+      (fun () -> Pattern.uniform ~n ~seed:142) ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 8: k-Subsets — stable at exactly k(k-1)/(n(n-1)) with queues
@@ -273,9 +274,9 @@ let k_clique_cells ~scale =
    per window tips the row unstable. *)
 
 let k_subsets_cells ~scale =
-  let n = scaled ~scale ~quick:6 ~full:8 in
+  let n = Scenario.scaled ~scale ~quick:6 ~full:8 in
   let k = 3 in
-  let rounds = scaled ~scale ~quick:80_000 ~full:300_000 in
+  let rounds = Scenario.scaled ~scale ~quick:80_000 ~full:300_000 in
   let rho = Bounds.k_subsets_rate_q ~n ~k in
   let cell ?(discipline = `Mbtf) id pattern ~beta =
     { checks =
@@ -290,19 +291,19 @@ let k_subsets_cells ~scale =
           ~n ~k ~rate:rho ~burst:(Qrat.of_int beta) ~pattern ~rounds ~drain:0
           () }
   in
-  [ cell "k-subsets/pair" (Pattern.pair_flood ~src:1 ~dst:2) ~beta:4;
-    cell "k-subsets/uniform" (Pattern.uniform ~n ~seed:151) ~beta:4;
-    cell ~discipline:`Rrw "k-subsets/rrw-uniform" (Pattern.uniform ~n ~seed:152)
-      ~beta:4 ]
+  [ cell "k-subsets/pair" (fun () -> Pattern.pair_flood ~src:1 ~dst:2) ~beta:4;
+    cell "k-subsets/uniform" (fun () -> Pattern.uniform ~n ~seed:151) ~beta:4;
+    cell ~discipline:`Rrw "k-subsets/rrw-uniform"
+      (fun () -> Pattern.uniform ~n ~seed:152) ~beta:4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Row 9: Theorem 9 — no oblivious direct algorithm is stable above
    k(k-1)/(n(n-1)): the least co-scheduled pair drowns. *)
 
 let oblivious_direct_impossible_cells ~scale =
-  let n = scaled ~scale ~quick:6 ~full:8 in
+  let n = Scenario.scaled ~scale ~quick:6 ~full:8 in
   let k = 3 in
-  let rounds = scaled ~scale ~quick:100_000 ~full:300_000 in
+  let rounds = Scenario.scaled ~scale ~quick:100_000 ~full:300_000 in
   let checks = [ Scenario.unstable; Scenario.clean ] in
   let gamma = Mac_routing.Combi.binomial n k in
   let cap = Bounds.k_subsets_rate_q ~n ~k in

@@ -21,9 +21,7 @@ type t = {
   id : string;     (** e.g. "T1.orchestra" *)
   claim : string;  (** the paper's claim, humanly readable *)
   cells : scale:[ `Quick | `Full ] -> cell list;
-  (** The row's scenarios at the given scale. Every call builds fresh
-      pattern state, so each returned spec can drive exactly one run;
-      call again for another (identical) batch. *)
+  (** The row's scenarios at the given scale. *)
 }
 
 val row :
@@ -68,8 +66,8 @@ val sweep :
     - [inject] is a fault hook (tests, [--inject-failure]): called with
       the cell id at the start of every attempt, and may raise.
 
-    [cells] is called once up front; only a retried attempt rebuilds it,
-    so a retry replays bit-identically to a first run. *)
+    [cells] is called once; a retried attempt reruns its cell's spec and
+    replays bit-identically to a first run. *)
 
 val all : t list
 
@@ -77,6 +75,4 @@ val find : string -> t
 (** Lookup by [id]; raises [Not_found]. *)
 
 val catalog : scale:[ `Quick | `Full ] -> Scenario.spec list
-(** Every scenario spec of every row, in row order — fresh pattern state
-    per call (call twice to drive two independent runs of the same
-    configurations, e.g. engine vs oracle). *)
+(** Every scenario spec of every row, in row order. *)

@@ -9,15 +9,17 @@ type action =
 type t = {
   name : string;
   by_round : (int, action list) Hashtbl.t;
-      (* round -> actions in application order *)
-  rounds_sorted : int array; (* distinct fault rounds, ascending *)
+      (* round -> crashes and restarts in application order *)
+  points : (int * int) array; (* [(r, r)] per crash/restart round *)
+  jam : (int * int) array; (* [lo, hi] jam ranges, merged *)
+  noise : (int * int) array; (* the same for noise *)
   size : int;
   max_station : int;
 }
 
 let empty =
-  { name = "none"; by_round = Hashtbl.create 1; rounds_sorted = [||];
-    size = 0; max_station = -1 }
+  { name = "none"; by_round = Hashtbl.create 1; points = [||]; jam = [||];
+    noise = [||]; size = 0; max_station = -1 }
 
 let is_empty t = t.size = 0
 let name t = t.name
@@ -31,48 +33,77 @@ let for_stations ~n t =
       (Printf.sprintf "fault plan %s names station %d, but n = %d" t.name
          t.max_station n)
 
+(* Binary search: the first of the ascending, disjoint [spans] that ends
+   at or after [round]. *)
+let first_from spans round =
+  let lo = ref 0 and hi = ref (Array.length spans) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if snd spans.(mid) < round then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let covers spans round =
+  let i = first_from spans round in
+  i < Array.length spans && fst spans.(i) <= round
+
+(* Jam and noise are idempotent flags, so they follow the round's crashes
+   and restarts whatever order the script gave them in. *)
 let actions t ~round =
-  match Hashtbl.find_opt t.by_round round with Some l -> l | None -> []
+  let points =
+    match Hashtbl.find_opt t.by_round round with Some l -> l | None -> []
+  in
+  let noise = if covers t.noise round then [ Noise ] else [] in
+  match if covers t.jam round then Jam :: noise else noise with
+  | [] -> points
+  | flags -> points @ flags
 
-(* Binary search for the first scheduled fault round >= round. *)
 let next_action_round t ~round =
-  let a = t.rounds_sorted in
-  let len = Array.length a in
-  if len = 0 || a.(len - 1) < round then None
-  else begin
-    let lo = ref 0 and hi = ref (len - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if a.(mid) < round then lo := mid + 1 else hi := mid
-    done;
-    Some a.(!lo)
-  end
+  List.fold_left
+    (fun acc spans ->
+      let i = first_from spans round in
+      if i = Array.length spans then acc
+      else
+        let r = max round (fst spans.(i)) in
+        match acc with Some a when a <= r -> acc | _ -> Some r)
+    None [ t.points; t.jam; t.noise ]
 
-let station_of = function
-  | Crash { station; _ } | Restart { station } -> station
-  | Jam | Noise -> -1
-
+(* [entries] are [(lo, hi, action)]: a crash or restart at [lo = hi], or
+   a jam or noise range. [size] counts every round of every entry. *)
 let build ~name entries =
   let by_round = Hashtbl.create 64 in
-  let max_station = ref (-1) in
+  let max_station = ref (-1) and size = ref 0 in
   List.iter
-    (fun (round, action) ->
-      if round < 0 then invalid_arg "Fault_plan: negative round";
-      let s = station_of action in
-      if s > !max_station then max_station := s;
-      let prev =
-        match Hashtbl.find_opt by_round round with Some l -> l | None -> []
-      in
-      (* keep application order; lists are short *)
-      Hashtbl.replace by_round round (prev @ [ action ]))
+    (fun (lo, hi, action) ->
+      if lo < 0 then invalid_arg "Fault_plan: negative round";
+      size := !size + (hi - lo + 1);
+      match action with
+      | Jam | Noise -> ()
+      | Crash { station; _ } | Restart { station } ->
+        max_station := max !max_station station;
+        let prev =
+          match Hashtbl.find_opt by_round lo with Some l -> l | None -> []
+        in
+        (* keep application order; lists are short *)
+        Hashtbl.replace by_round lo (prev @ [ action ]))
     entries;
-  let rounds_sorted =
-    let rs = Hashtbl.fold (fun r _ acc -> r :: acc) by_round [] in
-    let a = Array.of_list rs in
-    Array.sort compare a;
-    a
+  (* sorted, overlapping and adjacent ranges merged *)
+  let spans keep =
+    List.filter_map
+      (fun (lo, hi, a) -> if keep a then Some (lo, hi) else None)
+      entries
+    |> List.sort compare
+    |> List.fold_left
+         (fun acc (lo, hi) ->
+           match acc with
+           | (plo, phi) :: rest when lo - 1 <= phi -> (plo, max phi hi) :: rest
+           | _ -> (lo, hi) :: acc)
+         []
+    |> List.rev |> Array.of_list
   in
-  { name; by_round; rounds_sorted; size = List.length entries;
+  { name; by_round;
+    points = spans (function Crash _ | Restart _ -> true | _ -> false);
+    jam = spans (( = ) Jam); noise = spans (( = ) Noise); size = !size;
     max_station = !max_station }
 
 let scripted ~name entries =
@@ -83,7 +114,7 @@ let scripted ~name entries =
           if station < 0 then invalid_arg "Fault_plan: negative station"
       | Jam | Noise -> ())
     entries;
-  build ~name entries
+  build ~name (List.map (fun (r, action) -> (r, r, action)) entries)
 
 let random ~seed ~n ~rounds ?(crash_rate = 0.) ?(jam_rate = 0.)
     ?(noise_rate = 0.) ?(restart_after = 0) ?(queue = Retain) () =
@@ -102,7 +133,7 @@ let random ~seed ~n ~rounds ?(crash_rate = 0.) ?(jam_rate = 0.)
   let restarts = Hashtbl.create 16 in
   (* restart round -> stations *)
   let entries = ref [] in
-  let push round action = entries := (round, action) :: !entries in
+  let push round action = entries := (round, round, action) :: !entries in
   for round = 0 to rounds - 1 do
     (match Hashtbl.find_opt restarts round with
     | Some stations ->
@@ -187,8 +218,7 @@ let parse_range ~ln s =
 let of_string ?(name = "script") text =
   let exception Bad of string in
   try
-    let entries = ref [] in
-    let push round action = entries := (round, action) :: !entries in
+    let entries = ref [] and total = ref 0 in
     List.iteri
       (fun idx raw ->
         let ln = idx + 1 in
@@ -199,6 +229,15 @@ let of_string ?(name = "script") text =
             match parse_int ~ln what s with
             | Ok v -> v
             | Error e -> raise (Bad e)
+          in
+          (* a range is one entry; only its length counts *)
+          let push ?hi lo action =
+            let hi = Option.value hi ~default:lo in
+            let len = hi - lo + 1 in
+            if len <= 0 || len > max_int - !total then
+              fail "line %d: %S overflows the plan size" ln line;
+            total := !total + len;
+            entries := (lo, hi, action) :: !entries
           in
           match tokens line with
           | [ "crash"; r; s ] ->
@@ -221,10 +260,7 @@ let of_string ?(name = "script") text =
               in
               match parse_range ~ln range with
               | Error e -> raise (Bad e)
-              | Ok (lo, hi) ->
-                  for r = lo to hi do
-                    push r action
-                  done)
+              | Ok (lo, hi) -> push ~hi lo action)
           | verb :: _ ->
               fail "line %d: unknown or malformed directive %S" ln verb
           | [] -> ())

@@ -48,7 +48,8 @@ val is_empty : t -> bool
 val name : t -> string
 
 val size : t -> int
-(** Total number of scheduled actions. *)
+(** Total number of scheduled actions: every round of every jam or noise
+    range counts, overlapping ranges included. *)
 
 val max_station : t -> int
 (** Largest station index named by any crash/restart action; [-1] if the
@@ -60,8 +61,9 @@ val for_stations : n:int -> t -> (t, string) result
     one-line error naming the plan, the station and [n]. *)
 
 val actions : t -> round:int -> action list
-(** The actions scheduled for [round], in application order; [] for
-    rounds without faults (O(1)). *)
+(** The actions scheduled for [round]: its crashes and restarts in
+    application order, then [Jam] and [Noise] (each at most once) when a
+    range covers it; [] for rounds without faults, allocation-free. *)
 
 val next_action_round : t -> round:int -> int option
 (** The first round [>= round] with at least one scheduled action, [None]
@@ -70,9 +72,9 @@ val next_action_round : t -> round:int -> int option
 
 val scripted : name:string -> (int * action) list -> t
 (** [scripted ~name entries] schedules each [(round, action)] pair.
-    Entries may be given in any order; actions within the same round are
-    applied in list order. Raises [Invalid_argument] on a negative round
-    or station. *)
+    Entries may be given in any order; crashes and restarts within a round
+    apply in list order (see {!actions}). Raises [Invalid_argument] on a
+    negative round or station. *)
 
 val random :
   seed:int ->
@@ -108,7 +110,9 @@ val of_string : ?name:string -> string -> (t, string) result
     noise ROUND[..ROUND]
     v}
 
-    Errors are one-line ["line N: message"] descriptions. *)
+    A range is kept as one interval, so its memory does not grow with
+    its length. Errors are one-line ["line N: message"] descriptions; a
+    range whose length, or a plan whose {!size}, overflows [int] is one. *)
 
 val of_file : string -> (t, string) result
 (** {!of_string} on the file's contents; an unreadable file (a directory

@@ -43,6 +43,7 @@
 module E = Mac_sim.Engine
 module J = Mac_channel.Jsonv
 module Registry = Mac_experiments.Registry
+module Scenario = Mac_experiments.Scenario
 
 let max_line = 1 lsl 20
 
@@ -464,11 +465,12 @@ let advance_channel sv ch =
       else reply_waiters sv ch ~complete:false
     with e -> mark_failed sv ch (error_message e))
 
-(* Build the engine config + session for a channel and attach it to the
+(* Build the channel's scenario spec and session and attach it to the
    shard. Runs on the shard (posted as a mailbox thunk) so file I/O and
    algorithm construction never stall the protocol loop. [reply] gets the
    open/migrate/adoption acknowledgement once the session exists, and
-   [carried] is pushed into a fresh external feed: the pushes the previous
+   [carried] is pushed into the fresh external feed, which the spec's
+   pattern maker creates when the session starts: the pushes the previous
    session's feed took since the checkpoint it resumes from. *)
 let adopt_channel sv shard ch ~carried ~reply =
   let ok_or_fail = function Ok x -> x | Error msg -> failwith msg in
@@ -476,25 +478,26 @@ let adopt_channel sv shard ch ~carried ~reply =
     let cc = ch.ch_cfg in
     let s = cc.cc_spec in
     let algorithm = ok_or_fail (Registry.algorithm s.algorithm ~n:s.n ~k:s.k) in
-    let module A = (val algorithm : Mac_channel.Algorithm.S) in
-    let feed, pattern =
-      if s.pattern = "external" then
-        let feed, p = Mac_adversary.Pattern.external_queue () in
-        (Some feed, p)
-      else (None, ok_or_fail (Registry.pattern s.pattern ~n:s.n ~seed:s.seed))
+    let feed = ref None in
+    let pattern =
+      if s.pattern = "external" then (fun () ->
+        let f, p = Mac_adversary.Pattern.external_queue () in
+        feed := Some f;
+        p)
+      else ok_or_fail (Registry.pattern s.pattern ~n:s.n ~seed:s.seed)
     in
     let faults =
-      match cc.cc_faults with
-      | None -> None
-      | Some path ->
-        Some
-          (ok_or_fail
-             (Result.bind
-                (Mac_faults.Fault_plan.of_file path)
-                (Mac_faults.Fault_plan.for_stations ~n:s.n)))
+      Option.map
+        (fun path ->
+          ok_or_fail
+            (Result.bind
+               (Mac_faults.Fault_plan.of_file path)
+               (Mac_faults.Fault_plan.for_stations ~n:s.n)))
+        cc.cc_faults
     in
-    let adversary =
-      Mac_adversary.Adversary.create_q ~rate:s.rate ~burst:s.burst pattern
+    let spec =
+      Scenario.spec_q ~id:cc.cc_id ~algorithm ~n:s.n ~k:s.k ~rate:s.rate
+        ~burst:s.burst ~pattern ~rounds:s.rounds ~drain:s.drain ?faults ()
     in
     let resume =
       let path = ckpt_path sv cc.cc_id in
@@ -517,28 +520,19 @@ let adopt_channel sv shard ch ~carried ~reply =
     let sp = spool_open (spool_path sv cc.cc_id) in
     ch.ch_spool <- Some sp;
     let probe = Mac_sim.Telemetry.Fleet.probe sv.fleet ~id:cc.cc_id in
-    let config =
-      { (E.default_config ~rounds:s.rounds) with
-        drain_limit = s.drain;
-        check_schedule = A.oblivious;
-        (* As in [Scenario.run]: a faulted channel counts violations
-           instead of raising (a packet heard while its consumers are
-           crashed strands). *)
-        strict =
-          (match faults with
-           | Some p -> Mac_faults.Fault_plan.is_empty p
-           | None -> true);
-        sink = Some (spool_sink sp);
-        faults;
-        checkpoint_every = cc.cc_every;
-        on_checkpoint =
-          (if cc.cc_every > 0 then Some (checkpoint_channel sv ch) else None);
-        telemetry = Some probe }
-    in
     let session =
-      E.start ~config ?resume ~algorithm ~n:s.n ~k:s.k ~adversary
-        ~rounds:s.rounds ()
+      Scenario.start ?resume
+        ~config:
+          { (Scenario.config spec) with
+            sink = Some (spool_sink sp);
+            checkpoint_every = cc.cc_every;
+            on_checkpoint =
+              (if cc.cc_every > 0 then Some (checkpoint_channel sv ch)
+               else None);
+            telemetry = Some probe }
+        spec
     in
+    let feed = !feed in
     Option.iter
       (fun (f : Mac_adversary.Pattern.feed) ->
         List.iter (fun (at, src, dst) -> f.push ~at ~src ~dst) carried)

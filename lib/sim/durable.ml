@@ -26,6 +26,16 @@ let fsync_out_channel oc =
   flush oc;
   Unix.fsync (Unix.descr_of_out_channel oc)
 
+(* The file stem for an id, which may contain '/': every character
+   outside [A-Za-z0-9._-] becomes '_'. Event streams, resume markers and
+   telemetry expositions are named by it. *)
+let file_stem id =
+  String.map
+    (function
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-') as c -> c
+      | _ -> '_')
+    id
+
 let tmp_sibling path =
   Filename.concat (Filename.dirname path)
     ("." ^ Filename.basename path ^ ".tmp")

@@ -365,17 +365,10 @@ module Fleet = struct
     started : counter;
     completed : counter;
     cached : counter;
+    seen : (string, unit) Hashtbl.t;  (* ids counted in [started] *)
   }
 
   type t = fleet
-
-  let sanitize id =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '-' | '_' -> c
-        | _ -> '_')
-      id
 
   let rec mkdirs d =
     if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
@@ -393,13 +386,16 @@ module Fleet = struct
         counter agg ~help:"Scenario runs completed." Names.scenarios_completed;
       cached =
         counter agg ~help:"Scenario runs served from the result cache."
-          Names.scenarios_cached }
+          Names.scenarios_cached;
+      seen = Hashtbl.create 64 }
 
   let aggregate fleet = fleet.agg
   let dir fleet = fleet.dir
 
   let scenario_path fleet id =
-    Option.map (fun d -> Filename.concat d (sanitize id ^ ".prom")) fleet.dir
+    Option.map
+      (fun d -> Filename.concat d (Durable.file_stem id ^ ".prom"))
+      fleet.dir
 
   let fleet_path fleet =
     Option.map (fun d -> Filename.concat d "fleet.prom") fleet.dir
@@ -420,7 +416,11 @@ module Fleet = struct
     Fun.protect ~finally:(fun () -> Mutex.unlock fleet.lock) f
 
   let probe fleet ~id =
-    locked fleet (fun () -> incr fleet.started);
+    locked fleet (fun () ->
+        if not (Hashtbl.mem fleet.seen id) then begin
+          Hashtbl.add fleet.seen id ();
+          incr fleet.started
+        end);
     let reg = new_registry ~labels:[ ("scenario", id) ] () in
     probe ~every:fleet.fleet_every
       ~on_sample:(fun ~round:_ reg -> write_scenario fleet ~id reg)

@@ -190,9 +190,10 @@ type registry = t
 (** Aggregation across a batch of scenario runs (Table-1 sweeps,
     figures, resilience suites, bisections), safe to drive from
     [Supervisor] worker domains. When a directory is given, each
-    scenario's registry is rendered to [<dir>/<sanitized-id>.prom] on
-    every sample and the fleet aggregate to [<dir>/fleet.prom] — the files
-    [routing_sim top] watches. *)
+    scenario's registry is rendered to [<dir>/<stem>.prom] ([<stem>] is
+    the id through [Durable.file_stem]) on every sample and the fleet
+    aggregate to [<dir>/fleet.prom] — the files [routing_sim top]
+    watches. *)
 module Fleet : sig
   type nonrec probe = probe
 
@@ -205,7 +206,8 @@ module Fleet : sig
   val probe : t -> id:string -> probe
   (** A probe for one scenario run: its registry carries a
       [scenario=<id>] base label, and sampling rewrites the scenario's
-      exposition file. Also bumps the started-counter. *)
+      exposition file. Bumps the started-counter the first time the fleet
+      sees [id], so a retry or a re-adopted served channel is one start. *)
 
   val finish : t -> probe -> unit
   (** Merge a finished scenario's registry into the aggregate (exactly:
@@ -225,7 +227,4 @@ module Fleet : sig
       own operations. *)
 
   val dir : t -> string option
-
-  val sanitize : string -> string
-  (** The id-to-filename mapping used for scenario exposition files. *)
 end

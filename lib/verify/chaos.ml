@@ -3,7 +3,7 @@
 
    Three axes per seeded configuration:
 
-   - {e Supervisor}: a batch of random engine runs (from {!Diff.random_pair}
+   - {e Supervisor}: a batch of random engine runs (from {!Diff.random}
      seeds) executes under {!Mac_sim.Supervisor.map} while jobs misbehave on
      a seeded script — fail their first attempts, fail every attempt, kill
      their worker domain, or stall past the watchdog deadline. Every job
@@ -22,9 +22,8 @@
      step of an atomic write fail; the destination must keep its previous
      contents and the tmp sibling must not linger.
 
-   Jobs re-derive their run configuration from the seed on {e every}
-   attempt (patterns are stateful cursors), so a retry replays exactly the
-   run a first attempt would have made. *)
+   Every attempt reruns its job's spec, which builds fresh pattern state,
+   so a retry replays exactly the run a first attempt would have made. *)
 
 module Supervisor = Mac_sim.Supervisor
 
@@ -64,24 +63,11 @@ exception Boom of string
 let digest_summary (s : Mac_sim.Metrics.summary) =
   Digest.to_hex (Digest.string (Marshal.to_string s []))
 
-let run_engine ?heartbeat ?(checkpoint_every = 0) ?on_checkpoint ?resume
-    (r : Diff.run) =
-  let adversary =
-    Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
-      ~pacing:r.pacing r.pattern
-  in
-  let config =
-    { (Mac_sim.Engine.default_config ~rounds:r.rounds) with
-      drain_limit = r.drain;
-      strict = false;
-      check_schedule = false;
-      faults = r.faults;
-      heartbeat;
-      checkpoint_every;
-      on_checkpoint }
-  in
-  Mac_sim.Engine.run ~config ?resume ~algorithm:r.algorithm ~n:r.n ~k:r.k
-    ~adversary ~rounds:r.rounds ()
+let run_engine ?heartbeat ?(checkpoint_every = 0) ?on_checkpoint ?resume spec =
+  Mac_experiments.Scenario.simulate ?resume
+    ~config:
+      { (Diff.config spec) with heartbeat; checkpoint_every; on_checkpoint }
+    spec
 
 (* ---- the supervisor axis ---------------------------------------------- *)
 
@@ -112,7 +98,6 @@ let supervised_case ~seed (st : stats) =
   let quarantine = Mac_channel.Rng.int rng 4 = 0 in
   let allow_stall = Mac_channel.Rng.int rng 4 = 0 in
   let timeout = 0.05 in
-  let fresh j = fst (Diff.random_pair ~seed:((seed * 131) + j)) in
   let modes =
     Array.init njobs (fun _ ->
         match Mac_channel.Rng.int rng 8 with
@@ -135,7 +120,10 @@ let supervised_case ~seed (st : stats) =
       keep_going = true }
   in
   let label j = Printf.sprintf "job%d:%s" j (mode_name modes.(j)) in
-  let baseline = Array.init njobs (fun j -> digest_summary (run_engine (fresh j))) in
+  let specs =
+    Array.init njobs (fun j -> Diff.random ~seed:((seed * 131) + j))
+  in
+  let baseline = Array.map (fun r -> digest_summary (run_engine r)) specs in
   (* Event tallies per label; events arrive from worker domains. *)
   let emu = Mutex.create () in
   let tally = Hashtbl.create 16 in
@@ -167,7 +155,7 @@ let supervised_case ~seed (st : stats) =
             raise Supervisor.Kill_worker
           end
         | Stall_first -> if attempt = 1 then stall ~heartbeat ~timeout);
-        digest_summary (run_engine ~heartbeat (fresh j)))
+        digest_summary (run_engine ~heartbeat specs.(j)))
   in
   st.jobs_run <- st.jobs_run + njobs;
   let record msg l = st.failures <- Printf.sprintf "seed %d %s: %s" seed l msg :: st.failures in
@@ -246,19 +234,18 @@ let corrupt ~rng ~path = function
 
 let checkpoint_case ~dir ~seed (st : stats) =
   let rng = Mac_channel.Rng.create ~seed:((seed * 7) + 2) in
-  let fresh () = fst (Diff.random_pair ~seed:((seed * 131) + 997)) in
+  let r = Diff.random ~seed:((seed * 131) + 997) in
   let record msg =
     st.failures <- Printf.sprintf "seed %d checkpoint: %s" seed msg :: st.failures
   in
-  let r = fresh () in
   let path = Filename.concat dir (Printf.sprintf "ck-%d.ckpt" seed) in
   (* Enough checkpoints that the rotation sibling exists by the end. *)
-  let every = max 1 (r.Diff.rounds / 4) in
+  let every = max 1 (r.rounds / 4) in
   let baseline =
     digest_summary
       (run_engine ~checkpoint_every:every
          ~on_checkpoint:(fun snap -> Mac_sim.Checkpoint.write_rotated ~path snap)
-         (fresh ()))
+         r)
   in
   st.checks <- st.checks + 1;
   if not (Sys.file_exists (Mac_sim.Checkpoint.prev_path path)) then
@@ -274,7 +261,7 @@ let checkpoint_case ~dir ~seed (st : stats) =
     match Mac_sim.Checkpoint.read_latest ~path with
     | Ok (snap, `Salvaged _) ->
       st.salvages <- st.salvages + 1;
-      let resumed = digest_summary (run_engine ~resume:snap (fresh ())) in
+      let resumed = digest_summary (run_engine ~resume:snap r) in
       if resumed <> baseline then
         record
           (Printf.sprintf

@@ -1,18 +1,5 @@
 open Mac_channel
-
-type run = {
-  id : string;
-  algorithm : Algorithm.t;
-  n : int;
-  k : int;
-  rate : Qrat.t;
-  burst : Qrat.t;
-  pacing : Mac_adversary.Adversary.pacing;
-  pattern : Mac_adversary.Pattern.t;
-  rounds : int;
-  drain : int;
-  faults : Mac_faults.Fault_plan.t option;
-}
+module Scenario = Mac_experiments.Scenario
 
 type mismatch = { what : string; engine : string; oracle : string }
 
@@ -41,37 +28,31 @@ let pp_verdict ppf v =
 
 type 'a outcome = Finished of 'a | Raised of string
 
-let engine_side (r : run) =
+(* The oracle's terms: violations are counted, not raised, and the
+   schedule is not cross-checked. *)
+let config spec =
+  { (Scenario.config spec) with strict = false; check_schedule = false }
+
+(* The engine on [spec] under [config], recording its event stream. *)
+let engine_side ?(with_sink = true) spec (config : Mac_sim.Engine.config) =
   let events_rev = ref [] in
   let sink =
     Mac_sim.Sink.make (fun ~round ev -> events_rev := (round, ev) :: !events_rev)
   in
-  let adversary =
-    Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
-      ~pacing:r.pacing r.pattern
-  in
   let config =
-    { (Mac_sim.Engine.default_config ~rounds:r.rounds) with
-      drain_limit = r.drain;
-      strict = false;
-      check_schedule = false;
-      sink = Some sink;
-      faults = r.faults }
+    { config with sink = (if with_sink then Some sink else None) }
   in
   let outcome =
-    try
-      Finished
-        (Mac_sim.Engine.run ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k
-           ~adversary ~rounds:r.rounds ())
+    try Finished (Scenario.simulate ~config spec)
     with Mac_sim.Engine.Protocol_violation msg -> Raised msg
   in
   (outcome, List.rev !events_rev)
 
-let oracle_side (r : run) =
+let oracle_side (r : Scenario.spec) =
   try
     let digest, events =
       Oracle.run ~algorithm:r.algorithm ~n:r.n ~k:r.k ~rate:r.rate
-        ~burst:r.burst ~pacing:r.pacing ~pattern:r.pattern ~rounds:r.rounds
+        ~burst:r.burst ~pacing:r.pacing ~pattern:(r.pattern ()) ~rounds:r.rounds
         ~drain:r.drain ~strict:false ?faults:r.faults ()
     in
     (Finished digest, events)
@@ -159,10 +140,9 @@ let compare_events engine_events oracle_events =
   in
   go 0 engine_events oracle_events
 
-let run_pair ~(engine : run) ~(oracle : run) =
-  let id = engine.id in
-  let e_outcome, e_events = engine_side engine in
-  let o_outcome, o_events = oracle_side oracle in
+let run_pair (spec : Scenario.spec) =
+  let e_outcome, e_events = engine_side spec (config spec) in
+  let o_outcome, o_events = oracle_side spec in
   let events = max (List.length e_events) (List.length o_events) in
   let mismatches =
     match (e_outcome, o_outcome) with
@@ -179,11 +159,10 @@ let run_pair ~(engine : run) ~(oracle : run) =
     | Raised e, Finished _ ->
       [ { what = "exception"; engine = e; oracle = "<finished>" } ]
   in
-  { id; events; mismatches }
+  { id = spec.id; events; mismatches }
 
-let run_pairs ?jobs pairs =
-  Mac_experiments.Scenario.run_batch ?jobs
-    (List.map (fun (engine, oracle) () -> run_pair ~engine ~oracle) pairs)
+let run_pairs ?jobs specs =
+  Scenario.run_batch ?jobs (List.map (fun spec () -> run_pair spec) specs)
 
 (* ------------------------------------------------------------------ *)
 (* Random configurations. *)
@@ -241,9 +220,8 @@ let registered ?seed name ~n ~k =
   | Ok a -> a
   | Error msg -> invalid_arg ("Diff: " ^ msg)
 
-(* A pattern *maker*: called once per side so each run owns fresh state.
-   Every random draw happens before the thunk is built — both calls must
-   construct the SAME pattern, differing only in internal state. *)
+(* A pattern maker: every random draw happens before it is built, so
+   each call constructs the same pattern with fresh state. *)
 let build_pattern rng ~n =
   let case = Rng.int rng 7 in
   let seed = Rng.int rng 10_000 in
@@ -270,8 +248,8 @@ let build_pattern rng ~n =
     | _ -> assert false
 
 (* Everything a configuration draws after its algorithm — traffic,
-   horizon, faults, the pattern — as a maker of fresh instances. *)
-let draw_run rng ~tag ~seed ~n ~k ~algorithm =
+   horizon, faults, the pattern. *)
+let draw_spec rng ~tag ~seed ~n ~k ~algorithm =
   let den = 1 + Rng.int rng 12 in
   let num = 1 + Rng.int rng den in
   let rate = Qrat.make num den in
@@ -302,62 +280,44 @@ let draw_run rng ~tag ~seed ~n ~k ~algorithm =
                    else Mac_faults.Fault_plan.Drop)
            ())
   in
-  let make_pattern = build_pattern rng ~n in
-  fun () ->
-    let pattern = make_pattern () in
-    { id =
-        Printf.sprintf "%s=%d %s n=%d k=%d rho=%s beta=%s r=%d" tag seed
-          pattern.Mac_adversary.Pattern.name n k (Qrat.to_string rate)
-          (Qrat.to_string burst) rounds;
-      algorithm; n; k; rate; burst; pacing; pattern; rounds; drain; faults }
+  let pattern = build_pattern rng ~n in
+  let id =
+    Printf.sprintf "%s=%d %s n=%d k=%d rho=%s beta=%s r=%d" tag seed
+      (pattern ()).Mac_adversary.Pattern.name n k (Qrat.to_string rate)
+      (Qrat.to_string burst) rounds
+  in
+  Scenario.spec_q ~id ~algorithm ~n ~k ~rate ~burst ~pattern ~pacing ~rounds
+    ~drain ?faults ()
 
-let random_pair ~seed =
+let random ~seed =
   let rng = Rng.create ~seed in
   let name, draw =
     algorithm_draws.(Rng.int rng (Array.length algorithm_draws))
   in
   let n, k, algo_seed = draw rng in
   let algorithm = registered ~seed:algo_seed name ~n ~k in
-  let make = draw_run rng ~tag:"seed" ~seed ~n ~k ~algorithm in
-  (make (), make ())
+  draw_spec rng ~tag:"seed" ~seed ~n ~k ~algorithm
 
 (* ------------------------------------------------------------------ *)
 (* Sparse-vs-dense certification: the same configuration through the same
    engine in both modes must be bit-identical — summary (Marshal bytes),
    event stream, and every checkpoint snapshot (Marshal bytes). *)
 
-let engine_mode_side (r : run) ~mode ~with_sink ~checkpoint_every =
-  let events_rev = ref [] in
-  let sink =
-    Mac_sim.Sink.make (fun ~round ev -> events_rev := (round, ev) :: !events_rev)
-  in
+(* The engine on [spec] in [mode]; [checkpoint_every > 0] collects each
+   periodic snapshot's Marshal bytes. *)
+let engine_mode_side spec ~mode ~with_sink ~checkpoint_every =
   let snaps_rev = ref [] in
-  let adversary =
-    Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
-      ~pacing:r.pacing r.pattern
+  let outcome, events =
+    engine_side ~with_sink spec
+      { (config spec) with
+        checkpoint_every;
+        on_checkpoint =
+          (if checkpoint_every > 0 then
+             Some (fun s -> snaps_rev := Marshal.to_string s [] :: !snaps_rev)
+           else None);
+        mode }
   in
-  let config =
-    { (Mac_sim.Engine.default_config ~rounds:r.rounds) with
-      drain_limit = r.drain;
-      strict = false;
-      check_schedule = false;
-      sink = (if with_sink then Some sink else None);
-      faults = r.faults;
-      checkpoint_every;
-      on_checkpoint =
-        (if checkpoint_every > 0 then
-           Some (fun s -> snaps_rev := Marshal.to_string s [] :: !snaps_rev)
-         else None);
-      mode }
-  in
-  let outcome =
-    try
-      Finished
-        (Mac_sim.Engine.run ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k
-           ~adversary ~rounds:r.rounds ())
-    with Mac_sim.Engine.Protocol_violation msg -> Raised msg
-  in
-  (outcome, List.rev !events_rev, List.rev !snaps_rev)
+  (outcome, events, List.rev !snaps_rev)
 
 let compare_summaries (a : Mac_sim.Metrics.summary)
     (b : Mac_sim.Metrics.summary) =
@@ -429,24 +389,23 @@ let compare_snapshots tag a b =
     in
     go 0 a b
 
-let certify_sparse ~make =
-  (* Three runs over fresh pattern instances of the same configuration:
-     dense with sink + checkpoints (the reference), sparse without a sink
-     (skip-ahead armed) + checkpoints, sparse with a sink (sparse concrete
-     iteration, exact event order). A cadence that is coprime-ish with
-     typical schedules lands checkpoints mid-stretch. *)
-  let (r1 : run) = make () in
-  let checkpoint_every = max 1 (r1.rounds / 7) in
+let certify_sparse (spec : Scenario.spec) =
+  (* Three runs of the spec: dense with sink + checkpoints (the
+     reference), sparse without a sink (skip-ahead armed) + checkpoints,
+     sparse with a sink (sparse concrete iteration, exact event order). A
+     cadence that is coprime-ish with typical schedules lands checkpoints
+     mid-stretch. *)
+  let checkpoint_every = max 1 (spec.rounds / 7) in
   let d_out, d_events, d_snaps =
-    engine_mode_side r1 ~mode:Mac_sim.Engine.Dense ~with_sink:true
+    engine_mode_side spec ~mode:Mac_sim.Engine.Dense ~with_sink:true
       ~checkpoint_every
   in
   let s_out, _, s_snaps =
-    engine_mode_side (make ()) ~mode:Mac_sim.Engine.Sparse ~with_sink:false
+    engine_mode_side spec ~mode:Mac_sim.Engine.Sparse ~with_sink:false
       ~checkpoint_every
   in
   let se_out, se_events, _ =
-    engine_mode_side (make ()) ~mode:Mac_sim.Engine.Sparse ~with_sink:true
+    engine_mode_side spec ~mode:Mac_sim.Engine.Sparse ~with_sink:true
       ~checkpoint_every:0
   in
   let events = List.length d_events in
@@ -474,19 +433,18 @@ let certify_sparse ~make =
       outcome_mismatch "sparse" d_out s_out
       @ outcome_mismatch "sparse+sink" d_out se_out
   in
-  { id = r1.id ^ " [sparse-certify]"; events; mismatches }
+  { id = spec.id ^ " [sparse-certify]"; events; mismatches }
 
-(* Like [random_pair] but pinned to a sparse-capable algorithm (pair-TDMA
-   or the ack-based broadcast TDMA) and returned as a maker: the certifier
-   needs three fresh pattern instances, not two. *)
+(* Like [random] but pinned to a sparse-capable algorithm (pair-TDMA or
+   the ack-based broadcast TDMA). *)
 let random_sparse ~seed =
   let rng = Rng.create ~seed in
   let n = 3 + Rng.int rng 8 in
   let k, name =
     if Rng.bool rng then (2 + Rng.int rng 3, "pair-tdma") else (n, "ack-rr")
   in
-  draw_run rng ~tag:"sparse-seed" ~seed ~n ~k ~algorithm:(registered name ~n ~k)
+  draw_spec rng ~tag:"sparse-seed" ~seed ~n ~k
+    ~algorithm:(registered name ~n ~k)
 
-let certify_sparse_batch ?jobs makers =
-  Mac_experiments.Scenario.run_batch ?jobs
-    (List.map (fun make () -> certify_sparse ~make) makers)
+let certify_sparse_batch ?jobs specs =
+  Scenario.run_batch ?jobs (List.map (fun spec () -> certify_sparse spec) specs)

@@ -216,7 +216,10 @@ let test_min_duty_picks_least_on () =
      least duty. *)
   let schedule ~me ~round = round mod 8 < me + 1 in
   let choice = Saboteur.min_duty ~n:8 ~horizon:800 ~schedule in
-  let pairs = choice.Saboteur.pattern.Pattern.generate ~round:0 ~budget:3 ~view:dummy in
+  let pairs =
+    (choice.Saboteur.pattern ()).Pattern.generate ~round:0 ~budget:3
+      ~view:dummy
+  in
   List.iter (fun (src, _) -> check_int "floods min-duty station" 0 src) pairs
 
 let test_min_pair_picks_least_coduty () =
@@ -228,7 +231,8 @@ let test_min_pair_picks_least_coduty () =
     | _ -> true
   in
   let choice = Saboteur.min_pair ~n:5 ~horizon:100 ~schedule in
-  match choice.Saboteur.pattern.Pattern.generate ~round:0 ~budget:1 ~view:dummy with
+  let pattern = choice.Saboteur.pattern () in
+  match pattern.Pattern.generate ~round:0 ~budget:1 ~view:dummy with
   | [ (0, 1) ] -> ()
   | [ (w, z) ] -> Alcotest.failf "expected pair (0,1), got (%d,%d)" w z
   | _ -> Alcotest.fail "expected one injection"
@@ -237,7 +241,8 @@ let test_cap2_breaker_injects_into_helper () =
   let choice = Saboteur.cap2_breaker ~n:5 in
   let view = View.dummy ~n:5 in
   (* witness starts at n-1 = 4; helpers are 0 and 1. *)
-  (match choice.Saboteur.pattern.Pattern.generate ~round:0 ~budget:1 ~view with
+  (match (choice.Saboteur.pattern ()).Pattern.generate ~round:0 ~budget:1
+           ~view with
    | [ (0, 1) ] -> ()
    | _ -> Alcotest.fail "expected injection 0 -> 1");
   Alcotest.check_raises "needs n >= 3"
@@ -249,7 +254,8 @@ let test_cap2_breaker_minimum_n () =
      witness 2, helpers 0 and 1. *)
   let choice = Saboteur.cap2_breaker ~n:3 in
   let view = View.dummy ~n:3 in
-  (match choice.Saboteur.pattern.Pattern.generate ~round:0 ~budget:1 ~view with
+  (match (choice.Saboteur.pattern ()).Pattern.generate ~round:0 ~budget:1
+           ~view with
    | [ (0, 1) ] -> ()
    | _ -> Alcotest.fail "expected injection 0 -> 1 at n = 3");
   Alcotest.check_raises "n = 0 rejected"
@@ -257,18 +263,18 @@ let test_cap2_breaker_minimum_n () =
       ignore (Saboteur.cap2_breaker ~n:0))
 
 let test_cap2_breaker_moves_witness () =
-  let choice = Saboteur.cap2_breaker ~n:5 in
+  let pattern = (Saboteur.cap2_breaker ~n:5).Saboteur.pattern () in
   (* witness 4 wakes; station 3 is clean and off -> becomes the witness, so
      helpers stay 0,1. Then 0 wakes too: witness must move again and the
      helpers shift. *)
   let view_wake4 =
     { (View.dummy ~n:5) with View.was_on = (fun i -> i = 4) }
   in
-  ignore (choice.Saboteur.pattern.Pattern.generate ~round:1 ~budget:1 ~view:view_wake4);
+  ignore (pattern.Pattern.generate ~round:1 ~budget:1 ~view:view_wake4);
   let view_wake3 =
     { (View.dummy ~n:5) with View.was_on = (fun i -> i = 3) }
   in
-  match choice.Saboteur.pattern.Pattern.generate ~round:2 ~budget:1 ~view:view_wake3 with
+  match pattern.Pattern.generate ~round:2 ~budget:1 ~view:view_wake3 with
   | [ (s1, s2) ] ->
     check_bool "helpers avoid the new witness" true (s1 <> 4 && s2 <> 4 && s1 <> s2)
   | _ -> Alcotest.fail "expected one injection"

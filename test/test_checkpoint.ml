@@ -6,57 +6,43 @@
    reject snapshots that do not match the resuming configuration. *)
 
 open Mac_verify
+module Scenario = Mac_experiments.Scenario
 
 exception Interrupted
 
-(* Run a configuration to completion (optionally from a snapshot),
-   recording the full typed event stream. *)
-let complete ?(mode = Mac_sim.Engine.Dense) ?resume (r : Diff.run) =
+(* Run a spec to completion (optionally from a snapshot), recording the
+   full typed event stream. *)
+let complete ?(mode = Mac_sim.Engine.Dense) ?resume (r : Scenario.spec) =
   let events = ref [] in
   let sink =
     Mac_sim.Sink.make (fun ~round ev -> events := (round, ev) :: !events)
   in
-  let adversary =
-    Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
-      ~pacing:r.pacing r.pattern
-  in
-  let config =
-    { (Mac_sim.Engine.default_config ~rounds:r.rounds) with
-      mode; drain_limit = r.drain; strict = false; check_schedule = false;
-      sink = Some sink; faults = r.faults }
-  in
   let summary =
-    Mac_sim.Engine.run ~config ?resume ~algorithm:r.algorithm ~n:r.n ~k:r.k
-      ~adversary ~rounds:r.rounds ()
+    Scenario.simulate ?resume
+      ~config:{ (Diff.config r) with mode; sink = Some sink }
+      r
   in
   (summary, List.rev !events)
 
 (* Run until the checkpoint at round [at] fires, then crash: raising from
-   [on_checkpoint] aborts [Engine.run] mid-loop exactly like a kill at
-   that round boundary would. Returns the snapshot and the event prefix
-   the run emitted before dying. *)
+   [on_checkpoint] aborts the run mid-loop exactly like a kill at that
+   round boundary would. Returns the snapshot and the event prefix the
+   run emitted before dying. *)
 let interrupt ?(mode = Mac_sim.Engine.Dense) ?(with_sink = true) ~at
-    (r : Diff.run) =
+    (r : Scenario.spec) =
   let snap = ref None in
   let events = ref [] in
   let sink =
     Mac_sim.Sink.make (fun ~round ev -> events := (round, ev) :: !events)
   in
-  let adversary =
-    Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
-      ~pacing:r.pacing r.pattern
-  in
   let config =
-    { (Mac_sim.Engine.default_config ~rounds:r.rounds) with
-      mode; drain_limit = r.drain; strict = false; check_schedule = false;
-      sink = (if with_sink then Some sink else None); faults = r.faults;
+    { (Diff.config r) with
+      mode;
+      sink = (if with_sink then Some sink else None);
       checkpoint_every = at;
       on_checkpoint = Some (fun s -> snap := Some s; raise Interrupted) }
   in
-  (match
-     Mac_sim.Engine.run ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k
-       ~adversary ~rounds:r.rounds ()
-   with
+  (match Scenario.simulate ~config r with
    | _ -> Alcotest.failf "%s: checkpoint at round %d never fired" r.id at
    | exception Interrupted -> ());
   (Option.get !snap, List.rev !events)
@@ -90,36 +76,30 @@ let check_summaries id a b =
   Alcotest.(check string) (id ^ ": queue series")
     (Mac_sim.Export.series_csv a) (Mac_sim.Export.series_csv b)
 
-(* The core property. [straight], [interrupted] and [resumer] must be the
-   same configuration with independently created pattern state (patterns
-   are stateful; each run needs its own). *)
-let check_resume ~at (straight : Diff.run) interrupted resumer =
-  match complete straight with
+(* The core property: the spec run straight through, and the same spec
+   interrupted at [at] and resumed from that snapshot, give the same
+   summary and event stream. *)
+let check_resume ~at (r : Scenario.spec) =
+  match complete r with
   | exception Mac_sim.Engine.Protocol_violation _ ->
     (* some random configs legitimately die on a protocol violation;
        there is no completed run to resume, so nothing to compare. A
-       violation below, in the interrupted or resumed copy of a config
+       violation below, in the interrupted or resumed run of a config
        whose straight run finished, still fails the test: determinism
        means it can only come from a resume bug. *)
     ()
   | s_sum, s_ev ->
-    let snap, prefix = interrupt ~at interrupted in
-    let r_sum, suffix = complete ~resume:snap resumer in
-    let id = Printf.sprintf "%s@%d" straight.Diff.id at in
+    let snap, prefix = interrupt ~at r in
+    let r_sum, suffix = complete ~resume:snap r in
+    let id = Printf.sprintf "%s@%d" r.id at in
     check_summaries id s_sum r_sum;
     check_events id s_ev (prefix @ suffix)
 
-(* Three independently instantiated copies of the same random config. *)
-let triple ~seed =
-  let a, b = Diff.random_pair ~seed in
-  let c, _ = Diff.random_pair ~seed in
-  (a, b, c)
-
 let check_seed seed =
-  let a, b, c = triple ~seed in
+  let r = Diff.random ~seed in
   let rng = Mac_channel.Rng.create ~seed:(seed lxor 0x5bd1e995) in
-  let at = 1 + Mac_channel.Rng.int rng a.Diff.rounds in
-  check_resume ~at a b c
+  let at = 1 + Mac_channel.Rng.int rng r.rounds in
+  check_resume ~at r
 
 let test_random_sweep () =
   for seed = 0 to 39 do
@@ -129,8 +109,8 @@ let test_random_sweep () =
 (* Resume at the injection/drain boundary: the snapshot round equals the
    configured rounds, so the resumed run executes only the drain. *)
 let test_boundary_resume () =
-  let a, b, c = triple ~seed:17 in
-  check_resume ~at:a.Diff.rounds a b c
+  let r = Diff.random ~seed:17 in
+  check_resume ~at:r.rounds r
 
 let qcheck_random_configs =
   QCheck.Test.make ~name:"resume_bit_identical_on_random_configs" ~count:25
@@ -154,26 +134,15 @@ let test_jobs_invariance () =
 
 let rounds_cap = 1_500
 
-let spec_to_run (s : Mac_experiments.Scenario.spec) : Diff.run =
-  { id = s.id; algorithm = s.algorithm; n = s.n; k = s.k; rate = s.rate;
-    burst = s.burst; pacing = s.pacing; pattern = s.pattern;
-    rounds = min s.rounds rounds_cap; drain = min s.drain rounds_cap;
-    faults = s.faults }
-
 let test_table1_catalog () =
-  let catalog () =
-    List.map spec_to_run (Mac_experiments.Table1.catalog ~scale:`Quick)
-  in
-  let rec go i a b c =
-    match (a, b, c) with
-    | [], [], [] -> ()
-    | x :: a, y :: b, z :: c ->
-      let at = 1 + ((i * 397) mod x.Diff.rounds) in
-      check_resume ~at x y z;
-      go (i + 1) a b c
-    | _ -> assert false
-  in
-  go 0 (catalog ()) (catalog ()) (catalog ())
+  List.iteri
+    (fun i (s : Scenario.spec) ->
+      let s =
+        { s with rounds = min s.rounds rounds_cap;
+                 drain = min s.drain rounds_cap }
+      in
+      check_resume ~at:(1 + ((i * 397) mod s.rounds)) s)
+    (Mac_experiments.Table1.catalog ~scale:`Quick)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint files. *)
@@ -181,9 +150,9 @@ let test_table1_catalog () =
 let temp_path suffix = Filename.temp_file "mac_ckpt" suffix
 
 let test_file_roundtrip () =
-  let a, b, c = triple ~seed:5 in
-  let at = max 1 (a.Diff.rounds / 2) in
-  let snap, prefix = interrupt ~at b in
+  let r = Diff.random ~seed:5 in
+  let at = max 1 (r.rounds / 2) in
+  let snap, prefix = interrupt ~at r in
   let path = temp_path ".bin" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -199,8 +168,8 @@ let test_file_roundtrip () =
           (Mac_sim.Engine.snapshot_algorithm snap)
           (Mac_sim.Engine.snapshot_algorithm snap');
         (* resuming from the re-read snapshot is still bit-identical *)
-        let s_sum, s_ev = complete a in
-        let r_sum, suffix = complete ~resume:snap' c in
+        let s_sum, s_ev = complete r in
+        let r_sum, suffix = complete ~resume:snap' r in
         check_summaries "file-roundtrip" s_sum r_sum;
         check_events "file-roundtrip" s_ev (prefix @ suffix);
         let d = Mac_sim.Checkpoint.describe snap' in
@@ -241,8 +210,7 @@ let test_file_errors () =
       write_string path "MACCKPT 999\n{}\n";
       expect_error "future version" (Mac_sim.Checkpoint.read ~path);
       (* a real checkpoint, truncated mid-blob *)
-      let _, b, _ = triple ~seed:3 in
-      let snap, _ = interrupt ~at:50 b in
+      let snap, _ = interrupt ~at:50 (Diff.random ~seed:3) in
       Mac_sim.Checkpoint.write ~path snap;
       let whole = read_string path in
       write_string path (String.sub whole 0 (String.length whole - 20));
@@ -268,8 +236,7 @@ let test_file_errors () =
 let qcheck_corruption =
   let whole =
     lazy
-      (let _, b, _ = triple ~seed:21 in
-       let snap, _ = interrupt ~at:40 b in
+      (let snap, _ = interrupt ~at:40 (Diff.random ~seed:21) in
        let path = temp_path ".bin" in
        Fun.protect
          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -305,10 +272,9 @@ let qcheck_corruption =
 (* Keep-last-good rotation: the previous generation survives as .prev,
    and a corrupt or missing newest file salvages it. *)
 let test_rotation_salvage () =
-  let _, b, _ = triple ~seed:23 in
-  let c1, _ = interrupt ~at:30 b in
-  let _, b2, _ = triple ~seed:23 in
-  let c2, _ = interrupt ~at:60 b2 in
+  let r = Diff.random ~seed:23 in
+  let c1, _ = interrupt ~at:30 r in
+  let c2, _ = interrupt ~at:60 r in
   let path = temp_path ".bin" in
   (* temp_path creates the file; rotation wants a fresh path *)
   Sys.remove path;
@@ -363,8 +329,7 @@ let test_rotation_salvage () =
    format v2: a v1 file is refused with the typed version error instead of
    handing unchecked bytes to [Marshal]. *)
 let test_v1_rejected () =
-  let _, b, _ = triple ~seed:11 in
-  let snap, _ = interrupt ~at:25 b in
+  let snap, _ = interrupt ~at:25 (Diff.random ~seed:11) in
   let blob = Marshal.to_string (snap : Mac_sim.Engine.snapshot) [] in
   let path = temp_path ".bin" in
   Fun.protect
@@ -389,21 +354,21 @@ let expect_invalid what f =
   | exception Invalid_argument _ -> ()
 
 let test_resume_validation () =
-  let _, b, c = triple ~seed:9 in
-  let snap, _ = interrupt ~at:(max 1 (b.Diff.rounds / 2)) b in
+  let r = Diff.random ~seed:9 in
+  let snap, _ = interrupt ~at:(max 1 (r.rounds / 2)) r in
   expect_invalid "wrong n" (fun () ->
-      complete ~resume:snap { c with Diff.n = c.Diff.n + 1 });
+      complete ~resume:snap { r with n = r.n + 1 });
   expect_invalid "wrong rounds" (fun () ->
-      complete ~resume:snap { c with Diff.rounds = c.Diff.rounds + 1 });
+      complete ~resume:snap { r with rounds = r.rounds + 1 });
   expect_invalid "wrong drain" (fun () ->
-      complete ~resume:snap { c with Diff.drain = c.Diff.drain + 1 });
+      complete ~resume:snap { r with drain = r.drain + 1 });
   let other : Mac_channel.Algorithm.t =
     if Mac_sim.Engine.snapshot_algorithm snap = "count-hop" then
       (module Mac_routing.Orchestra)
     else (module Mac_routing.Count_hop)
   in
   expect_invalid "wrong algorithm" (fun () ->
-      complete ~resume:snap { c with Diff.algorithm = other })
+      complete ~resume:snap { r with algorithm = other })
 
 (* Adjust-Window (which gained [aux_none]) and k-Subsets (which gained
    [rewalk]) are at state version 2. A snapshot taken while either was at
@@ -513,7 +478,7 @@ let small_spec ~id ~seed =
   Mac_experiments.Scenario.spec_q ~id ~algorithm:(module Mac_routing.Count_hop)
     ~n:6 ~k:2 ~rate:(Mac_channel.Qrat.make 1 2)
       ~burst:(Mac_channel.Qrat.of_int 2)
-    ~pattern:(Mac_adversary.Pattern.uniform ~n:6 ~seed)
+    ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n:6 ~seed)
     ~rounds:800 ~drain:200 ()
 
 let test_scenario_resumable () =
@@ -588,30 +553,27 @@ let test_resumable_batch_jobs () =
    snapshot boundary, so the snapshot below is taken "mid-skip" — the
    state the fast path reconstructs, never stepped to concretely. *)
 
-let sparse_run () : Diff.run =
-  { id = "sparse-mid-skip";
-    algorithm = (module Mac_routing.Pair_tdma : Mac_channel.Algorithm.S);
-    n = 8; k = 2;
-    rate = Mac_channel.Qrat.make 1 40;
-    burst = Mac_channel.Qrat.of_int 2;
-    pacing = Mac_adversary.Adversary.Greedy;
-    pattern = Mac_adversary.Pattern.uniform ~n:8 ~seed:33;
-    rounds = 3_000; drain = 400; faults = None }
+let sparse_spec =
+  Scenario.spec_q ~id:"sparse-mid-skip"
+    ~algorithm:(module Mac_routing.Pair_tdma) ~n:8 ~k:2
+    ~rate:(Mac_channel.Qrat.make 1 40) ~burst:(Mac_channel.Qrat.of_int 2)
+    ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n:8 ~seed:33)
+    ~rounds:3_000 ~drain:400 ()
 
 (* A snapshot written by a skipping sparse run resumes bit-identically —
    in sparse mode and, cross-mode, in dense mode. *)
 let test_sparse_resume_mid_skip () =
-  let s_sum, s_ev = complete (sparse_run ()) in
+  let s_sum, s_ev = complete sparse_spec in
   let at = 1_237 in  (* coprime to the TDMA cycle: lands inside stretches *)
   let snap, _ =
-    interrupt ~mode:Mac_sim.Engine.Sparse ~with_sink:false ~at (sparse_run ())
+    interrupt ~mode:Mac_sim.Engine.Sparse ~with_sink:false ~at sparse_spec
   in
   Alcotest.(check int) "snapshot at the cadence round" at
     (Mac_sim.Engine.snapshot_round snap);
   let expected_suffix = List.filter (fun (round, _) -> round >= at) s_ev in
   List.iter
     (fun (label, mode) ->
-      let r_sum, suffix = complete ~mode ~resume:snap (sparse_run ()) in
+      let r_sum, suffix = complete ~mode ~resume:snap sparse_spec in
       check_summaries label s_sum r_sum;
       check_events label expected_suffix suffix)
     [ ("sparse-resumes-sparse", Mac_sim.Engine.Sparse);
@@ -664,20 +626,13 @@ let test_adjust_window_auxiliary_resume () =
 let test_sparse_checkpoint_bytes () =
   let collect mode =
     let snaps = ref [] in
-    let r = sparse_run () in
-    let adversary =
-      Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
-        ~pacing:r.pacing r.pattern
-    in
     let config =
-      { (Mac_sim.Engine.default_config ~rounds:r.rounds) with
-        mode; drain_limit = r.drain; strict = false;
+      { (Diff.config sparse_spec) with
+        mode;
         checkpoint_every = 449;
         on_checkpoint = Some (fun s -> snaps := Marshal.to_string s [] :: !snaps) }
     in
-    ignore
-      (Mac_sim.Engine.run ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k
-         ~adversary ~rounds:r.rounds ());
+    ignore (Scenario.simulate ~config sparse_spec);
     List.rev !snaps
   in
   let dense = collect Mac_sim.Engine.Dense in

@@ -382,6 +382,21 @@ let test_fault_streams_match_golden () =
              (md5 events)
          | _ -> Alcotest.failf "fault_streams.txt: malformed line %S" line)
 
+(* A verify seed names the same configuration in every version: the
+   random draws and the Table-1 catalog print these exact counts. *)
+let test_verify_counts_pinned () =
+  List.iter
+    (fun (args, expected) ->
+      let code, out, err = run_cli ("verify" :: args) in
+      let what = String.concat " " args in
+      Alcotest.(check int) (Printf.sprintf "%s exit code (stderr %S)" what err)
+        0 code;
+      Alcotest.(check string) what (expected ^ "\n") out)
+    [ ( [ "--count"; "40"; "--seed"; "0"; "--jobs"; "1" ],
+        "40 configuration(s), 155416 event(s) compared, 0 divergence(s)" );
+      ( [ "--table1"; "--quick"; "--rounds-cap"; "2000"; "--jobs"; "2" ],
+        "26 configuration(s), 297254 event(s) compared, 0 divergence(s)" ) ]
+
 (* [run --trace N] prints the last N notable channel events, recorded by
    a trace ring on the run's sink tee. The tail and the digest of the
    [--json] output are pinned, so rewiring the ring cannot change what the
@@ -531,4 +546,6 @@ let () =
          Alcotest.test_case "fault streams" `Quick
            test_fault_streams_match_golden;
          Alcotest.test_case "ablation figures" `Quick
-           test_ablations_match_golden ]) ]
+           test_ablations_match_golden;
+         Alcotest.test_case "verify counts" `Quick
+           test_verify_counts_pinned ]) ]

@@ -74,7 +74,7 @@ let test_unstable_under_lemma1_breaker () =
   let breaker = Mac_adversary.Saboteur.cap2_breaker ~n:8 in
   let s =
     run_ch ~rate:1.0 ~burst:1.0 ~rounds:80_000 ~drain:0
-      breaker.Mac_adversary.Saboteur.pattern
+      (breaker.Mac_adversary.Saboteur.pattern ())
   in
   check_bool "unstable under breaker" true (is_unstable s)
 

@@ -59,7 +59,7 @@ let test_adjust_window_impl_bound_grows_with_rho () =
 let simple_spec ?(id = "test") ?(rounds = 20_000) () =
   Scenario.spec_q ~id ~algorithm:(module Mac_routing.Pair_tdma) ~n:4 ~k:2
     ~rate:(Q.make 1 10) ~burst:(Q.of_int 2)
-    ~pattern:(Mac_adversary.Pattern.round_robin ~n:4)
+    ~pattern:(fun () -> Mac_adversary.Pattern.round_robin ~n:4)
     ~rounds ()
 
 let test_scenario_checks_pass () =
@@ -82,7 +82,7 @@ let test_scenario_unstable_check () =
   let spec =
     Scenario.spec_q ~id:"drown" ~algorithm:(module Mac_routing.Pair_tdma) ~n:4
       ~k:2 ~rate:(Q.make 3 10) ~burst:(Q.of_int 2)
-      ~pattern:(Mac_adversary.Pattern.pair_flood ~src:1 ~dst:2)
+      ~pattern:(fun () -> Mac_adversary.Pattern.pair_flood ~src:1 ~dst:2)
       ~rounds:30_000 ~drain:0 ()
   in
   let o = Scenario.run ~checks:[ Scenario.unstable ] spec in
@@ -161,19 +161,11 @@ let qcheck_registry_accepts_only_runnable_specs =
       | Ok (), Error msg, _ ->
         QCheck.Test.fail_reportf "check accepted what algorithm refused: %s" msg
       | Ok (), Ok algorithm, Ok pattern ->
-        let module A = (val algorithm) in
-        let adversary =
-          Mac_adversary.Adversary.create_q ~rate:spec.rate ~burst:spec.burst
-            pattern
-        in
-        let config =
-          { (Mac_sim.Engine.default_config ~rounds:spec.rounds) with
-            drain_limit = spec.drain;
-            check_schedule = A.oblivious }
-        in
         let s =
-          Mac_sim.Engine.run ~config ~algorithm ~n:spec.n ~k:spec.k ~adversary
-            ~rounds:spec.rounds ()
+          Scenario.simulate
+            (Scenario.spec_q ~id:spec.algorithm ~algorithm ~n:spec.n ~k:spec.k
+               ~rate:spec.rate ~burst:spec.burst ~pattern ~rounds:spec.rounds
+               ~drain:spec.drain ())
         in
         s.injected = s.delivered + s.final_total_queue
       | _ -> true)
@@ -329,8 +321,8 @@ let test_resumable_sweep_honors_marker () =
      ());
   check_bool "quarantined cell never ran" false !ran_bad
 
-(* A sweep builds the row's catalog once up front; only a retried attempt
-   rebuilds it. *)
+(* A sweep builds the row's catalog once, and a retried attempt reruns
+   its cell's spec without rebuilding it. *)
 let test_sweep_builds_catalog_once () =
   let ids = [ "count/a"; "count/b"; "count/c" ] in
   let json results =
@@ -364,7 +356,7 @@ let test_sweep_builds_catalog_once () =
       ~policy:{ Mac_sim.Supervisor.default_policy with retries = 1 }
       ~inject ~scale:`Quick row ()
   in
-  check_int "the retry rebuilds once" 2 (Atomic.get builds);
+  check_int "the retry does not rebuild" 1 (Atomic.get builds);
   Alcotest.(check (list string)) "the retried row replays bit-identically"
     !reference (json results)
 

@@ -124,7 +124,101 @@ let test_parse_rejects_malformed () =
   expect_error_at 1 "crash -1 0";
   expect_error_at 1 "flood 1";
   expect_error_at 2 "jam 1\nnoise\n";
-  expect_error_at 3 "crash 1 0\ncrash 2 1\nrestart 3\n"
+  expect_error_at 3 "crash 1 0\ncrash 2 1\nrestart 3\n";
+  (* a range longer than max_int rounds, and a plan whose total size
+     passes max_int *)
+  expect_error_at 1 (Printf.sprintf "jam 0..%d" max_int);
+  expect_error_at 2 (Printf.sprintf "jam 1..%d\nnoise 0..5" max_int)
+
+(* A range is one interval, not one entry per round: parsing a
+   million-round range allocates a few words, not a million entries. *)
+let test_range_parse_is_bounded () =
+  let before = Gc.minor_words () in
+  let plan = FP.of_string "jam 0..1000000" in
+  let words = Gc.minor_words () -. before in
+  (match plan with
+   | Ok p ->
+     check_int "size counts every round" 1_000_001 (FP.size p);
+     check_bool "last round jammed" true
+       (FP.actions p ~round:1_000_000 = [ FP.Jam ]);
+     check_bool "nothing after it" true
+       (FP.next_action_round p ~round:1_000_001 = None)
+   | Error msg -> Alcotest.fail msg);
+  check_bool
+    (Printf.sprintf "fewer than 10,000 minor words (got %.0f)" words)
+    true (words < 10_000.)
+
+(* Random scripts mixing crash/restart points with overlapping jam and
+   noise ranges: the parsed plan and the plan scripted from the per-round
+   expansion both match a naive reading of that expansion, round by
+   round. *)
+let qcheck_ranges_match_expansion =
+  let open QCheck.Gen in
+  let round = int_bound 299 and station = int_bound 7 in
+  let directive =
+    frequency
+      [ (2, map3 (fun r s drop -> `Crash (r, s, drop)) round station bool);
+        (1, map2 (fun r s -> `Restart (r, s)) round station);
+        (4, map3 (fun jam lo len -> `Range (jam, lo, lo + len)) bool round
+              (int_bound 60)) ]
+  in
+  let line = function
+    | `Crash (r, s, drop) ->
+      Printf.sprintf "crash %d %d %s" r s (if drop then "drop" else "keep")
+    | `Restart (r, s) -> Printf.sprintf "restart %d %d" r s
+    | `Range (jam, lo, hi) ->
+      Printf.sprintf "%s %s"
+        (if jam then "jam" else "noise")
+        (if lo = hi then string_of_int lo else Printf.sprintf "%d..%d" lo hi)
+  in
+  let expand = function
+    | `Crash (r, s, drop) ->
+      let queue = if drop then FP.Drop else FP.Retain in
+      [ (r, FP.Crash { station = s; queue }) ]
+    | `Restart (r, s) -> [ (r, FP.Restart { station = s }) ]
+    | `Range (jam, lo, hi) ->
+      let action = if jam then FP.Jam else FP.Noise in
+      List.init (hi - lo + 1) (fun i -> (lo + i, action))
+  in
+  let script ds = String.concat "\n" (List.map line ds) in
+  QCheck.Test.make ~name:"ranged_plan_matches_its_expansion" ~count:200
+    (QCheck.make ~print:script (list_size (int_range 1 12) directive))
+    (fun ds ->
+      let entries = List.concat_map expand ds in
+      let at r =
+        List.filter_map (fun (r', a) -> if r' = r then Some a else None) entries
+      in
+      let points l =
+        List.filter (function FP.Crash _ | FP.Restart _ -> true | _ -> false) l
+      in
+      let agrees p =
+        FP.size p = List.length entries
+        && FP.max_station p
+           = List.fold_left
+               (fun m (_, a) ->
+                 match a with
+                 | FP.Crash { station; _ } | FP.Restart { station } ->
+                   max m station
+                 | FP.Jam | FP.Noise -> m)
+               (-1) entries
+        && List.for_all
+             (fun r ->
+               let got = FP.actions p ~round:r in
+               FP.next_action_round p ~round:r
+               = List.fold_left
+                   (fun acc (r', _) ->
+                     if r' < r then acc
+                     else Some (match acc with Some m -> min m r' | None -> r'))
+                   None entries
+               && points got = points (at r)
+               && List.mem FP.Jam got = List.mem FP.Jam (at r)
+               && List.mem FP.Noise got = List.mem FP.Noise (at r))
+             (List.init 400 Fun.id)
+      in
+      match FP.of_string (script ds) with
+      | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg
+      | Ok parsed ->
+        agrees parsed && agrees (FP.scripted ~name:"expanded" entries))
 
 let test_plan_file_missing () =
   match FP.of_file "/nonexistent/eear-fault-plan" with
@@ -481,7 +575,10 @@ let () =
        [ Alcotest.test_case "good script" `Quick test_parse_good_script;
          Alcotest.test_case "rejects malformed" `Quick
            test_parse_rejects_malformed;
-         Alcotest.test_case "missing file" `Quick test_plan_file_missing ]);
+         Alcotest.test_case "missing file" `Quick test_plan_file_missing;
+         Alcotest.test_case "ranges stay intervals" `Quick
+           test_range_parse_is_bounded;
+         QCheck_alcotest.to_alcotest qcheck_ranges_match_expansion ]);
       ("engine",
        [ Alcotest.test_case "empty plan bit-identical" `Quick
            test_empty_plan_bit_identical;

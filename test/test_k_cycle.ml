@@ -72,7 +72,7 @@ let test_unstable_above_k_over_n () =
   let choice = Mac_adversary.Saboteur.min_duty ~n ~horizon:30_000 ~schedule in
   let s =
     run_kc ~rate:(1.2 *. float_of_int k /. float_of_int n) ~rounds:100_000
-      ~drain:0 choice.Mac_adversary.Saboteur.pattern
+      ~drain:0 (choice.Mac_adversary.Saboteur.pattern ())
   in
   check_bool "unstable above k/n" true (is_unstable s)
 

@@ -90,7 +90,7 @@ let test_unstable_above_threshold_min_pair () =
   in
   let s =
     run_ks ~rate:(1.3 *. rate_for ~n ~k) ~rounds:120_000 ~drain:0
-      choice.Mac_adversary.Saboteur.pattern
+      (choice.Mac_adversary.Saboteur.pattern ())
   in
   check_bool "unstable above threshold" true (is_unstable s)
 

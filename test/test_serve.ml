@@ -7,6 +7,7 @@
 module J = Mac_channel.Jsonv
 module E = Mac_sim.Engine
 module Client = Mac_serve.Client
+module Scenario = Mac_experiments.Scenario
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -89,36 +90,34 @@ let trace6 =
   [ (0, 0, 1); (0, 2, 0); (3, 1, 4); (10, 3, 2); (50, 4, 5); (120, 5, 0);
     (121, 0, 5); (300, 2, 3) ]
 
-(* The batch-mode reference: same engine configuration [adopt_channel]
-   builds (minus the telemetry probe, whose frames the spool filters out),
-   driven by the closed-loop [Engine.run]. The serve daemon's spool and
-   summary must match these bytes exactly. *)
-let batch_reference ~n ~k ~rounds ~drain ~trace =
-  let module A = Mac_routing.Orchestra in
-  let _feed, pattern = Mac_adversary.Pattern.external_queue ~initial:trace () in
-  let adversary =
-    Mac_adversary.Adversary.create_q
-      ~rate:(Mac_channel.Qrat.make 1 2)
-      ~burst:(Mac_channel.Qrat.of_int 2)
-      pattern
-  in
+(* The batch-mode reference: the spec [adopt_channel] builds for an
+   externally fed Orchestra channel, its feed preloaded with [trace]. *)
+let reference_spec ~n ~k ~rounds ~drain ~trace =
+  Scenario.spec_q ~id:"reference" ~algorithm:(module Mac_routing.Orchestra)
+    ~n ~k ~rate:(Mac_channel.Qrat.make 1 2) ~burst:(Mac_channel.Qrat.of_int 2)
+    ~pattern:(fun () ->
+      snd (Mac_adversary.Pattern.external_queue ~initial:trace ()))
+    ~rounds ~drain ()
+
+(* The spool's lines: every event but the telemetry frames. *)
+let spool_buffer () =
   let buf = Buffer.create 4096 in
-  let sink =
+  ( buf,
     Mac_sim.Sink.make (fun ~round ev ->
         match ev with
         | Mac_channel.Event.Telemetry _ -> ()
         | _ ->
           Buffer.add_string buf (Mac_channel.Event.to_json ~round ev);
-          Buffer.add_char buf '\n')
-  in
-  let config =
-    { (E.default_config ~rounds) with
-      drain_limit = drain;
-      check_schedule = A.oblivious;
-      sink = Some sink }
-  in
+          Buffer.add_char buf '\n') )
+
+(* The reference run's spool and summary: the serve daemon's must match
+   these bytes exactly. *)
+let batch_reference ~n ~k ~rounds ~drain ~trace =
+  let spec = reference_spec ~n ~k ~rounds ~drain ~trace in
+  let buf, sink = spool_buffer () in
   let summary =
-    E.run ~config ~algorithm:(module A) ~n ~k ~adversary ~rounds ()
+    Scenario.simulate ~config:{ (Scenario.config spec) with sink = Some sink }
+      spec
   in
   (Buffer.contents buf, Mac_sim.Export.summary_json summary ^ "\n")
 
@@ -132,33 +131,10 @@ let test_session_chunked_equals_run () =
   let events_run, summary_run =
     batch_reference ~n ~k ~rounds ~drain ~trace:trace6
   in
-  let module A = Mac_routing.Orchestra in
-  let _feed, pattern =
-    Mac_adversary.Pattern.external_queue ~initial:trace6 ()
-  in
-  let adversary =
-    Mac_adversary.Adversary.create_q
-      ~rate:(Mac_channel.Qrat.make 1 2)
-      ~burst:(Mac_channel.Qrat.of_int 2)
-      pattern
-  in
-  let buf = Buffer.create 4096 in
-  let sink =
-    Mac_sim.Sink.make (fun ~round ev ->
-        match ev with
-        | Mac_channel.Event.Telemetry _ -> ()
-        | _ ->
-          Buffer.add_string buf (Mac_channel.Event.to_json ~round ev);
-          Buffer.add_char buf '\n')
-  in
-  let config =
-    { (E.default_config ~rounds) with
-      drain_limit = drain;
-      check_schedule = A.oblivious;
-      sink = Some sink }
-  in
+  let spec = reference_spec ~n ~k ~rounds ~drain ~trace:trace6 in
+  let buf, sink = spool_buffer () in
   let s =
-    E.start ~config ~algorithm:(module A) ~n ~k ~adversary ~rounds ()
+    Scenario.start ~config:{ (Scenario.config spec) with sink = Some sink } spec
   in
   while not (E.session_complete s) do
     ignore (E.advance s ~max_steps:7)
@@ -183,15 +159,9 @@ type observed = {
   checkpoints : string list;
 }
 
-let config_of (r : Diff.run) =
-  { (E.default_config ~rounds:r.rounds) with
-    drain_limit = r.drain; strict = false; faults = r.faults; mode = E.Auto }
+let config_of (r : Scenario.spec) = { (Diff.config r) with mode = E.Auto }
 
-let adversary_of (r : Diff.run) =
-  Mac_adversary.Adversary.create_q ~name:r.id ~rate:r.rate ~burst:r.burst
-    ~pacing:r.pacing r.pattern
-
-let observe (r : Diff.run) ~with_sink ~every drive =
+let observe (r : Scenario.spec) ~with_sink ~every drive =
   let events = Buffer.create 4096 in
   let sink =
     Mac_sim.Sink.make (fun ~round ev ->
@@ -207,7 +177,7 @@ let observe (r : Diff.run) ~with_sink ~every drive =
         Some (fun s -> checkpoints := Marshal.to_string s [] :: !checkpoints) }
   in
   let summary =
-    match drive config (adversary_of r) with
+    match drive config with
     | s -> Ok (Marshal.to_string (s : Mac_sim.Metrics.summary) [])
     | exception E.Protocol_violation msg -> Error msg
   in
@@ -218,27 +188,19 @@ let chunked_equals_run_property =
   QCheck.Test.make ~name:"chunked session = run, dense and sparse" ~count:24
     QCheck.(pair bool (int_range 0 1_000_000))
     (fun (sparse, seed) ->
-      let make =
-        if sparse then Diff.random_sparse ~seed
-        else fun () -> fst (Diff.random_pair ~seed)
-      in
+      let r = if sparse then Diff.random_sparse ~seed else Diff.random ~seed in
       let budgets = Random.State.make [| seed |] in
       List.for_all
         (fun with_sink ->
-          let r = make () in
           let every = 1 + Random.State.int budgets (max 1 (r.rounds / 4)) in
           let whole =
-            observe r ~with_sink ~every (fun config adversary ->
-                E.run ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k ~adversary
-                  ~rounds:r.rounds ())
+            observe r ~with_sink ~every (fun config ->
+                Scenario.simulate ~config r)
           in
           let snapshots = ref [] in
           let chunked =
-            observe (make ()) ~with_sink ~every (fun config adversary ->
-                let s =
-                  E.start ~config ~algorithm:r.algorithm ~n:r.n ~k:r.k
-                    ~adversary ~rounds:r.rounds ()
-                in
+            observe r ~with_sink ~every (fun config ->
+                let s = Scenario.start ~config r in
                 while not (E.session_complete s) do
                   ignore (E.advance s ~max_steps:(1 + Random.State.int budgets 64));
                   snapshots := E.session_snapshot s :: !snapshots
@@ -246,12 +208,9 @@ let chunked_equals_run_property =
                 E.finish s)
           in
           let resumed snap =
-            let r = make () in
             Ok
               (Marshal.to_string
-                 (E.run ~config:(config_of r) ~resume:snap
-                    ~algorithm:r.algorithm ~n:r.n ~k:r.k
-                    ~adversary:(adversary_of r) ~rounds:r.rounds ())
+                 (Scenario.simulate ~config:(config_of r) ~resume:snap r)
                  [])
           in
           whole = chunked
@@ -669,6 +628,51 @@ let test_respawn_keeps_accepted_packets () =
   check_batch_bytes ~dir ~channel:"carry" ~rounds ~drain
     ~trace:(trace6 @ late)
 
+(* One channel adopted five times (open, three migrations, a shard
+   respawn) and run to completion is one started and one completed
+   scenario in fleet.prom, whose totals are the finished run's. *)
+let test_fleet_counts_a_channel_once () =
+  let dir = temp_dir "eear_serve_fleet" in
+  let socket, d = start_server ~dir ~shards:2 in
+  let c = connect_ok socket in
+  ignore
+    (req c
+       [ ("cmd", J.Str "open"); ("channel", J.Str "c1");
+         ("algorithm", J.Str "count-hop"); ("n", J.Int 6); ("k", J.Int 2);
+         ("rounds", J.Int 3000); ("pattern", J.Str "uniform") ]);
+  List.iter
+    (fun shard ->
+      ignore
+        (req c
+           [ ("cmd", J.Str "migrate"); ("channel", J.Str "c1");
+             ("shard", J.Int shard) ]))
+    [ 1; 0; 1 ];
+  ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 1) ]);
+  check_complete (req_retry c (run_cmd ~channel:"c1"));
+  Client.close c;
+  stop_server socket d;
+  let injected =
+    match J.parse (read_file (Filename.concat dir "c1.summary.json")) with
+    | Ok v -> int_of "injected" v
+    | Error msg -> Alcotest.fail msg
+  in
+  match
+    Mac_sim.Telemetry.parse_exposition
+      (read_file (Filename.concat dir "fleet.prom"))
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok samples ->
+    let value name =
+      match List.find_opt (fun (n, _, _) -> n = name) samples with
+      | Some (_, _, v) -> int_of_float v
+      | None -> Alcotest.failf "fleet.prom has no %s" name
+    in
+    let module N = Mac_sim.Telemetry.Names in
+    check_int "started once" 1 (value N.scenarios_started);
+    check_int "completed once" 1 (value N.scenarios_completed);
+    check_int "injected total is the summary's" injected
+      (value N.injected_total)
+
 (* A channel migrated back and forth while a second connection injects
    one packet at a time: every accepted packet is injected by the end of
    the run, and every refusal asks for a retry. *)
@@ -766,7 +770,6 @@ let test_faulted_channel_matches_batch () =
   stop_server socket d;
   let ok = function Ok x -> x | Error msg -> Alcotest.fail msg in
   let module Registry = Mac_experiments.Registry in
-  let module Scenario = Mac_experiments.Scenario in
   let d = Registry.default in
   let outcome =
     Scenario.run
@@ -951,6 +954,8 @@ let () =
            test_respawn_keeps_accepted_packets;
          Alcotest.test_case "migrate under injection" `Quick
            test_migrate_under_injection;
+         Alcotest.test_case "fleet counts a channel once" `Quick
+           test_fleet_counts_a_channel_once;
          Alcotest.test_case "faulted channel = batch" `Quick
            test_faulted_channel_matches_batch;
          Alcotest.test_case "out-of-range plan refused" `Quick

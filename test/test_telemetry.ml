@@ -245,8 +245,25 @@ let test_fleet_aggregate () =
     | Error msg -> Alcotest.failf "%s: %s" name msg
   in
   expect_file "fleet.prom";
-  expect_file (T.Fleet.sanitize "row/a" ^ ".prom");
-  expect_file (T.Fleet.sanitize "row/b" ^ ".prom")
+  expect_file (Mac_sim.Durable.file_stem "row/a" ^ ".prom");
+  expect_file (Mac_sim.Durable.file_stem "row/b" ^ ".prom")
+
+(* A scenario probed again (a retry, a served channel adopted again)
+   starts once; only its finished probe is merged. *)
+let test_fleet_counts_each_id_once () =
+  let fleet = T.Fleet.create () in
+  let started () =
+    T.counter_value
+      (T.counter (T.Fleet.aggregate fleet) T.Names.scenarios_started)
+  in
+  let probes = List.init 3 (fun _ -> T.Fleet.probe fleet ~id:"row/a") in
+  T.Fleet.finish fleet (List.nth probes 2);
+  check_int "three probes of one id start once" 1 (started ());
+  check_int "one finish completes once" 1
+    (T.counter_value
+       (T.counter (T.Fleet.aggregate fleet) T.Names.scenarios_completed));
+  ignore (T.Fleet.probe fleet ~id:"row/b");
+  check_int "a second id starts again" 2 (started ())
 
 (* Concurrent probes from batch workers keep exact totals. *)
 let test_fleet_parallel () =
@@ -391,7 +408,9 @@ let () =
          Alcotest.test_case "atomic writes" `Quick test_write_atomic ]);
       ("fleet",
        [ Alcotest.test_case "aggregate" `Quick test_fleet_aggregate;
-         Alcotest.test_case "parallel probes" `Quick test_fleet_parallel ]);
+         Alcotest.test_case "parallel probes" `Quick test_fleet_parallel;
+         Alcotest.test_case "each id starts once" `Quick
+           test_fleet_counts_each_id_once ]);
       ("engine",
        [ Alcotest.test_case "cadence" `Quick test_engine_cadence;
          Alcotest.test_case "final partial sample" `Quick

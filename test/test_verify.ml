@@ -9,8 +9,7 @@
 open Mac_verify
 
 let check_pair seed =
-  let engine, oracle = Diff.random_pair ~seed in
-  let v = Diff.run_pair ~engine ~oracle in
+  let v = Diff.run_pair (Diff.random ~seed) in
   if not (Diff.agrees v) then
     Alcotest.failf "divergence at seed %d:@.%a" seed Diff.pp_verdict v
 
@@ -21,16 +20,15 @@ let test_deterministic_sweep () =
 
 let test_events_nonempty () =
   (* sanity: the comparison is not vacuous — streams carry real events *)
-  let engine, oracle = Diff.random_pair ~seed:1 in
-  let v = Diff.run_pair ~engine ~oracle in
+  let v = Diff.run_pair (Diff.random ~seed:1) in
   Alcotest.(check bool) "compared a real stream" true (v.Diff.events > 100)
 
 let test_jobs_invariance () =
-  (* the pooled driver returns the same verdicts in the same order *)
-  let pairs = List.init 6 (fun seed -> Diff.random_pair ~seed) in
-  let pairs' = List.init 6 (fun seed -> Diff.random_pair ~seed) in
-  let seq = Diff.run_pairs ~jobs:1 pairs in
-  let par = Diff.run_pairs ~jobs:2 pairs' in
+  (* the pooled driver returns the same verdicts in the same order; one
+     list of specs drives both batches *)
+  let specs = List.init 6 (fun seed -> Diff.random ~seed) in
+  let seq = Diff.run_pairs ~jobs:1 specs in
+  let par = Diff.run_pairs ~jobs:2 specs in
   List.iter2
     (fun (a : Diff.verdict) (b : Diff.verdict) ->
       Alcotest.(check string) "same id" a.id b.id;
@@ -41,7 +39,7 @@ let test_jobs_invariance () =
 (* ---- sparse-mode certification ---- *)
 
 let check_sparse seed =
-  let v = Diff.certify_sparse ~make:(Diff.random_sparse ~seed) in
+  let v = Diff.certify_sparse (Diff.random_sparse ~seed) in
   if not (Diff.agrees v) then
     Alcotest.failf "sparse divergence at seed %d:@.%a" seed Diff.pp_verdict v
 
@@ -51,9 +49,9 @@ let test_sparse_deterministic_sweep () =
   done
 
 let test_sparse_batch_jobs_invariance () =
-  let makers () = List.init 6 (fun seed -> Diff.random_sparse ~seed) in
-  let seq = Diff.certify_sparse_batch ~jobs:1 (makers ()) in
-  let par = Diff.certify_sparse_batch ~jobs:2 (makers ()) in
+  let specs = List.init 6 (fun seed -> Diff.random_sparse ~seed) in
+  let seq = Diff.certify_sparse_batch ~jobs:1 specs in
+  let par = Diff.certify_sparse_batch ~jobs:2 specs in
   List.iter2
     (fun (a : Diff.verdict) (b : Diff.verdict) ->
       Alcotest.(check string) "same id" a.id b.id;
@@ -65,14 +63,12 @@ let qcheck_sparse_random_seeds =
     ~count:30
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      Diff.agrees (Diff.certify_sparse ~make:(Diff.random_sparse ~seed)))
+      Diff.agrees (Diff.certify_sparse (Diff.random_sparse ~seed)))
 
 let qcheck_random_seeds =
   QCheck.Test.make ~name:"engine_matches_oracle_on_random_seeds" ~count:60
     QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let engine, oracle = Diff.random_pair ~seed in
-      Diff.agrees (Diff.run_pair ~engine ~oracle))
+    (fun seed -> Diff.agrees (Diff.run_pair (Diff.random ~seed)))
 
 let () =
   Alcotest.run "verify"
