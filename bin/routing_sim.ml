@@ -267,21 +267,19 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
               exit 2)
           telemetry_jsonl
       in
+      let jsonl = Option.map Mac_sim.Sink.jsonl jsonl_oc in
       let on_sample ~round reg =
         Option.iter
           (fun path ->
             Mac_sim.Telemetry.write_atomic ~path (Mac_sim.Telemetry.render reg))
           telemetry_file;
         Option.iter
-          (fun oc ->
-            let ev =
-              Mac_channel.Event.Telemetry
-                { sample = Mac_sim.Telemetry.sample reg }
-            in
-            output_string oc (Mac_channel.Event.to_json ~round ev);
-            output_char oc '\n';
-            flush oc)
-          jsonl_oc;
+          (fun (sink : Mac_sim.Sink.t) ->
+            sink.emit ~round
+              (Mac_channel.Event.Telemetry
+                 { sample = Mac_sim.Telemetry.sample reg }))
+          jsonl;
+        Option.iter flush jsonl_oc;
         if progress then progress_line ~round reg
       in
       ( Some (Mac_sim.Telemetry.probe ~every:telemetry_every ~on_sample registry),

@@ -70,92 +70,125 @@ let to_string = function
 
 (* ---- JSON encoding ---- *)
 
-let add_field buf name value =
+(* Decimal digits of [v <= 0] without the sign, most significant first.
+   Working on the non-positive side covers [min_int], whose negation
+   overflows; [v mod 10] lies in [-9, 0] there. *)
+let rec add_neg_digits buf v =
+  if v <= -10 then add_neg_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (v mod 10)))
+
+(* [string_of_int]'s bytes, written without making the string. *)
+let add_int buf v =
+  if v < 0 then begin
+    Buffer.add_char buf '-';
+    add_neg_digits buf v
+  end
+  else add_neg_digits buf (-v)
+
+let add_key buf name =
   Buffer.add_string buf ",\"";
   Buffer.add_string buf name;
-  Buffer.add_string buf "\":";
-  Buffer.add_string buf value
+  Buffer.add_string buf "\":"
 
-let int_field buf name v = add_field buf name (string_of_int v)
-let bool_field buf name v = add_field buf name (if v then "true" else "false")
+let int_field buf name v =
+  add_key buf name;
+  add_int buf v
+
+let bool_field buf name v =
+  add_key buf name;
+  Buffer.add_string buf (if v then "true" else "false")
+
+(* A plain recursion: [List.iteri] would allocate its closure per list. *)
+let rec add_ints buf ~comma = function
+  | [] -> ()
+  | v :: rest ->
+    if comma then Buffer.add_char buf ',';
+    add_int buf v;
+    add_ints buf ~comma:true rest
 
 let ints_field buf name vs =
-  add_field buf name ("[" ^ stations_string vs ^ "]")
+  add_key buf name;
+  Buffer.add_char buf '[';
+  add_ints buf ~comma:false vs;
+  Buffer.add_char buf ']'
 
-let to_json ~round ev =
-  let buf = Buffer.create 96 in
+let typ buf name =
+  Buffer.add_string buf ",\"type\":\"";
+  Buffer.add_string buf name;
+  Buffer.add_char buf '"'
+
+let add_json buf ~round ev =
   Buffer.add_string buf "{\"round\":";
-  Buffer.add_string buf (string_of_int round);
-  let typ name = add_field buf "type" ("\"" ^ name ^ "\"") in
+  add_int buf round;
   (match ev with
    | Injected { id; src; dst } ->
-     typ "injected";
+     typ buf "injected";
      int_field buf "id" id;
      int_field buf "src" src;
      int_field buf "dst" dst
    | Switched_on { station } ->
-     typ "switched_on";
+     typ buf "switched_on";
      int_field buf "station" station
    | Switched_off { station } ->
-     typ "switched_off";
+     typ buf "switched_off";
      int_field buf "station" station
    | Transmit { station; light } ->
-     typ "transmit";
+     typ buf "transmit";
      int_field buf "station" station;
      bool_field buf "light" light
-   | Silence -> typ "silence"
+   | Silence -> typ buf "silence"
    | Collision { stations } ->
-     typ "collision";
+     typ buf "collision";
      ints_field buf "stations" stations
    | Heard { station; bits; light } ->
-     typ "heard";
+     typ buf "heard";
      int_field buf "station" station;
      int_field buf "bits" bits;
      bool_field buf "light" light
    | Delivered { id; from_; dst; delay; hops } ->
-     typ "delivered";
+     typ buf "delivered";
      int_field buf "id" id;
      int_field buf "from" from_;
      int_field buf "dst" dst;
      int_field buf "delay" delay;
      int_field buf "hops" hops
    | Relayed { id; from_; relay; dst } ->
-     typ "relayed";
+     typ buf "relayed";
      int_field buf "id" id;
      int_field buf "from" from_;
      int_field buf "relay" relay;
      int_field buf "dst" dst
    | Stranded { id; station } ->
-     typ "stranded";
+     typ buf "stranded";
      int_field buf "id" id;
      int_field buf "station" station
    | Cap_exceeded { on_count; cap } ->
-     typ "cap_exceeded";
+     typ buf "cap_exceeded";
      int_field buf "on" on_count;
      int_field buf "cap" cap
    | Adoption_conflict { stations } ->
-     typ "adoption_conflict";
+     typ buf "adoption_conflict";
      ints_field buf "stations" stations
    | Spurious_adoption { stations } ->
-     typ "spurious_adoption";
+     typ buf "spurious_adoption";
      ints_field buf "stations" stations
    | Round_end { on_count; draining } ->
-     typ "round_end";
+     typ buf "round_end";
      int_field buf "on" on_count;
      bool_field buf "draining" draining
    | Station_crashed { station; lost } ->
-     typ "station_crashed";
+     typ buf "station_crashed";
      int_field buf "station" station;
      int_field buf "lost" lost
    | Station_restarted { station } ->
-     typ "station_restarted";
+     typ buf "station_restarted";
      int_field buf "station" station
    | Round_jammed { transmitters; noise } ->
-     typ "round_jammed";
+     typ buf "round_jammed";
      int_field buf "transmitters" transmitters;
      bool_field buf "noise" noise
    | Telemetry { sample } ->
-     typ "telemetry";
+     typ buf "telemetry";
      Buffer.add_string buf ",\"sample\":{";
      List.iteri
        (fun i (k, v) ->
@@ -166,7 +199,11 @@ let to_json ~round ev =
          Jsonv.add_float buf v)
        sample;
      Buffer.add_char buf '}');
-  Buffer.add_char buf '}';
+  Buffer.add_char buf '}'
+
+let to_json ~round ev =
+  let buf = Buffer.create 96 in
+  add_json buf ~round ev;
   Buffer.contents buf
 
 (* ---- JSON decoding ---- *)

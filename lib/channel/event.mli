@@ -73,11 +73,18 @@ val to_string : t -> string
 (** Compact human-readable form ("inject #3 0->2", "deliver #3 1->2
     (delay 4, hop 2)", ...) — the format the [Trace] ring buffer shows. *)
 
+val add_json : Buffer.t -> round:int -> t -> unit
+(** [add_json buf ~round ev] appends the event's one-line JSON object,
+    e.g. [{"round":7,"type":"injected","id":3,"src":0,"dst":2}], to
+    [buf], without a newline: exactly the bytes {!to_json} returns,
+    whatever [buf] already holds. This is the only event encoder. Field
+    names are constants and integers are written digit by digit, so an
+    event without a telemetry sample allocates nothing beyond [buf]'s own
+    growth. Telemetry keys and values are written with {!Jsonv.escape}
+    and {!Jsonv.add_float}, so no byte below 0x20 appears raw. *)
+
 val to_json : round:int -> t -> string
-(** One-line JSON object, e.g.
-    [{"round":7,"type":"injected","id":3,"src":0,"dst":2}]. Telemetry
-    keys and values are written with {!Jsonv.escape} and
-    {!Jsonv.add_float}, so no byte below 0x20 appears raw. *)
+(** {!add_json} into a fresh buffer: the event's line as a string. *)
 
 val of_json_line : string -> (int * t, string) result
 (** Decode a line produced by {!to_json} back into [(round, event)]. The

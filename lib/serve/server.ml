@@ -197,15 +197,26 @@ let spool_open path =
   in
   { sp_fd = fd; sp_buf = Buffer.create 8192 }
 
+(* Staging between a spool's buffer and its fd, one per domain and the
+   size of [Unix.write]'s own: a flush blits the buffer through it a chunk
+   at a time instead of allocating a string of the whole advance batch
+   (up to hundreds of KB, straight into the major heap) on every flush. *)
+let spool_chunk = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
+(* The buffer is emptied even when a write fails, so the [detach] of the
+   failed channel does not write its head twice. *)
 let spool_flush sp =
-  let s = Buffer.contents sp.sp_buf in
-  Buffer.clear sp.sp_buf;
-  let len = String.length s in
-  let b = Bytes.unsafe_of_string s in
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write sp.sp_fd b !off (len - !off)
-  done
+  let chunk = Domain.DLS.get spool_chunk in
+  Fun.protect
+    ~finally:(fun () -> Buffer.clear sp.sp_buf)
+    (fun () ->
+      let len = Buffer.length sp.sp_buf in
+      let off = ref 0 in
+      while !off < len do
+        let n = min (Bytes.length chunk) (len - !off) in
+        Buffer.blit sp.sp_buf !off chunk 0 n;
+        off := !off + Unix.write sp.sp_fd chunk 0 n
+      done)
 
 let spool_sink sp =
   Mac_sim.Sink.make (fun ~round ev ->
@@ -216,13 +227,14 @@ let spool_sink sp =
            probe installed). *)
         ()
       | _ ->
-        Buffer.add_string sp.sp_buf (Mac_channel.Event.to_json ~round ev);
+        Mac_channel.Event.add_json sp.sp_buf ~round ev;
         Buffer.add_char sp.sp_buf '\n')
 
 (* Cut the spool back to the first event at or past [from_round], so a
    resumed engine (which re-executes from that round) appends exactly the
    bytes the crashed run would have written. A line without a round counts
-   as corruption and is cut too. *)
+   as corruption and is cut too, and so does a last line without its
+   newline: a torn write, whose fragment may read as an early round. *)
 let truncate_spool ~path ~from_round =
   if Sys.file_exists path then begin
     let ic = open_in_bin path in
@@ -234,9 +246,10 @@ let truncate_spool ~path ~from_round =
             match input_line ic with
             | exception End_of_file -> keep
             | line -> (
+              let next = pos_in ic in
+              let terminated = next > keep + String.length line in
               match Mac_channel.Event.round_of_line line with
-              | Some r when r < from_round ->
-                go (keep + String.length line + 1)
+              | Some r when r < from_round && terminated -> go next
               | _ -> keep)
           in
           go 0)

@@ -16,20 +16,21 @@ let ring ?(all = false) trace =
       if all || Event.notable ev then
         Trace.event trace ~round (Event.to_string ev))
 
-let jsonl oc =
-  make
-    ~close:(fun () -> flush oc)
-    (fun ~round ev ->
-      output_string oc (Event.to_json ~round ev);
-      output_char oc '\n')
+(* Each line is encoded into one buffer the sink reuses, then copied
+   into the channel's own buffer: no string is made per event. *)
+let jsonl_emit oc =
+  let buf = Buffer.create 256 in
+  fun ~round ev ->
+    Buffer.clear buf;
+    Event.add_json buf ~round ev;
+    Buffer.add_char buf '\n';
+    Buffer.output_buffer oc buf
+
+let jsonl oc = make ~close:(fun () -> flush oc) (jsonl_emit oc)
 
 let jsonl_file path =
   let oc = open_out path in
-  make
-    ~close:(fun () -> close_out oc)
-    (fun ~round ev ->
-      output_string oc (Event.to_json ~round ev);
-      output_char oc '\n')
+  make ~close:(fun () -> close_out oc) (jsonl_emit oc)
 
 let tee sinks =
   make

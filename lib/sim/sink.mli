@@ -29,8 +29,10 @@ val ring : ?all:bool -> Mac_channel.Trace.t -> t
     behaviour; [~all:true] records every event. *)
 
 val jsonl : out_channel -> t
-(** Stream one JSON object per line to the channel. [close] flushes but
-    does not close the channel (the caller owns it). *)
+(** Stream one JSON object per line to the channel, each written by
+    {!Mac_channel.Event.add_json} into one buffer the sink reuses, so no
+    string is made per event. [close] flushes but does not close the
+    channel (the caller owns it). *)
 
 val jsonl_file : string -> t
 (** [jsonl] over a fresh file at [path]; [close] closes the file. *)

@@ -350,37 +350,64 @@ let test_smoke_matches_golden () =
   let golden = String.trim (read_file "golden/resilience_smoke.json") in
   Alcotest.(check string) "summary JSON matches golden" golden (String.trim out)
 
-(* Faulted runs pinned in golden/fault_streams.txt: each line's command
-   must reproduce its --json line and its --events stream byte for byte
-   (compared by MD5). Crashes with restarts strand packets, so these runs
-   take the algorithms' queue shortcuts through stranded returns. *)
-let test_fault_streams_match_golden () =
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i + n <= String.length s && String.sub s i n = sub then begin
+      Buffer.add_string b by;
+      go (i + n)
+    end
+    else if i < String.length s then begin
+      Buffer.add_char b s.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Runs pinned in a golden streams file: each line's command must
+   reproduce its stdout and its --events stream byte for byte (compared
+   by MD5). The stdout digest reads the events file's path as FILE, since
+   [run] names the file it wrote. *)
+let check_streams_golden ~golden ~command ~seed =
   let md5 s = Digest.to_hex (Digest.string s) in
-  read_file "golden/fault_streams.txt"
+  read_file golden
   |> String.split_on_char '\n'
   |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   |> List.iter (fun line ->
          match String.split_on_char ' ' line with
          | label :: json_md5 :: events_md5 :: args ->
-           let file = Filename.temp_file "eear_fault" ".jsonl" in
+           let file = Filename.temp_file "eear_streams" ".jsonl" in
            let (code, out, err), events =
              Fun.protect
                ~finally:(fun () -> Sys.remove file)
                (fun () ->
                  let result =
                    run_cli
-                     (("resilience" :: args)
-                     @ [ "--seed"; "42"; "--json"; "--events"; file ])
+                     ((command :: args)
+                     @ [ "--seed"; seed; "--json"; "--events"; file ])
                  in
                  (result, read_file file))
            in
            Alcotest.(check int)
              (Printf.sprintf "%s exit code (stderr %S)" label err) 0 code;
-           Alcotest.(check string) (label ^ ": --json digest") json_md5
-             (md5 out);
+           Alcotest.(check string) (label ^ ": stdout digest") json_md5
+             (md5 (replace ~sub:file ~by:"FILE" out));
            Alcotest.(check string) (label ^ ": events digest") events_md5
              (md5 events)
-         | _ -> Alcotest.failf "fault_streams.txt: malformed line %S" line)
+         | _ -> Alcotest.failf "%s: malformed line %S" golden line)
+
+(* Faulted runs: crashes with restarts strand packets, so these runs take
+   the algorithms' queue shortcuts through stranded returns. *)
+let test_fault_streams_match_golden () =
+  check_streams_golden ~golden:"golden/fault_streams.txt"
+    ~command:"resilience" ~seed:"42"
+
+(* Unfaulted runs: the event encoder's bytes over whole journals. *)
+let test_event_streams_match_golden () =
+  check_streams_golden ~golden:"golden/event_streams.txt" ~command:"run"
+    ~seed:"1"
 
 (* A verify seed names the same configuration in every version: the
    random draws and the Table-1 catalog print these exact counts. *)
@@ -545,6 +572,8 @@ let () =
          Alcotest.test_case "run --trace tail" `Quick test_run_trace_tail;
          Alcotest.test_case "fault streams" `Quick
            test_fault_streams_match_golden;
+         Alcotest.test_case "event streams" `Quick
+           test_event_streams_match_golden;
          Alcotest.test_case "ablation figures" `Quick
            test_ablations_match_golden;
          Alcotest.test_case "verify counts" `Quick

@@ -517,23 +517,30 @@ let allocation_points =
     ("k-subsets", Mac_routing.K_subsets.algorithm ~n:8 ~k:3 (), 8, 3,
      Qrat.make 1 10, P.pair_flood ~src:1 ~dst:2, 75.0) ]
 
+(* Minor words one dense run allocates at burst 2, with [sink] attached
+   when given. *)
+let minor_words ?sink ~algorithm ~n ~k ~rate pattern ~rounds =
+  let module A = (val algorithm : Algorithm.S) in
+  let adversary =
+    Mac_adversary.Adversary.create_q ~rate ~burst:(Qrat.of_int 2) pattern
+  in
+  let config =
+    { (Mac_sim.Engine.default_config ~rounds) with
+      mode = Mac_sim.Engine.Dense; check_schedule = A.oblivious; sink }
+  in
+  let w0 = Gc.minor_words () in
+  ignore (Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ());
+  Gc.minor_words () -. w0
+
 let test_allocation_ceilings () =
   let rounds = 20_000 in
   let over =
     List.filter_map
       (fun (label, algorithm, n, k, rate, pattern, ceiling) ->
-        let module A = (val algorithm : Algorithm.S) in
-        let adversary =
-          Mac_adversary.Adversary.create_q ~rate ~burst:(Qrat.of_int 2) pattern
+        let per_round =
+          minor_words ~algorithm ~n ~k ~rate pattern ~rounds
+          /. float_of_int rounds
         in
-        let config =
-          { (Mac_sim.Engine.default_config ~rounds) with
-            mode = Mac_sim.Engine.Dense; check_schedule = A.oblivious }
-        in
-        let w0 = Gc.minor_words () in
-        ignore
-          (Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ());
-        let per_round = (Gc.minor_words () -. w0) /. float_of_int rounds in
         Printf.printf "%s: %.2f minor words per round (ceiling %.1f)\n" label
           per_round ceiling;
         if per_round > ceiling then
@@ -545,6 +552,42 @@ let test_allocation_ceilings () =
   in
   if over <> [] then
     Alcotest.failf "minor words per round: %s" (String.concat "; " over)
+
+(* Minor words per recorded event: serve-replay's channel (count-hop
+   n = 16, k = 2, rate 1/2, burst 2, uniform, seed 1), run densely with
+   [Sink.jsonl] on /dev/null and without a sink, the difference divided by
+   the events written. The encoder writes into the sink's one reused
+   buffer, so what remains is the event values the engine builds; the
+   ceiling sits about 10% above the count the current code reaches. *)
+let test_words_per_event_ceiling () =
+  let rounds = 20_000 and ceiling = 3.6 in
+  let run sink =
+    minor_words ?sink ~algorithm:(module Mac_routing.Count_hop) ~n:16 ~k:2
+      ~rate:(Qrat.make 1 2) (Mac_adversary.Pattern.uniform ~n:16 ~seed:1)
+      ~rounds
+  in
+  let plain = run None in
+  let oc = open_out_bin "/dev/null" in
+  let jsonl = Mac_sim.Sink.jsonl oc in
+  let events = ref 0 in
+  let observed =
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        run
+          (Some
+             (Mac_sim.Sink.make (fun ~round ev ->
+                  incr events;
+                  jsonl.emit ~round ev))))
+  in
+  let per_event = (observed -. plain) /. float_of_int !events in
+  Printf.printf
+    "count-hop n16 to JSONL: %.2f minor words per event over %d events \
+     (ceiling %.1f)\n"
+    per_event !events ceiling;
+  if per_event > ceiling then
+    Alcotest.failf "a recorded event allocates %.2f minor words, above %.1f"
+      per_event ceiling
 
 let () =
   Alcotest.run "engine"
@@ -585,4 +628,6 @@ let () =
       ("determinism", [ QCheck_alcotest.to_alcotest determinism_property ]);
       ("allocation",
        [ Alcotest.test_case "dense minor words per round" `Quick
-           test_allocation_ceilings ]) ]
+           test_allocation_ceilings;
+         Alcotest.test_case "minor words per recorded event" `Quick
+           test_words_per_event_ceiling ]) ]

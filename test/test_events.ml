@@ -45,17 +45,50 @@ let all_variants : Event.t list =
             ("eear_phase_ns{phase=\"inject\"}", 481.0);
             ("odd \\ name", -3.5) ] } ]
 
+(* The exact line of every entry in [all_variants] at round 17 (i + 1):
+   recorded journals, serve spools and the golden digests all rest on
+   these bytes. *)
+let pinned_lines =
+  [ {|{"round":17,"type":"injected","id":3,"src":0,"dst":2}|};
+    {|{"round":34,"type":"switched_on","station":5}|};
+    {|{"round":51,"type":"switched_off","station":0}|};
+    {|{"round":68,"type":"transmit","station":1,"light":false}|};
+    {|{"round":85,"type":"transmit","station":2,"light":true}|};
+    {|{"round":102,"type":"silence"}|};
+    {|{"round":119,"type":"collision","stations":[0,3,7]}|};
+    {|{"round":136,"type":"heard","station":4,"bits":12,"light":true}|};
+    {|{"round":153,"type":"heard","station":4,"bits":0,"light":false}|};
+    {|{"round":170,"type":"delivered","id":9,"from":1,"dst":6,"delay":481,"hops":2}|};
+    {|{"round":187,"type":"delivered","id":0,"from":0,"dst":0,"delay":0,"hops":0}|};
+    {|{"round":204,"type":"relayed","id":7,"from":2,"relay":3,"dst":5}|};
+    {|{"round":221,"type":"stranded","id":11,"station":2}|};
+    {|{"round":238,"type":"cap_exceeded","on":5,"cap":3}|};
+    {|{"round":255,"type":"adoption_conflict","stations":[1,2]}|};
+    {|{"round":272,"type":"spurious_adoption","stations":[4]}|};
+    {|{"round":289,"type":"round_end","on":2,"draining":false}|};
+    {|{"round":306,"type":"round_end","on":0,"draining":true}|};
+    {|{"round":323,"type":"collision","stations":[]}|};
+    {|{"round":340,"type":"station_crashed","station":3,"lost":0}|};
+    {|{"round":357,"type":"station_crashed","station":0,"lost":17}|};
+    {|{"round":374,"type":"station_restarted","station":3}|};
+    {|{"round":391,"type":"round_jammed","transmitters":0,"noise":true}|};
+    {|{"round":408,"type":"round_jammed","transmitters":1,"noise":false}|};
+    {|{"round":425,"type":"round_jammed","transmitters":4,"noise":false}|};
+    {|{"round":442,"type":"telemetry","sample":{}}|};
+    {|{"round":459,"type":"telemetry","sample":{"eear_round":12000,"eear_rounds_per_second":123456.75,"eear_backlog_packets":0,"eear_gc_minor_words_per_round":0.10000000000000001,"eear_phase_ns{phase=\"inject\"}":481,"odd \\ name":-3.5}}|} ]
+
 let test_json_roundtrip () =
   List.iteri
-    (fun i ev ->
+    (fun i (ev, pinned) ->
       let round = 17 * (i + 1) in
       let line = Event.to_json ~round ev in
+      Alcotest.(check string) "pinned line" pinned line;
       match Event.of_json_line line with
       | Ok (round', ev') ->
         check_int (Printf.sprintf "round of %s" line) round round';
         check_bool (Printf.sprintf "event of %s" line) true (ev = ev')
       | Error msg -> Alcotest.failf "%s: %s" line msg)
-    all_variants
+    (List.combine all_variants pinned_lines)
 
 let test_json_rejects_malformed () =
   let bad =
@@ -248,6 +281,65 @@ let qcheck_telemetry_keys_roundtrip =
       let line = Event.to_json ~round:3 ev in
       String.for_all (fun c -> Char.code c >= 0x20) line
       && Event.of_json_line line = Ok (3, ev))
+
+(* Random events over the whole int range, [min_int] and [max_int]
+   included, with empty and long station lists and arbitrary telemetry
+   keys. [add_json] into a buffer that already holds bytes appends
+   exactly [to_json]'s line, and that line decodes to the same event. *)
+let event_gen =
+  let open QCheck.Gen in
+  let i =
+    frequency
+      [ (3, small_signed_int); (3, int); (1, return 0); (1, return min_int);
+        (1, return max_int); (2, map (fun v -> -v) nat) ]
+  in
+  let stations = list_size (int_bound 100) i in
+  oneof
+    [ (fun st -> Event.Injected { id = i st; src = i st; dst = i st });
+      map (fun station -> Event.Switched_on { station }) i;
+      map (fun station -> Event.Switched_off { station }) i;
+      map2 (fun station light -> Event.Transmit { station; light }) i bool;
+      return Event.Silence;
+      map (fun stations -> Event.Collision { stations }) stations;
+      map3 (fun station bits light -> Event.Heard { station; bits; light })
+        i i bool;
+      (fun st ->
+        Event.Delivered
+          { id = i st; from_ = i st; dst = i st; delay = i st; hops = i st });
+      (fun st ->
+        Event.Relayed { id = i st; from_ = i st; relay = i st; dst = i st });
+      map2 (fun id station -> Event.Stranded { id; station }) i i;
+      map2 (fun on_count cap -> Event.Cap_exceeded { on_count; cap }) i i;
+      map (fun stations -> Event.Adoption_conflict { stations }) stations;
+      map (fun stations -> Event.Spurious_adoption { stations }) stations;
+      map2 (fun on_count draining -> Event.Round_end { on_count; draining })
+        i bool;
+      map2 (fun station lost -> Event.Station_crashed { station; lost }) i i;
+      map (fun station -> Event.Station_restarted { station }) i;
+      map2
+        (fun transmitters noise -> Event.Round_jammed { transmitters; noise })
+        i bool;
+      map
+        (fun kvs ->
+          Event.Telemetry
+            { sample = List.map (fun (k, v) -> (k, finite v)) kvs })
+        (small_list (pair string float)) ]
+  |> triple string i
+
+let qcheck_add_json_appends_to_json =
+  QCheck.Test.make ~name:"add_json_appends_to_json_and_roundtrips"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (prefix, round, ev) ->
+         Printf.sprintf "%S + %s" prefix (Event.to_json ~round ev))
+       event_gen)
+    (fun (prefix, round, ev) ->
+      let line = Event.to_json ~round ev in
+      let buf = Buffer.create 16 in
+      Buffer.add_string buf prefix;
+      Event.add_json buf ~round ev;
+      Buffer.contents buf = prefix ^ line
+      && Event.of_json_line line = Ok (round, ev))
 
 (* ---- sink combinators ---- *)
 
@@ -613,7 +705,8 @@ let () =
            test_unicode_escapes_decode;
          Alcotest.test_case "bad \\u escapes are typed errors" `Quick
            test_unicode_escape_errors_are_typed;
-         QCheck_alcotest.to_alcotest qcheck_telemetry_keys_roundtrip ]);
+         QCheck_alcotest.to_alcotest qcheck_telemetry_keys_roundtrip;
+         QCheck_alcotest.to_alcotest qcheck_add_json_appends_to_json ]);
       ("jsonv",
        [ Alcotest.test_case "roundtrip" `Quick test_jsonv_roundtrip;
          Alcotest.test_case "rejects malformed" `Quick

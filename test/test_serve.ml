@@ -860,6 +860,35 @@ let test_refused_channel_answers_failed () =
   Client.close c;
   stop_server socket d
 
+(* A write torn inside the first event after a checkpoint leaves an
+   unterminated fragment at the spool's end, here one that reads as round
+   1. Adoption must cut it: a resumed session appending onto it would
+   leave a line that is not an event, and the spool would no longer read
+   as the batch stream. *)
+let test_torn_spool_tail_is_cut () =
+  let rounds = 600 and drain = 200 in
+  let dir = temp_dir "eear_serve_torn" in
+  let socket, d = start_server ~dir ~shards:1 in
+  let c = connect_ok socket in
+  ignore (req c (open_cmd ~channel:"torn" ~rounds ~drain));
+  ignore (req c (inject_cmd ~channel:"torn" trace6));
+  check_int "stepped" 200
+    (int_of "round" (req c (step_cmd ~channel:"torn" 200)));
+  Client.close c;
+  stop_server socket d;
+  let oc =
+    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+      (Filename.concat dir "torn.events.jsonl")
+  in
+  output_string oc "{\"round\":1";
+  close_out oc;
+  let socket, d = start_server ~dir ~shards:1 in
+  let c = connect_ok socket in
+  check_complete (req c (run_cmd ~channel:"torn"));
+  Client.close c;
+  stop_server socket d;
+  check_batch_bytes ~dir ~channel:"torn" ~rounds ~drain ~trace:trace6
+
 (* After a drain and restart, the daemon registers finished channels from
    their .meta files without giving them to a shard: a completed channel
    still answers [step] with [complete: true], a failed one with its
@@ -964,6 +993,8 @@ let () =
            test_directory_plan_refused;
          Alcotest.test_case "refused channel answers failed" `Quick
            test_refused_channel_answers_failed;
+         Alcotest.test_case "torn spool tail cut on adoption" `Quick
+           test_torn_spool_tail_is_cut;
          Alcotest.test_case "terminal channels after restart" `Quick
            test_terminal_channels_after_restart;
          Alcotest.test_case "errors carry no constructor" `Quick
