@@ -98,13 +98,27 @@ let policy_of ~retries ~job_timeout ~keep_going =
 let print_supervisor_event ev =
   Format.eprintf "supervisor: %a@." Mac_sim.Supervisor.pp_event ev
 
+(* The flags every batch command (table1, matrix, figures, resilience)
+   takes, parsed by [batch_term] and started by [batch_start]. *)
+type batch = {
+  quick : bool;
+  jobs : int;
+  trace_n : int;
+  events_dir : string option;
+  telemetry_dir : string option;
+  telemetry_every : int;
+  retries : int;
+  job_timeout : float;
+  keep_going : bool;
+}
+
 (* Exit discipline of the batch commands: a drain request wins (exit 4),
    otherwise persistent failures mean degraded completion (exit 3).
    Called after all reports and output files are written, so a degraded
    or drained sweep still delivers every successful result. *)
-let finish_supervised ~events_dir ~telemetry_dir failures =
-  Option.iter (Printf.printf "event streams under %s/\n") events_dir;
-  Option.iter (Printf.printf "telemetry under %s/\n") telemetry_dir;
+let finish_supervised b failures =
+  Option.iter (Printf.printf "event streams under %s/\n") b.events_dir;
+  Option.iter (Printf.printf "telemetry under %s/\n") b.telemetry_dir;
   let failed, skipped =
     List.partition
       (fun (_, e) ->
@@ -595,17 +609,21 @@ let fleet_of ~telemetry_dir ~telemetry_every =
       Mac_sim.Telemetry.Fleet.create ~dir ~every:telemetry_every ())
     telemetry_dir
 
-(* Flag handling shared by the batch commands (table1, matrix, figures,
-   resilience): validate, install the drain handlers, and return what
-   every sweep takes. Unflagged runs get the default policy, under which
-   the first failure aborts the sweep like a plain batch. *)
-let batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
-    ~telemetry_every ~retries ~job_timeout ~keep_going =
-  let scale = if quick then `Quick else `Full in
-  let jobs = check_jobs jobs in
-  let policy = policy_of ~retries ~job_timeout ~keep_going in
-  let observe = scenario_observer ~trace_n ~events_dir in
-  let telemetry = fleet_of ~telemetry_dir ~telemetry_every in
+(* Start a batch command: validate its flags, install the drain
+   handlers, and return what every sweep takes. Unflagged runs get the
+   default policy, under which the first failure aborts the sweep like a
+   plain batch. *)
+let batch_start b =
+  let scale = if b.quick then `Quick else `Full in
+  let jobs = check_jobs b.jobs in
+  let policy =
+    policy_of ~retries:b.retries ~job_timeout:b.job_timeout
+      ~keep_going:b.keep_going
+  in
+  let observe = scenario_observer ~trace_n:b.trace_n ~events_dir:b.events_dir in
+  let telemetry =
+    fleet_of ~telemetry_dir:b.telemetry_dir ~telemetry_every:b.telemetry_every
+  in
   install_drain_handlers ();
   (scale, jobs, policy, observe, telemetry)
 
@@ -614,14 +632,9 @@ let batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
    finished and resumed cells, failed and drained ones print as
    FAILED/SKIPPED in a [width]-wide column. [stage] runs after the rows
    (the matrix thresholds) and returns extra JSON rows. *)
-let sweep_cmd ~width ~on_row ~stage ~quick ~jobs ~trace_n ~events_dir ~json
-    ~resume_dir ~telemetry_dir ~telemetry_every ~retries ~job_timeout
-    ~keep_going ~inject rows =
+let sweep_cmd ~width ~on_row ~stage ~json ~resume_dir ~inject batch rows =
   check_output_file json;
-  let scale, jobs, policy, observe, telemetry =
-    batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
-      ~telemetry_every ~retries ~job_timeout ~keep_going
-  in
+  let scale, jobs, policy, observe, telemetry = batch_start batch in
   Option.iter ensure_dir resume_dir;
   let inject =
     Option.map
@@ -664,15 +677,14 @@ let sweep_cmd ~width ~on_row ~stage ~quick ~jobs ~trace_n ~events_dir ~json
       Mac_sim.Durable.write_string ~path body;
       Printf.printf "wrote %s\n" path)
     json;
-  finish_supervised ~events_dir ~telemetry_dir (List.rev !failures);
+  finish_supervised batch (List.rev !failures);
   `Ok ()
 
 let resumed_suffix = function
   | Mac_experiments.Scenario.Cached _ -> "  (resumed)"
   | Mac_experiments.Scenario.Fresh _ -> ""
 
-let table1_cmd id quick jobs trace_n events_dir json resume_dir telemetry_dir
-    telemetry_every retries job_timeout keep_going inject =
+let table1_cmd id batch json resume_dir inject =
   let rows =
     match id with
     | None -> Mac_experiments.Table1.all
@@ -691,14 +703,12 @@ let table1_cmd id quick jobs trace_n events_dir json resume_dir telemetry_dir
   in
   sweep_cmd ~width:28 ~on_row
     ~stage:(fun ~scale:_ ~jobs:_ ~policy:_ ~failed:_ -> [])
-    ~quick ~jobs ~trace_n ~events_dir ~json ~resume_dir ~telemetry_dir
-    ~telemetry_every ~retries ~job_timeout ~keep_going ~inject rows
+    ~json ~resume_dir ~inject batch rows
 
 (* The cross-paper matrix: one Table-1-shaped row crossing every
    algorithm with every adversary and fault plan, plus an optional
    bisected stability-frontier stage. *)
-let matrix_cmd quick jobs trace_n events_dir json csv resume_dir telemetry_dir
-    telemetry_every retries job_timeout keep_going inject thresholds only =
+let matrix_cmd batch json csv resume_dir inject thresholds only =
   check_output_file csv;
   let only =
     match only with
@@ -744,7 +754,7 @@ let matrix_cmd quick jobs trace_n events_dir json csv resume_dir telemetry_dir
             match outcome with
             | Ok f ->
               Printf.printf "%-44s %s\n" label
-                (Mac_experiments.Matrix.frontier_to_string f);
+                (Mac_experiments.Sweep.frontier_to_string f);
               Some (Mac_experiments.Matrix.frontier_json ~label f)
             | Error err ->
               failed label err;
@@ -765,44 +775,44 @@ let matrix_cmd quick jobs trace_n events_dir json csv resume_dir telemetry_dir
       csv;
     frontier_rows
   in
-  sweep_cmd ~width:44 ~on_row ~stage ~quick ~jobs ~trace_n ~events_dir ~json
-    ~resume_dir ~telemetry_dir ~telemetry_every ~retries ~job_timeout
-    ~keep_going ~inject
+  sweep_cmd ~width:44 ~on_row ~stage ~json ~resume_dir ~inject batch
     [ Mac_experiments.Matrix.row_for ~only ]
 
-let figures_cmd id quick jobs trace_n events_dir telemetry_dir telemetry_every
-    retries job_timeout keep_going =
-  let scale, jobs, policy, observe, telemetry =
-    batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
-      ~telemetry_every ~retries ~job_timeout ~keep_going
+(* The figures in order on one batch start; [headed] prints each
+   figure's id and title above its table and a blank line below it. *)
+let run_figures ~headed batch figures =
+  let scale, jobs, policy, observe, telemetry = batch_start batch in
+  let failures =
+    List.concat_map
+      (fun (f : Mac_experiments.Figures.t) ->
+        if headed then Printf.printf "--- %s ---\n%s\n" f.id f.title;
+        let (s : Mac_experiments.Figures.supervised) =
+          f.run ?observe ?telemetry ~jobs ~policy
+            ~on_event:print_supervisor_event ~scale ()
+        in
+        Mac_sim.Report.print s.report;
+        if headed then print_newline ();
+        s.failures)
+      figures
   in
-  let figures =
-    match id with
-    | None -> Mac_experiments.Figures.all
-    | Some id -> (
-      match
-        List.find_opt (fun (f : Mac_experiments.Figures.t) -> f.id = id)
-          Mac_experiments.Figures.all
-      with
-      | Some f -> [ f ]
-      | None ->
-        Printf.eprintf "unknown figure %S\n" id;
-        exit 2)
-  in
-  let failures = ref [] in
-  List.iter
-    (fun (f : Mac_experiments.Figures.t) ->
-      Printf.printf "--- %s ---\n%s\n" f.id f.title;
-      let (s : Mac_experiments.Figures.supervised) =
-        f.run ?observe ?telemetry ~jobs ~policy
-          ~on_event:print_supervisor_event ~scale ()
-      in
-      failures := !failures @ s.failures;
-      Mac_sim.Report.print s.report;
-      print_newline ())
-    figures;
-  finish_supervised ~events_dir ~telemetry_dir !failures;
+  finish_supervised batch failures;
   `Ok ()
+
+(* The id resolves before the batch starts, so an unknown one creates no
+   directory. *)
+let figures_cmd id batch =
+  run_figures ~headed:true batch
+    (match id with
+     | None -> Mac_experiments.Figures.all
+     | Some id -> (
+       match
+         List.find_opt (fun (f : Mac_experiments.Figures.t) -> f.id = id)
+           Mac_experiments.Figures.all
+       with
+       | Some f -> [ f ]
+       | None ->
+         Printf.eprintf "unknown figure %S\n" id;
+         exit 2))
 
 (* ---- resilience command ---- *)
 
@@ -813,29 +823,15 @@ let load_fault_plan path =
     Printf.eprintf "%s\n" msg;
     exit 2
 
-let resilience_cmd algo spec quick jobs trace_n events_dir telemetry_dir
-    telemetry_every fault_plan fault_seed crash_rate jam_rate noise_rate
-    restart_after crash_drop events json retries job_timeout keep_going =
+let resilience_cmd algo spec batch fault_plan fault_seed crash_rate jam_rate
+    noise_rate restart_after crash_drop events json =
   match algo with
   | None ->
     (* Suite mode: sweep every subject algorithm across the fault plans. *)
-    let scale, jobs, policy, observe, telemetry =
-      batch_setup ~quick ~jobs ~trace_n ~events_dir ~telemetry_dir
-        ~telemetry_every ~retries ~job_timeout ~keep_going
-    in
-    let report, outcomes =
-      Mac_experiments.Resilience.suite ?observe ?telemetry ~jobs ~policy
-        ~on_event:print_supervisor_event ~scale ()
-    in
-    Mac_sim.Report.print report;
-    finish_supervised ~events_dir ~telemetry_dir
-      (List.filter_map
-         (fun (cid, o) -> match o with Ok _ -> None | Error e -> Some (cid, e))
-         outcomes);
-    `Ok ()
+    run_figures ~headed:false batch [ Mac_experiments.Resilience.figure ]
   | Some algorithm_name ->
     (* Single-run mode: one algorithm under one fault plan. *)
-    if retries > 0 || job_timeout > 0.0 || keep_going then
+    if batch.retries > 0 || batch.job_timeout > 0.0 || batch.keep_going then
       Printf.eprintf
         "note: --retries/--job-timeout/--keep-going apply to suite mode only\n";
     let spec = { spec with Registry.algorithm = algorithm_name } in
@@ -1063,6 +1059,19 @@ let keep_going_arg =
            exit 3 if any remain. Successful scenarios are unaffected and \
            bit-identical to an undisturbed sweep.")
 
+(* The flags every batch command takes, [events] its event-directory
+   flag. *)
+let batch_term events =
+  let batch quick jobs trace_n events_dir telemetry_dir telemetry_every
+      retries job_timeout keep_going =
+    { quick; jobs; trace_n; events_dir; telemetry_dir; telemetry_every;
+      retries; job_timeout; keep_going }
+  in
+  Term.(
+    const batch $ quick_arg $ jobs_arg $ exp_trace_arg $ events
+    $ telemetry_dir_arg $ telemetry_every_arg $ retries_arg $ job_timeout_arg
+    $ keep_going_arg)
+
 let inject_failure_arg =
   Arg.(
     value
@@ -1191,11 +1200,8 @@ let resilience_term =
       (const resilience_cmd $ algo
        $ spec_term ~algorithm:(Term.const Registry.default.algorithm)
            ~rounds:20_000 ~drain:true
-       $ quick_arg $ jobs_arg $ exp_trace_arg
-       $ events_dir $ telemetry_dir_arg $ telemetry_every_arg $ fault_plan
-       $ fault_seed $ crash_rate $ jam_rate $ noise_rate $ restart_after
-       $ crash_drop $ events $ json $ retries_arg $ job_timeout_arg
-       $ keep_going_arg))
+       $ batch_term events_dir $ fault_plan $ fault_seed $ crash_rate
+       $ jam_rate $ noise_rate $ restart_after $ crash_drop $ events $ json))
 
 let inspect_term =
   let file =
@@ -1806,10 +1812,8 @@ let cmds =
       (Cmd.info "table1" ~doc:"Re-run Table-1 validation experiments")
       Term.(
         ret
-          (const table1_cmd $ id_arg $ quick_arg $ jobs_arg $ exp_trace_arg
-           $ exp_events_arg $ table1_json_arg $ table1_resume_dir_arg
-           $ telemetry_dir_arg $ telemetry_every_arg $ retries_arg
-           $ job_timeout_arg $ keep_going_arg $ inject_failure_arg));
+          (const table1_cmd $ id_arg $ batch_term exp_events_arg
+           $ table1_json_arg $ table1_resume_dir_arg $ inject_failure_arg));
     Cmd.v
       (Cmd.info "matrix"
          ~doc:
@@ -1819,18 +1823,14 @@ let cmds =
             frontiers")
       Term.(
         ret
-          (const matrix_cmd $ quick_arg $ jobs_arg $ exp_trace_arg
-           $ exp_events_arg $ table1_json_arg $ matrix_csv_arg
-           $ table1_resume_dir_arg $ telemetry_dir_arg $ telemetry_every_arg
-           $ retries_arg $ job_timeout_arg $ keep_going_arg
-           $ inject_failure_arg $ matrix_thresholds_arg $ matrix_only_arg));
+          (const matrix_cmd $ batch_term exp_events_arg $ table1_json_arg
+           $ matrix_csv_arg $ table1_resume_dir_arg $ inject_failure_arg
+           $ matrix_thresholds_arg $ matrix_only_arg));
     Cmd.v
       (Cmd.info "figures" ~doc:"Re-run figure sweeps")
       Term.(
         ret
-          (const figures_cmd $ id_arg $ quick_arg $ jobs_arg $ exp_trace_arg
-           $ exp_events_arg $ telemetry_dir_arg $ telemetry_every_arg
-           $ retries_arg $ job_timeout_arg $ keep_going_arg));
+          (const figures_cmd $ id_arg $ batch_term exp_events_arg));
     Cmd.v
       (Cmd.info "resilience"
          ~doc:

@@ -397,9 +397,17 @@ let baselines_brackets ~subjects ~n ~k ~rounds =
       (label, Qrat.make 1 250, hi0, probe))
     subjects
 
-let baselines_row (label, _, theory_lo, theory_hi) (lo, hi) =
+(* A degenerate frontier keeps its row: the side the bracket never found
+   reads "-". *)
+let baselines_row (label, _, theory_lo, theory_hi) (f : Sweep.frontier) =
   let opt = function None -> "?" | Some r -> fmt_q r in
-  [ label; opt theory_lo; opt theory_hi; fmt_q lo; fmt_q hi ]
+  let stable, unstable =
+    match f with
+    | Bracket (lo, hi) -> (fmt_q lo, fmt_q hi)
+    | Stable_to_ceiling hi -> (fmt_q hi, "-")
+    | Unstable_at_floor lo -> ("-", fmt_q lo)
+  in
+  [ label; opt theory_lo; opt theory_hi; stable; unstable ]
 
 let baselines_run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
   (* Bisection probes run thousands of throwaway points; observing them
@@ -411,14 +419,14 @@ let baselines_run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
   let steps = Scenario.scaled ~scale ~quick:4 ~full:7 in
   let subjects = baselines_subjects ~n ~k in
   let located =
-    Sweep.bisect_many ?jobs ?policy ?on_event ?telemetry ~steps
+    Sweep.frontiers ?jobs ?policy ?on_event ?telemetry ~steps
       (baselines_brackets ~subjects ~n ~k ~rounds)
   in
   let report = Mac_sim.Report.create ~header:baselines_header in
   List.iter2
     (fun subject (_, outcome) ->
       match outcome with
-      | Ok bracket -> Mac_sim.Report.add_row report (baselines_row subject bracket)
+      | Ok f -> Mac_sim.Report.add_row report (baselines_row subject f)
       | Error _ -> ())
     subjects located;
   { report; outcomes = []; failures = failures located }

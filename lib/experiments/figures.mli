@@ -47,6 +47,20 @@ type t = {
       counts its probe runs on the fleet's bisect-probes counter. *)
 }
 
+val figure :
+  id:string ->
+  title:string ->
+  header:string list ->
+  (scale:[ `Quick | `Full ] ->
+  (Scenario.spec * (Scenario.outcome -> string list)) list) ->
+  t
+(** [figure ~id ~title ~header points] is the figure whose [run] sweeps
+    the specs of [points ~scale] through {!Scenario.sweep}, each point one
+    {!Scenario.run} labelled by its spec id, and renders each successful
+    point's row (the point's function of its outcome) under [header], in
+    declaration order. Every figure but F5 is built this way, and so is
+    {!Resilience.figure}. *)
+
 val frontier : t
 (** F1: verdict and queue-growth slope around each algorithm's threshold;
     below it adversaries are floods, above it the matching saboteur. *)
@@ -62,9 +76,10 @@ val burst : t
 (** F4: latency (or backlog for Orchestra) as burstiness grows. *)
 
 val baselines : t
-(** F5: empirical stability frontiers (located by {!Sweep.bisect_many}) of all
+(** F5: empirical stability frontiers (located by {!Sweep.frontiers}) of all
     oblivious disciplines — including the random-schedule strawman — under
-    the same dedicated pair flood. *)
+    the same dedicated pair flood. A frontier that leaves its bracket
+    keeps its row, with "-" on the side that was never found. *)
 
 (** {2 Ablations}
 

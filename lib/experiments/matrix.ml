@@ -106,62 +106,32 @@ let row = row_for ~only:(fun _ -> true)
 
 (* ---- Stability-frontier thresholds ---- *)
 
-type frontier =
-  | Bracket of Qrat.t * Qrat.t
-  | Stable_to_ceiling of Qrat.t
-  | Unstable_at_floor of Qrat.t
-
 let threshold_id a adv = Printf.sprintf "matrix-th/%s/%s" a.algo_id adv.adv_id
 
 let thresholds ?jobs ?policy ?on_event ?(only = fun _ -> true) ~scale () =
   let rounds = Scenario.scaled ~scale ~quick:3_000 ~full:20_000 in
   let steps = Scenario.scaled ~scale ~quick:5 ~full:8 in
   let lo = Qrat.make 1 64 and hi = Qrat.of_int 1 in
-  let jobs_list =
-    List.concat_map
-      (fun a ->
-        if not (only a.algo_id) then []
-        else
-          List.map
-            (fun adv ->
-              ( threshold_id a adv,
-                fun ~heartbeat ->
-                  let probe =
-                    Sweep.stability_probe_q ~algorithm:(algorithm a) ~n:a.n
-                      ~k:a.k
-                      ~pattern:(fun () -> adv.pattern ~n:a.n)
-                      ~burst:adv.burst ~rounds ()
-                  in
-                  let probe ~rho =
-                    let r = probe ~rho in
-                    heartbeat ();
-                    r
-                  in
-                  (* bisect_q insists on a (stable lo, unstable hi)
-                     bracket; probe the endpoints first and classify the
-                     degenerate frontiers instead of raising. *)
-                  if not (probe ~rho:lo) then Unstable_at_floor lo
-                  else if probe ~rho:hi then Stable_to_ceiling hi
-                  else
-                    let lo', hi' = Sweep.bisect_q ~steps ~lo ~hi probe in
-                    Bracket (lo', hi') ))
-            adversaries)
-      algorithms
-  in
-  Scenario.sweep ?jobs ?policy ?on_event ~label:fst jobs_list
-    (fun (_, job) ~heartbeat -> job ~heartbeat)
-
-let frontier_to_string = function
-  | Bracket (lo, hi) ->
-    Printf.sprintf "frontier in (%s, %s]" (Qrat.to_string lo)
-      (Qrat.to_string hi)
-  | Stable_to_ceiling hi -> Printf.sprintf "stable up to %s" (Qrat.to_string hi)
-  | Unstable_at_floor lo ->
-    Printf.sprintf "unstable already at %s" (Qrat.to_string lo)
+  Sweep.frontiers ?jobs ?policy ?on_event ~steps
+    (List.concat_map
+       (fun a ->
+         if not (only a.algo_id) then []
+         else
+           let algorithm = algorithm a in
+           List.map
+             (fun adv ->
+               ( threshold_id a adv,
+                 lo,
+                 hi,
+                 Sweep.stability_probe_q ~algorithm ~n:a.n ~k:a.k
+                   ~pattern:(fun () -> adv.pattern ~n:a.n)
+                   ~burst:adv.burst ~rounds () ))
+             adversaries)
+       algorithms)
 
 let frontier_json ~label f =
   let kind, lo, hi =
-    match f with
+    match (f : Sweep.frontier) with
     | Bracket (lo, hi) ->
       ("bracket", Qrat.to_string lo, Qrat.to_string hi)
     | Stable_to_ceiling hi -> ("stable-to-ceiling", "", Qrat.to_string hi)

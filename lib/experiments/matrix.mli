@@ -17,7 +17,7 @@
     completion.
 
     An optional second stage measures each (algorithm, adversary)
-    stability frontier with {!Sweep.bisect_q} on a clean channel. *)
+    stability frontier with {!Sweep.frontiers} on a clean channel. *)
 
 type algo_axis = {
   algo_id : string;  (** a {!Registry} name *)
@@ -54,15 +54,6 @@ val row_for : only:(string -> bool) -> Table1.t
 (** The matrix restricted to the algorithms whose [algo_id] satisfies
     [only] — smoke jobs and tests slice the matrix with this. *)
 
-(** Where an (algorithm, adversary) stability frontier was located. *)
-type frontier =
-  | Bracket of Mac_channel.Qrat.t * Mac_channel.Qrat.t
-      (** stable at the first rate, unstable at the second *)
-  | Stable_to_ceiling of Mac_channel.Qrat.t
-      (** stable even at the probe ceiling (rate 1) *)
-  | Unstable_at_floor of Mac_channel.Qrat.t
-      (** unstable already at the probe floor (rate 1/64) *)
-
 val threshold_id : algo_axis -> adversary_axis -> string
 (** ["matrix-th/<algo>/<adversary>"]. *)
 
@@ -73,16 +64,15 @@ val thresholds :
   ?only:(string -> bool) ->
   scale:[ `Quick | `Full ] ->
   unit ->
-  (string * frontier Mac_sim.Supervisor.outcome) list
-(** Bisect each (algorithm, adversary) frontier on a clean channel,
-    supervised (each bisection is one labelled job; probes heartbeat the
-    watchdog). Endpoints are probed first, so degenerate frontiers come
-    back as [Stable_to_ceiling]/[Unstable_at_floor] instead of
-    [Invalid_argument] from {!Sweep.bisect_q}. Deterministic: results
-    depend only on the axes and [scale]. *)
+  (string * Sweep.frontier Mac_sim.Supervisor.outcome) list
+(** Locate each (algorithm, adversary) frontier on a clean channel
+    between rates 1/64 and 1 with {!Sweep.frontiers}, one supervised job
+    per pair labelled by {!threshold_id} (probes heartbeat the watchdog).
+    A frontier outside that range comes back as
+    [Stable_to_ceiling 1] or [Unstable_at_floor 1/64]. Deterministic:
+    results depend only on the axes and [scale]. *)
 
-val frontier_to_string : frontier -> string
-val frontier_json : label:string -> frontier -> string
+val frontier_json : label:string -> Sweep.frontier -> string
 
 val csv_header : string
 

@@ -97,31 +97,24 @@ let row (outcome : Scenario.outcome) =
     recovery;
     string_of_int (int_of_float (Scenario.worst_delay s)) ]
 
-(* Cells are specs: a retried cell reruns its spec, pattern state built
-   afresh, so it replays the same simulation on whichever worker. *)
-let suite ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
+(* One point per (subject, plan): the subject's spec with the plan's
+   rounds, drain and faults. *)
+let points ~scale =
   let rounds = Scenario.scaled ~scale ~quick:15_000 ~full:80_000 in
-  let cells =
-    List.concat_map
-      (fun (subject : Scenario.spec) ->
-        List.map
-          (fun (plan_label, plan) ->
-            { subject with
+  List.concat_map
+    (fun (subject : Scenario.spec) ->
+      List.map
+        (fun (plan_label, plan) ->
+          ( { subject with
               id = Printf.sprintf "resilience/%s/%s" subject.id plan_label;
               rounds;
               drain = rounds / 2;
-              faults = (if Fault_plan.is_empty plan then None else Some plan) })
-          (plans ~scale ~n:subject.n ~rounds))
-      (subjects ~scale)
-  in
-  let results =
-    Scenario.sweep ?jobs ?policy ?on_event
-      ~label:(fun (c : Scenario.spec) -> c.id)
-      cells
-      (fun spec ~heartbeat -> Scenario.run ?observe ?telemetry ~heartbeat spec)
-  in
-  let report = Mac_sim.Report.create ~header in
-  List.iter
-    (function _, Ok o -> Mac_sim.Report.add_row report (row o) | _, Error _ -> ())
-    results;
-  (report, results)
+              faults = (if Fault_plan.is_empty plan then None else Some plan) },
+            row ))
+        (plans ~scale ~n:subject.n ~rounds))
+    (subjects ~scale)
+
+let figure =
+  Figures.figure ~id:"resilience"
+    ~title:"Table-1 algorithms under fault plans, one row per (algorithm, plan)"
+    ~header points

@@ -14,21 +14,8 @@
     No outcome carries pass/fail checks: the suite reports degradation,
     it does not assert bounds the paper never claimed. *)
 
-val suite :
-  ?observe:Scenario.observer ->
-  ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-  ?jobs:int ->
-  ?policy:Mac_sim.Supervisor.policy ->
-  ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-  scale:[ `Quick | `Full ] ->
-  unit ->
-  Mac_sim.Report.t * (string * Scenario.outcome Mac_sim.Supervisor.outcome) list
-(** Run the full sweep (4 algorithms x 7 plans) on [jobs] worker domains
-    (default 1) through {!Scenario.sweep}. Outcome ids are
-    ["resilience/<algorithm>/<plan>"]; the observer, if given, is called
-    once per cell with that id, and [telemetry] attaches a fleet probe to
-    every cell. Each cell resolves to its own {!Mac_sim.Supervisor.outcome}
-    under [policy] (default {!Mac_sim.Supervisor.default_policy}: the
-    first failure aborts and re-raises); the report has rows for the
-    successful cells only. Rows and outcomes keep declaration order and
-    match a sequential run bit for bit, retried cells included. *)
+val figure : Figures.t
+(** The suite as a figure (4 algorithms x 7 plans), run like any other
+    through {!Figures.figure}; it is not in {!Figures.all}. Point ids
+    are ["resilience/<algorithm>/<plan>"], and the report has one row per
+    successful point, in declaration order. *)

@@ -213,61 +213,60 @@ let resumed_json ~experiment = function
   | Fresh o -> outcome_json ~experiment o
   | Cached c -> c.row
 
-(* Marker filenames are derived from the scenario id, but the id is also
-   recorded verbatim inside the marker: two ids that map to the same
-   filename cannot silently satisfy each other. *)
+(* --- Markers ---------------------------------------------------------------
+
+   Completion and quarantine markers share one layout: a magic line, then
+   "scenario <id>", then the marker's own lines. Filenames are derived from
+   the scenario id, but the id is also recorded verbatim inside the marker:
+   two ids that map to the same filename cannot silently satisfy each
+   other. A marker that cannot be read (missing, a directory, unreadable)
+   is absent, as is one with the wrong magic or id. *)
+
+let read_marker ~magic ~id path =
+  let rec lines ic acc =
+    match In_channel.input_line ic with
+    | Some line -> lines ic (line :: acc)
+    | None -> List.rev acc
+  in
+  match In_channel.with_open_bin path (fun ic -> lines ic []) with
+  | m :: scenario :: rest when m = magic && scenario = "scenario " ^ id ->
+    Some rest
+  | _ -> None
+  | exception Sys_error _ -> None
+
+(* Atomic and durable: a completion marker that survives the rename but
+   not the data would replay an empty row forever. *)
+let write_marker ~magic ~id path lines =
+  Mac_sim.Durable.write_string ~path
+    (String.concat "\n" (magic :: ("scenario " ^ id) :: lines))
+
+(* The rest of [line] after [prefix], when that rest is not empty. *)
+let field ~prefix line =
+  let n = String.length prefix in
+  if String.length line > n && String.sub line 0 n = prefix then
+    Some (String.sub line n (String.length line - n))
+  else None
+
 let marker_magic = "MACDONE 1"
 
 let marker_path ~resume_dir id =
   Filename.concat resume_dir (Mac_sim.Durable.file_stem id ^ ".done")
 
 let load_cached ~id path =
-  if not (Sys.file_exists path) then None
-  else
-    let lines =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | line -> go (line :: acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    in
-    let strip ~prefix line =
-      let n = String.length prefix in
-      if String.length line > n && String.sub line 0 n = prefix then
-        Some (String.sub line n (String.length line - n))
-      else None
-    in
-    match lines with
-    | [ magic; id_line; verdict_line; passed_line; row ]
-      when magic = marker_magic -> (
-      match
-        ( strip ~prefix:"scenario " id_line,
-          strip ~prefix:"verdict " verdict_line,
-          strip ~prefix:"passed " passed_line )
-      with
-      | Some scenario, Some verdict, Some passed_s
-        when scenario = id && (passed_s = "true" || passed_s = "false") ->
-        Some { scenario; verdict; succeeded = passed_s = "true"; row }
-      | _ -> None)
-    | _ -> None
+  match read_marker ~magic:marker_magic ~id path with
+  | Some [ verdict_line; passed_line; row ] -> (
+    match (field ~prefix:"verdict " verdict_line, passed_line) with
+    | Some verdict, ("passed true" | "passed false") ->
+      Some
+        { scenario = id; verdict; succeeded = passed_line = "passed true"; row }
+    | _ -> None)
+  | _ -> None
 
 let store_cached ~experiment path (o : outcome) =
-  let content =
-    String.concat "\n"
-      [ marker_magic;
-        "scenario " ^ o.spec.id;
-        "verdict " ^ verdict_string o;
-        Printf.sprintf "passed %b" o.passed;
-        outcome_json ~experiment o ]
-  in
-  (* Atomic and durable: a completion marker that survives the rename
-     but not the data would replay an empty row forever. *)
-  Mac_sim.Durable.write_string ~path content
+  write_marker ~magic:marker_magic ~id:o.spec.id path
+    [ "verdict " ^ verdict_string o;
+      Printf.sprintf "passed %b" o.passed;
+      outcome_json ~experiment o ]
 
 let run_resumable ?checks ?observe ?telemetry ?heartbeat ~resume_dir
     ~experiment spec =
@@ -299,43 +298,12 @@ let quarantine_path ~resume_dir id =
 
 let quarantine_lookup ~resume_dir id =
   let path = quarantine_path ~resume_dir id in
-  if not (Sys.file_exists path) then None
-  else
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match
-            (* Sequenced reads: a tuple of [input_line]s would be evaluated
-               in unspecified (in practice right-to-left) order, reading the
-               file backwards. *)
-            let magic = input_line ic in
-            let id_line = input_line ic in
-            let failures_line = input_line ic in
-            (magic, id_line, failures_line)
-          with
-          | magic, id_line, failures_line
-            when magic = quarantine_magic && id_line = "scenario " ^ id -> (
-            match
-              String.length failures_line > 9
-              && String.sub failures_line 0 9 = "failures "
-            with
-            | true ->
-              int_of_string_opt
-                (String.sub failures_line 9 (String.length failures_line - 9))
-            | false -> None)
-          | _ -> None
-          | exception End_of_file -> None)
+  match read_marker ~magic:quarantine_magic ~id path with
+  | Some (failures :: _) ->
+    Option.bind (field ~prefix:"failures " failures) int_of_string_opt
+  | _ -> None
 
 let note_quarantined ~resume_dir ~id ~failures ~error =
   if not (Sys.file_exists resume_dir) then Sys.mkdir resume_dir 0o755;
-  let content =
-    String.concat "\n"
-      [ quarantine_magic;
-        "scenario " ^ id;
-        Printf.sprintf "failures %d" failures;
-        "error " ^ error ]
-  in
-  Mac_sim.Durable.write_string ~path:(quarantine_path ~resume_dir id) content
+  write_marker ~magic:quarantine_magic ~id (quarantine_path ~resume_dir id)
+    [ Printf.sprintf "failures %d" failures; "error " ^ error ]

@@ -172,7 +172,13 @@ val outcome_json : experiment:string -> outcome -> string
     their recorded outcome row is replayed byte-for-byte, so the JSON
     output of an interrupted-and-resumed sweep is identical to an
     uninterrupted one. Markers are written atomically (tmp + rename) after
-    a scenario completes, never mid-run. *)
+    a scenario completes, never mid-run.
+
+    Completion and quarantine markers share one rule: a magic line
+    ([MACDONE 1] or [MACQUAR 1]), then [scenario <id>] with the id
+    verbatim, then the marker's own lines. A marker that cannot be read
+    (missing, a directory, unreadable) counts as absent, exactly like one
+    that is corrupt or records another id. *)
 
 type cached = {
   scenario : string;  (** scenario id, recorded verbatim *)
@@ -210,8 +216,8 @@ val run_resumable :
 (** Like {!run}, but checks [resume_dir] (created if missing) for a
     completion marker first. On a hit, returns [Cached] without simulating
     (noting the cache hit on [telemetry] when given); on a miss, runs the
-    scenario, writes the marker, and returns [Fresh]. A corrupt or
-    mismatched marker is treated as a miss and rewritten. *)
+    scenario, writes the marker, and returns [Fresh]. An absent marker —
+    corrupt, mismatched or unreadable — is a miss and is rewritten. *)
 
 (** {2 Quarantine markers}
 
@@ -225,7 +231,7 @@ val quarantine_path : resume_dir:string -> string -> string
 
 val quarantine_lookup : resume_dir:string -> string -> int option
 (** [Some failures] when a valid quarantine marker for the id exists.
-    Corrupt or mismatched markers read as [None]. *)
+    Corrupt, mismatched or unreadable markers read as [None]. *)
 
 val note_quarantined :
   resume_dir:string -> id:string -> failures:int -> error:string -> unit

@@ -915,8 +915,10 @@ let tel_sample r (l : live_telemetry) =
   Telemetry.set_counter l.lt_jams live.Metrics.live_jammed_rounds;
   Telemetry.set_counter l.lt_lost live.Metrics.live_lost;
   Telemetry.inc l.lt_samples;
+  (* [quick_stat]'s minor words advance only at a minor collection;
+     [Gc.minor_words] is exact, as is the cursor it started from. *)
   let st = Gc.quick_stat () in
-  let minor = st.Gc.minor_words in
+  let minor = Gc.minor_words () in
   if dr > 0 then
     Telemetry.set_gauge l.lt_gc_minor_rate
       ((minor -. l.lt_last_minor) /. float_of_int dr);

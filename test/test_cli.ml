@@ -512,25 +512,52 @@ let test_output_paths_checked_up_front () =
   ignore
     (expect_exit_2
        (("run" :: count_hop_args)
-       @ [ "--telemetry-file"; Filename.concat dir "missing/x.prom" ]))
+       @ [ "--telemetry-file"; Filename.concat dir "missing/x.prom" ]));
+  (* An unknown figure id is refused before the batch starts, so neither
+     of its output directories is created. *)
+  let events = Filename.concat dir "events"
+  and telemetry = Filename.concat dir "telemetry" in
+  ignore
+    (expect_exit_2
+       [ "figures"; "NOPE"; "--quick"; "--events"; events; "--telemetry-dir";
+         telemetry ]);
+  Alcotest.(check (list bool)) "no output directory created" [ false; false ]
+    (List.map Sys.file_exists [ events; telemetry ])
 
-(* The ablation figures print, byte for byte, the tables pinned in
-   golden/ablations_quick.txt. *)
-let test_ablations_match_golden () =
+(* Batch commands whose stdout, concatenated over [commands], is pinned
+   byte for byte in [golden]. *)
+let check_stdout_golden ~golden commands =
   let out =
     String.concat ""
       (List.map
-         (fun id ->
-           let code, out, err =
-             run_cli [ "figures"; id; "--quick"; "--jobs"; "2" ]
-           in
+         (fun args ->
+           let code, out, err = run_cli args in
            Alcotest.(check int)
-             (Printf.sprintf "%s exit code (stderr %S)" id err) 0 code;
+             (Printf.sprintf "%s exit code (stderr %S)" (String.concat " " args)
+                err)
+             0 code;
            out)
-         [ "A1.delta"; "A2.big-threshold"; "A3.allocation" ])
+         commands)
   in
-  Alcotest.(check string) "figures output matches golden"
-    (read_file "golden/ablations_quick.txt") out
+  Alcotest.(check string) (golden ^ " matches") (read_file golden) out
+
+let test_ablations_match_golden () =
+  check_stdout_golden ~golden:"golden/ablations_quick.txt"
+    (List.map
+       (fun id -> [ "figures"; id; "--quick"; "--jobs"; "2" ])
+       [ "A1.delta"; "A2.big-threshold"; "A3.allocation" ])
+
+(* The resilience suite runs as a figure without its header. *)
+let test_resilience_suite_matches_golden () =
+  check_stdout_golden ~golden:"golden/resilience_quick.txt"
+    [ [ "resilience"; "--quick"; "--jobs"; "2" ] ]
+
+(* F5 and the matrix thresholds share one supervised frontier search. *)
+let test_frontiers_match_golden () =
+  check_stdout_golden ~golden:"golden/baselines_quick.txt"
+    [ [ "figures"; "F5.baselines"; "--quick"; "--jobs"; "2" ] ];
+  check_stdout_golden ~golden:"golden/matrix_thresholds_quick.txt"
+    [ [ "matrix"; "--quick"; "--thresholds"; "--jobs"; "2" ] ]
 
 let () =
   Alcotest.run "cli"
@@ -576,5 +603,9 @@ let () =
            test_event_streams_match_golden;
          Alcotest.test_case "ablation figures" `Quick
            test_ablations_match_golden;
+         Alcotest.test_case "resilience suite" `Quick
+           test_resilience_suite_matches_golden;
+         Alcotest.test_case "stability frontiers" `Quick
+           test_frontiers_match_golden;
          Alcotest.test_case "verify counts" `Quick
            test_verify_counts_pinned ]) ]

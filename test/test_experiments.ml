@@ -321,6 +321,19 @@ let test_resumable_sweep_honors_marker () =
      ());
   check_bool "quarantined cell never ran" false !ran_bad
 
+(* A marker that cannot be read is absent: a directory at the
+   quarantine path neither quarantines the cell nor stops the sweep. *)
+let test_unreadable_marker_is_absent () =
+  let dir = temp_dir "eear_quar_dir" in
+  Sys.mkdir (Scenario.quarantine_path ~resume_dir:dir "cell") 0o755;
+  Alcotest.(check (option int))
+    "directory reads as no marker" None
+    (Scenario.quarantine_lookup ~resume_dir:dir "cell");
+  let row, _ = counting_row [ "cell" ] in
+  match Table1.sweep ~resume_dir:dir ~scale:`Quick row () with
+  | [ ("cell", Ok (Scenario.Fresh _)) ] -> ()
+  | _ -> Alcotest.fail "expected the cell to run"
+
 (* A sweep builds the row's catalog once, and a retried attempt reruns
    its cell's spec without rebuilding it. *)
 let test_sweep_builds_catalog_once () =
@@ -520,7 +533,9 @@ let () =
        [ Alcotest.test_case "marker round-trip" `Quick
            test_quarantine_marker_roundtrip;
          Alcotest.test_case "sweep honors marker" `Quick
-           test_resumable_sweep_honors_marker ]);
+           test_resumable_sweep_honors_marker;
+         Alcotest.test_case "unreadable marker is absent" `Quick
+           test_unreadable_marker_is_absent ]);
       ("sweep",
        [ Alcotest.test_case "catalog built once" `Quick
            test_sweep_builds_catalog_once;

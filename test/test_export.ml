@@ -208,6 +208,36 @@ let test_bisect_validates_endpoints () =
         (Mac_experiments.Sweep.bisect_q ~lo:(Q.make 1 10) ~hi:(Q.make 1 5)
            (fun ~rho:_ -> true)))
 
+(* [frontiers] probes each endpoint once: a proper bracket costs
+   2 + steps probes and narrows as [bisect_q] does; a degenerate one is
+   classified from its endpoints. *)
+let test_frontiers_probe_endpoints_once () =
+  let probes = ref 0 in
+  let counted stable ~rho =
+    incr probes;
+    stable rho
+  in
+  let below = Q.make 37 100 in
+  let results =
+    Mac_experiments.Sweep.frontiers ~steps:10
+      [ ("bracket", Q.zero, Q.one, counted (fun rho -> Q.compare rho below < 0));
+        ("ceiling", Q.zero, Q.one, counted (fun _ -> true));
+        ("floor", Q.zero, Q.one, counted (fun _ -> false)) ]
+  in
+  Alcotest.(check int) "probes: 2 + 10, then 2, then 1" 15 !probes;
+  let lo', hi' =
+    Mac_experiments.Sweep.bisect_q ~steps:10 ~lo:Q.zero ~hi:Q.one (fun ~rho ->
+        Q.compare rho below < 0)
+  in
+  match results with
+  | [ ("bracket", Ok (Mac_experiments.Sweep.Bracket (lo, hi)));
+      ("ceiling", Ok (Stable_to_ceiling c));
+      ("floor", Ok (Unstable_at_floor f)) ] ->
+    check_bool "the bracket bisect_q finds" true (Q.equal lo lo' && Q.equal hi hi');
+    check_bool "degenerate endpoints kept" true
+      (Q.equal c Q.one && Q.equal f Q.zero)
+  | _ -> Alcotest.fail "expected a bracket, a ceiling and a floor"
+
 let test_probe_on_pair_tdma () =
   (* pair-tdma's frontier for a (1,2) flood is 1/(n(n-1)) = 1/12 at n=4 *)
   let probe =
@@ -245,4 +275,6 @@ let () =
       ("sweep",
        [ Alcotest.test_case "bisect narrows" `Quick test_bisect_narrows;
          Alcotest.test_case "validates endpoints" `Quick test_bisect_validates_endpoints;
+         Alcotest.test_case "frontiers probe endpoints once" `Quick
+           test_frontiers_probe_endpoints_once;
          Alcotest.test_case "pair-tdma frontier" `Slow test_probe_on_pair_tdma ]) ]

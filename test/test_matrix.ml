@@ -6,6 +6,7 @@
 
 module Matrix = Mac_experiments.Matrix
 module Scenario = Mac_experiments.Scenario
+module Sweep = Mac_experiments.Sweep
 module Table1 = Mac_experiments.Table1
 
 let check_int = Alcotest.(check int)
@@ -159,13 +160,13 @@ let test_thresholds_classify_every_pair () =
       | Error _ -> Alcotest.failf "threshold %s failed" label
       | Ok f ->
         check_bool (label ^ " stringifies") true
-          (String.length (Matrix.frontier_to_string f) > 0);
+          (String.length (Sweep.frontier_to_string f) > 0);
         check_bool (label ^ " exports json") true
           (String.length (Matrix.frontier_json ~label f) > 0);
         if label = flood_label then
           check_bool "flood frontier is a real bracket" true
             (match f with
-            | Matrix.Bracket (lo, hi) ->
+            | Sweep.Bracket (lo, hi) ->
               Mac_channel.Qrat.(compare lo hi) < 0
             | _ -> false))
     results

@@ -355,6 +355,27 @@ let test_engine_final_partial_sample () =
   Alcotest.(check (list int)) "boundary plus final" [ 1500; 2000 ]
     (List.map fst samples)
 
+(* The minor-words gauge counts exactly: every window of a dense run
+   allocates, whether or not a minor collection fell inside it. *)
+let test_engine_gc_gauge () =
+  let _, _, samples = run_with_probe ~rounds:5_000 ~drain:0 ~every:100 in
+  let rates =
+    List.map
+      (fun (round, s) ->
+        match T.find_sample s T.Names.gc_minor_words_per_round with
+        | Some v -> (round, v)
+        | None -> Alcotest.failf "no minor-words gauge at round %d" round)
+      samples
+  in
+  check_int "fifty samples" 50 (List.length rates);
+  List.iteri
+    (fun i (round, v) ->
+      check_bool
+        (Printf.sprintf "round %d reads %g words/round" round v)
+        true
+        (if i = 0 then v >= 0.0 else v > 0.0))
+    rates
+
 let test_event_stream_carries_samples () =
   let events = ref [] in
   let sink = Mac_sim.Sink.make (fun ~round ev -> events := (round, ev) :: !events) in
@@ -415,5 +436,6 @@ let () =
        [ Alcotest.test_case "cadence" `Quick test_engine_cadence;
          Alcotest.test_case "final partial sample" `Quick
            test_engine_final_partial_sample;
+         Alcotest.test_case "minor-words gauge" `Quick test_engine_gc_gauge;
          Alcotest.test_case "event stream carries samples" `Quick
            test_event_stream_carries_samples ]) ]
