@@ -250,7 +250,7 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
   in
   let trace =
     if trace_n > 0 then
-      Some (Mac_channel.Trace.create ~capacity:trace_n ~enabled:true ())
+      Some (Mac_channel.Trace.create ~capacity:trace_n ())
     else None
   in
   let ledger = if stations then Some (Mac_sim.Ledger.create ~n) else None in
@@ -541,12 +541,16 @@ let run_term =
 
 (* ---- table1 / figures commands ---- *)
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then begin
+(* A directory flag naming something else exits 2 before anything runs. *)
+let refuse_non_dir dir =
+  if Sys.file_exists dir && not (Sys.is_directory dir) then begin
     Printf.eprintf "%s exists and is not a directory\n" dir;
     exit 2
   end
+
+let ensure_dir dir =
+  refuse_non_dir dir;
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 (* Per-scenario observer for experiment drivers: an optional JSONL file
    per scenario under [events_dir], and an optional notable-event ring
@@ -570,7 +574,7 @@ let scenario_observer ~trace_n ~events_dir :
           if trace_n <= 0 then sinks
           else begin
             let t =
-              Mac_channel.Trace.create ~capacity:trace_n ~enabled:true ()
+              Mac_channel.Trace.create ~capacity:trace_n ()
             in
             let ring = Mac_sim.Sink.ring t in
             Mac_sim.Sink.make
@@ -606,6 +610,7 @@ let fleet_of ~telemetry_dir ~telemetry_every =
   end;
   Option.map
     (fun dir ->
+      refuse_non_dir dir;
       Mac_sim.Telemetry.Fleet.create ~dir ~every:telemetry_every ())
     telemetry_dir
 
@@ -1499,54 +1504,49 @@ let chaos_term =
 (* ---- verify command ---- *)
 
 let verify_cmd count seed table1 quick rounds_cap sparse jobs =
+  let module D = Mac_verify.Diff in
   let jobs = check_jobs jobs in
+  (* --sparse certifies the engine against its own dense mode (events,
+     summary bytes, checkpoint bytes) rather than against the quadratic
+     oracle, so huge configs are fine there; it covers only the
+     sparse-capable cells of the catalog. *)
+  let reference, random, covered =
+    if sparse then
+      ( D.Dense,
+        D.random_sparse,
+        fun (s : Mac_experiments.Scenario.spec) ->
+          let module A = (val s.algorithm) in
+          Option.is_some A.sparse )
+    else (D.Oracle, D.random, fun _ -> true)
+  in
   let cap x = match rounds_cap with None -> x | Some c -> min x c in
-  let catalog () =
-    List.map
-      (fun (s : Mac_experiments.Scenario.spec) ->
-        { s with rounds = cap s.rounds; drain = cap s.drain })
-      (Mac_experiments.Table1.catalog
-         ~scale:(if quick then `Quick else `Full))
-  in
-  if sparse then begin
-    (* Sparse-vs-dense parity: the engine certified against itself
-       (events, summary bytes, checkpoint bytes) rather than against the
-       oracle — so huge configs are fine here. *)
-    let specs =
-      if table1 then
-        List.filter
-          (fun (s : Mac_experiments.Scenario.spec) ->
-            let module A = (val s.algorithm) in
-            Option.is_some A.sparse)
-          (catalog ())
-      else List.init count (fun i -> Mac_verify.Diff.random_sparse ~seed:(seed + i))
-    in
-    let verdicts = Mac_verify.Diff.certify_sparse_batch ~jobs specs in
-    let bad = List.filter (fun v -> not (Mac_verify.Diff.agrees v)) verdicts in
-    List.iter (fun v -> Format.printf "%a@." Mac_verify.Diff.pp_verdict v) bad;
-    Printf.printf "%d sparse certification(s), %d divergence(s)\n"
-      (List.length verdicts) (List.length bad);
-    if bad <> [] then exit 1;
-    `Ok ()
-  end
-  else begin
   let specs =
-    if table1 then catalog ()
-    else List.init count (fun i -> Mac_verify.Diff.random ~seed:(seed + i))
+    if table1 then
+      List.filter_map
+        (fun (s : Mac_experiments.Scenario.spec) ->
+          if covered s then
+            Some { s with rounds = cap s.rounds; drain = cap s.drain }
+          else None)
+        (Mac_experiments.Table1.catalog
+           ~scale:(if quick then `Quick else `Full))
+    else List.init count (fun i -> random ~seed:(seed + i))
   in
-  let verdicts = Mac_verify.Diff.run_pairs ~jobs specs in
-  let bad = List.filter (fun v -> not (Mac_verify.Diff.agrees v)) verdicts in
-  List.iter (fun v -> Format.printf "%a@." Mac_verify.Diff.pp_verdict v) bad;
-  let events =
-    List.fold_left
-      (fun acc (v : Mac_verify.Diff.verdict) -> acc + v.events)
-      0 verdicts
-  in
-  Printf.printf "%d configuration(s), %d event(s) compared, %d divergence(s)\n"
-    (List.length verdicts) events (List.length bad);
+  let verdicts = D.check_all ~jobs reference specs in
+  let bad = List.filter (fun v -> not (D.agrees v)) verdicts in
+  List.iter (fun v -> Format.printf "%a@." D.pp_verdict v) bad;
+  (match reference with
+   | D.Oracle ->
+     let events =
+       List.fold_left (fun acc (v : D.verdict) -> acc + v.events) 0 verdicts
+     in
+     Printf.printf
+       "%d configuration(s), %d event(s) compared, %d divergence(s)\n"
+       (List.length verdicts) events (List.length bad)
+   | D.Dense ->
+     Printf.printf "%d sparse certification(s), %d divergence(s)\n"
+       (List.length verdicts) (List.length bad));
   if bad <> [] then exit 1;
   `Ok ()
-  end
 
 let verify_term =
   let count =

@@ -14,8 +14,6 @@ let size t = Array.length t.members
 
 let holder t = t.members.(t.index)
 
-let holder_index t = t.index
-
 let phase t = t.phase
 
 let note_heard _t = ()

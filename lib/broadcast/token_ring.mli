@@ -23,8 +23,6 @@ val size : t -> int
 val holder : t -> int
 (** Station name currently holding the token. *)
 
-val holder_index : t -> int
-
 val phase : t -> int
 (** Completed token cycles. Increments when the token wraps to the first
     member. *)

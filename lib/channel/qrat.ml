@@ -164,8 +164,3 @@ let of_string s =
           | Some f when Float.is_finite f -> Ok (of_float f)
           | _ -> Error (Printf.sprintf "%S: not a rational (INT, INT/INT or decimal)" s)))
     with Overflow msg -> Error (Printf.sprintf "%S: %s" s msg)
-
-let of_string_exn s =
-  match of_string s with
-  | Ok q -> q
-  | Error msg -> invalid_arg ("Qrat.of_string_exn: " ^ msg)

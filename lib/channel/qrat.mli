@@ -72,9 +72,6 @@ val of_string : string -> (t, string) result
     raises: a value outside what native ints can represent is an
     [Error]. *)
 
-val of_string_exn : string -> t
-(** {!of_string}, raising [Invalid_argument] on parse errors. *)
-
 val to_string : t -> string
 (** ["num/den"], or just ["num"] for integers — re-parseable by
     {!of_string}. *)

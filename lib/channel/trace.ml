@@ -1,36 +1,17 @@
 type t = {
-  enabled : bool;
   capacity : int;
   buf : (int * string) array;
   mutable count : int; (* total events recorded *)
 }
 
-let create ?(capacity = 4096) ~enabled () =
-  { enabled; capacity; buf = Array.make (max capacity 1) (0, ""); count = 0 }
-
-let enabled t = t.enabled
+let create ?(capacity = 4096) () =
+  { capacity; buf = Array.make (max capacity 1) (0, ""); count = 0 }
 
 let event t ~round msg =
-  if t.enabled then begin
-    t.buf.(t.count mod t.capacity) <- (round, msg);
-    t.count <- t.count + 1
-  end
-
-(* A sink formatter that discards everything: the disabled path must not
-   touch shared mutable state (Format.str_formatter is global). ikfprintf
-   never writes to it, but handing out the global formatter at all invites
-   misuse; a dedicated null formatter has no such hazard. *)
-let null_formatter =
-  Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
-
-let eventf t ~round fmt =
-  if t.enabled then
-    Format.kasprintf (fun msg -> event t ~round msg) fmt
-  else Format.ikfprintf (fun _ -> ()) null_formatter fmt
+  t.buf.(t.count mod t.capacity) <- (round, msg);
+  t.count <- t.count + 1
 
 let dump t =
   let len = min t.count t.capacity in
   let start = t.count - len in
   List.init len (fun i -> t.buf.((start + i) mod t.capacity))
-
-let clear t = t.count <- 0

@@ -1,24 +1,14 @@
 (** Bounded in-memory event trace for debugging simulations.
 
-    Disabled traces cost a single branch per event. Enabled traces keep the
-    last [capacity] formatted events in a ring buffer; [dump] returns them
-    oldest-first. *)
+    A trace keeps the last [capacity] formatted events in a ring buffer;
+    [dump] returns them oldest-first. *)
 
 type t
 
-val create : ?capacity:int -> enabled:bool -> unit -> t
-
-val enabled : t -> bool
+val create : ?capacity:int -> unit -> t
 
 val event : t -> round:int -> string -> unit
-(** Record a pre-formatted event. Cheap no-op when the trace is disabled. *)
-
-val eventf :
-  t -> round:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant; the format arguments are only evaluated when the
-    trace is enabled. *)
+(** Record a pre-formatted event. *)
 
 val dump : t -> (int * string) list
 (** Retained [(round, event)] pairs, oldest first. *)
-
-val clear : t -> unit

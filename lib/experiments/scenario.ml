@@ -279,6 +279,10 @@ let run_resumable ?checks ?observe ?telemetry ?heartbeat ~resume_dir
       telemetry;
     Cached c
   | None ->
+    (* The marker's rename can never replace a directory: refuse the
+       cell before it runs, naming the path. *)
+    if Sys.file_exists path && Sys.is_directory path then
+      invalid_arg (path ^ ": Is a directory");
     let o = run ?checks ?observe ?telemetry ?heartbeat spec in
     store_cached ~experiment path o;
     Fresh o

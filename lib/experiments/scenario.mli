@@ -217,7 +217,10 @@ val run_resumable :
     completion marker first. On a hit, returns [Cached] without simulating
     (noting the cache hit on [telemetry] when given); on a miss, runs the
     scenario, writes the marker, and returns [Fresh]. An absent marker —
-    corrupt, mismatched or unreadable — is a miss and is rewritten. *)
+    corrupt, mismatched or unreadable — is a miss and is rewritten; a
+    directory at the marker path could never be replaced by the marker,
+    so it raises [Invalid_argument] naming the path before the scenario
+    runs. *)
 
 (** {2 Quarantine markers}
 

@@ -1167,7 +1167,6 @@ let complete r =
   && (r.drained >= r.cfg.drain_limit || Metrics.total_queued r.metrics = 0)
 
 let session_round (Session r) = r.round
-let session_drained (Session r) = r.drained
 let session_backlog (Session r) = Metrics.total_queued r.metrics
 let session_complete (Session r) = complete r
 let session_snapshot (Session r) = snapshot r

@@ -183,9 +183,6 @@ val advance : session -> max_steps:int -> int
 val session_round : session -> int
 (** The next round to execute (mirrors {!snapshot_round}). *)
 
-val session_drained : session -> int
-(** Drain rounds executed so far. *)
-
 val session_backlog : session -> int
 (** Packets currently queued across all stations. *)
 

@@ -11,10 +11,9 @@ let null = make (fun ~round:_ _ -> ())
 
 let close t = t.close ()
 
-let ring ?(all = false) trace =
+let ring trace =
   make (fun ~round ev ->
-      if all || Event.notable ev then
-        Trace.event trace ~round (Event.to_string ev))
+      if Event.notable ev then Trace.event trace ~round (Event.to_string ev))
 
 (* Each line is encoded into one buffer the sink reuses, then copied
    into the channel's own buffer: no string is made per event. *)
@@ -36,12 +35,6 @@ let tee sinks =
   make
     ~close:(fun () -> List.iter close sinks)
     (fun ~round ev -> List.iter (fun s -> s.emit ~round ev) sinks)
-
-let sample ~every inner =
-  if every <= 1 then inner
-  else
-    make ~close:inner.close (fun ~round ev ->
-        if round mod every = 0 then inner.emit ~round ev)
 
 type counts = {
   injected : int;

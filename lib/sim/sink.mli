@@ -22,11 +22,10 @@ val null : t
 
 val close : t -> unit
 
-val ring : ?all:bool -> Mac_channel.Trace.t -> t
-(** Record events into the bounded in-memory {!Mac_channel.Trace} ring,
-    formatted with [Event.to_string]. By default only
-    {!Mac_channel.Event.notable} events are kept — the historical trace
-    behaviour; [~all:true] records every event. *)
+val ring : Mac_channel.Trace.t -> t
+(** Record the {!Mac_channel.Event.notable} events into the bounded
+    in-memory {!Mac_channel.Trace} ring, formatted with
+    [Event.to_string]. *)
 
 val jsonl : out_channel -> t
 (** Stream one JSON object per line to the channel, each written by
@@ -39,10 +38,6 @@ val jsonl_file : string -> t
 
 val tee : t list -> t
 (** Fan every event out to each sink in order; [close] closes them all. *)
-
-val sample : every:int -> t -> t
-(** Forward only events of rounds divisible by [every] (so complete
-    rounds are kept or dropped together). [every <= 1] forwards all. *)
 
 (** The replay aggregate: what a counting pass over a recorded stream
     can reconstruct without any engine state. *)

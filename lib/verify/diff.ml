@@ -24,7 +24,7 @@ let pp_verdict ppf v =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Running both sides. *)
+(* The runs. *)
 
 type 'a outcome = Finished of 'a | Raised of string
 
@@ -33,22 +33,33 @@ type 'a outcome = Finished of 'a | Raised of string
 let config spec =
   { (Scenario.config spec) with strict = false; check_schedule = false }
 
-(* The engine on [spec] under [config], recording its event stream. *)
-let engine_side ?(with_sink = true) spec (config : Mac_sim.Engine.config) =
-  let events_rev = ref [] in
-  let sink =
-    Mac_sim.Sink.make (fun ~round ev -> events_rev := (round, ev) :: !events_rev)
-  in
+(* The engine on [spec] under {!config} in [mode]: its outcome, the event
+   stream a recording sink saw (none without [sink]), and the Marshal
+   bytes of each snapshot taken every [checkpoint_every] rounds (none at
+   0). *)
+let engine_run ?(sink = true) ?(checkpoint_every = 0) mode spec =
+  let events = ref [] and snapshots = ref [] in
+  let record r x = r := x :: !r in
   let config =
-    { config with sink = (if with_sink then Some sink else None) }
+    { (config spec) with
+      mode;
+      sink =
+        (if sink then
+           Some (Mac_sim.Sink.make (fun ~round ev -> record events (round, ev)))
+         else None);
+      checkpoint_every;
+      on_checkpoint =
+        (if checkpoint_every > 0 then
+           Some (fun s -> record snapshots (Marshal.to_string s []))
+         else None) }
   in
   let outcome =
     try Finished (Scenario.simulate ~config spec)
     with Mac_sim.Engine.Protocol_violation msg -> Raised msg
   in
-  (outcome, List.rev !events_rev)
+  (outcome, List.rev !events, List.rev !snapshots)
 
-let oracle_side (r : Scenario.spec) =
+let oracle_run (r : Scenario.spec) =
   try
     let digest, events =
       Oracle.run ~algorithm:r.algorithm ~n:r.n ~k:r.k ~rate:r.rate
@@ -59,11 +70,49 @@ let oracle_side (r : Scenario.spec) =
   with Oracle.Violation msg -> (Raised msg, [])
 
 (* ------------------------------------------------------------------ *)
-(* Comparison. *)
+(* Comparison: every mismatch puts the run under test under [engine] and
+   the reference under [oracle]. *)
 
-let fmt_float f = Printf.sprintf "%h" f
+(* The comparable part of an engine summary. *)
+let digest (s : Mac_sim.Metrics.summary) : Oracle.digest =
+  { rounds = s.rounds;
+    drain_rounds = s.drain_rounds;
+    injected = s.injected;
+    delivered = s.delivered;
+    undelivered = s.undelivered;
+    max_delay = s.max_delay;
+    mean_delay = s.mean_delay;
+    max_queued_age = s.max_queued_age;
+    max_total_queue = s.max_total_queue;
+    final_total_queue = s.final_total_queue;
+    max_station_queue = s.max_station_queue;
+    energy_cap = s.energy_cap;
+    max_on = s.max_on;
+    mean_on = s.mean_on;
+    station_rounds = s.station_rounds;
+    silent_rounds = s.silent_rounds;
+    light_rounds = s.light_rounds;
+    delivery_rounds = s.delivery_rounds;
+    relay_rounds = s.relay_rounds;
+    collision_rounds = s.collision_rounds;
+    max_hops = s.max_hops;
+    control_bits_total = s.control_bits_total;
+    control_bits_max = s.control_bits_max;
+    cap_exceeded = s.violations.cap_exceeded;
+    stranded = s.violations.stranded;
+    adoption_conflicts = s.violations.adoption_conflicts;
+    spurious_adoptions = s.violations.spurious_adoptions;
+    crashes = s.faults.crashes;
+    restarts = s.faults.restarts;
+    jammed_rounds = s.faults.jammed_rounds;
+    noise_rounds = s.faults.noise_rounds;
+    lost_to_crash = s.faults.lost_to_crash;
+    last_fault_round = s.faults.last_fault_round;
+    pre_fault_queue = s.faults.pre_fault_queue;
+    post_fault_peak_queue = s.faults.post_fault_peak_queue;
+    recovery_rounds = s.faults.recovery_rounds }
 
-let compare_summary (s : Mac_sim.Metrics.summary) (d : Oracle.digest) =
+let compare_digests (e : Oracle.digest) (o : Oracle.digest) =
   let acc = ref [] in
   let int what a b =
     if a <> b then
@@ -73,96 +122,134 @@ let compare_summary (s : Mac_sim.Metrics.summary) (d : Oracle.digest) =
      same order, so any difference is a real drift. *)
   let flt what a b =
     if Int64.bits_of_float a <> Int64.bits_of_float b then
-      acc := { what; engine = fmt_float a; oracle = fmt_float b } :: !acc
+      acc :=
+        { what; engine = Printf.sprintf "%h" a; oracle = Printf.sprintf "%h" b }
+        :: !acc
   in
-  int "rounds" s.rounds d.rounds;
-  int "drain_rounds" s.drain_rounds d.drain_rounds;
-  int "injected" s.injected d.injected;
-  int "delivered" s.delivered d.delivered;
-  int "undelivered" s.undelivered d.undelivered;
-  int "max_delay" s.max_delay d.max_delay;
-  flt "mean_delay" s.mean_delay d.mean_delay;
-  int "max_queued_age" s.max_queued_age d.max_queued_age;
-  int "max_total_queue" s.max_total_queue d.max_total_queue;
-  int "final_total_queue" s.final_total_queue d.final_total_queue;
-  int "max_station_queue" s.max_station_queue d.max_station_queue;
-  int "energy_cap" s.energy_cap d.energy_cap;
-  int "max_on" s.max_on d.max_on;
-  flt "mean_on" s.mean_on d.mean_on;
-  int "station_rounds" s.station_rounds d.station_rounds;
-  int "silent_rounds" s.silent_rounds d.silent_rounds;
-  int "light_rounds" s.light_rounds d.light_rounds;
-  int "delivery_rounds" s.delivery_rounds d.delivery_rounds;
-  int "relay_rounds" s.relay_rounds d.relay_rounds;
-  int "collision_rounds" s.collision_rounds d.collision_rounds;
-  int "max_hops" s.max_hops d.max_hops;
-  int "control_bits_total" s.control_bits_total d.control_bits_total;
-  int "control_bits_max" s.control_bits_max d.control_bits_max;
-  int "cap_exceeded" s.violations.cap_exceeded d.cap_exceeded;
-  int "stranded" s.violations.stranded d.stranded;
-  int "adoption_conflicts" s.violations.adoption_conflicts d.adoption_conflicts;
-  int "spurious_adoptions" s.violations.spurious_adoptions d.spurious_adoptions;
-  int "crashes" s.faults.crashes d.crashes;
-  int "restarts" s.faults.restarts d.restarts;
-  int "jammed_rounds" s.faults.jammed_rounds d.jammed_rounds;
-  int "noise_rounds" s.faults.noise_rounds d.noise_rounds;
-  int "lost_to_crash" s.faults.lost_to_crash d.lost_to_crash;
-  int "last_fault_round" s.faults.last_fault_round d.last_fault_round;
-  int "pre_fault_queue" s.faults.pre_fault_queue d.pre_fault_queue;
-  int "post_fault_peak_queue" s.faults.post_fault_peak_queue
-    d.post_fault_peak_queue;
-  int "recovery_rounds" s.faults.recovery_rounds d.recovery_rounds;
+  int "rounds" e.rounds o.rounds;
+  int "drain_rounds" e.drain_rounds o.drain_rounds;
+  int "injected" e.injected o.injected;
+  int "delivered" e.delivered o.delivered;
+  int "undelivered" e.undelivered o.undelivered;
+  int "max_delay" e.max_delay o.max_delay;
+  flt "mean_delay" e.mean_delay o.mean_delay;
+  int "max_queued_age" e.max_queued_age o.max_queued_age;
+  int "max_total_queue" e.max_total_queue o.max_total_queue;
+  int "final_total_queue" e.final_total_queue o.final_total_queue;
+  int "max_station_queue" e.max_station_queue o.max_station_queue;
+  int "energy_cap" e.energy_cap o.energy_cap;
+  int "max_on" e.max_on o.max_on;
+  flt "mean_on" e.mean_on o.mean_on;
+  int "station_rounds" e.station_rounds o.station_rounds;
+  int "silent_rounds" e.silent_rounds o.silent_rounds;
+  int "light_rounds" e.light_rounds o.light_rounds;
+  int "delivery_rounds" e.delivery_rounds o.delivery_rounds;
+  int "relay_rounds" e.relay_rounds o.relay_rounds;
+  int "collision_rounds" e.collision_rounds o.collision_rounds;
+  int "max_hops" e.max_hops o.max_hops;
+  int "control_bits_total" e.control_bits_total o.control_bits_total;
+  int "control_bits_max" e.control_bits_max o.control_bits_max;
+  int "cap_exceeded" e.cap_exceeded o.cap_exceeded;
+  int "stranded" e.stranded o.stranded;
+  int "adoption_conflicts" e.adoption_conflicts o.adoption_conflicts;
+  int "spurious_adoptions" e.spurious_adoptions o.spurious_adoptions;
+  int "crashes" e.crashes o.crashes;
+  int "restarts" e.restarts o.restarts;
+  int "jammed_rounds" e.jammed_rounds o.jammed_rounds;
+  int "noise_rounds" e.noise_rounds o.noise_rounds;
+  int "lost_to_crash" e.lost_to_crash o.lost_to_crash;
+  int "last_fault_round" e.last_fault_round o.last_fault_round;
+  int "pre_fault_queue" e.pre_fault_queue o.pre_fault_queue;
+  int "post_fault_peak_queue" e.post_fault_peak_queue
+    o.post_fault_peak_queue;
+  int "recovery_rounds" e.recovery_rounds o.recovery_rounds;
   List.rev !acc
 
-let fmt_event (round, ev) = Printf.sprintf "r%d %s" round (Event.to_string ev)
+(* Two engine summaries: every digest field, then the Marshal bytes,
+   which also cover the histogram, [p99_delay] and the queue series. *)
+let compare_summaries (e : Mac_sim.Metrics.summary) o =
+  match compare_digests (digest e) (digest o) with
+  | [] when Marshal.to_string e [] <> Marshal.to_string o [] ->
+    [ { what = "summary.bytes"; engine = "<differs>"; oracle = "<differs>" } ]
+  | fields -> fields
 
-let compare_events engine_events oracle_events =
+(* The first position at which two recorded streams differ, if any; a
+   stream that ended there shows as "<stream ended>". *)
+let compare_streams ~what ~show engine oracle =
+  let head = function [] -> "<stream ended>" | x :: _ -> show x in
   let rec go i es os =
     match (es, os) with
-    | [], [] -> None
-    | e :: es', o :: os' ->
-      if e = o then go (i + 1) es' os'
-      else
-        Some
-          { what = Printf.sprintf "event[%d]" i;
-            engine = fmt_event e;
-            oracle = fmt_event o }
-    | e :: _, [] ->
-      Some
-        { what = Printf.sprintf "event[%d]" i;
-          engine = fmt_event e;
-          oracle = "<stream ended>" }
-    | [], o :: _ ->
-      Some
-        { what = Printf.sprintf "event[%d]" i;
-          engine = "<stream ended>";
-          oracle = fmt_event o }
+    | [], [] -> []
+    | e :: es', o :: os' when e = o -> go (i + 1) es' os'
+    | _ -> [ { what = what i; engine = head es; oracle = head os } ]
   in
-  go 0 engine_events oracle_events
+  go 0 engine oracle
 
-let run_pair (spec : Scenario.spec) =
-  let e_outcome, e_events = engine_side spec (config spec) in
-  let o_outcome, o_events = oracle_side spec in
-  let events = max (List.length e_events) (List.length o_events) in
+let compare_events =
+  compare_streams ~what:(Printf.sprintf "event[%d]") ~show:(fun (round, ev) ->
+      Printf.sprintf "r%d %s" round (Event.to_string ev))
+
+let compare_snapshots =
+  compare_streams ~what:(Printf.sprintf "checkpoint[%d]") ~show:(fun s ->
+      Printf.sprintf "<%d bytes>" (String.length s))
+
+(* A run under test against its reference: [same] compares two finished
+   runs; two runs that raised agree when their messages do. [tag]
+   prefixes every mismatch name. *)
+let compare_outcomes ?(tag = "") same test reference =
+  let show = function Finished _ -> "<finished>" | Raised msg -> msg in
   let mismatches =
-    match (e_outcome, o_outcome) with
-    | Finished s, Finished d -> (
-      let fields = compare_summary s d in
-      match compare_events e_events o_events with
-      | None -> fields
-      | Some m -> fields @ [ m ])
-    | Raised e, Raised o ->
-      if e = o then []
-      else [ { what = "exception"; engine = e; oracle = o } ]
-    | Finished _, Raised o ->
-      [ { what = "exception"; engine = "<finished>"; oracle = o } ]
-    | Raised e, Finished _ ->
-      [ { what = "exception"; engine = e; oracle = "<finished>" } ]
+    match (test, reference) with
+    | Finished t, Finished r -> same t r
+    | Raised x, Raised y when String.equal x y -> []
+    | _ ->
+      [ { what = "exception"; engine = show test; oracle = show reference } ]
   in
-  { id = spec.id; events; mismatches }
+  List.map (fun m -> { m with what = tag ^ m.what }) mismatches
 
-let run_pairs ?jobs specs =
-  Scenario.run_batch ?jobs (List.map (fun spec () -> run_pair spec) specs)
+type reference = Oracle | Dense
+
+let check reference (spec : Scenario.spec) =
+  match reference with
+  | Oracle ->
+    let e, e_events, _ = engine_run Mac_sim.Engine.Dense spec in
+    let o, o_events = oracle_run spec in
+    { id = spec.id;
+      events = max (List.length e_events) (List.length o_events);
+      mismatches =
+        compare_outcomes
+          (fun t r ->
+            compare_digests (digest t) r @ compare_events e_events o_events)
+          e o }
+  | Dense ->
+    (* Three runs of the spec: dense with a sink and checkpoints (the
+       reference), sparse without a sink (skip-ahead armed) at the same
+       checkpoint cadence, and sparse with a sink (sparse concrete
+       iteration, exact event order). A cadence that is coprime-ish with
+       typical schedules lands checkpoints mid-stretch. *)
+    let checkpoint_every = max 1 (spec.rounds / 7) in
+    let d, d_events, d_snaps =
+      engine_run ~checkpoint_every Mac_sim.Engine.Dense spec
+    in
+    let s, _, s_snaps =
+      engine_run ~sink:false ~checkpoint_every Mac_sim.Engine.Sparse spec
+    in
+    let se, se_events, _ = engine_run Mac_sim.Engine.Sparse spec in
+    { id = spec.id ^ " [sparse-certify]";
+      events = List.length d_events;
+      mismatches =
+        compare_outcomes ~tag:"sparse."
+          (fun t r ->
+            compare_summaries t r @ compare_snapshots s_snaps d_snaps)
+          s d
+        @ compare_outcomes ~tag:"sparse+sink."
+            (fun t r ->
+              compare_summaries t r @ compare_events se_events d_events)
+            se d }
+
+let check_all ?jobs reference specs =
+  Scenario.run_batch ?jobs
+    (List.map (fun spec () -> check reference spec) specs)
 
 (* ------------------------------------------------------------------ *)
 (* Random configurations. *)
@@ -298,143 +385,6 @@ let random ~seed =
   let algorithm = registered ~seed:algo_seed name ~n ~k in
   draw_spec rng ~tag:"seed" ~seed ~n ~k ~algorithm
 
-(* ------------------------------------------------------------------ *)
-(* Sparse-vs-dense certification: the same configuration through the same
-   engine in both modes must be bit-identical — summary (Marshal bytes),
-   event stream, and every checkpoint snapshot (Marshal bytes). *)
-
-(* The engine on [spec] in [mode]; [checkpoint_every > 0] collects each
-   periodic snapshot's Marshal bytes. *)
-let engine_mode_side spec ~mode ~with_sink ~checkpoint_every =
-  let snaps_rev = ref [] in
-  let outcome, events =
-    engine_side ~with_sink spec
-      { (config spec) with
-        checkpoint_every;
-        on_checkpoint =
-          (if checkpoint_every > 0 then
-             Some (fun s -> snaps_rev := Marshal.to_string s [] :: !snaps_rev)
-           else None);
-        mode }
-  in
-  (outcome, events, List.rev !snaps_rev)
-
-let compare_summaries (a : Mac_sim.Metrics.summary)
-    (b : Mac_sim.Metrics.summary) =
-  let acc = ref [] in
-  let int what x y =
-    if x <> y then
-      acc := { what; engine = string_of_int x; oracle = string_of_int y } :: !acc
-  in
-  let flt what x y =
-    if Int64.bits_of_float x <> Int64.bits_of_float y then
-      acc := { what; engine = fmt_float x; oracle = fmt_float y } :: !acc
-  in
-  int "rounds" a.rounds b.rounds;
-  int "drain_rounds" a.drain_rounds b.drain_rounds;
-  int "injected" a.injected b.injected;
-  int "delivered" a.delivered b.delivered;
-  int "max_delay" a.max_delay b.max_delay;
-  flt "mean_delay" a.mean_delay b.mean_delay;
-  int "p99_delay" a.p99_delay b.p99_delay;
-  int "max_queued_age" a.max_queued_age b.max_queued_age;
-  int "max_total_queue" a.max_total_queue b.max_total_queue;
-  int "final_total_queue" a.final_total_queue b.final_total_queue;
-  int "max_station_queue" a.max_station_queue b.max_station_queue;
-  int "max_on" a.max_on b.max_on;
-  flt "mean_on" a.mean_on b.mean_on;
-  int "station_rounds" a.station_rounds b.station_rounds;
-  int "silent_rounds" a.silent_rounds b.silent_rounds;
-  int "light_rounds" a.light_rounds b.light_rounds;
-  int "delivery_rounds" a.delivery_rounds b.delivery_rounds;
-  int "relay_rounds" a.relay_rounds b.relay_rounds;
-  int "collision_rounds" a.collision_rounds b.collision_rounds;
-  int "cap_exceeded" a.violations.cap_exceeded b.violations.cap_exceeded;
-  int "stranded" a.violations.stranded b.violations.stranded;
-  int "crashes" a.faults.crashes b.faults.crashes;
-  int "restarts" a.faults.restarts b.faults.restarts;
-  int "jammed_rounds" a.faults.jammed_rounds b.faults.jammed_rounds;
-  int "lost_to_crash" a.faults.lost_to_crash b.faults.lost_to_crash;
-  int "recovery_rounds" a.faults.recovery_rounds b.faults.recovery_rounds;
-  int "queue_series_len" (Array.length a.queue_series)
-    (Array.length b.queue_series);
-  (* The per-field diagnostics above are for readable verdicts; the byte
-     compare is the actual equality (it also covers the histograms and the
-     series contents). *)
-  if
-    !acc = []
-    && Marshal.to_string a [] <> Marshal.to_string b []
-  then
-    acc :=
-      [ { what = "summary.bytes"; engine = "<differs>"; oracle = "<differs>" } ];
-  List.rev !acc
-
-let compare_snapshots tag a b =
-  let la = List.length a and lb = List.length b in
-  if la <> lb then
-    [ { what = Printf.sprintf "%s.count" tag;
-        engine = string_of_int la;
-        oracle = string_of_int lb } ]
-  else
-    let rec go i xs ys =
-      match (xs, ys) with
-      | [], [] -> []
-      | x :: xs', y :: ys' ->
-        if String.equal x y then go (i + 1) xs' ys'
-        else
-          [ { what = Printf.sprintf "%s[%d].bytes" tag i;
-              engine = Printf.sprintf "<%d bytes>" (String.length x);
-              oracle = Printf.sprintf "<%d bytes>" (String.length y) } ]
-      | _ -> assert false
-    in
-    go 0 a b
-
-let certify_sparse (spec : Scenario.spec) =
-  (* Three runs of the spec: dense with sink + checkpoints (the
-     reference), sparse without a sink (skip-ahead armed) + checkpoints,
-     sparse with a sink (sparse concrete iteration, exact event order). A
-     cadence that is coprime-ish with typical schedules lands checkpoints
-     mid-stretch. *)
-  let checkpoint_every = max 1 (spec.rounds / 7) in
-  let d_out, d_events, d_snaps =
-    engine_mode_side spec ~mode:Mac_sim.Engine.Dense ~with_sink:true
-      ~checkpoint_every
-  in
-  let s_out, _, s_snaps =
-    engine_mode_side spec ~mode:Mac_sim.Engine.Sparse ~with_sink:false
-      ~checkpoint_every
-  in
-  let se_out, se_events, _ =
-    engine_mode_side spec ~mode:Mac_sim.Engine.Sparse ~with_sink:true
-      ~checkpoint_every:0
-  in
-  let events = List.length d_events in
-  let outcome_mismatch tag a b =
-    match (a, b) with
-    | Finished _, Finished _ -> []
-    | Raised x, Raised y ->
-      if String.equal x y then []
-      else [ { what = tag ^ ".exception"; engine = x; oracle = y } ]
-    | Finished _, Raised y ->
-      [ { what = tag ^ ".exception"; engine = "<finished>"; oracle = y } ]
-    | Raised x, Finished _ ->
-      [ { what = tag ^ ".exception"; engine = x; oracle = "<finished>" } ]
-  in
-  let mismatches =
-    match (d_out, s_out, se_out) with
-    | Finished ds, Finished ss, Finished ses ->
-      compare_summaries ds ss
-      @ compare_snapshots "checkpoint" d_snaps s_snaps
-      @ compare_summaries ses ds
-      @ (match compare_events d_events se_events with
-         | None -> []
-         | Some m -> [ m ])
-    | _ ->
-      outcome_mismatch "sparse" d_out s_out
-      @ outcome_mismatch "sparse+sink" d_out se_out
-  in
-  { id = spec.id ^ " [sparse-certify]"; events; mismatches }
-
 (* Like [random] but pinned to a sparse-capable algorithm (pair-TDMA or
    the ack-based broadcast TDMA). *)
 let random_sparse ~seed =
@@ -445,6 +395,3 @@ let random_sparse ~seed =
   in
   draw_spec rng ~tag:"sparse-seed" ~seed ~n ~k
     ~algorithm:(registered name ~n ~k)
-
-let certify_sparse_batch ?jobs specs =
-  Scenario.run_batch ?jobs (List.map (fun spec () -> certify_sparse spec) specs)

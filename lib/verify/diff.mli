@@ -1,25 +1,31 @@
-(** Differential checking: the engine against the naive {!Oracle}.
+(** Differential checking: the engine against a reference run of the
+    same spec — the naive {!Oracle}, or the engine's own dense mode.
 
     Every entry point takes a {!Mac_experiments.Scenario.spec}. A spec
-    builds fresh pattern state for each run, so the engine and the oracle
-    (or the sparse certifier's three engine runs) replay the same
-    injection sequence from one value. {!random} and {!random_sparse} draw
-    specs from a seed; experiment drivers pass their catalog's specs.
+    builds fresh pattern state for each run, so every run {!check} makes
+    replays the same injection sequence from one value. {!random} and
+    {!random_sparse} draw specs from a seed; experiment drivers pass their
+    catalog's specs.
 
     A divergence — any summary field or any event differing — is a drift
     bug in one of the two implementations; the verdict says where they
     first disagreed. *)
 
 type mismatch = {
-  what : string;   (** summary field name, or ["event[i]"] / ["exception"] *)
-  engine : string; (** the engine's value, rendered *)
-  oracle : string; (** the oracle's value, rendered *)
+  what : string;
+      (** summary field name, ["event[i]"], ["checkpoint[i]"],
+          ["summary.bytes"] or ["exception"]; {!Dense} verdicts prefix it
+          with the run under test (["sparse."] or ["sparse+sink."]) *)
+  engine : string; (** the run under test's value, rendered *)
+  oracle : string; (** the reference's value, rendered *)
 }
 
 type verdict = {
   id : string;
-  events : int;    (** events compared (the longer stream's length) *)
-  mismatches : mismatch list; (** empty = the implementations agree *)
+  events : int;
+      (** events compared: the longer stream's length against {!Oracle},
+          the dense stream's length against {!Dense} *)
+  mismatches : mismatch list; (** empty = the runs agree *)
 }
 
 val agrees : verdict -> bool
@@ -30,18 +36,40 @@ val pp_verdict : Format.formatter -> verdict -> unit
 
 val config : Mac_experiments.Scenario.spec -> Mac_sim.Engine.config
 (** {!Mac_experiments.Scenario.config} on the oracle's terms: strict off
-    (violations are counted, not raised) and no schedule cross-check. *)
+    (violations are counted, not raised) and no schedule cross-check.
+    Every engine run {!check} makes uses it. *)
 
-val run_pair : Mac_experiments.Scenario.spec -> verdict
-(** Run the spec through the engine under {!config} with a recording
-    sink and through {!Oracle.run}, then compare the two event streams
-    exactly and every comparable summary field. If exactly one side
-    raises, that is a mismatch; if both raise the same protocol-violation
+(** What the engine is checked against. *)
+type reference =
+  | Oracle
+      (** {!Oracle.run}: the dense engine with a recording sink must
+          reproduce its event stream exactly and every {!Oracle.digest}
+          field. *)
+  | Dense
+      (** The engine's own [Dense] mode, for sparse-capable algorithms.
+          The reference is a dense run with a recording sink and a
+          snapshot every [max 1 (rounds / 7)] rounds. Under test are a
+          sparse run without a sink (skip-ahead armed) at the same
+          checkpoint cadence, which must match the summary and every
+          snapshot's Marshal bytes, and a sparse run with a sink, which
+          must match the summary and the full event stream. Summaries
+          match on every digest field and then on their Marshal bytes,
+          which also cover the histogram, [p99_delay] and the queue
+          series. Verdict ids carry a [" [sparse-certify]"] suffix. An
+          algorithm without a sparse hook raises [Invalid_argument] (the
+          engine's own check). *)
+
+val check : reference -> Mac_experiments.Scenario.spec -> verdict
+(** Run the spec through the engine and the [reference] and compare
+    them. Every mismatch puts the run under test under [engine] and the
+    reference under [oracle]. If exactly one side raises, that is an
+    ["exception"] mismatch; if both raise the same protocol-violation
     message, they agree. *)
 
-val run_pairs :
-  ?jobs:int -> Mac_experiments.Scenario.spec list -> verdict list
-(** [run_pair] over a batch on {!Mac_experiments.Scenario.run_batch} with
+val check_all :
+  ?jobs:int -> reference -> Mac_experiments.Scenario.spec list ->
+  verdict list
+(** {!check} over a batch on {!Mac_experiments.Scenario.run_batch} with
     [jobs] worker domains (default 1 = sequential), results in input
     order. *)
 
@@ -54,24 +82,7 @@ val random : seed:int -> Mac_experiments.Scenario.spec
     size, exact rational (ρ, β), pacing, pattern, drain, and an optional
     fault plan. A seed names the same configuration in every version. *)
 
-val certify_sparse : Mac_experiments.Scenario.spec -> verdict
-(** Certify the engine's sparse mode against its dense mode on one spec,
-    run three times under {!config}: dense with a recording sink and
-    periodic checkpoints (the reference), sparse without a sink
-    (skip-ahead armed) with the same checkpoint cadence, and sparse with a
-    sink. Agreement means: every summary field and the summary's Marshal
-    bytes, every checkpoint snapshot's Marshal bytes, and the full event
-    stream are identical across modes. Requires a sparse-capable
-    algorithm ([Invalid_argument] otherwise — that is the engine's own
-    check). *)
-
-val certify_sparse_batch :
-  ?jobs:int -> Mac_experiments.Scenario.spec list -> verdict list
-(** {!certify_sparse} over a batch on {!Mac_experiments.Scenario.run_batch}
-    with [jobs] worker domains (default 1 = sequential), results in input
-    order. *)
-
 val random_sparse : seed:int -> Mac_experiments.Scenario.spec
 (** Like {!random} but pinned to a sparse-capable algorithm, for
-    {!certify_sparse}: pair-TDMA or the ack-based broadcast TDMA (ack-rr),
+    [check Dense]: pair-TDMA or the ack-based broadcast TDMA (ack-rr),
     each drawn half the time. *)

@@ -380,29 +380,16 @@ let pqueue_dests =
 
 (* ---- Trace ---- *)
 
-let test_trace_disabled_is_noop () =
-  let t = Trace.create ~enabled:false () in
-  Trace.event t ~round:1 "x";
-  Trace.eventf t ~round:2 "%d" 42;
-  Alcotest.(check (list (pair int string))) "empty" [] (Trace.dump t)
-
 let test_trace_ring () =
-  let t = Trace.create ~capacity:3 ~enabled:true () in
+  let t = Trace.create ~capacity:3 () in
   List.iter (fun i -> Trace.event t ~round:i (string_of_int i)) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check (list (pair int string)))
     "keeps last 3, oldest first"
     [ (3, "3"); (4, "4"); (5, "5") ]
-    (Trace.dump t);
-  Trace.clear t;
-  Alcotest.(check (list (pair int string))) "cleared" [] (Trace.dump t)
-
-let test_trace_eventf () =
-  let t = Trace.create ~enabled:true () in
-  Trace.eventf t ~round:9 "v=%d %s" 7 "ok";
-  Alcotest.(check (list (pair int string))) "formats" [ (9, "v=7 ok") ] (Trace.dump t)
+    (Trace.dump t)
 
 let test_trace_wraparound_ordering () =
-  let t = Trace.create ~capacity:4 ~enabled:true () in
+  let t = Trace.create ~capacity:4 () in
   (* exactly at capacity: nothing dropped *)
   List.iter (fun i -> Trace.event t ~round:i (string_of_int i)) [ 0; 1; 2; 3 ];
   Alcotest.(check (list (pair int string)))
@@ -416,33 +403,6 @@ let test_trace_wraparound_ordering () =
     "after wraparound"
     [ (7, "7"); (8, "8"); (9, "9"); (10, "10") ]
     (Trace.dump t)
-
-let test_trace_clear_then_reuse () =
-  let t = Trace.create ~capacity:3 ~enabled:true () in
-  List.iter (fun i -> Trace.event t ~round:i "x") [ 0; 1; 2; 3; 4 ];
-  Trace.clear t;
-  Alcotest.(check (list (pair int string))) "cleared" [] (Trace.dump t);
-  (* refill below capacity: no stale slots resurface *)
-  Trace.event t ~round:7 "a";
-  Trace.event t ~round:8 "b";
-  Alcotest.(check (list (pair int string)))
-    "fresh entries only" [ (7, "a"); (8, "b") ] (Trace.dump t);
-  (* and past capacity again: wraparound restarts cleanly *)
-  List.iter (fun i -> Trace.event t ~round:i (string_of_int i)) [ 9; 10; 11 ];
-  Alcotest.(check (list (pair int string)))
-    "wraps again"
-    [ (9, "9"); (10, "10"); (11, "11") ]
-    (Trace.dump t)
-
-let test_trace_disabled_eventf_leaves_str_formatter_alone () =
-  (* the disabled path must not touch the shared Format.str_formatter *)
-  ignore (Format.flush_str_formatter ());
-  Format.fprintf Format.str_formatter "partial %d" 1;
-  let t = Trace.create ~enabled:false () in
-  Trace.eventf t ~round:0 "noise %d %s %f" 42 "str" 3.14;
-  Alcotest.(check string)
-    "str_formatter unpolluted" "partial 1"
-    (Format.flush_str_formatter ())
 
 (* ---- Algorithm describe ---- *)
 
@@ -478,11 +438,7 @@ let () =
          QCheck_alcotest.to_alcotest pqueue_model;
          QCheck_alcotest.to_alcotest pqueue_dests ]);
       ("trace",
-       [ Alcotest.test_case "disabled" `Quick test_trace_disabled_is_noop;
-         Alcotest.test_case "ring" `Quick test_trace_ring;
-         Alcotest.test_case "eventf" `Quick test_trace_eventf;
-         Alcotest.test_case "wraparound ordering" `Quick test_trace_wraparound_ordering;
-         Alcotest.test_case "clear then reuse" `Quick test_trace_clear_then_reuse;
-         Alcotest.test_case "disabled eventf isolation" `Quick
-           test_trace_disabled_eventf_leaves_str_formatter_alone ]);
+       [ Alcotest.test_case "ring" `Quick test_trace_ring;
+         Alcotest.test_case "wraparound ordering" `Quick
+           test_trace_wraparound_ordering ]);
       ("algorithm", [ Alcotest.test_case "describe" `Quick test_describe ]) ]

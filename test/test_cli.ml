@@ -422,7 +422,11 @@ let test_verify_counts_pinned () =
     [ ( [ "--count"; "40"; "--seed"; "0"; "--jobs"; "1" ],
         "40 configuration(s), 155416 event(s) compared, 0 divergence(s)" );
       ( [ "--table1"; "--quick"; "--rounds-cap"; "2000"; "--jobs"; "2" ],
-        "26 configuration(s), 297254 event(s) compared, 0 divergence(s)" ) ]
+        "26 configuration(s), 297254 event(s) compared, 0 divergence(s)" );
+      ( [ "--sparse"; "--count"; "20"; "--seed"; "0"; "--jobs"; "1" ],
+        "20 sparse certification(s), 0 divergence(s)" );
+      ( [ "--sparse"; "--table1"; "--quick"; "--jobs"; "2" ],
+        "1 sparse certification(s), 0 divergence(s)" ) ]
 
 (* [run --trace N] prints the last N notable channel events, recorded by
    a trace ring on the run's sink tee. The tail and the digest of the
@@ -522,7 +526,52 @@ let test_output_paths_checked_up_front () =
        [ "figures"; "NOPE"; "--quick"; "--events"; events; "--telemetry-dir";
          telemetry ]);
   Alcotest.(check (list bool)) "no output directory created" [ false; false ]
-    (List.map Sys.file_exists [ events; telemetry ])
+    (List.map Sys.file_exists [ events; telemetry ]);
+  (* A --telemetry-dir naming a regular file is refused the same way. *)
+  let file = Filename.concat dir "file" in
+  close_out (open_out file);
+  List.iter
+    (fun args ->
+      let out =
+        expect_exit_2
+          (args @ [ "--quick"; "--jobs"; "1"; "--telemetry-dir"; file ])
+      in
+      Alcotest.(check string) "nothing printed" "" out)
+    [ [ "table1"; "T1.orchestra" ]; [ "figures"; "A3.allocation" ] ]
+
+(* A directory where a cell's completion marker goes could never be
+   replaced by the marker, so the cell is refused before it runs, with a
+   line naming the path: exit 2 by default; under --keep-going one FAILED
+   row and exit 3. *)
+let test_directory_at_marker_path () =
+  let dir = temp_dir "eear_marker_dir" in
+  let marker = Filename.concat dir "orchestra_flood.done" in
+  Sys.mkdir marker 0o755;
+  let named = marker ^ ": Is a directory" in
+  let code, out, err = run_cli (table1_base @ [ "--resume-dir"; dir ]) in
+  Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" err) 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "stderr ends with a line naming the path (got %S)" err)
+    true
+    (String.ends_with ~suffix:(named ^ "\n") err);
+  Alcotest.(check bool) "no row for the cell" false
+    (contains out "orchestra/flood");
+  let code, out, err =
+    run_cli (table1_base @ [ "--resume-dir"; dir; "--keep-going" ])
+  in
+  Alcotest.(check int)
+    (Printf.sprintf "--keep-going exit code (stderr %S)" err)
+    3 code;
+  Alcotest.(check (list bool)) "one FAILED row, for the cell, naming the path"
+    [ true ]
+    (List.filter_map
+       (fun l ->
+         if contains l "FAILED" then
+           Some (contains l "orchestra/flood" && contains l named)
+         else None)
+       (lines out));
+  Alcotest.(check bool) "the directory is left alone" true
+    (Sys.is_directory marker)
 
 (* Batch commands whose stdout, concatenated over [commands], is pinned
    byte for byte in [golden]. *)
@@ -571,7 +620,9 @@ let () =
        [ Alcotest.test_case "directory inputs exit 2" `Quick
            test_directory_inputs_exit_2;
          Alcotest.test_case "output paths checked up front" `Quick
-           test_output_paths_checked_up_front ]);
+           test_output_paths_checked_up_front;
+         Alcotest.test_case "directory at a marker path" `Quick
+           test_directory_at_marker_path ]);
       ("pattern errors",
        [ Alcotest.test_case "bad spec exits 2" `Quick test_bad_pattern_exits_2 ]);
       ("run spec errors",

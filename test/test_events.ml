@@ -359,18 +359,6 @@ let test_tee_and_close () =
   check_int "b saw both" 2 !seen_b;
   Alcotest.(check (list string)) "both closed, in order" [ "b"; "a" ] !closed
 
-let test_sample_by_round () =
-  let rounds = ref [] in
-  let inner = Mac_sim.Sink.make (fun ~round _ -> rounds := round :: !rounds) in
-  let s = Mac_sim.Sink.sample ~every:3 inner in
-  for r = 0 to 9 do
-    s.emit ~round:r Event.Silence;
-    s.emit ~round:r (Event.Round_end { on_count = 0; draining = false })
-  done;
-  Alcotest.(check (list int))
-    "whole rounds kept or dropped" [ 0; 0; 3; 3; 6; 6; 9; 9 ]
-    (List.rev !rounds)
-
 (* ---- replay: recorded JSONL -> counting sink = live metrics ---- *)
 
 let record_run ~algorithm ~n ~k ~rate ~seed ~rounds ~drain =
@@ -715,8 +703,7 @@ let () =
          QCheck_alcotest.to_alcotest qcheck_decoders_total_on_strings;
          QCheck_alcotest.to_alcotest qcheck_decoders_total_on_edits ]);
       ("sinks",
-       [ Alcotest.test_case "tee and close" `Quick test_tee_and_close;
-         Alcotest.test_case "sample by round" `Quick test_sample_by_round ]);
+       [ Alcotest.test_case "tee and close" `Quick test_tee_and_close ]);
       ("replay",
        [ Alcotest.test_case "counting sink matches summary" `Quick
            test_counting_replay_matches_summary;

@@ -149,7 +149,7 @@ let test_jsonl_lines_valid () =
 (* ---- engine trace ---- *)
 
 let test_engine_trace_records_events () =
-  let trace = Mac_channel.Trace.create ~capacity:100 ~enabled:true () in
+  let trace = Mac_channel.Trace.create ~capacity:100 () in
   let adversary =
     Mac_adversary.Adversary.create_q ~rate:(Mac_channel.Qrat.make 1 2)
       ~burst:(Mac_channel.Qrat.of_int 2)

@@ -1,34 +1,26 @@
-(* The differential harness: the engine against the naive oracle.
+(* The differential harness: the engine against the naive oracle, and
+   the sparse engine against the dense one.
 
    Any disagreement — one summary field, one event — fails with the
-   verdict printed. The deterministic sweep pins seeds 0..219 so a
-   regression is reproducible by seed; the qcheck property adds fresh
-   random seeds on every run (a divergence it finds is a real drift bug,
-   never test flakiness, so the extra nondeterminism only adds power). *)
+   verdict printed. The deterministic sweeps pin seeds so a regression is
+   reproducible by seed; the qcheck properties add fresh random seeds on
+   every run (a divergence they find is a real drift bug, never test
+   flakiness, so the extra nondeterminism only adds power). A sparse hook
+   that lies must be caught. *)
 
 open Mac_verify
 
-let check_pair seed =
-  let v = Diff.run_pair (Diff.random ~seed) in
+let check_seed reference random seed =
+  let v = Diff.check reference (random ~seed) in
   if not (Diff.agrees v) then
     Alcotest.failf "divergence at seed %d:@.%a" seed Diff.pp_verdict v
 
-let test_deterministic_sweep () =
-  for seed = 0 to 219 do
-    check_pair seed
-  done
-
-let test_events_nonempty () =
-  (* sanity: the comparison is not vacuous — streams carry real events *)
-  let v = Diff.run_pair (Diff.random ~seed:1) in
-  Alcotest.(check bool) "compared a real stream" true (v.Diff.events > 100)
-
-let test_jobs_invariance () =
-  (* the pooled driver returns the same verdicts in the same order; one
-     list of specs drives both batches *)
-  let specs = List.init 6 (fun seed -> Diff.random ~seed) in
-  let seq = Diff.run_pairs ~jobs:1 specs in
-  let par = Diff.run_pairs ~jobs:2 specs in
+(* The pooled driver returns the same verdicts in the same order; one
+   list of specs drives both batches. *)
+let check_jobs_invariance reference random =
+  let specs = List.init 6 (fun seed -> random ~seed) in
+  let seq = Diff.check_all ~jobs:1 reference specs in
+  let par = Diff.check_all ~jobs:2 reference specs in
   List.iter2
     (fun (a : Diff.verdict) (b : Diff.verdict) ->
       Alcotest.(check string) "same id" a.id b.id;
@@ -36,39 +28,84 @@ let test_jobs_invariance () =
       Alcotest.(check bool) "both agree" (Diff.agrees a) (Diff.agrees b))
     seq par
 
-(* ---- sparse-mode certification ---- *)
+let test_deterministic_sweep () =
+  for seed = 0 to 219 do
+    check_seed Diff.Oracle Diff.random seed
+  done
 
-let check_sparse seed =
-  let v = Diff.certify_sparse (Diff.random_sparse ~seed) in
-  if not (Diff.agrees v) then
-    Alcotest.failf "sparse divergence at seed %d:@.%a" seed Diff.pp_verdict v
+let test_events_nonempty () =
+  (* sanity: the comparison is not vacuous — streams carry real events *)
+  let v = Diff.check Diff.Oracle (Diff.random ~seed:1) in
+  Alcotest.(check bool) "compared a real stream" true (v.Diff.events > 100)
+
+let test_jobs_invariance () = check_jobs_invariance Diff.Oracle Diff.random
+
+let qcheck_random_seeds =
+  QCheck.Test.make ~name:"engine_matches_oracle_on_random_seeds" ~count:60
+    QCheck.(int_range 0 1_000_000)
+    (fun seed -> Diff.agrees (Diff.check Diff.Oracle (Diff.random ~seed)))
+
+(* ---- sparse-mode certification ---- *)
 
 let test_sparse_deterministic_sweep () =
   for seed = 0 to 39 do
-    check_sparse seed
+    check_seed Diff.Dense Diff.random_sparse seed
   done
 
 let test_sparse_batch_jobs_invariance () =
-  let specs = List.init 6 (fun seed -> Diff.random_sparse ~seed) in
-  let seq = Diff.certify_sparse_batch ~jobs:1 specs in
-  let par = Diff.certify_sparse_batch ~jobs:2 specs in
-  List.iter2
-    (fun (a : Diff.verdict) (b : Diff.verdict) ->
-      Alcotest.(check string) "same id" a.id b.id;
-      Alcotest.(check bool) "both agree" (Diff.agrees a) (Diff.agrees b))
-    seq par
+  check_jobs_invariance Diff.Dense Diff.random_sparse
 
 let qcheck_sparse_random_seeds =
   QCheck.Test.make ~name:"sparse_engine_matches_dense_on_random_seeds"
     ~count:30
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      Diff.agrees (Diff.certify_sparse (Diff.random_sparse ~seed)))
+      Diff.agrees (Diff.check Diff.Dense (Diff.random_sparse ~seed)))
 
-let qcheck_random_seeds =
-  QCheck.Test.make ~name:"engine_matches_oracle_on_random_seeds" ~count:60
-    QCheck.(int_range 0 1_000_000)
-    (fun seed -> Diff.agrees (Diff.run_pair (Diff.random ~seed)))
+(* Pair-TDMA whose sparse on-set is one round late: the sparse engine
+   switches on last round's pair, so packets go undelivered. Run under
+   [Diff.config] (no schedule cross-check), only the harness can see it. *)
+module Late_pair_tdma = struct
+  include Mac_routing.Pair_tdma
+
+  let sparse =
+    Option.map
+      (fun make ~n ~k ->
+        let (sp : Mac_channel.Algorithm.sparse) = make ~n ~k in
+        let on_set ~round = sp.on_set ~round:(max 0 (round - 1)) in
+        { sp with on_set })
+      Mac_routing.Pair_tdma.sparse
+end
+
+let test_lying_hook_caught () =
+  let n = 5 in
+  let spec =
+    Mac_experiments.Scenario.spec_q ~id:"late on_set"
+      ~algorithm:(module Late_pair_tdma) ~n ~k:2
+      ~rate:(Mac_channel.Qrat.make 1 30) ~burst:(Mac_channel.Qrat.of_int 1)
+      ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n ~seed:3)
+      ~rounds:2000 ()
+  in
+  let v = Diff.check Diff.Dense spec in
+  Alcotest.(check bool) "disagrees" false (Diff.agrees v);
+  (* a digest field, named with its run; the run under test is [engine]
+     and the dense reference [oracle] *)
+  let dense =
+    Mac_experiments.Scenario.simulate ~config:(Diff.config spec) spec
+  in
+  (match
+     List.find_opt
+       (fun (m : Diff.mismatch) -> m.what = "sparse.undelivered")
+       v.mismatches
+   with
+   | None ->
+     Alcotest.failf "sparse.undelivered not named:@.%a" Diff.pp_verdict v
+   | Some m ->
+     Alcotest.(check string) "dense reference under oracle"
+       (string_of_int dense.undelivered) m.oracle);
+  let honest = { spec with algorithm = (module Mac_routing.Pair_tdma) } in
+  Alcotest.(check bool) "the honest hook agrees" true
+    (Diff.agrees (Diff.check Diff.Dense honest))
 
 let () =
   Alcotest.run "verify"
@@ -81,4 +118,6 @@ let () =
        [ Alcotest.test_case "seeds 0..39" `Slow test_sparse_deterministic_sweep;
          Alcotest.test_case "batch jobs invariance" `Quick
            test_sparse_batch_jobs_invariance;
-         QCheck_alcotest.to_alcotest qcheck_sparse_random_seeds ]) ]
+         QCheck_alcotest.to_alcotest qcheck_sparse_random_seeds;
+         Alcotest.test_case "lying hook caught" `Quick
+           test_lying_hook_caught ]) ]
