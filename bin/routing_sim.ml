@@ -1857,9 +1857,9 @@ let cmds =
       (Cmd.info "chaos"
          ~doc:
            "Seeded fault-injection of the supervision and durability layers: \
-            scripted job failures, worker kills, watchdog stalls, checkpoint \
-            corruption and rename failures, asserting completed work stays \
-            bit-identical to an undisturbed run")
+            scripted job failures, watchdog stalls, checkpoint corruption and \
+            rename failures, asserting completed work stays bit-identical to \
+            an undisturbed run")
       chaos_term;
     Cmd.v
       (Cmd.info "list" ~doc:"List algorithms and experiments")

@@ -219,8 +219,10 @@ let resumed_json ~experiment = function
    "scenario <id>", then the marker's own lines. Filenames are derived from
    the scenario id, but the id is also recorded verbatim inside the marker:
    two ids that map to the same filename cannot silently satisfy each
-   other. A marker that cannot be read (missing, a directory, unreadable)
-   is absent, as is one with the wrong magic or id. *)
+   other. A marker that cannot be read (missing, unreadable, or not a
+   regular file) is absent, as is one with the wrong magic or id. Only a
+   regular file is opened: opening a FIFO blocks until a writer comes,
+   and the quarantine lookup runs under the Supervisor's lock. *)
 
 let read_marker ~magic ~id path =
   let rec lines ic acc =
@@ -228,11 +230,14 @@ let read_marker ~magic ~id path =
     | Some line -> lines ic (line :: acc)
     | None -> List.rev acc
   in
-  match In_channel.with_open_bin path (fun ic -> lines ic []) with
-  | m :: scenario :: rest when m = magic && scenario = "scenario " ^ id ->
-    Some rest
-  | _ -> None
-  | exception Sys_error _ -> None
+  match Sys.is_regular_file path with
+  | false | (exception Sys_error _) -> None
+  | true -> (
+    match In_channel.with_open_bin path (fun ic -> lines ic []) with
+    | m :: scenario :: rest when m = magic && scenario = "scenario " ^ id ->
+      Some rest
+    | _ -> None
+    | exception Sys_error _ -> None)
 
 (* Atomic and durable: a completion marker that survives the rename but
    not the data would replay an empty row forever. *)

@@ -177,8 +177,9 @@ val outcome_json : experiment:string -> outcome -> string
     Completion and quarantine markers share one rule: a magic line
     ([MACDONE 1] or [MACQUAR 1]), then [scenario <id>] with the id
     verbatim, then the marker's own lines. A marker that cannot be read
-    (missing, a directory, unreadable) counts as absent, exactly like one
-    that is corrupt or records another id. *)
+    (missing, unreadable, or not a regular file: a directory, a FIFO)
+    counts as absent, exactly like one that is corrupt or records another
+    id; only a regular file is ever opened. *)
 
 type cached = {
   scenario : string;  (** scenario id, recorded verbatim *)
@@ -217,10 +218,10 @@ val run_resumable :
     completion marker first. On a hit, returns [Cached] without simulating
     (noting the cache hit on [telemetry] when given); on a miss, runs the
     scenario, writes the marker, and returns [Fresh]. An absent marker —
-    corrupt, mismatched or unreadable — is a miss and is rewritten; a
-    directory at the marker path could never be replaced by the marker,
-    so it raises [Invalid_argument] naming the path before the scenario
-    runs. *)
+    corrupt, mismatched, unreadable or a FIFO — is a miss and is
+    rewritten; a directory at the marker path could never be replaced by
+    the marker, so it raises [Invalid_argument] naming the path before
+    the scenario runs. *)
 
 (** {2 Quarantine markers}
 
@@ -234,7 +235,8 @@ val quarantine_path : resume_dir:string -> string -> string
 
 val quarantine_lookup : resume_dir:string -> string -> int option
 (** [Some failures] when a valid quarantine marker for the id exists.
-    Corrupt, mismatched or unreadable markers read as [None]. *)
+    Corrupt, mismatched, unreadable or non-regular markers read as
+    [None]. *)
 
 val note_quarantined :
   resume_dir:string -> id:string -> failures:int -> error:string -> unit

@@ -1,11 +1,14 @@
 (* Fault-tolerant job supervision over a fixed set of worker domains
    that claim jobs from a shared cursor: every job gets its own outcome
    — success, failure after N attempts, timeout (no heartbeat progress
-   within the deadline), or quarantine. Failed attempts are retried with
-   deterministic exponential backoff; a worker domain that dies mid-job
-   (the chaos harness injects [Kill_worker]) requeues its job without
-   charging an attempt and respawns itself; a watchdog domain cancels
-   jobs whose heartbeat stalls.
+   within the deadline), or quarantine before it runs. Failed attempts
+   are retried with deterministic exponential backoff; a watchdog domain
+   cancels jobs whose heartbeat stalls.
+
+   An attempt ends one of three ways: it returns, the watchdog cancels
+   it, or it raises. Every exception a job raises is that attempt's
+   failure, so a worker runs until the batch is done: the workers are
+   spawned once and joined once.
 
    Domains cannot be killed from outside in OCaml, so cancellation is
    cooperative: the job function receives a [heartbeat] thunk, cheap
@@ -33,16 +36,14 @@ type policy = {
   job_timeout : float;  (** seconds without heartbeat progress; 0 = off *)
   backoff : float;  (** delay before retry 1; doubles per failed attempt *)
   backoff_cap : float;  (** upper bound on any single backoff delay *)
-  quarantine_after : int;  (** failures before quarantine; 0 = off *)
   keep_going : bool;  (** false = the first error aborts and is re-raised *)
 }
 
 let default_policy =
   { retries = 0; job_timeout = 0.0; backoff = 0.05; backoff_cap = 2.0;
-    quarantine_after = 0; keep_going = false }
+    keep_going = false }
 
 exception Cancelled
-exception Kill_worker
 
 (* Raised where a requested drain stops work that has no per-job outcome
    to report it in: a plain batch ([Scenario.run_batch]) that skipped
@@ -60,7 +61,6 @@ type event =
   | Job_failed of { label : string; attempts : int; error : exn }
   | Job_timed_out of { label : string; attempts : int; timeout : float }
   | Job_quarantined of { label : string; failures : int }
-  | Worker_killed of { worker : int; label : string }
   | Jobs_skipped of { count : int }
 
 let pp_event ppf = function
@@ -83,9 +83,6 @@ let pp_event ppf = function
   | Job_quarantined { label; failures } ->
     Format.fprintf ppf "%s: QUARANTINED after %d failure%s" label failures
       (if failures = 1 then "" else "s")
-  | Worker_killed { worker; label } ->
-    Format.fprintf ppf "worker %d died running %s; respawned, job requeued"
-      worker label
   | Jobs_skipped { count } ->
     Format.fprintf ppf "drain requested: %d unstarted job%s skipped" count
       (if count = 1 then "" else "s")
@@ -151,8 +148,8 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
     let results : 'b outcome option array = Array.make m None in
     let next_idx = ref 0 in
     let unresolved = ref m in
-    let failures = Array.make m 0 in
-    let timeouts = Array.make m 0 in
+    (* Failed or timed-out attempts per job. *)
+    let attempts = Array.make m 0 in
     (* (not_before, index) — small, scanned linearly. *)
     let retry_q : (float * int) list ref = ref [] in
     let drained = ref false in
@@ -169,11 +166,6 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
       Array.init nworkers (fun _ ->
           (Atomic.make (-1), Atomic.make 0, Atomic.make false))
     in
-    (* Worker-death budget: beyond it [Kill_worker] degrades to an
-       ordinary failure so a job that always kills its worker cannot
-       respawn forever. *)
-    let kills = Atomic.make 0 in
-    let kill_cap = max 16 (4 * m) in
     let resolve_locked ?bt i outcome =
       if results.(i) = None then begin
         results.(i) <- Some outcome;
@@ -208,26 +200,14 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
           end
       end
     in
-    let total_attempts i = failures.(i) + timeouts.(i) in
     (* A failed or timed-out attempt: requeue with backoff if attempts
        remain, otherwise resolve the job's final outcome. Returns the
        events to emit once the lock is released. *)
     let note_attempt i ~now kind =
       locked (fun () ->
-          (match kind with
-          | `Failure _ -> failures.(i) <- failures.(i) + 1
-          | `Timeout -> timeouts.(i) <- timeouts.(i) + 1);
-          let attempts = total_attempts i in
-          let quarantine =
-            policy.quarantine_after > 0
-            && failures.(i) >= policy.quarantine_after
-          in
-          if quarantine then begin
-            resolve_locked i (Error (Quarantined { failures = failures.(i) }));
-            [ Job_quarantined { label = label i; failures = failures.(i) } ]
-          end
-          else if attempts <= policy.retries && not !abort && not !drained
-          then begin
+          attempts.(i) <- attempts.(i) + 1;
+          let attempts = attempts.(i) in
+          if attempts <= policy.retries && not !abort && not !drained then begin
             let retry_in = backoff_delay policy ~attempt:attempts in
             retry_q := (now +. retry_in, i) :: !retry_q;
             match kind with
@@ -289,7 +269,7 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
                   match due with
                   | (_, i) :: rest ->
                     retry_q := rest @ pending;
-                    Job (i, total_attempts i + 1)
+                    Job (i, attempts.(i) + 1)
                   | [] ->
                     if !next_idx < m then begin
                       let i = !next_idx in
@@ -310,7 +290,7 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
                     else begin
                       (* Nothing claimable now: back off briefly, then
                          look again — a retry may come due, or an
-                         in-flight job on another worker may die and
+                         in-flight job on another worker may fail and
                          requeue. *)
                       let soonest =
                         List.fold_left
@@ -331,13 +311,7 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
       List.iter emit (List.rev !events);
       c
     in
-    let requeue_after_death i =
-      locked (fun () ->
-          if results.(i) = None then
-            retry_q := (Unix.gettimeofday (), i) :: !retry_q)
-    in
-    (* Run one attempt of job [i] on worker [w]. [`Died] means the
-       worker domain itself must be treated as dead and respawned. *)
+    (* Run one attempt of job [i] on worker [w]. *)
     let run_attempt w i attempt =
       let job_a, progress, cancel = slots.(w) in
       Atomic.set progress 0;
@@ -356,52 +330,26 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
       match f ~heartbeat ~attempt items.(i) with
       | r ->
         finish ();
-        locked (fun () -> resolve_locked i (Ok r));
-        `Continue
+        locked (fun () -> resolve_locked i (Ok r))
       | exception Cancelled ->
         finish ();
-        List.iter emit (note_attempt i ~now:(Unix.gettimeofday ()) `Timeout);
-        `Continue
-      | exception Kill_worker when Atomic.fetch_and_add kills 1 < kill_cap ->
-        finish ();
-        requeue_after_death i;
-        emit (Worker_killed { worker = w; label = label i });
-        `Died
+        List.iter emit (note_attempt i ~now:(Unix.gettimeofday ()) `Timeout)
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
         finish ();
         List.iter
           emit
-          (note_attempt i ~now:(Unix.gettimeofday ()) (`Failure (e, bt)));
-        `Continue
+          (note_attempt i ~now:(Unix.gettimeofday ()) (`Failure (e, bt)))
     in
-    let rec worker_loop w =
+    let rec worker w () =
       match claim () with
-      | Done -> `Finished
+      | Done -> ()
       | Wait d ->
         Unix.sleepf d;
-        worker_loop w
-      | Job (i, attempt) -> (
-        match run_attempt w i attempt with
-        | `Continue -> worker_loop w
-        | `Died -> `Died)
-    in
-    let spawn_mu = Mutex.create () in
-    let domains = ref [] in
-    let rec worker w () =
-      match worker_loop w with
-      | `Finished -> ()
-      | `Died ->
-        (* The dying worker spawns its own replacement (same slot), so
-           worker count — and watchdog coverage — is preserved. Inline
-           mode just keeps going on the calling domain. *)
-        if inline then (worker [@tailcall]) w ()
-        else begin
-          let d = Domain.spawn (worker w) in
-          Mutex.lock spawn_mu;
-          domains := d :: !domains;
-          Mutex.unlock spawn_mu
-        end
+        worker w ()
+      | Job (i, attempt) ->
+        run_attempt w i attempt;
+        worker w ()
     in
     (* Watchdog: cancels a worker's attempt when its heartbeat counter
        stops moving for [job_timeout] seconds. Runs on its own domain so
@@ -440,32 +388,9 @@ let map ?(policy = default_policy) ?label ?quarantined ?on_event ~jobs xs f =
     in
     Fun.protect ~finally:join_watchdog (fun () ->
         if inline then worker 0 ()
-        else begin
-          Mutex.lock spawn_mu;
-          domains := List.init nworkers (fun w -> Domain.spawn (worker w));
-          Mutex.unlock spawn_mu;
-          (* Join until quiescent: a dying worker registers its
-             replacement before its own domain terminates, so the
-             replacement is visible here by the time the dead domain's
-             join returns. *)
-          let rec drain_joins () =
-            Mutex.lock spawn_mu;
-            let d =
-              match !domains with
-              | [] -> None
-              | d :: rest ->
-                domains := rest;
-                Some d
-            in
-            Mutex.unlock spawn_mu;
-            match d with
-            | None -> ()
-            | Some d ->
-              Domain.join d;
-              drain_joins ()
-          in
-          drain_joins ()
-        end);
+        else
+          List.iter Domain.join
+            (List.init nworkers (fun w -> Domain.spawn (worker w))));
     (match (!first_error, policy.keep_going) with
     | Some (e, bt), false -> Printexc.raise_with_backtrace e bt
     | _ -> ());

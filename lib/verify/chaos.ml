@@ -5,12 +5,11 @@
 
    - {e Supervisor}: a batch of random engine runs (from {!Diff.random}
      seeds) executes under {!Mac_sim.Supervisor.map} while jobs misbehave on
-     a seeded script — fail their first attempts, fail every attempt, kill
-     their worker domain, or stall past the watchdog deadline. Every job
-     that the supervisor reports [Ok] must produce a summary digest
-     bit-identical to the same configuration run undisturbed, and every
-     designed failure must surface as exactly the documented outcome and
-     event stream.
+     a seeded script — fail their first attempts, fail every attempt, or
+     stall past the watchdog deadline. Every job that the supervisor
+     reports [Ok] must produce a summary digest bit-identical to the same
+     configuration run undisturbed, and every designed failure must
+     surface as exactly the documented outcome and event stream.
 
    - {e Checkpoints}: a run checkpoints through {!Mac_sim.Checkpoint.write_rotated},
      the newest checkpoint file is then truncated, bit-flipped or deleted,
@@ -32,8 +31,6 @@ type stats = {
   mutable jobs_run : int;
   mutable failed_attempts : int;
   mutable timed_out_attempts : int;
-  mutable worker_kills : int;
-  mutable quarantines : int;
   mutable salvages : int;
   mutable checks : int;
   mutable failures : string list;  (* newest first *)
@@ -41,18 +38,16 @@ type stats = {
 
 let fresh_stats () =
   { configs = 0; jobs_run = 0; failed_attempts = 0; timed_out_attempts = 0;
-    worker_kills = 0; quarantines = 0; salvages = 0; checks = 0;
-    failures = [] }
+    salvages = 0; checks = 0; failures = [] }
 
 let passed st = st.failures = []
 
 let pp_stats ppf st =
   Format.fprintf ppf
-    "%d configs, %d supervised jobs (%d failed attempts, %d timeouts, %d \
-     worker kills, %d quarantines), %d checkpoint salvages, %d assertions, \
-     %d failure%s"
+    "%d configs, %d supervised jobs (%d failed attempts, %d timeouts), %d \
+     checkpoint salvages, %d assertions, %d failure%s"
     st.configs st.jobs_run st.failed_attempts st.timed_out_attempts
-    st.worker_kills st.quarantines st.salvages st.checks
+    st.salvages st.checks
     (List.length st.failures)
     (if List.length st.failures = 1 then "" else "s")
 
@@ -71,13 +66,12 @@ let run_engine ?heartbeat ?(checkpoint_every = 0) ?on_checkpoint ?resume spec =
 
 (* ---- the supervisor axis ---------------------------------------------- *)
 
-type mode = Clean | Fail_first of int | Always_fail | Kill_first | Stall_first
+type mode = Clean | Fail_first of int | Always_fail | Stall_first
 
 let mode_name = function
   | Clean -> "clean"
   | Fail_first k -> Printf.sprintf "fail-first-%d" k
   | Always_fail -> "always-fail"
-  | Kill_first -> "kill-first"
   | Stall_first -> "stall-first"
 
 (* Stalling means burning wall-clock {e without} heartbeat progress: long
@@ -95,19 +89,14 @@ let supervised_case ~seed (st : stats) =
   let rng = Mac_channel.Rng.create ~seed:((seed * 7) + 1) in
   let njobs = 3 + Mac_channel.Rng.int rng 4 in
   let workers = 1 + Mac_channel.Rng.int rng 3 in
-  let quarantine = Mac_channel.Rng.int rng 4 = 0 in
   let allow_stall = Mac_channel.Rng.int rng 4 = 0 in
   let timeout = 0.05 in
   let modes =
     Array.init njobs (fun _ ->
         match Mac_channel.Rng.int rng 8 with
-        | 0 | 1 ->
-          (* Two scripted failures would quarantine at threshold 2 before
-             the job ever succeeds, so cap the script at one. *)
-          Fail_first (if quarantine then 1 else 1 + Mac_channel.Rng.int rng 2)
+        | 0 | 1 -> Fail_first (1 + Mac_channel.Rng.int rng 2)
         | 2 -> Always_fail
-        | 3 -> Kill_first
-        | 4 when allow_stall -> Stall_first
+        | 3 when allow_stall -> Stall_first
         | _ -> Clean)
   in
   let any_stall = Array.exists (fun m -> m = Stall_first) modes in
@@ -116,7 +105,6 @@ let supervised_case ~seed (st : stats) =
       job_timeout = (if any_stall then timeout else 0.0);
       backoff = 0.0005;
       backoff_cap = 0.004;
-      quarantine_after = (if quarantine then 2 else 0);
       keep_going = true }
   in
   let label j = Printf.sprintf "job%d:%s" j (mode_name modes.(j)) in
@@ -137,10 +125,8 @@ let supervised_case ~seed (st : stats) =
   let on_event = function
     | Supervisor.Attempt_failed { label; _ } -> bump `Fail label
     | Supervisor.Attempt_timed_out { label; _ } -> bump `Timeout label
-    | Supervisor.Worker_killed { label; _ } -> bump `Kill label
     | _ -> ()
   in
-  let killed = Array.make njobs false in
   let outcomes =
     Supervisor.map ~policy ~label ~on_event ~jobs:workers
       (List.init njobs Fun.id)
@@ -149,11 +135,6 @@ let supervised_case ~seed (st : stats) =
         | Clean -> ()
         | Fail_first k -> if attempt <= k then raise (Boom (label j))
         | Always_fail -> raise (Boom (label j))
-        | Kill_first ->
-          if not killed.(j) then begin
-            killed.(j) <- true;
-            raise Supervisor.Kill_worker
-          end
         | Stall_first -> if attempt = 1 then stall ~heartbeat ~timeout);
         digest_summary (run_engine ~heartbeat specs.(j)))
   in
@@ -164,7 +145,7 @@ let supervised_case ~seed (st : stats) =
       let l = label j in
       st.checks <- st.checks + 1;
       match (modes.(j), outcome) with
-      | (Clean | Fail_first _ | Kill_first | Stall_first), Ok d ->
+      | (Clean | Fail_first _ | Stall_first), Ok d ->
         if d <> baseline.(j) then
           record "digest diverged from the undisturbed run" l;
         (match modes.(j) with
@@ -175,28 +156,16 @@ let supervised_case ~seed (st : stats) =
               (Printf.sprintf "expected %d failed attempts, saw %d" k
                  (count `Fail l))
               l
-        | Kill_first ->
-          st.worker_kills <- st.worker_kills + count `Kill l;
-          if count `Kill l < 1 then record "no Worker_killed event" l
         | Stall_first ->
           st.timed_out_attempts <- st.timed_out_attempts + count `Timeout l;
           if count `Timeout l < 1 then record "no Attempt_timed_out event" l
         | _ -> ())
-      | Always_fail, Error (Supervisor.Failed { attempts; error = Boom _ })
-        when not quarantine ->
+      | Always_fail, Error (Supervisor.Failed { attempts; error = Boom _ }) ->
         st.failed_attempts <- st.failed_attempts + count `Fail l;
         if attempts <> policy.retries + 1 then
           record
             (Printf.sprintf "expected %d attempts, reported %d"
                (policy.retries + 1) attempts)
-            l
-      | Always_fail, Error (Supervisor.Quarantined { failures })
-        when quarantine ->
-        st.quarantines <- st.quarantines + 1;
-        if failures <> policy.quarantine_after then
-          record
-            (Printf.sprintf "expected quarantine after %d failures, got %d"
-               policy.quarantine_after failures)
             l
       | _, o ->
         let got =

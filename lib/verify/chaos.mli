@@ -4,10 +4,10 @@
     completed work is bit-identical to an undisturbed run:
 
     - a supervised batch of random engine runs in which scripted jobs fail
-      their first attempts, fail every attempt, kill their worker domain,
-      or stall past the watchdog deadline — [Ok] results must match the
-      undisturbed digests, designed failures must surface as exactly the
-      documented {!Mac_sim.Supervisor.error} and event counts;
+      their first attempts, fail every attempt, or stall past the watchdog
+      deadline — [Ok] results must match the undisturbed digests,
+      designed failures must surface as exactly the documented
+      {!Mac_sim.Supervisor.error} and event counts;
     - checkpoint corruption — the newest {!Mac_sim.Checkpoint.write_rotated}
       file is truncated, bit-flipped or deleted, [read_latest] must salvage
       the rotated previous file, and resuming from it must reproduce the
@@ -23,8 +23,6 @@ type stats = {
   mutable jobs_run : int;
   mutable failed_attempts : int;
   mutable timed_out_attempts : int;
-  mutable worker_kills : int;
-  mutable quarantines : int;
   mutable salvages : int;
   mutable checks : int;
   mutable failures : string list;  (** empty = all assertions held *)

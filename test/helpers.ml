@@ -46,3 +46,27 @@ let fresh_outcomes results =
       | _, Ok (Mac_experiments.Scenario.Fresh o) -> o
       | cid, _ -> Alcotest.failf "%s: expected a fresh outcome" cid)
     results
+
+(* Remove [path] and, for a directory, everything under it; a symlink is
+   removed, never followed. *)
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+
+(* [with_temp_dir prefix f] runs [f] on a fresh directory under the
+   system temp dir and removes the directory tree afterwards, whether [f]
+   returns or raises. The removal is best effort, so that it never masks
+   the failure of [f]. *)
+let with_temp_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      try remove_tree dir with Unix.Unix_error _ | Sys_error _ -> ())
+    (fun () -> f dir)

@@ -217,16 +217,14 @@ let test_file_errors () =
       expect_error "truncated blob" (Mac_sim.Checkpoint.read ~path));
   (* a directory opens without error and fails at the first read; with no
      .prev to salvage, the error names the path *)
-  let dir = temp_path "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  match Mac_sim.Checkpoint.read_latest ~path:dir with
-  | Ok _ -> Alcotest.fail "directory: expected an error"
-  | Error msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "directory: names the path (got %S)" msg)
-      true
-      (String.starts_with ~prefix:(dir ^ ": ") msg)
+  Helpers.with_temp_dir "mac_ckpt" (fun dir ->
+      match Mac_sim.Checkpoint.read_latest ~path:dir with
+      | Ok _ -> Alcotest.fail "directory: expected an error"
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "directory: names the path (got %S)" msg)
+          true
+          (String.starts_with ~prefix:(dir ^ ": ") msg))
 
 (* v2 corruption: any truncation, or a single flipped bit anywhere in
    the file — magic line, metadata, CRC digits, blob — must surface as a
@@ -468,12 +466,6 @@ let test_rounds_config_mismatch () =
 (* Scenario-level resume: completion markers skip finished scenarios and
    replay their recorded JSON rows byte-for-byte. *)
 
-let temp_dir () =
-  let d = Filename.temp_file "mac_resume" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
-
 let small_spec ~id ~seed =
   Mac_experiments.Scenario.spec_q ~id ~algorithm:(module Mac_routing.Count_hop)
     ~n:6 ~k:2 ~rate:(Mac_channel.Qrat.make 1 2)
@@ -482,45 +474,45 @@ let small_spec ~id ~seed =
     ~rounds:800 ~drain:200 ()
 
 let test_scenario_resumable () =
-  let dir = temp_dir () in
-  let checks = [ Mac_experiments.Scenario.cap_at_most 2 ] in
-  let run () =
-    Mac_experiments.Scenario.run_resumable ~checks ~resume_dir:dir
-      ~experiment:"exp" (small_spec ~id:"row/cell" ~seed:1)
-  in
-  let r1 = run () in
-  (match r1 with
-   | Mac_experiments.Scenario.Fresh _ -> ()
-   | Cached _ -> Alcotest.fail "first run must simulate");
-  let r2 = run () in
-  (match r2 with
-   | Mac_experiments.Scenario.Cached _ -> ()
-   | Fresh _ -> Alcotest.fail "second run must hit the marker");
-  let json r = Mac_experiments.Scenario.resumed_json ~experiment:"exp" r in
-  Alcotest.(check string) "replayed row is byte-identical" (json r1) (json r2);
-  Alcotest.(check string) "id" "row/cell"
-    (Mac_experiments.Scenario.resumed_id r2);
-  Alcotest.(check string) "verdict"
-    (Mac_experiments.Scenario.resumed_verdict r1)
-    (Mac_experiments.Scenario.resumed_verdict r2);
-  Alcotest.(check bool) "passed"
-    (Mac_experiments.Scenario.resumed_passed r1)
-    (Mac_experiments.Scenario.resumed_passed r2);
-  (* a corrupt marker is a miss: the scenario reruns (deterministically,
-     so the row comes back identical) and the marker is rewritten *)
-  let marker =
-    Mac_experiments.Scenario.marker_path ~resume_dir:dir "row/cell"
-  in
-  Alcotest.(check bool) "marker exists" true (Sys.file_exists marker);
-  write_string marker "garbage";
-  let r3 = run () in
-  (match r3 with
-   | Mac_experiments.Scenario.Fresh _ -> ()
-   | Cached _ -> Alcotest.fail "corrupt marker must not be trusted");
-  Alcotest.(check string) "rerun row matches" (json r1) (json r3);
-  (match run () with
-   | Mac_experiments.Scenario.Cached _ -> ()
-   | Fresh _ -> Alcotest.fail "marker must be rewritten after the rerun")
+  Helpers.with_temp_dir "mac_resume" (fun dir ->
+      let checks = [ Mac_experiments.Scenario.cap_at_most 2 ] in
+      let run () =
+        Mac_experiments.Scenario.run_resumable ~checks ~resume_dir:dir
+          ~experiment:"exp" (small_spec ~id:"row/cell" ~seed:1)
+      in
+      let r1 = run () in
+      (match r1 with
+       | Mac_experiments.Scenario.Fresh _ -> ()
+       | Cached _ -> Alcotest.fail "first run must simulate");
+      let r2 = run () in
+      (match r2 with
+       | Mac_experiments.Scenario.Cached _ -> ()
+       | Fresh _ -> Alcotest.fail "second run must hit the marker");
+      let json r = Mac_experiments.Scenario.resumed_json ~experiment:"exp" r in
+      Alcotest.(check string) "replayed row is byte-identical" (json r1) (json r2);
+      Alcotest.(check string) "id" "row/cell"
+        (Mac_experiments.Scenario.resumed_id r2);
+      Alcotest.(check string) "verdict"
+        (Mac_experiments.Scenario.resumed_verdict r1)
+        (Mac_experiments.Scenario.resumed_verdict r2);
+      Alcotest.(check bool) "passed"
+        (Mac_experiments.Scenario.resumed_passed r1)
+        (Mac_experiments.Scenario.resumed_passed r2);
+      (* a corrupt marker is a miss: the scenario reruns (deterministically,
+         so the row comes back identical) and the marker is rewritten *)
+      let marker =
+        Mac_experiments.Scenario.marker_path ~resume_dir:dir "row/cell"
+      in
+      Alcotest.(check bool) "marker exists" true (Sys.file_exists marker);
+      write_string marker "garbage";
+      let r3 = run () in
+      (match r3 with
+       | Mac_experiments.Scenario.Fresh _ -> ()
+       | Cached _ -> Alcotest.fail "corrupt marker must not be trusted");
+      Alcotest.(check string) "rerun row matches" (json r1) (json r3);
+      (match run () with
+       | Mac_experiments.Scenario.Cached _ -> ()
+       | Fresh _ -> Alcotest.fail "marker must be rewritten after the rerun"))
 
 (* A half-finished sweep resumed at a different jobs count still produces
    the original rows, in order. *)
@@ -537,15 +529,18 @@ let test_resumable_batch_jobs () =
                 ~experiment:"batch" s))
          specs)
   in
-  let reference = rows ~jobs:1 ~dir:(temp_dir ()) (specs ()) in
-  let dir = temp_dir () in
-  (* first two cells complete, then the sweep dies *)
-  ignore (rows ~jobs:1 ~dir (List.filteri (fun i _ -> i < 2) (specs ())));
-  let resumed = rows ~jobs:2 ~dir (specs ()) in
-  List.iteri
-    (fun i (a, b) ->
-      Alcotest.(check string) (Printf.sprintf "row %d" i) a b)
-    (List.combine reference resumed)
+  let reference =
+    Helpers.with_temp_dir "mac_resume" (fun dir ->
+        rows ~jobs:1 ~dir (specs ()))
+  in
+  Helpers.with_temp_dir "mac_resume" (fun dir ->
+      (* first two cells complete, then the sweep dies *)
+      ignore (rows ~jobs:1 ~dir (List.filteri (fun i _ -> i < 2) (specs ())));
+      let resumed = rows ~jobs:2 ~dir (specs ()) in
+      List.iteri
+        (fun i (a, b) ->
+          Alcotest.(check string) (Printf.sprintf "row %d" i) a b)
+        (List.combine reference resumed))
 
 (* ------------------------------------------------------------------ *)
 (* Sparse mode. A low-rate pair-TDMA run spends most rounds in analytic

@@ -180,30 +180,48 @@ let test_progress_keeps_stdout_pure () =
   Alcotest.(check bool) "progress line went to stderr" true
     (contains err_prog "round" && contains err_prog "rounds/s")
 
-let temp_dir prefix =
+(* Remove [path] and, for a directory, everything under it; a symlink is
+   removed, never followed. *)
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+
+(* [with_temp_dir prefix f] runs [f] on a fresh directory under the
+   system temp dir and removes the directory tree afterwards, whether [f]
+   returns or raises. The removal is best effort, so that it never masks
+   the failure of [f]. The test_cli stanza does not link [Helpers]. *)
+let with_temp_dir prefix f =
   let dir = Filename.temp_file prefix "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  dir
+  Fun.protect
+    ~finally:(fun () ->
+      try remove_tree dir with Unix.Unix_error _ | Sys_error _ -> ())
+    (fun () -> f dir)
 
 let test_top_check_on_live_file () =
-  let dir = temp_dir "eear_top" in
-  let prom = Filename.concat dir "run.prom" in
-  let code_run, _, err_run =
-    run_cli
-      (progress_base_args @ [ "--telemetry-file"; prom; "--telemetry-every"; "500" ])
-  in
-  Alcotest.(check int) (Printf.sprintf "run exit (stderr %S)" err_run) 0 code_run;
-  Alcotest.(check bool) "exposition written" true (Sys.file_exists prom);
-  let code_top, out_top, err_top = run_cli [ "top"; prom; "--once"; "--check" ] in
-  Alcotest.(check int) (Printf.sprintf "top exit (stderr %S)" err_top) 0 code_top;
-  Alcotest.(check bool) "renders the scenario row" true (contains out_top "run");
-  Alcotest.(check bool) "shows progress" true (contains out_top "rounds/s")
+  with_temp_dir "eear_top" (fun dir ->
+      let prom = Filename.concat dir "run.prom" in
+      let code_run, _, err_run =
+        run_cli
+          (progress_base_args @ [ "--telemetry-file"; prom; "--telemetry-every"; "500" ])
+      in
+      Alcotest.(check int) (Printf.sprintf "run exit (stderr %S)" err_run) 0 code_run;
+      Alcotest.(check bool) "exposition written" true (Sys.file_exists prom);
+      let code_top, out_top, err_top = run_cli [ "top"; prom; "--once"; "--check" ] in
+      Alcotest.(check int) (Printf.sprintf "top exit (stderr %S)" err_top) 0 code_top;
+      Alcotest.(check bool) "renders the scenario row" true (contains out_top "run");
+      Alcotest.(check bool) "shows progress" true (contains out_top "rounds/s"))
 
 let test_top_check_fails_without_rows () =
-  let dir = temp_dir "eear_top_empty" in
-  let code, _, _ = run_cli [ "top"; dir; "--once"; "--check" ] in
-  Alcotest.(check int) "no live rows is a check failure" 1 code
+  with_temp_dir "eear_top_empty" (fun dir ->
+      let code, _, _ = run_cli [ "top"; dir; "--once"; "--check" ] in
+      Alcotest.(check int) "no live rows is a check failure" 1 code)
 
 (* --keep-going with an injected always-failing scenario: the sweep
    completes, the surviving rows are byte-identical to a clean run, the
@@ -238,79 +256,79 @@ let test_keep_going_degraded_exit_3 () =
    never matched the magic line, and a restarted sweep would silently
    re-run the quarantined cell. *)
 let test_quarantine_survives_process_restart () =
-  let dir = temp_dir "eear_quar_cli" in
-  let bad = "orchestra/uniform" in
-  let base = table1_base @ [ "--resume-dir"; dir; "--keep-going" ] in
-  let code_a, out_a, err_a =
-    run_cli (base @ [ "--inject-failure"; bad ])
-  in
-  Alcotest.(check int)
-    (Printf.sprintf "run A degraded exit (stderr %S)" err_a)
-    3 code_a;
-  Alcotest.(check bool) "run A marks the failure" true (contains out_a "FAILED");
-  Alcotest.(check bool) "marker file written" true
-    (Sys.file_exists (Filename.concat dir "orchestra_uniform.quarantined"));
-  let code_b, out_b, err_b = run_cli base in
-  Alcotest.(check int)
-    (Printf.sprintf "run B still degraded (stderr %S)" err_b)
-    3 code_b;
-  Alcotest.(check bool) "run B honors the marker" true
-    (contains out_b "quarantined after 1 failure");
-  Alcotest.(check bool) "other cells resumed from cache" true
-    (contains out_b "(resumed)");
-  let bad_lines = List.filter (fun l -> contains l bad) (lines out_b) in
-  Alcotest.(check bool) "quarantined cell never re-ran" true
-    (bad_lines <> []
-    && List.for_all (fun l -> not (contains l "PASS")) bad_lines);
-  (* run C, without --keep-going: the marker stops the sweep with the
-     degraded-completion code and a line naming the cell, not an uncaught
-     exception *)
-  let code_c, _, err_c = run_cli (table1_base @ [ "--resume-dir"; dir ]) in
-  Alcotest.(check int)
-    (Printf.sprintf "run C exits 3 (stderr %S)" err_c)
-    3 code_c;
-  Alcotest.(check bool) "run C names the cell and the way out" true
-    (List.exists
-       (fun l ->
-         contains l bad && contains l "quarantined" && contains l "--keep-going")
-       (lines err_c))
+  with_temp_dir "eear_quar_cli" (fun dir ->
+      let bad = "orchestra/uniform" in
+      let base = table1_base @ [ "--resume-dir"; dir; "--keep-going" ] in
+      let code_a, out_a, err_a =
+        run_cli (base @ [ "--inject-failure"; bad ])
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "run A degraded exit (stderr %S)" err_a)
+        3 code_a;
+      Alcotest.(check bool) "run A marks the failure" true (contains out_a "FAILED");
+      Alcotest.(check bool) "marker file written" true
+        (Sys.file_exists (Filename.concat dir "orchestra_uniform.quarantined"));
+      let code_b, out_b, err_b = run_cli base in
+      Alcotest.(check int)
+        (Printf.sprintf "run B still degraded (stderr %S)" err_b)
+        3 code_b;
+      Alcotest.(check bool) "run B honors the marker" true
+        (contains out_b "quarantined after 1 failure");
+      Alcotest.(check bool) "other cells resumed from cache" true
+        (contains out_b "(resumed)");
+      let bad_lines = List.filter (fun l -> contains l bad) (lines out_b) in
+      Alcotest.(check bool) "quarantined cell never re-ran" true
+        (bad_lines <> []
+        && List.for_all (fun l -> not (contains l "PASS")) bad_lines);
+      (* run C, without --keep-going: the marker stops the sweep with the
+         degraded-completion code and a line naming the cell, not an uncaught
+         exception *)
+      let code_c, _, err_c = run_cli (table1_base @ [ "--resume-dir"; dir ]) in
+      Alcotest.(check int)
+        (Printf.sprintf "run C exits 3 (stderr %S)" err_c)
+        3 code_c;
+      Alcotest.(check bool) "run C names the cell and the way out" true
+        (List.exists
+           (fun l ->
+             contains l bad && contains l "quarantined" && contains l "--keep-going")
+           (lines err_c)))
 
 (* SIGTERM drains a sweep run without supervision flags: the cell in
    flight finishes, the unstarted ones print as SKIPPED, the partial
    --json is still written, and the exit code is 4. The signal goes out
    as soon as the first cell's completion marker lands. *)
 let test_sigterm_drains_unflagged_sweep () =
-  let dir = temp_dir "eear_drain" in
-  let json = Filename.concat dir "rows.json" in
-  let out = Filename.temp_file "eear_cli" ".out" in
-  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
-  let args = table1_base @ [ "--resume-dir"; dir; "--json"; json ] in
-  let pid =
-    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd fd
-  in
-  Unix.close fd;
-  let first = Filename.concat dir "orchestra_flood.done" in
-  let deadline = Unix.gettimeofday () +. 60.0 in
-  while (not (Sys.file_exists first)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.002
-  done;
-  Unix.kill pid Sys.sigterm;
-  let _, status = Unix.waitpid [] pid in
-  let stdout = read_file out in
-  Sys.remove out;
-  Alcotest.(check bool)
-    (Printf.sprintf "drained exit 4 (output %S)" stdout)
-    true (status = Unix.WEXITED 4);
-  Alcotest.(check bool) "unstarted cells print as SKIPPED" true
-    (contains stdout "SKIPPED  (drain)");
-  let rows =
-    List.length
-      (List.filter (fun l -> contains l "\"experiment\"") (lines (read_file json)))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "partial JSON (%d of 4 rows)" rows)
-    true
-    (rows > 0 && rows < 4)
+  with_temp_dir "eear_drain" (fun dir ->
+      let json = Filename.concat dir "rows.json" in
+      let out = Filename.temp_file "eear_cli" ".out" in
+      let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+      let args = table1_base @ [ "--resume-dir"; dir; "--json"; json ] in
+      let pid =
+        Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd fd
+      in
+      Unix.close fd;
+      let first = Filename.concat dir "orchestra_flood.done" in
+      let deadline = Unix.gettimeofday () +. 60.0 in
+      while (not (Sys.file_exists first)) && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.002
+      done;
+      Unix.kill pid Sys.sigterm;
+      let _, status = Unix.waitpid [] pid in
+      let stdout = read_file out in
+      Sys.remove out;
+      Alcotest.(check bool)
+        (Printf.sprintf "drained exit 4 (output %S)" stdout)
+        true (status = Unix.WEXITED 4);
+      Alcotest.(check bool) "unstarted cells print as SKIPPED" true
+        (contains stdout "SKIPPED  (drain)");
+      let rows =
+        List.length
+          (List.filter (fun l -> contains l "\"experiment\"") (lines (read_file json)))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "partial JSON (%d of 4 rows)" rows)
+        true
+        (rows > 0 && rows < 4))
 
 (* Scraped files can vanish or be mid-creation between the directory
    scan and the read; top must skip them, not fail. *)
@@ -322,27 +340,37 @@ let test_top_tolerates_vanished_and_fresh_files () =
   Alcotest.(check bool) "no error line for a vanished file" false
     (contains out "\n! ");
   (* a live exposition next to a zero-byte one a writer just created *)
-  let dir = temp_dir "eear_top_mixed" in
-  let prom = Filename.concat dir "run.prom" in
-  let code_run, _, _ =
-    run_cli
-      (progress_base_args @ [ "--telemetry-file"; prom; "--telemetry-every"; "500" ])
-  in
-  Alcotest.(check int) "run exit" 0 code_run;
-  let oc = open_out (Filename.concat dir "fresh.prom") in
-  close_out oc;
-  let code_top, out_top, _ = run_cli [ "top"; dir; "--once"; "--check" ] in
-  Alcotest.(check int) "check passes despite the empty file" 0 code_top;
-  Alcotest.(check bool) "live row still rendered" true
-    (contains out_top "rounds/s")
+  with_temp_dir "eear_top_mixed" (fun dir ->
+      let prom = Filename.concat dir "run.prom" in
+      let code_run, _, _ =
+        run_cli
+          (progress_base_args @ [ "--telemetry-file"; prom; "--telemetry-every"; "500" ])
+      in
+      Alcotest.(check int) "run exit" 0 code_run;
+      let oc = open_out (Filename.concat dir "fresh.prom") in
+      close_out oc;
+      let code_top, out_top, _ = run_cli [ "top"; dir; "--once"; "--check" ] in
+      Alcotest.(check int) "check passes despite the empty file" 0 code_top;
+      Alcotest.(check bool) "live row still rendered" true
+        (contains out_top "rounds/s"))
 
+(* Seed 2 draws both a failing job and a stalled one, so the supervised
+   axis is exercised, not just counted. *)
 let test_chaos_smoke () =
-  let code, out, err = run_cli [ "chaos"; "--count"; "2"; "--seed"; "7" ] in
+  let code, out, err = run_cli [ "chaos"; "--count"; "2"; "--seed"; "2" ] in
   Alcotest.(check int) (Printf.sprintf "chaos exit (stderr %S)" err) 0 code;
   Alcotest.(check bool) "reports the config count" true
     (contains out "2 configs");
   Alcotest.(check bool) "reports zero failures" true
-    (contains out "0 failures")
+    (contains out "0 failures");
+  let failed, timeouts =
+    Scanf.sscanf out "%_d configs, %_d supervised jobs (%d failed attempts, %d"
+      (fun f t -> (f, t))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "failed attempts and timeouts drawn (got %S)" out)
+    true
+    (failed > 0 && timeouts > 0)
 
 let test_smoke_matches_golden () =
   let code, out, err = run_cli smoke_args in
@@ -466,112 +494,112 @@ let count_hop_args =
   [ "-a"; "count-hop"; "-n"; "6"; "-k"; "2"; "--rounds"; "100" ]
 
 let test_directory_inputs_exit_2 () =
-  let dir = temp_dir "eear_input_dir" in
-  List.iter
-    (fun args ->
-      let code, _, err = run_cli args in
-      let what = String.concat " " args in
-      Alcotest.(check int) (what ^ " exit code") 2 code;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: one stderr line naming the path (got %S)" what err)
-        true
-        (one_line err && contains err (dir ^ ": ")
-        && not (contains err "internal error")))
-    [ ("run" :: count_hop_args) @ [ "--inject"; dir ];
-      ("run" :: count_hop_args) @ [ "--resume"; dir ];
-      [ "inspect"; "--file"; dir ];
-      [ "fleet"; "--socket"; "/nonexistent/eear.sock"; "replay"; "c1"; dir ];
-      [ "resilience"; "count-hop"; "-n"; "6"; "-k"; "2"; "--rounds"; "100";
-        "--fault-plan"; dir ] ]
+  with_temp_dir "eear_input_dir" (fun dir ->
+      List.iter
+        (fun args ->
+          let code, _, err = run_cli args in
+          let what = String.concat " " args in
+          Alcotest.(check int) (what ^ " exit code") 2 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: one stderr line naming the path (got %S)" what err)
+            true
+            (one_line err && contains err (dir ^ ": ")
+            && not (contains err "internal error")))
+        [ ("run" :: count_hop_args) @ [ "--inject"; dir ];
+          ("run" :: count_hop_args) @ [ "--resume"; dir ];
+          [ "inspect"; "--file"; dir ];
+          [ "fleet"; "--socket"; "/nonexistent/eear.sock"; "replay"; "c1"; dir ];
+          [ "resilience"; "count-hop"; "-n"; "6"; "-k"; "2"; "--rounds"; "100";
+            "--fault-plan"; dir ] ])
 
 (* An output path that can never be written — a directory, or a file in a
    missing directory — is refused before anything runs: no scenario line,
    no checkpoint rotated over the user's directory. *)
 let test_output_paths_checked_up_front () =
-  let dir = temp_dir "eear_output_dir" in
-  let expect_exit_2 args =
-    let code, out, err = run_cli args in
-    let what = String.concat " " args in
-    Alcotest.(check int) (Printf.sprintf "%s exit code (stderr %S)" what err)
-      2 code;
-    Alcotest.(check bool)
-      (Printf.sprintf "%s: one stderr line, no internal error (got %S)" what err)
-      true
-      (one_line err && not (contains err "internal error"));
-    out
-  in
-  let out = expect_exit_2 [ "table1"; "T1.orchestra"; "--quick"; "--json"; dir ] in
-  Alcotest.(check bool)
-    (Printf.sprintf "no scenario line printed (got %S)" out)
-    false (contains out "orchestra/");
-  ignore
-    (expect_exit_2
-       (("run" :: count_hop_args)
-       @ [ "--checkpoint"; dir; "--checkpoint-every"; "10" ]));
-  Alcotest.(check bool) "the directory is left alone" true
-    (Sys.is_directory dir);
-  Alcotest.(check bool) "nothing rotated beside it" false
-    (Sys.file_exists (dir ^ ".prev"));
-  ignore (expect_exit_2 (("run" :: count_hop_args) @ [ "--csv"; dir ]));
-  ignore
-    (expect_exit_2
-       (("run" :: count_hop_args)
-       @ [ "--telemetry-file"; Filename.concat dir "missing/x.prom" ]));
-  (* An unknown figure id is refused before the batch starts, so neither
-     of its output directories is created. *)
-  let events = Filename.concat dir "events"
-  and telemetry = Filename.concat dir "telemetry" in
-  ignore
-    (expect_exit_2
-       [ "figures"; "NOPE"; "--quick"; "--events"; events; "--telemetry-dir";
-         telemetry ]);
-  Alcotest.(check (list bool)) "no output directory created" [ false; false ]
-    (List.map Sys.file_exists [ events; telemetry ]);
-  (* A --telemetry-dir naming a regular file is refused the same way. *)
-  let file = Filename.concat dir "file" in
-  close_out (open_out file);
-  List.iter
-    (fun args ->
-      let out =
-        expect_exit_2
-          (args @ [ "--quick"; "--jobs"; "1"; "--telemetry-dir"; file ])
+  with_temp_dir "eear_output_dir" (fun dir ->
+      let expect_exit_2 args =
+        let code, out, err = run_cli args in
+        let what = String.concat " " args in
+        Alcotest.(check int) (Printf.sprintf "%s exit code (stderr %S)" what err)
+          2 code;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: one stderr line, no internal error (got %S)" what err)
+          true
+          (one_line err && not (contains err "internal error"));
+        out
       in
-      Alcotest.(check string) "nothing printed" "" out)
-    [ [ "table1"; "T1.orchestra" ]; [ "figures"; "A3.allocation" ] ]
+      let out = expect_exit_2 [ "table1"; "T1.orchestra"; "--quick"; "--json"; dir ] in
+      Alcotest.(check bool)
+        (Printf.sprintf "no scenario line printed (got %S)" out)
+        false (contains out "orchestra/");
+      ignore
+        (expect_exit_2
+           (("run" :: count_hop_args)
+           @ [ "--checkpoint"; dir; "--checkpoint-every"; "10" ]));
+      Alcotest.(check bool) "the directory is left alone" true
+        (Sys.is_directory dir);
+      Alcotest.(check bool) "nothing rotated beside it" false
+        (Sys.file_exists (dir ^ ".prev"));
+      ignore (expect_exit_2 (("run" :: count_hop_args) @ [ "--csv"; dir ]));
+      ignore
+        (expect_exit_2
+           (("run" :: count_hop_args)
+           @ [ "--telemetry-file"; Filename.concat dir "missing/x.prom" ]));
+      (* An unknown figure id is refused before the batch starts, so neither
+         of its output directories is created. *)
+      let events = Filename.concat dir "events"
+      and telemetry = Filename.concat dir "telemetry" in
+      ignore
+        (expect_exit_2
+           [ "figures"; "NOPE"; "--quick"; "--events"; events; "--telemetry-dir";
+             telemetry ]);
+      Alcotest.(check (list bool)) "no output directory created" [ false; false ]
+        (List.map Sys.file_exists [ events; telemetry ]);
+      (* A --telemetry-dir naming a regular file is refused the same way. *)
+      let file = Filename.concat dir "file" in
+      close_out (open_out file);
+      List.iter
+        (fun args ->
+          let out =
+            expect_exit_2
+              (args @ [ "--quick"; "--jobs"; "1"; "--telemetry-dir"; file ])
+          in
+          Alcotest.(check string) "nothing printed" "" out)
+        [ [ "table1"; "T1.orchestra" ]; [ "figures"; "A3.allocation" ] ])
 
 (* A directory where a cell's completion marker goes could never be
    replaced by the marker, so the cell is refused before it runs, with a
    line naming the path: exit 2 by default; under --keep-going one FAILED
    row and exit 3. *)
 let test_directory_at_marker_path () =
-  let dir = temp_dir "eear_marker_dir" in
-  let marker = Filename.concat dir "orchestra_flood.done" in
-  Sys.mkdir marker 0o755;
-  let named = marker ^ ": Is a directory" in
-  let code, out, err = run_cli (table1_base @ [ "--resume-dir"; dir ]) in
-  Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" err) 2 code;
-  Alcotest.(check bool)
-    (Printf.sprintf "stderr ends with a line naming the path (got %S)" err)
-    true
-    (String.ends_with ~suffix:(named ^ "\n") err);
-  Alcotest.(check bool) "no row for the cell" false
-    (contains out "orchestra/flood");
-  let code, out, err =
-    run_cli (table1_base @ [ "--resume-dir"; dir; "--keep-going" ])
-  in
-  Alcotest.(check int)
-    (Printf.sprintf "--keep-going exit code (stderr %S)" err)
-    3 code;
-  Alcotest.(check (list bool)) "one FAILED row, for the cell, naming the path"
-    [ true ]
-    (List.filter_map
-       (fun l ->
-         if contains l "FAILED" then
-           Some (contains l "orchestra/flood" && contains l named)
-         else None)
-       (lines out));
-  Alcotest.(check bool) "the directory is left alone" true
-    (Sys.is_directory marker)
+  with_temp_dir "eear_marker_dir" (fun dir ->
+      let marker = Filename.concat dir "orchestra_flood.done" in
+      Sys.mkdir marker 0o755;
+      let named = marker ^ ": Is a directory" in
+      let code, out, err = run_cli (table1_base @ [ "--resume-dir"; dir ]) in
+      Alcotest.(check int) (Printf.sprintf "exit code (stderr %S)" err) 2 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "stderr ends with a line naming the path (got %S)" err)
+        true
+        (String.ends_with ~suffix:(named ^ "\n") err);
+      Alcotest.(check bool) "no row for the cell" false
+        (contains out "orchestra/flood");
+      let code, out, err =
+        run_cli (table1_base @ [ "--resume-dir"; dir; "--keep-going" ])
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "--keep-going exit code (stderr %S)" err)
+        3 code;
+      Alcotest.(check (list bool)) "one FAILED row, for the cell, naming the path"
+        [ true ]
+        (List.filter_map
+           (fun l ->
+             if contains l "FAILED" then
+               Some (contains l "orchestra/flood" && contains l named)
+             else None)
+           (lines out));
+      Alcotest.(check bool) "the directory is left alone" true
+        (Sys.is_directory marker))
 
 (* Batch commands whose stdout, concatenated over [commands], is pinned
    byte for byte in [golden]. *)

@@ -218,24 +218,56 @@ let qcheck_decoders_total_on_strings =
   QCheck.Test.make ~name:"decoders_total_on_arbitrary_strings" ~count:1000
     QCheck.string decoders_total
 
-(* Replace, delete or insert one byte of a valid line. *)
+(* A generator of single-byte edits of one of [valid]: replace, delete
+   or insert one byte. *)
+let single_byte_edits valid =
+  QCheck.map
+    (fun (which, edit, at, c) ->
+      let s = List.nth valid which in
+      let at = at mod (String.length s + 1) in
+      let before = String.sub s 0 at in
+      let after k = String.sub s k (String.length s - k) in
+      match edit with
+      | 0 when at < String.length s -> before ^ String.make 1 c ^ after (at + 1)
+      | 1 when at < String.length s -> before ^ after (at + 1)
+      | _ -> before ^ String.make 1 c ^ after at)
+    QCheck.(
+      quad (int_bound (List.length valid - 1)) (int_bound 2) (int_bound 10_000)
+        char)
+  |> QCheck.set_print (Printf.sprintf "%S")
+
 let qcheck_decoders_total_on_edits =
   QCheck.Test.make ~name:"decoders_total_on_single_byte_edits"
-    ~count:2000
-    QCheck.(
-      quad (int_bound (List.length valid_lines - 1)) (int_bound 2)
-        (int_bound 10_000) char)
-    (fun (which, edit, at, c) ->
-      let line = List.nth valid_lines which in
-      let at = at mod (String.length line + 1) in
-      let before = String.sub line 0 at in
-      let after k = String.sub line k (String.length line - k) in
-      decoders_total
-        (match edit with
-         | 0 when at < String.length line ->
-           before ^ String.make 1 c ^ after (at + 1)
-         | 1 when at < String.length line -> before ^ after (at + 1)
-         | _ -> before ^ String.make 1 c ^ after at))
+    ~count:2000 (single_byte_edits valid_lines) decoders_total
+
+(* The parsers of files that cross a process boundary: a telemetry
+   exposition, a fault plan, and a trace file, loaded from disk. Each
+   answers [Ok] or [Error] on any text, never raises. Every input goes
+   to all three. *)
+let valid_files =
+  List.map
+    (fun path -> In_channel.with_open_bin path In_channel.input_all)
+    [ "golden/telemetry.prom"; "golden/fault_plan_ranges.txt" ]
+  @ [ "# a small trace\n0 0 1\n5 2 1\n5 1 2\n99 3 0\n" ]
+
+let file_parsers_total text =
+  (match Mac_sim.Telemetry.parse_exposition text with Ok _ | Error _ -> ());
+  (match Mac_faults.Fault_plan.of_string text with Ok _ | Error _ -> ());
+  let path = Filename.temp_file "eear_trace" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      match Mac_serve.Trace_file.load ~n:4 ~path () with
+      | Ok _ | Error _ -> true)
+
+let qcheck_file_parsers_total_on_strings =
+  QCheck.Test.make ~name:"file_parsers_total_on_arbitrary_strings"
+    ~count:1000 QCheck.string file_parsers_total
+
+let qcheck_file_parsers_total_on_edits =
+  QCheck.Test.make ~name:"file_parsers_total_on_single_byte_edits"
+    ~count:2000 (single_byte_edits valid_files) file_parsers_total
 
 let finite f = if Float.is_finite f then f else 0.0
 
@@ -702,6 +734,9 @@ let () =
          QCheck_alcotest.to_alcotest qcheck_jsonv_roundtrip;
          QCheck_alcotest.to_alcotest qcheck_decoders_total_on_strings;
          QCheck_alcotest.to_alcotest qcheck_decoders_total_on_edits ]);
+      ("parsers",
+       [ QCheck_alcotest.to_alcotest qcheck_file_parsers_total_on_strings;
+         QCheck_alcotest.to_alcotest qcheck_file_parsers_total_on_edits ]);
       ("sinks",
        [ Alcotest.test_case "tee and close" `Quick test_tee_and_close ]);
       ("replay",

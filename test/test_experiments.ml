@@ -249,34 +249,28 @@ let qcheck_decode_total_on_meta_edits =
 
 (* ---- quarantine markers ---- *)
 
-let temp_dir prefix =
-  let dir = Filename.temp_file prefix "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  dir
-
 (* Regression: [quarantine_lookup] read its three lines as a tuple of
    [input_line]s, which OCaml evaluates in unspecified (in practice
    right-to-left) order — the file parsed backwards, the magic never
    matched, and every marker written by [note_quarantined] was dead
    weight. *)
 let test_quarantine_marker_roundtrip () =
-  let dir = temp_dir "eear_quar" in
-  Scenario.note_quarantined ~resume_dir:dir ~id:"row/cell-1" ~failures:3
-    ~error:"injected boom";
-  Alcotest.(check (option int))
-    "marker found with its failure count" (Some 3)
-    (Scenario.quarantine_lookup ~resume_dir:dir "row/cell-1");
-  Alcotest.(check (option int))
-    "other ids unaffected" None
-    (Scenario.quarantine_lookup ~resume_dir:dir "row/cell-2");
-  (* A truncated or foreign file must read as "not quarantined". *)
-  let oc = open_out (Scenario.quarantine_path ~resume_dir:dir "row/cell-3") in
-  output_string oc "not a marker\n";
-  close_out oc;
-  Alcotest.(check (option int))
-    "garbage marker ignored" None
-    (Scenario.quarantine_lookup ~resume_dir:dir "row/cell-3")
+  Helpers.with_temp_dir "eear_quar" (fun dir ->
+      Scenario.note_quarantined ~resume_dir:dir ~id:"row/cell-1" ~failures:3
+        ~error:"injected boom";
+      Alcotest.(check (option int))
+        "marker found with its failure count" (Some 3)
+        (Scenario.quarantine_lookup ~resume_dir:dir "row/cell-1");
+      Alcotest.(check (option int))
+        "other ids unaffected" None
+        (Scenario.quarantine_lookup ~resume_dir:dir "row/cell-2");
+      (* A truncated or foreign file must read as "not quarantined". *)
+      let oc = open_out (Scenario.quarantine_path ~resume_dir:dir "row/cell-3") in
+      output_string oc "not a marker\n";
+      close_out oc;
+      Alcotest.(check (option int))
+        "garbage marker ignored" None
+        (Scenario.quarantine_lookup ~resume_dir:dir "row/cell-3"))
 
 (* A small Table-1 row over the given scenario ids whose [cells] counts
    how often the catalog is built. *)
@@ -296,43 +290,74 @@ let counting_row ids =
    the default policy as much as under --keep-going: the quarantined cell
    is reported [Quarantined] and never runs. *)
 let test_resumable_sweep_honors_marker () =
-  let dir = temp_dir "eear_quar_sweep" in
-  Scenario.note_quarantined ~resume_dir:dir ~id:"bad" ~failures:2
-    ~error:"earlier failure";
-  let row, _ = counting_row [ "good"; "bad" ] in
-  let ran_bad = ref false in
-  let inject cid = if cid = "bad" then ran_bad := true in
-  (match
-     Table1.sweep
-       ~policy:{ Mac_sim.Supervisor.default_policy with keep_going = true }
-       ~inject ~resume_dir:dir ~scale:`Quick row ()
-   with
-   | [ ("good", Ok (Scenario.Fresh _));
-       ("bad", Error (Mac_sim.Supervisor.Quarantined { failures = 2 })) ] ->
-     ()
-   | _ -> Alcotest.fail "expected good=Ok and bad=Quarantined");
-  (* The default policy aborts on the quarantined cell instead of running
-     it; the good cell replays from its completion marker. *)
-  (match Table1.sweep ~inject ~resume_dir:dir ~scale:`Quick row () with
-   | _ -> Alcotest.fail "default policy must abort on a quarantined cell"
-   | exception
-       Mac_sim.Supervisor.Job_gave_up
-         { label = "bad"; attempts = 2; reason = "quarantined" } ->
-     ());
-  check_bool "quarantined cell never ran" false !ran_bad
+  Helpers.with_temp_dir "eear_quar_sweep" (fun dir ->
+      Scenario.note_quarantined ~resume_dir:dir ~id:"bad" ~failures:2
+        ~error:"earlier failure";
+      let row, _ = counting_row [ "good"; "bad" ] in
+      let ran_bad = ref false in
+      let inject cid = if cid = "bad" then ran_bad := true in
+      (match
+         Table1.sweep
+           ~policy:{ Mac_sim.Supervisor.default_policy with keep_going = true }
+           ~inject ~resume_dir:dir ~scale:`Quick row ()
+       with
+       | [ ("good", Ok (Scenario.Fresh _));
+           ("bad", Error (Mac_sim.Supervisor.Quarantined { failures = 2 })) ] ->
+         ()
+       | _ -> Alcotest.fail "expected good=Ok and bad=Quarantined");
+      (* The default policy aborts on the quarantined cell instead of running
+         it; the good cell replays from its completion marker. *)
+      (match Table1.sweep ~inject ~resume_dir:dir ~scale:`Quick row () with
+       | _ -> Alcotest.fail "default policy must abort on a quarantined cell"
+       | exception
+           Mac_sim.Supervisor.Job_gave_up
+             { label = "bad"; attempts = 2; reason = "quarantined" } ->
+         ());
+      check_bool "quarantined cell never ran" false !ran_bad)
 
 (* A marker that cannot be read is absent: a directory at the
    quarantine path neither quarantines the cell nor stops the sweep. *)
 let test_unreadable_marker_is_absent () =
-  let dir = temp_dir "eear_quar_dir" in
-  Sys.mkdir (Scenario.quarantine_path ~resume_dir:dir "cell") 0o755;
-  Alcotest.(check (option int))
-    "directory reads as no marker" None
-    (Scenario.quarantine_lookup ~resume_dir:dir "cell");
-  let row, _ = counting_row [ "cell" ] in
-  match Table1.sweep ~resume_dir:dir ~scale:`Quick row () with
-  | [ ("cell", Ok (Scenario.Fresh _)) ] -> ()
-  | _ -> Alcotest.fail "expected the cell to run"
+  Helpers.with_temp_dir "eear_quar_dir" (fun dir ->
+      Sys.mkdir (Scenario.quarantine_path ~resume_dir:dir "cell") 0o755;
+      Alcotest.(check (option int))
+        "directory reads as no marker" None
+        (Scenario.quarantine_lookup ~resume_dir:dir "cell");
+      let row, _ = counting_row [ "cell" ] in
+      match Table1.sweep ~resume_dir:dir ~scale:`Quick row () with
+      | [ ("cell", Ok (Scenario.Fresh _)) ] -> ()
+      | _ -> Alcotest.fail "expected the cell to run")
+
+(* A FIFO at the marker path is no marker either, and the lookup must not
+   open it: opening a FIFO blocks until a writer comes, and the
+   Supervisor looks markers up under its scheduler lock. A helper domain
+   opens the FIFO's other end after 2 s unless the lookup has returned,
+   so a lookup that blocks fails the timing check instead of hanging. *)
+let test_fifo_marker_is_absent () =
+  Helpers.with_temp_dir "eear_quar_fifo" (fun dir ->
+      let path = Scenario.quarantine_path ~resume_dir:dir "cell" in
+      Unix.mkfifo path 0o600;
+      let returned = Atomic.make false in
+      let unblock =
+        Domain.spawn (fun () ->
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            while
+              (not (Atomic.get returned)) && Unix.gettimeofday () < deadline
+            do
+              Unix.sleepf 0.01
+            done;
+            if not (Atomic.get returned) then
+              Unix.close (Unix.openfile path [ Unix.O_RDWR ] 0))
+      in
+      let t0 = Unix.gettimeofday () in
+      let found = Scenario.quarantine_lookup ~resume_dir:dir "cell" in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Atomic.set returned true;
+      Domain.join unblock;
+      Alcotest.(check (option int)) "a FIFO reads as no marker" None found;
+      check_bool
+        (Printf.sprintf "lookup returns within 1 s (took %.2f s)" elapsed)
+        true (elapsed < 1.0))
 
 (* A sweep builds the row's catalog once, and a retried attempt reruns
    its cell's spec without rebuilding it. *)
@@ -535,7 +560,9 @@ let () =
          Alcotest.test_case "sweep honors marker" `Quick
            test_resumable_sweep_honors_marker;
          Alcotest.test_case "unreadable marker is absent" `Quick
-           test_unreadable_marker_is_absent ]);
+           test_unreadable_marker_is_absent;
+         Alcotest.test_case "FIFO marker is absent, never opened" `Quick
+           test_fifo_marker_is_absent ]);
       ("sweep",
        [ Alcotest.test_case "catalog built once" `Quick
            test_sweep_builds_catalog_once;

@@ -79,22 +79,10 @@ let test_slice_runs_with_verdicts_and_jobs_parity () =
   check_bool "mbtf absorbs burst-flood" true
     (verdict_of "matrix/mbtf/burst-flood/clean" = Mac_sim.Stability.Stable)
 
-let with_temp_dir f =
-  let dir = Filename.temp_file "eear_matrix" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
-
 let test_resume_replays_byte_identically () =
   let only id = List.mem id [ "fs-tree"; "ack-rr" ] in
   let e = Matrix.row_for ~only in
-  with_temp_dir (fun dir ->
+  Helpers.with_temp_dir "eear_matrix" (fun dir ->
       let run jobs =
         List.map
           (function

@@ -13,12 +13,6 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let temp_dir prefix =
-  let dir = Filename.temp_file prefix "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  dir
-
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -77,12 +71,12 @@ let test_trace_file_rejects_bad_lines () =
 (* A directory opens without error and fails at the first read: the
    loader answers [Error] naming the path, not an exception. *)
 let test_trace_file_directory () =
-  let dir = temp_dir "eear_trace_dir" in
-  match Mac_serve.Trace_file.load ~path:dir () with
-  | Ok _ -> Alcotest.fail "loaded a directory"
-  | Error msg ->
-    check_bool (Printf.sprintf "names the path (got %S)" msg) true
-      (String.starts_with ~prefix:(dir ^ ": ") msg)
+  Helpers.with_temp_dir "eear_trace_dir" (fun dir ->
+      match Mac_serve.Trace_file.load ~path:dir () with
+      | Ok _ -> Alcotest.fail "loaded a directory"
+      | Error msg ->
+        check_bool (Printf.sprintf "names the path (got %S)" msg) true
+          (String.starts_with ~prefix:(dir ^ ": ") msg))
 
 (* ---- shared fixtures: a tiny externally-fed orchestra channel ---------- *)
 
@@ -302,175 +296,175 @@ let open_cmd ~channel ~rounds ~drain =
 (* Satellite: malformed or unknown input must produce a typed error reply —
    never a dropped connection or a dead shard. *)
 let test_protocol_errors_are_typed () =
-  let dir = temp_dir "eear_serve_err" in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  Client.send_line c "this is not json";
-  (match Client.recv_line c with
-   | None -> Alcotest.fail "connection dropped on bad json"
-   | Some line -> (
-     match J.parse line with
-     | Ok reply ->
-       check_bool "bad json gets ok:false" true
-         (Option.bind (J.member "ok" reply) J.to_bool = Some false)
-     | Error msg -> Alcotest.fail ("reply not json: " ^ msg)));
-  check_bool "unknown command named in error" true
-    (contains (req_err c [ ("cmd", J.Str "frobnicate") ]) "frobnicate");
-  check_bool "missing cmd" true
-    (contains (req_err c [ ("n", J.Int 1) ]) "cmd");
-  check_bool "unknown channel" true
-    (contains
-       (req_err c
-          [ ("cmd", J.Str "step"); ("channel", J.Str "ghost");
-            ("rounds", J.Int 1) ])
-       "ghost");
-  check_bool "bad channel id" true
-    (contains
-       (req_err c
-          (open_cmd ~channel:"no spaces allowed" ~rounds:10 ~drain:0))
-       "id");
-  (* a field present with the wrong type or out of range is named in the
-     error, never replaced by its default; a spec the shard could not start
-     is refused the same way, up front, leaving no trace of the id *)
-  ignore (req c (open_cmd ~channel:"t" ~rounds:50 ~drain:0));
-  List.iter
-    (fun (line, named) ->
-      Client.send_line c line;
-      let err =
-        match Option.map J.parse (Client.recv_line c) with
-        | Some (Ok reply)
-          when Option.bind (J.member "ok" reply) J.to_bool = Some false ->
-          Option.value ~default:""
-            (Option.bind (J.member "error" reply) J.to_str)
-        | _ -> Alcotest.failf "expected an error reply to %s" line
-      in
-      check_bool
-        (Printf.sprintf "%s names %s (got %S)" line named err)
-        true
-        (contains err named && not (contains err "Failure")))
-    [ ({|{"cmd":"open","channel":"bad","algorithm":"orchestra","n":"6"}|}, {|"n"|});
-      ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":1e19,"seed":1e19}|},
-        {|"seed"|} );
-      ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":5e18}|},
-        {|"checkpoint_every"|} );
-      ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":-1}|},
-        {|"checkpoint_every"|} );
-      ( {|{"cmd":"open","channel":"x","algorithm":"nope"}|},
-        {|"algorithm": unknown algorithm "nope"|} );
-      ({|{"cmd":"open","channel":"x","algorithm":"k-subsets","n":4,"k":4}|}, {|"k"|});
-      ( {|{"cmd":"open","channel":"x","algorithm":"orchestra","pattern":"flood:x"}|},
-        {|"pattern"|} );
-      ({|{"cmd":"open","channel":"x","algorithm":"orchestra","rate":"2"}|}, {|"rate"|});
-      ( {|{"cmd":"open","channel":"x","algorithm":"orchestra","burst":"1e-300"}|},
-        {|"burst"|} );
-      ( {|{"cmd":"open","channel":"x","algorithm":"count-hop","n":1,"k":1,"pattern":"round-robin"}|},
-        {|"n"|} );
-      ({|{"cmd":"inject","channel":"t","at":"5","src":0,"dst":1}|}, {|"at" must be|});
-      ({|{"cmd":"inject","channel":"t","src":"0","dst":1}|}, {|"src" must be|});
-      ({|{"cmd":"inject","channel":"t","src":0,"dst":[1]}|}, {|"dst" must be|});
-      ({|{"cmd":"step","channel":"t","rounds":"5"}|}, {|"rounds" must be|});
-      ({|{"cmd":"migrate","channel":"t","shard":"1"}|}, {|"shard" must be|});
-      ({|{"cmd":"kill-shard","shard":"0"}|}, {|"shard" must be|});
-      ({|{"cmd":"snapshot","channel":["t"]}|}, {|"channel" must be|});
-      ({|{"cmd":5}|}, {|"cmd" must be|}) ];
-  check_bool "a refused open writes no meta file" false
-    (Sys.file_exists (Filename.concat dir "x.meta"));
-  ignore (req c (open_cmd ~channel:"x" ~rounds:10 ~drain:0));
-  (* after all that abuse the daemon still works end to end *)
-  let reply = req c [ ("cmd", J.Str "ping") ] in
-  check_bool "ping survives" true
-    (Option.bind (J.member "pong" reply) J.to_bool = Some true);
-  ignore (req c (open_cmd ~channel:"alive" ~rounds:50 ~drain:0));
-  check_bool "self-loop injection rejected" true
-    (contains
-       (req_err c
-          [ ("cmd", J.Str "inject"); ("channel", J.Str "alive");
-            ("src", J.Int 0); ("dst", J.Int 0) ])
-       "src");
-  ignore (req c (inject_cmd ~channel:"alive" [ (0, 0, 1) ]));
-  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "alive") ] in
-  check_bool "run completes after abuse" true
-    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
-  Client.close c;
-  stop_server socket d
+  Helpers.with_temp_dir "eear_serve_err" (fun dir ->
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      Client.send_line c "this is not json";
+      (match Client.recv_line c with
+       | None -> Alcotest.fail "connection dropped on bad json"
+       | Some line -> (
+         match J.parse line with
+         | Ok reply ->
+           check_bool "bad json gets ok:false" true
+             (Option.bind (J.member "ok" reply) J.to_bool = Some false)
+         | Error msg -> Alcotest.fail ("reply not json: " ^ msg)));
+      check_bool "unknown command named in error" true
+        (contains (req_err c [ ("cmd", J.Str "frobnicate") ]) "frobnicate");
+      check_bool "missing cmd" true
+        (contains (req_err c [ ("n", J.Int 1) ]) "cmd");
+      check_bool "unknown channel" true
+        (contains
+           (req_err c
+              [ ("cmd", J.Str "step"); ("channel", J.Str "ghost");
+                ("rounds", J.Int 1) ])
+           "ghost");
+      check_bool "bad channel id" true
+        (contains
+           (req_err c
+              (open_cmd ~channel:"no spaces allowed" ~rounds:10 ~drain:0))
+           "id");
+      (* a field present with the wrong type or out of range is named in the
+         error, never replaced by its default; a spec the shard could not start
+         is refused the same way, up front, leaving no trace of the id *)
+      ignore (req c (open_cmd ~channel:"t" ~rounds:50 ~drain:0));
+      List.iter
+        (fun (line, named) ->
+          Client.send_line c line;
+          let err =
+            match Option.map J.parse (Client.recv_line c) with
+            | Some (Ok reply)
+              when Option.bind (J.member "ok" reply) J.to_bool = Some false ->
+              Option.value ~default:""
+                (Option.bind (J.member "error" reply) J.to_str)
+            | _ -> Alcotest.failf "expected an error reply to %s" line
+          in
+          check_bool
+            (Printf.sprintf "%s names %s (got %S)" line named err)
+            true
+            (contains err named && not (contains err "Failure")))
+        [ ({|{"cmd":"open","channel":"bad","algorithm":"orchestra","n":"6"}|}, {|"n"|});
+          ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":1e19,"seed":1e19}|},
+            {|"seed"|} );
+          ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":5e18}|},
+            {|"checkpoint_every"|} );
+          ( {|{"cmd":"open","channel":"bad","algorithm":"orchestra","checkpoint_every":-1}|},
+            {|"checkpoint_every"|} );
+          ( {|{"cmd":"open","channel":"x","algorithm":"nope"}|},
+            {|"algorithm": unknown algorithm "nope"|} );
+          ({|{"cmd":"open","channel":"x","algorithm":"k-subsets","n":4,"k":4}|}, {|"k"|});
+          ( {|{"cmd":"open","channel":"x","algorithm":"orchestra","pattern":"flood:x"}|},
+            {|"pattern"|} );
+          ({|{"cmd":"open","channel":"x","algorithm":"orchestra","rate":"2"}|}, {|"rate"|});
+          ( {|{"cmd":"open","channel":"x","algorithm":"orchestra","burst":"1e-300"}|},
+            {|"burst"|} );
+          ( {|{"cmd":"open","channel":"x","algorithm":"count-hop","n":1,"k":1,"pattern":"round-robin"}|},
+            {|"n"|} );
+          ({|{"cmd":"inject","channel":"t","at":"5","src":0,"dst":1}|}, {|"at" must be|});
+          ({|{"cmd":"inject","channel":"t","src":"0","dst":1}|}, {|"src" must be|});
+          ({|{"cmd":"inject","channel":"t","src":0,"dst":[1]}|}, {|"dst" must be|});
+          ({|{"cmd":"step","channel":"t","rounds":"5"}|}, {|"rounds" must be|});
+          ({|{"cmd":"migrate","channel":"t","shard":"1"}|}, {|"shard" must be|});
+          ({|{"cmd":"kill-shard","shard":"0"}|}, {|"shard" must be|});
+          ({|{"cmd":"snapshot","channel":["t"]}|}, {|"channel" must be|});
+          ({|{"cmd":5}|}, {|"cmd" must be|}) ];
+      check_bool "a refused open writes no meta file" false
+        (Sys.file_exists (Filename.concat dir "x.meta"));
+      ignore (req c (open_cmd ~channel:"x" ~rounds:10 ~drain:0));
+      (* after all that abuse the daemon still works end to end *)
+      let reply = req c [ ("cmd", J.Str "ping") ] in
+      check_bool "ping survives" true
+        (Option.bind (J.member "pong" reply) J.to_bool = Some true);
+      ignore (req c (open_cmd ~channel:"alive" ~rounds:50 ~drain:0));
+      check_bool "self-loop injection rejected" true
+        (contains
+           (req_err c
+              [ ("cmd", J.Str "inject"); ("channel", J.Str "alive");
+                ("src", J.Int 0); ("dst", J.Int 0) ])
+           "src");
+      ignore (req c (inject_cmd ~channel:"alive" [ (0, 0, 1) ]));
+      let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "alive") ] in
+      check_bool "run completes after abuse" true
+        (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+      Client.close c;
+      stop_server socket d)
 
 (* Acceptance anchor: a channel fed over the socket and run to completion
    writes an event spool and summary byte-identical to the equivalent
    batch run. *)
 let test_replay_is_byte_identical_to_batch () =
   let rounds = 400 and drain = 200 in
-  let dir = temp_dir "eear_serve_eq" in
-  let socket, d = start_server ~dir ~shards:2 in
-  let c = connect_ok socket in
-  ignore (req c (open_cmd ~channel:"eq" ~rounds ~drain));
-  let reply = req c (inject_cmd ~channel:"eq" trace6) in
-  check_int "all packets accepted" (List.length trace6)
-    (Option.get (Option.bind (J.member "accepted" reply) J.to_int));
-  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "eq") ] in
-  check_bool "complete" true
-    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
-  check_bool "summary in reply" true (J.member "summary" reply <> None);
-  Client.close c;
-  stop_server socket d;
-  let events, summary =
-    batch_reference ~n:6 ~k:3 ~rounds ~drain ~trace:trace6
-  in
-  check_string "event spool matches batch --events"
-    events
-    (read_file (Filename.concat dir "eq.events.jsonl"));
-  check_string "summary matches batch --json"
-    summary
-    (read_file (Filename.concat dir "eq.summary.json"))
+  Helpers.with_temp_dir "eear_serve_eq" (fun dir ->
+      let socket, d = start_server ~dir ~shards:2 in
+      let c = connect_ok socket in
+      ignore (req c (open_cmd ~channel:"eq" ~rounds ~drain));
+      let reply = req c (inject_cmd ~channel:"eq" trace6) in
+      check_int "all packets accepted" (List.length trace6)
+        (Option.get (Option.bind (J.member "accepted" reply) J.to_int));
+      let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "eq") ] in
+      check_bool "complete" true
+        (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+      check_bool "summary in reply" true (J.member "summary" reply <> None);
+      Client.close c;
+      stop_server socket d;
+      let events, summary =
+        batch_reference ~n:6 ~k:3 ~rounds ~drain ~trace:trace6
+      in
+      check_string "event spool matches batch --events"
+        events
+        (read_file (Filename.concat dir "eq.events.jsonl"));
+      check_string "summary matches batch --json"
+        summary
+        (read_file (Filename.concat dir "eq.summary.json")))
 
 (* Satellite: a client vanishing mid-subscription must not take the shard
    (or the channel) down with it. *)
 let test_disconnect_mid_subscribe_leaves_shard_alive () =
-  let dir = temp_dir "eear_serve_sub" in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  ignore (req c (open_cmd ~channel:"sub" ~rounds:1200 ~drain:0));
-  ignore (req c (inject_cmd ~channel:"sub" trace6));
-  ignore
-    (req c
-       [ ("cmd", J.Str "step"); ("channel", J.Str "sub");
-         ("rounds", J.Int 400) ]);
-  (* subscribe from a second connection, read a little, vanish rudely *)
-  let sub = connect_ok socket in
-  ignore (req sub [ ("cmd", J.Str "subscribe"); ("channel", J.Str "sub") ]);
-  (match Client.recv_line sub with
-   | Some line -> check_bool "stream carries events" true (contains line "round")
-   | None -> Alcotest.fail "no stream data");
-  Client.close sub;
-  (* the daemon and the channel's shard must both still be fine *)
-  let reply =
-    req c
-      [ ("cmd", J.Str "step"); ("channel", J.Str "sub");
-        ("rounds", J.Int 400) ]
-  in
-  check_bool "step works after subscriber vanished" true
-    (Option.bind (J.member "round" reply) J.to_int <> None);
-  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "sub") ] in
-  check_bool "run completes" true
-    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
-  (* a late subscriber streams the whole spool, then clean EOF *)
-  let late = connect_ok socket in
-  ignore (req late [ ("cmd", J.Str "subscribe"); ("channel", J.Str "sub") ]);
-  let buf = Buffer.create 4096 in
-  let rec drainl () =
-    match Client.recv_line late with
-    | Some line ->
-      Buffer.add_string buf line;
-      Buffer.add_char buf '\n';
-      drainl ()
-    | None -> ()
-  in
-  drainl ();
-  Client.close late;
-  Client.close c;
-  stop_server socket d;
-  check_string "late subscriber sees the full spool"
-    (read_file (Filename.concat dir "sub.events.jsonl"))
-    (Buffer.contents buf)
+  Helpers.with_temp_dir "eear_serve_sub" (fun dir ->
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      ignore (req c (open_cmd ~channel:"sub" ~rounds:1200 ~drain:0));
+      ignore (req c (inject_cmd ~channel:"sub" trace6));
+      ignore
+        (req c
+           [ ("cmd", J.Str "step"); ("channel", J.Str "sub");
+             ("rounds", J.Int 400) ]);
+      (* subscribe from a second connection, read a little, vanish rudely *)
+      let sub = connect_ok socket in
+      ignore (req sub [ ("cmd", J.Str "subscribe"); ("channel", J.Str "sub") ]);
+      (match Client.recv_line sub with
+       | Some line -> check_bool "stream carries events" true (contains line "round")
+       | None -> Alcotest.fail "no stream data");
+      Client.close sub;
+      (* the daemon and the channel's shard must both still be fine *)
+      let reply =
+        req c
+          [ ("cmd", J.Str "step"); ("channel", J.Str "sub");
+            ("rounds", J.Int 400) ]
+      in
+      check_bool "step works after subscriber vanished" true
+        (Option.bind (J.member "round" reply) J.to_int <> None);
+      let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "sub") ] in
+      check_bool "run completes" true
+        (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+      (* a late subscriber streams the whole spool, then clean EOF *)
+      let late = connect_ok socket in
+      ignore (req late [ ("cmd", J.Str "subscribe"); ("channel", J.Str "sub") ]);
+      let buf = Buffer.create 4096 in
+      let rec drainl () =
+        match Client.recv_line late with
+        | Some line ->
+          Buffer.add_string buf line;
+          Buffer.add_char buf '\n';
+          drainl ()
+        | None -> ()
+      in
+      drainl ();
+      Client.close late;
+      Client.close c;
+      stop_server socket d;
+      check_string "late subscriber sees the full spool"
+        (read_file (Filename.concat dir "sub.events.jsonl"))
+        (Buffer.contents buf))
 
 (* The strongest form of the equivalence guarantee: kill the shard mid-run
    (respawn re-adopts from the checkpoint, truncating the spool), then
@@ -479,54 +473,54 @@ let test_disconnect_mid_subscribe_leaves_shard_alive () =
    batch run. *)
 let test_chaos_preserves_byte_identity () =
   let rounds = 600 and drain = 200 in
-  let dir = temp_dir "eear_serve_chaos" in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  ignore (req c (open_cmd ~channel:"chaos" ~rounds ~drain));
-  ignore (req c (inject_cmd ~channel:"chaos" trace6));
-  ignore
-    (req c
-       [ ("cmd", J.Str "step"); ("channel", J.Str "chaos");
-         ("rounds", J.Int 200) ]);
-  ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 0) ]);
-  (* the step may race the respawn and get a "re-issue" style error; the
-     daemon must answer either way, never hang *)
-  let rec step_after_respawn tries =
-    match
-      Client.request c
-        (J.Obj
+  Helpers.with_temp_dir "eear_serve_chaos" (fun dir ->
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      ignore (req c (open_cmd ~channel:"chaos" ~rounds ~drain));
+      ignore (req c (inject_cmd ~channel:"chaos" trace6));
+      ignore
+        (req c
            [ ("cmd", J.Str "step"); ("channel", J.Str "chaos");
-             ("rounds", J.Int 100) ])
-    with
-    | Ok _ -> ()
-    | Error _ when tries > 0 ->
-      Unix.sleepf 0.05;
-      step_after_respawn (tries - 1)
-    | Error msg -> Alcotest.fail ("step after kill-shard: " ^ msg)
-  in
-  step_after_respawn 100;
-  let stats = req c [ ("cmd", J.Str "stats") ] in
-  check_int "respawn counted" 1
-    (Option.get (Option.bind (J.member "respawns" stats) J.to_int));
-  Client.close c;
-  (* drain (SIGTERM path) and restart the daemon on the same state dir *)
-  stop_server socket d;
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "chaos") ] in
-  check_bool "resumed run completes" true
-    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
-  Client.close c;
-  stop_server socket d;
-  let events, summary =
-    batch_reference ~n:6 ~k:3 ~rounds ~drain ~trace:trace6
-  in
-  check_string "spool byte-identical despite crash + restart"
-    events
-    (read_file (Filename.concat dir "chaos.events.jsonl"));
-  check_string "summary byte-identical despite crash + restart"
-    summary
-    (read_file (Filename.concat dir "chaos.summary.json"))
+             ("rounds", J.Int 200) ]);
+      ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 0) ]);
+      (* the step may race the respawn and get a "re-issue" style error; the
+         daemon must answer either way, never hang *)
+      let rec step_after_respawn tries =
+        match
+          Client.request c
+            (J.Obj
+               [ ("cmd", J.Str "step"); ("channel", J.Str "chaos");
+                 ("rounds", J.Int 100) ])
+        with
+        | Ok _ -> ()
+        | Error _ when tries > 0 ->
+          Unix.sleepf 0.05;
+          step_after_respawn (tries - 1)
+        | Error msg -> Alcotest.fail ("step after kill-shard: " ^ msg)
+      in
+      step_after_respawn 100;
+      let stats = req c [ ("cmd", J.Str "stats") ] in
+      check_int "respawn counted" 1
+        (Option.get (Option.bind (J.member "respawns" stats) J.to_int));
+      Client.close c;
+      (* drain (SIGTERM path) and restart the daemon on the same state dir *)
+      stop_server socket d;
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "chaos") ] in
+      check_bool "resumed run completes" true
+        (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+      Client.close c;
+      stop_server socket d;
+      let events, summary =
+        batch_reference ~n:6 ~k:3 ~rounds ~drain ~trace:trace6
+      in
+      check_string "spool byte-identical despite crash + restart"
+        events
+        (read_file (Filename.concat dir "chaos.events.jsonl"));
+      check_string "summary byte-identical despite crash + restart"
+        summary
+        (read_file (Filename.concat dir "chaos.summary.json")))
 
 let step_cmd ~channel rounds =
   [ ("cmd", J.Str "step"); ("channel", J.Str channel);
@@ -550,37 +544,37 @@ let check_batch_bytes ~dir ~channel ~rounds ~drain ~trace =
    still writes the batch run's bytes. *)
 let test_snapshot_and_migrate_live_channel () =
   let rounds = 600 and drain = 200 in
-  let dir = temp_dir "eear_serve_migrate" in
-  let socket, d = start_server ~dir ~shards:2 in
-  let c = connect_ok socket in
-  ignore (req c (open_cmd ~channel:"mig" ~rounds ~drain));
-  ignore (req c (inject_cmd ~channel:"mig" trace6));
-  let round = int_of "round" (req c (step_cmd ~channel:"mig" 150)) in
-  check_int "stepped" 150 round;
-  let snap = req c [ ("cmd", J.Str "snapshot"); ("channel", J.Str "mig") ] in
-  check_int "snapshot at the channel's round" round (int_of "round" snap);
-  let path = Filename.concat dir "mig.ckpt" in
-  check_string "snapshot path" path
-    (Option.value ~default:"" (Option.bind (J.member "path" snap) J.to_str));
-  (match Mac_sim.Checkpoint.read_latest ~path with
-   | Ok (s, `Current) -> check_int "checkpoint round" round (E.snapshot_round s)
-   | Ok (_, `Salvaged why) -> Alcotest.fail ("salvaged: " ^ why)
-   | Error msg -> Alcotest.fail msg);
-  let migrate shard =
-    let reply =
-      req c
-        [ ("cmd", J.Str "migrate"); ("channel", J.Str "mig");
-          ("shard", J.Int shard) ]
-    in
-    check_int "adopted by the target shard" shard (int_of "shard" reply)
-  in
-  migrate 1;
-  ignore (req c (step_cmd ~channel:"mig" 100));
-  migrate 0;
-  check_complete (req c (run_cmd ~channel:"mig"));
-  Client.close c;
-  stop_server socket d;
-  check_batch_bytes ~dir ~channel:"mig" ~rounds ~drain ~trace:trace6
+  Helpers.with_temp_dir "eear_serve_migrate" (fun dir ->
+      let socket, d = start_server ~dir ~shards:2 in
+      let c = connect_ok socket in
+      ignore (req c (open_cmd ~channel:"mig" ~rounds ~drain));
+      ignore (req c (inject_cmd ~channel:"mig" trace6));
+      let round = int_of "round" (req c (step_cmd ~channel:"mig" 150)) in
+      check_int "stepped" 150 round;
+      let snap = req c [ ("cmd", J.Str "snapshot"); ("channel", J.Str "mig") ] in
+      check_int "snapshot at the channel's round" round (int_of "round" snap);
+      let path = Filename.concat dir "mig.ckpt" in
+      check_string "snapshot path" path
+        (Option.value ~default:"" (Option.bind (J.member "path" snap) J.to_str));
+      (match Mac_sim.Checkpoint.read_latest ~path with
+       | Ok (s, `Current) -> check_int "checkpoint round" round (E.snapshot_round s)
+       | Ok (_, `Salvaged why) -> Alcotest.fail ("salvaged: " ^ why)
+       | Error msg -> Alcotest.fail msg);
+      let migrate shard =
+        let reply =
+          req c
+            [ ("cmd", J.Str "migrate"); ("channel", J.Str "mig");
+              ("shard", J.Int shard) ]
+        in
+        check_int "adopted by the target shard" shard (int_of "shard" reply)
+      in
+      migrate 1;
+      ignore (req c (step_cmd ~channel:"mig" 100));
+      migrate 0;
+      check_complete (req c (run_cmd ~channel:"mig"));
+      Client.close c;
+      stop_server socket d;
+      check_batch_bytes ~dir ~channel:"mig" ~rounds ~drain ~trace:trace6)
 
 let open_fds () =
   if Sys.file_exists "/proc/self/fd" then
@@ -603,135 +597,135 @@ let check_fds_do_not_grow label before =
 let test_respawn_keeps_accepted_packets () =
   let rounds = 600 and drain = 200 in
   let late = [ (100, 1, 2); (140, 3, 4); (100, 5, 1); (400, 0, 3) ] in
-  let dir = temp_dir "eear_serve_carry" in
-  let at_start = open_fds () in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  ignore (req c (open_cmd ~channel:"carry" ~rounds ~drain));
-  ignore (req c (inject_cmd ~channel:"carry" trace6));
-  (* checkpoints every 32 rounds: the last one before round 100 is at 96 *)
-  check_int "past a checkpoint" 100
-    (int_of "round" (req c (step_cmd ~channel:"carry" 100)));
-  ignore (req c (inject_cmd ~channel:"carry" late));
-  let before = open_fds () in
-  for _ = 1 to 5 do
-    ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 0) ]);
-    ignore (req_retry c (step_cmd ~channel:"carry" 10))
-  done;
-  check_fds_do_not_grow "five respawns" before;
-  check_int "five respawns" 5
-    (int_of "respawns" (req c [ ("cmd", J.Str "stats") ]));
-  check_complete (req_retry c (run_cmd ~channel:"carry"));
-  Client.close c;
-  stop_server socket d;
-  check_fds_do_not_grow "daemon lifetime" at_start;
-  check_batch_bytes ~dir ~channel:"carry" ~rounds ~drain
-    ~trace:(trace6 @ late)
+  Helpers.with_temp_dir "eear_serve_carry" (fun dir ->
+      let at_start = open_fds () in
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      ignore (req c (open_cmd ~channel:"carry" ~rounds ~drain));
+      ignore (req c (inject_cmd ~channel:"carry" trace6));
+      (* checkpoints every 32 rounds: the last one before round 100 is at 96 *)
+      check_int "past a checkpoint" 100
+        (int_of "round" (req c (step_cmd ~channel:"carry" 100)));
+      ignore (req c (inject_cmd ~channel:"carry" late));
+      let before = open_fds () in
+      for _ = 1 to 5 do
+        ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 0) ]);
+        ignore (req_retry c (step_cmd ~channel:"carry" 10))
+      done;
+      check_fds_do_not_grow "five respawns" before;
+      check_int "five respawns" 5
+        (int_of "respawns" (req c [ ("cmd", J.Str "stats") ]));
+      check_complete (req_retry c (run_cmd ~channel:"carry"));
+      Client.close c;
+      stop_server socket d;
+      check_fds_do_not_grow "daemon lifetime" at_start;
+      check_batch_bytes ~dir ~channel:"carry" ~rounds ~drain
+        ~trace:(trace6 @ late))
 
 (* One channel adopted five times (open, three migrations, a shard
    respawn) and run to completion is one started and one completed
    scenario in fleet.prom, whose totals are the finished run's. *)
 let test_fleet_counts_a_channel_once () =
-  let dir = temp_dir "eear_serve_fleet" in
-  let socket, d = start_server ~dir ~shards:2 in
-  let c = connect_ok socket in
-  ignore
-    (req c
-       [ ("cmd", J.Str "open"); ("channel", J.Str "c1");
-         ("algorithm", J.Str "count-hop"); ("n", J.Int 6); ("k", J.Int 2);
-         ("rounds", J.Int 3000); ("pattern", J.Str "uniform") ]);
-  List.iter
-    (fun shard ->
+  Helpers.with_temp_dir "eear_serve_fleet" (fun dir ->
+      let socket, d = start_server ~dir ~shards:2 in
+      let c = connect_ok socket in
       ignore
         (req c
-           [ ("cmd", J.Str "migrate"); ("channel", J.Str "c1");
-             ("shard", J.Int shard) ]))
-    [ 1; 0; 1 ];
-  ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 1) ]);
-  check_complete (req_retry c (run_cmd ~channel:"c1"));
-  Client.close c;
-  stop_server socket d;
-  let injected =
-    match J.parse (read_file (Filename.concat dir "c1.summary.json")) with
-    | Ok v -> int_of "injected" v
-    | Error msg -> Alcotest.fail msg
-  in
-  match
-    Mac_sim.Telemetry.parse_exposition
-      (read_file (Filename.concat dir "fleet.prom"))
-  with
-  | Error msg -> Alcotest.fail msg
-  | Ok samples ->
-    let value name =
-      match List.find_opt (fun (n, _, _) -> n = name) samples with
-      | Some (_, _, v) -> int_of_float v
-      | None -> Alcotest.failf "fleet.prom has no %s" name
-    in
-    let module N = Mac_sim.Telemetry.Names in
-    check_int "started once" 1 (value N.scenarios_started);
-    check_int "completed once" 1 (value N.scenarios_completed);
-    check_int "injected total is the summary's" injected
-      (value N.injected_total)
+           [ ("cmd", J.Str "open"); ("channel", J.Str "c1");
+             ("algorithm", J.Str "count-hop"); ("n", J.Int 6); ("k", J.Int 2);
+             ("rounds", J.Int 3000); ("pattern", J.Str "uniform") ]);
+      List.iter
+        (fun shard ->
+          ignore
+            (req c
+               [ ("cmd", J.Str "migrate"); ("channel", J.Str "c1");
+                 ("shard", J.Int shard) ]))
+        [ 1; 0; 1 ];
+      ignore (req c [ ("cmd", J.Str "kill-shard"); ("shard", J.Int 1) ]);
+      check_complete (req_retry c (run_cmd ~channel:"c1"));
+      Client.close c;
+      stop_server socket d;
+      let injected =
+        match J.parse (read_file (Filename.concat dir "c1.summary.json")) with
+        | Ok v -> int_of "injected" v
+        | Error msg -> Alcotest.fail msg
+      in
+      match
+        Mac_sim.Telemetry.parse_exposition
+          (read_file (Filename.concat dir "fleet.prom"))
+      with
+      | Error msg -> Alcotest.fail msg
+      | Ok samples ->
+        let value name =
+          match List.find_opt (fun (n, _, _) -> n = name) samples with
+          | Some (_, _, v) -> int_of_float v
+          | None -> Alcotest.failf "fleet.prom has no %s" name
+        in
+        let module N = Mac_sim.Telemetry.Names in
+        check_int "started once" 1 (value N.scenarios_started);
+        check_int "completed once" 1 (value N.scenarios_completed);
+        check_int "injected total is the summary's" injected
+          (value N.injected_total))
 
 (* A channel migrated back and forth while a second connection injects
    one packet at a time: every accepted packet is injected by the end of
    the run, and every refusal asks for a retry. *)
 let test_migrate_under_injection () =
-  let dir = temp_dir "eear_serve_stress" in
-  let socket, d = start_server ~dir ~shards:2 in
-  let c = connect_ok socket in
-  ignore (req c (open_cmd ~channel:"st" ~rounds:2000 ~drain:0));
-  let migrating = Atomic.make true in
-  let injector =
-    Domain.spawn (fun () ->
-        let c = connect_ok socket in
-        let accepted = ref 0 and refusals = ref [] and sent = ref 0 in
-        while Atomic.get migrating && !sent < 800 do
-          for i = 1 to 8 do
-            let src = (!sent + i) mod 6 in
-            Client.send_line c
-              (J.to_string
-                 (J.Obj
-                    [ ("cmd", J.Str "inject"); ("channel", J.Str "st");
-                      ("src", J.Int src); ("dst", J.Int ((src + 1) mod 6)) ]))
-          done;
-          for _ = 1 to 8 do
-            incr sent;
-            match Option.map J.parse (Client.recv_line c) with
-            | Some (Ok r)
-              when Option.bind (J.member "ok" r) J.to_bool = Some true ->
-              incr accepted
-            | Some (Ok r) ->
-              refusals :=
-                Option.value ~default:""
-                  (Option.bind (J.member "error" r) J.to_str)
-                :: !refusals
-            | _ -> failwith "inject: no reply"
-          done
-        done;
-        Client.close c;
-        (!accepted, !refusals))
-  in
-  for i = 1 to 20 do
-    ignore
-      (req_retry c
-         [ ("cmd", J.Str "migrate"); ("channel", J.Str "st");
-           ("shard", J.Int (i mod 2)) ])
-  done;
-  Atomic.set migrating false;
-  let accepted, refusals = Domain.join injector in
-  List.iter
-    (fun err ->
-      check_bool (Printf.sprintf "refusal asks for a retry (got %S)" err) true
-        (contains err "migrating; retry"))
-    refusals;
-  let reply = req c (run_cmd ~channel:"st") in
-  check_complete reply;
-  check_int "every accepted packet injected" accepted
-    (int_of "injected"
-       (Option.value ~default:J.Null (J.member "summary" reply)));
-  Client.close c;
-  stop_server socket d
+  Helpers.with_temp_dir "eear_serve_stress" (fun dir ->
+      let socket, d = start_server ~dir ~shards:2 in
+      let c = connect_ok socket in
+      ignore (req c (open_cmd ~channel:"st" ~rounds:2000 ~drain:0));
+      let migrating = Atomic.make true in
+      let injector =
+        Domain.spawn (fun () ->
+            let c = connect_ok socket in
+            let accepted = ref 0 and refusals = ref [] and sent = ref 0 in
+            while Atomic.get migrating && !sent < 800 do
+              for i = 1 to 8 do
+                let src = (!sent + i) mod 6 in
+                Client.send_line c
+                  (J.to_string
+                     (J.Obj
+                        [ ("cmd", J.Str "inject"); ("channel", J.Str "st");
+                          ("src", J.Int src); ("dst", J.Int ((src + 1) mod 6)) ]))
+              done;
+              for _ = 1 to 8 do
+                incr sent;
+                match Option.map J.parse (Client.recv_line c) with
+                | Some (Ok r)
+                  when Option.bind (J.member "ok" r) J.to_bool = Some true ->
+                  incr accepted
+                | Some (Ok r) ->
+                  refusals :=
+                    Option.value ~default:""
+                      (Option.bind (J.member "error" r) J.to_str)
+                    :: !refusals
+                | _ -> failwith "inject: no reply"
+              done
+            done;
+            Client.close c;
+            (!accepted, !refusals))
+      in
+      for i = 1 to 20 do
+        ignore
+          (req_retry c
+             [ ("cmd", J.Str "migrate"); ("channel", J.Str "st");
+               ("shard", J.Int (i mod 2)) ])
+      done;
+      Atomic.set migrating false;
+      let accepted, refusals = Domain.join injector in
+      List.iter
+        (fun err ->
+          check_bool (Printf.sprintf "refusal asks for a retry (got %S)" err) true
+            (contains err "migrating; retry"))
+        refusals;
+      let reply = req c (run_cmd ~channel:"st") in
+      check_complete reply;
+      check_int "every accepted packet injected" accepted
+        (int_of "injected"
+           (Option.value ~default:J.Null (J.member "summary" reply)));
+      Client.close c;
+      stop_server socket d)
 
 (* ---- faulted channels --------------------------------------------------- *)
 
@@ -758,76 +752,76 @@ let faulted_open ~channel ~plan =
    counts those violations instead of raising, as the batch run does, so
    the channel completes with [Scenario.run]'s summary, byte for byte. *)
 let test_faulted_channel_matches_batch () =
-  let dir = temp_dir "eear_serve_faults" in
-  let plan = write_plan dir "plan.txt" "crash 100 3 keep\n" in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  ignore (req c (faulted_open ~channel:"f1" ~plan));
-  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "f1") ] in
-  check_bool "complete" true
-    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
-  Client.close c;
-  stop_server socket d;
-  let ok = function Ok x -> x | Error msg -> Alcotest.fail msg in
-  let module Registry = Mac_experiments.Registry in
-  let d = Registry.default in
-  let outcome =
-    Scenario.run
-      (Scenario.spec_q ~id:"f1"
-         ~algorithm:(ok (Registry.algorithm "count-hop" ~n:6 ~k:2))
-         ~n:6 ~k:2
-         ~rate:(Mac_channel.Qrat.make 3 5)
-         ~burst:d.burst
-         ~pattern:(ok (Registry.pattern "uniform" ~n:6 ~seed:d.seed))
-         ~rounds:3000 ~drain:500
-         ~faults:(ok (Mac_faults.Fault_plan.of_file plan))
-         ())
-  in
-  check_bool "the plan strands packets" true
-    (outcome.summary.violations.stranded > 0);
-  check_string "summary matches Scenario.run"
-    (Mac_sim.Export.summary_json outcome.summary ^ "\n")
-    (read_file (Filename.concat dir "f1.summary.json"))
+  Helpers.with_temp_dir "eear_serve_faults" (fun dir ->
+      let plan = write_plan dir "plan.txt" "crash 100 3 keep\n" in
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      ignore (req c (faulted_open ~channel:"f1" ~plan));
+      let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "f1") ] in
+      check_bool "complete" true
+        (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+      Client.close c;
+      stop_server socket d;
+      let ok = function Ok x -> x | Error msg -> Alcotest.fail msg in
+      let module Registry = Mac_experiments.Registry in
+      let d = Registry.default in
+      let outcome =
+        Scenario.run
+          (Scenario.spec_q ~id:"f1"
+             ~algorithm:(ok (Registry.algorithm "count-hop" ~n:6 ~k:2))
+             ~n:6 ~k:2
+             ~rate:(Mac_channel.Qrat.make 3 5)
+             ~burst:d.burst
+             ~pattern:(ok (Registry.pattern "uniform" ~n:6 ~seed:d.seed))
+             ~rounds:3000 ~drain:500
+             ~faults:(ok (Mac_faults.Fault_plan.of_file plan))
+             ())
+      in
+      check_bool "the plan strands packets" true
+        (outcome.summary.violations.stranded > 0);
+      check_string "summary matches Scenario.run"
+        (Mac_sim.Export.summary_json outcome.summary ^ "\n")
+        (read_file (Filename.concat dir "f1.summary.json")))
 
 (* A plan naming a station the channel does not have is refused when the
    shard adopts the channel, like an unreadable plan file, instead of
    failing the channel at the crash's round. *)
 let test_out_of_range_plan_refused () =
-  let dir = temp_dir "eear_serve_plan9" in
-  let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  let err = req_err c (faulted_open ~channel:"f9" ~plan) in
-  check_bool
-    (Printf.sprintf "names station 9 and n = 6 (got %S)" err)
-    true
-    (contains err "station 9" && contains err "n = 6");
-  let row =
-    List.find
-      (fun row -> Option.bind (J.member "id" row) J.to_str = Some "f9")
-      (Option.value ~default:[]
-         (Option.bind
-            (J.member "channels" (req c [ ("cmd", J.Str "list") ]))
-            J.to_list))
-  in
-  check_bool "the channel failed to start" true
-    (Option.bind (J.member "status" row) J.to_str = Some "failed");
-  Client.close c;
-  stop_server socket d
+  Helpers.with_temp_dir "eear_serve_plan9" (fun dir ->
+      let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      let err = req_err c (faulted_open ~channel:"f9" ~plan) in
+      check_bool
+        (Printf.sprintf "names station 9 and n = 6 (got %S)" err)
+        true
+        (contains err "station 9" && contains err "n = 6");
+      let row =
+        List.find
+          (fun row -> Option.bind (J.member "id" row) J.to_str = Some "f9")
+          (Option.value ~default:[]
+             (Option.bind
+                (J.member "channels" (req c [ ("cmd", J.Str "list") ]))
+                J.to_list))
+      in
+      check_bool "the channel failed to start" true
+        (Option.bind (J.member "status" row) J.to_str = Some "failed");
+      Client.close c;
+      stop_server socket d)
 
 (* An unreadable plan file — here a directory, which opens and fails at
    the first read — is refused at adoption with a line naming it. *)
 let test_directory_plan_refused () =
-  let dir = temp_dir "eear_serve_plandir" in
-  let plan = Filename.concat dir "plans" in
-  Sys.mkdir plan 0o755;
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  let err = req_err c (faulted_open ~channel:"fd" ~plan) in
-  check_bool (Printf.sprintf "names the plan path (got %S)" err) true
-    (contains err (plan ^ ": "));
-  Client.close c;
-  stop_server socket d
+  Helpers.with_temp_dir "eear_serve_plandir" (fun dir ->
+      let plan = Filename.concat dir "plans" in
+      Sys.mkdir plan 0o755;
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      let err = req_err c (faulted_open ~channel:"fd" ~plan) in
+      check_bool (Printf.sprintf "names the plan path (got %S)" err) true
+        (contains err (plan ^ ": "));
+      Client.close c;
+      stop_server socket d)
 
 (* A terminal channel answers from its status, never "migrating; retry":
    [step] and [run] on a failed channel name the failure, and [snapshot]
@@ -851,14 +845,14 @@ let check_failed_answers c ~channel =
       ("migrate", cmd "migrate" [ ("shard", J.Int 0) ], "has no live session") ]
 
 let test_refused_channel_answers_failed () =
-  let dir = temp_dir "eear_serve_refused" in
-  let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
-  let socket, d = start_server ~dir ~shards:2 in
-  let c = connect_ok socket in
-  ignore (req_err c (faulted_open ~channel:"c9" ~plan));
-  check_failed_answers c ~channel:"c9";
-  Client.close c;
-  stop_server socket d
+  Helpers.with_temp_dir "eear_serve_refused" (fun dir ->
+      let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+      let socket, d = start_server ~dir ~shards:2 in
+      let c = connect_ok socket in
+      ignore (req_err c (faulted_open ~channel:"c9" ~plan));
+      check_failed_answers c ~channel:"c9";
+      Client.close c;
+      stop_server socket d)
 
 (* A write torn inside the first event after a checkpoint leaves an
    unterminated fragment at the spool's end, here one that reads as round
@@ -867,94 +861,94 @@ let test_refused_channel_answers_failed () =
    as the batch stream. *)
 let test_torn_spool_tail_is_cut () =
   let rounds = 600 and drain = 200 in
-  let dir = temp_dir "eear_serve_torn" in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  ignore (req c (open_cmd ~channel:"torn" ~rounds ~drain));
-  ignore (req c (inject_cmd ~channel:"torn" trace6));
-  check_int "stepped" 200
-    (int_of "round" (req c (step_cmd ~channel:"torn" 200)));
-  Client.close c;
-  stop_server socket d;
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644
-      (Filename.concat dir "torn.events.jsonl")
-  in
-  output_string oc "{\"round\":1";
-  close_out oc;
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  check_complete (req c (run_cmd ~channel:"torn"));
-  Client.close c;
-  stop_server socket d;
-  check_batch_bytes ~dir ~channel:"torn" ~rounds ~drain ~trace:trace6
+  Helpers.with_temp_dir "eear_serve_torn" (fun dir ->
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      ignore (req c (open_cmd ~channel:"torn" ~rounds ~drain));
+      ignore (req c (inject_cmd ~channel:"torn" trace6));
+      check_int "stepped" 200
+        (int_of "round" (req c (step_cmd ~channel:"torn" 200)));
+      Client.close c;
+      stop_server socket d;
+      let oc =
+        open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+          (Filename.concat dir "torn.events.jsonl")
+      in
+      output_string oc "{\"round\":1";
+      close_out oc;
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      check_complete (req c (run_cmd ~channel:"torn"));
+      Client.close c;
+      stop_server socket d;
+      check_batch_bytes ~dir ~channel:"torn" ~rounds ~drain ~trace:trace6)
 
 (* After a drain and restart, the daemon registers finished channels from
    their .meta files without giving them to a shard: a completed channel
    still answers [step] with [complete: true], a failed one with its
    failure. *)
 let test_terminal_channels_after_restart () =
-  let dir = temp_dir "eear_serve_terminal" in
-  let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
-  let socket, d = start_server ~dir ~shards:2 in
-  let c = connect_ok socket in
-  ignore
-    (req c
-       [ ("cmd", J.Str "open"); ("channel", J.Str "c5");
-         ("algorithm", J.Str "count-hop"); ("n", J.Int 6); ("k", J.Int 2);
-         ("rate", J.Str "3/5"); ("rounds", J.Int 300);
-         ("pattern", J.Str "uniform") ]);
-  let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "c5") ] in
-  check_bool "c5 completes" true
-    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
-  ignore (req_err c (faulted_open ~channel:"c9" ~plan));
-  Client.close c;
-  stop_server socket d;
-  let socket, d = start_server ~dir ~shards:2 in
-  let c = connect_ok socket in
-  let reply =
-    req c
-      [ ("cmd", J.Str "step"); ("channel", J.Str "c5"); ("rounds", J.Int 1) ]
-  in
-  check_bool "c5 step answers complete" true
-    (Option.bind (J.member "complete" reply) J.to_bool = Some true);
-  check_int "c5 at its last round" 300
-    (Option.value ~default:(-1)
-       (Option.bind (J.member "round" reply) J.to_int));
-  check_failed_answers c ~channel:"c9";
-  Client.close c;
-  stop_server socket d
+  Helpers.with_temp_dir "eear_serve_terminal" (fun dir ->
+      let plan = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+      let socket, d = start_server ~dir ~shards:2 in
+      let c = connect_ok socket in
+      ignore
+        (req c
+           [ ("cmd", J.Str "open"); ("channel", J.Str "c5");
+             ("algorithm", J.Str "count-hop"); ("n", J.Int 6); ("k", J.Int 2);
+             ("rate", J.Str "3/5"); ("rounds", J.Int 300);
+             ("pattern", J.Str "uniform") ]);
+      let reply = req c [ ("cmd", J.Str "run"); ("channel", J.Str "c5") ] in
+      check_bool "c5 completes" true
+        (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+      ignore (req_err c (faulted_open ~channel:"c9" ~plan));
+      Client.close c;
+      stop_server socket d;
+      let socket, d = start_server ~dir ~shards:2 in
+      let c = connect_ok socket in
+      let reply =
+        req c
+          [ ("cmd", J.Str "step"); ("channel", J.Str "c5"); ("rounds", J.Int 1) ]
+      in
+      check_bool "c5 step answers complete" true
+        (Option.bind (J.member "complete" reply) J.to_bool = Some true);
+      check_int "c5 at its last round" 300
+        (Option.value ~default:(-1)
+           (Option.bind (J.member "round" reply) J.to_int));
+      check_failed_answers c ~channel:"c9";
+      Client.close c;
+      stop_server socket d)
 
 (* Every reply a faulted channel produces reads as plain text: a failure
    or protocol violation carries its message, not the OCaml constructor
    around it. *)
 let test_errors_carry_no_constructor () =
-  let dir = temp_dir "eear_serve_ctor" in
-  let crash = write_plan dir "plan.txt" "crash 100 3 keep\n" in
-  let crash9 = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
-  let socket, d = start_server ~dir ~shards:1 in
-  let c = connect_ok socket in
-  let reply fields =
-    Client.send_line c (J.to_string (J.Obj fields));
-    Option.value (Client.recv_line c) ~default:""
-  in
-  let replies =
-    List.concat_map
-      (fun (channel, plan) ->
-        let opened = reply (faulted_open ~channel ~plan) in
-        [ opened; reply [ ("cmd", J.Str "run"); ("channel", J.Str channel) ] ])
-      [ ("f1", crash); ("f9", crash9) ]
-  in
-  List.iter
-    (fun line ->
-      check_bool
-        (Printf.sprintf "no constructor in %S" line)
-        false
-        (contains line "Protocol_violation" || contains line "Failure("
-         || contains line "Mac_sim."))
-    replies;
-  Client.close c;
-  stop_server socket d
+  Helpers.with_temp_dir "eear_serve_ctor" (fun dir ->
+      let crash = write_plan dir "plan.txt" "crash 100 3 keep\n" in
+      let crash9 = write_plan dir "plan9.txt" "crash 100 9 keep\n" in
+      let socket, d = start_server ~dir ~shards:1 in
+      let c = connect_ok socket in
+      let reply fields =
+        Client.send_line c (J.to_string (J.Obj fields));
+        Option.value (Client.recv_line c) ~default:""
+      in
+      let replies =
+        List.concat_map
+          (fun (channel, plan) ->
+            let opened = reply (faulted_open ~channel ~plan) in
+            [ opened; reply [ ("cmd", J.Str "run"); ("channel", J.Str channel) ] ])
+          [ ("f1", crash); ("f9", crash9) ]
+      in
+      List.iter
+        (fun line ->
+          check_bool
+            (Printf.sprintf "no constructor in %S" line)
+            false
+            (contains line "Protocol_violation" || contains line "Failure("
+             || contains line "Mac_sim."))
+        replies;
+      Client.close c;
+      stop_server socket d)
 
 let () =
   Alcotest.run "serve"

@@ -193,60 +193,59 @@ let test_parse_rejects_malformed () =
     [ "no value"; "m{unclosed 1"; "m not-a-number"; "m 1 trailing" ]
 
 let test_write_atomic () =
-  let dir = Filename.temp_file "eear_tel" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let path = Filename.concat dir "x.prom" in
-  T.write_atomic ~path "a 1\n";
-  T.write_atomic ~path "a 2\n";
-  check_string "last write wins" "a 2\n" (read_file path);
-  check_bool "no temp litter" true
-    (Sys.readdir dir |> Array.to_list |> List.for_all (fun f -> f = "x.prom"))
+  Helpers.with_temp_dir "eear_tel" (fun dir ->
+      let path = Filename.concat dir "x.prom" in
+      T.write_atomic ~path "a 1\n";
+      T.write_atomic ~path "a 2\n";
+      check_string "last write wins" "a 2\n" (read_file path);
+      check_bool "no temp litter" true
+        (Sys.readdir dir |> Array.to_list |> List.for_all (fun f -> f = "x.prom")))
 
 (* ---- fleet aggregation ---- *)
 
 let test_fleet_aggregate () =
-  let dir = Filename.temp_file "eear_fleet" "" in
-  Sys.remove dir;
-  let fleet = T.Fleet.create ~dir ~every:10 () in
-  let finish_scenario ~id ~delivered =
-    let p = T.Fleet.probe fleet ~id in
-    let c = T.counter p.T.registry "eear_delivered_total" in
-    T.add c delivered;
-    let g = T.gauge p.T.registry ~merge:T.Max "eear_backlog_peak_packets" in
-    T.set_gauge g (float_of_int delivered);
-    p.T.on_sample ~round:10 p.T.registry;
-    T.Fleet.finish fleet p
-  in
-  finish_scenario ~id:"row/a" ~delivered:5;
-  finish_scenario ~id:"row/b" ~delivered:7;
-  T.Fleet.note_cached fleet ~id:"row/c";
-  T.Fleet.add_counter fleet T.Names.bisect_probes;
-  let agg = T.Fleet.aggregate fleet in
-  check_int "delivered sums" 12
-    (T.counter_value (T.counter agg "eear_delivered_total"));
-  check_bool "max gauge takes the max" true
-    (T.gauge_value (T.gauge agg ~merge:T.Max "eear_backlog_peak_packets")
-     = 7.0);
-  check_int "started" 2
-    (T.counter_value (T.counter agg T.Names.scenarios_started));
-  check_int "completed" 2
-    (T.counter_value (T.counter agg T.Names.scenarios_completed));
-  check_int "cached" 1
-    (T.counter_value (T.counter agg T.Names.scenarios_cached));
-  check_int "ad-hoc counter" 1
-    (T.counter_value (T.counter agg T.Names.bisect_probes));
-  (* the exposition files exist and parse *)
-  let expect_file name =
-    let path = Filename.concat dir name in
-    check_bool (name ^ " exists") true (Sys.file_exists path);
-    match T.parse_exposition (read_file path) with
-    | Ok _ -> ()
-    | Error msg -> Alcotest.failf "%s: %s" name msg
-  in
-  expect_file "fleet.prom";
-  expect_file (Mac_sim.Durable.file_stem "row/a" ^ ".prom");
-  expect_file (Mac_sim.Durable.file_stem "row/b" ^ ".prom")
+  Helpers.with_temp_dir "eear_fleet" (fun root ->
+      (* the fleet creates its own directory *)
+      let dir = Filename.concat root "fleet" in
+      let fleet = T.Fleet.create ~dir ~every:10 () in
+      let finish_scenario ~id ~delivered =
+        let p = T.Fleet.probe fleet ~id in
+        let c = T.counter p.T.registry "eear_delivered_total" in
+        T.add c delivered;
+        let g = T.gauge p.T.registry ~merge:T.Max "eear_backlog_peak_packets" in
+        T.set_gauge g (float_of_int delivered);
+        p.T.on_sample ~round:10 p.T.registry;
+        T.Fleet.finish fleet p
+      in
+      finish_scenario ~id:"row/a" ~delivered:5;
+      finish_scenario ~id:"row/b" ~delivered:7;
+      T.Fleet.note_cached fleet ~id:"row/c";
+      T.Fleet.add_counter fleet T.Names.bisect_probes;
+      let agg = T.Fleet.aggregate fleet in
+      check_int "delivered sums" 12
+        (T.counter_value (T.counter agg "eear_delivered_total"));
+      check_bool "max gauge takes the max" true
+        (T.gauge_value (T.gauge agg ~merge:T.Max "eear_backlog_peak_packets")
+         = 7.0);
+      check_int "started" 2
+        (T.counter_value (T.counter agg T.Names.scenarios_started));
+      check_int "completed" 2
+        (T.counter_value (T.counter agg T.Names.scenarios_completed));
+      check_int "cached" 1
+        (T.counter_value (T.counter agg T.Names.scenarios_cached));
+      check_int "ad-hoc counter" 1
+        (T.counter_value (T.counter agg T.Names.bisect_probes));
+      (* the exposition files exist and parse *)
+      let expect_file name =
+        let path = Filename.concat dir name in
+        check_bool (name ^ " exists") true (Sys.file_exists path);
+        match T.parse_exposition (read_file path) with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.failf "%s: %s" name msg
+      in
+      expect_file "fleet.prom";
+      expect_file (Mac_sim.Durable.file_stem "row/a" ^ ".prom");
+      expect_file (Mac_sim.Durable.file_stem "row/b" ^ ".prom"))
 
 (* A scenario probed again (a retry, a served channel adopted again)
    starts once; only its finished probe is merged. *)
