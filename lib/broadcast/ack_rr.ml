@@ -21,10 +21,10 @@ let act s ~round ~queue =
 let observe _ ~round:_ ~queue:_ ~feedback:_ = Reaction.No_reaction
 let offline_tick _ ~round:_ ~queue:_ = ()
 
-(* The round-robin slot assignment is pure in the round number, so the
-   sparse engine can skip silent stretches analytically: every station is
-   always on, and the next possibly-audible round is the first slot of a
-   station that holds packets. *)
+(* The round-robin slot assignment is pure in the round number and
+   stations carry no evolving state, so the sparse engine can skip silent
+   stretches analytically without a fast-forward: every station is always
+   on, and a station holding packets next transmits in its own slot. *)
 let sparse =
   Some
     (fun ~n ~k:_ ->
@@ -33,14 +33,11 @@ let sparse =
         let m = until - from in
         if m <= 0 then (0, 0, 0) else (n * m, n, if n > cap then m else 0)
       in
-      let next_active ~round ~nonempty =
-        List.fold_left
-          (fun best (src, _q) ->
-            let r = round + ((((src - round) mod n) + n) mod n) in
-            match best with Some b when b <= r -> best | _ -> Some r)
-          None nonempty
+      let next_transmission s ~round ~queue:_ =
+        round + ((((s.me - round) mod n) + n) mod n)
       in
-      { Algorithm.on_set; on_count_in; next_active })
+      { Algorithm.on_set; on_count_in; next_transmission; ticks_offline = false;
+        fast_forward = None })
 
 include Algorithm.Marshal_codec (struct
   type nonrec state = state

@@ -25,3 +25,17 @@ let advance t = t.index <- (t.index + 1) mod Array.length t.order
 let note_heard_small t = advance t
 
 let note_silence t = advance t
+
+let note_silences t c =
+  let len = Array.length t.order in
+  let moved = t.index + c in
+  t.index <- (if moved < len then moved else moved mod len)
+
+let rec position (order : int array) (station : int) i =
+  if i >= Array.length order then raise Not_found
+  else if order.(i) = station then i
+  else position order station (i + 1)
+
+let silences_until_holder t station =
+  let len = Array.length t.order in
+  (position t.order station 0 - t.index + len) mod len

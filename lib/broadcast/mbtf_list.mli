@@ -26,3 +26,11 @@ val note_heard_small : t -> unit
 
 val note_silence : t -> unit
 (** Silent round: token advances. *)
+
+val note_silences : t -> int -> unit
+(** [note_silences t c] is [note_silence] applied [c >= 0] times, in O(1):
+    the list order is unchanged and the token moves [c] positions on. *)
+
+val silences_until_holder : t -> int -> int
+(** The number of silent rounds, in [0, length), after which the given
+    member holds the token. Raises [Not_found] for a non-member. *)

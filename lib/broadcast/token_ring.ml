@@ -24,3 +24,23 @@ let note_silence t =
     t.index <- 0;
     t.phase <- t.phase + 1
   end
+
+let note_silences t c =
+  let size = Array.length t.members in
+  let moved = t.index + c in
+  if moved < size then t.index <- moved
+  else begin
+    t.index <- moved mod size;
+    t.phase <- t.phase + (moved / size)
+  end
+
+let rec position (members : int array) (station : int) i =
+  if i >= Array.length members then raise Not_found
+  else if members.(i) = station then i
+  else position members station (i + 1)
+
+let silences_until_holder t station =
+  let size = Array.length t.members in
+  (position t.members station 0 - t.index + size) mod size
+
+let silences_until_wrap t = Array.length t.members - t.index

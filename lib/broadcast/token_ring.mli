@@ -33,3 +33,15 @@ val note_heard : t -> unit
 val note_silence : t -> unit
 (** Silent round: the token advances to the next member (possibly ending the
     phase). *)
+
+val note_silences : t -> int -> unit
+(** [note_silences t c] is [note_silence] applied [c >= 0] times, in O(1):
+    the token advances [c] members and the phase counts the wraps. *)
+
+val silences_until_holder : t -> int -> int
+(** The number of silent rounds, in [0, size t), after which the given
+    member holds the token. Raises [Not_found] for a non-member. *)
+
+val silences_until_wrap : t -> int
+(** The number of silent rounds, in [1, size t], that end the current
+    phase. *)

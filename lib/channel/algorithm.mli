@@ -21,19 +21,37 @@
     must expose their precomputed on/off schedule via [static_schedule]
     (tests check [on_duty] agrees with it and ignores traffic). *)
 
-(** Closed-form schedule knowledge for the engine's sparse/skip-ahead path
-    (see {!S.sparse} for the full contract each field must satisfy). *)
-type sparse = {
+(** Closed-form schedule knowledge for the engine's sparse/skip-ahead path,
+    over the algorithm's station state ['st] (see {!S.sparse} for the full
+    contract each field must satisfy). *)
+type 'st sparse = {
   on_set : round:int -> int array;
-      (** Exactly the stations scheduled on at [round], strictly ascending. *)
+      (** Exactly the stations scheduled on at [round], strictly ascending.
+          The engine only reads the array, so it may be shared. *)
   on_count_in : from:int -> until:int -> cap:int -> int * int * int;
       (** [(sum, max, exceeding)] of per-round on-set sizes over
           [from, until): their sum, their maximum (0 on an empty range),
           and the count of rounds whose size exceeds [cap]. *)
-  next_active : round:int -> nonempty:(int * Pqueue.t) list -> int option;
-      (** Earliest round [>= round] at which a scheduled station could
-          transmit, given that only the listed stations hold packets and
-          queues do not change; [None] = never. *)
+  next_transmission : 'st -> round:int -> queue:Pqueue.t -> int;
+      (** Asked of one station holding packets, with its state and queue:
+          the earliest round [>= round] at which it would transmit, if
+          every round until then is silent and its queue does not change;
+          [max_int] = never. May be early, never late. *)
+  ticks_offline : bool;
+      (** Whether [on_duty] or [offline_tick] keep bookkeeping beyond the
+          schedule (k-Subsets' phase allocation), so that a concrete round
+          must visit every station as a dense round does. [false] lets it
+          visit only the stations scheduled on at it or at the round
+          before. *)
+  fast_forward :
+    ('st array -> queues:Pqueue.t array -> from:int -> until:int -> unit) option;
+      (** Carries the stations' states (indexed by station) across a
+          skipped silent stretch [from, until), given their queues:
+          afterwards each must equal the state the dense engine leaves at
+          [until]. It touches only the stations the stretch changes —
+          those whose group, pair or thread was active in it, plus any
+          per-phase bookkeeping. [None] when silent rounds never change
+          station state. *)
 }
 
 module type S = sig
@@ -69,20 +87,32 @@ module type S = sig
 
   val offline_tick : state -> round:int -> queue:Pqueue.t -> unit
 
-  val sparse : (n:int -> k:int -> sparse) option
+  val sparse : (n:int -> k:int -> state sparse) option
   (** Closed-form schedule queries enabling the engine's sparse/skip-ahead
       execution path; [None] (the conservative default — always correct)
-      keeps the algorithm on the dense path. Providing [Some make] asserts:
-      [on_duty] equals [static_schedule] everywhere (pure,
-      traffic-independent); [on_set]/[on_count_in]/[next_active] answer as
-      documented on {!sparse}; [offline_tick] is an unconditional no-op
-      (never called by the sparse engine); and on rounds where a station
-      holds no transmittable packet, [act] is [Listen] and [observe] of
-      silence is [No_reaction], with no state mutation — so station state
-      after a provably-silent stretch equals state before it. The
-      engine's sparse mode is differentially
-      certified against the dense engine (events, summaries, checkpoint
-      bytes); a hook violating this contract is caught by that harness. *)
+      keeps the algorithm on the dense path. Providing [Some make] asserts
+      that [on_duty] answers [static_schedule] everywhere
+      (traffic-independent), that [make ~n ~k]'s fields answer as
+      documented on {!sparse}, and two things about the rounds the sparse
+      engine does not run as the dense engine would:
+      - [ticks_offline = false]: [on_duty] has no effect beyond its answer
+        and [offline_tick] is an unconditional no-op, so a concrete round
+        need not ask the stations scheduled off (pair-TDMA, ack-rr,
+        k-Cycle, k-Clique). With [true] ([offline_tick] is not a no-op:
+        k-Subsets allocates its phases there), concrete rounds visit
+        every station.
+      - [fast_forward = None]: on rounds where a station holds no
+        transmittable packet, [act] is [Listen] and [observe] of silence
+        is [No_reaction], with no state mutation, and so is its offline
+        tick — station state after a silent stretch equals state before
+        it, and a skip does no per-station work (pair-TDMA, ack-rr).
+        [Some ff]: silence moves station state (a token ring advances, a
+        phase allocation runs), and [ff] must carry every station across
+        a skipped stretch to exactly the state the dense engine leaves
+        (k-Cycle, k-Clique, k-Subsets under MBTF).
+      The engine's sparse mode is differentially certified against the
+      dense engine (events, summaries, checkpoint bytes); a hook violating
+      this contract is caught by that harness. *)
 
   val state_version : int
   (** Version tag of the encoded-state format. Bump whenever [state]'s

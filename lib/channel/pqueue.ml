@@ -108,6 +108,11 @@ let rec first_such ring pred node =
 
 let oldest_such t pred = first_such t.ring pred t.ring.next
 
+let rec exists_from ring pred a b node =
+  node != ring && (pred a b node.packet || exists_from ring pred a b node.next)
+
+let exists_such t pred a b = exists_from t.ring pred a b t.ring.next
+
 let rec first_to_such first pred node =
   if pred node.packet then Some node.packet
   else if node.dnext == first then None

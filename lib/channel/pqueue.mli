@@ -20,9 +20,9 @@
     [*_such] queries, [fold] and [iter] are plain loops over a ring, and
     [iter_suffix] visits only the suffix it reports.
 
-    Callbacks passed to [fold], [iter], [iter_suffix], [oldest_such] and
-    [oldest_to_such] must not add to or remove from the queue they
-    traverse. *)
+    Callbacks passed to [fold], [iter], [iter_suffix], [oldest_such],
+    [oldest_to_such] and [exists_such] must not add to or remove from the
+    queue they traverse. *)
 
 type t
 
@@ -50,7 +50,7 @@ val count_to : t -> int -> int
 val dests : t -> int list
 (** The destinations with at least one queued packet, ascending. O(d log d)
     in the number [d] of distinct destinations present — used by sparse
-    [next_active] hooks to enumerate the pairs that could transmit. *)
+    [next_transmission] hooks to enumerate the pairs that could transmit. *)
 
 val oldest : t -> Packet.t option
 (** Earliest-arrived packet. *)
@@ -65,6 +65,12 @@ val oldest_such : t -> (Packet.t -> bool) -> Packet.t option
 val oldest_to_such : t -> int -> (Packet.t -> bool) -> Packet.t option
 (** Earliest-arrived packet with the given destination satisfying the
     predicate; scans only that destination's packets. *)
+
+val exists_such : t -> ('a -> 'b -> Packet.t -> bool) -> 'a -> 'b -> bool
+(** [exists_such q pred a b] is whether some queued packet satisfies
+    [pred a b], scanning the arrival order until the first match. The
+    predicate's context travels as arguments, so a top-level [pred]
+    allocates nothing — for queries asked on every skip. *)
 
 val fold : t -> init:'a -> f:('a -> Packet.t -> 'a) -> 'a
 (** Folds in arrival order. *)

@@ -34,15 +34,70 @@ let rec other_group_has s group_index dst i =
       || other_group_has s group_index dst (i + 1))
 
 (* Whether the token holder [me] may transmit packet [p] while group [g] is
-   active. Destinations inside the group are always fair game; a packet
-   leaving the group may not be sent by the forward connector (it would only
-   hand the packet to itself), nor by a connector whose other group contains
-   the destination (it will deliver it directly there instead). *)
-let eligible s ~(g : group_state) (p : Packet.t) =
-  Hashtbl.mem g.old p.id
-  && (Cycle_groups.in_group s.cg ~group:g.index p.dst
-      || (s.me <> Cycle_groups.forward_connector s.cg g.index
-          && not (other_group_has s g.index p.dst 0)))
+   active, once the packet is old. Destinations inside the group are always
+   fair game; a packet leaving the group may not be sent by the forward
+   connector (it would only hand the packet to itself), nor by a connector
+   whose other group contains the destination (it will deliver it directly
+   there instead). *)
+let routable s (g : group_state) (p : Packet.t) =
+  Cycle_groups.in_group s.cg ~group:g.index p.dst
+  || (s.me <> Cycle_groups.forward_connector s.cg g.index
+      && not (other_group_has s g.index p.dst 0))
+
+let eligible s g (p : Packet.t) = routable s g p && Hashtbl.mem g.old p.id
+
+(* [c] silent rounds of group [g]: the token advances [c] members, and if
+   it completes a cycle the packets queued now become the new phase's old
+   packets. One silent round is [c = 1]; a skipped stretch leaves the
+   queue unchanged, so refilling once at its end gives the table the last
+   of its wraps would. *)
+let note_silences g ~queue c =
+  let phase_before = Token_ring.phase g.ring in
+  Token_ring.note_silences g.ring c;
+  if Token_ring.phase g.ring <> phase_before then begin
+    Hashtbl.reset g.old;
+    Pqueue.iter queue ~f:(fun p -> Hashtbl.replace g.old p.Packet.id ())
+  end
+
+(* The earliest round [>= round], or [best] if none is earlier, at which
+   [me] transmits in one of its groups [s.mine.(i..)], if every round
+   until then is silent. In group [g], at my first turn I send an old
+   eligible packet; if I have none, my next turn falls after the token's
+   wrap, when every queued packet is old, so any routable one goes then.
+   A turn no earlier than [best] needs no look at the queue. Asked on
+   every skip, so it allocates nothing. *)
+let rec next_send s rot ~round ~queue best i =
+  if i >= Array.length s.mine then best
+  else
+    let g = s.mine.(i) in
+    let j = Token_ring.silences_until_holder g.ring s.me in
+    let first = Rotation.nth_from rot ~slot:g.index ~round j in
+    let best =
+      if first >= best then best
+      else if j >= Token_ring.silences_until_wrap g.ring then
+        if Pqueue.exists_such queue routable s g then first else best
+      else if Pqueue.exists_such queue eligible s g then first
+      else if Pqueue.exists_such queue routable s g then
+        Int.min best
+          (Rotation.nth_from rot ~slot:g.index ~round
+             (j + Token_ring.size g.ring))
+      else best
+    in
+    next_send s rot ~round ~queue best (i + 1)
+
+(* The per-round on-set sizes of the groups [sorted.(g..)] over
+   [from, until), summed into [(sum, max, exceeding)]. *)
+let rec tally rot (sorted : int array array) ~from ~until ~cap g sum
+    max_size exceeding =
+  if g >= Array.length sorted then (sum, max_size, exceeding)
+  else
+    let c = Rotation.count_in rot ~slot:g ~from ~until
+    and size = Array.length sorted.(g) in
+    if c = 0 then tally rot sorted ~from ~until ~cap (g + 1) sum max_size exceeding
+    else
+      tally rot sorted ~from ~until ~cap (g + 1) (sum + (c * size))
+        (Int.max max_size size)
+        (if size > cap then exceeding + c else exceeding)
 
 let build ?delta_scale ~n ~k () =
   let cg0 = Cycle_groups.make ?delta_scale ~n ~k () in
@@ -87,7 +142,7 @@ let build ?delta_scale ~n ~k () =
         let g = s.mine.(i) in
         if Token_ring.holder g.ring <> s.me then Action.Listen
         else begin
-          match Pqueue.oldest_such queue (eligible s ~g) with
+          match Pqueue.oldest_such queue (eligible s g) with
           | Some p -> Action.Transmit (Message.packet_only p)
           | None -> Action.Listen
         end
@@ -108,17 +163,48 @@ let build ?delta_scale ~n ~k () =
               Reaction.Adopt_heard_packet
             | Some _ | None -> Reaction.No_reaction)
          | Feedback.Silence | Feedback.Collision ->
-           let phase_before = Token_ring.phase g.ring in
-           Token_ring.note_silence g.ring;
-           if Token_ring.phase g.ring <> phase_before then begin
-             Hashtbl.reset g.old;
-             Pqueue.iter queue ~f:(fun p -> Hashtbl.replace g.old p.Packet.id ())
-           end;
+           note_silences g ~queue 1;
            Reaction.No_reaction)
 
     let offline_tick _ ~round:_ ~queue:_ = ()
 
-    let sparse = None
+    (* Group g is active in blocks of δ rounds, so each closed form below
+       is a count of g's active rounds; on a silent one every member's
+       replica of g's ring takes one step. *)
+    let sparse =
+      Some
+        (fun ~n:_ ~k:_ ->
+          let rot =
+            Rotation.make ~slots:(Cycle_groups.group_count cg0)
+              ~width:cg0.Cycle_groups.delta
+          in
+          let sorted =
+            Array.map
+              (fun members ->
+                let a = Array.copy members in
+                Array.sort Int.compare a;
+                a)
+              cg0.Cycle_groups.groups
+          in
+          let on_set ~round = sorted.(Cycle_groups.active_group cg0 ~round) in
+          let on_count_in ~from ~until ~cap =
+            tally rot sorted ~from ~until ~cap 0 0 0 0
+          in
+          let next_transmission s ~round ~queue =
+            next_send s rot ~round ~queue max_int 0
+          in
+          let step_group states (queues : Pqueue.t array) g c =
+            let members = cg0.Cycle_groups.groups.(g) in
+            for j = 0 to Array.length members - 1 do
+              let s = states.(members.(j)) in
+              note_silences s.mine.(find_mine s g) ~queue:queues.(members.(j)) c
+            done
+          in
+          let fast_forward states ~queues ~from ~until =
+            Rotation.iter_active rot ~from ~until step_group states queues
+          in
+          { Algorithm.on_set; on_count_in; next_transmission;
+            ticks_offline = false; fast_forward = Some fast_forward })
 
     include Algorithm.Marshal_codec (struct
       type nonrec state = state

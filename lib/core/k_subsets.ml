@@ -1,44 +1,25 @@
 open Mac_channel
 open Mac_broadcast
 
-let subsets_memo : (int * int, int array array) Hashtbl.t = Hashtbl.create 8
-
-let subsets ~n ~k =
-  match Hashtbl.find_opt subsets_memo (n, k) with
-  | Some s -> s
-  | None ->
-    let s = Combi.k_subsets ~n ~k in
-    Hashtbl.replace subsets_memo (n, k) s;
-    s
-
 let in_subset subset station = Array.exists (fun m -> m = station) subset
 
 (* Per-round membership lookup must be O(1): subset_of.(t mod γ).(station). *)
-let membership_memo : (int * int, bool array array) Hashtbl.t = Hashtbl.create 8
+let membership ~n (sets : int array array) =
+  Array.map
+    (fun subset ->
+      let row = Array.make n false in
+      Array.iter (fun station -> row.(station) <- true) subset;
+      row)
+    sets
 
-let membership ~n ~k =
-  match Hashtbl.find_opt membership_memo (n, k) with
-  | Some m -> m
-  | None ->
-    let sets = subsets ~n ~k in
-    let m =
-      Array.map
-        (fun subset ->
-          let row = Array.make n false in
-          Array.iter (fun station -> row.(station) <- true) subset;
-          row)
-        sets
-    in
-    Hashtbl.replace membership_memo (n, k) m;
-    m
-
-let threads_for ~n ~k ~src ~dst =
-  let sets = subsets ~n ~k in
+let threads_in (sets : int array array) ~src ~dst =
   let result = ref [] in
   for i = Array.length sets - 1 downto 0 do
     if in_subset sets.(i) src && in_subset sets.(i) dst then result := i :: !result
   done;
   !result
+
+let threads_for ~n ~k ~src ~dst = threads_in (Combi.k_subsets ~n ~k) ~src ~dst
 
 (* The least-loaded thread of [eligible.(i..)] and [best], the earliest on
    ties. A top-level loop over typed arrays: no closure, no ref, and an
@@ -79,7 +60,9 @@ type state = {
 
 let algorithm ?(discipline = `Mbtf) ?(allocation = `Balanced) ~n ~k () =
   if k < 2 || k >= n then invalid_arg "K_subsets: need 2 <= k < n";
-  ignore (membership ~n ~k);
+  let sets = Combi.k_subsets ~n ~k in
+  let member = membership ~n sets in
+  let gamma = Array.length sets in
   let module M = struct
     type nonrec state = state
 
@@ -94,14 +77,10 @@ let algorithm ?(discipline = `Mbtf) ?(allocation = `Balanced) ~n ~k () =
     let required_cap ~n:_ ~k = k
 
     let static_schedule =
-      Some
-        (fun ~n ~k ~me ~round ->
-          let m = membership ~n ~k in
-          m.(round mod Array.length m).(me))
+      Some (fun ~n:_ ~k:_ ~me ~round -> member.(round mod gamma).(me))
 
-    let create ~n ~k ~me =
-      let sets = subsets ~n ~k in
-      let gamma = Array.length sets in
+    let create ~n:n' ~k:_ ~me =
+      assert (n' = n);
       let threads = Hashtbl.create 64 in
       Array.iteri
         (fun i subset ->
@@ -117,7 +96,7 @@ let algorithm ?(discipline = `Mbtf) ?(allocation = `Balanced) ~n ~k () =
       let threads_with =
         Array.init n (fun w ->
             if w = me then [||]
-            else Array.of_list (threads_for ~n ~k ~src:me ~dst:w))
+            else Array.of_list (threads_in sets ~src:me ~dst:w))
       in
       { me; n; k; gamma; threads; threads_with;
         alloc_count = Array.make_matrix n gamma 0;
@@ -255,7 +234,90 @@ let algorithm ?(discipline = `Mbtf) ?(allocation = `Balanced) ~n ~k () =
        local bookkeeping over the station's own queue, not channel use. *)
     let offline_tick s ~round ~queue = sync s ~round ~queue
 
-    let sparse = None
+    (* Under MBTF, thread i is active when [round mod γ = i]; on a silent
+       active round each member's replica of its list passes the token one
+       position on. The holder sends the front of the thread's FIFO, so a
+       station transmits at its next turn in a thread whose FIFO is not
+       empty. The phase allocation is the other state a silent stretch
+       moves: it runs at every phase start, on every station, whatever the
+       channel did. A station holding packets the allocation has not
+       assigned yet (every assigned packet is queued, so there are more
+       queued than assigned) may gain a FIFO entry at the next phase
+       start, so its answer is at most that round, which then runs
+       concretely. A stretch crossing a phase start therefore finds every
+       queue fully assigned, and its allocations only record the phase;
+       the last one leaves what the dense run leaves. RRW's holder changes
+       its batch on silent rounds, so that discipline keeps no hook. *)
+    let sparse =
+      match discipline with
+      | `Rrw -> None
+      | `Mbtf ->
+        Some
+          (fun ~n:_ ~k:_ ->
+            let rot = Rotation.make ~slots:gamma ~width:1 in
+            (* Each station's threads by index, rebuilt whenever the
+               engine hands over a state they were not built from (a
+               restart or a resume makes a new one): the skips and bound
+               queries below then never hash. *)
+            let built = Array.make n None and by_index = Array.make n [||] in
+            let threads_of s =
+              (match built.(s.me) with
+               | Some s' when s' == s -> ()
+               | _ ->
+                 let a = Array.make gamma None in
+                 Hashtbl.iter (fun i ts -> a.(i) <- Some ts) s.threads;
+                 by_index.(s.me) <- a;
+                 built.(s.me) <- Some s);
+              by_index.(s.me)
+            in
+            let on_set ~round = sets.(round mod gamma) in
+            let on_count_in ~from ~until ~cap =
+              let m = until - from in
+              if m <= 0 then (0, 0, 0) else (k * m, k, if k > cap then m else 0)
+            in
+            let rec next_send s ~round threads best i =
+              if i >= gamma then best
+              else
+                next_send s ~round threads
+                  (match threads.(i) with
+                   | Some { sched = Mbtf_thread list; fifo }
+                     when not (Queue.is_empty fifo) ->
+                     Int.min best
+                       (Rotation.nth_from rot ~slot:i ~round
+                          (Mbtf_list.silences_until_holder list s.me))
+                   | _ -> best)
+                  (i + 1)
+            in
+            let next_transmission s ~round ~queue =
+              next_send s ~round (threads_of s)
+                (if Pqueue.size queue > Hashtbl.length s.assigned then
+                   (round + gamma - 1) / gamma * gamma
+                 else max_int)
+                0
+            in
+            let step_thread states () i c =
+              let members = sets.(i) in
+              for j = 0 to Array.length members - 1 do
+                match (threads_of states.(members.(j))).(i) with
+                | Some { sched = Mbtf_thread list; _ } ->
+                  Mbtf_list.note_silences list c
+                | Some { sched = Rrw_thread _; _ } | None ->
+                  () (* unreachable: members hold an MBTF thread *)
+              done
+            in
+            let fast_forward states ~queues ~from ~until =
+              Rotation.iter_active rot ~from ~until step_thread states ();
+              let first = (from + gamma - 1) / gamma * gamma in
+              let last = (until - 1) / gamma * gamma in
+              if first < until then
+                Array.iteri
+                  (fun m s ->
+                    sync s ~round:first ~queue:queues.(m);
+                    if last > first then sync s ~round:last ~queue:queues.(m))
+                  states
+            in
+            { Algorithm.on_set; on_count_in; next_transmission;
+              ticks_offline = true; fast_forward = Some fast_forward })
 
     include Algorithm.Marshal_codec (struct
       type nonrec state = state

@@ -42,10 +42,10 @@ let observe _ ~round:_ ~queue:_ ~feedback:_ = Reaction.No_reaction
 let offline_tick _ ~round:_ ~queue:_ = ()
 
 (* The schedule is a pure function of the round with an O(1) inverse, and
-   stations carry no evolving state, so the full sparse contract holds:
-   [on_set] is the scheduled pair; the next round at which anything can be
-   transmitted is the minimum, over queued (source, destination) pairs, of
-   the next round serving that ordered pair. *)
+   stations carry no evolving state, so the full sparse contract holds
+   without a fast-forward: [on_set] is the scheduled pair; a station's next
+   transmission is the minimum, over the destinations it holds packets
+   for, of the next round serving that ordered pair. *)
 let sparse =
   Some
     (fun ~n ~k:_ ->
@@ -64,19 +64,13 @@ let sparse =
         let idx = (src * (n - 1)) + (if dst > src then dst - 1 else dst) in
         round + ((idx - round) mod cycle + cycle) mod cycle
       in
-      let next_active ~round ~nonempty =
+      let next_transmission s ~round ~queue =
         List.fold_left
-          (fun best (src, q) ->
-            List.fold_left
-              (fun best dst ->
-                let r = next_serving ~round ~src ~dst in
-                match best with
-                | Some b when b <= r -> best
-                | _ -> Some r)
-              best (Pqueue.dests q))
-          None nonempty
+          (fun best dst -> Int.min best (next_serving ~round ~src:s.me ~dst))
+          max_int (Pqueue.dests queue)
       in
-      { Algorithm.on_set; on_count_in; next_active })
+      { Algorithm.on_set; on_count_in; next_transmission; ticks_offline = false;
+        fast_forward = None })
 
 include Algorithm.Marshal_codec (struct
   type nonrec state = state

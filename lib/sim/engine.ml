@@ -47,10 +47,12 @@ let snapshot_rounds s = s.cfg_rounds
 
 (* Execution mode. [Dense] is the classical engine: every station visited
    every round. [Sparse] demands the algorithm's closed-form schedule
-   ([Algorithm.S.sparse]) and fails if absent: concrete rounds touch only
-   scheduled or previously-on stations, and provably-silent stretches are
-   skipped analytically in O(1). [Auto] uses sparse when the algorithm
-   supports it and falls back to dense otherwise. Sparse and dense runs of
+   ([Algorithm.S.sparse]) and fails if absent: provably-silent stretches
+   are skipped analytically, and concrete rounds touch only scheduled or
+   previously-on stations unless the hook says stations keep bookkeeping
+   while off ([ticks_offline]), in which case they visit every station as
+   dense rounds do. [Auto] uses sparse when the algorithm supports it and
+   falls back to dense otherwise. Sparse and dense runs of
    the same configuration are bit-identical (events, summaries, snapshot
    bytes) — the verify layer certifies this differentially. *)
 type mode = Dense | Sparse | Auto
@@ -246,25 +248,35 @@ type 'st run = {
   mutable crashed_count : int;
   mutable jam_now : bool;
   mutable noise_now : bool;
-  (* Sparse execution. [sparse = Some _] makes the mode decision visit
-     only stations scheduled on this round or on last round, and arms the
-     analytic skip-ahead. Supporting state:
+  (* Sparse execution. [sparse = Some _] arms the analytic skip-ahead;
+     unless the hook ticks stations offline it also makes the mode
+     decision visit only stations scheduled on this round or on last
+     round. Supporting state:
      - [nonempty]: the stations currently holding packets (maintained at
-       every queue mutation), handed to the algorithm's [next_active];
-     - [na_cache]: memoised next-possible-transmission round. -1 =
-       unknown, [max_int] = never, else an under-estimate that is exact
-       until a queue changes: packet arrivals relax it in place, removals
-       invalidate it (a removal can only push the true round later, so
-       the stale value would merely cost a concrete round — but it is
-       cheap to recompute and keeps reasoning simple);
+       every queue mutation), each asked for its [next_transmission]: the
+       first [nonempty_len] slots, in no particular order, with
+       [nonempty_at.(i)] station [i]'s slot or -1 — a set that adds,
+       removes and walks without allocating (empty arrays in dense
+       mode);
+     - [na_cache]: memoised next-possible-transmission round, the minimum
+       of those answers. -1 = unknown, [max_int] = never, else an
+       under-estimate that stays valid through silent rounds, concrete or
+       skipped (they move station state exactly as the answers assumed):
+       packet arrivals relax it in place by asking only the station that
+       changed; removals invalidate it (a removal can only push the true
+       round later, so the stale value would merely cost a concrete round
+       — but it is cheap to recompute and keeps reasoning simple), and so
+       does a restart, which replaces a station's state;
      - [adm_cache]: memoised [Adversary.next_admission]. The prediction
        is deterministic through quiet rounds (the bucket refills on
        schedule), so it stays exact until packets are actually admitted;
        [inject] clears it then. A stale value (< current round: the
        pattern declined its budget) falls through the [>= round] validity
        check and is recomputed. *)
-  sparse : Algorithm.sparse option;
-  nonempty : unit Int_table.t;
+  sparse : 'st Algorithm.sparse option;
+  nonempty : int array;
+  nonempty_at : int array;
+  mutable nonempty_len : int;
   mutable na_cache : int;
   mutable adm_cache : int;
   (* Observation. With no sink installed, every event is a single
@@ -308,19 +320,30 @@ let note_queue_add r i =
   match r.sparse with
   | None -> ()
   | Some sp ->
-    Int_table.replace r.nonempty i ();
-    if r.na_cache >= r.round then
-      (match
-         sp.Algorithm.next_active ~round:r.round ~nonempty:[ (i, r.queues.(i)) ]
-       with
-       | Some v when v < r.na_cache -> r.na_cache <- v
-       | _ -> ())
+    if r.nonempty_at.(i) < 0 then begin
+      r.nonempty_at.(i) <- r.nonempty_len;
+      r.nonempty.(r.nonempty_len) <- i;
+      r.nonempty_len <- r.nonempty_len + 1
+    end;
+    if r.na_cache >= r.round then begin
+      let v =
+        sp.Algorithm.next_transmission r.states.(i) ~round:r.round
+          ~queue:r.queues.(i)
+      in
+      if v < r.na_cache then r.na_cache <- v
+    end
 
 let note_queue_removed r i =
   match r.sparse with
   | None -> ()
   | Some _ ->
-    if Pqueue.is_empty r.queues.(i) then Int_table.remove r.nonempty i;
+    if Pqueue.is_empty r.queues.(i) && r.nonempty_at.(i) >= 0 then begin
+      let slot = r.nonempty_at.(i) and last = r.nonempty.(r.nonempty_len - 1) in
+      r.nonempty.(slot) <- last;
+      r.nonempty_at.(last) <- slot;
+      r.nonempty_at.(i) <- -1;
+      r.nonempty_len <- r.nonempty_len - 1
+    end;
     r.na_cache <- -1
 
 (* Make the first [len] of [stations] (ascending) the on-set of the round
@@ -432,6 +455,7 @@ let apply_fault (type st) (r : st run) (a : Mac_faults.Fault_plan.action) =
       r.crashed.(i) <- false;
       r.crashed_count <- r.crashed_count - 1;
       r.states.(i) <- A.create ~n ~k:r.k ~me:i;
+      r.na_cache <- -1;
       Metrics.note_restart r.metrics ~round;
       if r.observing then emit r (Event.Station_restarted { station = i })
     end
@@ -481,7 +505,7 @@ let decide (type st) (r : st run) =
   let round = r.round in
   r.on_len <- 0;
   match r.sparse with
-  | None ->
+  | None | Some { Algorithm.ticks_offline = true; _ } ->
     for i = 0 to r.n - 1 do
       switch r i
         ((not r.crashed.(i)) && A.on_duty r.states.(i) ~round ~queue:r.queues.(i))
@@ -489,10 +513,10 @@ let decide (type st) (r : st run) =
   | Some sp ->
     (* Ascending merge over prev_list ∪ on_set(round). Every station
        outside the union has [on] and [prev_on] false (engine invariant),
-       emits no Switched event, and — by the sparse contract — neither
-       acts, observes, nor ticks, so visiting only the union reproduces
-       the dense round exactly. Station order (and hence event order)
-       stays ascending. *)
+       emits no Switched event, and — by the contract of a hook that does
+       not tick offline — neither acts, observes, nor ticks, so visiting
+       only the union reproduces the dense round exactly. Station order
+       (and hence event order) stays ascending. *)
     let cur = sp.Algorithm.on_set ~round in
     let pl = r.prev_list in
     let np = r.prev_len and nc = Array.length cur in
@@ -714,16 +738,16 @@ let deliver (type st) (r : st run) =
     react r r.on_list.(j)
   done;
   adopt r pending;
-  (* Switched-off stations tick; crashed stations are frozen, not off.
-     Sparse-contract algorithms declare offline_tick an unconditional
-     no-op, so the sparse path has no such loop. *)
+  (* Switched-off stations tick; crashed stations are frozen, not off. A
+     sparse hook that does not tick offline declares offline_tick an
+     unconditional no-op, so that path has no such loop. *)
   (match r.sparse with
-   | None ->
+   | Some { Algorithm.ticks_offline = false; _ } -> ()
+   | None | Some _ ->
      for i = 0 to r.n - 1 do
        if (not r.on.(i)) && not r.crashed.(i) then
          A.offline_tick r.states.(i) ~round:r.round ~queue:r.queues.(i)
-     done
-   | Some _ -> ());
+     done);
   set_prev_on r r.on_list r.on_len;
   let draining = draining r in
   Metrics.end_round r.metrics ~round:r.round ~draining;
@@ -762,6 +786,25 @@ let step r =
   if draining r then r.drained <- r.drained + 1;
   r.round <- r.round + 1
 
+(* The least [next_transmission] over the stations holding packets. No
+   answer is below the current round, so the walk stops asking once one
+   reaches it, and it asks the last concrete round's first transmitter
+   first: a token holder working through its packets sends again at once,
+   and then one question settles the bound. *)
+let ask r (sp : _ Algorithm.sparse) i =
+  sp.Algorithm.next_transmission r.states.(i) ~round:r.round ~queue:r.queues.(i)
+
+let next_transmission r sp =
+  let sender = r.tx_station.(0) in
+  let asked = r.tx_count > 0 && r.nonempty_at.(sender) >= 0 in
+  let best = ref (if asked then ask r sp sender else max_int) and j = ref 0 in
+  while !best > r.round && !j < r.nonempty_len do
+    let i = r.nonempty.(!j) in
+    if not (asked && i = sender) then best := Int.min !best (ask r sp i);
+    incr j
+  done;
+  !best
+
 (* Analytic skip-ahead: advance [round] past a stretch of rounds that
    provably does nothing, in O(1) plus closed-form metric updates, and
    return true; return false when the current round must run concretely.
@@ -769,9 +812,8 @@ let step r =
    - the adversary admits nothing (before [next_admission]; during the
      drain phase it never injects at all);
    - no fault action fires (before the plan's [next_action_round]);
-   - no scheduled station can transmit (before [next_active] over the
-     non-empty queues) — silent rounds mutate no station state by the
-     sparse contract;
+   - no station can transmit (before the least [next_transmission] of
+     the stations holding packets);
    - no station is crashed (a crashed station could make the concrete
      on-count differ from the closed-form [on_count_in]);
    - no sink is observing (observed runs need their per-round events —
@@ -780,8 +822,10 @@ let step r =
    preceding each telemetry sample (that round is phase-timed), so
    cadenced side effects fire exactly as in a dense run. Landing state
    is reconstructed in closed form: bucket via [skip_rounds], metrics
-   via [skip_quiet], and [prev_on]/[prev_list] as the on-set of the
-   last skipped round. *)
+   via [skip_quiet], [prev_on]/[prev_list] as the on-set of the last
+   skipped round, and station state through the hook's fast-forward,
+   when it has one (a hook without one declares that silence leaves
+   station state unchanged, so a skip then does no per-station work). *)
 let try_skip r =
   match r.sparse with
   | None -> false
@@ -789,47 +833,53 @@ let try_skip r =
   | Some sp ->
     let cfg = r.cfg and round = r.round and draining = draining r in
     let bound =
-      ref (if draining then round + (cfg.drain_limit - r.drained) else cfg.rounds)
+      if draining then round + (cfg.drain_limit - r.drained)
+      else begin
+        if r.adm_cache < round then
+          r.adm_cache <- Mac_adversary.Adversary.next_admission r.driver ~round;
+        Int.min cfg.rounds r.adm_cache
+      end
     in
-    let cap_bound v = if v < !bound then bound := v in
-    if not draining then begin
-      if r.adm_cache < round then
-        r.adm_cache <- Mac_adversary.Adversary.next_admission r.driver ~round;
-      cap_bound r.adm_cache
-    end;
-    (match r.plan with
-     | None -> ()
-     | Some p ->
-       (match Mac_faults.Fault_plan.next_action_round p ~round with
-        | Some fr -> cap_bound fr
-        | None -> ()));
-    if r.na_cache < round then begin
-      let ne =
-        Int_table.fold (fun i () acc -> (i, r.queues.(i)) :: acc) r.nonempty []
-      in
-      r.na_cache <-
-        (match sp.Algorithm.next_active ~round ~nonempty:ne with
-         | Some v -> v
-         | None -> max_int)
-    end;
-    cap_bound r.na_cache;
-    if cfg.checkpoint_every > 0 && Option.is_some cfg.on_checkpoint then
-      cap_bound (((round / cfg.checkpoint_every) + 1) * cfg.checkpoint_every);
-    if r.tel_every > 0 then
-      cap_bound (((round + r.tel_every) / r.tel_every * r.tel_every) - 1);
-    let count = !bound - round in
+    let bound =
+      match r.plan with
+      | None -> bound
+      | Some p ->
+        (match Mac_faults.Fault_plan.next_action_round p ~round with
+         | Some fr -> Int.min bound fr
+         | None -> bound)
+    in
+    (* Only the transmission bound costs a walk over stations: skip it
+       when an earlier bound already rules the stretch out. *)
+    if bound > round && r.na_cache < round then
+      r.na_cache <- next_transmission r sp;
+    let bound = Int.min bound r.na_cache in
+    let bound =
+      if cfg.checkpoint_every > 0 && Option.is_some cfg.on_checkpoint then
+        Int.min bound
+          (((round / cfg.checkpoint_every) + 1) * cfg.checkpoint_every)
+      else bound
+    in
+    let bound =
+      if r.tel_every > 0 then
+        Int.min bound (((round + r.tel_every) / r.tel_every * r.tel_every) - 1)
+      else bound
+    in
+    let count = bound - round in
     if count <= 0 then false
     else begin
       let on_sum, on_max, exceeding =
-        sp.Algorithm.on_count_in ~from:round ~until:!bound ~cap:r.cap
+        sp.Algorithm.on_count_in ~from:round ~until:bound ~cap:r.cap
       in
       Metrics.skip_quiet r.metrics ~from_round:round ~count ~on_sum ~on_max
         ~cap_exceeded_rounds:exceeding ~draining;
       if not draining then
         Mac_adversary.Adversary.skip_rounds r.driver ~rounds:count;
-      let last = sp.Algorithm.on_set ~round:(!bound - 1) in
+      let last = sp.Algorithm.on_set ~round:(bound - 1) in
       set_prev_on r last (Array.length last);
-      r.round <- !bound;
+      (match sp.Algorithm.fast_forward with
+       | None -> ()
+       | Some ff -> ff r.states ~queues:r.queues ~from:round ~until:bound);
+      r.round <- bound;
       if draining then r.drained <- r.drained + count;
       true
     end
@@ -1145,7 +1195,10 @@ let start ?config ?resume ~algorithm:(module A : Algorithm.S) ~n ~k ~adversary
       tx_count = 0; feedback = Feedback.Silence; adopters = [];
       crashed = Array.make n false; crashed_count = 0;
       jam_now = false; noise_now = false;
-      sparse; nonempty = Int_table.create 64; na_cache = -1; adm_cache = -1;
+      sparse;
+      nonempty = (if Option.is_some sparse then Array.make n 0 else [||]);
+      nonempty_at = (if Option.is_some sparse then Array.make n (-1) else [||]);
+      nonempty_len = 0; na_cache = -1; adm_cache = -1;
       observing = Option.is_some cfg.sink;
       lt =
         Option.map

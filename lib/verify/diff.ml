@@ -385,6 +385,16 @@ let random ~seed =
   let algorithm = registered ~seed:algo_seed name ~n ~k in
   draw_spec rng ~tag:"seed" ~seed ~n ~k ~algorithm
 
+(* Like [random] but pinned to a family whose sparse hook fast-forwards
+   station state: k-Cycle, k-Clique or k-Subsets (MBTF), each drawn a
+   third of the time within its bounds in [algorithm_draws]. *)
+let random_oblivious ~seed =
+  let rng = Rng.create ~seed in
+  let name = [| "k-cycle"; "k-clique"; "k-subsets" |].(Rng.int rng 3) in
+  let n, k, _ = List.assoc name (Array.to_list algorithm_draws) rng in
+  draw_spec rng ~tag:"oblivious-seed" ~seed ~n ~k
+    ~algorithm:(registered name ~n ~k)
+
 (* Like [random] but pinned to a sparse-capable algorithm (pair-TDMA or
    the ack-based broadcast TDMA). *)
 let random_sparse ~seed =

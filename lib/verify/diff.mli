@@ -3,9 +3,9 @@
 
     Every entry point takes a {!Mac_experiments.Scenario.spec}. A spec
     builds fresh pattern state for each run, so every run {!check} makes
-    replays the same injection sequence from one value. {!random} and
-    {!random_sparse} draw specs from a seed; experiment drivers pass their
-    catalog's specs.
+    replays the same injection sequence from one value. {!random},
+    {!random_sparse} and {!random_oblivious} draw specs from a seed;
+    experiment drivers pass their catalog's specs.
 
     A divergence — any summary field or any event differing — is a drift
     bug in one of the two implementations; the verdict says where they
@@ -86,3 +86,11 @@ val random_sparse : seed:int -> Mac_experiments.Scenario.spec
 (** Like {!random} but pinned to a sparse-capable algorithm, for
     [check Dense]: pair-TDMA or the ack-based broadcast TDMA (ack-rr),
     each drawn half the time. *)
+
+val random_oblivious : seed:int -> Mac_experiments.Scenario.spec
+(** Like {!random} but pinned to a family whose sparse hook fast-forwards
+    station state across skipped stretches, for [check Dense]: k-Cycle,
+    k-Clique or k-Subsets under MBTF, each drawn a third of the time, with
+    fault plans, pacing and drains drawn as {!random} draws them. A
+    separate generator, so {!random_sparse} seeds keep naming the same
+    configurations. *)

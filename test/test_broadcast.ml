@@ -368,13 +368,52 @@ let qcheck_new_codecs_roundtrip =
           (module Mac_broadcast.Ack_rr);
           Mac_broadcast.Backoff.algorithm ~seed:5 () ])
 
+(* The closed forms a skip uses equal the steps they replace: [c]
+   silences at once leave a ring (index and phase) and an MBTF list where
+   [c] single silences do, and the turn counts agree with stepping until
+   the member holds the token (and, for a ring, until the phase ends). *)
+let silences_skip_property =
+  QCheck.Test.make ~name:"note_silences = repeated note_silence" ~count:200
+    QCheck.(triple (int_range 1 6) (int_range 0 20) (int_range 0 30))
+    (fun (size, before, c) ->
+      let module R = Mac_broadcast.Token_ring in
+      let module L = Mac_broadcast.Mbtf_list in
+      let members = Array.init size (fun i -> 10 + i) in
+      (* a ring and a list after [before] and then [steps] single silences *)
+      let ring steps =
+        let r = R.create ~members in
+        for _ = 1 to before + steps do R.note_silence r done;
+        r
+      in
+      let list steps =
+        let l = L.create ~members in
+        for _ = 1 to before + steps do L.note_silence l done;
+        l
+      in
+      let r = ring 0 and l = list 0 in
+      R.note_silences r c;
+      L.note_silences l c;
+      let w = R.silences_until_wrap (ring 0) and phase = R.phase (ring 0) in
+      R.holder r = R.holder (ring c)
+      && R.phase r = R.phase (ring c)
+      && L.holder l = L.holder (list c)
+      && L.order l = L.order (list c)
+      && R.phase (ring (w - 1)) = phase
+      && R.phase (ring w) = phase + 1
+      && Array.for_all
+           (fun m ->
+             R.holder (ring (R.silences_until_holder (ring 0) m)) = m
+             && L.holder (list (L.silences_until_holder (list 0) m)) = m)
+           members)
+
 let () =
   Alcotest.run "broadcast"
     [ ("token-ring",
        [ Alcotest.test_case "advance on silence" `Quick test_ring_advances_on_silence;
          Alcotest.test_case "phase wrap" `Quick test_ring_phase_wraps;
          Alcotest.test_case "single-member wrap" `Quick test_ring_single_member_wraps;
-         Alcotest.test_case "empty rejected" `Quick test_ring_empty_rejected ]);
+         Alcotest.test_case "empty rejected" `Quick test_ring_empty_rejected;
+         QCheck_alcotest.to_alcotest silences_skip_property ]);
       ("mbtf-list",
        [ Alcotest.test_case "move to front" `Quick test_mbtf_list_move_to_front;
          Alcotest.test_case "front big noop" `Quick test_mbtf_list_front_big_is_noop_move ]);

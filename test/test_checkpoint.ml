@@ -555,24 +555,54 @@ let sparse_spec =
     ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n:8 ~seed:33)
     ~rounds:3_000 ~drain:400 ()
 
-(* A snapshot written by a skipping sparse run resumes bit-identically —
-   in sparse mode and, cross-mode, in dense mode. *)
-let test_sparse_resume_mid_skip () =
-  let s_sum, s_ev = complete sparse_spec in
-  let at = 1_237 in  (* coprime to the TDMA cycle: lands inside stretches *)
-  let snap, _ =
-    interrupt ~mode:Mac_sim.Engine.Sparse ~with_sink:false ~at sparse_spec
+(* The families whose hooks fast-forward station state across a skip:
+   their rings (and k-Subsets' phase allocation) must land exactly where
+   the dense run leaves them. *)
+let fast_forward_specs =
+  let spec id algorithm ~n ~k ~rate pattern =
+    Scenario.spec_q ~id ~algorithm ~n ~k ~rate
+      ~burst:(Mac_channel.Qrat.of_int 2) ~pattern ~rounds:3_000 ~drain:400 ()
   in
-  Alcotest.(check int) "snapshot at the cadence round" at
-    (Mac_sim.Engine.snapshot_round snap);
-  let expected_suffix = List.filter (fun (round, _) -> round >= at) s_ev in
+  let uniform n seed () = Mac_adversary.Pattern.uniform ~n ~seed in
+  [ spec "k-cycle-mid-skip" (Mac_routing.K_cycle.algorithm ~n:12 ~k:4) ~n:12
+      ~k:4 ~rate:(Mac_channel.Qrat.make 3 100) (uniform 12 33);
+    spec "k-clique-mid-skip" (Mac_routing.K_clique.algorithm ~n:12 ~k:4)
+      ~n:12 ~k:4 ~rate:(Mac_channel.Qrat.make 3 100) (uniform 12 33);
+    (* sparse enough that skips cross phase starts with every queue
+       assigned *)
+    spec "k-subsets-mid-skip" (Mac_routing.K_subsets.algorithm ~n:6 ~k:3 ())
+      ~n:6 ~k:3 ~rate:(Mac_channel.Qrat.make 1 60) (uniform 6 33) ]
+
+(* A snapshot written by a skipping sparse run resumes bit-identically —
+   in sparse mode and, cross-mode, in dense mode — and one written by a
+   dense run resumes bit-identically in sparse mode; both snapshots are
+   the same bytes. *)
+let test_sparse_resume_mid_skip () =
   List.iter
-    (fun (label, mode) ->
-      let r_sum, suffix = complete ~mode ~resume:snap sparse_spec in
-      check_summaries label s_sum r_sum;
-      check_events label expected_suffix suffix)
-    [ ("sparse-resumes-sparse", Mac_sim.Engine.Sparse);
-      ("sparse-resumes-dense", Mac_sim.Engine.Dense) ]
+    (fun (spec : Scenario.spec) ->
+      let s_sum, s_ev = complete spec in
+      let at = 1_237 in  (* coprime to every cycle here: lands inside stretches *)
+      let snapshot mode =
+        let snap, _ = interrupt ~mode ~with_sink:false ~at spec in
+        Alcotest.(check int) (spec.id ^ ": snapshot at the cadence round") at
+          (Mac_sim.Engine.snapshot_round snap);
+        snap
+      in
+      let sparse_snap = snapshot Mac_sim.Engine.Sparse in
+      let dense_snap = snapshot Mac_sim.Engine.Dense in
+      Alcotest.(check bool) (spec.id ^ ": snapshot bytes") true
+        (Marshal.to_string sparse_snap [] = Marshal.to_string dense_snap []);
+      let expected_suffix = List.filter (fun (round, _) -> round >= at) s_ev in
+      List.iter
+        (fun (label, snap, mode) ->
+          let label = spec.id ^ ": " ^ label in
+          let r_sum, suffix = complete ~mode ~resume:snap spec in
+          check_summaries label s_sum r_sum;
+          check_events label expected_suffix suffix)
+        [ ("sparse-resumes-sparse", sparse_snap, Mac_sim.Engine.Sparse);
+          ("sparse-resumes-dense", sparse_snap, Mac_sim.Engine.Dense);
+          ("dense-resumes-sparse", dense_snap, Mac_sim.Engine.Sparse) ])
+    (sparse_spec :: fast_forward_specs)
 
 (* Adjust-Window records in its state which destinations its
    auxiliary-stage lookups found nothing for, and that stage first runs at
@@ -617,29 +647,36 @@ let test_adjust_window_auxiliary_resume () =
     snaps
 
 (* Dense and sparse runs of the same config write byte-identical
-   checkpoint files at every cadence point. *)
+   checkpoint files at every cadence point — for the fast-forwarding
+   families too, whose skips land on each one. *)
 let test_sparse_checkpoint_bytes () =
-  let collect mode =
-    let snaps = ref [] in
-    let config =
-      { (Diff.config sparse_spec) with
-        mode;
-        checkpoint_every = 449;
-        on_checkpoint = Some (fun s -> snaps := Marshal.to_string s [] :: !snaps) }
-    in
-    ignore (Scenario.simulate ~config sparse_spec);
-    List.rev !snaps
-  in
-  let dense = collect Mac_sim.Engine.Dense in
-  let sparse = collect Mac_sim.Engine.Sparse in
-  Alcotest.(check int) "same checkpoint count"
-    (List.length dense) (List.length sparse);
-  Alcotest.(check bool) "several cadence points" true (List.length dense > 3);
-  List.iteri
-    (fun i (d, s) ->
-      if not (String.equal d s) then
-        Alcotest.failf "checkpoint %d differs between dense and sparse" i)
-    (List.combine dense sparse)
+  List.iter
+    (fun (spec : Scenario.spec) ->
+      let collect mode =
+        let snaps = ref [] in
+        let config =
+          { (Diff.config spec) with
+            mode;
+            checkpoint_every = 449;
+            on_checkpoint =
+              Some (fun s -> snaps := Marshal.to_string s [] :: !snaps) }
+        in
+        ignore (Scenario.simulate ~config spec);
+        List.rev !snaps
+      in
+      let dense = collect Mac_sim.Engine.Dense in
+      let sparse = collect Mac_sim.Engine.Sparse in
+      Alcotest.(check int) (spec.id ^ ": same checkpoint count")
+        (List.length dense) (List.length sparse);
+      Alcotest.(check bool) (spec.id ^ ": several cadence points") true
+        (List.length dense > 3);
+      List.iteri
+        (fun i (d, s) ->
+          if not (String.equal d s) then
+            Alcotest.failf "%s: checkpoint %d differs between dense and sparse"
+              spec.id i)
+        (List.combine dense sparse))
+    (sparse_spec :: fast_forward_specs)
 
 (* Checkpoint bytes pinned across builds: the paper-horizon operating
    points, run as `routing_sim run SPEC --rounds 5000 --seed 3

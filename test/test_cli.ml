@@ -454,7 +454,7 @@ let test_verify_counts_pinned () =
       ( [ "--sparse"; "--count"; "20"; "--seed"; "0"; "--jobs"; "1" ],
         "20 sparse certification(s), 0 divergence(s)" );
       ( [ "--sparse"; "--table1"; "--quick"; "--jobs"; "2" ],
-        "1 sparse certification(s), 0 divergence(s)" ) ]
+        "13 sparse certification(s), 0 divergence(s)" ) ]
 
 (* [run --trace N] prints the last N notable channel events, recorded by
    a trace ring on the run's sink tee. The tail and the digest of the

@@ -192,6 +192,46 @@ let clique_pairs_cover =
         !ok
       end)
 
+(* Rotation's closed forms against a walk over every round: the count of
+   a slot's active rounds in a range, the rounds [iter_active] reports
+   (each active slot once, with its count), and the inverse [nth_from]. *)
+let rotation_closed_forms =
+  QCheck.Test.make ~name:"rotation closed forms = round walk" ~count:300
+    QCheck.(
+      quad (int_range 1 6) (int_range 1 5) (int_range 0 60) (int_range 0 40))
+    (fun (slots, width, from, len) ->
+      let t = Mac_routing.Rotation.make ~slots ~width in
+      let until = from + len in
+      let walk slot =
+        let c = ref 0 in
+        for round = from to until - 1 do
+          if round / width mod slots = slot then incr c
+        done;
+        !c
+      in
+      let reported = Array.make slots 0 in
+      Mac_routing.Rotation.iter_active t ~from ~until
+        (fun () () slot c -> reported.(slot) <- reported.(slot) + c)
+        () ();
+      let nth_ok slot =
+        let round = ref from and ok = ref true in
+        for j = 0 to 2 * slots do
+          while !round / width mod slots <> slot do
+            incr round
+          done;
+          if Mac_routing.Rotation.nth_from t ~slot ~round:from j <> !round then
+            ok := false;
+          incr round
+        done;
+        !ok
+      in
+      List.for_all
+        (fun slot ->
+          Mac_routing.Rotation.count_in t ~slot ~from ~until = walk slot
+          && reported.(slot) = walk slot
+          && nth_ok slot)
+        (List.init slots Fun.id))
+
 let () =
   Alcotest.run "combi"
     [ ("helpers",
@@ -201,7 +241,8 @@ let () =
          QCheck_alcotest.to_alcotest binomial_symmetry;
          Alcotest.test_case "k_subsets enum" `Quick test_k_subsets_enumeration;
          QCheck_alcotest.to_alcotest k_subsets_properties;
-         Alcotest.test_case "subset pairs" `Quick test_subset_pairs ]);
+         Alcotest.test_case "subset pairs" `Quick test_subset_pairs;
+         QCheck_alcotest.to_alcotest rotation_closed_forms ]);
       ("cycle-groups",
        [ Alcotest.test_case "effective k" `Quick test_effective_k_adjustment;
          Alcotest.test_case "structure" `Quick test_cycle_groups_structure;

@@ -318,12 +318,14 @@ let determinism_property =
 
 (* ---- sparse mode ---- *)
 
-(* One pair-TDMA run under an explicit engine mode; knobs cover the
-   dimensions the skip-ahead logic must bound correctly: pacing shape,
-   drain, fault plans, strictness and the telemetry cadence. *)
-let run_sparse_case ~mode ?(n = 6) ?(pacing = Mac_adversary.Adversary.Greedy)
-    ?(drain = 0) ?faults ?(strict = false) ?telemetry_every ~rate ~rounds
-    ~seed () =
+(* One run under an explicit engine mode, pair-TDMA unless [algorithm]
+   (with its [k]) says otherwise; knobs cover the dimensions the
+   skip-ahead logic must bound correctly: pacing shape, drain, fault
+   plans, strictness and the telemetry cadence. *)
+let run_sparse_case ~mode
+    ?(algorithm = (module Mac_routing.Pair_tdma : Algorithm.S)) ?(k = 2)
+    ?(n = 6) ?(pacing = Mac_adversary.Adversary.Greedy) ?(drain = 0) ?faults
+    ?(strict = false) ?telemetry_every ~rate ~rounds ~seed () =
   let samples = ref [] in
   let telemetry =
     Option.map
@@ -343,17 +345,17 @@ let run_sparse_case ~mode ?(n = 6) ?(pacing = Mac_adversary.Adversary.Greedy)
       mode; strict; drain_limit = drain; sample_every = 1; faults; telemetry }
   in
   let summary =
-    Mac_sim.Engine.run ~config
-      ~algorithm:(module Mac_routing.Pair_tdma : Algorithm.S)
-      ~n ~k:2 ~adversary ~rounds ()
+    Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ()
   in
   (summary, List.rev !samples)
 
 (* Sparse and dense must agree bit-for-bit (Marshal bytes of the whole
-   summary, telemetry sample rounds included) across the knob grid, and
-   at pair-TDMA's stable operating point at n = 16 over 60,000 rounds. *)
+   summary, telemetry sample rounds included) across the knob grid, at
+   pair-TDMA's stable operating point at n = 16 over 60,000 rounds, and
+   for each family whose hook fast-forwards station state (k-Cycle,
+   k-Clique, k-Subsets) under the same knobs. *)
 let test_sparse_matches_dense_grid () =
-  let knob ?pacing ?(drain = 0) ?fault_seed ?(strict = false)
+  let knob ?algorithm ?k ?pacing ?(drain = 0) ?fault_seed ?(strict = false)
       ?telemetry_every () mode =
     let faults =
       Option.map
@@ -363,8 +365,26 @@ let test_sparse_matches_dense_grid () =
             ~queue:Mac_faults.Fault_plan.Retain ())
         fault_seed
     in
-    run_sparse_case ~mode ?pacing ~drain ?faults ~strict ?telemetry_every
-      ~rate:(Qrat.make 1 40) ~rounds:2_000 ~seed:11 ()
+    run_sparse_case ~mode ?algorithm ?k ?pacing ~drain ?faults ~strict
+      ?telemetry_every ~rate:(Qrat.make 1 40) ~rounds:2_000 ~seed:11 ()
+  in
+  let families =
+    [ ("k-cycle", Mac_routing.K_cycle.algorithm ~n:6 ~k:3, 3);
+      ("k-clique", Mac_routing.K_clique.algorithm ~n:6 ~k:4, 4);
+      ("k-subsets", Mac_routing.K_subsets.algorithm ~n:6 ~k:3 (), 3) ]
+  in
+  let family_cases =
+    List.concat_map
+      (fun (name, algorithm, k) ->
+        let knob = knob ~algorithm ~k in
+        [ (name ^ " greedy", knob ());
+          (name ^ " paced",
+           knob ~pacing:(Mac_adversary.Adversary.Paced { burst_at = Some 7 })
+             ());
+          (name ^ " drain", knob ~drain:400 ());
+          (name ^ " faults", knob ~fault_seed:77 ());
+          (name ^ " telemetry-7", knob ~telemetry_every:7 ()) ])
+      families
   in
   let cases =
     [ ("greedy", knob ());
@@ -379,6 +399,7 @@ let test_sparse_matches_dense_grid () =
        fun mode ->
          run_sparse_case ~mode ~n:16 ~rate:(Qrat.make 3 100) ~rounds:60_000
            ~seed:5 ()) ]
+    @ family_cases
   in
   List.iter
     (fun (id, go) ->
@@ -431,6 +452,85 @@ let test_sparse_mode_requires_hook () =
   (match sparse_toy () with
   | _ -> Alcotest.fail "Sparse mode with a sparse-less algorithm must raise"
   | exception Invalid_argument _ -> ())
+
+(* A station sends its oldest packet in its own slot ([round mod n = me])
+   until one of its packets is heard, and never again; a restart makes it
+   ready anew. Silence changes nothing, so the hook needs no
+   fast-forward, but its bound reads station state. *)
+module Send_once = struct
+  type state = { me : int; n : int; mutable ready : bool }
+
+  let name = "send-once"
+  let plain_packet = true
+  let direct = true
+  let oblivious = true
+  let required_cap ~n ~k:_ = n
+  let static_schedule = Some (fun ~n:_ ~k:_ ~me:_ ~round:_ -> true)
+  let create ~n ~k:_ ~me = { me; n; ready = true }
+  let on_duty _ ~round:_ ~queue:_ = true
+
+  let act s ~round ~queue =
+    match Pqueue.oldest queue with
+    | Some p when s.ready && round mod s.n = s.me ->
+      Action.Transmit (Message.packet_only p)
+    | _ -> Action.Listen
+
+  let observe s ~round ~queue:_ ~feedback =
+    (match feedback with
+     | Feedback.Heard _ when round mod s.n = s.me -> s.ready <- false
+     | _ -> ());
+    Reaction.No_reaction
+
+  let offline_tick _ ~round:_ ~queue:_ = ()
+
+  let sparse =
+    Some
+      (fun ~n ~k:_ ->
+        { Algorithm.on_set = (fun ~round:_ -> Array.init n Fun.id);
+          on_count_in =
+            (fun ~from ~until ~cap ->
+              let m = until - from in
+              if m <= 0 then (0, 0, 0) else (n * m, n, if n > cap then m else 0));
+          next_transmission =
+            (fun s ~round ~queue:_ ->
+              if s.ready then round + ((((s.me - round) mod n) + n) mod n)
+              else max_int);
+          ticks_offline = false;
+          fast_forward = None })
+
+  include Algorithm.Marshal_codec (struct
+    type nonrec state = state
+  end)
+end
+
+(* Station 0 sends once at round 0 and then holds its other packets for
+   ever, so the cached bound reads "never". A restart at round 61 makes it
+   ready for its slot at 63: the restart must drop that bound, or the
+   sparse run skips past the slot and delivers less than the dense one. *)
+let test_sparse_restart_invalidates_bound () =
+  let run mode =
+    let config =
+      { (Mac_sim.Engine.default_config ~rounds:300) with
+        mode;
+        faults =
+          Some
+            (Mac_faults.Fault_plan.scripted ~name:"crash-restart"
+               [ (50, Mac_faults.Fault_plan.Crash
+                        { station = 0; queue = Mac_faults.Fault_plan.Retain });
+                 (61, Mac_faults.Fault_plan.Restart { station = 0 }) ]) }
+    in
+    let adversary =
+      Mac_adversary.Adversary.create_q ~rate:(Qrat.make 1 1000)
+        ~burst:(Qrat.of_int 3)
+        (Mac_adversary.Pattern.pair_flood ~src:0 ~dst:1)
+    in
+    Mac_sim.Engine.run ~config ~algorithm:(module Send_once) ~n:3 ~k:3
+      ~adversary ~rounds:300 ()
+  in
+  let dense = run Mac_sim.Engine.Dense and sparse = run Mac_sim.Engine.Sparse in
+  Alcotest.(check int) "two sends, one per readiness" 2 dense.delivered;
+  Alcotest.(check bool) "summary bytes identical" true
+    (Marshal.to_string dense [] = Marshal.to_string sparse [])
 
 (* Auto mode resolves per algorithm: dense for Toy (still runs), sparse
    for pair-TDMA (bit-identical to Dense). *)
@@ -514,31 +614,47 @@ let allocation_points =
      P.uniform ~n:4 ~seed:1, 32.0);
     ("k-cycle", Mac_routing.K_cycle.algorithm ~n:12 ~k:4, 12, 4,
      Qrat.make 13 100, P.uniform ~n:12 ~seed:1, 28.5);
+    ("k-clique", Mac_routing.K_clique.algorithm ~n:12 ~k:4, 12, 4,
+     Qrat.make 3 100, P.uniform ~n:12 ~seed:1, 32.0);
     ("k-subsets", Mac_routing.K_subsets.algorithm ~n:8 ~k:3 (), 8, 3,
-     Qrat.make 1 10, P.pair_flood ~src:1 ~dst:2, 75.0) ]
+     Qrat.make 1 10, P.pair_flood ~src:1 ~dst:2, 31.0) ]
 
-(* Minor words one dense run allocates at burst 2, with [sink] attached
-   when given. *)
-let minor_words ?sink ~algorithm ~n ~k ~rate pattern ~rounds =
+(* Minor words one run allocates at burst 2, densely unless [mode] says
+   otherwise, with [sink] attached when given. *)
+let minor_words ?(mode = Mac_sim.Engine.Dense) ?sink ~algorithm ~n ~k ~rate
+    pattern ~rounds =
   let module A = (val algorithm : Algorithm.S) in
   let adversary =
     Mac_adversary.Adversary.create_q ~rate ~burst:(Qrat.of_int 2) pattern
   in
   let config =
     { (Mac_sim.Engine.default_config ~rounds) with
-      mode = Mac_sim.Engine.Dense; check_schedule = A.oblivious; sink }
+      mode; check_schedule = A.oblivious; sink }
   in
   let w0 = Gc.minor_words () in
   ignore (Mac_sim.Engine.run ~config ~algorithm ~n ~k ~adversary ~rounds ());
   Gc.minor_words () -. w0
 
-let test_allocation_ceilings () =
+(* The same ceilings for the sparse engine at the paper-horizon points of
+   the families whose hooks fast-forward station state: most of their
+   rounds are skipped, so a skip, a fast-forward or a bound query that
+   allocates per station shows here first. *)
+let sparse_allocation_points =
+  let module P = Mac_adversary.Pattern in
+  [ ("k-cycle", Mac_routing.K_cycle.algorithm ~n:12 ~k:4, 12, 4,
+     Qrat.make 13 100, P.uniform ~n:12 ~seed:1, 24.3);
+    ("k-clique", Mac_routing.K_clique.algorithm ~n:12 ~k:4, 12, 4,
+     Qrat.make 3 100, P.uniform ~n:12 ~seed:1, 9.7);
+    ("k-subsets", Mac_routing.K_subsets.algorithm ~n:8 ~k:3 (), 8, 3,
+     Qrat.make 1 10, P.pair_flood ~src:1 ~dst:2, 16.7) ]
+
+let test_allocation_ceilings ?(mode = Mac_sim.Engine.Dense) points () =
   let rounds = 20_000 in
   let over =
     List.filter_map
       (fun (label, algorithm, n, k, rate, pattern, ceiling) ->
         let per_round =
-          minor_words ~algorithm ~n ~k ~rate pattern ~rounds
+          minor_words ~mode ~algorithm ~n ~k ~rate pattern ~rounds
           /. float_of_int rounds
         in
         Printf.printf "%s: %.2f minor words per round (ceiling %.1f)\n" label
@@ -548,7 +664,7 @@ let test_allocation_ceilings () =
             (Printf.sprintf "%s allocates %.1f, above %.1f" label per_round
                ceiling)
         else None)
-      allocation_points
+      points
   in
   if over <> [] then
     Alcotest.failf "minor words per round: %s" (String.concat "; " over)
@@ -624,10 +740,15 @@ let () =
          Alcotest.test_case "Sparse requires the hook" `Quick
            test_sparse_mode_requires_hook;
          Alcotest.test_case "Auto resolution" `Quick
-           test_sparse_auto_resolution ]);
+           test_sparse_auto_resolution;
+         Alcotest.test_case "restart invalidates the bound" `Quick
+           test_sparse_restart_invalidates_bound ]);
       ("determinism", [ QCheck_alcotest.to_alcotest determinism_property ]);
       ("allocation",
        [ Alcotest.test_case "dense minor words per round" `Quick
-           test_allocation_ceilings;
+           (test_allocation_ceilings allocation_points);
+         Alcotest.test_case "sparse minor words per round" `Quick
+           (test_allocation_ceilings ~mode:Mac_sim.Engine.Sparse
+              sparse_allocation_points);
          Alcotest.test_case "minor words per recorded event" `Quick
            test_words_per_event_ceiling ]) ]

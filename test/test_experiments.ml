@@ -470,26 +470,34 @@ let test_run_batch_order_and_errors () =
                (List.init 20 (fun i () -> if i = 7 then raise (Boom i) else i)))))
     [ 1; 4 ]
 
-(* Observer recording every scenario's full event stream (as serialised
-   JSON, round included) into a table keyed by scenario id. Scenario.run
-   closes the sink when the run finishes; parallel runs hit the table
-   from several domains, hence the mutex. *)
+(* Observer fingerprinting every scenario's full event stream (as
+   serialised JSON, round included) into a table keyed by scenario id: its
+   line count and a digest chained over every line, d' = MD5(d ^ line), so
+   any differing byte of any line changes it without the streams being
+   held in memory. Scenario.run closes the sink when the run finishes;
+   parallel runs hit the table from several domains, hence the mutex. *)
+let empty_stream = (0, Digest.string "")
+
 let recording_observer () =
-  let tbl : (string, string list) Hashtbl.t = Hashtbl.create 64 in
+  let tbl : (string, int * Digest.t) Hashtbl.t = Hashtbl.create 64 in
   let calls : (string, int) Hashtbl.t = Hashtbl.create 64 in
   let mu = Mutex.create () in
   let observe ~id =
     Mutex.lock mu;
     Hashtbl.replace calls id (1 + Option.value ~default:0 (Hashtbl.find_opt calls id));
     Mutex.unlock mu;
-    let buf = ref [] in
+    let stream = ref empty_stream in
     Some
       (Mac_sim.Sink.make
          ~close:(fun () ->
            Mutex.lock mu;
-           Hashtbl.replace tbl id (List.rev !buf);
+           Hashtbl.replace tbl id !stream;
            Mutex.unlock mu)
-         (fun ~round ev -> buf := Mac_channel.Event.to_json ~round ev :: !buf))
+         (fun ~round ev ->
+           let lines, chain = !stream in
+           stream :=
+             ( lines + 1,
+               Digest.string (chain ^ Mac_channel.Event.to_json ~round ev) )))
   in
   (observe, tbl, calls)
 
@@ -523,11 +531,14 @@ let test_table1_parallel_bit_identical () =
       check_int (exp.id ^ ": stream count")
         (Hashtbl.length events_seq) (Hashtbl.length events_par);
       Hashtbl.iter
-        (fun id stream ->
-          Alcotest.(check (list string))
-            (exp.id ^ "/" ^ id ^ ": event stream")
-            stream
-            (Option.value ~default:[] (Hashtbl.find_opt events_par id)))
+        (fun id (lines, chain) ->
+          let lines', chain' =
+            Option.value ~default:empty_stream (Hashtbl.find_opt events_par id)
+          in
+          check_int (exp.id ^ "/" ^ id ^ ": event lines") lines lines';
+          Alcotest.(check string)
+            (exp.id ^ "/" ^ id ^ ": event stream digest")
+            (Digest.to_hex chain) (Digest.to_hex chain'))
         events_seq)
     Table1.all
 

@@ -62,6 +62,20 @@ let qcheck_sparse_random_seeds =
     (fun seed ->
       Diff.agrees (Diff.check Diff.Dense (Diff.random_sparse ~seed)))
 
+(* The families whose hooks fast-forward station state, drawn with fault
+   plans, pacing and drains. *)
+let qcheck_oblivious_random_seeds =
+  QCheck.Test.make ~name:"fast_forward_matches_dense_on_random_seeds"
+    ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      Diff.agrees (Diff.check Diff.Dense (Diff.random_oblivious ~seed)))
+
+let test_oblivious_deterministic_sweep () =
+  for seed = 0 to 39 do
+    check_seed Diff.Dense Diff.random_oblivious seed
+  done
+
 (* Pair-TDMA whose sparse on-set is one round late: the sparse engine
    switches on last round's pair, so packets go undelivered. Run under
    [Diff.config] (no schedule cross-check), only the harness can see it. *)
@@ -71,7 +85,7 @@ module Late_pair_tdma = struct
   let sparse =
     Option.map
       (fun make ~n ~k ->
-        let (sp : Mac_channel.Algorithm.sparse) = make ~n ~k in
+        let (sp : _ Mac_channel.Algorithm.sparse) = make ~n ~k in
         let on_set ~round = sp.on_set ~round:(max 0 (round - 1)) in
         { sp with on_set })
       Mac_routing.Pair_tdma.sparse
@@ -107,6 +121,62 @@ let test_lying_hook_caught () =
   Alcotest.(check bool) "the honest hook agrees" true
     (Diff.agrees (Diff.check Diff.Dense honest))
 
+(* k-Clique whose fast-forward stops one round short of the landing: the
+   ring of the pair active in a stretch's last round is left one step
+   behind. Every round has an active pair, so every skip lies. *)
+let short_fast_forward (module A : Mac_channel.Algorithm.S) :
+    Mac_channel.Algorithm.t =
+  (module struct
+    include A
+
+    let sparse =
+      Option.map
+        (fun make ~n ~k ->
+          let (sp : A.state Mac_channel.Algorithm.sparse) = make ~n ~k in
+          { sp with
+            fast_forward =
+              Option.map
+                (fun ff states ~queues ~from ~until ->
+                  ff states ~queues ~from ~until:(until - 1))
+                sp.fast_forward })
+        A.sparse
+  end)
+
+let test_lying_fast_forward_caught () =
+  let n = 12 and k = 4 in
+  let spec =
+    Mac_experiments.Scenario.spec_q ~id:"short fast-forward"
+      ~algorithm:(short_fast_forward (Mac_routing.K_clique.algorithm ~n ~k))
+      ~n ~k ~rate:(Mac_channel.Qrat.make 3 100)
+      ~burst:(Mac_channel.Qrat.of_int 2)
+      ~pattern:(fun () -> Mac_adversary.Pattern.uniform ~n ~seed:3)
+      ~rounds:3000 ()
+  in
+  let v = Diff.check Diff.Dense spec in
+  Alcotest.(check bool) "disagrees" false (Diff.agrees v);
+  (* the skipping run is caught on a digest field, with the dense
+     reference under [oracle], and on the snapshot the lagging ring is
+     written into *)
+  let named what =
+    List.find_opt (fun (m : Diff.mismatch) -> m.what = what) v.mismatches
+  in
+  let dense =
+    Mac_experiments.Scenario.simulate ~config:(Diff.config spec) spec
+  in
+  (match named "sparse.max_delay" with
+   | None ->
+     Alcotest.failf "sparse.max_delay not named:@.%a" Diff.pp_verdict v
+   | Some m ->
+     Alcotest.(check string) "dense reference under oracle"
+       (string_of_int dense.max_delay) m.oracle);
+  if named "sparse.checkpoint[0]" = None then
+    Alcotest.failf "sparse.checkpoint[0] not named:@.%a" Diff.pp_verdict v;
+  let honest =
+    { spec with algorithm = Mac_routing.K_clique.algorithm ~n ~k }
+  in
+  Alcotest.(check bool) "the honest hook agrees" true
+    (Diff.agrees (Diff.check Diff.Dense honest))
+
 let () =
   Alcotest.run "verify"
     [ ("differential",
@@ -120,4 +190,9 @@ let () =
            test_sparse_batch_jobs_invariance;
          QCheck_alcotest.to_alcotest qcheck_sparse_random_seeds;
          Alcotest.test_case "lying hook caught" `Quick
-           test_lying_hook_caught ]) ]
+           test_lying_hook_caught;
+         Alcotest.test_case "fast-forward seeds 0..39" `Slow
+           test_oblivious_deterministic_sweep;
+         QCheck_alcotest.to_alcotest qcheck_oblivious_random_seeds;
+         Alcotest.test_case "lying fast-forward caught" `Quick
+           test_lying_fast_forward_caught ]) ]
