@@ -84,11 +84,16 @@ let install_drain_handlers () =
       with Invalid_argument _ | Sys_error _ -> ())
     [ (Sys.sigterm, "SIGTERM"); (Sys.sigint, "SIGINT") ]
 
-let policy_of ~retries ~job_timeout ~keep_going =
-  if retries < 0 then begin
-    Printf.eprintf "--retries must be >= 0 (got %d)\n" retries;
+(* Refuse an integer flag below [min] with one line naming it, before
+   anything runs. *)
+let at_least ~min flag v =
+  if v < min then begin
+    Printf.eprintf "%s must be >= %d (got %d)\n" flag min v;
     exit 2
-  end;
+  end
+
+let policy_of ~retries ~job_timeout ~keep_going =
+  at_least ~min:0 "--retries" retries;
   if job_timeout < 0.0 then begin
     Printf.eprintf "--job-timeout must be >= 0 (got %g)\n" job_timeout;
     exit 2
@@ -193,10 +198,7 @@ let progress_line ~round registry =
 let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
     csv json checkpoint checkpoint_every resume telemetry_file telemetry_jsonl
     telemetry_every progress engine =
-  if telemetry_every < 1 then begin
-    Printf.eprintf "--telemetry-every must be >= 1 (got %d)\n" telemetry_every;
-    exit 2
-  end;
+  at_least ~min:1 "--telemetry-every" telemetry_every;
   (match (checkpoint, checkpoint_every) with
    | Some _, e when e <= 0 ->
      Printf.eprintf "--checkpoint requires --checkpoint-every N with N >= 1\n";
@@ -595,19 +597,13 @@ let scenario_observer ~trace_n ~events_dir :
   end
 
 let check_jobs jobs =
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be >= 1 (got %d)\n" jobs;
-    exit 2
-  end;
+  at_least ~min:1 "--jobs" jobs;
   jobs
 
 (* Batch drivers publish per-scenario expositions plus a fleet aggregate
    under --telemetry-dir; [routing_sim top DIR] watches those files. *)
 let fleet_of ~telemetry_dir ~telemetry_every =
-  if telemetry_every < 1 then begin
-    Printf.eprintf "--telemetry-every must be >= 1 (got %d)\n" telemetry_every;
-    exit 2
-  end;
+  at_least ~min:1 "--telemetry-every" telemetry_every;
   Option.map
     (fun dir ->
       refuse_non_dir dir;
@@ -1377,6 +1373,10 @@ let top_gather paths =
   (rows, fleet, List.rev !errors)
 
 let top_cmd paths watch once check =
+  if watch <= 0.0 then begin
+    Printf.eprintf "--watch must be > 0 (got %g)\n" watch;
+    exit 2
+  end;
   if paths = [] then begin
     Printf.eprintf
       "top: name at least one telemetry file or directory (as written by \
@@ -1457,10 +1457,7 @@ let top_term =
 (* ---- chaos command ---- *)
 
 let chaos_cmd count seed dir verbose =
-  if count < 1 then begin
-    Printf.eprintf "--count must be >= 1 (got %d)\n" count;
-    exit 2
-  end;
+  at_least ~min:1 "--count" count;
   let log = if verbose then Some prerr_endline else None in
   let st = Mac_verify.Chaos.run ?log ?dir ~count ~seed () in
   Format.printf "%a@." Mac_verify.Chaos.pp_stats st;
@@ -1506,6 +1503,8 @@ let chaos_term =
 let verify_cmd count seed table1 quick rounds_cap sparse jobs =
   let module D = Mac_verify.Diff in
   let jobs = check_jobs jobs in
+  at_least ~min:0 "--count" count;
+  Option.iter (at_least ~min:1 "--rounds-cap") rounds_cap;
   (* --sparse certifies the engine against its own dense mode (events,
      summary bytes, checkpoint bytes) rather than against the quadratic
      oracle, so huge configs are fine there; it covers only the
@@ -1599,10 +1598,7 @@ let verify_term =
 (* ---- serve / fleet commands ---- *)
 
 let serve_cmd dir socket shards checkpoint_every telemetry_every =
-  if shards < 1 then begin
-    Printf.eprintf "--shards must be >= 1 (got %d)\n" shards;
-    exit 2
-  end;
+  at_least ~min:1 "--shards" shards;
   install_drain_handlers ();
   let socket =
     match socket with

@@ -167,9 +167,8 @@ let check_json (c : check) =
   Printf.sprintf
     "{\"label\": \"%s\", \"bound\": %s, \"measured\": %s, \"ok\": %b}"
     (Mac_sim.Export.json_escape c.label)
-    (if Float.is_finite c.bound then Printf.sprintf "%.6g" c.bound else "null")
-    (if Float.is_finite c.measured then Printf.sprintf "%.6g" c.measured
-     else "null")
+    (Mac_sim.Export.json_float c.bound)
+    (Mac_sim.Export.json_float c.measured)
     c.ok
 
 let verdict_string (o : outcome) =

@@ -1,16 +1,5 @@
-let columns =
-  [ "algorithm"; "adversary"; "n"; "k"; "rounds"; "drain_rounds"; "injected";
-    "delivered"; "undelivered"; "max_delay"; "mean_delay"; "p99_delay";
-    "max_queued_age"; "max_total_queue"; "final_total_queue";
-    "max_station_queue"; "energy_cap"; "max_on"; "mean_on"; "station_rounds";
-    "silent_rounds"; "light_rounds"; "delivery_rounds"; "relay_rounds";
-    "collision_rounds"; "max_hops"; "control_bits_total"; "control_bits_max";
-    "cap_exceeded"; "stranded"; "adoption_conflicts"; "spurious_adoptions";
-    "crashes"; "restarts"; "jammed_rounds"; "noise_rounds"; "lost_to_crash";
-    "last_fault_round"; "pre_fault_queue"; "post_fault_peak_queue";
-    "recovery_rounds" ]
-
-let csv_header = String.concat "," columns
+let csv_header =
+  String.concat "," (List.map (fun (f : Metrics.field) -> f.name) Metrics.fields)
 
 (* Non-finite floats have no JSON representation ("%.6g" would emit the
    invalid tokens [nan] or [inf]) and no meaningful table cell; JSON gets
@@ -29,32 +18,14 @@ let quote field =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' field) ^ "\""
   else field
 
-let cells (s : Metrics.summary) =
-  [ quote s.algorithm; quote s.adversary; string_of_int s.n; string_of_int s.k;
-    string_of_int s.rounds; string_of_int s.drain_rounds;
-    string_of_int s.injected; string_of_int s.delivered;
-    string_of_int s.undelivered; string_of_int s.max_delay;
-    csv_float s.mean_delay; string_of_int s.p99_delay;
-    string_of_int s.max_queued_age; string_of_int s.max_total_queue;
-    string_of_int s.final_total_queue; string_of_int s.max_station_queue;
-    string_of_int s.energy_cap; string_of_int s.max_on;
-    csv_float s.mean_on; string_of_int s.station_rounds;
-    string_of_int s.silent_rounds; string_of_int s.light_rounds;
-    string_of_int s.delivery_rounds; string_of_int s.relay_rounds;
-    string_of_int s.collision_rounds; string_of_int s.max_hops;
-    string_of_int s.control_bits_total; string_of_int s.control_bits_max;
-    string_of_int s.violations.cap_exceeded; string_of_int s.violations.stranded;
-    string_of_int s.violations.adoption_conflicts;
-    string_of_int s.violations.spurious_adoptions;
-    string_of_int s.faults.crashes; string_of_int s.faults.restarts;
-    string_of_int s.faults.jammed_rounds; string_of_int s.faults.noise_rounds;
-    string_of_int s.faults.lost_to_crash;
-    string_of_int s.faults.last_fault_round;
-    string_of_int s.faults.pre_fault_queue;
-    string_of_int s.faults.post_fault_peak_queue;
-    string_of_int s.faults.recovery_rounds ]
+let csv_cell : Metrics.value -> string = function
+  | Str s -> quote s
+  | Int i -> string_of_int i
+  | Float x -> csv_float x
 
-let summary_csv_row s = String.concat "," (cells s)
+let summary_csv_row s =
+  String.concat ","
+    (List.map (fun (f : Metrics.field) -> csv_cell (f.read s)) Metrics.fields)
 
 let summaries_csv summaries =
   let buf = Buffer.create 1024 in
@@ -80,52 +51,27 @@ let json_escape s =
   Mac_channel.Jsonv.escape buf s;
   Buffer.contents buf
 
+let json_value : Metrics.value -> string = function
+  | Str s -> "\"" ^ json_escape s ^ "\""
+  | Int i -> string_of_int i
+  | Float x -> json_float x
+
 let summary_json (s : Metrics.summary) =
-  let field name value = Printf.sprintf "%S: %s" name value in
-  let str name value = field name (Printf.sprintf "\"%s\"" (json_escape value)) in
-  let int name value = field name (string_of_int value) in
-  let float name value = field name (json_float value) in
-  let fields =
-    [ str "algorithm" s.algorithm; str "adversary" s.adversary; int "n" s.n;
-      int "k" s.k; int "rounds" s.rounds; int "drain_rounds" s.drain_rounds;
-      int "injected" s.injected; int "delivered" s.delivered;
-      int "undelivered" s.undelivered; int "max_delay" s.max_delay;
-      float "mean_delay" s.mean_delay; int "p99_delay" s.p99_delay;
-      int "max_queued_age" s.max_queued_age;
-      int "max_total_queue" s.max_total_queue;
-      int "final_total_queue" s.final_total_queue;
-      int "max_station_queue" s.max_station_queue;
-      int "energy_cap" s.energy_cap; int "max_on" s.max_on;
-      float "mean_on" s.mean_on; int "station_rounds" s.station_rounds;
-      int "silent_rounds" s.silent_rounds; int "light_rounds" s.light_rounds;
-      int "delivery_rounds" s.delivery_rounds; int "relay_rounds" s.relay_rounds;
-      int "collision_rounds" s.collision_rounds; int "max_hops" s.max_hops;
-      int "control_bits_total" s.control_bits_total;
-      int "control_bits_max" s.control_bits_max;
-      field "delay_histogram"
-        ("["
-        ^ String.concat ", "
-            (Array.to_list
-               (Array.map
-                  (fun (lo, hi, count) -> Printf.sprintf "[%d, %d, %d]" lo hi count)
-                  s.delay_histogram))
-        ^ "]");
-      Printf.sprintf
-        "\"violations\": {%s, %s, %s, %s}"
-        (int "cap_exceeded" s.violations.cap_exceeded)
-        (int "stranded" s.violations.stranded)
-        (int "adoption_conflicts" s.violations.adoption_conflicts)
-        (int "spurious_adoptions" s.violations.spurious_adoptions);
-      Printf.sprintf
-        "\"faults\": {%s, %s, %s, %s, %s, %s, %s, %s, %s}"
-        (int "crashes" s.faults.crashes)
-        (int "restarts" s.faults.restarts)
-        (int "jammed_rounds" s.faults.jammed_rounds)
-        (int "noise_rounds" s.faults.noise_rounds)
-        (int "lost_to_crash" s.faults.lost_to_crash)
-        (int "last_fault_round" s.faults.last_fault_round)
-        (int "pre_fault_queue" s.faults.pre_fault_queue)
-        (int "post_fault_peak_queue" s.faults.post_fault_peak_queue)
-        (int "recovery_rounds" s.faults.recovery_rounds) ]
+  let member name value = Printf.sprintf "%S: %s" name value in
+  let obj members = "{" ^ String.concat ", " members ^ "}" in
+  let group g =
+    List.filter_map
+      (fun (f : Metrics.field) ->
+        if f.group = g then Some (member f.name (json_value (f.read s)))
+        else None)
+      Metrics.fields
   in
-  "{" ^ String.concat ", " fields ^ "}"
+  let bucket (lo, hi, count) = Printf.sprintf "[%d, %d, %d]" lo hi count in
+  obj
+    (group Top
+    @ [ member "delay_histogram"
+          ("["
+          ^ String.concat ", " (Array.to_list (Array.map bucket s.delay_histogram))
+          ^ "]");
+        member "violations" (obj (group Violations));
+        member "faults" (obj (group Faults)) ])

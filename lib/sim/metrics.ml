@@ -52,6 +52,62 @@ type summary = {
   faults : fault_stats;
 }
 
+type value = Str of string | Int of int | Float of float
+type group = Top | Violations | Faults
+type field = { name : string; group : group; read : summary -> value }
+
+let fields =
+  let str name f = { name; group = Top; read = (fun s -> Str (f s)) } in
+  let int name f = { name; group = Top; read = (fun s -> Int (f s)) } in
+  let float name f = { name; group = Top; read = (fun s -> Float (f s)) } in
+  let violation name f =
+    { name; group = Violations; read = (fun s -> Int (f s.violations)) }
+  in
+  let fault name f =
+    { name; group = Faults; read = (fun s -> Int (f s.faults)) }
+  in
+  [ str "algorithm" (fun s -> s.algorithm);
+    str "adversary" (fun s -> s.adversary);
+    int "n" (fun s -> s.n);
+    int "k" (fun s -> s.k);
+    int "rounds" (fun s -> s.rounds);
+    int "drain_rounds" (fun s -> s.drain_rounds);
+    int "injected" (fun s -> s.injected);
+    int "delivered" (fun s -> s.delivered);
+    int "undelivered" (fun s -> s.undelivered);
+    int "max_delay" (fun s -> s.max_delay);
+    float "mean_delay" (fun s -> s.mean_delay);
+    int "p99_delay" (fun s -> s.p99_delay);
+    int "max_queued_age" (fun s -> s.max_queued_age);
+    int "max_total_queue" (fun s -> s.max_total_queue);
+    int "final_total_queue" (fun s -> s.final_total_queue);
+    int "max_station_queue" (fun s -> s.max_station_queue);
+    int "energy_cap" (fun s -> s.energy_cap);
+    int "max_on" (fun s -> s.max_on);
+    float "mean_on" (fun s -> s.mean_on);
+    int "station_rounds" (fun s -> s.station_rounds);
+    int "silent_rounds" (fun s -> s.silent_rounds);
+    int "light_rounds" (fun s -> s.light_rounds);
+    int "delivery_rounds" (fun s -> s.delivery_rounds);
+    int "relay_rounds" (fun s -> s.relay_rounds);
+    int "collision_rounds" (fun s -> s.collision_rounds);
+    int "max_hops" (fun s -> s.max_hops);
+    int "control_bits_total" (fun s -> s.control_bits_total);
+    int "control_bits_max" (fun s -> s.control_bits_max);
+    violation "cap_exceeded" (fun v -> v.cap_exceeded);
+    violation "stranded" (fun v -> v.stranded);
+    violation "adoption_conflicts" (fun v -> v.adoption_conflicts);
+    violation "spurious_adoptions" (fun v -> v.spurious_adoptions);
+    fault "crashes" (fun f -> f.crashes);
+    fault "restarts" (fun f -> f.restarts);
+    fault "jammed_rounds" (fun f -> f.jammed_rounds);
+    fault "noise_rounds" (fun f -> f.noise_rounds);
+    fault "lost_to_crash" (fun f -> f.lost_to_crash);
+    fault "last_fault_round" (fun f -> f.last_fault_round);
+    fault "pre_fault_queue" (fun f -> f.pre_fault_queue);
+    fault "post_fault_peak_queue" (fun f -> f.post_fault_peak_queue);
+    fault "recovery_rounds" (fun f -> f.recovery_rounds) ]
+
 let energy_per_delivery s =
   if s.delivered = 0 then Float.nan
   else float_of_int s.station_rounds /. float_of_int s.delivered
@@ -313,8 +369,6 @@ let observe t ~round (ev : Mac_channel.Event.t) =
   | Station_restarted _ -> note_restart t ~round
   | Round_jammed { noise; _ } -> note_jammed t ~round ~noise
   | Switched_on _ | Switched_off _ | Transmit _ | Telemetry _ -> ()
-
-let sink t = Sink.make (fun ~round ev -> observe t ~round ev)
 
 type live = {
   live_injected : int;

@@ -75,6 +75,28 @@ type summary = {
   faults : fault_stats;
 }
 
+(** {2 Exported fields}
+
+    The summary's scalar fields, declared once. [Export] derives the CSV
+    header, the CSV row and the JSON object from {!fields}, and
+    [Mac_verify.Diff] compares runs field by field through it; the naive
+    oracle reports its statistics as [(name, value)] pairs under the
+    same names. *)
+
+type value = Str of string | Int of int | Float of float
+
+type group =
+  | Top         (** a field of the summary itself *)
+  | Violations  (** a field of [violations] *)
+  | Faults      (** a field of [faults] *)
+
+type field = { name : string; group : group; read : summary -> value }
+
+val fields : field list
+(** The 41 exported fields in CSV column order: the top-level fields,
+    then [violations], then [faults], each group in record order. The
+    arrays ([delay_histogram], [queue_series]) are not in the table. *)
+
 val energy_per_delivery : summary -> float
 (** Station-rounds spent per delivered packet; [nan] when nothing delivered. *)
 
@@ -155,9 +177,6 @@ val observe : t -> round:int -> Mac_channel.Event.t -> unit
     Replaying a recorded run's complete event stream through [observe]
     (then [finalize]) reconstructs the same summary the engine produced
     live — queue sizes are rebuilt from the packet-movement events. *)
-
-val sink : t -> Sink.t
-(** The collector as an event sink: [observe] wrapped for [tee]-ing. *)
 
 val total_queued : t -> int
 (** [injected - delivered - lost_to_crash]: packets still sitting in some

@@ -38,26 +38,3 @@ val jsonl_file : string -> t
 
 val tee : t list -> t
 (** Fan every event out to each sink in order; [close] closes them all. *)
-
-(** The replay aggregate: what a counting pass over a recorded stream
-    can reconstruct without any engine state. *)
-type counts = {
-  injected : int;
-  delivered : int;
-  relays : int;
-  collisions : int;
-  silences : int;
-  lights : int;
-  strandeds : int;
-  station_rounds : int;  (** sum of switched-on stations over all rounds *)
-  rounds : int;          (** injection rounds seen *)
-  drain_rounds : int;
-  crashes : int;
-  restarts : int;
-  jammed : int;          (** rounds a jam/noise fault forced *)
-  lost : int;            (** packets lost to crash-with-drop faults *)
-}
-
-val counting : unit -> t * (unit -> counts)
-(** A counting aggregator and its read-out. Feeding it the JSONL replay
-    of a run reproduces the engine's [Metrics.summary] counts exactly. *)

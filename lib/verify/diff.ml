@@ -73,102 +73,40 @@ let oracle_run (r : Scenario.spec) =
 (* Comparison: every mismatch puts the run under test under [engine] and
    the reference under [oracle]. *)
 
-(* The comparable part of an engine summary. *)
-let digest (s : Mac_sim.Metrics.summary) : Oracle.digest =
-  { rounds = s.rounds;
-    drain_rounds = s.drain_rounds;
-    injected = s.injected;
-    delivered = s.delivered;
-    undelivered = s.undelivered;
-    max_delay = s.max_delay;
-    mean_delay = s.mean_delay;
-    max_queued_age = s.max_queued_age;
-    max_total_queue = s.max_total_queue;
-    final_total_queue = s.final_total_queue;
-    max_station_queue = s.max_station_queue;
-    energy_cap = s.energy_cap;
-    max_on = s.max_on;
-    mean_on = s.mean_on;
-    station_rounds = s.station_rounds;
-    silent_rounds = s.silent_rounds;
-    light_rounds = s.light_rounds;
-    delivery_rounds = s.delivery_rounds;
-    relay_rounds = s.relay_rounds;
-    collision_rounds = s.collision_rounds;
-    max_hops = s.max_hops;
-    control_bits_total = s.control_bits_total;
-    control_bits_max = s.control_bits_max;
-    cap_exceeded = s.violations.cap_exceeded;
-    stranded = s.violations.stranded;
-    adoption_conflicts = s.violations.adoption_conflicts;
-    spurious_adoptions = s.violations.spurious_adoptions;
-    crashes = s.faults.crashes;
-    restarts = s.faults.restarts;
-    jammed_rounds = s.faults.jammed_rounds;
-    noise_rounds = s.faults.noise_rounds;
-    lost_to_crash = s.faults.lost_to_crash;
-    last_fault_round = s.faults.last_fault_round;
-    pre_fault_queue = s.faults.pre_fault_queue;
-    post_fault_peak_queue = s.faults.post_fault_peak_queue;
-    recovery_rounds = s.faults.recovery_rounds }
+let values (s : Mac_sim.Metrics.summary) =
+  List.map
+    (fun (f : Mac_sim.Metrics.field) -> (f.name, f.read s))
+    Mac_sim.Metrics.fields
 
-let compare_digests (e : Oracle.digest) (o : Oracle.digest) =
-  let acc = ref [] in
-  let int what a b =
-    if a <> b then
-      acc := { what; engine = string_of_int a; oracle = string_of_int b } :: !acc
-  in
-  (* Float fields are compared bit-for-bit: both sides accumulate in the
-     same order, so any difference is a real drift. *)
-  let flt what a b =
-    if Int64.bits_of_float a <> Int64.bits_of_float b then
-      acc :=
-        { what; engine = Printf.sprintf "%h" a; oracle = Printf.sprintf "%h" b }
-        :: !acc
-  in
-  int "rounds" e.rounds o.rounds;
-  int "drain_rounds" e.drain_rounds o.drain_rounds;
-  int "injected" e.injected o.injected;
-  int "delivered" e.delivered o.delivered;
-  int "undelivered" e.undelivered o.undelivered;
-  int "max_delay" e.max_delay o.max_delay;
-  flt "mean_delay" e.mean_delay o.mean_delay;
-  int "max_queued_age" e.max_queued_age o.max_queued_age;
-  int "max_total_queue" e.max_total_queue o.max_total_queue;
-  int "final_total_queue" e.final_total_queue o.final_total_queue;
-  int "max_station_queue" e.max_station_queue o.max_station_queue;
-  int "energy_cap" e.energy_cap o.energy_cap;
-  int "max_on" e.max_on o.max_on;
-  flt "mean_on" e.mean_on o.mean_on;
-  int "station_rounds" e.station_rounds o.station_rounds;
-  int "silent_rounds" e.silent_rounds o.silent_rounds;
-  int "light_rounds" e.light_rounds o.light_rounds;
-  int "delivery_rounds" e.delivery_rounds o.delivery_rounds;
-  int "relay_rounds" e.relay_rounds o.relay_rounds;
-  int "collision_rounds" e.collision_rounds o.collision_rounds;
-  int "max_hops" e.max_hops o.max_hops;
-  int "control_bits_total" e.control_bits_total o.control_bits_total;
-  int "control_bits_max" e.control_bits_max o.control_bits_max;
-  int "cap_exceeded" e.cap_exceeded o.cap_exceeded;
-  int "stranded" e.stranded o.stranded;
-  int "adoption_conflicts" e.adoption_conflicts o.adoption_conflicts;
-  int "spurious_adoptions" e.spurious_adoptions o.spurious_adoptions;
-  int "crashes" e.crashes o.crashes;
-  int "restarts" e.restarts o.restarts;
-  int "jammed_rounds" e.jammed_rounds o.jammed_rounds;
-  int "noise_rounds" e.noise_rounds o.noise_rounds;
-  int "lost_to_crash" e.lost_to_crash o.lost_to_crash;
-  int "last_fault_round" e.last_fault_round o.last_fault_round;
-  int "pre_fault_queue" e.pre_fault_queue o.pre_fault_queue;
-  int "post_fault_peak_queue" e.post_fault_peak_queue
-    o.post_fault_peak_queue;
-  int "recovery_rounds" e.recovery_rounds o.recovery_rounds;
-  List.rev !acc
+(* Floats compare bit for bit: both sides accumulate in the same order,
+   so any difference is a real drift. *)
+let same (a : Mac_sim.Metrics.value) (b : Mac_sim.Metrics.value) =
+  match (a, b) with
+  | Float x, Float y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | _ -> a = b
 
-(* Two engine summaries: every digest field, then the Marshal bytes,
-   which also cover the histogram, [p99_delay] and the queue series. *)
+let render : Mac_sim.Metrics.value -> string = function
+  | Str s -> s
+  | Int i -> string_of_int i
+  | Float x -> Printf.sprintf "%h" x
+
+(* Every exported field of the summary under test against the
+   reference's value of the same name. A field the reference leaves out
+   is a mismatch unless the oracle declares it {!Oracle.unmodelled}. *)
+let compare_fields (e : Mac_sim.Metrics.summary) reference =
+  List.filter_map
+    (fun (name, v) ->
+      match List.assoc_opt name reference with
+      | Some r when same v r -> None
+      | Some r -> Some { what = name; engine = render v; oracle = render r }
+      | None when List.mem name Oracle.unmodelled -> None
+      | None -> Some { what = name; engine = render v; oracle = "<missing>" })
+    (values e)
+
+(* Two engine summaries: every field by name, then the Marshal bytes,
+   which also cover the histogram and the queue series. *)
 let compare_summaries (e : Mac_sim.Metrics.summary) o =
-  match compare_digests (digest e) (digest o) with
+  match compare_fields e (values o) with
   | [] when Marshal.to_string e [] <> Marshal.to_string o [] ->
     [ { what = "summary.bytes"; engine = "<differs>"; oracle = "<differs>" } ]
   | fields -> fields
@@ -218,8 +156,7 @@ let check reference (spec : Scenario.spec) =
       events = max (List.length e_events) (List.length o_events);
       mismatches =
         compare_outcomes
-          (fun t r ->
-            compare_digests (digest t) r @ compare_events e_events o_events)
+          (fun t r -> compare_fields t r @ compare_events e_events o_events)
           e o }
   | Dense ->
     (* Three runs of the spec: dense with a sink and checkpoints (the

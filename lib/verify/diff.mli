@@ -9,11 +9,14 @@
 
     A divergence — any summary field or any event differing — is a drift
     bug in one of the two implementations; the verdict says where they
-    first disagreed. *)
+    first disagreed. Summary fields are compared by name through
+    {!Mac_sim.Metrics.fields}, in table order, for both references:
+    floats bit for bit (rendered with ["%h"]), ints and strings by
+    equality. *)
 
 type mismatch = {
   what : string;
-      (** summary field name, ["event[i]"], ["checkpoint[i]"],
+      (** {!Mac_sim.Metrics.fields} name, ["event[i]"], ["checkpoint[i]"],
           ["summary.bytes"] or ["exception"]; {!Dense} verdicts prefix it
           with the run under test (["sparse."] or ["sparse+sink."]) *)
   engine : string; (** the run under test's value, rendered *)
@@ -43,8 +46,9 @@ val config : Mac_experiments.Scenario.spec -> Mac_sim.Engine.config
 type reference =
   | Oracle
       (** {!Oracle.run}: the dense engine with a recording sink must
-          reproduce its event stream exactly and every {!Oracle.digest}
-          field. *)
+          reproduce its event stream exactly and every field of its
+          digest. A field outside {!Oracle.unmodelled} that the digest
+          leaves out is a mismatch, shown as [oracle=<missing>]. *)
   | Dense
       (** The engine's own [Dense] mode, for sparse-capable algorithms.
           The reference is a dense run with a recording sink and a
@@ -53,8 +57,8 @@ type reference =
           checkpoint cadence, which must match the summary and every
           snapshot's Marshal bytes, and a sparse run with a sink, which
           must match the summary and the full event stream. Summaries
-          match on every digest field and then on their Marshal bytes,
-          which also cover the histogram, [p99_delay] and the queue
+          match on every field, [p99_delay] included, and then on their
+          Marshal bytes, which also cover the histogram and the queue
           series. Verdict ids carry a [" [sparse-certify]"] suffix. An
           algorithm without a sparse hook raises [Invalid_argument] (the
           engine's own check). *)

@@ -2,44 +2,10 @@ open Mac_channel
 
 exception Violation of string
 
-type digest = {
-  rounds : int;
-  drain_rounds : int;
-  injected : int;
-  delivered : int;
-  undelivered : int;
-  max_delay : int;
-  mean_delay : float;
-  max_queued_age : int;
-  max_total_queue : int;
-  final_total_queue : int;
-  max_station_queue : int;
-  energy_cap : int;
-  max_on : int;
-  mean_on : float;
-  station_rounds : int;
-  silent_rounds : int;
-  light_rounds : int;
-  delivery_rounds : int;
-  relay_rounds : int;
-  collision_rounds : int;
-  max_hops : int;
-  control_bits_total : int;
-  control_bits_max : int;
-  cap_exceeded : int;
-  stranded : int;
-  adoption_conflicts : int;
-  spurious_adoptions : int;
-  crashes : int;
-  restarts : int;
-  jammed_rounds : int;
-  noise_rounds : int;
-  lost_to_crash : int;
-  last_fault_round : int;
-  pre_fault_queue : int;
-  post_fault_peak_queue : int;
-  recovery_rounds : int;
-}
+(* Summary fields the oracle does not compute: the labels and shape of
+   the run, which it is handed, and the p99 read-out of the engine's
+   log-bucketed histogram. *)
+let unmodelled = [ "algorithm"; "adversary"; "n"; "k"; "p99_delay" ]
 
 (* One record per packet ever injected into a queue, kept in a plain list
    and found by linear scan — the naive registry. *)
@@ -469,46 +435,48 @@ let run ~algorithm:(module A : Algorithm.S) ~n ~k ~rate ~burst ~pacing ~pattern
           if age > !max_age then max_age := age))
     queues;
   let total_rounds = !normal_rounds + !drain_rounds in
+  let int name v = (name, Mac_sim.Metrics.Int v) in
+  let float name v = (name, Mac_sim.Metrics.Float v) in
   let digest =
-    { rounds = !normal_rounds;
-      drain_rounds = !drain_rounds;
-      injected = !injected;
-      delivered = !delivered;
-      undelivered = !injected - !delivered;
-      max_delay = !max_delay;
-      mean_delay =
+    [ int "rounds" !normal_rounds;
+      int "drain_rounds" !drain_rounds;
+      int "injected" !injected;
+      int "delivered" !delivered;
+      int "undelivered" (!injected - !delivered);
+      int "max_delay" !max_delay;
+      float "mean_delay"
         (if !delivered = 0 then 0.0 else !delay_sum /. float_of_int !delivered);
-      max_queued_age = !max_age;
-      max_total_queue = !max_total_queue;
-      final_total_queue = scan_total ();
-      max_station_queue = !max_station_queue;
-      energy_cap = cap;
-      max_on = !max_on;
-      mean_on =
+      int "max_queued_age" !max_age;
+      int "max_total_queue" !max_total_queue;
+      int "final_total_queue" (scan_total ());
+      int "max_station_queue" !max_station_queue;
+      int "energy_cap" cap;
+      int "max_on" !max_on;
+      float "mean_on"
         (if total_rounds = 0 then 0.0
          else float_of_int !on_total /. float_of_int total_rounds);
-      station_rounds = !on_total;
-      silent_rounds = !silent_rounds;
-      light_rounds = !light_rounds;
-      delivery_rounds = !delivery_rounds;
-      relay_rounds = !relay_rounds;
-      collision_rounds = !collision_rounds;
-      max_hops = !max_hops;
-      control_bits_total = !control_bits_total;
-      control_bits_max = !control_bits_max;
-      cap_exceeded = !cap_exceeded;
-      stranded = !stranded;
-      adoption_conflicts = !adoption_conflicts;
-      spurious_adoptions = !spurious_adoptions;
-      crashes = !crashes;
-      restarts = !restarts;
-      jammed_rounds = !jammed_rounds;
-      noise_rounds = !noise_rounds;
-      lost_to_crash = !lost;
-      last_fault_round = !last_fault_round;
-      pre_fault_queue = (if !first_fault_round < 0 then 0 else !pre_fault_queue);
-      post_fault_peak_queue = !post_fault_peak;
-      recovery_rounds =
+      int "station_rounds" !on_total;
+      int "silent_rounds" !silent_rounds;
+      int "light_rounds" !light_rounds;
+      int "delivery_rounds" !delivery_rounds;
+      int "relay_rounds" !relay_rounds;
+      int "collision_rounds" !collision_rounds;
+      int "max_hops" !max_hops;
+      int "control_bits_total" !control_bits_total;
+      int "control_bits_max" !control_bits_max;
+      int "cap_exceeded" !cap_exceeded;
+      int "stranded" !stranded;
+      int "adoption_conflicts" !adoption_conflicts;
+      int "spurious_adoptions" !spurious_adoptions;
+      int "crashes" !crashes;
+      int "restarts" !restarts;
+      int "jammed_rounds" !jammed_rounds;
+      int "noise_rounds" !noise_rounds;
+      int "lost_to_crash" !lost;
+      int "last_fault_round" !last_fault_round;
+      int "pre_fault_queue" (if !first_fault_round < 0 then 0 else !pre_fault_queue);
+      int "post_fault_peak_queue" !post_fault_peak;
+      int "recovery_rounds"
         (let final_total = scan_total () in
          if !last_fault_round >= 0 && final_total <= !pre_fault_queue then
            let back =
@@ -516,6 +484,6 @@ let run ~algorithm:(module A : Algorithm.S) ~n ~k ~rate ~burst ~pacing ~pattern
              else !last_fault_round
            in
            back - !last_fault_round
-         else -1) }
+         else -1) ]
   in
   (digest, List.rev !events_rev)

@@ -22,49 +22,11 @@ exception Violation of string
     a differential driver can match "both implementations rejected this
     run for the same reason". *)
 
-(** The oracle's independently computed run statistics: the comparable
-    subset of [Mac_sim.Metrics.summary] (everything except the
-    log-bucketed histogram, its p99 read-out, and the sampled queue
-    series, which are engine implementation details tested on their
-    own). Field meanings match the summary field of the same name. *)
-type digest = {
-  rounds : int;
-  drain_rounds : int;
-  injected : int;
-  delivered : int;
-  undelivered : int;
-  max_delay : int;
-  mean_delay : float;
-  max_queued_age : int;
-  max_total_queue : int;
-  final_total_queue : int;
-  max_station_queue : int;
-  energy_cap : int;
-  max_on : int;
-  mean_on : float;
-  station_rounds : int;
-  silent_rounds : int;
-  light_rounds : int;
-  delivery_rounds : int;
-  relay_rounds : int;
-  collision_rounds : int;
-  max_hops : int;
-  control_bits_total : int;
-  control_bits_max : int;
-  cap_exceeded : int;
-  stranded : int;
-  adoption_conflicts : int;
-  spurious_adoptions : int;
-  crashes : int;
-  restarts : int;
-  jammed_rounds : int;
-  noise_rounds : int;
-  lost_to_crash : int;
-  last_fault_round : int;
-  pre_fault_queue : int;
-  post_fault_peak_queue : int;
-  recovery_rounds : int;
-}
+val unmodelled : string list
+(** The {!Mac_sim.Metrics.fields} the oracle does not compute: the run's
+    labels ([algorithm], [adversary]) and shape ([n], [k]), which it is
+    handed, and [p99_delay], a read-out of the engine's log-bucketed
+    histogram. *)
 
 val run :
   algorithm:Mac_channel.Algorithm.t ->
@@ -79,10 +41,14 @@ val run :
   ?strict:bool ->
   ?faults:Mac_faults.Fault_plan.t ->
   unit ->
-  digest * (int * Mac_channel.Event.t) list
-(** Simulate the run and return the digest plus the complete event
+  (string * Mac_sim.Metrics.value) list * (int * Mac_channel.Event.t) list
+(** Simulate the run and return its digest plus the complete event
     stream ((round, event) pairs, in emission order) — the stream an
-    engine run with a recording sink must reproduce verbatim. [strict]
+    engine run with a recording sink must reproduce verbatim. The digest
+    is the oracle's independently computed statistics as [(name, value)]
+    pairs, one per {!Mac_sim.Metrics.fields} entry outside {!unmodelled},
+    each meaning what the summary field of that name means; the oracle
+    borrows the value type and none of the engine's code. [strict]
     defaults to [false]: protocol violations are counted, not raised
     (matching the configuration {!Diff} runs the engine with); hard
     model breaches (a transmitted packet not in the queue, duplicate

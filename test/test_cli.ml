@@ -163,6 +163,26 @@ let test_bad_run_spec_exits_2 () =
           "4611686018427387902/4611686018427387901"; "--rounds"; "10" ],
         "burst" ) ]
 
+(* Flag values that would make a command vacuous, crash it or spin it
+   are refused before anything runs, with one stderr line naming the
+   flag: a negative verify count, a rounds cap that runs no rounds, a
+   refresh period that redraws in a busy loop (hence the deadline). *)
+let test_bad_flag_exits_2 () =
+  List.iter
+    (fun (args, message) ->
+      let code, err = run_cli_within ~seconds:10.0 args in
+      let what = String.concat " " args in
+      Alcotest.(check int) (what ^ " exit code") 2 code;
+      Alcotest.(check string) (what ^ " stderr") (message ^ "\n") err)
+    [ ([ "verify"; "--count=-1" ], "--count must be >= 0 (got -1)");
+      ([ "verify"; "--sparse"; "--count=-1" ], "--count must be >= 0 (got -1)");
+      ( [ "verify"; "--table1"; "--quick"; "--rounds-cap=-5" ],
+        "--rounds-cap must be >= 1 (got -5)" );
+      ( [ "verify"; "--table1"; "--quick"; "--rounds-cap"; "0" ],
+        "--rounds-cap must be >= 1 (got 0)" );
+      ([ "top"; "--watch"; "0"; "." ], "--watch must be > 0 (got 0)");
+      ([ "top"; "--watch=-1"; "." ], "--watch must be > 0 (got -1)") ]
+
 (* --progress must leave stdout byte-identical (stderr is its only
    channel), so piping the summary stays safe with a progress line on. *)
 let progress_base_args =
@@ -451,6 +471,8 @@ let test_verify_counts_pinned () =
         "40 configuration(s), 155416 event(s) compared, 0 divergence(s)" );
       ( [ "--table1"; "--quick"; "--rounds-cap"; "2000"; "--jobs"; "2" ],
         "26 configuration(s), 297254 event(s) compared, 0 divergence(s)" );
+      ( [ "--count"; "0" ],
+        "0 configuration(s), 0 event(s) compared, 0 divergence(s)" );
       ( [ "--sparse"; "--count"; "20"; "--seed"; "0"; "--jobs"; "1" ],
         "20 sparse certification(s), 0 divergence(s)" );
       ( [ "--sparse"; "--table1"; "--quick"; "--jobs"; "2" ],
@@ -656,6 +678,8 @@ let () =
       ("run spec errors",
        [ Alcotest.test_case "bad spec exits 2" `Quick
            test_bad_run_spec_exits_2 ]);
+      ("flag errors",
+       [ Alcotest.test_case "bad value exits 2" `Quick test_bad_flag_exits_2 ]);
       ("telemetry",
        [ Alcotest.test_case "progress keeps stdout pure" `Quick
            test_progress_keeps_stdout_pure;

@@ -391,7 +391,7 @@ let test_tee_and_close () =
   check_int "b saw both" 2 !seen_b;
   Alcotest.(check (list string)) "both closed, in order" [ "b"; "a" ] !closed
 
-(* ---- replay: recorded JSONL -> counting sink = live metrics ---- *)
+(* ---- replay: recorded JSONL -> metrics collector = live summary ---- *)
 
 let record_run ~algorithm ~n ~k ~rate ~seed ~rounds ~drain =
   let path = Filename.temp_file "eear_replay" ".jsonl" in
@@ -424,44 +424,36 @@ let record_run ~algorithm ~n ~k ~rate ~seed ~rounds ~drain =
   Sys.remove path;
   (summary, List.rev !events)
 
-let test_counting_replay_matches_summary () =
-  let summary, events =
-    record_run ~algorithm:(module Mac_routing.Count_hop) ~n:6 ~k:2 ~rate:0.7
-      ~seed:23 ~rounds:2_000 ~drain:1_000
-  in
-  let sink, read = Mac_sim.Sink.counting () in
-  List.iter (fun (round, ev) -> sink.Mac_sim.Sink.emit ~round ev) events;
-  let c = read () in
-  check_int "injected" summary.injected c.injected;
-  check_int "delivered" summary.delivered c.delivered;
-  check_int "collisions" summary.collision_rounds c.collisions;
-  check_int "relays" summary.relay_rounds c.relays;
-  check_int "silences" summary.silent_rounds c.silences;
-  check_int "lights" summary.light_rounds c.lights;
-  check_int "station_rounds" summary.station_rounds c.station_rounds;
-  check_int "rounds" summary.rounds c.rounds;
-  check_int "drain_rounds" summary.drain_rounds c.drain_rounds;
-  check_bool "the run moved packets" true (c.delivered > 0)
-
+(* Each recording, replayed through a fresh collector, reconstructs its
+   whole summary: an Orchestra run and a relaying Count-Hop run. *)
 let test_metrics_replay_reconstructs_summary () =
   let rounds = 2_000 and drain = 1_000 in
-  let summary, events =
-    record_run ~algorithm:(module Mac_routing.Orchestra) ~n:6 ~k:3 ~rate:0.9
-      ~seed:31 ~rounds ~drain
-  in
-  let replay =
-    Mac_sim.Metrics.create ~algorithm:summary.algorithm
-      ~adversary:summary.adversary ~n:summary.n ~k:summary.k
-      ~cap:summary.energy_cap
-      ~sample_every:(max 1 ((rounds + drain) / 1024))
-  in
-  List.iter (fun (round, ev) -> Mac_sim.Metrics.observe replay ~round ev) events;
-  let rebuilt =
-    Mac_sim.Metrics.finalize replay
-      ~final_round:(summary.rounds + summary.drain_rounds)
-      ~max_queued_age:summary.max_queued_age
-  in
-  check_bool "whole summary reconstructed" true (rebuilt = summary)
+  List.iter
+    (fun (label, (summary, events)) ->
+      check_bool (label ^ ": the run moved packets") true
+        (summary.Mac_sim.Metrics.delivered > 0);
+      let replay =
+        Mac_sim.Metrics.create ~algorithm:summary.algorithm
+          ~adversary:summary.adversary ~n:summary.n ~k:summary.k
+          ~cap:summary.energy_cap
+          ~sample_every:(max 1 ((rounds + drain) / 1024))
+      in
+      List.iter
+        (fun (round, ev) -> Mac_sim.Metrics.observe replay ~round ev)
+        events;
+      let rebuilt =
+        Mac_sim.Metrics.finalize replay
+          ~final_round:(summary.rounds + summary.drain_rounds)
+          ~max_queued_age:summary.max_queued_age
+      in
+      check_bool (label ^ ": whole summary reconstructed") true
+        (rebuilt = summary))
+    [ ( "orchestra",
+        record_run ~algorithm:(module Mac_routing.Orchestra) ~n:6 ~k:3
+          ~rate:0.9 ~seed:31 ~rounds ~drain );
+      ( "count-hop",
+        record_run ~algorithm:(module Mac_routing.Count_hop) ~n:6 ~k:2
+          ~rate:0.7 ~seed:23 ~rounds ~drain ) ]
 
 (* ---- per-station ledgers ---- *)
 
@@ -740,9 +732,7 @@ let () =
       ("sinks",
        [ Alcotest.test_case "tee and close" `Quick test_tee_and_close ]);
       ("replay",
-       [ Alcotest.test_case "counting sink matches summary" `Quick
-           test_counting_replay_matches_summary;
-         Alcotest.test_case "metrics replay reconstructs summary" `Quick
+       [ Alcotest.test_case "metrics replay reconstructs summary" `Quick
            test_metrics_replay_reconstructs_summary;
          Alcotest.test_case "observation transparent" `Quick
            test_observation_is_transparent;

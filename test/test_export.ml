@@ -112,6 +112,107 @@ let test_json_histogram_field () =
   let total = Array.fold_left (fun acc (_, _, c) -> acc + c) 0 s.delay_histogram in
   check_int "histogram covers every delivery" s.delivered total
 
+(* ---- pinned bytes ---- *)
+
+(* Every exported field differs from the fields around it, so a swapped,
+   dropped or reordered column changes the bytes. The names carry a
+   comma, quotes, a backslash and a newline; the floats are non-finite;
+   the fault sentinels read -1; the histogram is non-empty. *)
+let crafted : Mac_sim.Metrics.summary =
+  { algorithm = "k-cycle \"fast\", v2"; adversary = "flood\\x\nrho=1/2"; n = 7;
+    k = 3; rounds = 1000; drain_rounds = 250; injected = 501; delivered = 480;
+    undelivered = 21; max_delay = 77; mean_delay = Float.nan; p99_delay = 64;
+    delay_histogram = [| (0, 0, 5); (1, 1, 7); (64, 67, 2) |];
+    max_queued_age = 33; max_total_queue = 19; final_total_queue = 8;
+    max_station_queue = 6; queue_series = [| (0, 0); (1249, 8) |];
+    energy_cap = 5; max_on = 2; mean_on = Float.infinity;
+    station_rounds = 2400; silent_rounds = 310; light_rounds = 45;
+    delivery_rounds = 470; relay_rounds = 12; collision_rounds = 93;
+    max_hops = 4; control_bits_total = 9001; control_bits_max = 17;
+    violations =
+      { cap_exceeded = 11; stranded = 12; adoption_conflicts = 13;
+        spurious_adoptions = 14 };
+    faults =
+      { crashes = 21; restarts = 22; jammed_rounds = 23; noise_rounds = 24;
+        lost_to_crash = 25; last_fault_round = -1; pre_fault_queue = 26;
+        post_fault_peak_queue = 27; recovery_rounds = -1 } }
+
+let header =
+  {|algorithm,adversary,n,k,rounds,drain_rounds,injected,delivered,|}
+  ^ {|undelivered,max_delay,mean_delay,p99_delay,max_queued_age,|}
+  ^ {|max_total_queue,final_total_queue,max_station_queue,energy_cap,|}
+  ^ {|max_on,mean_on,station_rounds,silent_rounds,light_rounds,|}
+  ^ {|delivery_rounds,relay_rounds,collision_rounds,max_hops,|}
+  ^ {|control_bits_total,control_bits_max,cap_exceeded,stranded,|}
+  ^ {|adoption_conflicts,spurious_adoptions,crashes,restarts,|}
+  ^ {|jammed_rounds,noise_rounds,lost_to_crash,last_fault_round,|}
+  ^ {|pre_fault_queue,post_fault_peak_queue,recovery_rounds|}
+
+let run_row =
+  {|rrw,uniform-test,4,4,2000,0,1002,1000,2,8,3.605,7,3,4,2,4,4,4,4,|}
+  ^ {|8000,1000,0,1000,0,0,1,0,0,0,0,0,0,0,0,0,0,0,-1,0,0,-1|}
+
+let crafted_row =
+  "\"k-cycle \"\"fast\"\", v2\",\"flood\\x\nrho=1/2\","
+  ^ {|7,3,1000,250,501,480,21,77,-,64,33,19,8,6,5,2,-,2400,310,45,470,|}
+  ^ {|12,93,4,9001,17,11,12,13,14,21,22,23,24,25,-1,26,27,-1|}
+
+let run_json =
+  {|{"algorithm": "rrw", "adversary": "uniform-test", "n": 4, |}
+  ^ {|"k": 4, "rounds": 2000, "drain_rounds": 0, "injected": 1002, |}
+  ^ {|"delivered": 1000, "undelivered": 2, "max_delay": 8, |}
+  ^ {|"mean_delay": 3.605, "p99_delay": 7, "max_queued_age": 3, |}
+  ^ {|"max_total_queue": 4, "final_total_queue": 2, |}
+  ^ {|"max_station_queue": 4, "energy_cap": 4, "max_on": 4, |}
+  ^ {|"mean_on": 4, "station_rounds": 8000, "silent_rounds": 1000, |}
+  ^ {|"light_rounds": 0, "delivery_rounds": 1000, "relay_rounds": 0, |}
+  ^ {|"collision_rounds": 0, "max_hops": 1, "control_bits_total": 0, |}
+  ^ {|"control_bits_max": 0, "delay_histogram": [[0, 0, 45], [1, 1, |}
+  ^ {|130], [2, 2, 124], [3, 3, 163], [4, 4, 196], [5, 5, 160], [6, |}
+  ^ {|6, 129], [7, 7, 44], [8, 8, 9]], |}
+  ^ {|"violations": {"cap_exceeded": 0, "stranded": 0, |}
+  ^ {|"adoption_conflicts": 0, "spurious_adoptions": 0}, |}
+  ^ {|"faults": {"crashes": 0, "restarts": 0, "jammed_rounds": 0, |}
+  ^ {|"noise_rounds": 0, "lost_to_crash": 0, "last_fault_round": -1, |}
+  ^ {|"pre_fault_queue": 0, "post_fault_peak_queue": 0, |}
+  ^ {|"recovery_rounds": -1}}|}
+
+let crafted_json =
+  {|{"algorithm": "k-cycle \"fast\", v2", |}
+  ^ {|"adversary": "flood\\x\nrho=1/2", "n": 7, "k": 3, |}
+  ^ {|"rounds": 1000, "drain_rounds": 250, "injected": 501, |}
+  ^ {|"delivered": 480, "undelivered": 21, "max_delay": 77, |}
+  ^ {|"mean_delay": null, "p99_delay": 64, "max_queued_age": 33, |}
+  ^ {|"max_total_queue": 19, "final_total_queue": 8, |}
+  ^ {|"max_station_queue": 6, "energy_cap": 5, "max_on": 2, |}
+  ^ {|"mean_on": null, "station_rounds": 2400, "silent_rounds": 310, |}
+  ^ {|"light_rounds": 45, "delivery_rounds": 470, "relay_rounds": 12, |}
+  ^ {|"collision_rounds": 93, "max_hops": 4, |}
+  ^ {|"control_bits_total": 9001, "control_bits_max": 17, |}
+  ^ {|"delay_histogram": [[0, 0, 5], [1, 1, 7], [64, 67, 2]], |}
+  ^ {|"violations": {"cap_exceeded": 11, "stranded": 12, |}
+  ^ {|"adoption_conflicts": 13, "spurious_adoptions": 14}, |}
+  ^ {|"faults": {"crashes": 21, "restarts": 22, "jammed_rounds": 23, |}
+  ^ {|"noise_rounds": 24, "lost_to_crash": 25, |}
+  ^ {|"last_fault_round": -1, "pre_fault_queue": 26, |}
+  ^ {|"post_fault_peak_queue": 27, "recovery_rounds": -1}}|}
+
+let test_csv_bytes_pinned () =
+  let s = sample_summary () in
+  Alcotest.(check string) "fixed run row" run_row
+    (Mac_sim.Export.summary_csv_row s);
+  Alcotest.(check string) "crafted row" crafted_row
+    (Mac_sim.Export.summary_csv_row crafted);
+  Alcotest.(check string) "header and rows"
+    (String.concat "\n" [ header; crafted_row; run_row; "" ])
+    (Mac_sim.Export.summaries_csv [ crafted; s ])
+
+let test_json_bytes_pinned () =
+  Alcotest.(check string) "fixed run" run_json
+    (Mac_sim.Export.summary_json (sample_summary ()));
+  Alcotest.(check string) "crafted" crafted_json
+    (Mac_sim.Export.summary_json crafted)
+
 let test_jsonl_lines_valid () =
   let path = Filename.temp_file "eear_events" ".jsonl" in
   let sink = Mac_sim.Sink.jsonl_file path in
@@ -262,9 +363,11 @@ let () =
     [ ("csv",
        [ Alcotest.test_case "shape" `Quick test_csv_shape;
          Alcotest.test_case "quoting" `Quick test_csv_quoting;
-         Alcotest.test_case "series" `Quick test_series_csv ]);
+         Alcotest.test_case "series" `Quick test_series_csv;
+         Alcotest.test_case "bytes pinned" `Quick test_csv_bytes_pinned ]);
       ("json",
        [ Alcotest.test_case "shape" `Quick test_json_parses_shape;
+         Alcotest.test_case "bytes pinned" `Quick test_json_bytes_pinned;
          Alcotest.test_case "escaping" `Quick test_json_escaping;
          Alcotest.test_case "histogram field" `Quick test_json_histogram_field;
          Alcotest.test_case "non-finite floats" `Quick test_non_finite_floats;

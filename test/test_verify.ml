@@ -38,6 +38,49 @@ let test_events_nonempty () =
   let v = Diff.check Diff.Oracle (Diff.random ~seed:1) in
   Alcotest.(check bool) "compared a real stream" true (v.Diff.events > 100)
 
+(* A pattern maker that hands every run a new seed: the engine runs first
+   and draws seed 1, the oracle seed 2. The traffic differs, so the
+   verdict must name the summary fields that differ, with the engine's
+   value under [engine] and the oracle's under [oracle] — not only the
+   first event where the streams part. *)
+let test_oracle_fields_compared () =
+  let n = 5 in
+  let spec pattern =
+    Mac_experiments.Scenario.spec_q ~id:"two seeds"
+      ~algorithm:(module Mac_routing.Orchestra) ~n ~k:3
+      ~rate:(Mac_channel.Qrat.make 3 4) ~burst:(Mac_channel.Qrat.of_int 2)
+      ~pattern ~rounds:400 ()
+  in
+  let uniform seed () = Mac_adversary.Pattern.uniform ~n ~seed in
+  let draws = ref 0 in
+  let v =
+    Diff.check Diff.Oracle
+      (spec (fun () ->
+           incr draws;
+           uniform !draws ()))
+  in
+  let engine =
+    let s = spec (uniform 1) in
+    Mac_experiments.Scenario.simulate ~config:(Diff.config s) s
+  in
+  let oracle, _ =
+    let s = spec (uniform 2) in
+    Oracle.run ~algorithm:s.algorithm ~n ~k:s.k ~rate:s.rate ~burst:s.burst
+      ~pacing:s.pacing ~pattern:(s.pattern ()) ~rounds:s.rounds ~drain:s.drain
+      ()
+  in
+  match
+    List.find_opt (fun (m : Diff.mismatch) -> m.what = "max_delay") v.mismatches
+  with
+  | None -> Alcotest.failf "max_delay not named:@.%a" Diff.pp_verdict v
+  | Some m ->
+    Alcotest.(check string) "engine side" (string_of_int engine.max_delay)
+      m.engine;
+    (match List.assoc "max_delay" oracle with
+     | Mac_sim.Metrics.Int d ->
+       Alcotest.(check string) "oracle side" (string_of_int d) m.oracle
+     | _ -> Alcotest.fail "max_delay is not an int")
+
 let test_jobs_invariance () = check_jobs_invariance Diff.Oracle Diff.random
 
 let qcheck_random_seeds =
@@ -102,7 +145,7 @@ let test_lying_hook_caught () =
   in
   let v = Diff.check Diff.Dense spec in
   Alcotest.(check bool) "disagrees" false (Diff.agrees v);
-  (* a digest field, named with its run; the run under test is [engine]
+  (* a summary field, named with its run; the run under test is [engine]
      and the dense reference [oracle] *)
   let dense =
     Mac_experiments.Scenario.simulate ~config:(Diff.config spec) spec
@@ -154,7 +197,7 @@ let test_lying_fast_forward_caught () =
   in
   let v = Diff.check Diff.Dense spec in
   Alcotest.(check bool) "disagrees" false (Diff.agrees v);
-  (* the skipping run is caught on a digest field, with the dense
+  (* the skipping run is caught on a summary field, with the dense
      reference under [oracle], and on the snapshot the lagging ring is
      written into *)
   let named what =
@@ -182,6 +225,8 @@ let () =
     [ ("differential",
        [ Alcotest.test_case "seeds 0..219" `Slow test_deterministic_sweep;
          Alcotest.test_case "streams are real" `Quick test_events_nonempty;
+         Alcotest.test_case "summary fields compared" `Quick
+           test_oracle_fields_compared;
          Alcotest.test_case "jobs invariance" `Quick test_jobs_invariance;
          QCheck_alcotest.to_alcotest qcheck_random_seeds ]);
       ("sparse",
