@@ -199,6 +199,8 @@ let run_cmd (spec : Registry.spec) paced inject series trace_n events stations
     csv json checkpoint checkpoint_every resume telemetry_file telemetry_jsonl
     telemetry_every progress engine =
   at_least ~min:1 "--telemetry-every" telemetry_every;
+  at_least ~min:0 "--trace" trace_n;
+  at_least ~min:0 "--checkpoint-every" checkpoint_every;
   (match (checkpoint, checkpoint_every) with
    | Some _, e when e <= 0 ->
      Printf.eprintf "--checkpoint requires --checkpoint-every N with N >= 1\n";
@@ -617,6 +619,7 @@ let fleet_of ~telemetry_dir ~telemetry_every =
 let batch_start b =
   let scale = if b.quick then `Quick else `Full in
   let jobs = check_jobs b.jobs in
+  at_least ~min:0 "--trace" b.trace_n;
   let policy =
     policy_of ~retries:b.retries ~job_timeout:b.job_timeout
       ~keep_going:b.keep_going
@@ -628,11 +631,12 @@ let batch_start b =
   install_drain_handlers ();
   (scale, jobs, policy, observe, telemetry)
 
-(* The dispatch shared by table1 and matrix: every Table-1-shaped row is
-   one [Table1.sweep], and every cell prints one line — [on_row] renders
-   finished and resumed cells, failed and drained ones print as
-   FAILED/SKIPPED in a [width]-wide column. [stage] runs after the rows
-   (the matrix thresholds) and returns extra JSON rows. *)
+(* The dispatch shared by table1 and matrix: the selected Table-1-shaped
+   rows run as one [Table1.sweep], then every cell prints one line under
+   its row — [on_row] renders finished and resumed cells, failed and
+   drained ones print as FAILED/SKIPPED in a [width]-wide column. [stage]
+   runs after the rows (the matrix thresholds) and returns extra JSON
+   rows. *)
 let sweep_cmd ~width ~on_row ~stage ~json ~resume_dir ~inject batch rows =
   check_output_file json;
   let scale, jobs, policy, observe, telemetry = batch_start batch in
@@ -656,7 +660,7 @@ let sweep_cmd ~width ~on_row ~stage ~json ~resume_dir ~inject batch rows =
         (Mac_sim.Supervisor.error_to_string err)
   in
   List.iter
-    (fun (e : Mac_experiments.Table1.t) ->
+    (fun ((e : Mac_experiments.Table1.t), outcomes) ->
       Printf.printf "--- %s ---\n%s\n" e.id e.claim;
       List.iter
         (fun (cid, outcome) ->
@@ -668,9 +672,9 @@ let sweep_cmd ~width ~on_row ~stage ~json ~resume_dir ~inject batch rows =
                 :: !json_rows;
             on_row r
           | Error err -> failed cid err)
-        (Mac_experiments.Table1.sweep ?observe ?telemetry ~jobs ~policy
-           ~on_event:print_supervisor_event ?inject ?resume_dir ~scale e ()))
-    rows;
+        outcomes)
+    (Mac_experiments.Table1.sweep ?observe ?telemetry ~jobs ~policy
+       ~on_event:print_supervisor_event ?inject ?resume_dir ~scale rows);
   json_rows := List.rev_append (stage ~scale ~jobs ~policy ~failed) !json_rows;
   Option.iter
     (fun path ->
@@ -779,22 +783,21 @@ let matrix_cmd batch json csv resume_dir inject thresholds only =
   sweep_cmd ~width:44 ~on_row ~stage ~json ~resume_dir ~inject batch
     [ Mac_experiments.Matrix.row_for ~only ]
 
-(* The figures in order on one batch start; [headed] prints each
-   figure's id and title above its table and a blank line below it. *)
+(* The figures as one sweep, then their tables in order; [headed] prints
+   each figure's id and title above its table and a blank line below
+   it. *)
 let run_figures ~headed batch figures =
   let scale, jobs, policy, observe, telemetry = batch_start batch in
   let failures =
     List.concat_map
-      (fun (f : Mac_experiments.Figures.t) ->
+      (fun ((f : Mac_experiments.Figures.t),
+            (s : Mac_experiments.Figures.supervised)) ->
         if headed then Printf.printf "--- %s ---\n%s\n" f.id f.title;
-        let (s : Mac_experiments.Figures.supervised) =
-          f.run ?observe ?telemetry ~jobs ~policy
-            ~on_event:print_supervisor_event ~scale ()
-        in
         Mac_sim.Report.print s.report;
         if headed then print_newline ();
         s.failures)
-      figures
+      (Mac_experiments.Figures.run ?observe ?telemetry ~jobs ~policy
+         ~on_event:print_supervisor_event ~scale figures)
   in
   finish_supervised batch failures;
   `Ok ()
@@ -921,6 +924,8 @@ let read_events path =
       List.rev !events)
 
 let inspect_cmd file spec last width =
+  at_least ~min:1 "--last" last;
+  at_least ~min:1 "--width" width;
   (match file with
    | Some path ->
      let events = read_events path in

@@ -28,17 +28,13 @@ end) : Algorithm.S = struct
       (* The initial holder snapshots at its first turn. *)
       need_snapshot = (me = 0) }
 
-  let refill s ~queue =
-    Hashtbl.reset s.eligible;
-    Pqueue.iter queue ~f:(fun p -> Hashtbl.replace s.eligible p.Packet.id ())
-
   let on_duty _ ~round:_ ~queue:_ = true
 
   let act s ~round:_ ~queue =
     if Token_ring.holder s.ring <> s.me then Action.Listen
     else begin
       if s.need_snapshot then begin
-        refill s ~queue;
+        Pqueue.snapshot_ids queue s.eligible;
         s.need_snapshot <- false
       end;
       match Pqueue.oldest_such queue (fun p -> Hashtbl.mem s.eligible p.Packet.id) with
@@ -55,7 +51,8 @@ end) : Algorithm.S = struct
        Token_ring.note_silence s.ring;
        (match P.snapshot_policy with
         | `On_phase ->
-          if Token_ring.phase s.ring <> phase_before then refill s ~queue
+          if Token_ring.phase s.ring <> phase_before then
+            Pqueue.snapshot_ids queue s.eligible
         | `On_token ->
           (* Re-arm when the token (re)arrives: either it just moved here
              from another station, or the ring wrapped a full phase while

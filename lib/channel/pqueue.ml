@@ -144,6 +144,10 @@ let rec iter_from ring f node =
 
 let iter t ~f = iter_from t.ring f t.ring.next
 
+let snapshot_ids t ids =
+  Hashtbl.reset ids;
+  iter t ~f:(fun p -> Hashtbl.replace ids p.Packet.id ())
+
 let iter_suffix t pred ~f =
   iter_from t.ring f (run_start t.ring pred t.ring.prev)
 

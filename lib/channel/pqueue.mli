@@ -78,6 +78,11 @@ val fold : t -> init:'a -> f:('a -> Packet.t -> 'a) -> 'a
 val iter : t -> f:(Packet.t -> unit) -> unit
 (** Iterates in arrival order. *)
 
+val snapshot_ids : t -> (int, unit) Hashtbl.t -> unit
+(** [snapshot_ids q ids] resets [ids] to hold exactly the ids of the
+    packets queued in [q] now: the old-packet set an algorithm fixes at
+    the start of a phase or window. *)
+
 val iter_suffix : t -> (Packet.t -> bool) -> f:(Packet.t -> unit) -> unit
 (** [iter_suffix q pred ~f] walks back from the newest packet while [pred]
     holds, then iterates [f] oldest-first over that run: the maximal

@@ -74,9 +74,8 @@ let open_window s ~round ~l ~queue =
   s.l_g <- g;
   s.l_m <- m;
   s.l_a <- a;
-  Hashtbl.reset s.old;
+  Pqueue.snapshot_ids queue s.old;
   Hashtbl.reset s.adopted;
-  Pqueue.iter queue ~f:(fun p -> Hashtbl.replace s.old p.Packet.id ());
   let size = Pqueue.size queue in
   s.my_small <- size < small_threshold s;
   s.my_over <- size > l;

@@ -53,10 +53,6 @@ let sub_length s = function
   | Offsets -> s.n - 1
   | Delivery -> s.total
 
-let snapshot s ~queue =
-  Hashtbl.reset s.old;
-  Pqueue.iter queue ~f:(fun p -> Hashtbl.replace s.old p.Packet.id ())
-
 let is_old s (p : Packet.t) = Hashtbl.mem s.old p.id
 
 let is_old_for s v (p : Packet.t) = p.dst = v && is_old s p
@@ -80,7 +76,7 @@ let rec advance s ~round ~queue =
   if round = s.sub_start + sub_length s s.sub then begin
     (match s.sub with
      | Idle ->
-       snapshot s ~queue;
+       Pqueue.snapshot_ids queue s.old;
        s.stage <- 0;
        s.sub <- Counts;
        enter_stage s ~queue
@@ -89,7 +85,7 @@ let rec advance s ~round ~queue =
      | Delivery ->
        if s.stage = s.n - 1 then begin
          (* Phase over: everything now queued becomes old. *)
-         snapshot s ~queue;
+         Pqueue.snapshot_ids queue s.old;
          s.stage <- 0
        end
        else s.stage <- s.stage + 1;

@@ -30,10 +30,8 @@ let rec find_pair s index i =
 let note_silences ps ~queue c =
   let phase_before = Token_ring.phase ps.ring in
   Token_ring.note_silences ps.ring c;
-  if Token_ring.phase ps.ring <> phase_before then begin
-    Hashtbl.reset ps.old;
-    Pqueue.iter queue ~f:(fun p -> Hashtbl.replace ps.old p.Packet.id ())
-  end
+  if Token_ring.phase ps.ring <> phase_before then
+    Pqueue.snapshot_ids queue ps.old
 
 (* Whether the queue holds a packet for a member of a pair: a count per
    member (none is addressed to the queue's own station). *)

@@ -54,10 +54,8 @@ let eligible s g (p : Packet.t) = routable s g p && Hashtbl.mem g.old p.id
 let note_silences g ~queue c =
   let phase_before = Token_ring.phase g.ring in
   Token_ring.note_silences g.ring c;
-  if Token_ring.phase g.ring <> phase_before then begin
-    Hashtbl.reset g.old;
-    Pqueue.iter queue ~f:(fun p -> Hashtbl.replace g.old p.Packet.id ())
-  end
+  if Token_ring.phase g.ring <> phase_before then
+    Pqueue.snapshot_ids queue g.old
 
 (* The earliest round [>= round], or [best] if none is earlier, at which
    [me] transmits in one of its groups [s.mine.(i..)], if every round

@@ -1,6 +1,17 @@
 open Mac_adversary
 open Mac_channel
 
+type point =
+  | Run of Scenario.spec * (Scenario.outcome -> string list)
+  | Bisect of Sweep.bracket * (Sweep.frontier -> string list)
+
+type t = {
+  id : string;
+  title : string;
+  header : string list;
+  points : scale:[ `Quick | `Full ] -> point list;
+}
+
 (* Result of a supervised figure run: the rendered table (successful
    points only), the successful outcomes in declaration order, and the
    per-point failures (label, error) that a [--keep-going] run reports
@@ -9,20 +20,6 @@ type supervised = {
   report : Mac_sim.Report.t;
   outcomes : Scenario.outcome list;
   failures : (string * Mac_sim.Supervisor.error) list;
-}
-
-type t = {
-  id : string;
-  title : string;
-  run :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    ?policy:Mac_sim.Supervisor.policy ->
-    ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    supervised;
 }
 
 let fmt = Mac_sim.Report.fmt_float
@@ -34,37 +31,40 @@ let q = Qrat.of_float
 
 let fmt_q r = fmt (Qrat.to_float r)
 
-let failures results =
-  List.filter_map
-    (function lbl, Error e -> Some (lbl, e) | _, Ok _ -> None)
-    results
-
-(* Each figure declares its plot points as (spec, row-of-outcome) pairs;
-   the specs fan out over the supervisor, and the table keeps its
-   declaration order whatever the parallel completion order was. *)
-let figure ~id ~title ~header points =
-  let run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
-    let results =
-      Scenario.sweep ?jobs ?policy ?on_event
-        ~label:(fun ((spec : Scenario.spec), _) -> spec.id)
-        (points ~scale)
-        (fun (spec, row) ~heartbeat ->
-          let o = Scenario.run ?observe ?telemetry ~heartbeat spec in
-          (row o, o))
-    in
-    let report = Mac_sim.Report.create ~header in
-    let outcomes =
-      List.filter_map
-        (function
-          | _, Ok (r, o) ->
-            Mac_sim.Report.add_row report r;
-            Some o
-          | _, Error _ -> None)
-        results
-    in
-    { report; outcomes; failures = failures results }
-  in
-  { id; title; run }
+(* Every point of every selected figure is one job of one sweep, so no
+   figure is a barrier for the next; each table keeps its declaration
+   order whatever the parallel completion order was. *)
+let run ?observe ?telemetry ?jobs ?policy ?on_event ~scale figures =
+  List.map
+    (fun (f, results) ->
+      let report = Mac_sim.Report.create ~header:f.header in
+      let outcomes =
+        List.filter_map
+          (function
+            | _, Ok (row, o) ->
+              Mac_sim.Report.add_row report row;
+              o
+            | _, Error _ -> None)
+          results
+      in
+      let failures =
+        List.filter_map
+          (function lbl, Error e -> Some (lbl, e) | _, Ok _ -> None)
+          results
+      in
+      (f, { report; outcomes; failures }))
+    (Scenario.sweep ?jobs ?policy ?on_event
+       ~label:(function
+         | Run ((spec : Scenario.spec), _) -> spec.id
+         | Bisect ((b : Sweep.bracket), _) -> b.label)
+       (List.map (fun f -> (f, f.points ~scale)) figures)
+       (fun _ p ~heartbeat ->
+         match p with
+         | Run (spec, row) ->
+           let o = Scenario.run ?observe ?telemetry ~heartbeat spec in
+           (row o, Some o)
+         | Bisect (b, row) ->
+           (row (Sweep.frontier ?telemetry b ~heartbeat), None)))
 
 (* ------------------------------------------------------------------ *)
 (* F1: stability frontier. *)
@@ -90,7 +90,7 @@ let frontier_points ~scale =
         fmt st.Mac_sim.Stability.slope;
         string_of_int s.Mac_sim.Metrics.max_total_queue ]
     in
-    points := (spec, row) :: !points
+    points := Run (spec, row) :: !points
   in
   let add (() : unit) = () in
   (* Orchestra: stable all the way to rate 1. *)
@@ -169,12 +169,12 @@ let frontier_points ~scale =
   List.rev !points
 
 let frontier =
-  figure ~id:"F1.frontier"
-    ~title:"Stability frontier: verdict around each algorithm's threshold"
-    ~header:
+  { id = "F1.frontier";
+    title = "Stability frontier: verdict around each algorithm's threshold";
+    header =
       [ "algorithm"; "n"; "k"; "threshold"; "rho"; "rho/thr";
-        "verdict"; "slope"; "max-queue" ]
-    frontier_points
+        "verdict"; "slope"; "max-queue" ];
+    points = frontier_points }
 
 (* ------------------------------------------------------------------ *)
 (* F2: latency scaling with n. *)
@@ -192,7 +192,7 @@ let scaling_points ~scale =
       [ row_algo; string_of_int n; string_of_int k; fmt_q rho;
         fmt measured; fmt bound; Mac_sim.Report.fmt_ratio ~measured ~bound ]
     in
-    points := (spec, row) :: !points
+    points := Run (spec, row) :: !points
   in
   let ns = Scenario.scaled ~scale ~quick:[ 4; 6 ] ~full:[ 4; 6; 8; 10; 12 ] in
   List.iter
@@ -235,10 +235,10 @@ let scaling_points ~scale =
   List.rev !points
 
 let scaling =
-  figure ~id:"F2.scaling"
-    ~title:"Latency scaling with n (measured worst delay vs instantiated bound)"
-    ~header:[ "algorithm"; "n"; "k"; "rho"; "worst-delay"; "bound"; "ratio" ]
-    scaling_points
+  { id = "F2.scaling";
+    title = "Latency scaling with n (measured worst delay vs instantiated bound)";
+    header = [ "algorithm"; "n"; "k"; "rho"; "worst-delay"; "bound"; "ratio" ];
+    points = scaling_points }
 
 (* ------------------------------------------------------------------ *)
 (* F3: the latency-energy tradeoff across caps. *)
@@ -262,7 +262,7 @@ let energy_points ~scale =
         fmt s.Mac_sim.Metrics.mean_delay;
         string_of_int s.Mac_sim.Metrics.max_delay ]
     in
-    points := (spec, row) :: !points
+    points := Run (spec, row) :: !points
   in
   (* Non-oblivious references at the same relative load: Orchestra needs
      only cap 3 for the throughput the always-on MBTF (cap n) achieves. *)
@@ -287,12 +287,12 @@ let energy_points ~scale =
   List.rev !points
 
 let energy =
-  figure ~id:"F3.energy"
-    ~title:"Latency-energy tradeoff at half the threshold rate (n=12)"
-    ~header:
+  { id = "F3.energy";
+    title = "Latency-energy tradeoff at half the threshold rate (n=12)";
+    header =
       [ "algorithm"; "k"; "threshold"; "rho"; "mean-on";
-        "energy/delivery"; "mean-delay"; "max-delay" ]
-    energy_points
+        "energy/delivery"; "mean-delay"; "max-delay" ];
+    points = energy_points }
 
 (* ------------------------------------------------------------------ *)
 (* F4: burstiness sensitivity. *)
@@ -311,7 +311,7 @@ let burst_points ~scale =
       [ row_algo; string_of_int n; fmt_q rho; fmt_q beta; fmt measured;
         fmt bound; Mac_sim.Report.fmt_ratio ~measured ~bound ]
     in
-    points := (spec, row) :: !points
+    points := Run (spec, row) :: !points
   in
   let betas =
     Scenario.scaled ~scale ~quick:[ 1.0; 32.0 ] ~full:[ 1.0; 8.0; 32.0; 128.0 ]
@@ -350,92 +350,68 @@ let burst_points ~scale =
   List.rev !points
 
 let burst =
-  figure ~id:"F4.burst"
-    ~title:"Burstiness sensitivity (worst delay, or backlog for Orchestra)"
-    ~header:[ "algorithm"; "n"; "rho"; "beta"; "measured"; "bound"; "ratio" ]
-    burst_points
+  { id = "F4.burst";
+    title = "Burstiness sensitivity (worst delay, or backlog for Orchestra)";
+    header = [ "algorithm"; "n"; "rho"; "beta"; "measured"; "bound"; "ratio" ];
+    points = burst_points }
 
 (* ------------------------------------------------------------------ *)
 (* F5: what the paper's schedules buy — empirical frontiers of every
    oblivious discipline against the same dedicated pair flood, located by
    bisection, next to the random-schedule strawman. *)
 
-let baselines_header =
-  [ "discipline"; "theory stable <="; "theory unstable >";
-    "empirical stable"; "empirical unstable" ]
-
-let baselines_subjects ~n ~k =
-  (* [theory_lo = None] marks the strawman with no guaranteed frontier. *)
-  [ ("pair-tdma", (module Mac_routing.Pair_tdma : Mac_channel.Algorithm.S),
-     Some (Qrat.make 1 (n * (n - 1))), Some (Qrat.make 1 (n * (n - 1))));
-    ("random-leader", Mac_routing.Random_leader.algorithm ~n ~k (),
-     None, Some (Bounds.k_subsets_rate_q ~n ~k));
-    ("k-clique", Mac_routing.K_clique.algorithm ~n ~k,
-     Some (Bounds.k_clique_stable_rate_q ~n ~k),
-     Some (Bounds.k_subsets_rate_q ~n ~k));
-    ("k-subsets", Mac_routing.K_subsets.algorithm ~n ~k (),
-     Some (Bounds.k_subsets_rate_q ~n ~k),
-     Some (Bounds.k_subsets_rate_q ~n ~k));
-    ("k-cycle (indirect)", Mac_routing.K_cycle.algorithm ~n ~k,
-     Some (Bounds.k_cycle_rate_q ~n ~k),
-     Some (Bounds.oblivious_rate_upper_q ~n ~k)) ]
-
-let baselines_brackets ~subjects ~n ~k ~rounds =
-  ignore (n, k);
+(* One bracket per discipline; [theory_lo = None] marks the strawman with
+   no guaranteed frontier. A degenerate frontier keeps its row: the side
+   the bracket never found reads "-". *)
+let baselines_points ~scale =
+  let n = 8 and k = 3 in
+  let rounds = Scenario.scaled ~scale ~quick:30_000 ~full:60_000 in
+  let steps = Scenario.scaled ~scale ~quick:4 ~full:7 in
+  let opt = function None -> "?" | Some r -> fmt_q r in
   List.map
-    (fun (label, algorithm, _, theory_hi) ->
+    (fun (label, algorithm, theory_lo, theory_hi) ->
+      let hi =
+        match theory_hi with
+        | None -> Qrat.make 1 2
+        | Some hi -> Qrat.min Qrat.one (Qrat.mul_int hi 2)
+      in
       let probe =
         Sweep.stability_probe_q ~algorithm ~n ~k
           ~pattern:(fun () -> Pattern.pair_flood ~src:1 ~dst:2)
           ~rounds ()
       in
-      let hi0 =
-        match theory_hi with
-        | None -> Qrat.make 1 2
-        | Some hi -> Qrat.min Qrat.one (Qrat.mul_int hi 2)
+      let row (f : Sweep.frontier) =
+        let stable, unstable =
+          match f with
+          | Bracket (lo, hi) -> (fmt_q lo, fmt_q hi)
+          | Stable_to_ceiling hi -> (fmt_q hi, "-")
+          | Unstable_at_floor lo -> ("-", fmt_q lo)
+        in
+        [ label; opt theory_lo; opt theory_hi; stable; unstable ]
       in
-      (label, Qrat.make 1 250, hi0, probe))
-    subjects
-
-(* A degenerate frontier keeps its row: the side the bracket never found
-   reads "-". *)
-let baselines_row (label, _, theory_lo, theory_hi) (f : Sweep.frontier) =
-  let opt = function None -> "?" | Some r -> fmt_q r in
-  let stable, unstable =
-    match f with
-    | Bracket (lo, hi) -> (fmt_q lo, fmt_q hi)
-    | Stable_to_ceiling hi -> (fmt_q hi, "-")
-    | Unstable_at_floor lo -> ("-", fmt_q lo)
-  in
-  [ label; opt theory_lo; opt theory_hi; stable; unstable ]
-
-let baselines_run ?observe ?telemetry ?jobs ?policy ?on_event ~scale () =
-  (* Bisection probes run thousands of throwaway points; observing them
-     would swamp any sink, so F5 deliberately ignores the observer, and
-     telemetry only counts probes on the fleet (no per-scenario files). *)
-  ignore (observe : Scenario.observer option);
-  let n = 8 and k = 3 in
-  let rounds = Scenario.scaled ~scale ~quick:30_000 ~full:60_000 in
-  let steps = Scenario.scaled ~scale ~quick:4 ~full:7 in
-  let subjects = baselines_subjects ~n ~k in
-  let located =
-    Sweep.frontiers ?jobs ?policy ?on_event ?telemetry ~steps
-      (baselines_brackets ~subjects ~n ~k ~rounds)
-  in
-  let report = Mac_sim.Report.create ~header:baselines_header in
-  List.iter2
-    (fun subject (_, outcome) ->
-      match outcome with
-      | Ok f -> Mac_sim.Report.add_row report (baselines_row subject f)
-      | Error _ -> ())
-    subjects located;
-  { report; outcomes = []; failures = failures located }
+      Bisect ({ label; lo = Qrat.make 1 250; hi; steps; probe }, row))
+    [ ("pair-tdma", (module Mac_routing.Pair_tdma : Mac_channel.Algorithm.S),
+       Some (Qrat.make 1 (n * (n - 1))), Some (Qrat.make 1 (n * (n - 1))));
+      ("random-leader", Mac_routing.Random_leader.algorithm ~n ~k (),
+       None, Some (Bounds.k_subsets_rate_q ~n ~k));
+      ("k-clique", Mac_routing.K_clique.algorithm ~n ~k,
+       Some (Bounds.k_clique_stable_rate_q ~n ~k),
+       Some (Bounds.k_subsets_rate_q ~n ~k));
+      ("k-subsets", Mac_routing.K_subsets.algorithm ~n ~k (),
+       Some (Bounds.k_subsets_rate_q ~n ~k),
+       Some (Bounds.k_subsets_rate_q ~n ~k));
+      ("k-cycle (indirect)", Mac_routing.K_cycle.algorithm ~n ~k,
+       Some (Bounds.k_cycle_rate_q ~n ~k),
+       Some (Bounds.oblivious_rate_upper_q ~n ~k)) ]
 
 let baselines =
   { id = "F5.baselines";
     title =
       "Empirical stability frontiers under a dedicated pair flood (n=8, k=3, bisection)";
-    run = baselines_run }
+    header =
+      [ "discipline"; "theory stable <="; "theory unstable >";
+        "empirical stable"; "empirical unstable" ];
+    points = baselines_points }
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: one mechanism of an algorithm swapped for a naive variant,
@@ -458,7 +434,7 @@ let ablation_point ~id ~algorithm ~n ~k ~rho ~beta ~pattern ~rounds ~drain
           (max s.Mac_sim.Metrics.max_delay s.Mac_sim.Metrics.max_queued_age);
         fmt s.Mac_sim.Metrics.mean_delay ]
   in
-  (spec, row)
+  Run (spec, row)
 
 let ablation_header = [ "verdict"; "max-q"; "worst-delay"; "mean-delay" ]
 
@@ -483,10 +459,10 @@ let delta_points ~scale =
     [ (Qrat.make 1 2, "half-rate"); (Qrat.make 9 10, "near-threshold") ]
 
 let delta =
-  figure ~id:"A1.delta"
-    ~title:"k-Cycle activity segment: scaling the paper's delta (flood, n=12, k=4)"
-    ~header:([ "delta"; "load"; "rho" ] @ ablation_header)
-    delta_points
+  { id = "A1.delta";
+    title = "k-Cycle activity segment: scaling the paper's delta (flood, n=12, k=4)";
+    header = [ "delta"; "load"; "rho" ] @ ablation_header;
+    points = delta_points }
 
 (* A2: Orchestra's big threshold at injection rate 1. *)
 let big_threshold_points ~scale =
@@ -511,10 +487,10 @@ let big_threshold_points ~scale =
          (fun ~n:_ -> max_int)) ]
 
 let big_threshold =
-  figure ~id:"A2.big-threshold"
-    ~title:"Orchestra big-conductor threshold at rate 1 (n=8)"
-    ~header:([ "threshold"; "pattern" ] @ ablation_header)
-    big_threshold_points
+  { id = "A2.big-threshold";
+    title = "Orchestra big-conductor threshold at rate 1 (n=8)";
+    header = [ "threshold"; "pattern" ] @ ablation_header;
+    points = big_threshold_points }
 
 (* A3: k-Subsets' thread allocation at the optimal rate. *)
 let allocation_points ~scale =
@@ -531,10 +507,10 @@ let allocation_points ~scale =
     [ ("balanced (paper)", `Balanced); ("first-fit", `First_fit) ]
 
 let allocation =
-  figure ~id:"A3.allocation"
-    ~title:"k-Subsets thread allocation at the optimal rate (pair flood, k=3)"
-    ~header:([ "allocation"; "rho" ] @ ablation_header)
-    allocation_points
+  { id = "A3.allocation";
+    title = "k-Subsets thread allocation at the optimal rate (pair flood, k=3)";
+    header = [ "allocation"; "rho" ] @ ablation_header;
+    points = allocation_points }
 
 let all =
   [ frontier; scaling; energy; burst; baselines; delta; big_threshold;

@@ -8,58 +8,55 @@
     of the oblivious disciplines, and the ablations A1–A3 remove one
     mechanism the proofs rely on at a time.
 
-    Each figure yields a rendered table plus the raw outcomes (the test
-    suite asserts selected points). *)
+    A figure is data: its points, each a scenario or a frontier bracket
+    with the function that renders its row. {!run} sweeps the points of
+    every selected figure in one supervised pool and renders each
+    figure's table (the test suite asserts selected points). *)
+
+type point =
+  | Run of Scenario.spec * (Scenario.outcome -> string list)
+      (** one {!Scenario.run}, labelled by its spec id *)
+  | Bisect of Sweep.bracket * (Sweep.frontier -> string list)
+      (** one {!Sweep.frontier} search, labelled by the bracket's label *)
+
+type t = {
+  id : string;
+  title : string;
+  header : string list;
+  points : scale:[ `Quick | `Full ] -> point list;
+}
 
 type supervised = {
   report : Mac_sim.Report.t;
   (** Rows for the successful points only, in declaration order. *)
   outcomes : Scenario.outcome list;
-  (** The successful outcomes, in declaration order (empty for F5, whose
-      points are bisection brackets, not single scenarios). *)
+  (** The successful scenario outcomes, in declaration order (none for a
+      [Bisect] point). *)
   failures : (string * Mac_sim.Supervisor.error) list;
-  (** Points that kept failing under the policy: (point id, error). *)
+  (** Points that kept failing under the policy: (point label, error). *)
 }
 
-type t = {
-  id : string;
-  title : string;
-  run :
-    ?observe:Scenario.observer ->
-    ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-    ?jobs:int ->
-    ?policy:Mac_sim.Supervisor.policy ->
-    ?on_event:(Mac_sim.Supervisor.event -> unit) ->
-    scale:[ `Quick | `Full ] ->
-    unit ->
-    supervised;
-  (** Runs the figure's points — for F5, its bisection brackets — on
-      [jobs] worker domains (default 1) through {!Scenario.sweep}; rows and
-      outcomes keep declaration order and match a sequential run bit for
-      bit. [policy] defaults to {!Mac_sim.Supervisor.default_policy} (the
-      first failure aborts the figure); under [keep_going] failed points
-      land in [failures], and a drain request reports unstarted points as
-      [Skipped] there. A retried point reruns its spec and replays
-      bit-identically. [observe] is forwarded to each plotted point's
-      {!Scenario.run}, keyed by scenario id; F5 ignores it (bisection
-      probes are throwaway runs).
-      [telemetry] attaches a fleet probe to every plotted point; F5 only
-      counts its probe runs on the fleet's bisect-probes counter. *)
-}
-
-val figure :
-  id:string ->
-  title:string ->
-  header:string list ->
-  (scale:[ `Quick | `Full ] ->
-  (Scenario.spec * (Scenario.outcome -> string list)) list) ->
-  t
-(** [figure ~id ~title ~header points] is the figure whose [run] sweeps
-    the specs of [points ~scale] through {!Scenario.sweep}, each point one
-    {!Scenario.run} labelled by its spec id, and renders each successful
-    point's row (the point's function of its outcome) under [header], in
-    declaration order. Every figure but F5 is built this way, and so is
-    {!Resilience.figure}. *)
+val run :
+  ?observe:Scenario.observer ->
+  ?telemetry:Mac_sim.Telemetry.Fleet.t ->
+  ?jobs:int ->
+  ?policy:Mac_sim.Supervisor.policy ->
+  ?on_event:(Mac_sim.Supervisor.event -> unit) ->
+  scale:[ `Quick | `Full ] ->
+  t list ->
+  (t * supervised) list
+(** [run ~scale figures] runs every point of every figure as one
+    {!Scenario.sweep} on [jobs] worker domains (default 1) and returns
+    each figure with its table, in the order given; rows and outcomes
+    keep declaration order and match a sequential run bit for bit.
+    [policy] defaults to {!Mac_sim.Supervisor.default_policy} (the first
+    failure aborts the sweep and is re-raised); under [keep_going] failed
+    points land in their figure's [failures], and a drain request reports
+    unstarted points as [Skipped] there. A retried point reruns its spec
+    and replays bit-identically. [observe] and [telemetry] are forwarded
+    to each [Run] point's {!Scenario.run}, keyed by scenario id; a
+    [Bisect] point's probes are throwaway runs that are never observed,
+    and only count on the fleet's bisect-probes counter. *)
 
 val frontier : t
 (** F1: verdict and queue-growth slope around each algorithm's threshold;
@@ -76,7 +73,7 @@ val burst : t
 (** F4: latency (or backlog for Orchestra) as burstiness grows. *)
 
 val baselines : t
-(** F5: empirical stability frontiers (located by {!Sweep.frontiers}) of all
+(** F5: empirical stability frontiers (one {!Sweep.frontier} each) of all
     oblivious disciplines — including the random-schedule strawman — under
     the same dedicated pair flood. A frontier that leaves its bracket
     keeps its row, with "-" on the side that was never found. *)

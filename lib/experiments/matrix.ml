@@ -112,22 +112,27 @@ let thresholds ?jobs ?policy ?on_event ?(only = fun _ -> true) ~scale () =
   let rounds = Scenario.scaled ~scale ~quick:3_000 ~full:20_000 in
   let steps = Scenario.scaled ~scale ~quick:5 ~full:8 in
   let lo = Qrat.make 1 64 and hi = Qrat.of_int 1 in
-  Sweep.frontiers ?jobs ?policy ?on_event ~steps
-    (List.concat_map
-       (fun a ->
-         if not (only a.algo_id) then []
-         else
-           let algorithm = algorithm a in
-           List.map
-             (fun adv ->
-               ( threshold_id a adv,
-                 lo,
-                 hi,
-                 Sweep.stability_probe_q ~algorithm ~n:a.n ~k:a.k
-                   ~pattern:(fun () -> adv.pattern ~n:a.n)
-                   ~burst:adv.burst ~rounds () ))
-             adversaries)
-       algorithms)
+  let brackets =
+    List.concat_map
+      (fun a ->
+        if not (only a.algo_id) then []
+        else
+          let algorithm = algorithm a in
+          List.map
+            (fun adv ->
+              { Sweep.label = threshold_id a adv; lo; hi; steps;
+                probe =
+                  Sweep.stability_probe_q ~algorithm ~n:a.n ~k:a.k
+                    ~pattern:(fun () -> adv.pattern ~n:a.n)
+                    ~burst:adv.burst ~rounds () })
+            adversaries)
+      algorithms
+  in
+  List.concat_map snd
+    (Scenario.sweep ?jobs ?policy ?on_event
+       ~label:(fun (b : Sweep.bracket) -> b.label)
+       [ ((), brackets) ]
+       (fun () b -> Sweep.frontier b))
 
 let frontier_json ~label f =
   let kind, lo, hi =

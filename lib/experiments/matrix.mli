@@ -16,8 +16,9 @@
     checks — the verdicts are the data — so [passed] only reflects clean
     completion.
 
-    An optional second stage measures each (algorithm, adversary)
-    stability frontier with {!Sweep.frontiers} on a clean channel. *)
+    An optional second stage, a second sweep, measures each (algorithm,
+    adversary) stability frontier on a clean channel, one
+    {!Sweep.frontier} job per pair. *)
 
 type algo_axis = {
   algo_id : string;  (** a {!Registry} name *)
@@ -66,8 +67,9 @@ val thresholds :
   unit ->
   (string * Sweep.frontier Mac_sim.Supervisor.outcome) list
 (** Locate each (algorithm, adversary) frontier on a clean channel
-    between rates 1/64 and 1 with {!Sweep.frontiers}, one supervised job
-    per pair labelled by {!threshold_id} (probes heartbeat the watchdog).
+    between rates 1/64 and 1 in one {!Scenario.sweep}, one
+    {!Sweep.frontier} job per pair labelled by {!threshold_id} (probes
+    heartbeat the watchdog).
     A frontier outside that range comes back as
     [Stable_to_ceiling 1] or [Unstable_at_floor 1/64]. Deterministic:
     results depend only on the axes and [scale]. *)

@@ -60,24 +60,9 @@ let header =
   [ "algorithm"; "plan"; "injected"; "delivered"; "del%"; "lost"; "crashes";
     "restarts"; "jammed"; "peak-q"; "growth"; "recovery"; "max-delay" ]
 
-let row (outcome : Scenario.outcome) =
+let row ~algo ~plan (outcome : Scenario.outcome) =
   let s = outcome.summary in
   let f = s.faults in
-  let id = outcome.spec.id in
-  let plan_label =
-    match String.rindex_opt id '/' with
-    | Some i -> String.sub id (i + 1) (String.length id - i - 1)
-    | None -> id
-  in
-  let algo =
-    match String.index_opt id '/' with
-    | Some i ->
-      let rest = String.sub id (i + 1) (String.length id - i - 1) in
-      (match String.index_opt rest '/' with
-       | Some j -> String.sub rest 0 j
-       | None -> rest)
-    | None -> id
-  in
   let del_pct =
     if s.injected = 0 then "-"
     else
@@ -89,7 +74,7 @@ let row (outcome : Scenario.outcome) =
     else if f.recovery_rounds < 0 then "never"
     else string_of_int f.recovery_rounds
   in
-  [ algo; plan_label; string_of_int s.injected; string_of_int s.delivered;
+  [ algo; plan; string_of_int s.injected; string_of_int s.delivered;
     del_pct; string_of_int f.lost_to_crash; string_of_int f.crashes;
     string_of_int f.restarts; string_of_int f.jammed_rounds;
     string_of_int f.post_fault_peak_queue;
@@ -105,16 +90,18 @@ let points ~scale =
     (fun (subject : Scenario.spec) ->
       List.map
         (fun (plan_label, plan) ->
-          ( { subject with
-              id = Printf.sprintf "resilience/%s/%s" subject.id plan_label;
-              rounds;
-              drain = rounds / 2;
-              faults = (if Fault_plan.is_empty plan then None else Some plan) },
-            row ))
+          Figures.Run
+            ( { subject with
+                id = Printf.sprintf "resilience/%s/%s" subject.id plan_label;
+                rounds;
+                drain = rounds / 2;
+                faults = (if Fault_plan.is_empty plan then None else Some plan) },
+              row ~algo:subject.id ~plan:plan_label ))
         (plans ~scale ~n:subject.n ~rounds))
     (subjects ~scale)
 
 let figure =
-  Figures.figure ~id:"resilience"
-    ~title:"Table-1 algorithms under fault plans, one row per (algorithm, plan)"
-    ~header points
+  { Figures.id = "resilience";
+    title = "Table-1 algorithms under fault plans, one row per (algorithm, plan)";
+    header;
+    points }

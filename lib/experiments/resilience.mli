@@ -16,6 +16,6 @@
 
 val figure : Figures.t
 (** The suite as a figure (4 algorithms x 7 plans), run like any other
-    through {!Figures.figure}; it is not in {!Figures.all}. Point ids
+    by {!Figures.run}; it is not in {!Figures.all}. Point ids
     are ["resilience/<algorithm>/<plan>"], and the report has one row per
     successful point, in declaration order. *)

@@ -151,16 +151,29 @@ let run_batch ?(jobs = 1) thunks =
     (Mac_sim.Supervisor.map ~jobs thunks
        (fun ~heartbeat:_ ~attempt:_ t -> t ()))
 
-(* Supervised sweep: every attempt of a cell, first or retried, runs the
-   same cell value; a spec builds its pattern state per run, so a retry
-   replays bit-identically. *)
+(* Supervised sweep: the cells of all groups share one pool, and every
+   attempt of a cell, first or retried, runs the same cell value; a spec
+   builds its pattern state per run, so a retry replays bit-identically.
+   The outcomes, in cell order, are cut back into their groups. *)
 let sweep ?(jobs = 1) ?(policy = Mac_sim.Supervisor.default_policy)
-    ?quarantined ?on_event ~label cells run =
-  let labels = Array.of_list (List.map label cells) in
-  List.combine (Array.to_list labels)
-    (Mac_sim.Supervisor.map ~policy ~label:(Array.get labels) ?quarantined
-       ?on_event ~jobs cells
-       (fun ~heartbeat ~attempt:_ c -> run c ~heartbeat))
+    ?quarantined ?on_event ~label groups run =
+  let cells =
+    List.concat_map (fun (g, cs) -> List.map (fun c -> (g, c)) cs) groups
+  in
+  let labels = Array.of_list (List.map (fun (_, c) -> label c) cells) in
+  let outcomes =
+    Array.of_list
+      (Mac_sim.Supervisor.map ~policy ~label:(Array.get labels) ?quarantined
+         ?on_event ~jobs cells
+         (fun ~heartbeat ~attempt:_ (g, c) -> run g c ~heartbeat))
+  in
+  snd
+    (List.fold_left_map
+       (fun first (g, cs) ->
+         let n = List.length cs in
+         let cell i = (labels.(first + i), outcomes.(first + i)) in
+         (first + n, (g, List.init n cell)))
+       0 groups)
 
 (* Machine-readable form of an outcome: the rows of the CLI's --json. *)
 let check_json (c : check) =

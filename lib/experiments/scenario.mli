@@ -144,19 +144,22 @@ val sweep :
   ?quarantined:(string -> int option) ->
   ?on_event:(Mac_sim.Supervisor.event -> unit) ->
   label:('c -> string) ->
-  'c list ->
-  ('c -> heartbeat:(unit -> unit) -> 'a) ->
-  (string * 'a Mac_sim.Supervisor.outcome) list
-(** [sweep ~label cells run] runs [run] once per cell on [jobs] workers,
-    each cell resolving to its own {!Mac_sim.Supervisor.outcome} under
-    [policy] (default {!Mac_sim.Supervisor.default_policy}: the first
-    failure aborts and is re-raised; a drain request resolves unstarted
-    cells as [Error Skipped]). [quarantined] is consulted by label before
-    a cell's first attempt. Results are (label, outcome) pairs in cell
-    order. A retried cell reruns the same cell value, which replays
-    bit-identically when [run] builds its run state from it (as {!run}
-    does from a spec). [run] must call [heartbeat] from its inner loop
-    (thread it into {!run}) for watchdog liveness. *)
+  ('g * 'c list) list ->
+  ('g -> 'c -> heartbeat:(unit -> unit) -> 'a) ->
+  ('g * (string * 'a Mac_sim.Supervisor.outcome) list) list
+(** [sweep ~label groups run] runs [run g c] once per cell [c] of every
+    group [g] in one pool of [jobs] workers, so no group waits for the one
+    before it to finish. Each cell resolves to its own
+    {!Mac_sim.Supervisor.outcome} under [policy] (default
+    {!Mac_sim.Supervisor.default_policy}: the first failure aborts and is
+    re-raised; a drain request resolves unstarted cells as
+    [Error Skipped]). [quarantined] is consulted by label before a cell's
+    first attempt. Results are the groups in the order given, each with
+    (label, outcome) pairs in cell order. A retried cell reruns the same
+    cell value, which replays bit-identically when [run] builds its run
+    state from it (as {!run} does from a spec). [run] must call
+    [heartbeat] from its inner loop (thread it into {!run}) for watchdog
+    liveness. *)
 
 val check_json : check -> string
 (** One check as a JSON object. *)

@@ -49,28 +49,27 @@ let bisect_q ?(steps = 8) ~lo ~hi probe =
   | Stable_to_ceiling _ ->
     invalid_arg "Sweep.bisect: not unstable at the upper rate"
 
+type bracket = {
+  label : string;
+  lo : Qrat.t;
+  hi : Qrat.t;
+  steps : int;
+  probe : rho:Qrat.t -> bool;
+}
+
 (* Each bisection is a sequential chain of runs, but independent brackets
    (one per algorithm under the same adversary, say) bisect side by side
-   on the supervisor, each resolving to its own outcome. The watchdog
-   heartbeat ticks after every probe run, so a bracket counts as live as
-   long as individual simulations keep finishing. *)
-let frontiers ?jobs ?policy ?on_event ?telemetry ?(steps = 8) brackets =
-  let count () =
-    Option.iter
-      (fun fleet ->
-        Mac_sim.Telemetry.Fleet.add_counter fleet
-          ~help:"Throwaway bisection probe runs executed"
-          Mac_sim.Telemetry.Names.bisect_probes)
-      telemetry
-  in
-  Scenario.sweep ?jobs ?policy ?on_event
-    ~label:(fun (label, _, _, _) -> label)
-    brackets
-    (fun (_, lo, hi, probe) ~heartbeat ->
-      let probe ~rho =
-        count ();
-        let stable = probe ~rho in
-        heartbeat ();
-        stable
-      in
-      locate ~steps ~lo ~hi probe)
+   as jobs of one sweep. The heartbeat ticks after every probe run, so a
+   bracket counts as live as long as individual simulations keep
+   finishing. *)
+let frontier ?telemetry b ~heartbeat =
+  locate ~steps:b.steps ~lo:b.lo ~hi:b.hi (fun ~rho ->
+      Option.iter
+        (fun fleet ->
+          Mac_sim.Telemetry.Fleet.add_counter fleet
+            ~help:"Throwaway bisection probe runs executed"
+            Mac_sim.Telemetry.Names.bisect_probes)
+        telemetry;
+      let stable = b.probe ~rho in
+      heartbeat ();
+      stable)

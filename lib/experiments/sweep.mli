@@ -5,8 +5,9 @@
     rate by repeated simulation. Brackets and midpoints are exact rationals
     ({!Mac_channel.Qrat}), so the located thresholds are properties of the
     rates themselves, not IEEE-754 artifacts. [bisect_q] serves the
-    threshold-explorer example and the frontier tests; {!frontiers} is the
-    supervised search behind figure F5 and [matrix --thresholds]. *)
+    threshold-explorer example and the frontier tests; {!frontier} is the
+    job that figure F5's points and [matrix --thresholds] submit to
+    {!Scenario.sweep}. *)
 
 val stability_probe_q :
   algorithm:Mac_channel.Algorithm.t ->
@@ -48,31 +49,29 @@ val frontier_to_string : frontier -> string
 (** ["frontier in (lo, hi]"], ["stable up to hi"] or
     ["unstable already at lo"]. *)
 
-val frontiers :
-  ?jobs:int ->
-  ?policy:Mac_sim.Supervisor.policy ->
-  ?on_event:(Mac_sim.Supervisor.event -> unit) ->
+(** One frontier search: its job label, the bracket [(lo, hi)], the number
+    of exact midpoints to narrow it by, and the probe. *)
+type bracket = {
+  label : string;
+  lo : Mac_channel.Qrat.t;
+  hi : Mac_channel.Qrat.t;
+  steps : int;
+  probe : rho:Mac_channel.Qrat.t -> bool;
+}
+
+val frontier :
   ?telemetry:Mac_sim.Telemetry.Fleet.t ->
-  ?steps:int ->
-  (string
-  * Mac_channel.Qrat.t
-  * Mac_channel.Qrat.t
-  * (rho:Mac_channel.Qrat.t -> bool))
-  list ->
-  (string * frontier Mac_sim.Supervisor.outcome) list
-(** [frontiers brackets] locates one frontier per labelled
-    [(label, lo, hi, probe)] bracket, each bracket one job of
-    {!Scenario.sweep} on [jobs] supervised workers (default 1), and
-    returns (label, frontier) pairs in input order. Each endpoint is
-    probed once: unstable at [lo] is [Unstable_at_floor lo], stable at
-    [hi] is [Stable_to_ceiling hi], and otherwise the bracket is narrowed
-    by [steps] exact midpoints (default 8), as {!bisect_q} does, to a
-    [Bracket] — [2 + steps] probes per proper bracket. Each bracket
-    resolves to its own {!Mac_sim.Supervisor.outcome} under [policy]
-    (default {!Mac_sim.Supervisor.default_policy}: the first failure
-    aborts and re-raises). The watchdog heartbeat ticks after every probe
-    run, so a bracket counts as live while its simulations keep
+  bracket ->
+  heartbeat:(unit -> unit) ->
+  frontier
+(** [frontier b ~heartbeat] locates one frontier, probing each endpoint
+    once: unstable at [lo] is [Unstable_at_floor lo], stable at [hi] is
+    [Stable_to_ceiling hi], and otherwise the bracket is narrowed by
+    [steps] exact midpoints, as {!bisect_q} does, to a [Bracket] —
+    [2 + steps] probes per proper bracket. It is the job body that
+    {!Scenario.sweep} runs for a bracket: [heartbeat] ticks after every
+    probe run, so a bracket counts as live while its simulations keep
     finishing. Probe runs are throwaway simulations that never publish
     per-scenario registries; [telemetry], when given, counts each probe on
     the fleet's {!Mac_sim.Telemetry.Names.bisect_probes} counter.
-    Deterministic probes locate the same frontiers at every [jobs]. *)
+    Deterministic probes locate the same frontier on any worker. *)

@@ -14,14 +14,15 @@ type t = {
 
 let row ~id ~claim cells = { id; claim; cells }
 
-(* Every batch run of a row — plain, supervised, resumable — is this one
-   sweep: "plain" is [Supervisor.default_policy], "fresh" is no resume
-   directory. [?inject] is a fault hook (tests and `--inject-failure`):
-   it is called with the cell id at the start of each attempt, and may
-   raise. *)
+(* Every batch run of Table-1 rows — plain, supervised, resumable — is
+   this one sweep over all their cells: "plain" is
+   [Supervisor.default_policy], "fresh" is no resume directory. Each cell
+   resumes under its own row's id. [?inject] is a fault hook (tests and
+   `--inject-failure`): it is called with the cell id at the start of
+   each attempt, and may raise. *)
 let sweep ?observe ?telemetry ?jobs ?policy ?on_event ?inject ?resume_dir
-    ~scale row () =
-  let run c ~heartbeat =
+    ~scale rows =
+  let run row c ~heartbeat =
     Option.iter (fun f -> f c.spec.id) inject;
     match resume_dir with
     | None ->
@@ -31,14 +32,15 @@ let sweep ?observe ?telemetry ?jobs ?policy ?on_event ?inject ?resume_dir
       Scenario.run_resumable ~checks:c.checks ?observe ?telemetry ~heartbeat
         ~resume_dir ~experiment:row.id c.spec
   in
-  let outcomes =
+  let results =
     Scenario.sweep ?jobs ?policy ?on_event
       ?quarantined:
         (Option.map
            (fun resume_dir -> Scenario.quarantine_lookup ~resume_dir)
            resume_dir)
       ~label:(fun c -> c.spec.id)
-      (row.cells ~scale) run
+      (List.map (fun row -> (row, row.cells ~scale)) rows)
+      run
   in
   (* A cell that exhausted its attempts is quarantined on disk: the next
      run of this sweep skips it up front instead of burning the whole
@@ -57,9 +59,9 @@ let sweep ?observe ?telemetry ?jobs ?policy ?on_event ?inject ?resume_dir
             note attempts
               (Printf.sprintf "no heartbeat progress for %gs" timeout)
           | _ -> ())
-        outcomes)
+        (List.concat_map snd results))
     resume_dir;
-  outcomes
+  results
 
 (* Saboteurs need the oblivious schedule over a horizon covering several
    periods of the duty pattern. *)

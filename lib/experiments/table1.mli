@@ -8,9 +8,10 @@
     [routing_sim table1] without [--quick].
 
     A row is a {e catalog of cells} — (scenario spec, checks) pairs — and
-    {!sweep} executes them. Exposing the cells lets other harnesses (the
-    differential verifier, notably) re-run the exact Table-1
-    configurations through independent machinery. *)
+    {!sweep} executes the cells of every selected row in one supervised
+    pool. Exposing the cells lets other harnesses (the differential
+    verifier, notably) re-run the exact Table-1 configurations through
+    independent machinery. *)
 
 type cell = {
   spec : Scenario.spec;
@@ -42,20 +43,21 @@ val sweep :
   ?inject:(string -> unit) ->
   ?resume_dir:string ->
   scale:[ `Quick | `Full ] ->
-  t ->
-  unit ->
-  (string * Scenario.resumed Mac_sim.Supervisor.outcome) list
-(** Runs the row's cells on [jobs] worker domains (default 1) through
-    {!Scenario.sweep}, returning (scenario id, outcome) pairs in cell
-    order; the JSON rows are bit-identical for every [jobs].
+  t list ->
+  (t * (string * Scenario.resumed Mac_sim.Supervisor.outcome) list) list
+(** Runs the cells of every given row as one {!Scenario.sweep} on [jobs]
+    worker domains (default 1), so no row is a barrier for the next, and
+    returns each row with its (scenario id, outcome) pairs, rows in the
+    order given and outcomes in cell order; the JSON rows are
+    bit-identical for every [jobs], and to a sweep of each row alone.
 
     - [policy] defaults to {!Mac_sim.Supervisor.default_policy}: the first
       failing cell aborts the sweep and its exception is re-raised. A
       drain request (SIGTERM) resolves unstarted cells as [Error Skipped]
       under any policy.
     - Without [resume_dir] every success is [Fresh]. With it, each cell
-      goes through {!Scenario.run_resumable} keyed by the row id: cells
-      already recorded there replay as [Cached], so a killed sweep
+      goes through {!Scenario.run_resumable} keyed by its own row's id:
+      cells already recorded there replay as [Cached], so a killed sweep
       restarted with the same directory re-runs only its unfinished
       cells and reproduces the original JSON rows byte-for-byte. Cells
       quarantined there resolve as [Error Quarantined] without running
@@ -66,8 +68,8 @@ val sweep :
     - [inject] is a fault hook (tests, [--inject-failure]): called with
       the cell id at the start of every attempt, and may raise.
 
-    [cells] is called once; a retried attempt reruns its cell's spec and
-    replays bit-identically to a first run. *)
+    Each row's [cells] is called once; a retried attempt reruns its
+    cell's spec and replays bit-identically to a first run. *)
 
 val all : t list
 

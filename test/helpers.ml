@@ -39,13 +39,16 @@ let assert_delivered_all name (s : Mac_sim.Metrics.summary) =
 let worst_delay (s : Mac_sim.Metrics.summary) = max s.max_delay s.max_queued_age
 
 (* The outcomes of a plain [Table1.sweep] (default policy, no resume
-   directory), in cell order. *)
-let fresh_outcomes results =
-  List.map
-    (function
-      | _, Ok (Mac_experiments.Scenario.Fresh o) -> o
-      | cid, _ -> Alcotest.failf "%s: expected a fresh outcome" cid)
-    results
+   directory), row after row, each row's in cell order. *)
+let fresh_outcomes rows =
+  List.concat_map
+    (fun (_, results) ->
+      List.map
+        (function
+          | _, Ok (Mac_experiments.Scenario.Fresh o) -> o
+          | cid, _ -> Alcotest.failf "%s: expected a fresh outcome" cid)
+        results)
+    rows
 
 (* Remove [path] and, for a directory, everything under it; a symlink is
    removed, never followed. *)

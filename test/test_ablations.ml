@@ -87,13 +87,14 @@ let test_first_fit_unstable_at_threshold () =
 
 let test_catalog_runs_quick () =
   List.iter
-    (fun (f : Mac_experiments.Figures.t) ->
-      let s = f.run ~scale:`Quick () in
+    (fun ((f : Mac_experiments.Figures.t),
+          (s : Mac_experiments.Figures.supervised)) ->
       check_bool (f.id ^ " rows") true
         (String.length (Mac_sim.Report.to_string s.report) > 0);
       check_bool (f.id ^ " outcomes") true (s.outcomes <> []);
       check_bool (f.id ^ " has no failures") true (s.failures = []))
-    [ Mac_experiments.Figures.allocation ]
+    (Mac_experiments.Figures.run ~scale:`Quick
+       [ Mac_experiments.Figures.allocation ])
 
 let () =
   Alcotest.run "ablations"

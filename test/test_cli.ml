@@ -166,7 +166,9 @@ let test_bad_run_spec_exits_2 () =
 (* Flag values that would make a command vacuous, crash it or spin it
    are refused before anything runs, with one stderr line naming the
    flag: a negative verify count, a rounds cap that runs no rounds, a
-   refresh period that redraws in a busy loop (hence the deadline). *)
+   refresh period that redraws in a busy loop (hence the deadline), a
+   negative trace tail or checkpoint period, and a timeline with no
+   rounds or no columns. *)
 let test_bad_flag_exits_2 () =
   List.iter
     (fun (args, message) ->
@@ -181,7 +183,21 @@ let test_bad_flag_exits_2 () =
       ( [ "verify"; "--table1"; "--quick"; "--rounds-cap"; "0" ],
         "--rounds-cap must be >= 1 (got 0)" );
       ([ "top"; "--watch"; "0"; "." ], "--watch must be > 0 (got 0)");
-      ([ "top"; "--watch=-1"; "." ], "--watch must be > 0 (got -1)") ]
+      ([ "top"; "--watch=-1"; "." ], "--watch must be > 0 (got -1)");
+      ([ "run"; "--trace=-1" ], "--trace must be >= 0 (got -1)");
+      ( [ "table1"; "T1.orchestra"; "--quick"; "--trace=-3" ],
+        "--trace must be >= 0 (got -3)" );
+      ( [ "figures"; "A3.allocation"; "--quick"; "--trace=-3" ],
+        "--trace must be >= 0 (got -3)" );
+      ([ "matrix"; "--quick"; "--trace=-3" ], "--trace must be >= 0 (got -3)");
+      ( [ "resilience"; "--quick"; "--trace=-3" ],
+        "--trace must be >= 0 (got -3)" );
+      ( [ "run"; "--checkpoint-every=-5" ],
+        "--checkpoint-every must be >= 0 (got -5)" );
+      ([ "inspect"; "--last"; "0" ], "--last must be >= 1 (got 0)");
+      ([ "inspect"; "--last=-1" ], "--last must be >= 1 (got -1)");
+      ([ "inspect"; "--width"; "0" ], "--width must be >= 1 (got 0)");
+      ([ "inspect"; "--width=-3" ], "--width must be >= 1 (got -3)") ]
 
 (* --progress must leave stdout byte-identical (stderr is its only
    channel), so piping the summary stays safe with a progress line on. *)

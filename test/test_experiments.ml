@@ -274,10 +274,10 @@ let test_quarantine_marker_roundtrip () =
 
 (* A small Table-1 row over the given scenario ids whose [cells] counts
    how often the catalog is built. *)
-let counting_row ids =
+let counting_row ?(id = "T1.test") ids =
   let builds = Atomic.make 0 in
   let row =
-    Table1.row ~id:"T1.test" ~claim:"counts its catalog builds" (fun ~scale:_ ->
+    Table1.row ~id ~claim:"counts its catalog builds" (fun ~scale:_ ->
         Atomic.incr builds;
         List.map
           (fun id ->
@@ -299,15 +299,17 @@ let test_resumable_sweep_honors_marker () =
       (match
          Table1.sweep
            ~policy:{ Mac_sim.Supervisor.default_policy with keep_going = true }
-           ~inject ~resume_dir:dir ~scale:`Quick row ()
+           ~inject ~resume_dir:dir ~scale:`Quick [ row ]
        with
-       | [ ("good", Ok (Scenario.Fresh _));
-           ("bad", Error (Mac_sim.Supervisor.Quarantined { failures = 2 })) ] ->
+       | [ ( _,
+             [ ("good", Ok (Scenario.Fresh _));
+               ("bad", Error (Mac_sim.Supervisor.Quarantined { failures = 2 }))
+             ] ) ] ->
          ()
        | _ -> Alcotest.fail "expected good=Ok and bad=Quarantined");
       (* The default policy aborts on the quarantined cell instead of running
          it; the good cell replays from its completion marker. *)
-      (match Table1.sweep ~inject ~resume_dir:dir ~scale:`Quick row () with
+      (match Table1.sweep ~inject ~resume_dir:dir ~scale:`Quick [ row ] with
        | _ -> Alcotest.fail "default policy must abort on a quarantined cell"
        | exception
            Mac_sim.Supervisor.Job_gave_up
@@ -324,8 +326,8 @@ let test_unreadable_marker_is_absent () =
         "directory reads as no marker" None
         (Scenario.quarantine_lookup ~resume_dir:dir "cell");
       let row, _ = counting_row [ "cell" ] in
-      match Table1.sweep ~resume_dir:dir ~scale:`Quick row () with
-      | [ ("cell", Ok (Scenario.Fresh _)) ] -> ()
+      match Table1.sweep ~resume_dir:dir ~scale:`Quick [ row ] with
+      | [ (_, [ ("cell", Ok (Scenario.Fresh _)) ]) ] -> ()
       | _ -> Alcotest.fail "expected the cell to run")
 
 (* A FIFO at the marker path is no marker either, and the lookup must not
@@ -372,7 +374,7 @@ let test_sweep_builds_catalog_once () =
   List.iter
     (fun jobs ->
       let row, builds = counting_row ids in
-      let results = Table1.sweep ~jobs ~scale:`Quick row () in
+      let results = Table1.sweep ~jobs ~scale:`Quick [ row ] in
       check_int
         (Printf.sprintf "one build at jobs=%d" jobs)
         1 (Atomic.get builds);
@@ -392,28 +394,97 @@ let test_sweep_builds_catalog_once () =
   let results =
     Table1.sweep ~jobs:2
       ~policy:{ Mac_sim.Supervisor.default_policy with retries = 1 }
-      ~inject ~scale:`Quick row ()
+      ~inject ~scale:`Quick [ row ]
   in
   check_int "the retry does not rebuild" 1 (Atomic.get builds);
   Alcotest.(check (list string)) "the retried row replays bit-identically"
     !reference (json results)
 
+(* The selected rows run as one sweep: rows come back in declaration
+   order at any [jobs], each with the JSON rows a sweep of that row alone
+   gives. *)
+let test_rows_share_one_sweep () =
+  let a, _ = counting_row ~id:"T1.a" [ "a/1"; "a/2" ] in
+  let b, _ = counting_row ~id:"T1.b" [ "b/1"; "b/2"; "b/3" ] in
+  let json rows =
+    List.map
+      (fun ((row : Table1.t), results) ->
+        ( row.id,
+          List.map
+            (Scenario.outcome_json ~experiment:row.id)
+            (Helpers.fresh_outcomes [ (row, results) ]) ))
+      rows
+  in
+  let alone =
+    json (Table1.sweep ~scale:`Quick [ a ])
+    @ json (Table1.sweep ~scale:`Quick [ b ])
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list (pair string (list string))))
+        (Printf.sprintf "rows in order, each as alone (jobs=%d)" jobs)
+        alone
+        (json (Table1.sweep ~jobs ~scale:`Quick [ a; b ])))
+    [ 1; 2 ]
+
+(* A resumable sweep of two rows records each cell's row under that
+   cell's own row id: the rows a second pass replays from the markers are
+   the first pass's, experiment ids included. *)
+let test_resumable_rows_keep_their_ids () =
+  Helpers.with_temp_dir "eear_two_rows" (fun dir ->
+      let a, _ = counting_row ~id:"T1.a" [ "a/1"; "a/2" ] in
+      let b, _ = counting_row ~id:"T1.b" [ "b/1" ] in
+      let rows () =
+        List.concat_map
+          (fun ((row : Table1.t), results) ->
+            List.map
+              (function
+                | _, Ok r -> (row.id, r)
+                | cid, Error _ -> Alcotest.failf "%s did not complete" cid)
+              results)
+          (Table1.sweep ~jobs:2 ~resume_dir:dir ~scale:`Quick [ a; b ])
+      in
+      let first = rows () in
+      let second = rows () in
+      check_bool "second pass all cached" true
+        (List.for_all
+           (function _, Scenario.Cached _ -> true | _, Scenario.Fresh _ -> false)
+           second);
+      (* A cached row replays verbatim, whatever experiment id it is
+         asked for. *)
+      Alcotest.(check (list string)) "markers keep each row's id"
+        (List.map
+           (fun (experiment, r) -> Scenario.resumed_json ~experiment r)
+           first)
+        (List.map
+           (fun (_, r) -> Scenario.resumed_json ~experiment:"ignored" r)
+           second))
+
 (* A drain request (SIGTERM) does not make a default-policy sweep raise:
-   the unstarted cells resolve as [Skipped], so the CLI can still print
-   the finished rows and exit 4. *)
+   the unstarted cells of every row resolve as [Skipped], so the CLI can
+   still print the finished rows and exit 4. *)
 let test_drained_sweep_skips () =
-  let row, _ = counting_row [ "drain/a"; "drain/b" ] in
+  let a, _ = counting_row ~id:"T1.a" [ "drain/a"; "drain/b" ] in
+  let b, _ = counting_row ~id:"T1.b" [ "drain/c" ] in
   let ran = ref 0 in
   Mac_sim.Supervisor.request_drain ();
   let results =
     Fun.protect ~finally:Mac_sim.Supervisor.reset_drain (fun () ->
-        Table1.sweep ~inject:(fun _ -> incr ran) ~scale:`Quick row ())
+        Table1.sweep ~inject:(fun _ -> incr ran) ~scale:`Quick [ a; b ])
   in
+  Alcotest.(check (list (pair string int)))
+    "one outcome per cell, in both rows"
+    [ ("T1.a", 2); ("T1.b", 1) ]
+    (List.map
+       (fun ((row : Table1.t), outcomes) -> (row.id, List.length outcomes))
+       results);
   check_bool "every unstarted cell skipped" true
     (List.for_all
-       (function _, Error Mac_sim.Supervisor.Skipped -> true | _ -> false)
+       (fun (_, outcomes) ->
+         List.for_all
+           (function _, Error Mac_sim.Supervisor.Skipped -> true | _ -> false)
+           outcomes)
        results);
-  check_int "one outcome per cell" 2 (List.length results);
   check_int "nothing ran" 0 !ran
 
 let test_table1_catalog_complete () =
@@ -433,18 +504,34 @@ let test_table1_quick_rows_pass () =
       List.iter
         (fun (o : Scenario.outcome) ->
           check_bool (Printf.sprintf "%s/%s passes" id o.spec.id) true o.passed)
-        (Helpers.fresh_outcomes (Table1.sweep ~scale:`Quick t ())))
+        (Helpers.fresh_outcomes (Table1.sweep ~scale:`Quick [ t ])))
     [ "T1.k-clique"; "T1.obl-impossible" ]
 
+(* Figures swept together render the rows each renders alone. *)
 let test_figures_quick_produce_rows () =
+  let rendered results =
+    List.map
+      (fun ((f : Figures.t), (s : Figures.supervised)) ->
+        (f.id, Mac_sim.Report.to_string s.report))
+      results
+  in
+  let together =
+    Figures.run ~jobs:2 ~scale:`Quick [ Figures.energy; Figures.allocation ]
+  in
   List.iter
-    (fun (f : Figures.t) ->
-      let s = f.run ~scale:`Quick () in
+    (fun ((f : Figures.t), (s : Figures.supervised)) ->
       check_bool (f.id ^ " yields rows") true
         (String.length (Mac_sim.Report.to_string s.report) > 0);
       check_bool (f.id ^ " yields outcomes") true (s.outcomes <> []);
       check_bool (f.id ^ " has no failures") true (s.failures = []))
-    [ Figures.energy ]
+    together;
+  Alcotest.(check (list (pair string string)))
+    "each figure's rows as alone"
+    (rendered
+       (List.concat_map
+          (fun f -> Figures.run ~scale:`Quick [ f ])
+          [ Figures.energy; Figures.allocation ]))
+    (rendered together)
 
 (* ---- batches ---- *)
 
@@ -504,16 +591,17 @@ let recording_observer () =
 (* Parallel Table 1 is bit-identical to sequential, down to the recorded
    event streams. *)
 let test_table1_parallel_bit_identical () =
-  List.iter
-    (fun (exp : Table1.t) ->
-      let obs_seq, events_seq, calls_seq = recording_observer () in
-      let obs_par, events_par, calls_par = recording_observer () in
-      let run observe jobs =
-        Helpers.fresh_outcomes
-          (Table1.sweep ~observe ~jobs ~scale:`Quick exp ())
-      in
-      let seq = run obs_seq 1 in
-      let par = run obs_par 4 in
+  let obs_seq, events_seq, calls_seq = recording_observer () in
+  let obs_par, events_par, calls_par = recording_observer () in
+  let run observe jobs =
+    List.map
+      (fun (exp, results) -> (exp, Helpers.fresh_outcomes [ (exp, results) ]))
+      (Table1.sweep ~observe ~jobs ~scale:`Quick Table1.all)
+  in
+  let seq = run obs_seq 1 in
+  let par = run obs_par 4 in
+  List.iter2
+    (fun ((exp : Table1.t), seq) (_, par) ->
       check_int (exp.id ^ ": outcome count") (List.length seq) (List.length par);
       List.iter2
         (fun (a : Scenario.outcome) b ->
@@ -521,26 +609,26 @@ let test_table1_parallel_bit_identical () =
             (exp.id ^ "/" ^ a.spec.id ^ ": outcome row")
             (Scenario.outcome_json ~experiment:exp.id a)
             (Scenario.outcome_json ~experiment:exp.id b))
-        seq par;
-      Hashtbl.iter
-        (fun id count -> check_int (id ^ ": observed once sequentially") 1 count)
-        calls_seq;
-      Hashtbl.iter
-        (fun id count -> check_int (id ^ ": observed once in parallel") 1 count)
-        calls_par;
-      check_int (exp.id ^ ": stream count")
-        (Hashtbl.length events_seq) (Hashtbl.length events_par);
-      Hashtbl.iter
-        (fun id (lines, chain) ->
-          let lines', chain' =
-            Option.value ~default:empty_stream (Hashtbl.find_opt events_par id)
-          in
-          check_int (exp.id ^ "/" ^ id ^ ": event lines") lines lines';
-          Alcotest.(check string)
-            (exp.id ^ "/" ^ id ^ ": event stream digest")
-            (Digest.to_hex chain) (Digest.to_hex chain'))
-        events_seq)
-    Table1.all
+        seq par)
+    seq par;
+  Hashtbl.iter
+    (fun id count -> check_int (id ^ ": observed once sequentially") 1 count)
+    calls_seq;
+  Hashtbl.iter
+    (fun id count -> check_int (id ^ ": observed once in parallel") 1 count)
+    calls_par;
+  check_int "stream count"
+    (Hashtbl.length events_seq) (Hashtbl.length events_par);
+  Hashtbl.iter
+    (fun id (lines, chain) ->
+      let lines', chain' =
+        Option.value ~default:empty_stream (Hashtbl.find_opt events_par id)
+      in
+      check_int (id ^ ": event lines") lines lines';
+      Alcotest.(check string)
+        (id ^ ": event stream digest")
+        (Digest.to_hex chain) (Digest.to_hex chain'))
+    events_seq
 
 let () =
   Alcotest.run "experiments"
@@ -578,7 +666,11 @@ let () =
        [ Alcotest.test_case "catalog built once" `Quick
            test_sweep_builds_catalog_once;
          Alcotest.test_case "drain skips, does not raise" `Quick
-           test_drained_sweep_skips ]);
+           test_drained_sweep_skips;
+         Alcotest.test_case "rows share one sweep" `Quick
+           test_rows_share_one_sweep;
+         Alcotest.test_case "resumable rows keep their ids" `Quick
+           test_resumable_rows_keep_their_ids ]);
       ("catalog",
        [ Alcotest.test_case "table1 complete" `Quick test_table1_catalog_complete;
          Alcotest.test_case "table1 quick rows" `Slow test_table1_quick_rows_pass;

@@ -309,31 +309,37 @@ let test_bisect_validates_endpoints () =
         (Mac_experiments.Sweep.bisect_q ~lo:(Q.make 1 10) ~hi:(Q.make 1 5)
            (fun ~rho:_ -> true)))
 
-(* [frontiers] probes each endpoint once: a proper bracket costs
+(* [frontier] probes each endpoint once: a proper bracket costs
    2 + steps probes and narrows as [bisect_q] does; a degenerate one is
-   classified from its endpoints. *)
-let test_frontiers_probe_endpoints_once () =
-  let probes = ref 0 in
+   classified from its endpoints. The heartbeat ticks after every probe. *)
+let test_frontier_probes_endpoints_once () =
+  let probes = ref 0 and beats = ref 0 in
   let counted stable ~rho =
     incr probes;
     stable rho
   in
   let below = Q.make 37 100 in
   let results =
-    Mac_experiments.Sweep.frontiers ~steps:10
-      [ ("bracket", Q.zero, Q.one, counted (fun rho -> Q.compare rho below < 0));
-        ("ceiling", Q.zero, Q.one, counted (fun _ -> true));
-        ("floor", Q.zero, Q.one, counted (fun _ -> false)) ]
+    List.map
+      (fun (label, probe) ->
+        ( label,
+          Mac_experiments.Sweep.frontier
+            { label; lo = Q.zero; hi = Q.one; steps = 10; probe }
+            ~heartbeat:(fun () -> incr beats) ))
+      [ ("bracket", counted (fun rho -> Q.compare rho below < 0));
+        ("ceiling", counted (fun _ -> true));
+        ("floor", counted (fun _ -> false)) ]
   in
   Alcotest.(check int) "probes: 2 + 10, then 2, then 1" 15 !probes;
+  Alcotest.(check int) "one heartbeat per probe" 15 !beats;
   let lo', hi' =
     Mac_experiments.Sweep.bisect_q ~steps:10 ~lo:Q.zero ~hi:Q.one (fun ~rho ->
         Q.compare rho below < 0)
   in
   match results with
-  | [ ("bracket", Ok (Mac_experiments.Sweep.Bracket (lo, hi)));
-      ("ceiling", Ok (Stable_to_ceiling c));
-      ("floor", Ok (Unstable_at_floor f)) ] ->
+  | [ ("bracket", Mac_experiments.Sweep.Bracket (lo, hi));
+      ("ceiling", Stable_to_ceiling c);
+      ("floor", Unstable_at_floor f) ] ->
     check_bool "the bracket bisect_q finds" true (Q.equal lo lo' && Q.equal hi hi');
     check_bool "degenerate endpoints kept" true
       (Q.equal c Q.one && Q.equal f Q.zero)
@@ -379,5 +385,5 @@ let () =
        [ Alcotest.test_case "bisect narrows" `Quick test_bisect_narrows;
          Alcotest.test_case "validates endpoints" `Quick test_bisect_validates_endpoints;
          Alcotest.test_case "frontiers probe endpoints once" `Quick
-           test_frontiers_probe_endpoints_once;
+           test_frontier_probes_endpoints_once;
          Alcotest.test_case "pair-tdma frontier" `Slow test_probe_on_pair_tdma ]) ]

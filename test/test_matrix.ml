@@ -51,7 +51,7 @@ let test_cell_ids_parse_back () =
 
 let test_slice_runs_with_verdicts_and_jobs_parity () =
   let e = Matrix.row_for ~only:broadcast_only in
-  let run jobs = Helpers.fresh_outcomes (Table1.sweep ~jobs ~scale:`Quick e ()) in
+  let run jobs = Helpers.fresh_outcomes (Table1.sweep ~jobs ~scale:`Quick [ e ]) in
   let seq = run 1 in
   let par = run 2 in
   check_int "slice size"
@@ -84,11 +84,14 @@ let test_resume_replays_byte_identically () =
   let e = Matrix.row_for ~only in
   Helpers.with_temp_dir "eear_matrix" (fun dir ->
       let run jobs =
-        List.map
-          (function
-            | _, Ok r -> r
-            | cid, Error _ -> Alcotest.failf "%s did not complete" cid)
-          (Table1.sweep ~jobs ~resume_dir:dir ~scale:`Quick e ())
+        List.concat_map
+          (fun (_, results) ->
+            List.map
+              (function
+                | _, Ok r -> r
+                | cid, Error _ -> Alcotest.failf "%s did not complete" cid)
+              results)
+          (Table1.sweep ~jobs ~resume_dir:dir ~scale:`Quick [ e ])
       in
       let first = run 1 in
       check_bool "first pass all fresh" true
@@ -127,7 +130,7 @@ let test_csv_lines_parse () =
         check_bool "passed column boolean" true
           (passed = "true" || passed = "false")
       | _ -> Alcotest.failf "bad csv line %s" line)
-    (Helpers.fresh_outcomes (Table1.sweep ~jobs:1 ~scale:`Quick e ()))
+    (Helpers.fresh_outcomes (Table1.sweep ~jobs:1 ~scale:`Quick [ e ]))
 
 let test_thresholds_classify_every_pair () =
   (* ack-rr (TDMA): stable at trickle rates against spread traffic, but
